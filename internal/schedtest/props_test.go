@@ -247,15 +247,20 @@ func propSeedCount() int {
 	return propSeeds
 }
 
+// propGoldens pins every (scheduler, seed) cell's trace hash and length.
+// Short mode checks the first propSeedCount() seeds of the same file.
+const propGoldens = "testdata/schedule_goldens.txt"
+
 // TestSchedulerProperties runs the full matrix once and checks, per cell:
-// no starvation (exact completion), bounded idle-while-queued, and a
-// non-trivial trace; then across cells: the completion set is identical
-// for every scheduler and every seed, while the trace hashes diverge
-// across seeds (the metamorphic complement — if they did not, the
-// determinism property would be vacuous).
+// no starvation (exact completion), bounded idle-while-queued, a
+// non-trivial trace, and the committed schedule golden; then across cells:
+// the completion set is identical for every scheduler and every seed,
+// while the trace hashes diverge across seeds (the metamorphic complement
+// — if they did not, the determinism property would be vacuous).
 func TestSchedulerProperties(t *testing.T) {
 	seeds := propSeedCount()
 	matrix := runPropMatrix(t, seeds, false)
+	goldens := LoadGoldens(t, propGoldens)
 
 	// The expected completion set comes from the workload definition: each
 	// process does exactly its configured bytes, regardless of scheduler or
@@ -273,6 +278,7 @@ func TestSchedulerProperties(t *testing.T) {
 			if res.Events == 0 {
 				t.Errorf("%s: empty trace", name)
 			}
+			goldens.Check(t, name, fmt.Sprintf("hash=%s events=%d", res.Hash, res.Events))
 			if len(res.Done) != len(want) {
 				t.Errorf("%s: %d processes completed, want %d", name, len(res.Done), len(want))
 				continue

@@ -8,6 +8,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 	"testing"
@@ -97,6 +98,48 @@ func TraceHash(events []trace.Event) string {
 			e.Ino, e.Page, e.LBA, e.Blocks, e.Bytes, e.Prio, e.Txn, e.Flags)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// Goldens is a committed schedule-golden file: one "key field=value ..."
+// line per key, where the key is the line's first space-separated field.
+// Blank lines and lines starting with '#' are comments.
+type Goldens struct {
+	path  string
+	lines map[string]string
+}
+
+// LoadGoldens reads the golden file at path, failing t if it is missing.
+func LoadGoldens(t testing.TB, path string) *Goldens {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("schedule goldens: %v", err)
+	}
+	g := &Goldens{path: path, lines: make(map[string]string)}
+	for _, ln := range strings.Split(string(data), "\n") {
+		if ln == "" || strings.HasPrefix(ln, "#") {
+			continue
+		}
+		key, _, _ := strings.Cut(ln, " ")
+		g.lines[key] = ln
+	}
+	return g
+}
+
+// Check compares key's golden line with key + " " + payload. There is no
+// update flag: on a mismatch the failure prints the complete replacement
+// line, and a deliberate behaviour change pastes it into the file.
+func (g *Goldens) Check(t testing.TB, key, payload string) {
+	t.Helper()
+	got := key + " " + payload
+	want, ok := g.lines[key]
+	if !ok {
+		t.Errorf("%s has no line for %s; add:\n%s", g.path, key, got)
+		return
+	}
+	if got != want {
+		t.Errorf("%s: schedule moved for %s\n  golden: %s\nreplacement line:\n%s", g.path, key, want, got)
+	}
 }
 
 // MetricsDump renders every sampled gauge series of r in a canonical text

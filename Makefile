@@ -1,7 +1,8 @@
 # Tier-1 verification plus static and race checks.
 #
-#   make check       vet + lint + build + tests + race + fuzz corpora + crash-consistency smoke + gcsweep + report + slo
+#   make check       vet + lint + build + tests + benchmark tests + race + fuzz corpora + crash-consistency smoke + gcsweep + report + slo
 #   make lint        splitlint determinism-contract analyzers (see DESIGN.md)
+#   make benchtest   tests of cmd/benchmark, a nested module the root `go test ./...` skips
 #   make crashsweep  fault-injected crash sweep; fails on any invariant violation
 #   make gcsweep     GC-inversion sweep on an aged FTL SSD; fails if gc-afq inverts
 #   make report      latency-attribution report; fails on split-scheduler inversions
@@ -18,9 +19,9 @@
 GO ?= go
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: check build test vet race bench microbench lint fuzz cover crashsweep gcsweep report slo clean
+.PHONY: check build test benchtest vet race bench microbench lint fuzz cover crashsweep gcsweep report slo clean
 
-check: vet lint build test race fuzz crashsweep gcsweep report slo
+check: vet lint build test benchtest race fuzz crashsweep gcsweep report slo
 
 # The full interprocedural suite (call graph + taint fixpoints) is the
 # slowest static check, so the wall time is echoed to stderr; the SARIF
@@ -36,6 +37,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# cmd/benchmark has its own go.mod (the benchmark builds standalone from a
+# checkout), so the root module's `go test ./...` never reaches its tests.
+benchtest:
+	cd cmd/benchmark && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...

@@ -136,8 +136,8 @@ type Layer struct {
 	// QueueDepth>1 is not modeled; the dispatcher issues one request at a
 	// time, matching the paper's single-spindle evaluation.
 
-	// Run-to-completion dispatcher state (the default engine). The
-	// dispatcher issues one request at a time, so the in-flight request and
+	// Run-to-completion dispatcher state. The dispatcher issues one request
+	// at a time, so the in-flight request and
 	// its captured trace breakdown live in the layer; the two callbacks are
 	// allocated once here so the steady-state dispatch loop never allocates.
 	inflight      *Request
@@ -151,18 +151,14 @@ type Layer struct {
 }
 
 // NewLayer creates a block layer over disk using elv and starts its
-// dispatcher. The dispatcher is a run-to-completion handler on the event
-// loop; with the legacy engine selected it is a coroutine process instead.
+// dispatcher, a run-to-completion handler on the event loop.
 func NewLayer(env *sim.Env, disk device.Disk, elv Elevator) *Layer {
 	l := &Layer{env: env, disk: disk, elv: elv, tr: trace.Nop, work: sim.NewWaitQueue(env)}
-	if env.LegacyCoroutines() {
-		env.Go("block-dispatch", l.dispatcher)
-		return l
-	}
 	l.completeFn = l.complete
 	l.resumeFn = func(sig bool) { l.dispatchStep() }
-	// The startup event mirrors the legacy spawn: the first dispatch probe
-	// runs at time zero, in construction order, and parks on l.work.
+	// The first dispatch probe is a t=0 startup event scheduled in
+	// construction order, which fixes the kernel's seq numbering; the
+	// schedule goldens pin it. It parks on l.work.
 	env.Schedule(0, l.dispatchStep)
 	return l
 }
@@ -367,73 +363,6 @@ func (l *Layer) complete() {
 	}
 	r.done.Complete()
 	l.dispatchStep()
-}
-
-// dispatcher is the legacy coroutine build of the dispatch loop, kept only
-// for the differential equivalence harness (core.Options.LegacyCoroutines).
-//
-//splitlint:hot
-func (l *Layer) dispatcher(p *sim.Proc) {
-	for {
-		// The elevator's pick and the disk model's service-time computation
-		// are the sched and device buckets' host-CPU profiling points; both
-		// are synchronous, so the samples never straddle a coroutine switch.
-		pt := perf.Begin(perf.BucketSched)
-		r := l.elv.Next(p.Now())
-		perf.End(perf.BucketSched, pt)
-		if r == nil {
-			l.work.Wait(p)
-			continue
-		}
-		l.busy = true
-		r.Start = p.Now()
-		l.stats.Dispatched++
-		if l.hooks != nil {
-			l.hooks.BlockDispatched(r)
-		}
-		if an, ok := l.disk.(device.Annotator); ok {
-			// Device wrappers that model durability (the fault plane) need
-			// the request's semantic tags; raw models ignore them.
-			an.Annotate(device.RequestInfo{
-				Sync: r.Sync, Journal: r.Journal, Meta: r.Meta, Barrier: r.Barrier,
-				FileID: r.FileID, TxnID: r.TxnID, Pages: r.Pages,
-			})
-		}
-		pt = perf.Begin(perf.BucketDevice)
-		svc := l.disk.ServiceTime(r.Op, r.LBA, r.Blocks, time.Duration(p.Now()), r.Barrier)
-		perf.End(perf.BucketDevice, pt)
-		var pos, xfer, gcStall time.Duration
-		traced := l.tr.Enabled()
-		if traced {
-			// Capture the positioning/transfer split and GC stall now: the
-			// disk model's per-request state is overwritten by the next
-			// ServiceTime call.
-			if bd, ok := l.disk.(device.Breakdowner); ok {
-				pos, xfer = bd.Breakdown()
-			}
-			if gs, ok := l.disk.(device.GCStaller); ok {
-				gcStall = gs.GCStall()
-			}
-		}
-		p.Sleep(svc)
-		r.Service = svc
-		l.stats.BusyTime += svc
-		if r.Op == device.Read {
-			l.stats.BlocksRead += int64(r.Blocks)
-		} else {
-			l.stats.BlocksWrite += int64(r.Blocks)
-		}
-		l.busy = false
-		l.depth--
-		l.elv.Completed(r)
-		if l.hooks != nil {
-			l.hooks.BlockCompleted(r)
-		}
-		if traced {
-			l.traceRequest(r, pos, xfer, gcStall)
-		}
-		r.done.Complete()
-	}
 }
 
 // FIFO is the no-op elevator: requests are dispatched in arrival order with

@@ -78,18 +78,12 @@ type dirtyFile struct {
 	pages map[int64]struct{}
 }
 
-// WritebackFn flushes up to max dirty pages of file ino to disk on behalf of
-// the writeback process p, returning how many pages it submitted. The file
-// system provides it (allocation, journaling, and block submission happen
-// there).
-type WritebackFn func(p *sim.Proc, ino int64, max int) int
-
-// WritebackAsyncFn is the run-to-completion counterpart of WritebackFn: it
-// flushes up to max dirty pages of ino on behalf of the handler-based
-// writeback daemon and invokes done(n) — n pages submitted — once every
-// write has completed. It must not block; the file system provides it
-// alongside WritebackFn.
-type WritebackAsyncFn func(ino int64, max int, done func(n int))
+// WritebackFn flushes up to max dirty pages of file ino to disk and invokes
+// done(n) — n pages submitted — once every write has completed. It runs on
+// the event loop and must not block; done may run before it returns. The
+// file system provides it (allocation, journaling, and block submission
+// happen there).
+type WritebackFn func(ino int64, max int, done func(n int))
 
 // Cache is the simulated page cache.
 type Cache struct {
@@ -111,12 +105,11 @@ type Cache struct {
 	flushHint []int64        // files schedulers asked to flush first
 
 	writeback      WritebackFn
-	writebackAsync WritebackAsyncFn
 	pdflushEnabled bool
 	wbCtx          *ioctx.Ctx
 
-	// Run-to-completion pdflush state (the default engine): the loop and
-	// park continuations are allocated once at construction.
+	// Run-to-completion pdflush state: the loop and park continuations are
+	// allocated once at construction.
 	pdWakeFn func(sig bool)
 	pdIdleFn func(sig bool)
 
@@ -148,14 +141,11 @@ func New(env *sim.Env, cfg Config, wbCtx *ioctx.Ctx) *Cache {
 		pdflushEnabled: true,
 		wbCtx:          wbCtx,
 	}
-	if env.LegacyCoroutines() {
-		env.Go("pdflush", c.pdflush)
-		return c
-	}
 	c.pdWakeFn = func(sig bool) { c.pdflushLoop() }
 	c.pdIdleFn = c.pdflushAfterIdle
-	// The startup event mirrors the legacy spawn: the daemon's first pass
-	// runs at time zero, in construction order, and parks on wbWake.
+	// The daemon's first pass is a t=0 startup event scheduled in
+	// construction order, which fixes the kernel's seq numbering; the
+	// schedule goldens pin it. It parks on wbWake.
 	env.Schedule(0, c.pdflushLoop)
 	return c
 }
@@ -171,33 +161,11 @@ func (c *Cache) SetTracer(tr *trace.Tracer) {
 	c.tr = tr
 }
 
-// SetWriteback installs the file system's flush callback.
+// SetWriteback installs the file system's flush callback (a WritebackFn).
 // The parameter is spelled as an unnamed func type so that fs.PageCache can
 // name this method without importing cache.
-//
-// Under the run-to-completion engine the blocking callback is also wrapped
-// into an async adapter that drives it on a transient process, so direct
-// cache users (tests) that never call SetWritebackAsync still get a working
-// daemon; fs installs its native continuation right after, overwriting the
-// adapter.
-func (c *Cache) SetWriteback(fn func(p *sim.Proc, ino int64, max int) int) {
+func (c *Cache) SetWriteback(fn func(ino int64, max int, done func(n int))) {
 	c.writeback = fn
-	if fn == nil || c.env.LegacyCoroutines() {
-		return
-	}
-	c.writebackAsync = func(ino int64, max int, done func(n int)) {
-		c.env.Go("pdflush-wb", func(p *sim.Proc) {
-			done(fn(p, ino, max))
-		})
-	}
-}
-
-// SetWritebackAsync installs the run-to-completion flush callback the
-// handler-based pdflush drives. Like SetWriteback, the parameter is an
-// unnamed func type so fs.PageCache can name this method without importing
-// cache.
-func (c *Cache) SetWritebackAsync(fn func(ino int64, max int, done func(n int))) {
-	c.writebackAsync = fn
 }
 
 // SetPdflushEnabled turns the periodic writeback daemon on or off. Split
@@ -586,7 +554,8 @@ func (c *Cache) FlushAsync(ino int64) {
 }
 
 // Writeback synchronously flushes up to max dirty pages of ino using the
-// installed writeback function, on behalf of p. It returns pages flushed.
+// installed writeback function, blocking p until the writes complete. It
+// returns pages flushed.
 func (c *Cache) Writeback(p *sim.Proc, ino int64, max int) int {
 	if c.writeback == nil {
 		return 0
@@ -600,7 +569,13 @@ func (c *Cache) Writeback(p *sim.Proc, ino int64, max int) int {
 		start = c.env.Now()
 	}
 	depth := c.dirtyCount
-	n := c.writeback(p, ino, max)
+	var n int
+	p.Await(func(resume func()) {
+		c.writeback(ino, max, func(got int) {
+			n = got
+			resume()
+		})
+	})
 	if traced {
 		c.tr.Record(trace.Event{
 			Layer: trace.LayerCache, Op: trace.OpWriteback, Label: "sync",
@@ -641,9 +616,10 @@ func (c *Cache) nextDirtyIno() (int64, bool) {
 }
 
 // pdflushLoop is the writeback daemon as a run-to-completion state machine:
-// one pass of the legacy loop body per invocation, parking on wbWake (with
-// or without the periodic timeout) between passes. Wakers go through the
-// same wbWake queue in both engines, so signal ordering is identical.
+// wake periodically (or on demand), and while the system is over the
+// background threshold — or a flush hint is pending, or writers are
+// throttled — flush one dirty file per pass, parking on wbWake (with or
+// without the periodic timeout) between passes.
 func (c *Cache) pdflushLoop() {
 	if !c.pdflushEnabled {
 		c.wbWake.WaitFn(c.pdWakeFn)
@@ -677,10 +653,10 @@ func (c *Cache) pdflushAfterIdle(sig bool) {
 	c.pdflushLoop()
 }
 
-// flushOneFn flushes one file through the async writeback callback and
-// continues the daemon loop once the flush completes.
+// flushOneFn flushes one file through the writeback callback and continues
+// the daemon loop once the flush completes.
 func (c *Cache) flushOneFn(ino int64) {
-	if c.writebackAsync == nil {
+	if c.writeback == nil {
 		// No file system attached: drop the pages (test configurations).
 		c.TakeDirty(ino, c.cfg.WritebackBatch)
 		c.pdflushLoop()
@@ -693,7 +669,7 @@ func (c *Cache) flushOneFn(ino int64) {
 		start = c.env.Now()
 	}
 	depth := c.dirtyCount
-	c.writebackAsync(ino, c.cfg.WritebackBatch, func(n int) {
+	c.writeback(ino, c.cfg.WritebackBatch, func(n int) {
 		if traced {
 			c.tr.Record(trace.Event{
 				Layer: trace.LayerCache, Op: trace.OpWriteback, Label: "pdflush",
@@ -704,62 +680,4 @@ func (c *Cache) flushOneFn(ino int64) {
 		c.maybeUnthrottle()
 		c.pdflushLoop()
 	})
-}
-
-// pdflush is the legacy coroutine build of the writeback daemon, kept only
-// for the differential equivalence harness (core.Options.LegacyCoroutines):
-// wake periodically (or on demand), and while the system is over the
-// background threshold — or a flush hint is pending — flush batches of
-// dirty files.
-func (c *Cache) pdflush(p *sim.Proc) {
-	for {
-		if !c.pdflushEnabled {
-			c.wbWake.Wait(p)
-			continue
-		}
-		over := c.dirtyCount > c.bgThreshold()
-		hinted := len(c.flushHint) > 0
-		throttled := c.throttleQ.Len() > 0
-		if !over && !hinted && !throttled {
-			c.wbWake.WaitTimeout(p, c.cfg.WritebackInterval)
-			// Periodic flush: age out dirty data even under threshold.
-			if c.dirtyCount > 0 && c.pdflushEnabled {
-				if ino, ok := c.nextDirtyIno(); ok {
-					c.flushOne(p, ino)
-				}
-			}
-			continue
-		}
-		ino, ok := c.nextDirtyIno()
-		if !ok {
-			c.maybeUnthrottle()
-			c.wbWake.WaitTimeout(p, c.cfg.WritebackInterval)
-			continue
-		}
-		c.flushOne(p, ino)
-	}
-}
-
-func (c *Cache) flushOne(p *sim.Proc, ino int64) {
-	if c.writeback == nil {
-		// No file system attached: drop the pages (test configurations).
-		c.TakeDirty(ino, c.cfg.WritebackBatch)
-		return
-	}
-	traced := c.tr.Enabled()
-	var start sim.Time
-	if traced {
-		c.wbCtx.Req = c.tr.NextReq()
-		start = c.env.Now()
-	}
-	depth := c.dirtyCount
-	n := c.writeback(p, ino, c.cfg.WritebackBatch)
-	if traced {
-		c.tr.Record(trace.Event{
-			Layer: trace.LayerCache, Op: trace.OpWriteback, Label: "pdflush",
-			Req: c.wbCtx.Req, PID: c.wbCtx.PID, Depth: depth,
-			Start: start, End: c.env.Now(), Ino: ino, Blocks: n,
-		})
-	}
-	c.maybeUnthrottle()
 }

@@ -253,11 +253,10 @@ func TestWritebackFnCalled(t *testing.T) {
 	env, c := newTestCache(cfg)
 	defer env.Close()
 	flushed := 0
-	c.SetWriteback(func(p *sim.Proc, ino int64, max int) int {
+	c.SetWriteback(func(ino int64, max int, done func(n int)) {
 		idxs, _ := c.TakeDirty(ino, max)
 		flushed += len(idxs)
-		p.Sleep(time.Millisecond)
-		return len(idxs)
+		env.Schedule(time.Millisecond, func() { done(len(idxs)) })
 	})
 	env.Go("writer", func(p *sim.Proc) {
 		ctx := testCtx(10)
@@ -268,6 +267,35 @@ func TestWritebackFnCalled(t *testing.T) {
 	env.Run(sim.Time(time.Minute))
 	if flushed != 20 {
 		t.Fatalf("flushed = %d, want 20", flushed)
+	}
+}
+
+// TestWritebackBlocksUntilDone drives the blocking Writeback that split
+// schedulers call from their pacer processes: the caller stays parked until
+// the callback reports completion and gets its page count.
+func TestWritebackBlocksUntilDone(t *testing.T) {
+	env, c := newTestCache(smallConfig())
+	defer env.Close()
+	c.SetPdflushEnabled(false)
+	c.SetWriteback(func(ino int64, max int, done func(n int)) {
+		idxs, _ := c.TakeDirty(ino, max)
+		env.Schedule(3*time.Millisecond, func() { done(len(idxs)) })
+	})
+	var n int
+	var at sim.Time
+	env.Go("pacer", func(p *sim.Proc) {
+		for i := int64(0); i < 5; i++ {
+			c.MarkDirty(testCtx(10), 1, i)
+		}
+		n = c.Writeback(p, 1, 3)
+		at = p.Now()
+	})
+	env.Run(sim.Time(time.Second))
+	if n != 3 || at != sim.Time(3*time.Millisecond) {
+		t.Fatalf("Writeback returned %d pages at %v, want 3 at 3ms", n, at)
+	}
+	if c.DirtyPagesCount() != 2 {
+		t.Fatalf("dirty = %d, want 2 left", c.DirtyPagesCount())
 	}
 }
 
@@ -296,13 +324,12 @@ func TestFlushAsyncPrioritizesFile(t *testing.T) {
 	env, c := newTestCache(cfg)
 	defer env.Close()
 	var order []int64
-	c.SetWriteback(func(p *sim.Proc, ino int64, max int) int {
+	c.SetWriteback(func(ino int64, max int, done func(n int)) {
 		idxs, _ := c.TakeDirty(ino, max)
 		if len(idxs) > 0 {
 			order = append(order, ino)
 		}
-		p.Sleep(time.Millisecond)
-		return len(idxs)
+		env.Schedule(time.Millisecond, func() { done(len(idxs)) })
 	})
 	env.Go("writer", func(p *sim.Proc) {
 		for ino := int64(1); ino <= 3; ino++ {

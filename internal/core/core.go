@@ -98,13 +98,6 @@ type Options struct {
 	// cut, torn/lost writes, read errors) are injected. The wrapper is
 	// exposed as Kernel.Fault; Kernel.Disk stays the raw model.
 	Fault *fault.Plan
-	// LegacyCoroutines runs every kernel daemon (block dispatcher, pdflush,
-	// journal + commit timer + COW cleaner, FTL GC) on the legacy
-	// cooperative-coroutine engine instead of the run-to-completion event
-	// handlers. It exists for the differential equivalence harness
-	// (internal/schedtest), which proves the two engines produce
-	// byte-identical schedules.
-	LegacyCoroutines bool
 	// Monitor, when non-nil, builds the observability plane (SLO engine,
 	// introspection sampler, flight recorder), attaches it to the kernel's
 	// tracer (enabling the tracer with a small retention ring if the caller
@@ -160,11 +153,6 @@ func NewKernel(opts Options, factory Factory) *Kernel {
 // NewKernelOn assembles a machine on an existing environment, so several
 // machines can share one virtual clock (distributed experiments, Fig 21).
 func NewKernelOn(env *sim.Env, opts Options, factory Factory) *Kernel {
-	if opts.LegacyCoroutines {
-		// Must be selected before any layer is constructed: each daemon
-		// picks its engine at construction time.
-		env.SetLegacyCoroutines(true)
-	}
 	var disk device.Disk
 	switch opts.Disk {
 	case SSD:

@@ -24,13 +24,6 @@ func (o Options) cellKey(experiment, config string) sweep.Key {
 	if o.Device != "" {
 		config += " device=" + o.Device
 	}
-	if o.Legacy {
-		// The engine changes nothing observable (that is the equivalence
-		// harness's claim), but a cached handler-engine payload must never
-		// satisfy a legacy-engine run or the harness would compare a result
-		// against itself.
-		config += " engine=legacy"
-	}
 	return sweep.NewKey(experiment, fmt.Sprintf("%s scale=%g", config, o.Scale), o.Seed)
 }
 
@@ -38,8 +31,8 @@ func (o Options) cellKey(experiment, config string) sweep.Key {
 // observers — a shared -trace tracer, a -stats collector, or a -slo monitor
 // collector — fall back to an inline serial, uncached runner: the
 // observers' side effects live outside the cell payloads, so skipping or
-// reordering cells would corrupt them. That preserves the exact legacy
-// behavior of -trace/-stats runs. (The slo experiment itself stays
+// reordering cells would corrupt them, so -trace/-stats runs keep the
+// serial cell order. (The slo experiment itself stays
 // parallel: it builds its monitors inside each cell.)
 func (o Options) cellRunner() *sweep.Runner {
 	if o.Runner == nil || o.Tracer != nil || o.Metrics != nil || o.Monitor != nil {

@@ -71,10 +71,6 @@ type Options struct {
 	// when non-empty (splitbench -device). Experiments that pin their own
 	// device (gcsweep's aged FTL, crashsweep's disk axis) ignore it.
 	Device string
-	// Legacy runs every kernel on the legacy cooperative-coroutine engine
-	// (core.Options.LegacyCoroutines), for the differential equivalence
-	// harness in internal/schedtest.
-	Legacy bool
 	// Runner, when non-nil, fans an experiment's independent simulation
 	// cells across a host-side worker pool (splitbench -j) with optional
 	// result caching (splitbench -cache). Nil runs cells inline. Output is
@@ -230,7 +226,6 @@ func newKernel(sched string, o Options, mut func(*core.Options)) *core.Kernel {
 	cc.TotalPages = 256 << 20 / cache.PageSize
 	opts.Cache = &cc
 	opts.Tracer = o.Tracer
-	opts.LegacyCoroutines = o.Legacy
 	if o.Device != "" {
 		opts.Disk = core.DiskKind(o.Device)
 	}

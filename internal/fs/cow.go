@@ -13,7 +13,6 @@ import (
 	"splitio/internal/block"
 	"splitio/internal/causes"
 	"splitio/internal/device"
-	"splitio/internal/sim"
 )
 
 // remapRange points file blocks [fileBlk, fileBlk+n) at diskBlk..,
@@ -93,9 +92,11 @@ func (f *FS) GarbageBlocks() int64 { return f.garbageBlocks }
 func (f *FS) GCRelocatedBlocks() int64 { return f.statGCRelocated }
 
 // gcStep is one run-to-completion round of the copy-on-write cleaner: when
-// garbage accumulates, pick the most fragmented file, relocate a batch of
-// its live blocks as a proxy for the file's owners, then pace one
-// millisecond before the next round; otherwise park on gcWake.
+// garbage accumulates, pick the most fragmented file, read a batch of its
+// live blocks and rewrite them contiguously at the log head as a proxy for
+// the file's owners, then pace one millisecond before the next round;
+// otherwise park on gcWake. Split schedulers therefore charge GC I/O to the
+// tenants whose overwrites created the garbage.
 func (f *FS) gcStep() {
 	if f.garbageBlocks <= f.cfg.GCThresholdBlocks {
 		f.gcWake.WaitTimeoutFn(5*time.Second, f.gcWakeFn)
@@ -123,40 +124,6 @@ func (f *FS) gcStep() {
 	})
 }
 
-// gcTask is the legacy coroutine build of the copy-on-write cleaner, kept
-// only for the differential equivalence harness: when garbage accumulates,
-// it picks the most fragmented file, reads a batch of its live blocks and
-// rewrites them contiguously at the log head, acting as a proxy for the
-// file's owners. Split schedulers therefore charge GC I/O to the tenants
-// whose overwrites created the garbage.
-func (f *FS) gcTask(p *sim.Proc) {
-	for {
-		if f.garbageBlocks <= f.cfg.GCThresholdBlocks {
-			f.gcWake.WaitTimeout(p, 5*time.Second)
-			continue
-		}
-		victim := f.mostFragmented()
-		if victim == nil {
-			f.gcWake.WaitTimeout(p, 5*time.Second)
-			continue
-		}
-		owners := f.fileOwners[victim.Ino]
-		if owners.Empty() {
-			owners = causes.Of(f.gcCtx.PID)
-		}
-		f.gcCtx.BeginProxy(owners)
-		f.relocate(p, victim, f.cfg.GCBatch)
-		f.gcCtx.EndProxy()
-		// Relocation compacts: credit the garbage it implicitly reclaims.
-		reclaimed := int64(f.cfg.GCBatch)
-		if reclaimed > f.garbageBlocks {
-			reclaimed = f.garbageBlocks
-		}
-		f.garbageBlocks -= reclaimed
-		p.Sleep(time.Millisecond)
-	}
-}
-
 // mostFragmented returns the live file with the most extents.
 func (f *FS) mostFragmented() *File {
 	var best *File
@@ -169,9 +136,10 @@ func (f *FS) mostFragmented() *File {
 	return best
 }
 
-// relocateFn is the continuation build of relocate: read, remap, rewrite
-// one extent batch at a time, chaining on the block completions, and invoke
-// k when the batch quota is met or the extents run out.
+// relocateFn moves up to max live blocks of file from their current
+// extents to contiguous space: read, remap, rewrite one extent at a time,
+// chaining on the block completions, and invoke k when the batch quota is
+// met or the extents run out.
 func (f *FS) relocateFn(file *File, max int, k func()) {
 	moved := 0
 	// Copy the extent list: remapping mutates it.
@@ -220,48 +188,4 @@ func (f *FS) relocateFn(file *File, max int, k func()) {
 		})
 	}
 	step()
-}
-
-// relocate is the legacy coroutine build of relocateFn, kept only for the
-// differential equivalence harness: it reads up to max live blocks of file
-// from their current extents and rewrites them contiguously.
-func (f *FS) relocate(p *sim.Proc, file *File, max int) {
-	moved := 0
-	// Copy the extent list: remapping mutates it.
-	extents := append([]extent(nil), file.extents...)
-	for _, e := range extents {
-		if moved >= max {
-			break
-		}
-		n := e.n
-		if int64(max-moved) < n {
-			n = int64(max - moved)
-		}
-		read := &block.Request{
-			Op:        device.Read,
-			LBA:       e.diskBlk,
-			Blocks:    int(n),
-			Causes:    f.gcCtx.Causes(),
-			Submitter: f.gcCtx.PID,
-			Prio:      f.gcCtx.Prio,
-			Meta:      false,
-			FileID:    file.Ino,
-		}
-		f.blk.SubmitAndWait(p, read)
-		dst := f.allocCursor
-		f.allocCursor += n
-		f.remapRange(file, e.fileBlk, n, dst)
-		write := &block.Request{
-			Op:        device.Write,
-			LBA:       dst,
-			Blocks:    int(n),
-			Causes:    f.gcCtx.Causes(),
-			Submitter: f.gcCtx.PID,
-			Prio:      f.gcCtx.Prio,
-			FileID:    file.Ino,
-		}
-		f.blk.SubmitAndWait(p, write)
-		moved += int(n)
-		f.statGCRelocated += n
-	}
 }

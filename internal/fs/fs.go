@@ -60,12 +60,9 @@ type PageCache interface {
 	// FileDirtyPages returns ino's dirty page count.
 	FileDirtyPages(ino int64) int64
 	// SetWriteback installs the function the cache calls to flush dirty
-	// pages of a file.
-	SetWriteback(fn func(p *sim.Proc, ino int64, max int) int)
-	// SetWritebackAsync installs the continuation form of the writeback
-	// function, used by the run-to-completion engine: flush up to max dirty
-	// pages of ino and invoke done(n) once the submitted writes complete.
-	SetWritebackAsync(fn func(ino int64, max int, done func(n int)))
+	// pages of a file: flush up to max dirty pages of ino and invoke done(n)
+	// once the submitted writes complete.
+	SetWriteback(fn func(ino int64, max int, done func(n int)))
 	// Misses returns the cumulative miss count (the VFS uses it to
 	// classify a read as hit or miss).
 	Misses() int64
@@ -211,9 +208,8 @@ type FS struct {
 	gcWake        *sim.WaitQueue
 	gcCtx         *ioctx.Ctx
 
-	// Run-to-completion engine state: continuations preallocated once so the
-	// daemons never build closures while parking (nil under the legacy
-	// coroutine engine).
+	// Daemon continuations, preallocated once so the run-to-completion
+	// daemons never build closures while parking.
 	jWakeFn  func(sig bool)
 	gcStepFn func()
 	gcWakeFn func(sig bool)
@@ -251,30 +247,21 @@ func New(env *sim.Env, cfg Config, c PageCache, blk *block.Layer, jctx, wbCtx *i
 	f.journalHead = 0
 	f.allocCursor = 1024
 	f.running = f.newTxn()
-	// The startup events mirror the legacy spawn order (jbd, jbd-timer, gc)
-	// so the two engines assign identical event sequence numbers at t=0.
-	if env.LegacyCoroutines() {
-		env.Go("jbd", f.journalTask)
-		env.Go("jbd-timer", f.commitTimer)
-	} else {
-		f.jWakeFn = func(sig bool) { f.journalStep() }
-		env.Schedule(0, f.journalStep)
-		env.Schedule(0, f.armCommitTimer)
-	}
+	// The daemons start with t=0 events scheduled in construction order
+	// (journal, commit timer, COW cleaner), which fixes the kernel's seq
+	// numbering; the schedule goldens pin it.
+	f.jWakeFn = func(sig bool) { f.journalStep() }
+	env.Schedule(0, f.journalStep)
+	env.Schedule(0, f.armCommitTimer)
 	if cfg.CopyOnWrite {
 		f.fileOwners = make(map[int64]causes.Set)
 		f.gcWake = sim.NewWaitQueue(env)
 		f.gcCtx = &ioctx.Ctx{PID: 4, Name: "gc", Prio: 4}
-		if env.LegacyCoroutines() {
-			env.Go("gc", f.gcTask)
-		} else {
-			f.gcStepFn = f.gcStep
-			f.gcWakeFn = func(sig bool) { f.gcStep() }
-			env.Schedule(0, f.gcStepFn)
-		}
+		f.gcStepFn = f.gcStep
+		f.gcWakeFn = func(sig bool) { f.gcStep() }
+		env.Schedule(0, f.gcStepFn)
 	}
 	c.SetWriteback(f.writebackFile)
-	c.SetWritebackAsync(f.writebackFileAsync)
 	return f
 }
 
@@ -523,10 +510,9 @@ func (f *FS) allocate(file *File, fileBlk, n int64) int64 {
 	return diskBlk
 }
 
-// flushState carries one flush across its completion waits. The flush path
-// is split into flushBegin (take pages, allocate, submit) and flushEnd
-// (trace + proxy drop after the waits) so the blocking flushFileData and the
-// continuation flushFileDataFn share every side-effecting line between them.
+// flushState carries one flush across its completion waits, from
+// flushBegin (take pages, allocate, submit) to flushEnd (trace + proxy drop
+// after the waits).
 type flushState struct {
 	ctx        *ioctx.Ctx
 	ino        int64
@@ -541,7 +527,7 @@ type flushState struct {
 // any unmapped blocks (marking ctx as a proxy for the pages' causes while it
 // does delegation work), and submits the writes. It returns nil when there
 // was nothing to flush.
-func (f *FS) flushBegin(ctx *ioctx.Ctx, ino int64, max int, sync bool) *flushState {
+func (f *FS) flushBegin(ctx *ioctx.Ctx, ino int64, max int) *flushState {
 	file, ok := f.byIno[ino]
 	if !ok {
 		// Unlinked while dirty: nothing to do.
@@ -619,7 +605,7 @@ func (f *FS) flushBegin(ctx *ioctx.Ctx, ino int64, max int, sync bool) *flushSta
 	// Submit one request per contiguous on-disk run. Background writeback
 	// submits async requests even though the daemon waits for pacing —
 	// only fsync- and commit-driven writes are urgent at the block level.
-	reqSync := sync && ctx != f.wbCtx
+	reqSync := ctx != f.wbCtx
 	var dones []*sim.Completion
 	i = 0
 	f.inflight[ino] += len(idxs)
@@ -674,9 +660,8 @@ func (f *FS) flushBegin(ctx *ioctx.Ctx, ino int64, max int, sync bool) *flushSta
 	}
 }
 
-// flushEnd finishes a flush begun by flushBegin, after any completion
-// waits: record the flush span and drop the proxy delegation (in the same
-// record-then-EndProxy order the blocking build's defer produced).
+// flushEnd finishes a flush begun by flushBegin, after the completion
+// waits: record the flush span, then drop the proxy delegation.
 func (f *FS) flushEnd(st *flushState) {
 	if f.tr.Enabled() {
 		// Journal-driven flushes (the ordered-mode pass of commit) carry the
@@ -698,28 +683,24 @@ func (f *FS) flushEnd(st *flushState) {
 	}
 }
 
-// flushFileData is the blocking build of the flush path: flushBegin, wait
-// for the submitted writes when sync, flushEnd. It returns the number of
-// pages submitted.
-func (f *FS) flushFileData(p *sim.Proc, ctx *ioctx.Ctx, ino int64, max int, sync bool) int {
-	st := f.flushBegin(ctx, ino, max, sync)
+// flushFileData flushes up to max dirty pages of ino (all if max<=0) on
+// behalf of ctx and blocks p until every submitted write has completed. It
+// returns the number of pages submitted.
+func (f *FS) flushFileData(p *sim.Proc, ctx *ioctx.Ctx, ino int64, max int) int {
+	st := f.flushBegin(ctx, ino, max)
 	if st == nil {
 		return 0
 	}
-	if sync {
-		for _, d := range st.dones {
-			d.Wait(p)
-		}
-	}
+	p.Await(func(resume func()) { sim.WaitAllFn(st.dones, resume) })
 	f.flushEnd(st)
 	return st.n
 }
 
-// flushFileDataFn is the continuation build of flushFileData (always sync):
-// submit the runs, then invoke k with the page count once every submitted
-// write has completed.
+// flushFileDataFn is the continuation build of flushFileData: submit the
+// runs, then invoke k with the page count once every submitted write has
+// completed.
 func (f *FS) flushFileDataFn(ctx *ioctx.Ctx, ino int64, max int, k func(n int)) {
-	st := f.flushBegin(ctx, ino, max, true)
+	st := f.flushBegin(ctx, ino, max)
 	if st == nil {
 		k(0)
 		return
@@ -763,11 +744,7 @@ func classOf(c *ioctx.Ctx) block.Class {
 // wait: writes submitted afterwards are not waited on, so a saturated
 // writeback pipeline cannot starve fsync or the journal task.
 func (f *FS) waitInflight(p *sim.Proc, ino int64) {
-	snapshot := append([]*sim.Completion(nil), f.inflightDones[ino]...)
-	for _, d := range snapshot {
-		d.Wait(p)
-	}
-	f.pruneInflight(ino)
+	p.Await(func(resume func()) { f.waitInflightFn(ino, resume) })
 }
 
 // waitInflightFn is the continuation form of waitInflight: the same
@@ -795,17 +772,11 @@ func (f *FS) pruneInflight(ino int64) {
 	}
 }
 
-// writebackFile is the cache's WritebackFn: flush a batch of ino's dirty
-// pages on behalf of the writeback task (asynchronously submitted, but the
-// daemon waits so it paces itself at disk speed).
-func (f *FS) writebackFile(p *sim.Proc, ino int64, max int) int {
-	return f.flushFileData(p, f.wbCtx, ino, max, true)
-}
-
-// writebackFileAsync is the cache's continuation-form writeback under the
-// run-to-completion engine: flush a batch of ino's dirty pages on behalf of
-// the writeback task and report the count once the writes reach disk.
-func (f *FS) writebackFileAsync(ino int64, max int, done func(n int)) {
+// writebackFile is the cache's writeback callback: flush a batch of ino's
+// dirty pages on behalf of the writeback task (asynchronously submitted,
+// but the daemon waits so it paces itself at disk speed) and report the
+// count once the writes reach disk.
+func (f *FS) writebackFile(ino int64, max int, done func(n int)) {
 	f.flushFileDataFn(f.wbCtx, ino, max, done)
 }
 
@@ -816,7 +787,7 @@ func (f *FS) writebackFileAsync(ino int64, max int, done func(n int)) {
 func (f *FS) Fsync(p *sim.Proc, ctx *ioctx.Ctx, file *File) {
 	mk, _ := f.blk.Disk().(device.DurabilityMarker)
 	f.waitInflight(p, file.Ino)
-	f.flushFileData(p, ctx, file.Ino, 0, true)
+	f.flushFileData(p, ctx, file.Ino, 0)
 	// The durability promise covers media writes issued up to the end of the
 	// data flush; anything sneaking in between here and the commit barrier
 	// (another process's writeback) is not what this fsync acknowledged.
@@ -865,7 +836,7 @@ func (f *FS) SyncAll(p *sim.Proc, ctx *ioctx.Ctx) {
 	}
 	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
 	for _, ino := range inos {
-		f.flushFileData(p, ctx, ino, 0, true)
+		f.flushFileData(p, ctx, ino, 0)
 	}
 	var upTo int64
 	if mk != nil {
@@ -901,8 +872,8 @@ func (f *FS) requestCommit(t *txn) {
 	f.commitWake.Signal()
 }
 
-// armCommitTimer is the commit timer's t=0 startup event under the
-// run-to-completion engine, mirroring the legacy proc's first Sleep.
+// armCommitTimer is the commit timer's t=0 startup event: it arms the first
+// periodic tick.
 func (f *FS) armCommitTimer() {
 	f.env.Schedule(f.cfg.CommitInterval, f.commitTimerFire)
 }
@@ -913,17 +884,6 @@ func (f *FS) commitTimerFire() {
 		f.requestCommit(f.running)
 	}
 	f.env.Schedule(f.cfg.CommitInterval, f.commitTimerFire)
-}
-
-// commitTimer is the legacy coroutine build of the commit timer, kept only
-// for the differential equivalence harness (core.Options.LegacyCoroutines).
-func (f *FS) commitTimer(p *sim.Proc) {
-	for {
-		p.Sleep(f.cfg.CommitInterval)
-		if !f.running.empty() {
-			f.requestCommit(f.running)
-		}
-	}
 }
 
 // journalStep is one run-to-completion iteration of the journal daemon: pop
@@ -938,23 +898,9 @@ func (f *FS) journalStep() {
 	f.commitFn(t)
 }
 
-// journalTask is the legacy coroutine build of the jbd2-like kernel thread,
-// kept only for the differential equivalence harness.
-func (f *FS) journalTask(p *sim.Proc) {
-	for {
-		if len(f.commitQ) == 0 {
-			f.commitWake.Wait(p)
-			continue
-		}
-		t := f.commitQ[0]
-		f.commitQ = f.commitQ[1:]
-		f.commit(p, t)
-	}
-}
-
-// commitFn is the run-to-completion build of commit: the same ordered-mode
-// data pass and journal writes, expressed as a continuation chain over the
-// flush and request completions the legacy proc blocks on.
+// commitFn commits transaction t as a continuation chain over the flush
+// and request completions: the ordered-mode data pass, then the journal
+// writes (commitJournalWrites).
 func (f *FS) commitFn(t *txn) {
 	if t == f.running {
 		f.running = f.newTxn()
@@ -963,12 +909,18 @@ func (f *FS) commitFn(t *txn) {
 	traced := f.tr.Enabled()
 	var commitStart sim.Time
 	if traced {
+		// The whole commit — ordered data flushes, journal writes, barrier —
+		// is one request tree keyed by the transaction's ID; stamping the
+		// journal task's context links every descendant span to it.
 		if t.req == 0 {
 			t.req = f.tr.NextReq()
 		}
 		f.jctx.Req = t.req
 		commitStart = f.env.Now()
 	}
+	// Ordered mode: every data dependency must reach disk before the
+	// commit record. This is the entanglement the split framework must
+	// work around (paper §2.3.2).
 	deps := make([]int64, 0, len(t.dataDeps))
 	for ino := range t.dataDeps {
 		deps = append(deps, ino)
@@ -1004,8 +956,9 @@ func (f *FS) commitFn(t *txn) {
 }
 
 // commitJournalWrites finishes a commit chain after the ordered-mode data
-// pass: descriptor + metadata blocks, the commit-record barrier, then the
-// epilogue, and loop back into journalStep for the next queued transaction.
+// pass: descriptor + metadata blocks, the commit-record barrier (laid out
+// sequentially in the journal region), then the epilogue, and loops back
+// into journalStep for the next queued transaction.
 func (f *FS) commitJournalWrites(t *txn, traced bool, commitStart sim.Time) {
 	f.flushTxnID = 0
 	jcauses := causes.Of(f.jctx.PID)
@@ -1067,109 +1020,6 @@ func (f *FS) commitJournalWrites(t *txn, traced bool, commitStart sim.Time) {
 			f.journalStep()
 		})
 	})
-}
-
-// commit is the legacy coroutine build of the transaction commit, kept only
-// for the differential equivalence harness.
-func (f *FS) commit(p *sim.Proc, t *txn) {
-	if t == f.running {
-		f.running = f.newTxn()
-	}
-	f.committing = t
-	traced := f.tr.Enabled()
-	var commitStart sim.Time
-	if traced {
-		// The whole commit — ordered data flushes, journal writes, barrier —
-		// is one request tree keyed by the transaction's ID; stamping the
-		// journal task's context links every descendant span to it.
-		if t.req == 0 {
-			t.req = f.tr.NextReq()
-		}
-		f.jctx.Req = t.req
-		commitStart = f.env.Now()
-	}
-	// Ordered mode: every data dependency must reach disk before the
-	// commit record. This is the entanglement the split framework must
-	// work around (paper §2.3.2).
-	deps := make([]int64, 0, len(t.dataDeps))
-	for ino := range t.dataDeps {
-		deps = append(deps, ino)
-	}
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
-	f.flushTxnID = t.id
-	for _, ino := range deps {
-		depStart := f.env.Now()
-		f.waitInflight(p, ino)
-		n := f.flushFileData(p, f.jctx, ino, 0, true)
-		f.statOrderedFlush += int64(n)
-		if traced {
-			f.tr.Record(trace.Event{
-				Layer: trace.LayerFS, Op: trace.OpOrderedFlush,
-				Req: t.req, PID: f.jctx.PID, Causes: t.tcauses,
-				Start: depStart, End: f.env.Now(), Ino: ino, Blocks: n,
-				Txn: t.id,
-			})
-		}
-	}
-	f.flushTxnID = 0
-	// Journal writes: descriptor + metadata blocks + commit record, laid
-	// out sequentially in the journal region.
-	jcauses := causes.Of(f.jctx.PID)
-	if f.cfg.TagJournalProxy {
-		f.jctx.BeginProxy(t.tcauses)
-		jcauses = f.jctx.Causes()
-	}
-	nblocks := t.metaBlocks + 1
-	if nblocks > f.cfg.JournalBlocks/2 {
-		nblocks = f.cfg.JournalBlocks / 2
-	}
-	lba := f.journalStart + f.journalHead
-	f.journalHead = (f.journalHead + nblocks + 1) % f.cfg.JournalBlocks
-	desc := &block.Request{
-		Op:        device.Write,
-		LBA:       lba,
-		Blocks:    int(nblocks),
-		Causes:    jcauses,
-		Submitter: f.jctx.PID,
-		Prio:      f.jctx.Prio,
-		Journal:   true,
-		Meta:      true,
-		Sync:      true,
-		TxnID:     t.id,
-		Req:       t.req,
-	}
-	f.blk.SubmitAndWait(p, desc)
-	commitRec := &block.Request{
-		Op:        device.Write,
-		LBA:       lba + nblocks,
-		Blocks:    1,
-		Causes:    jcauses,
-		Submitter: f.jctx.PID,
-		Prio:      f.jctx.Prio,
-		Journal:   true,
-		Meta:      true,
-		Sync:      true,
-		Barrier:   true,
-		TxnID:     t.id,
-		Req:       t.req,
-	}
-	f.blk.SubmitAndWait(p, commitRec)
-	if f.cfg.TagJournalProxy {
-		f.jctx.EndProxy()
-	}
-	if traced {
-		f.tr.Record(trace.Event{
-			Layer: trace.LayerFS, Op: trace.OpTxnCommit, Label: f.cfg.Name,
-			Req: t.req, PID: f.jctx.PID, Causes: t.tcauses,
-			Start: commitStart, End: f.env.Now(), Blocks: int(nblocks) + 1,
-			Txn: t.id, Flags: trace.FlagJournal | trace.FlagMeta,
-		})
-		f.jctx.Req = 0
-	}
-	f.statCommits++
-	f.statJournalBlks += nblocks + 1
-	f.committing = nil
-	t.done.Complete()
 }
 
 // RunningTxnInfo reports the running transaction's metadata block count and

@@ -84,13 +84,12 @@ type propResult struct {
 	Events int `json:"events"`
 }
 
-// runPropCell runs the canonical workload under one (scheduler, seed,
-// engine) and extracts the property payload. It is called from sweep worker
-// goroutines, so it touches nothing but its own kernel.
-func runPropCell(factory core.Factory, seed int64, legacy bool) propResult {
+// runPropCell runs the canonical workload under one (scheduler, seed) and
+// extracts the property payload. It is called from sweep worker goroutines,
+// so it touches nothing but its own kernel.
+func runPropCell(factory core.Factory, seed int64) propResult {
 	opts := core.DefaultOptions()
 	opts.Seed = seed
-	opts.LegacyCoroutines = legacy
 	cc := SmallCache()
 	opts.Cache = &cc
 	k := core.NewKernelOn(sim.NewEnv(seed), opts, factory)
@@ -194,18 +193,13 @@ func idleWhileQueued(events []trace.Event) time.Duration {
 }
 
 // propCellKey labels one matrix cell for the sweep cache and error output.
-func propCellKey(sched string, seed int64, legacy bool) sweep.Key {
-	config := "sched=" + sched
-	if legacy {
-		config += " engine=legacy"
-	}
-	return sweep.Key{Experiment: "schedtest-props", Config: config, Seed: seed, Version: "test"}
+func propCellKey(sched string, seed int64) sweep.Key {
+	return sweep.Key{Experiment: "schedtest-props", Config: "sched=" + sched, Seed: seed, Version: "test"}
 }
 
 // runPropMatrix fans the full (scheduler × seed) matrix through the sweep
-// runner on the given engine and returns the decoded payloads indexed
-// [scheduler][seed].
-func runPropMatrix(t *testing.T, seeds int, legacy bool) [][]propResult {
+// runner and returns the decoded payloads indexed [scheduler][seed].
+func runPropMatrix(t *testing.T, seeds int) [][]propResult {
 	t.Helper()
 	cells := make([]sweep.Cell, 0, len(propSchedulers)*seeds)
 	for _, s := range propSchedulers {
@@ -213,9 +207,9 @@ func runPropMatrix(t *testing.T, seeds int, legacy bool) [][]propResult {
 		for seed := int64(1); seed <= int64(seeds); seed++ {
 			seed := seed
 			cells = append(cells, sweep.Cell{
-				Key: propCellKey(s.name, seed, legacy),
+				Key: propCellKey(s.name, seed),
 				Run: func() ([]byte, error) {
-					return json.Marshal(runPropCell(factory, seed, legacy))
+					return json.Marshal(runPropCell(factory, seed))
 				},
 			})
 		}
@@ -259,7 +253,7 @@ const propGoldens = "testdata/schedule_goldens.txt"
 // — if they did not, the determinism property would be vacuous).
 func TestSchedulerProperties(t *testing.T) {
 	seeds := propSeedCount()
-	matrix := runPropMatrix(t, seeds, false)
+	matrix := runPropMatrix(t, seeds)
 	goldens := LoadGoldens(t, propGoldens)
 
 	// The expected completion set comes from the workload definition: each
@@ -315,8 +309,8 @@ func TestSchedulerProperties(t *testing.T) {
 // across independently constructed kernels on different goroutines.
 func TestSchedulerSeedDeterminism(t *testing.T) {
 	const rerunSeeds = 4
-	first := runPropMatrix(t, rerunSeeds, false)
-	second := runPropMatrix(t, rerunSeeds, false)
+	first := runPropMatrix(t, rerunSeeds)
+	second := runPropMatrix(t, rerunSeeds)
 	for i, s := range propSchedulers {
 		for j := 0; j < rerunSeeds; j++ {
 			a, b := first[i][j], second[i][j]

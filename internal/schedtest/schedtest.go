@@ -88,8 +88,8 @@ func EnableTrace(k *core.Kernel) *trace.Tracer {
 // TraceHash digests the deterministic fields of every event. Causes is
 // omitted (it is set-valued); everything ordered and timed is included, so
 // two runs collide only if they performed identical I/O at identical
-// virtual times. The differential engine harness compares it across the
-// legacy coroutine engine and the run-to-completion handler engine.
+// virtual times. The schedule goldens pin it per property cell and per
+// experiment.
 func TraceHash(events []trace.Event) string {
 	h := sha256.New()
 	for _, e := range events {
@@ -144,9 +144,9 @@ func (g *Goldens) Check(t testing.TB, key, payload string) {
 
 // MetricsDump renders every sampled gauge series of r in a canonical text
 // form (sorted names, every point as time=value), skipping names that carry
-// any of the given prefixes. The engine equivalence harness excludes "sim."
-// — raw event and context-switch counts are the one place the two engines
-// legitimately differ.
+// any of the given prefixes. The experiment schedule goldens exclude
+// "sim.switches": process handoffs depend on how blocking code is bridged
+// onto the event loop, not on the schedule.
 func MetricsDump(r *metrics.Registry, excludePrefixes ...string) string {
 	var b strings.Builder
 	names := r.Names()

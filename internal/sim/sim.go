@@ -14,7 +14,8 @@
 //     Exactly one process (or handler) runs at a time; control returns to
 //     the event loop whenever a process sleeps or blocks. Each park/resume
 //     costs two goroutine context switches — which is why hot kernel paths
-//     are handlers, not Procs.
+//     are handlers, not Procs. A process calls a handler-built operation
+//     through Proc.Await, which parks it once for the whole operation.
 //
 // Events scheduled for the same instant fire in scheduling order, so runs
 // are fully deterministic regardless of which kind of code scheduled them.
@@ -69,8 +70,8 @@ type Stats struct {
 	// Events is the number of events popped and executed.
 	Events int64
 	// Switches counts process handoffs (each one costs two goroutine context
-	// switches in the coroutine engine). Run-to-completion handlers never
-	// switch, so on converted kernel paths this stays near zero.
+	// switches). Run-to-completion handlers never switch, so on kernel
+	// paths this stays near zero.
 	Switches int64
 	// HeapMax is the event-heap depth high-water mark.
 	HeapMax int
@@ -98,7 +99,6 @@ type Env struct {
 	park   chan struct{} //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
 	cur    *Proc
 	closed bool
-	legacy bool
 	obs    func(at Time)
 	stats  Stats
 }
@@ -120,17 +120,6 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 
 // Stats returns the environment's kernel counters so far.
 func (e *Env) Stats() Stats { return e.stats }
-
-// SetLegacyCoroutines selects, before kernel construction, the legacy
-// cooperative-coroutine builds of the converted kernel daemons (block
-// dispatcher, pdflush, journal, FTL GC). It exists so the differential test
-// harness can run both engines against each other; the default (false) is
-// the run-to-completion handler engine.
-func (e *Env) SetLegacyCoroutines(on bool) { e.legacy = on }
-
-// LegacyCoroutines reports whether the legacy coroutine daemon builds were
-// selected.
-func (e *Env) LegacyCoroutines() bool { return e.legacy }
 
 // SetEventObserver installs a debug hook called with every event's
 // timestamp just before its callback runs (the clock has already advanced).
@@ -291,9 +280,6 @@ type Proc struct {
 	resume chan struct{} //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
 	dead   bool
 	killed bool
-	// blocked reports whether the proc is parked awaiting an external
-	// wake-up (wait queue); sleeping procs are woken by their own timer.
-	blocked bool
 }
 
 // Name returns the process name given at spawn time.
@@ -342,14 +328,14 @@ func (e *Env) runProc(p *Proc) {
 	e.cur = p
 	e.stats.Switches++
 	p.resume <- struct{}{} //splitlint:ignore nogoroutine,hotpurity hand the single execution token to p; this IS the coroutine mechanism the purity contract protects
-	<-e.park //splitlint:ignore nogoroutine,hotpurity wait until p parks; exactly one runnable goroutine, so the handoff cannot deadlock
+	<-e.park               //splitlint:ignore nogoroutine,hotpurity wait until p parks; exactly one runnable goroutine, so the handoff cannot deadlock
 	e.cur = prev
 }
 
 // block parks the calling process until something calls env.runProc on it.
 func (p *Proc) block() {
-	p.env.park <- struct{}{} //splitlint:ignore nogoroutine,hotpurity park: return the execution token to the event loop
-	<-p.resume //splitlint:ignore nogoroutine,hotpurity sleep until the event loop hands the token back
+	p.env.park <- struct{}{} //splitlint:ignore nogoroutine park: return the execution token to the event loop
+	<-p.resume               //splitlint:ignore nogoroutine sleep until the event loop hands the token back
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -369,6 +355,35 @@ func (p *Proc) Sleep(d time.Duration) {
 
 // Yield lets any other events scheduled for the current instant run.
 func (p *Proc) Yield() { p.Sleep(0) }
+
+// Await blocks p on a continuation-style operation: it runs start, handing
+// it a resume callback to call exactly once, when the operation finishes.
+// A resume that runs before start returns means the operation finished
+// inline, and p does not yield at all. A later resume must come from an
+// event handler; it runs p inline, inside that event, the way a WaitTimeout
+// expiry does, so p wakes at exactly the (at, seq) slot a blocking wait on
+// the same completion would have given it. Resuming a dead process is a
+// no-op.
+func (p *Proc) Await(start func(resume func())) {
+	done, parked := false, false
+	start(func() {
+		if done {
+			panic("sim: Await resumed twice")
+		}
+		done = true
+		if !parked {
+			return
+		}
+		if p.env.cur != nil {
+			panic("sim: Await resumed from inside a process")
+		}
+		p.env.runProc(p)
+	})
+	if !done {
+		parked = true
+		p.block()
+	}
+}
 
 // Kill marks the process for termination; the next time it would run it
 // unwinds instead. Killing a dead process is a no-op.
@@ -479,9 +494,7 @@ func (q *WaitQueue) Len() int { return len(q.waiters) }
 func (q *WaitQueue) Wait(p *Proc) {
 	w := &waiter{p: p}
 	q.waiters = append(q.waiters, w)
-	p.blocked = true
 	p.block()
-	p.blocked = false
 }
 
 // WaitFn parks fn as a handler continuation until the queue is signaled.
@@ -497,9 +510,7 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d time.Duration) bool {
 	w := &waiter{p: p}
 	q.waiters = append(q.waiters, w)
 	q.armTimeout(w, d)
-	p.blocked = true
 	p.block()
-	p.blocked = false
 	return w.sig
 }
 

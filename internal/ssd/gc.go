@@ -20,7 +20,8 @@ import (
 
 // gcStep is one iteration of the collector, run to completion on the event
 // loop: park until a write crosses the low-watermark, then collect one
-// victim at a time, pacing on the erase completion.
+// victim at a time, holding the victim's die for the migration and erase
+// and pacing on the erase completion.
 func (d *Device) gcStep() {
 	if d.freeBlocks > d.cfg.GCLowWater {
 		d.work.WaitFn(d.gcWaitFn)
@@ -43,37 +44,6 @@ func (d *Device) gcStep() {
 	// One victim in flight at a time: pace the loop to the erase
 	// completion so collections serialize on virtual time.
 	d.env.Schedule(done-now, d.gcStepFn)
-}
-
-// gcLoop is the legacy coroutine build of the collector, kept only for the
-// differential equivalence harness (core.Options.LegacyCoroutines). It
-// sleeps on the device's wait queue until a write crosses the low-watermark,
-// then collects one victim at a time, holding the victim's die for the
-// migration and erase.
-func (d *Device) gcLoop(p *sim.Proc) {
-	for {
-		if d.freeBlocks > d.cfg.GCLowWater {
-			d.work.Wait(p)
-			continue
-		}
-		if d.freeBlocks > d.cfg.GCCritical && d.gate != nil && !d.gate() {
-			// Deferred by the scheduler hint: re-check when the gate may
-			// have opened (or a write pushes the pool to critical).
-			d.work.WaitTimeout(p, d.poll())
-			continue
-		}
-		now := time.Duration(p.Now())
-		done := d.collect(now)
-		if done <= now {
-			// No collectable victim right now (nothing invalid to reclaim);
-			// back off instead of spinning at one instant.
-			d.work.WaitTimeout(p, d.poll())
-			continue
-		}
-		// One victim in flight at a time: pace the loop to the erase
-		// completion so collections serialize on virtual time.
-		p.Sleep(done - now)
-	}
 }
 
 func (d *Device) poll() time.Duration {

@@ -223,14 +223,11 @@ func New(env *sim.Env, cfg Config) *Device {
 	d.chanFree = make([]time.Duration, cfg.Channels)
 	d.gcHeld = make([]time.Duration, d.dies)
 	d.gcHash = fnvOffset
-	if env.LegacyCoroutines() {
-		env.Go("ssd-gc", d.gcLoop)
-		return d
-	}
 	d.gcStepFn = d.gcStep
 	d.gcWaitFn = func(sig bool) { d.gcStep() }
-	// The startup event mirrors the legacy spawn: the collector's first
-	// watermark probe runs at time zero, in construction order.
+	// The collector's first watermark probe is a t=0 startup event
+	// scheduled in construction order, which fixes the kernel's seq
+	// numbering; the schedule goldens pin it.
 	env.Schedule(0, d.gcStepFn)
 	return d
 }

@@ -31,8 +31,7 @@ func (o Options) cellKey(experiment, config string) sweep.Key {
 // observers — a shared -trace tracer, a -stats collector, or a -slo monitor
 // collector — fall back to an inline serial, uncached runner: the
 // observers' side effects live outside the cell payloads, so skipping or
-// reordering cells would corrupt them, so -trace/-stats runs keep the
-// serial cell order. (The slo experiment itself stays
+// reordering cells would corrupt them. (The slo experiment itself stays
 // parallel: it builds its monitors inside each cell.)
 func (o Options) cellRunner() *sweep.Runner {
 	if o.Runner == nil || o.Tracer != nil || o.Metrics != nil || o.Monitor != nil {

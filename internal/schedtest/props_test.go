@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -241,20 +242,54 @@ func propSeedCount() int {
 	return propSeeds
 }
 
+var (
+	sharedMatrixOnce sync.Once
+	sharedMatrix     [][]propResult
+)
+
+// sharedPropMatrix runs the propSeedCount() matrix once per test binary and
+// hands the same result to every test that only reads it, so the property
+// checks and the golden comparison share one 9 × 32 run.
+func sharedPropMatrix(t *testing.T) [][]propResult {
+	t.Helper()
+	sharedMatrixOnce.Do(func() { sharedMatrix = runPropMatrix(t, propSeedCount()) })
+	if sharedMatrix == nil {
+		t.Fatal("the shared property matrix failed to run; see the first test that used it")
+	}
+	return sharedMatrix
+}
+
 // propGoldens pins every (scheduler, seed) cell's trace hash and length.
 // Short mode checks the first propSeedCount() seeds of the same file.
 const propGoldens = "testdata/schedule_goldens.txt"
 
-// TestSchedulerProperties runs the full matrix once and checks, per cell:
-// no starvation (exact completion), bounded idle-while-queued, a
-// non-trivial trace, and the committed schedule golden; then across cells:
-// the completion set is identical for every scheduler and every seed,
-// while the trace hashes diverge across seeds (the metamorphic complement
-// — if they did not, the determinism property would be vacuous).
+// TestEngineEquivalence checks every cell of the shared matrix against the
+// committed schedule goldens. The goldens were recorded while the handler
+// engine and the cooperative-coroutine engine it replaced were still proven
+// byte-identical cell by cell, so a matching trace hash and length means
+// the handler engine still produces that engine's exact event schedule.
+func TestEngineEquivalence(t *testing.T) {
+	seeds := propSeedCount()
+	matrix := sharedPropMatrix(t)
+	goldens := LoadGoldens(t, propGoldens)
+	for i, s := range propSchedulers {
+		for j := 0; j < seeds; j++ {
+			res := matrix[i][j]
+			name := fmt.Sprintf("%s/seed%d", s.name, j+1)
+			goldens.Check(t, name, fmt.Sprintf("hash=%s events=%d", res.Hash, res.Events))
+		}
+	}
+}
+
+// TestSchedulerProperties checks, per cell of the shared matrix: no
+// starvation (exact completion), bounded idle-while-queued, and a
+// non-trivial trace; then across cells: the completion set is identical
+// for every scheduler and every seed, while the trace hashes diverge
+// across seeds (the metamorphic complement — if they did not, the
+// determinism property would be vacuous).
 func TestSchedulerProperties(t *testing.T) {
 	seeds := propSeedCount()
-	matrix := runPropMatrix(t, seeds)
-	goldens := LoadGoldens(t, propGoldens)
+	matrix := sharedPropMatrix(t)
 
 	// The expected completion set comes from the workload definition: each
 	// process does exactly its configured bytes, regardless of scheduler or
@@ -272,7 +307,6 @@ func TestSchedulerProperties(t *testing.T) {
 			if res.Events == 0 {
 				t.Errorf("%s: empty trace", name)
 			}
-			goldens.Check(t, name, fmt.Sprintf("hash=%s events=%d", res.Hash, res.Events))
 			if len(res.Done) != len(want) {
 				t.Errorf("%s: %d processes completed, want %d", name, len(res.Done), len(want))
 				continue

@@ -135,8 +135,7 @@ func run() int {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to `FILE`")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: splitbench [-scale F] [-seed N] [-seeds A..B] [-j N] [-cache] [-trace FILE] [-stats] [-progress] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "       splitbench [-scale F] [-seed N] [-j N] report [-format text|json] [-o FILE] [-diff OLD NEW]\n")
-		fmt.Fprintf(os.Stderr, "       splitbench [-j N] bench [-quick] [-o FILE] [-diff BASELINE]\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "       splitbench [-scale F] [-seed N] [-j N] report [-format text|json] [-o FILE] [-diff OLD NEW]\n\nexperiments:\n")
 		for _, e := range exp.All {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.ID, e.Title)
 		}
@@ -176,12 +175,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
 			}
 		}()
-	}
-
-	if args := flag.Args(); len(args) > 0 && args[0] == "bench" {
-		// bench builds its own runners (fresh and uncached per matrix entry,
-		// so measurements never degrade into cache reads).
-		return runBench(*jobs, *progress, args[1:], os.Stdout, os.Stderr)
 	}
 
 	runner := &sweep.Runner{Workers: *jobs}

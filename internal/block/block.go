@@ -188,10 +188,10 @@ func (l *Layer) Disk() device.Disk { return l.disk }
 func (l *Layer) Stats() Stats { return l.stats }
 
 // Submit adds a request to the block layer and returns its completion. It
-// is the block bucket's host-CPU profiling point (the synchronous
-// queue-insert path, including the elevator's Add).
+// is the block bucket's profiling probe (the synchronous queue-insert path,
+// including the elevator's Add).
 func (l *Layer) Submit(r *Request) *sim.Completion {
-	defer perf.End(perf.BucketBlock, perf.Begin(perf.BucketBlock))
+	perf.Count(perf.BucketBlock)
 	if r.Blocks <= 0 {
 		r.Blocks = 1
 	}
@@ -294,11 +294,9 @@ func (l *Layer) Kick() {
 //splitlint:hot
 func (l *Layer) dispatchStep() {
 	// The elevator's pick and the disk model's service-time computation
-	// are the sched and device buckets' host-CPU profiling points; both
-	// are synchronous, so the samples never straddle an event boundary.
-	pt := perf.Begin(perf.BucketSched)
+	// are the sched and device buckets' profiling probes.
+	perf.Count(perf.BucketSched)
 	r := l.elv.Next(l.env.Now())
-	perf.End(perf.BucketSched, pt)
 	if r == nil {
 		l.work.WaitFn(l.resumeFn)
 		return
@@ -317,9 +315,8 @@ func (l *Layer) dispatchStep() {
 			FileID: r.FileID, TxnID: r.TxnID, Pages: r.Pages,
 		})
 	}
-	pt = perf.Begin(perf.BucketDevice)
+	perf.Count(perf.BucketDevice)
 	svc := l.disk.ServiceTime(r.Op, r.LBA, r.Blocks, time.Duration(l.env.Now()), r.Barrier)
-	perf.End(perf.BucketDevice, pt)
 	l.inflight = r
 	l.inflightSvc = svc
 	l.inflightPos, l.inflightXfer, l.inflightStall = 0, 0, 0

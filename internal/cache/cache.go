@@ -249,21 +249,18 @@ func (c *Cache) Peek(ino, idx int64) bool {
 }
 
 // Lookup reports whether page (ino, idx) is resident, promoting it in the
-// LRU on a hit. It is one of the cache host-CPU profiling points: a sampled
-// bucket span per lookup.
+// LRU on a hit. It is one of the cache bucket's profiling probes.
 func (c *Cache) Lookup(ino, idx int64) bool {
-	pt := perf.Begin(perf.BucketCache)
+	perf.Count(perf.BucketCache)
 	pg, ok := c.pages[pageKey{ino, idx}]
 	if !ok {
 		c.statMisses++
-		perf.End(perf.BucketCache, pt)
 		return false
 	}
 	if pg.lruElem != nil {
 		c.lru.MoveToBack(pg.lruElem)
 	}
 	c.statHits++
-	perf.End(perf.BucketCache, pt)
 	return true
 }
 
@@ -296,7 +293,7 @@ func (c *Cache) evictIfFull() {
 // buffer-dirty hook. It reports whether the page was already dirty (an
 // overwrite, which costs no new disk I/O).
 func (c *Cache) MarkDirty(ctx *ioctx.Ctx, ino, idx int64) bool {
-	defer perf.End(perf.BucketCache, perf.Begin(perf.BucketCache))
+	perf.Count(perf.BucketCache)
 	key := pageKey{ino, idx}
 	newCauses := ctx.Causes()
 	pg, ok := c.pages[key]

@@ -429,9 +429,9 @@ func (f *FS) Read(p *sim.Proc, ctx *ioctx.Ctx, file *File, off, n int64) {
 
 // submitReadRuns maps the missed page indices to disk runs and submits one
 // request per run, inserting clean pages on completion. It is an fs
-// host-CPU profiling point (the read path's synchronous mapping work).
+// profiling probe (the read path's synchronous mapping work).
 func (f *FS) submitReadRuns(ctx *ioctx.Ctx, file *File, idxs []int64) []*sim.Completion {
-	defer perf.End(perf.BucketFS, perf.Begin(perf.BucketFS))
+	perf.Count(perf.BucketFS)
 	var dones []*sim.Completion
 	i := 0
 	for i < len(idxs) {
@@ -489,10 +489,10 @@ func (f *FS) lookupBlock(file *File, fileBlk int64) (int64, bool) {
 }
 
 // allocate maps fileBlk..fileBlk+n-1 to fresh disk blocks (delayed
-// allocation happens here, at flush time). It is an fs host-CPU profiling
-// point (the write path's synchronous allocation work).
+// allocation happens here, at flush time). It is an fs profiling probe
+// (the write path's synchronous allocation work).
 func (f *FS) allocate(file *File, fileBlk, n int64) int64 {
-	defer perf.End(perf.BucketFS, perf.Begin(perf.BucketFS))
+	perf.Count(perf.BucketFS)
 	diskBlk := f.allocCursor
 	f.allocCursor += n
 	// Merge with the previous extent when contiguous in both spaces.

@@ -6,73 +6,29 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
 	"splitio/internal/sim"
 )
 
-// Histogram collects latency samples and reports percentiles. By default it
-// stores raw samples (the experiments here collect at most a few hundred
-// thousand); SetReservoir bounds memory for long stress runs by switching to
-// deterministic reservoir sampling.
+// Histogram collects latency samples and reports percentiles. It stores
+// raw samples; the experiments here collect at most a few hundred thousand.
 type Histogram struct {
 	samples []time.Duration
 	sorted  bool
-	n       int64 // total observations, including ones not retained
-	cap     int   // reservoir capacity; 0 = keep everything
-	rng     *rand.Rand
-}
-
-// SetReservoir caps retained samples at capacity using reservoir sampling
-// (Vitter's Algorithm R), so every observation has an equal chance of being
-// retained no matter how long the run. rng should be the simulation's random
-// stream so runs stay deterministic. Already-retained samples beyond the cap
-// are trimmed. capacity <= 0 removes the cap.
-func (h *Histogram) SetReservoir(capacity int, rng *rand.Rand) {
-	h.cap = capacity
-	h.rng = rng
-	if capacity > 0 && len(h.samples) > capacity {
-		h.samples = h.samples[:capacity]
-		h.sorted = false
-	}
 }
 
 // Add records one sample.
 func (h *Histogram) Add(d time.Duration) {
-	h.n++
-	if h.cap > 0 && len(h.samples) >= h.cap {
-		// Replace a random retained sample with probability cap/n; retained
-		// order carries no meaning (percentiles re-sort), so replacing an
-		// arbitrary slot keeps the reservoir uniform.
-		if j := h.rng.Int63n(h.n); j < int64(h.cap) {
-			h.samples[j] = d
-			h.sorted = false
-		}
-		return
-	}
 	h.samples = append(h.samples, d)
 	h.sorted = false
 }
 
-// Count returns the number of observations, including ones a reservoir cap
-// did not retain.
-func (h *Histogram) Count() int { return int(h.n) }
+// Count returns the number of samples.
+func (h *Histogram) Count() int { return len(h.samples) }
 
-// Retained returns the number of stored samples (== Count unless a reservoir
-// cap is set).
-func (h *Histogram) Retained() int { return len(h.samples) }
-
-// Reset drops all samples and restarts the observation count; the reservoir
-// configuration is kept.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.sorted = false
-	h.n = 0
-}
-
-// ensureSorted sorts the retained samples once; Add clears the flag.
+// ensureSorted sorts the samples once; Add clears the flag.
 func (h *Histogram) ensureSorted() {
 	if !h.sorted {
 		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })

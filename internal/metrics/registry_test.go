@@ -2,88 +2,12 @@ package metrics
 
 import (
 	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"splitio/internal/sim"
 )
-
-func TestHistogramReservoirBoundsMemory(t *testing.T) {
-	var h Histogram
-	h.SetReservoir(100, rand.New(rand.NewSource(1)))
-	for i := 0; i < 10_000; i++ {
-		h.Add(time.Duration(i) * time.Microsecond)
-	}
-	if h.Retained() != 100 {
-		t.Fatalf("Retained = %d, want 100", h.Retained())
-	}
-	if h.Count() != 10_000 {
-		t.Fatalf("Count = %d, want 10000 (cap must not hide the true total)", h.Count())
-	}
-	// The retained set should roughly span the distribution: with 10k
-	// uniform-ish values, the median of a uniform reservoir lands nowhere
-	// near the extremes.
-	p50 := h.Percentile(50)
-	if p50 < 1*time.Millisecond || p50 > 9*time.Millisecond {
-		t.Fatalf("reservoir p50 = %v, not representative of [0,10ms)", p50)
-	}
-}
-
-func TestHistogramReservoirDeterministic(t *testing.T) {
-	mk := func() []time.Duration {
-		var h Histogram
-		h.SetReservoir(50, rand.New(rand.NewSource(7)))
-		for i := 0; i < 5000; i++ {
-			h.Add(time.Duration(i) * time.Microsecond)
-		}
-		return h.Samples()
-	}
-	a, b := mk(), mk()
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sample %d differs: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestHistogramReservoirTrimAndUncap(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 10; i++ {
-		h.Add(time.Duration(i+1) * time.Millisecond)
-	}
-	h.SetReservoir(4, rand.New(rand.NewSource(1)))
-	if h.Retained() != 4 {
-		t.Fatalf("Retained after trim = %d, want 4", h.Retained())
-	}
-	h.SetReservoir(0, nil)
-	h.Add(time.Hour)
-	if h.Retained() != 5 {
-		t.Fatalf("Retained after uncap = %d, want 5", h.Retained())
-	}
-}
-
-func TestHistogramResetKeepsReservoirConfig(t *testing.T) {
-	var h Histogram
-	h.SetReservoir(3, rand.New(rand.NewSource(2)))
-	for i := 0; i < 100; i++ {
-		h.Add(time.Millisecond)
-	}
-	h.Reset()
-	if h.Count() != 0 || h.Retained() != 0 {
-		t.Fatalf("Reset left count=%d retained=%d", h.Count(), h.Retained())
-	}
-	for i := 0; i < 100; i++ {
-		h.Add(time.Millisecond)
-	}
-	if h.Retained() != 3 {
-		t.Fatalf("Retained after Reset+refill = %d, want 3 (cap must survive Reset)", h.Retained())
-	}
-}
 
 func TestRegistryGaugesAndSeries(t *testing.T) {
 	r := NewRegistry()

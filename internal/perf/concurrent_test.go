@@ -16,7 +16,6 @@ func TestSnapshotDeltaConcurrent(t *testing.T) {
 	ResetForTest()
 	defer ResetForTest()
 	Enable()
-	SetSampleEvery(1) // every call reads the clock, so Sampled == Calls
 
 	const writers, iters = 8, 2000
 	b := Buckets()[0]
@@ -34,11 +33,9 @@ func TestSnapshotDeltaConcurrent(t *testing.T) {
 					return
 				default:
 					snap := TakeSnapshot()
-					for _, bs := range snap.Buckets {
-						if bs.Sampled > bs.Calls {
-							t.Errorf("torn snapshot: sampled %d > calls %d", bs.Sampled, bs.Calls)
-							return
-						}
+					if c := snap.Buckets[b].Calls; c < 0 || c > writers*iters {
+						t.Errorf("torn snapshot: %d calls, want within [0, %d]", c, writers*iters)
+						return
 					}
 				}
 			}
@@ -51,8 +48,7 @@ func TestSnapshotDeltaConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				start := Begin(b)
-				End(b, start)
+				Count(b)
 			}
 		}()
 	}
@@ -64,12 +60,6 @@ func TestSnapshotDeltaConcurrent(t *testing.T) {
 	d := Delta(before, after)
 	if got := d.Buckets[b].Calls; got != writers*iters {
 		t.Errorf("delta calls = %d, want %d", got, writers*iters)
-	}
-	if got := d.Buckets[b].Sampled; got != writers*iters {
-		t.Errorf("delta sampled = %d, want %d (sample-every 1)", got, writers*iters)
-	}
-	if d.Buckets[b].SampledNS < 0 {
-		t.Errorf("negative sampled time %d", d.Buckets[b].SampledNS)
 	}
 
 	// Round-trip identities: a self-delta moves nothing, and two half

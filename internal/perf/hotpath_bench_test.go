@@ -2,39 +2,24 @@ package perf
 
 import "testing"
 
-// BenchmarkBeginEndDisabled pins the disabled-path contract: one atomic
-// load, zero allocations. This is the cost every instrumented layer pays
-// on every call in a normal (unprofiled) run.
-func BenchmarkBeginEndDisabled(b *testing.B) {
+// BenchmarkCountDisabled pins the disabled-path contract: one atomic load,
+// zero allocations. This is the cost every instrumented layer pays on every
+// call in a normal (unprofiled) run.
+func BenchmarkCountDisabled(b *testing.B) {
 	ResetForTest()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		End(BucketCache, Begin(BucketCache))
+		Count(BucketCache)
 	}
 }
 
-// BenchmarkBeginEndEnabledUnsampled is the counted-but-unclocked path the
-// golden-determinism tests run under.
-func BenchmarkBeginEndEnabledUnsampled(b *testing.B) {
+// BenchmarkCountEnabled is the counted path of a profiled run.
+func BenchmarkCountEnabled(b *testing.B) {
 	ResetForTest()
+	defer ResetForTest()
 	Enable()
-	defer Disable()
-	SetSampleEvery(1 << 60)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		End(BucketCache, Begin(BucketCache))
-	}
-}
-
-// BenchmarkBeginEndSampled includes the amortized clock reads at the
-// default period.
-func BenchmarkBeginEndSampled(b *testing.B) {
-	ResetForTest()
-	Enable()
-	defer Disable()
-	SetSampleEvery(DefaultSampleEvery)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		End(BucketCache, Begin(BucketCache))
+		Count(BucketCache)
 	}
 }

@@ -1,7 +1,7 @@
-// Package perf is the simulator's host-side self-profiling layer: it
-// measures how fast the simulator itself runs — wall-clock time, events per
-// second, allocations per event, per-layer host-CPU attribution — without
-// ever touching the simulation's virtual clock.
+// Package perf is the simulator's host-side self-profiling layer: exact
+// per-layer call counters, the simulation kernels' aggregated work, and
+// allocation totals, read by the benchmark of record (cmd/benchmark)
+// without ever touching the simulation's virtual clock.
 //
 // perf sits strictly OUTSIDE the discrete-event-simulation determinism
 // contract. It is the one non-cmd package the splitlint simclock analyzer
@@ -10,19 +10,18 @@
 // counters, the progress heartbeat) must route the read through perf, so the
 // determinism boundary stays a one-package audit.
 //
-// The profiling hooks mirror internal/trace's disabled-path discipline:
-// when disabled (the default), Begin is one atomic load returning 0 and End
-// on a 0 token is a branch — no allocation, no clock read. When enabled,
-// hot-path calls are still only counted; the host clock is read for one in
-// SampleEvery calls per bucket, so the instrumented layers pay a bounded,
-// amortized cost. Nothing in this package feeds back into the simulation:
-// enabling profiling cannot change a run's virtual-time behavior, which the
-// golden-determinism tests pin.
+// The probes mirror internal/trace's disabled-path discipline: when
+// disabled (the default), Count is one atomic load and a branch — no
+// allocation, no clock read. When enabled, Count adds one to its bucket.
+// Probes never read the host clock; host time per layer comes from the
+// benchmark's CPU profile. Nothing in this package feeds back into the
+// simulation: enabling profiling cannot change a run's virtual-time
+// behavior, which the golden-determinism tests pin.
 //
 // All state is process-global and atomic because host-parallel sweep cells
 // (internal/sweep) run simulations on concurrent worker goroutines; their
-// counters fold into one aggregate that Snapshot reads and the `splitbench
-// bench` driver deltas per experiment.
+// counters fold into one aggregate that TakeSnapshot reads and Delta
+// brackets.
 package perf
 
 import (
@@ -33,9 +32,9 @@ import (
 	"splitio/internal/sim"
 )
 
-// Bucket names one attributed host-CPU timing bucket: the hot path of one
-// stack layer (the scheduler bucket covers every elevator, timed where the
-// block layer calls into it).
+// Bucket names one counted hot path: the hot path of one stack layer (the
+// scheduler bucket covers every elevator, counted where the block layer
+// calls into it).
 type Bucket uint8
 
 // Buckets, top to bottom of the stack.
@@ -63,20 +62,14 @@ func Buckets() []Bucket {
 	return []Bucket{BucketVFS, BucketCache, BucketFS, BucketBlock, BucketDevice, BucketSched}
 }
 
-// DefaultSampleEvery is the default sampling period: one clock-read pair per
-// this many Begin calls per bucket.
-const DefaultSampleEvery = 64
-
 var (
-	enabled     atomic.Bool
-	sampleEvery atomic.Int64
+	enabled atomic.Bool
+	calls   [NumBuckets]atomic.Int64
 
 	// base anchors NowNS so deltas ride the monotonic clock (wall-clock
 	// adjustments cannot produce negative spans).
 	base = time.Now()
 )
-
-func init() { sampleEvery.Store(DefaultSampleEvery) }
 
 // Enable turns profiling on. Safe to call concurrently with instrumented
 // simulations; hot paths observe the flag with one atomic load.
@@ -85,68 +78,28 @@ func Enable() { enabled.Store(true) }
 // Disable turns profiling off; accumulated counters are kept.
 func Disable() { enabled.Store(false) }
 
-// Enabled reports whether profiling is on.
-func Enabled() bool { return enabled.Load() }
-
-// SetSampleEvery sets the per-bucket sampling period: the host clock is read
-// on one in n Begin calls (n <= 1 samples every call). A very large n gives
-// "enabled but unsampled" profiling: calls are counted, the clock is never
-// read — the mode the golden-determinism tests run under.
-func SetSampleEvery(n int64) {
-	if n < 1 {
-		n = 1
-	}
-	sampleEvery.Store(n)
-}
+// SetSampleEvery does nothing. Probes count every call and never read the
+// host clock, so there is no sampling period to set; the function remains
+// only so existing callers keep compiling.
+func SetSampleEvery(int64) {}
 
 // NowNS returns nanoseconds of host time since process start, on the
 // monotonic clock. It is the sanctioned host-clock read for host-side
-// infrastructure (sweep wall counters, progress heartbeats, the bench
-// driver); simulation packages must never call it.
+// infrastructure (sweep wall counters, progress heartbeats); simulation
+// packages must never call it.
 func NowNS() int64 { return int64(time.Since(base)) }
 
-// bucketState is one bucket's counters. Padded fields are not worth the
-// complexity here: buckets are written from a handful of worker goroutines
-// and read once per experiment.
-type bucketState struct {
-	calls   atomic.Int64 // every Begin while enabled
-	tick    atomic.Int64 // sampling phase
-	sampled atomic.Int64 // Begin calls that read the clock
-	ns      atomic.Int64 // summed sampled span time
-}
-
-var buckets [NumBuckets]bucketState
-
-// Begin marks entry to bucket b's hot path and returns a token for End.
-// Disabled: returns 0 after one atomic load. Enabled: counts the call and,
-// for one in SampleEvery calls, returns the current host time to be closed
-// by End; other calls return 0, which End ignores.
-func Begin(b Bucket) int64 {
-	if !enabled.Load() {
-		return 0
+// Count records one call into bucket b's hot path. Disabled: one atomic
+// load and a branch.
+func Count(b Bucket) {
+	if enabled.Load() {
+		calls[b].Add(1)
 	}
-	s := &buckets[b]
-	s.calls.Add(1)
-	if s.tick.Add(1)%sampleEvery.Load() != 0 {
-		return 0
-	}
-	return NowNS()
-}
-
-// End closes a span opened by Begin. A zero token (disabled or unsampled
-// call) is a no-op.
-func End(b Bucket, start int64) {
-	if start == 0 {
-		return
-	}
-	s := &buckets[b]
-	s.sampled.Add(1)
-	s.ns.Add(NowNS() - start)
 }
 
 // Simulation-kernel aggregate: every sim.Env that finishes under a
 // profiled run folds its counters in here via ObserveSim (wired as
-// sim.StatsHook by the bench driver).
+// sim.StatsHook by the benchmark).
 var (
 	simEnvs     atomic.Int64
 	simEvents   atomic.Int64
@@ -175,21 +128,8 @@ func ObserveSim(s sim.Stats) {
 
 // BucketStat is one bucket's accumulated counters.
 type BucketStat struct {
-	// Calls counts every Begin while profiling was enabled.
+	// Calls counts every Count while profiling was enabled.
 	Calls int64
-	// Sampled counts the calls that read the host clock.
-	Sampled int64
-	// SampledNS is the summed host time of the sampled spans; SampledNS /
-	// Sampled estimates the mean hot-path cost.
-	SampledNS int64
-}
-
-// MeanNS estimates the mean sampled span in nanoseconds (0 with no samples).
-func (b BucketStat) MeanNS() float64 {
-	if b.Sampled == 0 {
-		return 0
-	}
-	return float64(b.SampledNS) / float64(b.Sampled)
 }
 
 // SimStat is the aggregated kernel work of every environment observed so
@@ -213,7 +153,6 @@ type MemStat struct {
 // runtime's allocation totals. Two snapshots bracket an experiment; Delta
 // attributes the interval.
 type Snapshot struct {
-	WhenNS  int64
 	Buckets [NumBuckets]BucketStat
 	Sim     SimStat
 	Mem     MemStat
@@ -226,7 +165,6 @@ func TakeSnapshot() Snapshot {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	snap := Snapshot{
-		WhenNS: NowNS(),
 		Sim: SimStat{
 			Envs:     simEnvs.Load(),
 			Events:   simEvents.Load(),
@@ -235,12 +173,8 @@ func TakeSnapshot() Snapshot {
 		},
 		Mem: MemStat{Mallocs: ms.Mallocs, TotalAlloc: ms.TotalAlloc},
 	}
-	for i := range buckets {
-		snap.Buckets[i] = BucketStat{
-			Calls:     buckets[i].calls.Load(),
-			Sampled:   buckets[i].sampled.Load(),
-			SampledNS: buckets[i].ns.Load(),
-		}
+	for i := range calls {
+		snap.Buckets[i].Calls = calls[i].Load()
 	}
 	return snap
 }
@@ -249,7 +183,6 @@ func TakeSnapshot() Snapshot {
 // is carried from the new snapshot: it is a high-water mark, not a counter.
 func Delta(old, new Snapshot) Snapshot {
 	d := Snapshot{
-		WhenNS: new.WhenNS - old.WhenNS,
 		Sim: SimStat{
 			Envs:     new.Sim.Envs - old.Sim.Envs,
 			Events:   new.Sim.Events - old.Sim.Events,
@@ -262,28 +195,20 @@ func Delta(old, new Snapshot) Snapshot {
 		},
 	}
 	for i := range d.Buckets {
-		d.Buckets[i] = BucketStat{
-			Calls:     new.Buckets[i].Calls - old.Buckets[i].Calls,
-			Sampled:   new.Buckets[i].Sampled - old.Buckets[i].Sampled,
-			SampledNS: new.Buckets[i].SampledNS - old.Buckets[i].SampledNS,
-		}
+		d.Buckets[i].Calls = new.Buckets[i].Calls - old.Buckets[i].Calls
 	}
 	return d
 }
 
-// ResetForTest zeroes every global counter and restores defaults. Tests
+// ResetForTest zeroes every global counter and disables profiling. Tests
 // only: the global aggregate is otherwise monotone for the process life.
 func ResetForTest() {
 	enabled.Store(false)
-	sampleEvery.Store(DefaultSampleEvery)
 	simEnvs.Store(0)
 	simEvents.Store(0)
 	simSwitches.Store(0)
 	simHeapMax.Store(0)
-	for i := range buckets {
-		buckets[i].calls.Store(0)
-		buckets[i].tick.Store(0)
-		buckets[i].sampled.Store(0)
-		buckets[i].ns.Store(0)
+	for i := range calls {
+		calls[i].Store(0)
 	}
 }

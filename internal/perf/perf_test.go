@@ -8,66 +8,38 @@ import (
 
 func TestDisabledPathIsInert(t *testing.T) {
 	ResetForTest()
-	if tok := Begin(BucketVFS); tok != 0 {
-		t.Fatalf("disabled Begin returned token %d, want 0", tok)
-	}
-	End(BucketVFS, 0)
-	s := TakeSnapshot()
-	if s.Buckets[BucketVFS] != (BucketStat{}) {
-		t.Fatalf("disabled Begin/End moved counters: %+v", s.Buckets[BucketVFS])
-	}
-}
-
-func TestSamplingPeriod(t *testing.T) {
-	ResetForTest()
-	Enable()
-	defer Disable()
-	SetSampleEvery(4)
-	for i := 0; i < 100; i++ {
-		End(BucketCache, Begin(BucketCache))
-	}
-	s := TakeSnapshot().Buckets[BucketCache]
-	if s.Calls != 100 {
-		t.Errorf("calls = %d, want 100", s.Calls)
-	}
-	if s.Sampled != 25 {
-		t.Errorf("sampled = %d, want 25 (one in 4)", s.Sampled)
-	}
-	if s.SampledNS < 0 {
-		t.Errorf("sampled ns negative: %d", s.SampledNS)
-	}
-	if s.MeanNS() < 0 {
-		t.Errorf("mean ns negative: %f", s.MeanNS())
-	}
-}
-
-func TestEnabledButUnsampledNeverReadsClock(t *testing.T) {
-	ResetForTest()
-	Enable()
-	defer Disable()
-	SetSampleEvery(1 << 60) // the golden-determinism mode
-	for i := 0; i < 1000; i++ {
-		if tok := Begin(BucketFS); tok != 0 {
-			t.Fatalf("unsampled Begin returned live token %d", tok)
-		}
-	}
-	s := TakeSnapshot().Buckets[BucketFS]
-	if s.Calls != 1000 || s.Sampled != 0 {
-		t.Errorf("calls=%d sampled=%d, want 1000 calls and 0 samples", s.Calls, s.Sampled)
-	}
-}
-
-func TestSetSampleEveryFloorsAtOne(t *testing.T) {
-	ResetForTest()
-	Enable()
-	defer Disable()
-	SetSampleEvery(-5)
 	for i := 0; i < 10; i++ {
-		End(BucketBlock, Begin(BucketBlock))
+		Count(BucketVFS)
 	}
-	s := TakeSnapshot().Buckets[BucketBlock]
-	if s.Sampled != 10 {
-		t.Errorf("sampled = %d, want 10 (period floored to every call)", s.Sampled)
+	if s := TakeSnapshot(); s.Buckets != [NumBuckets]BucketStat{} {
+		t.Fatalf("disabled Count moved counters: %+v", s.Buckets)
+	}
+}
+
+// TestCountExactWhenEnabled: enabled, every call is counted in its own
+// bucket and no other; after Disable, counting stops.
+func TestCountExactWhenEnabled(t *testing.T) {
+	ResetForTest()
+	defer ResetForTest()
+	Enable()
+	for i := 0; i < 1000; i++ {
+		Count(BucketFS)
+	}
+	Count(BucketBlock)
+	Disable()
+	Count(BucketFS)
+	s := TakeSnapshot()
+	for _, b := range Buckets() {
+		want := int64(0)
+		switch b {
+		case BucketFS:
+			want = 1000
+		case BucketBlock:
+			want = 1
+		}
+		if got := s.Buckets[b].Calls; got != want {
+			t.Errorf("%s calls = %d, want %d", b, got, want)
+		}
 	}
 }
 
@@ -93,9 +65,6 @@ func TestDeltaSubtractsAndCarriesHeapMax(t *testing.T) {
 	if d.Sim.HeapMax != 9 {
 		t.Errorf("delta heap max = %d, want 9 (carried, not subtracted)", d.Sim.HeapMax)
 	}
-	if d.WhenNS < 0 {
-		t.Errorf("delta wall negative: %d", d.WhenNS)
-	}
 }
 
 func TestNowNSMonotone(t *testing.T) {
@@ -103,42 +72,5 @@ func TestNowNSMonotone(t *testing.T) {
 	b := NowNS()
 	if b < a || a < 0 {
 		t.Fatalf("NowNS went backwards: %d then %d", a, b)
-	}
-}
-
-func TestEventLoopBench(t *testing.T) {
-	ResetForTest()
-	prev := sim.StatsHook
-	sim.StatsHook = ObserveSim
-	defer func() { sim.StatsHook = prev }()
-
-	stats := EventLoopBench(10_000)
-	// The budget is approximate (timer chain + per-proc sleeps + process
-	// startup/teardown events), but it must be in the right decade and
-	// exercise both the heap and the coroutine engine.
-	if stats.Events < 9_000 || stats.Events > 12_000 {
-		t.Errorf("events = %d, want ~10000", stats.Events)
-	}
-	if stats.Switches == 0 {
-		t.Errorf("bench drove no coroutine switches")
-	}
-	// The mix models the post-rewrite kernel: workload procs are a 1/32
-	// slice, so the coroutine tax must sit well under the 0.05
-	// switches/event the bench gate asserts.
-	if ratio := float64(stats.Switches) / float64(stats.Events); ratio >= 0.05 {
-		t.Errorf("switches/event = %.3f, want < 0.05 (handler mix regressed to coroutines)", ratio)
-	}
-	if stats.HeapMax < eventLoopStandingTimers {
-		t.Errorf("heap high-water %d below standing-timer population %d", stats.HeapMax, eventLoopStandingTimers)
-	}
-	if agg := TakeSnapshot().Sim; agg.Envs != 1 || agg.Events != stats.Events {
-		t.Errorf("StatsHook fold saw %+v, want the bench env's %d events", agg, stats.Events)
-	}
-}
-
-func TestEventLoopBenchFloorsTinyBudgets(t *testing.T) {
-	ResetForTest()
-	if stats := EventLoopBench(0); stats.Events == 0 {
-		t.Errorf("floored bench executed no events")
 	}
 }

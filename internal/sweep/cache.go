@@ -1,11 +1,11 @@
 // Content-addressed run cache. A cell's result is stored under the SHA-256
 // of its full identity — experiment name, canonical config string, seed,
 // and module version — so a re-run only pays for cells whose identity
-// changed. Any code change bumps the version component (the VCS revision
-// when the binary carries one), which invalidates the whole cache rather
-// than risking stale results; an unstamped build falls back to an
-// uncacheable-across-builds "dev" version that still dedups within one
-// binary's lifetime.
+// changed. The version component is the SHA-256 of the running executable,
+// so any rebuild from changed code (including `go run` and uncommitted
+// trees) invalidates the whole cache rather than risking stale results.
+// When the executable cannot be read the version is empty, and keys with
+// an empty version never hit or fill the cache.
 
 package sweep
 
@@ -14,9 +14,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"sync"
 )
 
@@ -36,7 +36,7 @@ type Key struct {
 	// Seed is the cell's deterministic random seed.
 	Seed int64 `json:"seed"`
 	// Version ties the entry to the code that produced it; see
-	// ModuleVersion.
+	// ModuleVersion. Empty means unknown, and such keys are never cached.
 	Version string `json:"version"`
 }
 
@@ -59,33 +59,30 @@ func (k Key) Hash() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// moduleVersion resolves once: the VCS revision (plus a dirty marker) when
-// the build is stamped, the module version for released builds, else "dev".
+// moduleVersion resolves once: the hex SHA-256 of the running executable,
+// or "" when it cannot be read.
 var moduleVersion = sync.OnceValue(func() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "dev"
+	path, err := os.Executable()
+	if err != nil {
+		return ""
 	}
-	var rev, modified string
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			modified = s.Value
-		}
-	}
-	if rev != "" {
-		if modified == "true" {
-			return rev + "+dirty"
-		}
-		return rev
-	}
-	if v := bi.Main.Version; v != "" && v != "(devel)" {
-		return v
-	}
-	return "dev"
+	return fileVersion(path)
 })
+
+// fileVersion returns the hex SHA-256 of the file at path, or "" when it
+// cannot be read.
+func fileVersion(path string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return ""
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
 
 // ModuleVersion is the version component NewKey stamps into keys.
 func ModuleVersion() string { return moduleVersion() }
@@ -134,8 +131,12 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	return e.Data, true
 }
 
-// Put stores data as k's result.
+// Put stores data as k's result. A key with an empty Version is not
+// stored, so it can never hit.
 func (c *Cache) Put(k Key, data []byte) error {
+	if k.Version == "" {
+		return nil
+	}
 	b, err := json.Marshal(envelope{Key: k, Data: data})
 	if err != nil {
 		return err

@@ -19,7 +19,7 @@ import (
 // experiment would — a sim.Env, a metrics.Registry, a ring-mode
 // trace.Tracer — exercise it, and assert the per-cell counters from inside
 // the cell. Shared state across workers is exactly what production shares:
-// the global perf counters (Begin/End samples and the sim.StatsHook fold).
+// the global perf counters (probe counts and the sim.StatsHook fold).
 func simCells(n int) []sweep.Cell {
 	cells := make([]sweep.Cell, n)
 	for i := range cells {
@@ -27,7 +27,7 @@ func simCells(n int) []sweep.Cell {
 		cells[i] = sweep.Cell{
 			Key: sweep.Key{Experiment: "conc", Config: fmt.Sprintf("cell=%d", i), Seed: seed, Version: "test"},
 			Run: func() ([]byte, error) {
-				pt := perf.Begin(perf.BucketSched)
+				perf.Count(perf.BucketSched)
 				reg := metrics.NewRegistry()
 				work := reg.Counter("cell.work")
 				tr := trace.New()
@@ -52,7 +52,6 @@ func simCells(n int) []sweep.Cell {
 				env.RunAll()
 				events := env.Stats().Events
 				env.Close()
-				perf.End(perf.BucketSched, pt)
 				return []byte(fmt.Sprintf(`{"seed":%d,"events":%d,"work":%.0f}`, seed, events, work.Value())), nil
 			},
 		}
@@ -62,7 +61,7 @@ func simCells(n int) []sweep.Cell {
 
 // TestConcurrentCellsSharedCounters runs cells in parallel with the shared
 // perf counters enabled and the sim.StatsHook installed — the exact sharing
-// pattern `splitbench bench` uses — and checks that per-cell state stays
+// pattern the benchmark's traced rep uses — and checks that per-cell state stays
 // isolated (results byte-identical to a serial run) while the global
 // aggregates account for every cell. Run under -race this is the
 // determinism contract's concurrency test.
@@ -116,7 +115,7 @@ func TestConcurrentCellsSharedCounters(t *testing.T) {
 		t.Errorf("global sim counters did not accumulate: %+v", d.Sim)
 	}
 	if got, want := d.Buckets[perf.BucketSched].Calls, int64(2*n); got != want {
-		t.Errorf("sched bucket calls %d, want %d (one Begin per cell per run)", got, want)
+		t.Errorf("sched bucket calls %d, want %d (one Count per cell per run)", got, want)
 	}
 
 	wall, max := par.Wall()

@@ -140,6 +140,63 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestExecutableVersionInvalidates pins the version component: two
+// executables that differ in one byte get different versions, so results
+// one build cached miss under the other; an unreadable executable yields
+// the empty version, which never hits or fills the cache.
+func TestExecutableVersionInvalidates(t *testing.T) {
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sweep.ModuleVersion(), sweep.FileVersion(self); got == "" || got != want {
+		t.Fatalf("ModuleVersion = %q, want the running executable's %q", got, want)
+	}
+	bin, err := os.ReadFile(self)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a"), filepath.Join(dir, "b")
+	if err := os.WriteFile(a, bin, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(b, append(bin, 0), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	va, vb := sweep.FileVersion(a), sweep.FileVersion(b)
+	if va == "" || vb == "" || va == vb {
+		t.Fatalf("versions of distinct executables: %q, %q", va, vb)
+	}
+
+	c, err := sweep.Open(filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sweep.Key{Experiment: "e", Config: "c=1", Seed: 7, Version: va}
+	if err := c.Put(k, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(k); !ok {
+		t.Fatal("same build missed its own entry")
+	}
+	k.Version = vb
+	if _, ok := c.Get(k); ok {
+		t.Error("second executable hit the first one's entry")
+	}
+
+	if v := sweep.FileVersion(filepath.Join(dir, "missing")); v != "" {
+		t.Fatalf("unreadable executable versioned as %q, want empty", v)
+	}
+	k.Version = ""
+	if err := c.Put(k, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(k); ok {
+		t.Error("unversioned key hit the cache")
+	}
+}
+
 func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
 	c, err := sweep.Open(dir)

@@ -115,16 +115,15 @@ func (v *VFS) beginSyscall(p *sim.Proc, c *ioctx.Ctx) sim.Time {
 	return p.Now()
 }
 
-// endSyscall records the syscall-layer span. It is the vfs host-CPU
-// profiling point: one sampled bucket span per completed syscall.
+// endSyscall records the syscall-layer span. It is the vfs profiling
+// probe: one count per completed syscall.
 func (v *VFS) endSyscall(p *sim.Proc, c *ioctx.Ctx, op string, start sim.Time, ino, bytes int64, flags trace.Flag) {
-	pt := perf.Begin(perf.BucketVFS)
+	perf.Count(perf.BucketVFS)
 	v.tr.Record(trace.Event{
 		Layer: trace.LayerSyscall, Op: op,
 		Req: c.Req, PID: c.PID, Causes: c.Causes(), Prio: c.Prio,
 		Start: start, End: p.Now(), Ino: ino, Bytes: bytes, Flags: flags,
 	})
-	perf.End(perf.BucketVFS, pt)
 }
 
 // FS returns the mounted file system.

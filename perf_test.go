@@ -1,8 +1,8 @@
 // Integration test for the self-profiling determinism boundary: enabling
 // internal/perf must not change what a simulation does, only observe how
 // fast the host executes it. The pin is byte-identity of the exported
-// trace between an unprofiled run and a profiled (enabled-but-unsampled)
-// run of the same seed — the same golden the tracing suite uses.
+// trace between an unprofiled run and a profiled run of the same seed —
+// the same golden the tracing suite uses.
 package splitio_test
 
 import (
@@ -25,12 +25,10 @@ func TestPerfProfilingPreservesGoldenTrace(t *testing.T) {
 
 	plain := export()
 
-	// Profiled run: counters on, StatsHook installed, sampling pushed out
-	// of reach so no hot-path call ever reads the host clock. This is the
-	// strongest mode that can still promise bit-identical virtual behavior.
+	// Profiled run: probe counters on and StatsHook installed, as the
+	// benchmark's traced rep runs.
 	perf.ResetForTest()
 	perf.Enable()
-	perf.SetSampleEvery(1 << 60)
 	prevHook := sim.StatsHook
 	sim.StatsHook = perf.ObserveSim
 	defer func() {
@@ -57,9 +55,6 @@ func TestPerfProfilingPreservesGoldenTrace(t *testing.T) {
 	var calls int64
 	for _, bkt := range perf.Buckets() {
 		calls += s.Buckets[bkt].Calls
-		if got := s.Buckets[bkt].Sampled; got != 0 {
-			t.Errorf("bucket %s sampled %d spans in unsampled mode", bkt, got)
-		}
 	}
 	if calls == 0 {
 		t.Error("no instrumented layer counted a call during the profiled run")

@@ -16,12 +16,29 @@ func TestDisabledPathIsInert(t *testing.T) {
 	}
 }
 
-// TestCountExactWhenEnabled: enabled, every call is counted in its own
-// bucket and no other; after Disable, counting stops.
-func TestCountExactWhenEnabled(t *testing.T) {
+// TestSamplingPeriod: SetSampleEvery is a no-op kept for its callers; a
+// period that once thinned clock samples must not thin the exact counts.
+func TestSamplingPeriod(t *testing.T) {
 	ResetForTest()
 	defer ResetForTest()
 	Enable()
+	SetSampleEvery(4)
+	for i := 0; i < 100; i++ {
+		Count(BucketCache)
+	}
+	if got := TakeSnapshot().Buckets[BucketCache].Calls; got != 100 {
+		t.Errorf("calls = %d, want 100 (every call counted, whatever the period)", got)
+	}
+}
+
+// TestEnabledButUnsampledNeverReadsClock: with the period the golden-
+// determinism runs once used, enabled probes still count every call in
+// its own bucket and no other, and counting stops after Disable.
+func TestEnabledButUnsampledNeverReadsClock(t *testing.T) {
+	ResetForTest()
+	defer ResetForTest()
+	Enable()
+	SetSampleEvery(1 << 60)
 	for i := 0; i < 1000; i++ {
 		Count(BucketFS)
 	}

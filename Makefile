@@ -1,6 +1,6 @@
 # Tier-1 verification plus static and race checks.
 #
-#   make check       vet + lint + build + tests + benchmark tests + race + fuzz corpora + crash-consistency smoke + gcsweep + report + slo
+#   make check       vet (with gofmt) + lint + build + tests + benchmark tests + race + fuzz corpora + crash-consistency smoke + gcsweep + report + slo
 #   make lint        splitlint determinism-contract analyzers (see DESIGN.md)
 #   make benchtest   tests of cmd/benchmark, a nested module the root `go test ./...` skips
 #   make crashsweep  fault-injected crash sweep; fails on any invariant violation
@@ -42,8 +42,14 @@ test:
 benchtest:
 	cd cmd/benchmark && $(GO) test ./...
 
+# gofmt is part of vet: any unformatted Go file fails it, except testdata
+# (analyzer fixtures) and dot-directories (build caches such as .bench_build).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l . | grep -Ev '(^|/)testdata/|^\.' || true); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting:" >&2; echo "$$unformatted" >&2; exit 1; \
+	fi
 
 race:
 	$(GO) test -race ./...

@@ -7,9 +7,9 @@
 package cache
 
 import (
-	"container/list"
+	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"splitio/internal/causes"
@@ -60,22 +60,37 @@ type MemHooks struct {
 	BufferFree func(ino, idx int64, c causes.Set)
 }
 
-type pageKey struct {
-	ino int64
-	idx int64
-}
-
+// page is one resident page. A clean page sits on the cache's LRU ring; a
+// dirty page is off the ring and its index is in its file's dirty heap.
 type page struct {
-	key       pageKey
-	dirty     bool
-	wcauses   causes.Set
-	dirtiedAt sim.Time
-	lruElem   *list.Element // non-nil while clean and evictable
+	file       *file
+	idx        int64
+	dirty      bool
+	wcauses    causes.Set
+	prev, next *page // LRU ring links, nil while dirty
 }
 
-type dirtyFile struct {
-	ino   int64
-	pages map[int64]struct{}
+// file is the page-cache state of one inode.
+type file struct {
+	ino    int64
+	pages  map[int64]*page
+	dirty  idxHeap // indices of the dirty pages
+	queued bool    // in Cache.order
+}
+
+// idxHeap is a min-heap of page indices (container/heap), so writeback
+// takes a file's lowest dirty pages without sorting.
+type idxHeap []int64
+
+func (h idxHeap) Len() int           { return len(h) }
+func (h idxHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h idxHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *idxHeap) Push(x any)        { *h = append(*h, x.(int64)) }
+func (h *idxHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // WritebackFn flushes up to max dirty pages of file ino to disk and invokes
@@ -92,13 +107,14 @@ type Cache struct {
 	hooks MemHooks
 	tr    *trace.Tracer
 
-	pages map[pageKey]*page
-	lru   list.List // clean pages, front = LRU
+	files    map[int64]*file
+	lru      page  // sentinel of the ring of clean pages; lru.next is least recent
+	resident int64 // pages across all files
 
 	dirtyCount int64
-	dirtyFiles map[int64]*dirtyFile
-	dirtyOrder []int64        // round-robin order of inos with dirty pages
-	inOrder    map[int64]bool // membership in dirtyOrder (no duplicates)
+	// order is the round-robin writeback order: every file dirtied since
+	// writeback last found the cache clean, in first-dirtied order.
+	order []*file
 
 	throttleQ *sim.WaitQueue // writers blocked on dirty_ratio
 	wbWake    *sim.WaitQueue // pdflush wake-ups
@@ -117,12 +133,8 @@ type Cache struct {
 	tagBytes    int64
 	maxTagBytes int64
 
-	// Stats.
-	statDirtied    int64
-	statOverwrites int64
-	statFrees      int64
-	statHits       int64
-	statMisses     int64
+	statHits   int64
+	statMisses int64
 }
 
 // New creates a cache and starts its writeback daemon. wbCtx is the identity
@@ -133,14 +145,13 @@ func New(env *sim.Env, cfg Config, wbCtx *ioctx.Ctx) *Cache {
 		env:            env,
 		cfg:            cfg,
 		tr:             trace.Nop,
-		pages:          make(map[pageKey]*page),
-		dirtyFiles:     make(map[int64]*dirtyFile),
-		inOrder:        make(map[int64]bool),
+		files:          make(map[int64]*file),
 		throttleQ:      sim.NewWaitQueue(env),
 		wbWake:         sim.NewWaitQueue(env),
 		pdflushEnabled: true,
 		wbCtx:          wbCtx,
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	c.pdWakeFn = func(sig bool) { c.pdflushLoop() }
 	c.pdIdleFn = c.pdflushAfterIdle
 	// The daemon's first pass is a t=0 startup event scheduled in
@@ -198,8 +209,8 @@ func (c *Cache) DirtyBytes() int64 { return c.dirtyCount * PageSize }
 
 // FileDirtyPages returns the number of dirty pages of ino.
 func (c *Cache) FileDirtyPages(ino int64) int64 {
-	if df, ok := c.dirtyFiles[ino]; ok {
-		return int64(len(df.pages))
+	if f := c.files[ino]; f != nil {
+		return int64(len(f.dirty))
 	}
 	return 0
 }
@@ -212,10 +223,10 @@ func (c *Cache) FileDirtyBytes(ino int64) int64 {
 // DirtyFiles returns the inos that currently have dirty pages, in
 // round-robin writeback order.
 func (c *Cache) DirtyFiles() []int64 {
-	out := make([]int64, 0, len(c.dirtyFiles))
-	for _, ino := range c.dirtyOrder {
-		if df, ok := c.dirtyFiles[ino]; ok && len(df.pages) > 0 {
-			out = append(out, ino)
+	out := make([]int64, 0, len(c.order))
+	for _, f := range c.order {
+		if len(f.dirty) > 0 {
+			out = append(out, f.ino)
 		}
 	}
 	return out
@@ -239,27 +250,30 @@ func (c *Cache) dirtyThreshold() int64 {
 	return int64(c.cfg.DirtyRatio * float64(c.cfg.TotalPages))
 }
 
+// page returns the resident page (ino, idx), or nil.
+func (c *Cache) page(ino, idx int64) *page {
+	if f := c.files[ino]; f != nil {
+		return f.pages[idx]
+	}
+	return nil
+}
+
 // Peek reports whether page (ino, idx) is resident without promoting it or
 // touching hit/miss statistics. SCS-Token uses it to test for cache hits at
 // the system-call level (the file-system modification Craciunas et al.
 // needed).
-func (c *Cache) Peek(ino, idx int64) bool {
-	_, ok := c.pages[pageKey{ino, idx}]
-	return ok
-}
+func (c *Cache) Peek(ino, idx int64) bool { return c.page(ino, idx) != nil }
 
 // Lookup reports whether page (ino, idx) is resident, promoting it in the
 // LRU on a hit. It is one of the cache bucket's profiling probes.
 func (c *Cache) Lookup(ino, idx int64) bool {
 	perf.Count(perf.BucketCache)
-	pg, ok := c.pages[pageKey{ino, idx}]
-	if !ok {
+	pg := c.page(ino, idx)
+	if pg == nil {
 		c.statMisses++
 		return false
 	}
-	if pg.lruElem != nil {
-		c.lru.MoveToBack(pg.lruElem)
-	}
+	c.touch(pg)
 	c.statHits++
 	return true
 }
@@ -267,25 +281,54 @@ func (c *Cache) Lookup(ino, idx int64) bool {
 // InsertClean adds a clean page (after a disk read), evicting LRU clean
 // pages if RAM is full. Inserting an existing page just promotes it.
 func (c *Cache) InsertClean(ino, idx int64) {
-	key := pageKey{ino, idx}
-	if pg, ok := c.pages[key]; ok {
-		if pg.lruElem != nil {
-			c.lru.MoveToBack(pg.lruElem)
-		}
+	if pg := c.page(ino, idx); pg != nil {
+		c.touch(pg)
 		return
 	}
 	c.evictIfFull()
-	pg := &page{key: key}
-	pg.lruElem = c.lru.PushBack(pg)
-	c.pages[key] = pg
+	c.lruPush(c.add(ino, idx))
+}
+
+// add makes (ino, idx) resident, creating the file's record if needed.
+func (c *Cache) add(ino, idx int64) *page {
+	f := c.files[ino]
+	if f == nil {
+		f = &file{ino: ino, pages: make(map[int64]*page)}
+		c.files[ino] = f
+	}
+	pg := &page{file: f, idx: idx}
+	f.pages[idx] = pg
+	c.resident++
+	return pg
 }
 
 func (c *Cache) evictIfFull() {
-	for int64(len(c.pages)) >= c.cfg.TotalPages && c.lru.Len() > 0 {
-		front := c.lru.Front()
-		pg := front.Value.(*page)
-		c.lru.Remove(front)
-		delete(c.pages, pg.key)
+	for c.resident >= c.cfg.TotalPages && c.lru.next != &c.lru {
+		pg := c.lru.next
+		c.lruUnlink(pg)
+		delete(pg.file.pages, pg.idx)
+		c.resident--
+	}
+}
+
+// lruPush appends a clean page at the most-recently-used end of the ring.
+func (c *Cache) lruPush(pg *page) {
+	pg.prev, pg.next = c.lru.prev, &c.lru
+	pg.prev.next = pg
+	c.lru.prev = pg
+}
+
+func (c *Cache) lruUnlink(pg *page) {
+	pg.prev.next = pg.next
+	pg.next.prev = pg.prev
+	pg.prev, pg.next = nil, nil
+}
+
+// touch promotes a clean page to most recently used.
+func (c *Cache) touch(pg *page) {
+	if pg.next != nil {
+		c.lruUnlink(pg)
+		c.lruPush(pg)
 	}
 }
 
@@ -294,69 +337,48 @@ func (c *Cache) evictIfFull() {
 // overwrite, which costs no new disk I/O).
 func (c *Cache) MarkDirty(ctx *ioctx.Ctx, ino, idx int64) bool {
 	perf.Count(perf.BucketCache)
-	key := pageKey{ino, idx}
 	newCauses := ctx.Causes()
-	pg, ok := c.pages[key]
-	if ok && pg.dirty {
-		prev := pg.wcauses
+	pg := c.page(ino, idx)
+	overwrite := pg != nil && pg.dirty
+	prev, label := causes.None, ""
+	if overwrite {
+		prev, label = pg.wcauses, "overwrite"
 		c.tagBytes -= int64(prev.TagBytes())
 		pg.wcauses = prev.Union(newCauses)
-		c.tagBytes += int64(pg.wcauses.TagBytes())
-		c.noteTagMax()
-		c.statOverwrites++
-		if c.hooks.BufferDirty != nil {
-			c.hooks.BufferDirty(ino, idx, pg.wcauses, prev)
+	} else {
+		if pg == nil {
+			c.evictIfFull()
+			pg = c.add(ino, idx)
+		} else {
+			c.lruUnlink(pg)
 		}
-		if c.tr.Enabled() {
-			now := c.env.Now()
-			c.tr.Record(trace.Event{
-				Layer: trace.LayerCache, Op: trace.OpDirty, Label: "overwrite",
-				Req: ctx.Req, PID: ctx.PID, Causes: pg.wcauses,
-				Start: now, End: now, Ino: ino, Page: idx,
-			})
+		pg.dirty = true
+		pg.wcauses = newCauses
+		c.dirtyCount++
+		f := pg.file
+		heap.Push(&f.dirty, idx)
+		if !f.queued {
+			f.queued = true
+			c.order = append(c.order, f)
 		}
-		return true
 	}
-	if !ok {
-		c.evictIfFull()
-		pg = &page{key: key}
-		c.pages[key] = pg
-	} else if pg.lruElem != nil {
-		c.lru.Remove(pg.lruElem)
-		pg.lruElem = nil
-	}
-	pg.dirty = true
-	pg.wcauses = newCauses
-	pg.dirtiedAt = c.env.Now()
-	c.dirtyCount++
-	c.statDirtied++
-	c.tagBytes += int64(newCauses.TagBytes())
+	c.tagBytes += int64(pg.wcauses.TagBytes())
 	c.noteTagMax()
-	df, ok := c.dirtyFiles[ino]
-	if !ok {
-		df = &dirtyFile{ino: ino, pages: make(map[int64]struct{})}
-		c.dirtyFiles[ino] = df
-	}
-	if !c.inOrder[ino] {
-		c.inOrder[ino] = true
-		c.dirtyOrder = append(c.dirtyOrder, ino)
-	}
-	df.pages[idx] = struct{}{}
 	if c.hooks.BufferDirty != nil {
-		c.hooks.BufferDirty(ino, idx, newCauses, causes.None)
+		c.hooks.BufferDirty(ino, idx, pg.wcauses, prev)
 	}
 	if c.tr.Enabled() {
 		now := c.env.Now()
 		c.tr.Record(trace.Event{
-			Layer: trace.LayerCache, Op: trace.OpDirty,
-			Req: ctx.Req, PID: ctx.PID, Causes: newCauses,
+			Layer: trace.LayerCache, Op: trace.OpDirty, Label: label,
+			Req: ctx.Req, PID: ctx.PID, Causes: pg.wcauses,
 			Start: now, End: now, Ino: ino, Page: idx,
 		})
 	}
-	if c.dirtyCount > c.bgThreshold() {
+	if !overwrite && c.dirtyCount > c.bgThreshold() {
 		c.wbWake.Signal()
 	}
-	return false
+	return overwrite
 }
 
 func (c *Cache) noteTagMax() {
@@ -370,126 +392,109 @@ func (c *Cache) noteTagMax() {
 // (the file system) is responsible for writing them to disk. Pages
 // re-dirtied while in flight simply become dirty again.
 func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) {
-	df, ok := c.dirtyFiles[ino]
-	if !ok || len(df.pages) == 0 {
+	f := c.files[ino]
+	if f == nil || len(f.dirty) == 0 {
 		return nil, nil
 	}
-	if max <= 0 || max > len(df.pages) {
-		max = len(df.pages)
+	if max <= 0 || max > len(f.dirty) {
+		max = len(f.dirty)
 	}
-	all := make([]int64, 0, len(df.pages))
-	for idx := range df.pages {
-		all = append(all, idx)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	take := all[:max]
-	idxs = make([]int64, 0, len(take))
-	tags = make([]causes.Set, 0, len(take))
-	for _, idx := range take {
-		pg := c.pages[pageKey{ino, idx}]
-		idxs = append(idxs, idx)
+	idxs = make([]int64, 0, max)
+	tags = make([]causes.Set, 0, max)
+	for len(idxs) < max {
+		pg := f.pages[heap.Pop(&f.dirty).(int64)]
+		idxs = append(idxs, pg.idx)
 		tags = append(tags, pg.wcauses)
-		c.cleanPage(pg, df)
+		pg.dirty = false
+		c.tagBytes -= int64(pg.wcauses.TagBytes())
+		pg.wcauses = causes.None
+		c.dirtyCount--
+		c.lruPush(pg)
 	}
 	c.maybeUnthrottle()
 	return idxs, tags
 }
 
-func (c *Cache) cleanPage(pg *page, df *dirtyFile) {
-	pg.dirty = false
-	c.tagBytes -= int64(pg.wcauses.TagBytes())
-	pg.wcauses = causes.None
-	c.dirtyCount--
-	delete(df.pages, pg.key.idx)
-	if len(df.pages) == 0 {
-		delete(c.dirtyFiles, df.ino)
-	}
-	pg.lruElem = c.lru.PushBack(pg)
-}
-
 // FreeFile drops every page of ino, firing buffer-free hooks for dirty
-// pages (I/O work that vanished before writeback).
+// pages (I/O work that vanished before writeback) in index order.
 func (c *Cache) FreeFile(ino int64) {
-	if df, ok := c.dirtyFiles[ino]; ok {
-		idxs := make([]int64, 0, len(df.pages))
-		for idx := range df.pages {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			pg := c.pages[pageKey{ino, idx}]
+	if f := c.files[ino]; f != nil {
+		for len(f.dirty) > 0 {
+			pg := f.pages[heap.Pop(&f.dirty).(int64)]
 			if c.hooks.BufferFree != nil {
-				c.hooks.BufferFree(ino, idx, pg.wcauses)
+				c.hooks.BufferFree(ino, pg.idx, pg.wcauses)
 			}
 			if c.tr.Enabled() {
 				now := c.env.Now()
 				c.tr.Record(trace.Event{
 					Layer: trace.LayerCache, Op: trace.OpBufferFree,
 					PID: 0, Causes: pg.wcauses,
-					Start: now, End: now, Ino: ino, Page: idx,
+					Start: now, End: now, Ino: ino, Page: pg.idx,
 				})
 			}
-			c.statFrees++
 			c.tagBytes -= int64(pg.wcauses.TagBytes())
 			c.dirtyCount--
-			delete(c.pages, pg.key)
 		}
-		delete(c.dirtyFiles, ino)
-	}
-	// Drop clean pages too (they are in the LRU).
-	for e := c.lru.Front(); e != nil; {
-		next := e.Next()
-		pg := e.Value.(*page)
-		if pg.key.ino == ino {
-			c.lru.Remove(e)
-			delete(c.pages, pg.key)
+		//splitlint:ignore maporder unlinking from the ring in any order leaves the same ring
+		for _, pg := range f.pages {
+			if pg.next != nil {
+				c.lruUnlink(pg)
+			}
 		}
-		e = next
+		c.resident -= int64(len(f.pages))
+		clear(f.pages)
+		if !f.queued {
+			delete(c.files, ino)
+		}
 	}
 	c.maybeUnthrottle()
 }
 
-// CheckConsistency verifies the cache's internal invariants: the dirty
-// counter matches the per-file dirty sets, page flags agree with set
-// membership, tag accounting matches the dirty pages' tags, and clean pages
-// are exactly the LRU members. Stress tests call it after random workloads.
+// CheckConsistency verifies the cache's internal invariants: the dirty and
+// resident counters and tag accounting match the pages, each file's dirty
+// heap is a heap holding exactly its dirty pages, a page is clean exactly
+// when it is on the LRU ring, and every file with dirty pages is in the
+// round-robin order. Stress tests call it after random workloads. Files and
+// pages are checked in sorted order, so the first violation reported is
+// the same on every run.
 func (c *Cache) CheckConsistency() error {
-	var dirty int64
-	var tagSum int64
-	// Iterate in sorted key order so the first violation reported is the
-	// same on every run (map order would make the error message — exported
-	// output — nondeterministic).
-	keys := make([]pageKey, 0, len(c.pages))
-	for key := range c.pages {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ino != keys[j].ino {
-			return keys[i].ino < keys[j].ino
+	var dirty, clean, resident, tagSum int64
+	for _, ino := range sortedKeys(c.files) {
+		f := c.files[ino]
+		if f.ino != ino {
+			return fmt.Errorf("cache: file %d filed under ino %d", f.ino, ino)
 		}
-		return keys[i].idx < keys[j].idx
-	})
-	for _, key := range keys {
-		pg := c.pages[key]
-		if pg.key != key {
-			return fmt.Errorf("cache: page key mismatch at %v", key)
+		var fileDirty []int64
+		for _, idx := range sortedKeys(f.pages) {
+			pg := f.pages[idx]
+			if pg.file != f || pg.idx != idx {
+				return fmt.Errorf("cache: page (%d,%d) filed under (%d,%d)", pg.file.ino, pg.idx, ino, idx)
+			}
+			if pg.dirty == (pg.next != nil) {
+				return fmt.Errorf("cache: page (%d,%d) dirty=%v but on LRU=%v", ino, idx, pg.dirty, pg.next != nil)
+			}
+			if pg.dirty {
+				fileDirty = append(fileDirty, idx)
+				tagSum += int64(pg.wcauses.TagBytes())
+			} else {
+				clean++
+			}
 		}
-		if pg.dirty {
-			dirty++
-			tagSum += int64(pg.wcauses.TagBytes())
-			df, ok := c.dirtyFiles[key.ino]
-			if !ok {
-				return fmt.Errorf("cache: dirty page %v not in dirtyFiles", key)
+		for i := 1; i < len(f.dirty); i++ {
+			if f.dirty[i] < f.dirty[(i-1)/2] {
+				return fmt.Errorf("cache: file %d dirty heap out of order at %d", ino, i)
 			}
-			if _, ok := df.pages[key.idx]; !ok {
-				return fmt.Errorf("cache: dirty page %v missing from file set", key)
-			}
-			if pg.lruElem != nil {
-				return fmt.Errorf("cache: dirty page %v on clean LRU", key)
-			}
-		} else if pg.lruElem == nil {
-			return fmt.Errorf("cache: clean page %v not on LRU", key)
 		}
+		inHeap := slices.Clone(f.dirty)
+		slices.Sort(inHeap)
+		if !slices.Equal(inHeap, fileDirty) {
+			return fmt.Errorf("cache: file %d dirty heap holds %v, dirty pages are %v", ino, inHeap, fileDirty)
+		}
+		if len(fileDirty) > 0 && !f.queued {
+			return fmt.Errorf("cache: file %d has dirty pages but is not in the writeback order", ino)
+		}
+		dirty += int64(len(fileDirty))
+		resident += int64(len(f.pages))
 	}
 	if dirty != c.dirtyCount {
 		return fmt.Errorf("cache: dirtyCount %d != actual %d", c.dirtyCount, dirty)
@@ -497,31 +502,26 @@ func (c *Cache) CheckConsistency() error {
 	if tagSum != c.tagBytes {
 		return fmt.Errorf("cache: tagBytes %d != actual %d", c.tagBytes, tagSum)
 	}
-	var inSets int64
-	inos := make([]int64, 0, len(c.dirtyFiles))
-	for ino := range c.dirtyFiles {
-		inos = append(inos, ino)
+	if resident != c.resident {
+		return fmt.Errorf("cache: resident %d != actual %d", c.resident, resident)
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	for _, ino := range inos {
-		df := c.dirtyFiles[ino]
-		idxs := make([]int64, 0, len(df.pages))
-		for idx := range df.pages {
-			idxs = append(idxs, idx)
-		}
-		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-		for _, idx := range idxs {
-			pg, ok := c.pages[pageKey{ino, idx}]
-			if !ok || !pg.dirty {
-				return fmt.Errorf("cache: dirtyFiles entry (%d,%d) has no dirty page", ino, idx)
-			}
-			inSets++
-		}
+	var onLRU int64
+	for pg := c.lru.next; pg != &c.lru; pg = pg.next {
+		onLRU++
 	}
-	if inSets != dirty {
-		return fmt.Errorf("cache: dirty sets hold %d pages, flags say %d", inSets, dirty)
+	if onLRU != clean {
+		return fmt.Errorf("cache: LRU holds %d pages, %d are clean", onLRU, clean)
 	}
 	return nil
+}
+
+func sortedKeys[V any](m map[int64]V) []int64 {
+	keys := make([]int64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Throttle blocks p while the dirty-page count exceeds the dirty ratio
@@ -557,36 +557,45 @@ func (c *Cache) Writeback(p *sim.Proc, ino int64, max int) int {
 	if c.writeback == nil {
 		return 0
 	}
-	traced := c.tr.Enabled()
-	var start sim.Time
-	if traced {
-		// Each writeback round is its own request tree: stamp the writeback
-		// identity so the flush, block, and device spans below all link up.
-		c.wbCtx.Req = c.tr.NextReq()
-		start = c.env.Now()
-	}
-	depth := c.dirtyCount
 	var n int
 	p.Await(func(resume func()) {
-		c.writeback(ino, max, func(got int) {
+		c.flush(ino, max, "sync", func(got int) {
 			n = got
 			resume()
 		})
 	})
-	if traced {
-		c.tr.Record(trace.Event{
-			Layer: trace.LayerCache, Op: trace.OpWriteback, Label: "sync",
-			Req: c.wbCtx.Req, PID: c.wbCtx.PID, Depth: depth,
-			Start: start, End: c.env.Now(), Ino: ino, Blocks: n,
-		})
-	}
 	return n
 }
 
+// flush runs the writeback callback on ino and then done(n). When tracing,
+// each flush is its own request tree: it stamps the writeback identity so
+// the flush, block and device spans below all link up, and records the
+// writeback span under label.
+func (c *Cache) flush(ino int64, max int, label string, done func(n int)) {
+	traced := c.tr.Enabled()
+	var start sim.Time
+	if traced {
+		c.wbCtx.Req = c.tr.NextReq()
+		start = c.env.Now()
+	}
+	depth := c.dirtyCount
+	c.writeback(ino, max, func(n int) {
+		if traced {
+			c.tr.Record(trace.Event{
+				Layer: trace.LayerCache, Op: trace.OpWriteback, Label: label,
+				Req: c.wbCtx.Req, PID: c.wbCtx.PID, Depth: depth,
+				Start: start, End: c.env.Now(), Ino: ino, Blocks: n,
+			})
+		}
+		done(n)
+	})
+}
+
 // nextDirtyIno returns the next file to write back: scheduler hints first,
-// then the file with the most dirty pages. Largest-first approximates
-// Linux's proportional writeback (flusher effort follows dirty share), so a
-// process admitted more writes also receives more drain.
+// then the file with the most dirty pages, the first dirtied on a tie.
+// Largest-first approximates Linux's proportional writeback (flusher effort
+// follows dirty share), so a process admitted more writes also receives
+// more drain.
 func (c *Cache) nextDirtyIno() (int64, bool) {
 	for len(c.flushHint) > 0 {
 		ino := c.flushHint[0]
@@ -595,21 +604,25 @@ func (c *Cache) nextDirtyIno() (int64, bool) {
 			return ino, true
 		}
 	}
-	bestIno, bestN := int64(0), 0
-	for _, ino := range c.dirtyOrder {
-		if df, ok := c.dirtyFiles[ino]; ok && len(df.pages) > bestN {
-			bestIno, bestN = ino, len(df.pages)
+	var best *file
+	for _, f := range c.order {
+		if len(f.dirty) > 0 && (best == nil || len(f.dirty) > len(best.dirty)) {
+			best = f
 		}
 	}
-	if bestN == 0 {
-		// Compact stale entries.
-		c.dirtyOrder = c.dirtyOrder[:0]
-		for ino := range c.inOrder {
-			delete(c.inOrder, ino)
+	if best == nil {
+		// Every file is clean: restart the round-robin order, and forget
+		// the files FreeFile left queued.
+		for _, f := range c.order {
+			f.queued = false
+			if len(f.pages) == 0 {
+				delete(c.files, f.ino)
+			}
 		}
+		c.order = c.order[:0]
 		return 0, false
 	}
-	return bestIno, true
+	return best.ino, true
 }
 
 // pdflushLoop is the writeback daemon as a run-to-completion state machine:
@@ -659,21 +672,7 @@ func (c *Cache) flushOneFn(ino int64) {
 		c.pdflushLoop()
 		return
 	}
-	traced := c.tr.Enabled()
-	var start sim.Time
-	if traced {
-		c.wbCtx.Req = c.tr.NextReq()
-		start = c.env.Now()
-	}
-	depth := c.dirtyCount
-	c.writeback(ino, c.cfg.WritebackBatch, func(n int) {
-		if traced {
-			c.tr.Record(trace.Event{
-				Layer: trace.LayerCache, Op: trace.OpWriteback, Label: "pdflush",
-				Req: c.wbCtx.Req, PID: c.wbCtx.PID, Depth: depth,
-				Start: start, End: c.env.Now(), Ino: ino, Blocks: n,
-			})
-		}
+	c.flush(ino, c.cfg.WritebackBatch, "pdflush", func(n int) {
 		c.maybeUnthrottle()
 		c.pdflushLoop()
 	})

@@ -185,7 +185,8 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// factories maps scheduler names used by experiments.
+// factories is the one scheduler registry: experiments, the CLI and the
+// splitio facade all look scheduler names up here.
 var factories = map[string]core.Factory{
 	"noop":           noop.Factory,
 	"cfq":            cfq.Factory,
@@ -212,6 +213,12 @@ func SchedulerNames() []string {
 func KnownScheduler(name string) bool {
 	_, ok := factories[name]
 	return ok
+}
+
+// SchedulerFactory returns the factory registered under name.
+func SchedulerFactory(name string) (core.Factory, bool) {
+	f, ok := factories[name]
+	return f, ok
 }
 
 // newKernel builds an experiment machine: 256 MiB cache so multi-GiB scans

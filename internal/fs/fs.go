@@ -50,7 +50,7 @@ type PageCache interface {
 	// InsertClean adds a clean resident page.
 	InsertClean(ino, idx int64)
 	// MarkDirty dirties a page on behalf of ctx, tagging it with ctx's
-	// causes. It reports whether the page was newly dirtied.
+	// causes. It reports whether the page was already dirty (an overwrite).
 	MarkDirty(ctx *ioctx.Ctx, ino, idx int64) bool
 	// TakeDirty removes up to max dirty pages of ino (all if max <= 0),
 	// returning their indices and cause tags.

@@ -23,47 +23,21 @@ package splitio
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"splitio/internal/block"
 	"splitio/internal/cache"
 	"splitio/internal/core"
+	"splitio/internal/exp"
 	"splitio/internal/fs"
-	"splitio/internal/sched/afq"
-	"splitio/internal/sched/bdeadline"
-	"splitio/internal/sched/cfq"
-	"splitio/internal/sched/gcafq"
-	"splitio/internal/sched/noop"
 	"splitio/internal/sched/scstoken"
-	"splitio/internal/sched/sdeadline"
 	"splitio/internal/sched/stoken"
 	"splitio/internal/sim"
 	"splitio/internal/vfs"
 )
 
-// registry maps scheduler names to factories.
-var registry = map[string]core.Factory{
-	"noop":           noop.Factory,
-	"cfq":            cfq.Factory,
-	"block-deadline": bdeadline.Factory,
-	"scs-token":      scstoken.Factory,
-	"afq":            afq.Factory,
-	"gc-afq":         gcafq.Factory,
-	"split-deadline": sdeadline.Factory,
-	"split-pdflush":  sdeadline.PdflushFactory,
-	"split-token":    stoken.Factory,
-}
-
 // Schedulers returns the available scheduler names, sorted.
-func Schedulers() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Schedulers() []string { return exp.SchedulerNames() }
 
 // Option configures a Machine.
 type Option func(*config)
@@ -120,7 +94,7 @@ func NewMachine(opts ...Option) (*Machine, error) {
 	for _, o := range opts {
 		o(cfg)
 	}
-	factory, ok := registry[cfg.sched]
+	factory, ok := exp.SchedulerFactory(cfg.sched)
 	if !ok {
 		return nil, fmt.Errorf("splitio: unknown scheduler %q (have %v)", cfg.sched, Schedulers())
 	}

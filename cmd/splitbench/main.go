@@ -42,6 +42,13 @@
 //
 //	splitbench -scale 0.2 report -format json -o report.json
 //	splitbench report -diff old.json new.json
+//
+// The monitor subcommand runs the same workload with a windowed SLO monitor
+// attached (-slo rule specs, -slo-window) and prints each machine's
+// breaches and final scheduler snapshot; -postmortem writes flight-recorder
+// bundles. A breach under a split scheduler makes the run exit nonzero:
+//
+//	splitbench -scale 0.1 -seed 1 monitor -schedulers cfq,afq
 package main
 
 import (
@@ -135,7 +142,8 @@ func run() int {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to `FILE`")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: splitbench [-scale F] [-seed N] [-seeds A..B] [-j N] [-cache] [-trace FILE] [-stats] [-progress] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "       splitbench [-scale F] [-seed N] [-j N] report [-format text|json] [-o FILE] [-diff OLD NEW]\n\nexperiments:\n")
+		fmt.Fprintf(os.Stderr, "       splitbench [-scale F] [-seed N] [-j N] report [-format text|json] [-o FILE] [-diff OLD NEW]\n")
+		fmt.Fprintf(os.Stderr, "       splitbench [-scale F] [-seed N] [-slo SPECS] [-slo-window D] [-trace FILE] [-postmortem FILE] monitor [-schedulers LIST]\n\nexperiments:\n")
 		for _, e := range exp.All {
 			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.ID, e.Title)
 		}

@@ -96,7 +96,7 @@ func runMonitorCmd(opts exp.Options, window time.Duration, sloSpec, traceFile, p
 			return 2
 		}
 		mon := exp.MonitorEntangled(opts, s)
-		if splitSchedulers[s] && len(mon.Breaches()) > 0 {
+		if exp.IsSplitScheduler(s) && len(mon.Breaches()) > 0 {
 			fmt.Fprintf(stderr, "splitbench monitor: split scheduler %s breached its SLO (expected none)\n", s)
 			code = 1
 		}

@@ -17,16 +17,6 @@ import (
 	"splitio/internal/exp"
 )
 
-// splitSchedulers mirrors exp's notion of which schedulers must be
-// inversion-free on the report workload.
-var splitSchedulers = map[string]bool{
-	"afq":            true,
-	"gc-afq":         true,
-	"split-deadline": true,
-	"split-pdflush":  true,
-	"split-token":    true,
-}
-
 // reportSchemaHint is printed when -diff is handed a file that is not a
 // report archive, so the user learns what shape is expected and where such
 // files come from.
@@ -124,7 +114,7 @@ func runReport(opts exp.Options, args []string, stdout, stderr io.Writer) int {
 	code := 0
 	for i := range rep.Schedulers {
 		sr := &rep.Schedulers[i]
-		if !splitSchedulers[sr.Scheduler] {
+		if !exp.IsSplitScheduler(sr.Scheduler) {
 			continue
 		}
 		var n int64

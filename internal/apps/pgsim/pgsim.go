@@ -145,5 +145,3 @@ func (s *Server) FractionAbove(d time.Duration) float64 {
 
 // P is shorthand for a latency percentile.
 func (s *Server) P(q float64) time.Duration { return s.Latencies.Percentile(q) }
-
-var _ = metrics.Histogram{}

@@ -73,7 +73,7 @@ func runEntangled(sched string, o Options) *attr.Attribution {
 }
 
 // splitSchedulers are the schedulers the paper claims are inversion-free
-// on this workload; `splitbench report` fails a run that detects any.
+// on the entangled workload and SLO-clean under the monitor.
 var splitSchedulers = map[string]bool{
 	"afq":            true,
 	"gc-afq":         true,
@@ -81,6 +81,11 @@ var splitSchedulers = map[string]bool{
 	"split-pdflush":  true,
 	"split-token":    true,
 }
+
+// IsSplitScheduler reports whether name is a split-level scheduler: one
+// that must show no inversions in `splitbench report` and no SLO breach in
+// `splitbench monitor`.
+func IsSplitScheduler(name string) bool { return splitSchedulers[name] }
 
 // BuildReport runs the entangled workload under each scheduler and
 // assembles the full attribution report (the `splitbench report` payload).

@@ -6,116 +6,151 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
 	"time"
 
 	"splitio/internal/sim"
 )
 
-// Histogram collects latency samples and reports percentiles. It stores
-// raw samples; the experiments here collect at most a few hundred thousand.
+// Histogram collects latency samples into a fixed-bin log histogram: 8
+// linear sub-bins per power-of-two octave, so storage is bounded by a
+// fixed bin count however long the run. Bins are integer counters, so
+// merging is exact and the same samples always give the same quantiles.
+//
+// Count, Mean and Max are exact. A quantile is the upper bound of the bin
+// holding its nearest-rank sample, clamped to Max: never below the exact
+// nearest-rank value, never above Max, and at most 12.5% above the exact
+// value (values below 8 ns are binned exactly). The zero value is an empty
+// histogram that holds no bins until its first Add.
 type Histogram struct {
-	samples []time.Duration
-	sorted  bool
+	bins  []int64 // grown on demand, never past numBins
+	count int64
+	sum   time.Duration
+	max   time.Duration
+}
+
+const (
+	subBits = 3
+	subBins = 1 << subBits                   // linear sub-bins per octave
+	numBins = (63-subBits)*subBins + subBins // covers every non-negative int64
+)
+
+// binOf returns the bin holding ns; negative values fall in bin 0.
+func binOf(ns int64) int {
+	if ns < subBins {
+		return int(max(ns, 0))
+	}
+	top := bits.Len64(uint64(ns)) - 1 // position of the leading bit, >= subBits
+	sub := int(ns>>(top-subBits)) & (subBins - 1)
+	return (top-subBits)*subBins + sub + subBins
+}
+
+// binUpper returns the largest value that falls in bin b.
+func binUpper(b int) int64 {
+	if b < subBins {
+		return int64(b)
+	}
+	idx := b - subBins
+	top := idx/subBins + subBits
+	sub := int64(idx % subBins)
+	return (subBins+sub+1)<<(top-subBits) - 1
 }
 
 // Add records one sample.
 func (h *Histogram) Add(d time.Duration) {
-	h.samples = append(h.samples, d)
-	h.sorted = false
+	b := binOf(int64(d))
+	h.grow(b + 1)
+	h.bins[b]++
+	h.count++
+	h.sum += d
+	h.max = max(h.max, d)
+}
+
+// grow extends the bins to n counters, allocating exactly n.
+func (h *Histogram) grow(n int) {
+	if n > len(h.bins) {
+		bins := make([]int64, n)
+		copy(bins, h.bins)
+		h.bins = bins
+	}
+}
+
+// Merge adds every sample of o into h.
+func (h *Histogram) Merge(o *Histogram) {
+	h.grow(len(o.bins))
+	for b, c := range o.bins {
+		h.bins[b] += c
+	}
+	h.count += o.count
+	h.sum += o.sum
+	h.max = max(h.max, o.max)
 }
 
 // Count returns the number of samples.
-func (h *Histogram) Count() int { return len(h.samples) }
+func (h *Histogram) Count() int { return int(h.count) }
 
-// ensureSorted sorts the samples once; Add clears the flag.
-func (h *Histogram) ensureSorted() {
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-}
-
-// Percentile returns the p-th percentile (0 < p <= 100) using
-// nearest-rank. It returns 0 when the histogram is empty.
-func (h *Histogram) Percentile(p float64) time.Duration {
-	if len(h.samples) == 0 {
+// Quantile returns the nearest-rank q-quantile (0 < q <= 1) under the bin
+// contract above. It returns 0 when the histogram is empty.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	if h.count == 0 {
 		return 0
 	}
-	h.ensureSorted()
-	rank := int(math.Ceil(p / 100 * float64(len(h.samples))))
-	if rank < 1 {
-		rank = 1
+	rank := max(int64(math.Ceil(q*float64(h.count))), 1)
+	var cum int64
+	for b, c := range h.bins {
+		cum += c
+		if cum >= rank {
+			return min(time.Duration(binUpper(b)), h.max)
+		}
 	}
-	if rank > len(h.samples) {
-		rank = len(h.samples)
-	}
-	return h.samples[rank-1]
+	return h.max
 }
 
-// Quantiles returns the nearest-rank percentile for each p in ps with a
-// single sort, where a Percentile loop would re-check (and on a histogram
-// interleaved with Add, re-sort) per call. The result is index-aligned
-// with ps; an empty histogram yields all zeros.
+// Percentile returns the p-th percentile (0 < p <= 100), that is
+// Quantile(p/100).
+func (h *Histogram) Percentile(p float64) time.Duration { return h.Quantile(p / 100) }
+
+// Quantiles returns Percentile(p) for each p in ps, index-aligned with ps;
+// an empty histogram yields all zeros.
 func (h *Histogram) Quantiles(ps []float64) []time.Duration {
 	out := make([]time.Duration, len(ps))
-	if len(h.samples) == 0 {
-		return out
-	}
-	h.ensureSorted()
 	for i, p := range ps {
-		rank := int(math.Ceil(p / 100 * float64(len(h.samples))))
-		if rank < 1 {
-			rank = 1
-		}
-		if rank > len(h.samples) {
-			rank = len(h.samples)
-		}
-		out[i] = h.samples[rank-1]
+		out[i] = h.Percentile(p)
 	}
 	return out
 }
 
 // Mean returns the arithmetic mean of the samples.
 func (h *Histogram) Mean() time.Duration {
-	if len(h.samples) == 0 {
+	if h.count == 0 {
 		return 0
 	}
-	var sum time.Duration
-	for _, s := range h.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(h.samples))
+	return h.sum / time.Duration(h.count)
 }
 
-// Max returns the largest sample.
-func (h *Histogram) Max() time.Duration {
-	var m time.Duration
-	for _, s := range h.samples {
-		if s > m {
-			m = s
-		}
+// Max returns the largest sample, or 0 if none is positive.
+func (h *Histogram) Max() time.Duration { return h.max }
+
+// CountAbove returns how many samples fell in bins whose upper bound
+// exceeds d: never fewer than the samples strictly greater than d, and
+// over-counting only within d's own bin. It is 0 when d >= Max.
+func (h *Histogram) CountAbove(d time.Duration) int64 {
+	if d >= h.max {
+		return 0
 	}
-	return m
+	var n int64
+	for b := len(h.bins) - 1; b >= 0 && binUpper(b) > int64(d); b-- {
+		n += h.bins[b]
+	}
+	return n
 }
 
-// FractionAbove returns the fraction of samples strictly greater than d.
+// FractionAbove returns CountAbove(d) as a fraction of Count.
 func (h *Histogram) FractionAbove(d time.Duration) float64 {
-	if len(h.samples) == 0 {
+	if h.count == 0 {
 		return 0
 	}
-	n := 0
-	for _, s := range h.samples {
-		if s > d {
-			n++
-		}
-	}
-	return float64(n) / float64(len(h.samples))
-}
-
-// Samples returns a copy of the raw samples.
-func (h *Histogram) Samples() []time.Duration {
-	return append([]time.Duration(nil), h.samples...)
+	return float64(h.CountAbove(d)) / float64(h.count)
 }
 
 // Counter accumulates a byte (or operation) count over virtual time and

@@ -14,11 +14,15 @@ func TestHistogramPercentiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Add(time.Duration(i) * time.Millisecond)
 	}
-	if got := h.Percentile(50); got != 50*time.Millisecond {
-		t.Fatalf("p50 = %v, want 50ms", got)
+	// 50 ms falls in the bin [46137344, 50331647] ns (octave 2^25, sub-bin
+	// width 2^22), so p50 is that bin's upper bound.
+	if got := h.Percentile(50); got != 50331647 {
+		t.Fatalf("p50 = %v, want 50.331647ms (upper bound of 50ms's bin)", got)
 	}
-	if got := h.Percentile(99); got != 99*time.Millisecond {
-		t.Fatalf("p99 = %v, want 99ms", got)
+	// 99 ms's bin tops out at 100663295 ns, above every sample: the
+	// quantile clamps to the exact max.
+	if got := h.Percentile(99); got != 100*time.Millisecond {
+		t.Fatalf("p99 = %v, want 100ms (bin upper bound clamped to Max)", got)
 	}
 	if got := h.Percentile(100); got != 100*time.Millisecond {
 		t.Fatalf("p100 = %v, want 100ms", got)
@@ -43,8 +47,10 @@ func TestHistogramAddAfterPercentile(t *testing.T) {
 	h.Add(10 * time.Millisecond)
 	_ = h.Percentile(50)
 	h.Add(time.Millisecond)
-	if got := h.Percentile(1); got != time.Millisecond {
-		t.Fatalf("p1 after re-add = %v, want 1ms", got)
+	// 1 ms falls in the bin [983040, 1048575] ns (octave 2^19, sub-bin
+	// width 2^16).
+	if got := h.Percentile(1); got != 1048575 {
+		t.Fatalf("p1 after re-add = %v, want 1.048575ms (upper bound of 1ms's bin)", got)
 	}
 }
 
@@ -53,8 +59,22 @@ func TestHistogramFractionAbove(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		h.Add(time.Duration(i) * time.Millisecond)
 	}
-	if got := h.FractionAbove(8 * time.Millisecond); got != 0.2 {
-		t.Fatalf("FractionAbove = %v, want 0.2", got)
+	for _, tc := range []struct {
+		d    time.Duration
+		want float64
+	}{
+		// The 8 ms sample shares its bin [7864320, 8388607] ns with the
+		// threshold, so it counts: the fraction errs high, never low.
+		{8 * time.Millisecond, 0.3},
+		// Above that bin's upper bound only the 9 and 10 ms bins count.
+		{8388607, 0.2},
+		{0, 1},
+		// Nothing exceeds Max.
+		{10 * time.Millisecond, 0},
+	} {
+		if got := h.FractionAbove(tc.d); got != tc.want {
+			t.Errorf("FractionAbove(%v) = %v, want %v", tc.d, got, tc.want)
+		}
 	}
 }
 
@@ -186,7 +206,7 @@ func TestQuantilesMatchPercentile(t *testing.T) {
 			}
 		}
 	}
-	// Interleaved Add must invalidate the sort, like Percentile.
+	// An interleaved Add shows up in the next Quantiles, like Percentile.
 	h.Add(1000)
 	if q := h.Quantiles([]float64{100}); q[0] != 1000 {
 		t.Errorf("post-Add p100 = %v, want 1000", q[0])

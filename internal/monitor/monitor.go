@@ -128,7 +128,7 @@ func (m *Monitor) Consume(ev trace.Event) {
 		w = &window{}
 		m.windows[k] = w
 	}
-	w.h.observe(int64(ev.Dur()))
+	w.h.Add(ev.Dur())
 	w.bytes += ev.Bytes
 	w.seen = true
 }
@@ -213,8 +213,8 @@ func (m *Monitor) RegisterMetrics(r *metrics.Registry) {
 	r.Gauge("monitor.trips", func() float64 { return float64(len(m.rec.dumps)) })
 }
 
-// sortedWindowKeys is used by tests and the bundle to walk streams
-// deterministically.
+// sortedWindowKeys walks the streams in a deterministic order for rule
+// evaluation, tests and the bundle.
 func (m *Monitor) sortedWindowKeys() []sloKey {
 	keys := make([]sloKey, 0, len(m.windows))
 	for k := range m.windows {

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 	"testing"
 	"time"
 
+	"splitio/internal/metrics"
 	"splitio/internal/sim"
 	"splitio/internal/trace"
 )
@@ -56,57 +59,82 @@ func TestParseRule(t *testing.T) {
 	}
 }
 
+// binUpperOf returns the upper bound of v's histogram bin through the
+// exported API: with a second sample at the largest duration, the median
+// is v's bin upper bound and the clamp to Max never applies.
+func binUpperOf(v time.Duration) time.Duration {
+	var h metrics.Histogram
+	h.Add(v)
+	h.Add(math.MaxInt64)
+	return h.Quantile(0.5)
+}
+
 func TestHistBins(t *testing.T) {
-	// Every bin's upper bound must map back to the same bin, and upper
-	// bounds must be strictly increasing: together these make nearest-rank
-	// quantiles well defined.
-	prev := int64(-1)
-	for b := 0; b < numBins; b++ {
-		up := binUpper(b)
-		if up <= prev {
-			t.Fatalf("binUpper(%d)=%d not increasing (prev %d)", b, up, prev)
+	// Walk every bin from 0 up: each bin's upper bound must map back to the
+	// same bin and the next value must open a strictly higher one. Together
+	// these make nearest-rank quantiles well defined.
+	perOctave := map[int]int{}
+	bins := 0
+	for v := time.Duration(0); ; {
+		up := binUpperOf(v)
+		if up < v {
+			t.Fatalf("binUpperOf(%d) = %d, below the value", v, up)
 		}
-		prev = up
-		if got := binOf(up); got != b {
-			t.Fatalf("binOf(binUpper(%d)=%d) = %d", b, up, got)
+		if got := binUpperOf(up); got != up {
+			t.Fatalf("binUpperOf(binUpperOf(%d)=%d) = %d", v, up, got)
 		}
+		bins++
+		perOctave[bits.Len64(uint64(up))]++
+		if up == math.MaxInt64 {
+			break
+		}
+		v = up + 1
 	}
-	// Values below 2^subBits bin exactly.
-	for v := int64(0); v < subBins; v++ {
-		if binUpper(binOf(v)) != v {
+	// Values below 8 ns bin exactly; every octave above splits into 8
+	// linear sub-bins, up to the 60 octaves from 2^3 to 2^63.
+	for v := time.Duration(0); v < 8; v++ {
+		if binUpperOf(v) != v {
 			t.Errorf("small value %d not exact", v)
 		}
+	}
+	for octave, n := range perOctave {
+		if octave > 3 && n != 8 {
+			t.Errorf("octave %d has %d bins, want 8", octave, n)
+		}
+	}
+	if want := 8 + 60*8; bins != want {
+		t.Errorf("%d bins, want %d", bins, want)
 	}
 }
 
 func TestHistQuantile(t *testing.T) {
-	var h hist
-	for i := int64(1); i <= 100; i++ {
-		h.observe(i * int64(time.Millisecond))
+	var h metrics.Histogram
+	for i := 1; i <= 100; i++ {
+		h.Add(time.Duration(i) * time.Millisecond)
 	}
 	// Log-histogram quantiles overestimate by at most one sub-bin (~12.5%).
 	for _, tc := range []struct{ q, val float64 }{
 		{0.50, 50e6}, {0.95, 95e6}, {0.99, 99e6},
 	} {
-		got := float64(h.quantile(tc.q))
+		got := float64(h.Quantile(tc.q))
 		if got < tc.val || got > tc.val*1.15 {
 			t.Errorf("q%g = %g, want within [%g, %g]", tc.q, got, tc.val, tc.val*1.15)
 		}
 	}
-	if h.countAbove(int64(200*time.Millisecond)) != 0 {
-		t.Errorf("countAbove(200ms) nonzero")
+	if h.CountAbove(200*time.Millisecond) != 0 {
+		t.Errorf("CountAbove(200ms) nonzero")
 	}
-	if bad := h.countAbove(int64(1 * time.Millisecond)); bad < 99 {
-		t.Errorf("countAbove(1ms) = %d, want >= 99", bad)
+	if bad := h.CountAbove(1 * time.Millisecond); bad < 99 {
+		t.Errorf("CountAbove(1ms) = %d, want >= 99", bad)
 	}
 
-	var merged hist
-	merged.merge(&h)
-	merged.merge(&h)
-	if merged.count != 200 {
-		t.Errorf("merged count %d", merged.count)
+	var merged metrics.Histogram
+	merged.Merge(&h)
+	merged.Merge(&h)
+	if merged.Count() != 200 {
+		t.Errorf("merged count %d", merged.Count())
 	}
-	if merged.quantile(0.5) != h.quantile(0.5) {
+	if merged.Quantile(0.5) != h.Quantile(0.5) {
 		t.Errorf("merge shifted the median")
 	}
 }

@@ -1,21 +1,19 @@
 // SLO engine: windowed streaming quantiles over per-ioctx syscall
 // latencies, evaluated against declarative rules on a virtual-time ticker.
 //
-// Latencies accumulate into fixed-bin log histograms (8 sub-bins per
-// power-of-two octave, ~12.5% resolution) — pure integer bin arithmetic, so
-// the same event stream always yields the same quantiles and the same
-// breach timestamps, regardless of host or parallelism.
+// Latencies accumulate into metrics.Histogram's fixed-bin log histograms
+// (8 sub-bins per power-of-two octave, ~12.5% resolution) — pure integer
+// bin arithmetic, so the same event stream always yields the same quantiles
+// and the same breach timestamps, regardless of host or parallelism.
 
 package monitor
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
-	"sort"
 	"strings"
 	"time"
 
+	"splitio/internal/metrics"
 	"splitio/internal/sim"
 )
 
@@ -120,92 +118,6 @@ func parseQuantile(s string) (float64, error) {
 	return 0, fmt.Errorf("monitor: unknown quantile %q (p50/p90/p95/p99/p999)", s)
 }
 
-// Log histogram: 8 linear sub-bins per power-of-two octave. Values below
-// 2^subBits are binned exactly.
-const (
-	subBits = 3
-	subBins = 1 << subBits
-	numBins = (63-subBits)*subBins + subBins
-)
-
-type hist struct {
-	bins  [numBins]int64
-	count int64
-}
-
-func binOf(ns int64) int {
-	if ns < 0 {
-		ns = 0
-	}
-	if ns < subBins {
-		return int(ns)
-	}
-	top := bits.Len64(uint64(ns)) - 1 // position of the leading bit, >= subBits
-	sub := (ns >> (top - subBits)) & (subBins - 1)
-	b := (top-subBits)*subBins + int(sub) + subBins
-	if b >= numBins {
-		b = numBins - 1
-	}
-	return b
-}
-
-// binUpper returns the largest value mapping to bin b (its nearest-rank
-// quantile estimate).
-func binUpper(b int) int64 {
-	if b < subBins {
-		return int64(b)
-	}
-	idx := b - subBins
-	top := idx/subBins + subBits
-	sub := int64(idx % subBins)
-	return (int64(subBins)+sub+1)<<(top-subBits) - 1
-}
-
-func (h *hist) observe(ns int64) {
-	h.bins[binOf(ns)]++
-	h.count++
-}
-
-func (h *hist) merge(o *hist) {
-	for i, c := range o.bins {
-		h.bins[i] += c
-	}
-	h.count += o.count
-}
-
-// quantile returns the nearest-rank quantile as nanoseconds (0 if empty).
-func (h *hist) quantile(q float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(h.count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for b, c := range h.bins {
-		cum += c
-		if cum >= rank {
-			return binUpper(b)
-		}
-	}
-	return binUpper(numBins - 1)
-}
-
-// countAbove returns how many samples fell in bins whose upper bound
-// exceeds ns (the error-budget "bad request" count, conservative by at most
-// one bin's width).
-func (h *hist) countAbove(ns int64) int64 {
-	var bad int64
-	for b := numBins - 1; b >= 0; b-- {
-		if binUpper(b) <= ns {
-			break
-		}
-		bad += h.bins[b]
-	}
-	return bad
-}
-
 // sloKey identifies one ioctx stream: a (pid, syscall-op) pair.
 type sloKey struct {
 	PID int    `json:"pid"`
@@ -221,7 +133,7 @@ func (k sloKey) less(o sloKey) bool {
 
 // window accumulates one key's samples for the current tumbling window.
 type window struct {
-	h     hist
+	h     metrics.Histogram
 	bytes int64
 	seen  bool // any sample ever (arms throughput floors)
 }
@@ -236,14 +148,14 @@ type WindowStats struct {
 	P99   time.Duration `json:"p99_ns"`
 }
 
-func statsOf(h *hist, bytes, bad int64) WindowStats {
+func statsOf(h *metrics.Histogram, bytes, bad int64) WindowStats {
 	return WindowStats{
-		Count: h.count,
+		Count: int64(h.Count()),
 		Bytes: bytes,
 		Bad:   bad,
-		P50:   time.Duration(h.quantile(0.50)),
-		P95:   time.Duration(h.quantile(0.95)),
-		P99:   time.Duration(h.quantile(0.99)),
+		P50:   h.Quantile(0.50),
+		P95:   h.Quantile(0.95),
+		P99:   h.Quantile(0.99),
 	}
 }
 
@@ -262,15 +174,10 @@ type Breach struct {
 // evaluate checks every rule against the closing window [now-window, now)
 // and returns breaches in rule order.
 func (m *Monitor) evaluate(now sim.Time) []Breach {
-	keys := make([]sloKey, 0, len(m.windows))
-	for k := range m.windows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
-
+	keys := m.sortedWindowKeys()
 	var out []Breach
 	for _, r := range m.cfg.Rules {
-		var merged hist
+		var merged metrics.Histogram
 		var bytes int64
 		armed := false
 		for _, k := range keys {
@@ -281,13 +188,13 @@ func (m *Monitor) evaluate(now sim.Time) []Breach {
 				continue
 			}
 			w := m.windows[k]
-			merged.merge(&w.h)
+			merged.Merge(&w.h)
 			bytes += w.bytes
 			armed = armed || w.seen
 		}
-		if r.Quantile > 0 && merged.count > 0 {
-			q := merged.quantile(r.Quantile)
-			if time.Duration(q) > r.MaxLatency {
+		if r.Quantile > 0 && merged.Count() > 0 {
+			q := merged.Quantile(r.Quantile)
+			if q > r.MaxLatency {
 				out = append(out, Breach{
 					Rule: r.Name, Kind: "latency", At: now,
 					Value: float64(q), Limit: float64(r.MaxLatency),
@@ -295,12 +202,12 @@ func (m *Monitor) evaluate(now sim.Time) []Breach {
 				})
 			}
 			if r.Budget > 0 {
-				bad := merged.countAbove(int64(r.MaxLatency))
+				bad := merged.CountAbove(r.MaxLatency)
 				burn := r.Burn
 				if burn <= 0 {
 					burn = 1
 				}
-				if frac := float64(bad) / float64(merged.count); frac > r.Budget*burn {
+				if frac := float64(bad) / float64(merged.Count()); frac > r.Budget*burn {
 					out = append(out, Breach{
 						Rule: r.Name, Kind: "burn-rate", At: now,
 						Value: frac, Limit: r.Budget * burn,
@@ -323,7 +230,7 @@ func (m *Monitor) evaluate(now sim.Time) []Breach {
 	// Reset windows for the next interval; keep the armed flag.
 	for _, k := range keys {
 		w := m.windows[k]
-		w.h = hist{}
+		w.h = metrics.Histogram{}
 		w.bytes = 0
 	}
 	return out

@@ -49,8 +49,6 @@ type Process struct {
 	BytesRead    metrics.Counter
 	BytesWritten metrics.Counter
 	Fsyncs       metrics.Histogram
-	Reads        metrics.Histogram
-	Writes       metrics.Histogram
 }
 
 // PID returns the process id.
@@ -230,7 +228,6 @@ func (v *VFS) Read(p *sim.Proc, pr *Process, f *fs.File, off, n int64) {
 	if v.hooks.ReadEntry != nil {
 		v.hooks.ReadEntry(p, pr.Ctx, f, off, n)
 	}
-	start := p.Now()
 	misses0 := v.fs.Cache().Misses()
 	v.cpu.Use(p, v.SyscallCPU)
 	v.fs.Read(p, pr.Ctx, f, off, n)
@@ -238,7 +235,6 @@ func (v *VFS) Read(p *sim.Proc, pr *Process, f *fs.File, off, n int64) {
 	v.cpu.Use(p, time.Duration(pages)*v.CopyPageCPU)
 	hit := v.fs.Cache().Misses() == misses0
 	pr.BytesRead.Add(n)
-	pr.Reads.Add(p.Now().Sub(start))
 	if v.hooks.ReadExit != nil {
 		v.hooks.ReadExit(p, pr.Ctx, f, off, n, hit)
 	}
@@ -265,7 +261,6 @@ func (v *VFS) Write(p *sim.Proc, pr *Process, f *fs.File, off, n int64) {
 	if v.hooks.WriteEntry != nil {
 		v.hooks.WriteEntry(p, pr.Ctx, f, off, n)
 	}
-	start := p.Now()
 	v.cpu.Use(p, v.SyscallCPU)
 	pages := (n + cache.PageSize - 1) / cache.PageSize
 	v.cpu.Use(p, time.Duration(pages)*v.CopyPageCPU)
@@ -283,7 +278,6 @@ func (v *VFS) Write(p *sim.Proc, pr *Process, f *fs.File, off, n int64) {
 		}
 	}
 	pr.BytesWritten.Add(n)
-	pr.Writes.Add(p.Now().Sub(start))
 	if v.hooks.WriteExit != nil {
 		v.hooks.WriteExit(p, pr.Ctx, f, off, n)
 	}

@@ -204,7 +204,11 @@ func (p *Process) BytesWritten() int64 { return p.pr.BytesWritten.Total() }
 // Fsyncs returns the number of completed fsyncs.
 func (p *Process) Fsyncs() int { return p.pr.Fsyncs.Count() }
 
-// FsyncPercentile returns the q-th percentile fsync latency.
+// FsyncPercentile returns the q-th percentile (0 < q <= 100) fsync
+// latency. Fsync latencies go into a fixed-bin log histogram (8 sub-bins
+// per power-of-two octave), so the result is the upper bound of the bin
+// holding the nearest-rank sample, clamped to the slowest fsync: never
+// below the exact value and at most 12.5% above it.
 func (p *Process) FsyncPercentile(q float64) time.Duration {
 	return p.pr.Fsyncs.Percentile(q)
 }

@@ -36,27 +36,12 @@ func (f *FS) remapRange(file *File, fileBlk, n, diskBlk int64) int64 {
 			off := end - e.fileBlk
 			out = append(out, extent{fileBlk: end, diskBlk: e.diskBlk + off, n: eEnd - end})
 		}
-		lo, hi := maxI64(e.fileBlk, fileBlk), minI64(eEnd, end)
-		garbage += hi - lo
+		garbage += min(eEnd, end) - max(e.fileBlk, fileBlk)
 	}
 	out = append(out, extent{fileBlk: fileBlk, diskBlk: diskBlk, n: n})
 	sort.Slice(out, func(i, j int) bool { return out[i].fileBlk < out[j].fileBlk })
 	file.extents = out
 	return garbage
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // cowNoteOwner remembers the original writer causes of a file so GC can be
@@ -124,12 +109,14 @@ func (f *FS) gcStep() {
 	})
 }
 
-// mostFragmented returns the live file with the most extents.
+// mostFragmented returns the live file with the most extents (more than
+// one), the lowest inode among equals.
 func (f *FS) mostFragmented() *File {
 	var best *File
 	bestN := 1
 	for _, file := range f.byIno {
-		if n := len(file.extents); n > bestN {
+		n := len(file.extents)
+		if n > bestN || n == bestN && best != nil && file.Ino < best.Ino {
 			best, bestN = file, n
 		}
 	}

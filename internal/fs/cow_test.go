@@ -196,3 +196,24 @@ func TestCOWFragmentsUnderRandomChurn(t *testing.T) {
 	})
 	r.env.Run(sim.Time(time.Hour))
 }
+
+// TestMostFragmentedTieBreak pins the cleaner's victim when files tie on
+// extent count: the lowest inode, whatever order the inode map ranges in.
+func TestMostFragmentedTieBreak(t *testing.T) {
+	r := newRig(t, COWConfig())
+	ctx := userCtx(10)
+	var a, b *File
+	r.env.Go("main", func(p *sim.Proc) {
+		a, _ = r.fs.Create(p, ctx, "/a")
+		b, _ = r.fs.Create(p, ctx, "/b")
+	})
+	r.env.Run(0)
+	two := []extent{{fileBlk: 0, diskBlk: 5000, n: 1}, {fileBlk: 1, diskBlk: 6000, n: 1}}
+	a.extents = append([]extent(nil), two...)
+	b.extents = append([]extent(nil), two...)
+	for i := 0; i < 50; i++ {
+		if got := r.fs.mostFragmented(); got != a {
+			t.Fatalf("call %d: victim = %+v, want the lower inode %d", i, got, a.Ino)
+		}
+	}
+}

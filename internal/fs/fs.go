@@ -198,9 +198,7 @@ type FS struct {
 	jctx  *ioctx.Ctx // journal task identity
 	wbCtx *ioctx.Ctx // writeback task identity (shared with the cache)
 
-	inflight      map[int64]int // per-ino data writes in flight
-	inflightDones map[int64][]*sim.Completion
-	inflightWake  *sim.WaitQueue
+	inflightDones map[int64][]*sim.Completion // per-ino data writes in flight
 
 	// Copy-on-write state.
 	garbageBlocks int64
@@ -215,11 +213,9 @@ type FS struct {
 	gcWakeFn func(sig bool)
 
 	// Stats.
-	statCommits      int64
-	statJournalBlks  int64
-	statDataFlushed  int64
-	statOrderedFlush int64
-	statGCRelocated  int64
+	statCommits     int64
+	statJournalBlks int64
+	statGCRelocated int64
 }
 
 // New creates a file system over cache and blk. jctx and wbCtx are the
@@ -236,9 +232,7 @@ func New(env *sim.Env, cfg Config, c PageCache, blk *block.Layer, jctx, wbCtx *i
 		byIno:         make(map[int64]*File),
 		nextIno:       1,
 		commitWake:    sim.NewWaitQueue(env),
-		inflight:      make(map[int64]int),
 		inflightDones: make(map[int64][]*sim.Completion),
-		inflightWake:  sim.NewWaitQueue(env),
 		jctx:          jctx,
 		wbCtx:         wbCtx,
 	}
@@ -324,29 +318,27 @@ func (f *FS) MkFileContiguous(path string, size int64) *File {
 // the running transaction on behalf of ctx (paper: creat is a metadata
 // write exposed to the scheduler).
 func (f *FS) Create(p *sim.Proc, ctx *ioctx.Ctx, path string) (*File, error) {
-	if _, ok := f.files[path]; ok {
-		return nil, fmt.Errorf("create %s: %w", path, ErrExists)
-	}
-	file := &File{Ino: f.nextIno, Path: path}
-	f.nextIno++
-	f.files[path] = file
-	f.byIno[file.Ino] = file
-	// Directory block + inode table block.
-	f.txnJoin(file.Ino, ctx.Causes(), 2, false)
-	return file, nil
+	return f.mknod(ctx, "create", path)
 }
 
 // Mkdir creates a directory; in this model it is a pure metadata update.
 func (f *FS) Mkdir(p *sim.Proc, ctx *ioctx.Ctx, path string) error {
+	_, err := f.mknod(ctx, "mkdir", path)
+	return err
+}
+
+// mknod adds an inode at path, dirtying a directory block and an inode
+// table block in the running transaction on behalf of ctx.
+func (f *FS) mknod(ctx *ioctx.Ctx, op, path string) (*File, error) {
 	if _, ok := f.files[path]; ok {
-		return fmt.Errorf("mkdir %s: %w", path, ErrExists)
+		return nil, fmt.Errorf("%s %s: %w", op, path, ErrExists)
 	}
 	file := &File{Ino: f.nextIno, Path: path}
 	f.nextIno++
 	f.files[path] = file
 	f.byIno[file.Ino] = file
 	f.txnJoin(file.Ino, ctx.Causes(), 2, false)
-	return nil
+	return file, nil
 }
 
 // Unlink removes a file, freeing its cached pages (the buffer-free hook
@@ -412,7 +404,8 @@ func (f *FS) Read(p *sim.Proc, ctx *ioctx.Ctx, file *File, off, n int64) {
 			return
 		}
 		dones = append(dones, f.submitReadRuns(ctx, file, missRun)...)
-		missRun = missRun[:0]
+		// The read completions still hold slices of missRun.
+		missRun = nil
 	}
 	for idx := first; idx <= last; idx++ {
 		if f.cache.Lookup(file.Ino, idx) {
@@ -428,29 +421,21 @@ func (f *FS) Read(p *sim.Proc, ctx *ioctx.Ctx, file *File, off, n int64) {
 }
 
 // submitReadRuns maps the missed page indices to disk runs and submits one
-// request per run, inserting clean pages on completion. It is an fs
-// profiling probe (the read path's synchronous mapping work).
+// request per mapped run, inserting clean pages on completion; unmapped
+// pages are zero-filled without I/O. It is an fs profiling probe (the read
+// path's synchronous mapping work).
 func (f *FS) submitReadRuns(ctx *ioctx.Ctx, file *File, idxs []int64) []*sim.Completion {
 	perf.Count(perf.BucketFS)
 	var dones []*sim.Completion
-	i := 0
-	for i < len(idxs) {
-		diskBlk, mapped := f.lookupBlock(file, idxs[i])
+	f.eachRun(file, idxs, func(i, j int, diskBlk int64, mapped bool) {
+		run := idxs[i:j]
 		if !mapped {
 			// Sparse read: zero-fill, no I/O.
-			f.cache.InsertClean(file.Ino, idxs[i])
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(idxs) && j-i < f.cfg.MaxRunBlocks {
-			next, ok := f.lookupBlock(file, idxs[j])
-			if !ok || idxs[j] != idxs[j-1]+1 || next != diskBlk+int64(j-i) {
-				break
+			for _, idx := range run {
+				f.cache.InsertClean(file.Ino, idx)
 			}
-			j++
+			return
 		}
-		run := idxs[i:j]
 		req := &block.Request{
 			Op:        device.Read,
 			LBA:       diskBlk,
@@ -466,17 +451,36 @@ func (f *FS) submitReadRuns(ctx *ioctx.Ctx, file *File, idxs []int64) []*sim.Com
 		if ctx.ReadDeadline > 0 {
 			req.Deadline = f.env.Now().Add(ctx.ReadDeadline)
 		}
-		ino := file.Ino
 		done := f.blk.Submit(req)
 		done.OnComplete(func() {
 			for _, idx := range run {
-				f.cache.InsertClean(ino, idx)
+				f.cache.InsertClean(file.Ino, idx)
 			}
 		})
 		dones = append(dones, done)
+	})
+	return dones
+}
+
+// eachRun cuts the ascending page indices idxs of file into runs and calls
+// fn(i, j, diskBlk, mapped) for each run idxs[i:j] in order. A mapped run is
+// contiguous in file and disk space, starts at diskBlk and holds at most
+// MaxRunBlocks pages; an unmapped run is consecutive unmapped pages,
+// uncapped, so delayed allocation gives it one extent.
+func (f *FS) eachRun(file *File, idxs []int64, fn func(i, j int, diskBlk int64, mapped bool)) {
+	for i := 0; i < len(idxs); {
+		diskBlk, mapped := f.lookupBlock(file, idxs[i])
+		j := i + 1
+		for j < len(idxs) && idxs[j] == idxs[j-1]+1 && (!mapped || j-i < f.cfg.MaxRunBlocks) {
+			next, ok := f.lookupBlock(file, idxs[j])
+			if ok != mapped || mapped && next != diskBlk+int64(j-i) {
+				break
+			}
+			j++
+		}
+		fn(i, j, diskBlk, mapped)
 		i = j
 	}
-	return dones
 }
 
 func (f *FS) lookupBlock(file *File, fileBlk int64) (int64, bool) {
@@ -489,10 +493,8 @@ func (f *FS) lookupBlock(file *File, fileBlk int64) (int64, bool) {
 }
 
 // allocate maps fileBlk..fileBlk+n-1 to fresh disk blocks (delayed
-// allocation happens here, at flush time). It is an fs profiling probe
-// (the write path's synchronous allocation work).
+// allocation happens here, at flush time).
 func (f *FS) allocate(file *File, fileBlk, n int64) int64 {
-	perf.Count(perf.BucketFS)
 	diskBlk := f.allocCursor
 	f.allocCursor += n
 	// Merge with the previous extent when contiguous in both spaces.
@@ -510,54 +512,37 @@ func (f *FS) allocate(file *File, fileBlk, n int64) int64 {
 	return diskBlk
 }
 
-// flushState carries one flush across its completion waits, from
-// flushBegin (take pages, allocate, submit) to flushEnd (trace + proxy drop
-// after the waits).
-type flushState struct {
-	ctx        *ioctx.Ctx
-	ino        int64
-	n          int
-	union      causes.Set
-	flushStart sim.Time
-	proxied    bool
-	dones      []*sim.Completion
-}
-
-// flushBegin takes up to max dirty pages of ino (all if max<=0), allocates
-// any unmapped blocks (marking ctx as a proxy for the pages' causes while it
-// does delegation work), and submits the writes. It returns nil when there
-// was nothing to flush.
-func (f *FS) flushBegin(ctx *ioctx.Ctx, ino int64, max int) *flushState {
-	file, ok := f.byIno[ino]
-	if !ok {
-		// Unlinked while dirty: nothing to do.
-		f.cache.TakeDirty(ino, max)
-		return nil
-	}
+// flushFileDataFn flushes up to max dirty pages of ino (all if max <= 0) on
+// behalf of ctx and invokes k with the page count once every submitted
+// write has completed: it takes the pages, allocates unmapped blocks (the
+// writeback and journal tasks act as proxies for the pages' causes while
+// they do this delegation work), and submits one write per run. It is an
+// fs profiling probe (the write path's synchronous flush work).
+func (f *FS) flushFileDataFn(ctx *ioctx.Ctx, ino int64, max int, k func(n int)) {
+	perf.Count(perf.BucketFS)
 	idxs, tags := f.cache.TakeDirty(ino, max)
-	if len(idxs) == 0 {
-		return nil
+	file, ok := f.byIno[ino]
+	if !ok || len(idxs) == 0 {
+		// Nothing dirty, or unlinked while dirty: nothing to write.
+		k(0)
+		return
 	}
 	flushStart := f.env.Now()
-	// Delegation: the flusher acts on behalf of the pages' causes while
-	// allocating (delayed allocation dirties metadata for other processes).
 	var union causes.Set
 	for _, t := range tags {
 		union = union.Union(t)
 	}
-	proxied := false
-	if ctx != nil && (ctx == f.wbCtx || ctx == f.jctx) {
+	proxied := ctx == f.wbCtx || ctx == f.jctx
+	if proxied {
 		ctx.BeginProxy(union)
-		proxied = true
 	}
 	// Allocate unmapped runs; allocation is a metadata update that joins
 	// the running transaction, charged to the proxied causes. In
-	// copy-on-write mode every flushed run gets fresh blocks, remapping the
-	// file and leaving garbage behind.
+	// copy-on-write mode every flushed run of consecutive pages gets fresh
+	// blocks, remapping the file and leaving garbage behind.
 	allocated := false
-	i := 0
 	if f.cfg.CopyOnWrite {
-		for i < len(idxs) {
+		for i := 0; i < len(idxs); {
 			j := i + 1
 			for j < len(idxs) && idxs[j] == idxs[j-1]+1 {
 				j++
@@ -567,176 +552,88 @@ func (f *FS) flushBegin(ctx *ioctx.Ctx, ino int64, max int) *flushState {
 			i = j
 		}
 	} else {
-		for i < len(idxs) {
-			if _, mapped := f.lookupBlock(file, idxs[i]); mapped {
-				i++
-				continue
+		f.eachRun(file, idxs, func(i, j int, _ int64, mapped bool) {
+			if !mapped {
+				f.allocate(file, idxs[i], int64(j-i))
+				allocated = true
 			}
-			j := i + 1
-			for j < len(idxs) && idxs[j] == idxs[j-1]+1 {
-				if _, mapped := f.lookupBlock(file, idxs[j]); mapped {
-					break
-				}
-				j++
-			}
-			f.allocate(file, idxs[i], int64(j-i))
-			allocated = true
-			i = j
-		}
+		})
 	}
-	i = 0
 	if allocated {
 		who := union
-		if !proxied && ctx != nil {
+		if !proxied {
 			who = ctx.Causes()
 		}
 		f.txnJoin(ino, who, 1, false)
 		if f.tr.Enabled() {
 			// Delayed allocation happened here, at flush time — the
 			// delegation the paper calls out (§2.3.1).
-			now := f.env.Now()
 			f.tr.Record(trace.Event{
 				Layer: trace.LayerFS, Op: trace.OpAlloc,
-				Req: reqOf(ctx), PID: pidOf(ctx), Causes: who,
-				Start: now, End: now, Ino: ino, Blocks: len(idxs),
+				Req: ctx.Req, PID: ctx.PID, Causes: who,
+				Start: flushStart, End: flushStart, Ino: ino, Blocks: len(idxs),
 			})
 		}
 	}
-	// Submit one request per contiguous on-disk run. Background writeback
-	// submits async requests even though the daemon waits for pacing —
-	// only fsync- and commit-driven writes are urgent at the block level.
-	reqSync := ctx != f.wbCtx
+	// Journal-driven flushes (the ordered-mode pass of commit) carry the
+	// committing transaction's id. Background writeback submits async
+	// requests even though the daemon waits for pacing — only fsync- and
+	// commit-driven writes are urgent at the block level.
+	var txnID int64
+	if ctx == f.jctx {
+		txnID = f.flushTxnID
+	}
 	var dones []*sim.Completion
-	i = 0
-	f.inflight[ino] += len(idxs)
-	for i < len(idxs) {
-		diskBlk, _ := f.lookupBlock(file, idxs[i])
+	f.eachRun(file, idxs, func(i, j int, diskBlk int64, _ bool) {
 		runCauses := tags[i]
-		j := i + 1
-		for j < len(idxs) && j-i < f.cfg.MaxRunBlocks {
-			next, _ := f.lookupBlock(file, idxs[j])
-			if idxs[j] != idxs[j-1]+1 || next != diskBlk+int64(j-i) {
-				break
-			}
-			runCauses = runCauses.Union(tags[j])
-			j++
+		for _, t := range tags[i+1 : j] {
+			runCauses = runCauses.Union(t)
 		}
 		req := &block.Request{
 			Op:        device.Write,
 			LBA:       diskBlk,
 			Blocks:    j - i,
 			Causes:    runCauses,
-			Submitter: pidOf(ctx),
-			Prio:      prioOf(ctx),
-			Class:     classOf(ctx),
-			Sync:      reqSync,
+			Submitter: ctx.PID,
+			Prio:      ctx.Prio,
+			Class:     ctx.Class,
+			Sync:      ctx != f.wbCtx,
 			FileID:    ino,
 			Pages:     append([]int64(nil), idxs[i:j]...),
-			Req:       reqOf(ctx),
+			TxnID:     txnID,
+			Req:       ctx.Req,
 		}
-		if ctx == f.jctx {
-			req.TxnID = f.flushTxnID
-		}
-		if ctx != nil && ctx.WriteDeadline > 0 {
+		if ctx.WriteDeadline > 0 {
 			req.Deadline = f.env.Now().Add(ctx.WriteDeadline)
 		}
-		nblks := j - i
 		done := f.blk.Submit(req)
-		done.OnComplete(func() {
-			f.inflight[ino] -= nblks
-			if f.inflight[ino] <= 0 {
-				delete(f.inflight, ino)
-				f.inflightWake.Broadcast()
-			}
-		})
 		f.inflightDones[ino] = append(f.inflightDones[ino], done)
 		dones = append(dones, done)
-		i = j
-	}
-	f.statDataFlushed += int64(len(idxs))
-	return &flushState{
-		ctx: ctx, ino: ino, n: len(idxs), union: union,
-		flushStart: flushStart, proxied: proxied, dones: dones,
-	}
-}
-
-// flushEnd finishes a flush begun by flushBegin, after the completion
-// waits: record the flush span, then drop the proxy delegation.
-func (f *FS) flushEnd(st *flushState) {
-	if f.tr.Enabled() {
-		// Journal-driven flushes (the ordered-mode pass of commit) carry the
-		// committing transaction's id; attribution uses it to tie foreign
-		// data flushes to the fsyncs waiting on that commit.
-		var txnID int64
-		if st.ctx == f.jctx {
-			txnID = f.flushTxnID
+	})
+	sim.WaitAllFn(dones, func() {
+		if f.tr.Enabled() {
+			// The transaction id lets attribution tie foreign data flushes
+			// to the fsyncs waiting on that commit.
+			f.tr.Record(trace.Event{
+				Layer: trace.LayerFS, Op: trace.OpFlushData,
+				Req: ctx.Req, PID: ctx.PID, Causes: union, Prio: ctx.Prio,
+				Start: flushStart, End: f.env.Now(), Ino: ino, Blocks: len(idxs),
+				Txn: txnID,
+			})
 		}
-		f.tr.Record(trace.Event{
-			Layer: trace.LayerFS, Op: trace.OpFlushData,
-			Req: reqOf(st.ctx), PID: pidOf(st.ctx), Causes: st.union, Prio: prioOf(st.ctx),
-			Start: st.flushStart, End: f.env.Now(), Ino: st.ino, Blocks: st.n,
-			Txn: txnID,
-		})
-	}
-	if st.proxied {
-		st.ctx.EndProxy()
-	}
-}
-
-// flushFileData flushes up to max dirty pages of ino (all if max<=0) on
-// behalf of ctx and blocks p until every submitted write has completed. It
-// returns the number of pages submitted.
-func (f *FS) flushFileData(p *sim.Proc, ctx *ioctx.Ctx, ino int64, max int) int {
-	st := f.flushBegin(ctx, ino, max)
-	if st == nil {
-		return 0
-	}
-	p.Await(func(resume func()) { sim.WaitAllFn(st.dones, resume) })
-	f.flushEnd(st)
-	return st.n
-}
-
-// flushFileDataFn is the continuation build of flushFileData: submit the
-// runs, then invoke k with the page count once every submitted write has
-// completed.
-func (f *FS) flushFileDataFn(ctx *ioctx.Ctx, ino int64, max int, k func(n int)) {
-	st := f.flushBegin(ctx, ino, max)
-	if st == nil {
-		k(0)
-		return
-	}
-	sim.WaitAllFn(st.dones, func() {
-		f.flushEnd(st)
-		k(st.n)
+		if proxied {
+			ctx.EndProxy()
+		}
+		k(len(idxs))
 	})
 }
 
-func reqOf(c *ioctx.Ctx) trace.ReqID {
-	if c == nil {
-		return 0
-	}
-	return c.Req
-}
-
-func pidOf(c *ioctx.Ctx) causes.PID {
-	if c == nil {
-		return 0
-	}
-	return c.PID
-}
-
-func prioOf(c *ioctx.Ctx) int {
-	if c == nil {
-		return 4
-	}
-	return c.Prio
-}
-
-func classOf(c *ioctx.Ctx) block.Class {
-	if c == nil {
-		return block.ClassBE
-	}
-	return c.Class
+// flushFileData flushes every dirty page of ino on behalf of ctx and blocks
+// p until the writes have completed.
+func (f *FS) flushFileData(p *sim.Proc, ctx *ioctx.Ctx, ino int64) {
+	p.Await(func(resume func()) {
+		f.flushFileDataFn(ctx, ino, 0, func(int) { resume() })
+	})
 }
 
 // waitInflight blocks p until every data write for ino that was in flight
@@ -787,7 +684,7 @@ func (f *FS) writebackFile(ino int64, max int, done func(n int)) {
 func (f *FS) Fsync(p *sim.Proc, ctx *ioctx.Ctx, file *File) {
 	mk, _ := f.blk.Disk().(device.DurabilityMarker)
 	f.waitInflight(p, file.Ino)
-	f.flushFileData(p, ctx, file.Ino, 0)
+	f.flushFileData(p, ctx, file.Ino)
 	// The durability promise covers media writes issued up to the end of the
 	// data flush; anything sneaking in between here and the commit barrier
 	// (another process's writeback) is not what this fsync acknowledged.
@@ -795,29 +692,10 @@ func (f *FS) Fsync(p *sim.Proc, ctx *ioctx.Ctx, file *File) {
 	if mk != nil {
 		upTo = mk.MediaWrites()
 	}
-	var awaited *txn
 	if f.running.has(file.Ino) {
-		awaited = f.running
-		f.requestCommit(awaited)
+		f.awaitCommit(p, ctx, f.running, file.Ino)
 	} else if f.committing != nil && f.committing.has(file.Ino) {
-		awaited = f.committing
-	}
-	if awaited != nil {
-		waitStart := f.env.Now()
-		awaited.done.Wait(p)
-		if f.tr.Enabled() {
-			// The wait span carries the awaited transaction's cause set —
-			// recorded after the wait, when the set is final — so the journal
-			// entanglement of this fsync (paper Fig 4) is a single span, not
-			// a reconstruction over the commit's fan-out.
-			f.tr.Record(trace.Event{
-				Layer: trace.LayerFS, Op: trace.OpCommitWait,
-				Req: reqOf(ctx), PID: pidOf(ctx), Causes: awaited.tcauses,
-				Prio: prioOf(ctx), Start: waitStart, End: f.env.Now(),
-				Ino: file.Ino, Txn: awaited.id,
-				Flags: trace.FlagSync | trace.FlagJournal,
-			})
-		}
+		f.awaitCommit(p, ctx, f.committing, file.Ino)
 	}
 	if mk != nil {
 		mk.MarkDurable(file.Ino, upTo)
@@ -836,30 +714,40 @@ func (f *FS) SyncAll(p *sim.Proc, ctx *ioctx.Ctx) {
 	}
 	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
 	for _, ino := range inos {
-		f.flushFileData(p, ctx, ino, 0)
+		f.flushFileData(p, ctx, ino)
 	}
 	var upTo int64
 	if mk != nil {
 		upTo = mk.MediaWrites()
 	}
 	if !f.running.empty() {
-		t := f.running
-		f.requestCommit(t)
-		waitStart := f.env.Now()
-		t.done.Wait(p)
-		if f.tr.Enabled() {
-			f.tr.Record(trace.Event{
-				Layer: trace.LayerFS, Op: trace.OpCommitWait,
-				Req: reqOf(ctx), PID: pidOf(ctx), Causes: t.tcauses,
-				Prio: prioOf(ctx), Start: waitStart, End: f.env.Now(),
-				Txn: t.id, Flags: trace.FlagSync | trace.FlagJournal,
-			})
-		}
+		f.awaitCommit(p, ctx, f.running, 0)
 	}
 	if mk != nil {
 		for _, ino := range inos {
 			mk.MarkDurable(ino, upTo)
 		}
+	}
+}
+
+// awaitCommit queues t's commit unless it is already queued or committing
+// and blocks p until t is durable. The wait span carries t's cause set —
+// recorded after the wait, when the set is final — so the journal
+// entanglement of an fsync (paper Fig 4) is a single span, not a
+// reconstruction over the commit's fan-out. ino is the synced file (0 for
+// SyncAll).
+func (f *FS) awaitCommit(p *sim.Proc, ctx *ioctx.Ctx, t *txn, ino int64) {
+	f.requestCommit(t)
+	waitStart := f.env.Now()
+	t.done.Wait(p)
+	if f.tr.Enabled() {
+		f.tr.Record(trace.Event{
+			Layer: trace.LayerFS, Op: trace.OpCommitWait,
+			Req: ctx.Req, PID: ctx.PID, Causes: t.tcauses,
+			Prio: ctx.Prio, Start: waitStart, End: f.env.Now(),
+			Ino: ino, Txn: t.id,
+			Flags: trace.FlagSync | trace.FlagJournal,
+		})
 	}
 }
 
@@ -939,7 +827,6 @@ func (f *FS) commitFn(t *txn) {
 		depStart := f.env.Now()
 		f.waitInflightFn(ino, func() {
 			f.flushFileDataFn(f.jctx, ino, 0, func(n int) {
-				f.statOrderedFlush += int64(n)
 				if traced {
 					f.tr.Record(trace.Event{
 						Layer: trace.LayerFS, Op: trace.OpOrderedFlush,
@@ -1049,12 +936,6 @@ func (f *FS) Commits() int64 { return f.statCommits }
 
 // JournalBlocksWritten returns total journal blocks written.
 func (f *FS) JournalBlocksWritten() int64 { return f.statJournalBlks }
-
-// OrderedFlushPages returns pages flushed due to ordered-mode dependencies.
-func (f *FS) OrderedFlushPages() int64 { return f.statOrderedFlush }
-
-// DataPagesFlushed returns total data pages flushed.
-func (f *FS) DataPagesFlushed() int64 { return f.statDataFlushed }
 
 // FragmentationOf returns the number of extents of a file, a proxy for
 // layout quality used in tests.

@@ -241,34 +241,6 @@ func (e *Env) ScheduleAt(at Time, fn func()) {
 	}
 }
 
-// Handler is a named run-to-completion callback: the handler analog of a
-// kernel daemon Proc. Its body is fixed at construction, so waking it
-// repeatedly performs no closure allocation — the loop schedules the same
-// func value each time. Handlers run on the event loop and must not block;
-// state machines park by simply not rescheduling themselves (or by waiting
-// on a WaitQueue/Completion via the *Fn variants) and are woken by whoever
-// holds their Handler.
-type Handler struct {
-	env  *Env
-	name string
-	fn   func()
-}
-
-// NewHandler registers fn as a named run-to-completion handler body and
-// returns its wake handle. fn runs only when the handler is scheduled.
-func (e *Env) NewHandler(name string, fn func()) *Handler {
-	return &Handler{env: e, name: name, fn: fn}
-}
-
-// Name returns the handler name given at construction.
-func (h *Handler) Name() string { return h.name }
-
-// Schedule enqueues one run of the handler body after delay.
-func (h *Handler) Schedule(delay time.Duration) { h.env.Schedule(delay, h.fn) }
-
-// ScheduleAt enqueues one run of the handler body at time at.
-func (h *Handler) ScheduleAt(at Time) { h.env.ScheduleAt(at, h.fn) }
-
 // procKilled is the panic sentinel used to unwind killed processes.
 type procKilled struct{}
 

@@ -107,16 +107,16 @@ func (v *VFS) SetTracer(tr *trace.Tracer) {
 
 // beginSyscall stamps a fresh trace request ID into ctx and returns the
 // span's start time. Must be called at syscall entry, before scheduler entry
-// hooks, so hook-imposed delays are visible in the trace.
+// hooks, so hook-imposed delays are visible in the trace. It is the vfs
+// profiling probe: one count per syscall, traced or not.
 func (v *VFS) beginSyscall(p *sim.Proc, c *ioctx.Ctx) sim.Time {
+	perf.Count(perf.BucketVFS)
 	c.Req = v.tr.NextReq()
 	return p.Now()
 }
 
-// endSyscall records the syscall-layer span. It is the vfs profiling
-// probe: one count per completed syscall.
+// endSyscall records the syscall-layer span.
 func (v *VFS) endSyscall(p *sim.Proc, c *ioctx.Ctx, op string, start sim.Time, ino, bytes int64, flags trace.Flag) {
-	perf.Count(perf.BucketVFS)
 	v.tr.Record(trace.Event{
 		Layer: trace.LayerSyscall, Op: op,
 		Req: c.Req, PID: c.PID, Causes: c.Causes(), Prio: c.Prio,

@@ -10,6 +10,7 @@ import (
 	"splitio/internal/device"
 	"splitio/internal/fs"
 	"splitio/internal/ioctx"
+	"splitio/internal/perf"
 	"splitio/internal/sim"
 )
 
@@ -197,4 +198,44 @@ func TestZeroLengthIONoop(t *testing.T) {
 	if pr.BytesWritten.Total() != 0 || pr.BytesRead.Total() != 0 {
 		t.Fatal("zero-length I/O counted")
 	}
+}
+
+// TestProbesCountUntracedSyscalls pins the layer probes with the tracer off:
+// every syscall adds exactly one vfs call, and an fsync that has nothing to
+// allocate (its file is already mapped) still counts its fs flush work.
+func TestProbesCountUntracedSyscalls(t *testing.T) {
+	perf.ResetForTest()
+	perf.Enable()
+	defer perf.ResetForTest()
+	r := newRig(t)
+	pr := r.v.NewProcess("p", 4)
+	mapped := r.fs.MkFileContiguous("/mapped", 8*cache.PageSize)
+	calls := func(b perf.Bucket) int64 { return perf.TakeSnapshot().Buckets[b].Calls }
+	r.env.Go("p", func(p *sim.Proc) {
+		var f *fs.File
+		for _, sc := range []struct {
+			name string
+			call func()
+		}{
+			{"Create", func() { f, _ = r.v.Create(p, pr, "/f") }},
+			{"Write", func() { r.v.Write(p, pr, f, 0, 4096) }},
+			{"Read", func() { r.v.Read(p, pr, f, 0, 4096) }},
+			{"Fsync", func() { r.v.Fsync(p, pr, f) }},
+			{"Mkdir", func() { _ = r.v.Mkdir(p, pr, "/d") }},
+			{"Unlink", func() { _ = r.v.Unlink(p, pr, "/f") }},
+		} {
+			before := calls(perf.BucketVFS)
+			sc.call()
+			if got := calls(perf.BucketVFS) - before; got != 1 {
+				t.Errorf("%s added %d vfs calls, want 1", sc.name, got)
+			}
+		}
+		r.v.Write(p, pr, mapped, 0, 4*cache.PageSize)
+		before := calls(perf.BucketFS)
+		r.v.Fsync(p, pr, mapped)
+		if got := calls(perf.BucketFS) - before; got < 1 {
+			t.Errorf("fsync of a dirty mapped file added %d fs calls, want >= 1", got)
+		}
+	})
+	r.env.Run(sim.Time(time.Hour))
 }

@@ -69,9 +69,8 @@ microbench:
 
 # Replays the checked-in seed corpora (testdata/fuzz/...) without fuzzing:
 # a pure regression gate that keeps every once-interesting input passing.
-# Exploration stays manual: go test -fuzz=FuzzWorkloadParse ./internal/workload
 fuzz:
-	$(GO) test -run '^Fuzz' ./internal/workload ./internal/attr
+	$(GO) test -run '^Fuzz' ./internal/attr
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

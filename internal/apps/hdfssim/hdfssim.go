@@ -22,32 +22,32 @@ import (
 type Config struct {
 	// Workers is the number of datanodes.
 	Workers int
-	// Replication is the pipeline depth.
-	Replication int
 	// BlockBytes is the HDFS block size (64 MiB default; 16 MiB improves
 	// balance in Fig 21b).
 	BlockBytes int64
-	// ChunkBytes is the streaming granularity.
-	ChunkBytes int64
-	// NetLatency is the per-chunk-per-hop network latency.
-	NetLatency time.Duration
 	// WorkerOpts configures each worker machine.
 	WorkerOpts core.Options
 	// Factory builds each worker's scheduler.
 	Factory core.Factory
 }
 
+const (
+	// replication is the pipeline depth.
+	replication int = 3
+	// chunkBytes is the streaming granularity.
+	chunkBytes int64 = 1 << 20
+	// netLatency is the per-chunk-per-hop network latency.
+	netLatency = 200 * time.Microsecond
+)
+
 // DefaultConfig returns the paper's 7-worker, 3-replica cluster.
 func DefaultConfig(factory core.Factory) Config {
 	opts := core.DefaultOptions()
 	return Config{
-		Workers:     7,
-		Replication: 3,
-		BlockBytes:  64 << 20,
-		ChunkBytes:  1 << 20,
-		NetLatency:  200 * time.Microsecond,
-		WorkerOpts:  opts,
-		Factory:     factory,
+		Workers:    7,
+		BlockBytes: 64 << 20,
+		WorkerOpts: opts,
+		Factory:    factory,
 	}
 }
 
@@ -76,12 +76,12 @@ func (c *Cluster) Workers() []*core.Kernel { return c.workers }
 // Env returns the shared simulation environment.
 func (c *Cluster) Env() *sim.Env { return c.env }
 
-// pipeline picks Replication distinct workers for a block, rotating the
+// pipeline picks replication distinct workers for a block, rotating the
 // starting worker (namenode block placement).
 func (c *Cluster) pipeline() []*core.Kernel {
 	n := len(c.workers)
-	out := make([]*core.Kernel, 0, c.cfg.Replication)
-	for i := 0; i < c.cfg.Replication && i < n; i++ {
+	out := make([]*core.Kernel, 0, replication)
+	for i := 0; i < replication && i < n; i++ {
 		out = append(out, c.workers[(c.nextPipeline+i)%n])
 	}
 	c.nextPipeline = (c.nextPipeline + 1) % n
@@ -153,14 +153,14 @@ func (cl *Client) writeBlock(p *sim.Proc) {
 	}
 	var off int64
 	for off < cfg.BlockBytes {
-		n := cfg.ChunkBytes
+		n := chunkBytes
 		if off+n > cfg.BlockBytes {
 			n = cfg.BlockBytes - off
 		}
 		// Stream the chunk down the pipeline: one network hop plus a
 		// buffered local write per replica.
 		for i, w := range pipe {
-			p.Sleep(cfg.NetLatency)
+			p.Sleep(netLatency)
 			w.VFS.Write(p, cl.procs[w], files[i], off, n)
 		}
 		off += n

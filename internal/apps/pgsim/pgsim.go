@@ -20,35 +20,33 @@ import (
 
 // Config parameterizes the server and workload.
 type Config struct {
-	// Workers is the number of backend worker processes.
-	Workers int
-	// TableBytes is the heap size.
-	TableBytes int64
 	// CheckpointInterval is the background checkpoint period (paper: 30 s).
 	CheckpointInterval time.Duration
-	// ForegroundFsyncDeadline is each worker's WAL fsync deadline (5 ms).
-	ForegroundFsyncDeadline time.Duration
-	// CheckpointFsyncDeadline is the checkpointer's deadline (200 ms).
-	CheckpointFsyncDeadline time.Duration
-	// ReadDeadline is the block-read deadline for both (5 ms).
-	ReadDeadline time.Duration
 	// RowsPerTxn is the number of rows touched per transaction.
 	RowsPerTxn int
 	// ThinkTime between transactions per worker.
 	ThinkTime time.Duration
 }
 
+const (
+	// workers is the number of backend worker processes.
+	workers int = 4
+	// tableBytes is the heap size.
+	tableBytes int64 = 1 << 30
+	// foregroundFsyncDeadline is each worker's WAL fsync deadline (5 ms).
+	foregroundFsyncDeadline = 5 * time.Millisecond
+	// checkpointFsyncDeadline is the checkpointer's deadline (200 ms).
+	checkpointFsyncDeadline = 200 * time.Millisecond
+	// readDeadline is the block-read deadline for both (5 ms).
+	readDeadline = 5 * time.Millisecond
+)
+
 // DefaultConfig matches the paper's pgbench setup at simulation scale.
 func DefaultConfig() Config {
 	return Config{
-		Workers:                 4,
-		TableBytes:              1 << 30,
-		CheckpointInterval:      30 * time.Second,
-		ForegroundFsyncDeadline: 5 * time.Millisecond,
-		CheckpointFsyncDeadline: 200 * time.Millisecond,
-		ReadDeadline:            5 * time.Millisecond,
-		RowsPerTxn:              3,
-		ThinkTime:               time.Millisecond,
+		CheckpointInterval: 30 * time.Second,
+		RowsPerTxn:         3,
+		ThinkTime:          time.Millisecond,
 	}
 }
 
@@ -75,19 +73,19 @@ func Start(k *core.Kernel, cfg Config) *Server {
 	s := &Server{
 		k:     k,
 		cfg:   cfg,
-		table: k.FS.MkFileContiguous("/pg/heap", cfg.TableBytes),
+		table: k.FS.MkFileContiguous("/pg/heap", tableBytes),
 	}
-	for i := 0; i < cfg.Workers; i++ {
+	for i := 0; i < workers; i++ {
 		pr := k.VFS.NewProcess("pg-worker", 4)
-		pr.Ctx.FsyncDeadline = cfg.ForegroundFsyncDeadline
-		pr.Ctx.ReadDeadline = cfg.ReadDeadline
-		pr.Ctx.WriteDeadline = cfg.ForegroundFsyncDeadline
+		pr.Ctx.FsyncDeadline = foregroundFsyncDeadline
+		pr.Ctx.ReadDeadline = readDeadline
+		pr.Ctx.WriteDeadline = foregroundFsyncDeadline
 		idx := i
 		k.Env.Go("pg-worker", func(p *sim.Proc) { s.worker(p, pr, idx) })
 	}
 	ckpt := k.VFS.NewProcess("pg-checkpointer", 4)
-	ckpt.Ctx.FsyncDeadline = cfg.CheckpointFsyncDeadline
-	ckpt.Ctx.ReadDeadline = cfg.ReadDeadline
+	ckpt.Ctx.FsyncDeadline = checkpointFsyncDeadline
+	ckpt.Ctx.ReadDeadline = readDeadline
 	k.Env.Go("pg-checkpointer", func(p *sim.Proc) { s.checkpointer(p, ckpt) })
 	return s
 }
@@ -100,7 +98,7 @@ func (s *Server) worker(p *sim.Proc, pr *vfs.Process, idx int) {
 	if err != nil {
 		return
 	}
-	tablePages := s.cfg.TableBytes / cache.PageSize
+	tablePages := tableBytes / cache.PageSize
 	rng := s.k.Env.Rand()
 	var walOff int64
 	for {

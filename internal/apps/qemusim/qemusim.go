@@ -21,31 +21,30 @@ import (
 
 // Config parameterizes a guest.
 type Config struct {
-	// DiskBytes is the virtual-disk (host backing file) size.
-	DiskBytes int64
-	// GuestCachePages is the guest page-cache size in pages.
-	GuestCachePages int64
 	// GuestDirtyMax throttles guest writers when the guest cache holds
 	// this many dirty pages.
 	GuestDirtyMax int64
-	// FlushBatch is the guest flusher's batch size in pages.
-	FlushBatch int
 	// Account bills the whole VM's host I/O.
 	Account string
-	// PageCPU is the guest-side CPU cost per page touched.
-	PageCPU time.Duration
 }
+
+const (
+	// diskBytes is the virtual-disk (host backing file) size.
+	diskBytes int64 = 4 << 30
+	// guestCachePages is the guest page-cache size in pages.
+	guestCachePages int64 = 128 << 20 / cache.PageSize
+	// flushBatch is the guest flusher's batch size in pages.
+	flushBatch int = 256
+	// pageCPU is the guest-side CPU cost per page touched.
+	pageCPU = 400 * time.Nanosecond
+)
 
 // DefaultConfig returns a guest with a 4 GiB disk and 128 MiB of guest page
 // cache.
 func DefaultConfig(account string) Config {
 	return Config{
-		DiskBytes:       4 << 30,
-		GuestCachePages: 128 << 20 / cache.PageSize,
-		GuestDirtyMax:   16 << 20 / cache.PageSize,
-		FlushBatch:      256,
-		Account:         account,
-		PageCPU:         400 * time.Nanosecond,
+		GuestDirtyMax: 16 << 20 / cache.PageSize,
+		Account:       account,
 	}
 }
 
@@ -82,7 +81,7 @@ func Launch(k *core.Kernel, name string, cfg Config) *VM {
 		k:         k,
 		cfg:       cfg,
 		pr:        k.VFS.NewProcess(name, 4),
-		back:      k.FS.MkFileContiguous("/vm/"+name+".img", cfg.DiskBytes),
+		back:      k.FS.MkFileContiguous("/vm/"+name+".img", diskBytes),
 		pages:     make(map[int64]*guestPage),
 		flushWake: sim.NewWaitQueue(k.Env),
 		throttleQ: sim.NewWaitQueue(k.Env),
@@ -121,7 +120,7 @@ func (vm *VM) insert(idx int64, dirty bool) *guestPage {
 // evictIfFull drops the least-recently-used clean page; dirty pages are
 // skipped (they must be flushed first).
 func (vm *VM) evictIfFull() {
-	for int64(len(vm.pages)) >= vm.cfg.GuestCachePages {
+	for int64(len(vm.pages)) >= guestCachePages {
 		evicted := false
 		for e := vm.lru.Front(); e != nil; e = e.Next() {
 			pg := e.Value.(*guestPage)
@@ -174,7 +173,7 @@ func (vm *VM) Read(p *sim.Proc, off, n int64) {
 	}
 	flushRun()
 	pages := last - first + 1
-	vm.k.CPU.Use(p, time.Duration(pages)*vm.cfg.PageCPU)
+	vm.k.CPU.Use(p, time.Duration(pages)*pageCPU)
 	vm.bytesRead += n
 }
 
@@ -199,7 +198,7 @@ func (vm *VM) Write(p *sim.Proc, off, n int64) {
 		vm.insert(idx, true)
 	}
 	pages := last - first + 1
-	vm.k.CPU.Use(p, time.Duration(pages)*vm.cfg.PageCPU)
+	vm.k.CPU.Use(p, time.Duration(pages)*pageCPU)
 	vm.bytesWritten += n
 	if vm.dirty > vm.cfg.GuestDirtyMax/2 {
 		vm.flushWake.Signal()
@@ -222,7 +221,7 @@ func (vm *VM) flusher(p *sim.Proc) {
 			vm.flushWake.WaitTimeout(p, 5*time.Second)
 			continue
 		}
-		vm.flushDirty(p, vm.cfg.FlushBatch)
+		vm.flushDirty(p, flushBatch)
 		vm.throttleQ.Broadcast()
 	}
 }

@@ -27,6 +27,25 @@ func TestGuestCacheHitsAvoidHost(t *testing.T) {
 	}
 }
 
+// TestGuestCacheEvictsLRU overfills the 128 MiB guest cache: reading
+// 132 MiB evicts the oldest 4 MiB of clean pages, so re-reading them goes
+// back to the host.
+func TestGuestCacheEvictsLRU(t *testing.T) {
+	k := schedtest.Kernel(t, stoken.Factory, nil)
+	vm := Launch(k, "vm0", DefaultConfig(""))
+	k.Env.Go("guest", func(p *sim.Proc) {
+		vm.Read(p, 0, 132<<20)
+		vm.Read(p, 0, 4<<20)
+	})
+	k.Run(time.Minute)
+	if got := int64(len(vm.pages)); got != guestCachePages {
+		t.Fatalf("guest cache holds %d pages, want full at %d", got, guestCachePages)
+	}
+	if vm.HostReads() != 136<<20 {
+		t.Fatalf("host reads = %d, want %d (evicted pages re-read)", vm.HostReads(), int64(136<<20))
+	}
+}
+
 func TestGuestWritesFlushToHost(t *testing.T) {
 	k := schedtest.Kernel(t, stoken.Factory, nil)
 	vm := Launch(k, "vm0", DefaultConfig(""))
@@ -102,7 +121,7 @@ func TestGuestDirtyThrottle(t *testing.T) {
 
 // guestRandOff gives a deterministic pseudo-random page-aligned offset.
 func (vm *VM) guestRandOff(p *sim.Proc) int64 {
-	pages := vm.cfg.DiskBytes / cache.PageSize
+	pages := diskBytes / cache.PageSize
 	return vm.k.Env.Rand().Int63n(pages) * cache.PageSize
 }
 

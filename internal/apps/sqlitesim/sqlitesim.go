@@ -20,34 +20,29 @@ import (
 
 // Config parameterizes the database and workload.
 type Config struct {
-	// TableBytes is the database file size.
-	TableBytes int64
-	// RowsPerTxn is how many random rows one transaction updates.
-	RowsPerTxn int
-	// WALRecordBytes is the log record size appended per transaction.
-	WALRecordBytes int64
 	// CheckpointThreshold is the dirty-buffer count that triggers a
 	// checkpoint (the Fig 18 x-axis).
 	CheckpointThreshold int
-	// LogFsyncDeadline and DBFsyncDeadline are the per-file deadline
-	// settings for split-deadline (paper: 100 ms and 10 s).
-	LogFsyncDeadline time.Duration
-	DBFsyncDeadline  time.Duration
-	// ThinkTime between transactions.
-	ThinkTime time.Duration
 }
+
+const (
+	// tableBytes is the database file size.
+	tableBytes int64 = 1 << 30
+	// rowsPerTxn is how many random rows one transaction updates.
+	rowsPerTxn int = 4
+	// walRecordBytes is the log record size appended per transaction.
+	walRecordBytes int64 = 4096
+	// logFsyncDeadline and dbFsyncDeadline are the per-file deadline
+	// settings for split-deadline (paper: 100 ms and 10 s).
+	logFsyncDeadline = 100 * time.Millisecond
+	dbFsyncDeadline  = 10 * time.Second
+	// thinkTime between transactions.
+	thinkTime = 2 * time.Millisecond
+)
 
 // DefaultConfig matches the paper's setup at simulation scale.
 func DefaultConfig() Config {
-	return Config{
-		TableBytes:          1 << 30,
-		RowsPerTxn:          4,
-		WALRecordBytes:      4096,
-		CheckpointThreshold: 1024,
-		LogFsyncDeadline:    100 * time.Millisecond,
-		DBFsyncDeadline:     10 * time.Second,
-		ThinkTime:           2 * time.Millisecond,
-	}
+	return Config{CheckpointThreshold: 1024}
 }
 
 // DB is a running simulated database.
@@ -78,14 +73,14 @@ func Open(k *core.Kernel, cfg Config) *DB {
 	db := &DB{
 		k:        k,
 		cfg:      cfg,
-		table:    k.FS.MkFileContiguous("/db/table", cfg.TableBytes),
+		table:    k.FS.MkFileContiguous("/db/table", tableBytes),
 		ckptWake: sim.NewWaitQueue(k.Env),
 	}
 	db.writer = k.VFS.NewProcess("sqlite-writer", 4)
-	db.writer.Ctx.FsyncDeadline = cfg.LogFsyncDeadline
-	db.writer.Ctx.ReadDeadline = cfg.LogFsyncDeadline
+	db.writer.Ctx.FsyncDeadline = logFsyncDeadline
+	db.writer.Ctx.ReadDeadline = logFsyncDeadline
 	db.ckpt = k.VFS.NewProcess("sqlite-ckpt", 4)
-	db.ckpt.Ctx.FsyncDeadline = cfg.DBFsyncDeadline
+	db.ckpt.Ctx.FsyncDeadline = dbFsyncDeadline
 	k.Env.Go("sqlite-writer", db.writerLoop)
 	k.Env.Go("sqlite-ckpt", db.checkpointer)
 	return db
@@ -100,30 +95,28 @@ func (db *DB) writerLoop(p *sim.Proc) {
 		return
 	}
 	db.wal = wal
-	tablePages := db.cfg.TableBytes / cache.PageSize
+	tablePages := tableBytes / cache.PageSize
 	rng := db.k.Env.Rand()
 	var walOff int64
 	for {
 		start := p.Now()
-		// Update RowsPerTxn random rows: read the page (may hit cache),
+		// Update rowsPerTxn random rows: read the page (may hit cache),
 		// buffer the row update in memory, log it.
-		for i := 0; i < db.cfg.RowsPerTxn; i++ {
+		for i := 0; i < rowsPerTxn; i++ {
 			row := rng.Int63n(tablePages)
 			db.k.VFS.Read(p, db.writer, db.table, row*cache.PageSize, cache.PageSize)
 			db.dirtyRows = append(db.dirtyRows, row)
 		}
 		// Commit: append the log record and fsync the WAL.
-		db.k.VFS.Write(p, db.writer, db.wal, walOff, db.cfg.WALRecordBytes)
-		walOff += db.cfg.WALRecordBytes
+		db.k.VFS.Write(p, db.writer, db.wal, walOff, walRecordBytes)
+		walOff += walRecordBytes
 		db.k.VFS.Fsync(p, db.writer, db.wal)
 		db.Latencies.Add(p.Now().Sub(start))
 		db.txns++
 		if len(db.dirtyRows) >= db.cfg.CheckpointThreshold {
 			db.ckptWake.Signal()
 		}
-		if db.cfg.ThinkTime > 0 {
-			p.Sleep(db.cfg.ThinkTime)
-		}
+		p.Sleep(thinkTime)
 	}
 }
 

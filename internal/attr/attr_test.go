@@ -161,6 +161,38 @@ func TestWritebackDelegationDetection(t *testing.T) {
 	}
 }
 
+// TestGCStallDetection pins the gc-stall victim rules: a user submitter is
+// the victim; for a kernel submitter (jbd) it is the first user PID among
+// the causes; kernel-only causes and non-sync spans record nothing.
+func TestGCStallDetection(t *testing.T) {
+	gcWait := func(req trace.ReqID, pid causes.PID, cs causes.Set, flags trace.Flag) trace.Event {
+		e := ev(trace.LayerDevice, trace.OpGCWait, req, pid, 10, 30)
+		e.Causes, e.Flags = cs, flags
+		return e
+	}
+	a := New()
+	a.Consume(gcWait(1, 105, causes.Of(105), trace.FlagSync))
+	a.Consume(gcWait(2, 3, causes.Of(50, 120), trace.FlagSync|trace.FlagJournal))
+	invs := a.Inversions()
+	if len(invs) != 2 {
+		t.Fatalf("detected %d inversions, want 2: %+v", len(invs), invs)
+	}
+	for i, victim := range []causes.PID{105, 120} {
+		inv := invs[i]
+		if inv.Kind != KindGCStall || inv.Victim != victim || inv.Culprit != gcPID ||
+			inv.Layer != trace.LayerDevice || inv.Dur != 20 || inv.At != 10 || inv.Req != trace.ReqID(i+1) {
+			t.Errorf("inversion %d = %+v, want gc-stall of victim %d by gc over 20ns", i, inv, victim)
+		}
+	}
+
+	quiet := New()
+	quiet.Consume(gcWait(3, 3, causes.Of(2, 3), trace.FlagSync))
+	quiet.Consume(gcWait(4, 105, causes.Of(105), trace.FlagWrite))
+	if n := quiet.TotalInversions(); n != 0 {
+		t.Fatalf("kernel-only or non-sync gc waits recorded %d inversions, want 0", n)
+	}
+}
+
 func TestBoundedStateEviction(t *testing.T) {
 	a := New()
 	for i := 0; i < maxOpenReqs+10; i++ {

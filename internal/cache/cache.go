@@ -543,10 +543,15 @@ func (c *Cache) maybeUnthrottle() {
 	}
 }
 
-// FlushAsync asks the writeback daemon to flush ino ahead of the normal
-// round-robin order (used by Split-Deadline's cost-spreading pre-flush).
+// FlushAsync asks the writeback daemon to flush ino ahead of its
+// largest-first order (used by Split-Deadline's cost-spreading pre-flush).
+// The hint is queued only while pdflush is enabled: only the daemon drains
+// the queue, so a scheduler that owns writeback would otherwise grow it for
+// the whole run.
 func (c *Cache) FlushAsync(ino int64) {
-	c.flushHint = append(c.flushHint, ino)
+	if c.pdflushEnabled {
+		c.flushHint = append(c.flushHint, ino)
+	}
 	c.wbWake.Signal()
 }
 

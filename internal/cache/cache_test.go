@@ -343,6 +343,38 @@ func TestFlushAsyncPrioritizesFile(t *testing.T) {
 	}
 }
 
+// TestFlushAsyncDroppedWhilePdflushDisabled: a hint given while the daemon
+// is off is not queued, so once pdflush is back it keeps its largest-first
+// order instead of replaying stale hints.
+func TestFlushAsyncDroppedWhilePdflushDisabled(t *testing.T) {
+	env, c := newTestCache(smallConfig())
+	defer env.Close()
+	var order []int64
+	c.SetWriteback(func(ino int64, max int, done func(n int)) {
+		idxs, _ := c.TakeDirty(ino, max)
+		if len(idxs) > 0 {
+			order = append(order, ino)
+		}
+		env.Schedule(time.Millisecond, func() { done(len(idxs)) })
+	})
+	c.SetPdflushEnabled(false)
+	for ino := int64(1); ino <= 3; ino++ {
+		pages := int64(1)
+		if ino == 1 {
+			pages = 3
+		}
+		for i := int64(0); i < pages; i++ {
+			c.MarkDirty(testCtx(10), ino, i)
+		}
+	}
+	c.FlushAsync(3)
+	c.SetPdflushEnabled(true)
+	env.Run(sim.Time(time.Minute))
+	if len(order) == 0 || order[0] != 1 {
+		t.Fatalf("flush order = %v, want largest file 1 first", order)
+	}
+}
+
 func TestTakeDirtyEmptyFile(t *testing.T) {
 	env, c := newTestCache(smallConfig())
 	defer env.Close()

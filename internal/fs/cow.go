@@ -97,10 +97,10 @@ func (f *FS) gcStep() {
 		owners = causes.Of(f.gcCtx.PID)
 	}
 	f.gcCtx.BeginProxy(owners)
-	f.relocateFn(victim, f.cfg.GCBatch, func() {
+	f.relocateFn(victim, gcBatch, func() {
 		f.gcCtx.EndProxy()
 		// Relocation compacts: credit the garbage it implicitly reclaims.
-		reclaimed := int64(f.cfg.GCBatch)
+		reclaimed := int64(gcBatch)
 		if reclaimed > f.garbageBlocks {
 			reclaimed = f.garbageBlocks
 		}

@@ -96,8 +96,6 @@ type extent struct {
 
 // Config sets file-system parameters.
 type Config struct {
-	// CommitInterval is the periodic journal commit (jbd2's 5 s).
-	CommitInterval time.Duration
 	// MaxRunBlocks caps the size of one block-layer request.
 	MaxRunBlocks int
 	// JournalBlocks is the size of the journal region.
@@ -114,16 +112,20 @@ type Config struct {
 	CopyOnWrite bool
 	// GCThresholdBlocks is the garbage level that wakes the cleaner.
 	GCThresholdBlocks int64
-	// GCBatch is how many live blocks the cleaner relocates per round.
-	GCBatch int
 	// Name labels the file system.
 	Name string
 }
 
+const (
+	// commitInterval is the periodic journal commit (jbd2's 5 s).
+	commitInterval = 5 * time.Second
+	// gcBatch is how many live blocks the cleaner relocates per round.
+	gcBatch int = 256
+)
+
 // Ext4Config returns the fully integrated ext4-like configuration.
 func Ext4Config() Config {
 	return Config{
-		CommitInterval:  5 * time.Second,
 		MaxRunBlocks:    256,
 		JournalBlocks:   32768, // 128 MiB
 		TagJournalProxy: true,
@@ -146,7 +148,6 @@ func COWConfig() Config {
 	c := Ext4Config()
 	c.CopyOnWrite = true
 	c.GCThresholdBlocks = 16384 // 64 MiB of garbage wakes the cleaner
-	c.GCBatch = 256
 	c.Name = "cowsim"
 	return c
 }
@@ -763,7 +764,7 @@ func (f *FS) requestCommit(t *txn) {
 // armCommitTimer is the commit timer's t=0 startup event: it arms the first
 // periodic tick.
 func (f *FS) armCommitTimer() {
-	f.env.Schedule(f.cfg.CommitInterval, f.commitTimerFire)
+	f.env.Schedule(commitInterval, f.commitTimerFire)
 }
 
 // commitTimerFire is one tick of the periodic jbd2-style commit timer.
@@ -771,7 +772,7 @@ func (f *FS) commitTimerFire() {
 	if !f.running.empty() {
 		f.requestCommit(f.running)
 	}
-	f.env.Schedule(f.cfg.CommitInterval, f.commitTimerFire)
+	f.env.Schedule(commitInterval, f.commitTimerFire)
 }
 
 // journalStep is one run-to-completion iteration of the journal daemon: pop

@@ -31,21 +31,18 @@ type Config struct {
 	Window time.Duration
 	// Rules are the SLOs to evaluate each window.
 	Rules []Rule
-	// EventRing bounds the flight recorder's recent-event ring (default 512).
-	EventRing int
-	// SnapRing bounds retained introspection ticks (default 16).
-	SnapRing int
 }
+
+const (
+	// eventRing bounds the flight recorder's recent-event ring.
+	eventRing int = 512
+	// snapRing bounds retained introspection ticks.
+	snapRing int = 16
+)
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 500 * time.Millisecond
-	}
-	if c.EventRing <= 0 {
-		c.EventRing = 512
-	}
-	if c.SnapRing <= 0 {
-		c.SnapRing = 16
 	}
 	return c
 }
@@ -85,7 +82,7 @@ func New(env *sim.Env, cfg Config) *Monitor {
 		cfg:     cfg.withDefaults(),
 		windows: make(map[sloKey]*window),
 	}
-	m.rec.cap = m.cfg.EventRing
+	m.rec.cap = eventRing
 	return m
 }
 
@@ -152,8 +149,8 @@ func (m *Monitor) tick(now sim.Time) {
 			}
 		}
 		m.snaps = append(m.snaps, ss)
-		if len(m.snaps) > m.cfg.SnapRing {
-			m.snaps = m.snaps[len(m.snaps)-m.cfg.SnapRing:]
+		if len(m.snaps) > snapRing {
+			m.snaps = m.snaps[len(m.snaps)-snapRing:]
 		}
 	}
 

@@ -78,30 +78,28 @@ type Sched struct {
 	// writeback").
 	fileOwner  map[int64]causes.PID
 	ownerFiles map[causes.PID][]int64
-
-	// PerProcDirty caps each process's own dirty bytes before its write
-	// admission blocks; the stride-ordered drain then paces admissions.
-	PerProcDirty int64
-	// MaxFsyncsOut bounds concurrently admitted fsyncs.
-	MaxFsyncsOut int
-	// IdleWindow is the block-level read anticipation window.
-	IdleWindow time.Duration
-	// IdleGrace is how long best-effort activity blocks idle-class writes.
-	IdleGrace time.Duration
 }
+
+const (
+	// perProcDirty caps each process's own dirty bytes before its write
+	// admission blocks; the stride-ordered drain then paces admissions.
+	perProcDirty int64 = 16 << 20
+	// maxFsyncsOut bounds concurrently admitted fsyncs.
+	maxFsyncsOut int = 1
+	// idleWindow is the block-level read anticipation window.
+	idleWindow = time.Millisecond
+	// idleGrace is how long best-effort activity blocks idle-class writes.
+	idleGrace = 100 * time.Millisecond
+)
 
 // New builds an AFQ scheduler.
 func New(env *sim.Env) core.Scheduler {
 	return &Sched{
-		env:          env,
-		st:           stride.New(),
-		readQs:       make(map[causes.PID][]*block.Request),
-		fileOwner:    make(map[int64]causes.PID),
-		ownerFiles:   make(map[causes.PID][]int64),
-		PerProcDirty: 16 << 20,
-		MaxFsyncsOut: 1,
-		IdleWindow:   time.Millisecond,
-		IdleGrace:    100 * time.Millisecond,
+		env:        env,
+		st:         stride.New(),
+		readQs:     make(map[causes.PID][]*block.Request),
+		fileOwner:  make(map[int64]causes.PID),
+		ownerFiles: make(map[causes.PID][]int64),
 	}
 }
 
@@ -215,7 +213,7 @@ func (s *Sched) drainable(pid causes.PID) bool {
 	if !ok || pr.Ctx.Class != block.ClassIdle {
 		return true
 	}
-	return s.env.Now().Sub(s.lastBEWrite) >= s.IdleGrace
+	return s.env.Now().Sub(s.lastBEWrite) >= idleGrace
 }
 
 func (s *Sched) ensure(c *ioctx.Ctx) {
@@ -254,7 +252,7 @@ func (s *Sched) admissible(w *gateWaiter) bool {
 	if w.class == block.ClassIdle {
 		// Idle-class writes run only when the system is otherwise quiet:
 		// no best-effort writer activity recently and nothing queued.
-		if s.env.Now().Sub(s.lastBEWrite) < s.IdleGrace {
+		if s.env.Now().Sub(s.lastBEWrite) < idleGrace {
 			return false
 		}
 		if s.k.Cache.DirtyPagesCount() > 0 {
@@ -263,9 +261,9 @@ func (s *Sched) admissible(w *gateWaiter) bool {
 	}
 	switch w.kind {
 	case gateWrite:
-		return s.ownDirty(w.pid) < s.PerProcDirty
+		return s.ownDirty(w.pid) < perProcDirty
 	case gateFsync:
-		return s.fsyncsOut < s.MaxFsyncsOut
+		return s.fsyncsOut < maxFsyncsOut
 	default:
 		return true
 	}
@@ -399,9 +397,9 @@ func (s *Sched) Completed(r *block.Request) {
 		pid := ownerOf(r)
 		if len(s.readQs[pid]) == 0 {
 			s.anticipate = pid
-			s.idleUntil = s.env.Now().Add(s.IdleWindow)
+			s.idleUntil = s.env.Now().Add(idleWindow)
 			if s.layer != nil {
-				s.env.Schedule(s.IdleWindow, s.layer.Kick)
+				s.env.Schedule(idleWindow, s.layer.Kick)
 			}
 		}
 	}

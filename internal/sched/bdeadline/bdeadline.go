@@ -6,7 +6,7 @@
 // As the paper adds for a fair comparison, per-process deadlines are
 // supported: the file system stamps each request's Deadline from the
 // submitting context's settings; unset deadlines get the Linux defaults
-// (500 ms reads... actually 500 ms writes, 50 ms reads).
+// (50 ms reads, 500 ms writes).
 //
 // Its structural failure (Fig 5): a block-level write deadline is
 // meaningless when the file system orders the request behind a journal
@@ -31,26 +31,23 @@ type Sched struct {
 	reads  []*block.Request // sorted by LBA
 	writes []*block.Request // sorted by LBA
 
-	// DefaultReadDeadline and DefaultWriteDeadline apply when a request
-	// carries no deadline.
-	DefaultReadDeadline  time.Duration
-	DefaultWriteDeadline time.Duration
-	// WritesStarvedLimit bounds how many read batches may pass while
-	// writes wait.
-	WritesStarvedLimit int
-
 	lastLBA      int64
 	writesStarve int
 }
 
+const (
+	// defaultReadDeadline and defaultWriteDeadline apply when a request
+	// carries no deadline.
+	defaultReadDeadline  = 50 * time.Millisecond
+	defaultWriteDeadline = 500 * time.Millisecond
+	// writesStarvedLimit bounds how many read batches may pass while
+	// writes wait.
+	writesStarvedLimit int = 2
+)
+
 // New builds a Block-Deadline scheduler with Linux's default deadlines.
 func New(env *sim.Env) core.Scheduler {
-	return &Sched{
-		env:                  env,
-		DefaultReadDeadline:  50 * time.Millisecond,
-		DefaultWriteDeadline: 500 * time.Millisecond,
-		WritesStarvedLimit:   2,
-	}
+	return &Sched{env: env}
 }
 
 // Factory is the core.Factory for Block-Deadline.
@@ -68,9 +65,9 @@ func (s *Sched) Attach(k *core.Kernel) {}
 // Add implements block.Elevator.
 func (s *Sched) Add(r *block.Request) {
 	if r.Deadline == 0 {
-		d := s.DefaultWriteDeadline
+		d := defaultWriteDeadline
 		if r.Op == device.Read {
-			d = s.DefaultReadDeadline
+			d = defaultReadDeadline
 		}
 		r.Deadline = s.env.Now().Add(d)
 	}
@@ -136,7 +133,7 @@ func (s *Sched) Next(now sim.Time) *block.Request {
 		}
 		// No expired deadlines: location order, reads preferred until
 		// writes starve.
-		if len(s.reads) > 0 && (len(s.writes) == 0 || s.writesStarve < s.WritesStarvedLimit) {
+		if len(s.reads) > 0 && (len(s.writes) == 0 || s.writesStarve < writesStarvedLimit) {
 			s.reads, r = s.nextByLBA(s.reads)
 			if len(s.writes) > 0 {
 				s.writesStarve++

@@ -55,19 +55,19 @@ type Sched struct {
 	// BaseSlice is how long one queue may hold the disk before CFQ
 	// switches to the next queue.
 	BaseSlice time.Duration
-	// IdleWindow is the anticipation wait for a synchronous process's next
-	// request after its queue drains.
-	IdleWindow time.Duration
 }
+
+// idleWindow is the anticipation wait for a synchronous process's next
+// request after its queue drains.
+const idleWindow = 2 * time.Millisecond
 
 // New builds a CFQ scheduler.
 func New(env *sim.Env) core.Scheduler {
 	return &Sched{
-		env:        env,
-		queues:     make(map[causes.PID]*queue),
-		st:         stride.New(),
-		BaseSlice:  100 * time.Millisecond,
-		IdleWindow: 2 * time.Millisecond,
+		env:       env,
+		queues:    make(map[causes.PID]*queue),
+		st:        stride.New(),
+		BaseSlice: 100 * time.Millisecond,
 	}
 }
 
@@ -147,10 +147,10 @@ func (s *Sched) Completed(r *block.Request) {
 		s.sliceUsed += r.Service
 		q := s.queues[s.cur]
 		if len(q.reqs) == 0 && r.Sync && s.sliceUsed < s.BaseSlice {
-			s.idleUntil = s.env.Now().Add(s.IdleWindow)
+			s.idleUntil = s.env.Now().Add(idleWindow)
 			if s.layer != nil {
 				layer := s.layer
-				s.env.Schedule(s.IdleWindow, layer.Kick)
+				s.env.Schedule(idleWindow, layer.Kick)
 			}
 		}
 	}

@@ -111,7 +111,7 @@ func TestAnticipationExpires(t *testing.T) {
 	s.Completed(r1)
 	other := rd(11, 4, 1000)
 	s.Add(other)
-	late := env.Now().Add(s.IdleWindow + time.Millisecond)
+	late := env.Now().Add(idleWindow + time.Millisecond)
 	if got := s.Next(late); got != other {
 		t.Fatal("expired window should release the disk")
 	}

@@ -27,18 +27,16 @@ import (
 // Sched is AFQ with the device GC gate wired to sync pressure.
 type Sched struct {
 	*afq.Sched
-	// GCGrace is how long after the last sync completion the gate stays
-	// closed, bridging the sub-millisecond gaps of a continuous fsync
-	// stream so GC cannot start a multi-millisecond migration inside one.
-	GCGrace time.Duration
 }
+
+// gcGrace is how long after the last sync completion the gate stays
+// closed, bridging the sub-millisecond gaps of a continuous fsync
+// stream so GC cannot start a multi-millisecond migration inside one.
+const gcGrace = 10 * time.Millisecond
 
 // New builds a GC-AFQ scheduler.
 func New(env *sim.Env) core.Scheduler {
-	return &Sched{
-		Sched:   afq.New(env).(*afq.Sched),
-		GCGrace: 10 * time.Millisecond,
-	}
+	return &Sched{Sched: afq.New(env).(*afq.Sched)}
 }
 
 // Factory is the core.Factory for GC-AFQ.
@@ -52,6 +50,6 @@ func (s *Sched) Name() string { return "gc-afq" }
 func (s *Sched) Attach(k *core.Kernel) {
 	s.Sched.Attach(k)
 	if d, ok := k.Disk.(*ssd.Device); ok {
-		d.SetGCGate(func() bool { return !s.SyncPressure(s.GCGrace) })
+		d.SetGCGate(func() bool { return !s.SyncPressure(gcGrace) })
 	}
 }

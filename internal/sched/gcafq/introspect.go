@@ -10,7 +10,7 @@ func (s *Sched) Snapshot() sched.Snap {
 	snap := s.Sched.Snapshot()
 	snap.Name = s.Name()
 	open := 1
-	if s.SyncPressure(s.GCGrace) {
+	if s.SyncPressure(gcGrace) {
 		open = 0
 	}
 	snap.AddInt("gc_gate_open", open)

@@ -39,25 +39,25 @@ type Sched struct {
 	k        *core.Kernel
 	inner    core.Scheduler // the stock block-level elevator (CFQ)
 	accounts map[string]*tokenbucket.Bucket
+}
 
-	// PerCallCPU is the token-logic CPU cost added to every intercepted
+const (
+	// perCallCPU is the token-logic CPU cost added to every intercepted
 	// system call.
-	PerCallCPU time.Duration
-	// PerPageCPU is the cost of SCS's per-page cache-hit detection on the
+	perCallCPU = 1500 * time.Nanosecond
+	// perPageCPU is the cost of SCS's per-page cache-hit detection on the
 	// read path (the file-system modification Craciunas et al. needed runs
 	// for every page of every read). This is what makes cache-hit reads
 	// ~2x slower under SCS than under split scheduling (Fig 14 read-mem).
-	PerPageCPU time.Duration
-}
+	perPageCPU = 400 * time.Nanosecond
+)
 
 // New builds an SCS-Token scheduler with no accounts configured.
 func New(env *sim.Env) core.Scheduler {
 	return &Sched{
-		env:        env,
-		inner:      cfq.New(env),
-		accounts:   make(map[string]*tokenbucket.Bucket),
-		PerCallCPU: 1500 * time.Nanosecond,
-		PerPageCPU: 400 * time.Nanosecond,
+		env:      env,
+		inner:    cfq.New(env),
+		accounts: make(map[string]*tokenbucket.Bucket),
 	}
 }
 
@@ -131,7 +131,7 @@ func (s *Sched) allCached(f *fs.File, off, n int64) bool {
 
 func (s *Sched) readEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File, off, n int64) {
 	pages := (n + cache.PageSize - 1) / cache.PageSize
-	s.k.CPU.Use(p, s.PerCallCPU+time.Duration(pages)*s.PerPageCPU)
+	s.k.CPU.Use(p, perCallCPU+time.Duration(pages)*perPageCPU)
 	b := s.bucket(c)
 	if b == nil {
 		return
@@ -144,7 +144,7 @@ func (s *Sched) readEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File, off, n int64) {
 }
 
 func (s *Sched) writeEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File, off, n int64) {
-	s.k.CPU.Use(p, s.PerCallCPU)
+	s.k.CPU.Use(p, perCallCPU)
 	b := s.bucket(c)
 	if b == nil {
 		return
@@ -156,7 +156,7 @@ func (s *Sched) writeEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File, off, n int64) 
 }
 
 func (s *Sched) fsyncEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File) {
-	s.k.CPU.Use(p, s.PerCallCPU)
+	s.k.CPU.Use(p, perCallCPU)
 	b := s.bucket(c)
 	if b == nil {
 		return

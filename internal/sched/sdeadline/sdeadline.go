@@ -12,7 +12,7 @@
 // beyond what can be flushed inside the tightest deadline, which bounds the
 // ordered-mode entanglement every commit drags in (Fig 12, Fig 19).
 //
-// With FullControl (the default), the scheduler disables pdflush and paces
+// With full control (the default), the scheduler disables pdflush and paces
 // writeback itself, eliminating untimely flusher I/O (the paper's
 // Split-Deadline line in Fig 19; NewWithPdflush gives the Split-Pdflush
 // variant).
@@ -62,40 +62,40 @@ type Sched struct {
 	randCost time.Duration
 	seqCost  time.Duration
 
-	// DefaultReadDeadline and DefaultFsyncDeadline apply when a context has
-	// no per-process setting (Table 3).
-	DefaultReadDeadline  time.Duration
-	DefaultFsyncDeadline time.Duration
-	// MaxBurst is the device-time budget an fsync may force at once; larger
+	// maxBurst is the device-time budget an fsync may force at once; larger
 	// estimated costs are spread via async writeback first.
-	MaxBurst time.Duration
-	// BacklogBudget bounds total dirty device-time before write syscalls
+	maxBurst time.Duration
+	// backlogBudget bounds total dirty device-time before write syscalls
 	// are throttled.
-	BacklogBudget time.Duration
-	// FullControl disables pdflush and paces writeback from the scheduler.
-	FullControl bool
-	// WritesStarvedLimit bounds read preference at the block level.
-	WritesStarvedLimit int
+	backlogBudget time.Duration
+	// fullControl disables pdflush and paces writeback from the scheduler.
+	fullControl bool
 
-	// minDeadline is the tightest fsync deadline observed; MaxBurst and
-	// BacklogBudget shrink with it so no commit can drag in more entangled
+	// minDeadline is the tightest fsync deadline observed; maxBurst and
+	// backlogBudget shrink with it so no commit can drag in more entangled
 	// data than the tightest deadline affords (paper: "waits until the
 	// amount of dirty data drops to a point such that other deadlines would
 	// not be affected").
 	minDeadline time.Duration
 }
 
+const (
+	// defaultReadDeadline and defaultFsyncDeadline apply when a context has
+	// no per-process setting (Table 3).
+	defaultReadDeadline  = 50 * time.Millisecond
+	defaultFsyncDeadline = 500 * time.Millisecond
+	// writesStarvedLimit bounds read preference at the block level.
+	writesStarvedLimit int = 2
+)
+
 // New builds a Split-Deadline scheduler with full writeback control.
 func New(env *sim.Env) core.Scheduler {
 	return &Sched{
-		env:                  env,
-		files:                make(map[int64]*fileStats),
-		DefaultReadDeadline:  50 * time.Millisecond,
-		DefaultFsyncDeadline: 500 * time.Millisecond,
-		MaxBurst:             25 * time.Millisecond,
-		BacklogBudget:        50 * time.Millisecond,
-		FullControl:          true,
-		WritesStarvedLimit:   2,
+		env:           env,
+		files:         make(map[int64]*fileStats),
+		maxBurst:      25 * time.Millisecond,
+		backlogBudget: 50 * time.Millisecond,
+		fullControl:   true,
 	}
 }
 
@@ -103,7 +103,7 @@ func New(env *sim.Env) core.Scheduler {
 // and the scheduler only throttles writers (paper §7.1.2).
 func NewWithPdflush(env *sim.Env) core.Scheduler {
 	s := New(env).(*Sched)
-	s.FullControl = false
+	s.fullControl = false
 	return s
 }
 
@@ -115,7 +115,7 @@ var PdflushFactory core.Factory = NewWithPdflush
 
 // Name implements core.Scheduler.
 func (s *Sched) Name() string {
-	if s.FullControl {
+	if s.fullControl {
 		return "split-deadline"
 	}
 	return "split-pdflush"
@@ -137,7 +137,7 @@ func (s *Sched) Attach(k *core.Kernel) {
 	k.Cache.SetHooks(cache.MemHooks{
 		BufferDirty: s.bufferDirty,
 	})
-	if s.FullControl {
+	if s.fullControl {
 		k.Cache.SetPdflushEnabled(false)
 		k.VFS.ThrottleWrites = false
 		k.Cache.SetDirtyRatios(0.9, 0.8)
@@ -188,8 +188,7 @@ func (s *Sched) pageCost(ino int64) time.Duration {
 // dirty pages plus every ordered-mode dependency of the running transaction.
 func (s *Sched) fsyncCost(file *fs.File) time.Duration {
 	cost := time.Duration(s.k.Cache.FileDirtyPages(file.Ino)) * s.pageCost(file.Ino)
-	meta, depPages := s.k.FS.RunningTxnInfo()
-	_ = depPages
+	meta, _ := s.k.FS.RunningTxnInfo()
 	// Dependencies: dirty pages of every file in the txn (including this
 	// one, already counted above — subtract it).
 	for _, ino := range s.k.Cache.DirtyFiles() {
@@ -217,9 +216,9 @@ func (s *Sched) backlogCost() time.Duration {
 // scheduling goals. Cheap writers (a log appender's 4 KB) pass untouched;
 // bulk random writers are paced at the drain rate.
 func (s *Sched) writeEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File, off, n int64) {
-	for s.fileCost(f.Ino) > s.BacklogBudget {
+	for s.fileCost(f.Ino) > s.backlogBudget {
 		s.k.Cache.FlushAsync(f.Ino)
-		if s.FullControl {
+		if s.fullControl {
 			s.k.Cache.Writeback(p, f.Ino, 16)
 		}
 		p.Sleep(5 * time.Millisecond)
@@ -236,19 +235,19 @@ func (s *Sched) fileCost(ino int64) time.Duration {
 func (s *Sched) fsyncEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File) {
 	fd := c.FsyncDeadline
 	if fd == 0 {
-		fd = s.DefaultFsyncDeadline
+		fd = defaultFsyncDeadline
 	}
 	if s.minDeadline == 0 || fd < s.minDeadline {
 		s.minDeadline = fd
-		s.MaxBurst = fd / 4
-		s.BacklogBudget = fd / 2
+		s.maxBurst = fd / 4
+		s.backlogBudget = fd / 2
 	}
 	deadline := p.Now().Add(fd)
 	// Spread the cost: async writeback has no synchronization point, so
 	// other operations never wait on it.
-	for s.fsyncCost(f) > s.MaxBurst {
+	for s.fsyncCost(f) > s.maxBurst {
 		s.k.Cache.FlushAsync(f.Ino)
-		if s.FullControl {
+		if s.fullControl {
 			// No pdflush: drain a batch ourselves on this process.
 			s.drainOnce(p)
 		}
@@ -295,7 +294,7 @@ func (s *Sched) drainOnce(p *sim.Proc) {
 	s.k.Cache.Writeback(p, files[0], 16)
 }
 
-// writebackPacer replaces pdflush under FullControl: drain dirty data
+// writebackPacer replaces pdflush under full control: drain dirty data
 // whenever no pending fsync is about to expire, in file-order batches that
 // keep the device busy but preemptible.
 func (s *Sched) writebackPacer(p *sim.Proc) {
@@ -308,7 +307,7 @@ func (s *Sched) writebackPacer(p *sim.Proc) {
 		urgent := false
 		now := p.Now()
 		for _, e := range s.pending {
-			if e.deadline.Sub(now) < 2*s.MaxBurst {
+			if e.deadline.Sub(now) < 2*s.maxBurst {
 				urgent = true
 				break
 			}
@@ -334,7 +333,7 @@ func (s *Sched) writebackPacer(p *sim.Proc) {
 func (s *Sched) Add(r *block.Request) {
 	if r.Op == device.Read {
 		if r.Deadline == 0 {
-			r.Deadline = s.env.Now().Add(s.DefaultReadDeadline)
+			r.Deadline = s.env.Now().Add(defaultReadDeadline)
 		}
 		s.reads = insertByLBA(s.reads, r)
 		return
@@ -382,7 +381,7 @@ func (s *Sched) Next(now sim.Time) *block.Request {
 		s.reads, r = remove(s.reads, best)
 	} else if si := s.syncWriteIndex(); si >= 0 {
 		s.writes, r = remove(s.writes, si)
-	} else if len(s.reads) > 0 && (len(s.writes) == 0 || s.writesStarve < s.WritesStarvedLimit) {
+	} else if len(s.reads) > 0 && (len(s.writes) == 0 || s.writesStarve < writesStarvedLimit) {
 		s.reads, r = s.nextByLBA(s.reads)
 		if len(s.writes) > 0 {
 			s.writesStarve++

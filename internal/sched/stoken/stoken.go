@@ -72,34 +72,33 @@ type Sched struct {
 	// PrelimRandBytes is the preliminary (memory-level) normalized cost of
 	// a random page; the block-level revision corrects it.
 	PrelimRandBytes float64
-	// AnticipationWindow is how long the dispatcher waits for a stream's
-	// next sequential read before moving on.
-	AnticipationWindow time.Duration
-	// MaxReadWait bounds how long a queued read may starve behind an
-	// anticipated stream before it breaks the chain (a CFQ-like slice).
-	MaxReadWait time.Duration
-	// IdleGrace and IdleDirtyMax implement the idle class at the syscall
-	// level: idle writers wait for quiet and keep tiny backlogs.
-	IdleGrace    time.Duration
-	IdleDirtyMax int64
 
 	statPrelim  float64
 	statRevised float64
 	statRefunds float64
 }
 
+const (
+	// anticipationWindow is how long the dispatcher waits for a stream's
+	// next sequential read before moving on.
+	anticipationWindow = 500 * time.Microsecond
+	// maxReadWait bounds how long a queued read may starve behind an
+	// anticipated stream before it breaks the chain (a CFQ-like slice).
+	maxReadWait = 20 * time.Millisecond
+	// idleGrace and idleDirtyMax implement the idle class at the syscall
+	// level: idle writers wait for quiet and keep tiny backlogs.
+	idleGrace          = 50 * time.Millisecond
+	idleDirtyMax int64 = 4 << 20
+)
+
 // New builds a Split-Token scheduler with no accounts configured.
 func New(env *sim.Env) core.Scheduler {
 	return &Sched{
-		env:                env,
-		accounts:           make(map[string]*tokenbucket.Bucket),
-		pidAccount:         make(map[causes.PID]string),
-		prelim:             make(map[pageKey]prelimCharge),
-		PrelimRandBytes:    256 << 10,
-		AnticipationWindow: 500 * time.Microsecond,
-		MaxReadWait:        20 * time.Millisecond,
-		IdleGrace:          50 * time.Millisecond,
-		IdleDirtyMax:       4 << 20,
+		env:             env,
+		accounts:        make(map[string]*tokenbucket.Bucket),
+		pidAccount:      make(map[causes.PID]string),
+		prelim:          make(map[pageKey]prelimCharge),
+		PrelimRandBytes: 256 << 10,
 	}
 }
 
@@ -230,9 +229,9 @@ func (s *Sched) writeEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File, off, n int64) 
 	if c.Class == block.ClassIdle {
 		// Idle class, done right: hold the write *before* it pollutes the
 		// write buffer, until the system is quiet and our backlog drained.
-		for p.Now().Sub(s.lastFg) < s.IdleGrace ||
-			s.k.Cache.FileDirtyBytes(f.Ino) > s.IdleDirtyMax {
-			p.Sleep(s.IdleGrace)
+		for p.Now().Sub(s.lastFg) < idleGrace ||
+			s.k.Cache.FileDirtyBytes(f.Ino) > idleDirtyMax {
+			p.Sleep(idleGrace)
 		}
 	}
 	s.throttleSyscall(p, c)
@@ -268,7 +267,7 @@ func (s *Sched) Next(now sim.Time) *block.Request {
 	// An eligible read that has waited a full slice breaks any anticipation
 	// chain: streams may not starve other readers.
 	for i, r := range s.readQ {
-		if now.Sub(r.Queued) < s.MaxReadWait {
+		if now.Sub(r.Queued) < maxReadWait {
 			continue
 		}
 		b, _ := s.bucketOf(r.Causes)
@@ -336,9 +335,9 @@ func (s *Sched) Completed(r *block.Request) {
 		// Anticipate the stream's next sequential read.
 		s.expectLBA = r.LBA + int64(r.Blocks)
 		s.anticipateCs = r.Causes
-		s.anticipateUntil = s.env.Now().Add(s.AnticipationWindow)
+		s.anticipateUntil = s.env.Now().Add(anticipationWindow)
 		if s.layer != nil {
-			s.env.Schedule(s.AnticipationWindow, s.layer.Kick)
+			s.env.Schedule(anticipationWindow, s.layer.Kick)
 		}
 		return
 	}

@@ -50,11 +50,7 @@ func TestEventLoopInvariants(t *testing.T) {
 			}
 		})
 
-		spec, err := workload.Parse(propWorkload)
-		if err != nil {
-			t.Fatalf("bad property workload: %v", err)
-		}
-		spec.Spawn(k)
+		workload.Spawn(k, propWorkload)
 		k.Run(5 * time.Minute)
 		env.SetEventObserver(nil)
 

@@ -57,12 +57,12 @@ const propSeeds = 32
 // Every process performs an exact byte count and exits, which is what makes
 // "did everyone finish" assertable. The random reader works over a 1 GiB
 // file so its pattern (and thus the trace) genuinely varies with the seed.
-const propWorkload = `
-seqwrite    name=w  prio=1 file=/w   bytes=512K chunk=64K  fsync=end
-randread    name=r  prio=6 file=/big bytes=256K chunk=16K  size=1G
-fsyncappend name=fa prio=4 file=/log bytes=128K chunk=32K
-seqread     name=sr prio=0 file=/cold bytes=512K chunk=128K size=64M
-`
+var propWorkload = []workload.ProcSpec{
+	{Kind: "seqwrite", Name: "w", Prio: 1, File: "/w", Chunk: 64 << 10, Bytes: 512 << 10, Size: 512 << 10, FsyncEnd: true},
+	{Kind: "randread", Name: "r", Prio: 6, File: "/big", Chunk: 16 << 10, Bytes: 256 << 10, Size: 1 << 30},
+	{Kind: "fsyncappend", Name: "fa", Prio: 4, File: "/log", Chunk: 32 << 10, Bytes: 128 << 10, Size: 128 << 10},
+	{Kind: "seqread", Name: "sr", Prio: 0, File: "/cold", Chunk: 128 << 10, Bytes: 512 << 10, Size: 64 << 20},
+}
 
 // maxIdleWhileQueued bounds how long the device may sit idle while block
 // requests are queued. Strict work conservation is deliberately false here:
@@ -97,11 +97,7 @@ func runPropCell(factory core.Factory, seed int64) propResult {
 	defer k.Env.Close()
 	k.Trace.Enable()
 
-	spec, err := workload.Parse(propWorkload)
-	if err != nil {
-		panic(fmt.Sprintf("schedtest: bad property workload: %v", err))
-	}
-	procs := spec.Spawn(k)
+	procs := workload.Spawn(k, propWorkload)
 	// The workload is finite; the window is virtual headroom, not runtime.
 	k.Run(5 * time.Minute)
 
@@ -113,7 +109,7 @@ func runPropCell(factory core.Factory, seed int64) propResult {
 	}
 	for i, pr := range procs {
 		res.Done = append(res.Done, fmt.Sprintf("%s=read:%d,wrote:%d,fsync:%d",
-			spec.Procs[i].Name, pr.BytesRead.Total(), pr.BytesWritten.Total(), pr.Fsyncs.Count()))
+			propWorkload[i].Name, pr.BytesRead.Total(), pr.BytesWritten.Total(), pr.Fsyncs.Count()))
 	}
 	return res
 }

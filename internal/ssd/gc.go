@@ -30,7 +30,7 @@ func (d *Device) gcStep() {
 	if d.freeBlocks > d.cfg.GCCritical && d.gate != nil && !d.gate() {
 		// Deferred by the scheduler hint: re-check when the gate may
 		// have opened (or a write pushes the pool to critical).
-		d.work.WaitTimeoutFn(d.poll(), d.gcWaitFn)
+		d.work.WaitTimeoutFn(gcPoll, d.gcWaitFn)
 		return
 	}
 	now := time.Duration(d.env.Now())
@@ -38,19 +38,12 @@ func (d *Device) gcStep() {
 	if done <= now {
 		// No collectable victim right now (nothing invalid to reclaim);
 		// back off instead of spinning at one instant.
-		d.work.WaitTimeoutFn(d.poll(), d.gcWaitFn)
+		d.work.WaitTimeoutFn(gcPoll, d.gcWaitFn)
 		return
 	}
 	// One victim in flight at a time: pace the loop to the erase
 	// completion so collections serialize on virtual time.
 	d.env.Schedule(done-now, d.gcStepFn)
-}
-
-func (d *Device) poll() time.Duration {
-	if d.cfg.GCPoll > 0 {
-		return d.cfg.GCPoll
-	}
-	return 500 * time.Microsecond
 }
 
 // victim returns the full block with the fewest valid pages (lowest id on
@@ -108,8 +101,8 @@ func (d *Device) collect(now time.Duration) time.Duration {
 		d.valid[int(dst)/d.cfg.PagesPerBlock]++
 		moved++
 	}
-	migEnd := start + time.Duration(moved)*(d.cfg.PageRead+d.cfg.PageProgram)
-	eraseEnd := migEnd + d.cfg.BlockErase
+	migEnd := start + time.Duration(moved)*(pageRead+pageProgram)
+	eraseEnd := migEnd + blockErase
 	d.dieFree[die] = eraseEnd
 	if eraseEnd > d.gcHeld[die] {
 		d.gcHeld[die] = eraseEnd

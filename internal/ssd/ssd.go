@@ -62,13 +62,6 @@ type Config struct {
 	BlocksPerPlane int
 	PagesPerBlock  int
 
-	// PageRead/PageProgram/BlockErase are the NAND array times; ChanXfer is
-	// the per-page channel transfer time.
-	PageRead    time.Duration
-	PageProgram time.Duration
-	BlockErase  time.Duration
-	ChanXfer    time.Duration
-
 	// OverProvision is the fraction of physical pages hidden from the
 	// exported capacity; the slack is what keeps GC victims from being
 	// fully valid.
@@ -76,12 +69,21 @@ type Config struct {
 
 	// GCLowWater is the free-block count at or below which background GC
 	// runs; GCCritical is the count at or below which it runs even against
-	// a closed scheduler gate (see SetGCGate). GCPoll is how often a
-	// deferred collector re-checks the gate.
+	// a closed scheduler gate (see SetGCGate).
 	GCLowWater int
 	GCCritical int
-	GCPoll     time.Duration
 }
+
+const (
+	// pageRead/pageProgram/blockErase are the NAND array times; chanXfer is
+	// the per-page channel transfer time.
+	pageRead    = 60 * time.Microsecond
+	pageProgram = 350 * time.Microsecond
+	blockErase  = 2 * time.Millisecond
+	chanXfer    = 25 * time.Microsecond
+	// gcPoll is how often a deferred collector re-checks the gate.
+	gcPoll = 500 * time.Microsecond
+)
 
 // DefaultConfig is an ~4 GiB-exported device: 8 channels × 4 dies ×
 // 2 planes × 72 blocks × 256 pages ≈ 4.5 GiB physical, 12.5%
@@ -94,14 +96,9 @@ func DefaultConfig() Config {
 		PlanesPerDie:   2,
 		BlocksPerPlane: 72,
 		PagesPerBlock:  256,
-		PageRead:       60 * time.Microsecond,
-		PageProgram:    350 * time.Microsecond,
-		BlockErase:     2 * time.Millisecond,
-		ChanXfer:       25 * time.Microsecond,
 		OverProvision:  0.125,
 		GCLowWater:     128,
 		GCCritical:     16,
-		GCPoll:         500 * time.Microsecond,
 	}
 }
 
@@ -242,12 +239,12 @@ func (d *Device) SetTracer(tr *trace.Tracer) {
 }
 
 // SetGCGate installs the scheduler hint hook: when non-nil and returning
-// false, background GC defers (re-polling every GCPoll) unless the free
+// false, background GC defers (re-polling every gcPoll) unless the free
 // pool has fallen to GCCritical. GC-aware split schedulers close the gate
 // while high-priority sync requests are queued.
 func (d *Device) SetGCGate(gate func() bool) { d.gate = gate }
 
-// Config returns the device's geometry and timing configuration.
+// Config returns the device's geometry and GC configuration.
 func (d *Device) Config() Config { return d.cfg }
 
 // Name implements device.Disk.
@@ -260,8 +257,8 @@ func (d *Device) Blocks() int64 { return d.exported }
 // SeqBandwidth implements device.Disk: streaming throughput is bounded by
 // the busier of the shared channel buses and the NAND program arrays.
 func (d *Device) SeqBandwidth() float64 {
-	per := d.cfg.ChanXfer / time.Duration(d.cfg.Channels)
-	if die := d.cfg.PageProgram / time.Duration(d.dies); die > per {
+	per := chanXfer / time.Duration(d.cfg.Channels)
+	if die := pageProgram / time.Duration(d.dies); die > per {
 		per = die
 	}
 	return float64(device.BlockSize) / per.Seconds()
@@ -279,7 +276,7 @@ func (d *Device) GCStall() time.Duration { return d.lastStall }
 
 // RandPageCost is the cost-model estimate for one random page access
 // (array read plus channel transfer, no queueing).
-func (d *Device) RandPageCost() time.Duration { return d.cfg.PageRead + d.cfg.ChanXfer }
+func (d *Device) RandPageCost() time.Duration { return pageRead + chanXfer }
 
 // clampLP folds an arbitrary LBA into the exported logical page range, so
 // defensive callers (property tests, clamped workloads) never index out of
@@ -333,7 +330,7 @@ func (d *Device) ServiceTime(op device.Op, lba int64, n int, now time.Duration, 
 		stall += st
 	}
 	if barrier {
-		end += d.cfg.PageProgram
+		end += pageProgram
 	}
 	svc := end - now
 	pos := first - now
@@ -358,11 +355,11 @@ func (d *Device) writePage(lp int64, now time.Duration) (fin, start, stall time.
 	d.remap(lp, phys)
 	ch := die % d.cfg.Channels
 	xstart := maxd(now, d.chanFree[ch])
-	xend := xstart + d.cfg.ChanXfer
+	xend := xstart + chanXfer
 	d.chanFree[ch] = xend
 	pstart := maxd(xend, d.dieFree[die])
 	stall = d.gcWait(die, xend, pstart)
-	pend := pstart + d.cfg.PageProgram
+	pend := pstart + pageProgram
 	d.dieFree[die] = pend
 	d.hostPages++
 	return pend, xstart, stall
@@ -379,11 +376,11 @@ func (d *Device) readPage(lp int64, now time.Duration) (fin, start, stall time.D
 	}
 	rstart := maxd(now, d.dieFree[die])
 	stall = d.gcWait(die, now, rstart)
-	rend := rstart + d.cfg.PageRead
+	rend := rstart + pageRead
 	d.dieFree[die] = rend
 	ch := die % d.cfg.Channels
 	xstart := maxd(rend, d.chanFree[ch])
-	xend := xstart + d.cfg.ChanXfer
+	xend := xstart + chanXfer
 	d.chanFree[ch] = xend
 	return xend, rstart, stall
 }

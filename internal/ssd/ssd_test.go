@@ -51,8 +51,8 @@ func TestDieParallelism(t *testing.T) {
 	svc1 := d.ServiceTime(device.Write, 0, 1, 0, false)
 	svc2 := d.ServiceTime(device.Write, 1, 1, 0, false)
 	svc3 := d.ServiceTime(device.Write, 2, 1, 0, false)
-	if svc1 != d.cfg.ChanXfer+d.cfg.PageProgram {
-		t.Fatalf("first write svc = %v, want xfer+program = %v", svc1, d.cfg.ChanXfer+d.cfg.PageProgram)
+	if svc1 != chanXfer+pageProgram {
+		t.Fatalf("first write svc = %v, want xfer+program = %v", svc1, chanXfer+pageProgram)
 	}
 	if svc2 != svc1 {
 		t.Fatalf("parallel-die write svc = %v, want %v (full overlap)", svc2, svc1)
@@ -67,11 +67,11 @@ func TestDieParallelism(t *testing.T) {
 func TestMultiPageOverlap(t *testing.T) {
 	_, d := newTestDevice(1)
 	svc := d.ServiceTime(device.Write, 0, 8, 0, false)
-	serial := 8 * (d.cfg.ChanXfer + d.cfg.PageProgram)
+	serial := 8 * (chanXfer + pageProgram)
 	if svc >= serial {
 		t.Fatalf("8-page write svc = %v, want < serialized %v", svc, serial)
 	}
-	if svc < d.cfg.PageProgram {
+	if svc < pageProgram {
 		t.Fatalf("8-page write svc = %v, implausibly small", svc)
 	}
 }
@@ -81,7 +81,7 @@ func TestBarrierCharged(t *testing.T) {
 	_, d2 := newTestDevice(1)
 	plain := d1.ServiceTime(device.Write, 0, 1, 0, false)
 	barrier := d2.ServiceTime(device.Write, 0, 1, 0, true)
-	if barrier != plain+d2.cfg.PageProgram {
+	if barrier != plain+pageProgram {
 		t.Fatalf("barrier svc = %v, want plain %v + program", barrier, plain)
 	}
 }
@@ -92,7 +92,7 @@ func TestReadUnmappedAndMapped(t *testing.T) {
 		t.Fatalf("unmapped read svc = %v, want > 0", svc)
 	}
 	d.ServiceTime(device.Write, 7, 1, time.Second, false)
-	if svc := d.ServiceTime(device.Read, 7, 1, 2*time.Second, false); svc != d.cfg.PageRead+d.cfg.ChanXfer {
+	if svc := d.ServiceTime(device.Read, 7, 1, 2*time.Second, false); svc != pageRead+chanXfer {
 		t.Fatalf("mapped idle read svc = %v, want read+xfer", svc)
 	}
 }
@@ -129,7 +129,7 @@ func TestAge(t *testing.T) {
 		t.Fatalf("aging moved service counters: host=%d gc=%d", d.HostPages(), d.GCPages())
 	}
 	// Mapped state survives: a read of an aged page hits its die directly.
-	if svc := d.ServiceTime(device.Read, 0, 1, 0, false); svc != d.cfg.PageRead+d.cfg.ChanXfer {
+	if svc := d.ServiceTime(device.Read, 0, 1, 0, false); svc != pageRead+chanXfer {
 		t.Fatalf("aged read svc = %v, want read+xfer", svc)
 	}
 }

@@ -2,7 +2,9 @@
 // experiments are built from: sequential and random readers and writers,
 // fsync appenders, run-then-seek patterns (Fig 6), memory-bound loops,
 // metadata creators (Fig 17), and CPU spinners (Fig 15). Every generator
-// loops until its process is killed at the end of the measured window.
+// loops until its process is killed at the end of the measured window;
+// Spawn instead runs a list of finite processes that each do an exact
+// byte count and exit.
 package workload
 
 import (

@@ -1,6 +1,6 @@
-// Microbenchmark for the page-cache lookup hot path — with ~80M calls per
-// figure run it dominates the cache perf bucket, so `make microbench`
-// tracks it directly.
+// Microbenchmarks for the page cache's hot paths, which `make microbench`
+// tracks directly: the read-path lookup, the write path's range dirtying
+// (one call per write), and clean inserts into a sparsely resident file.
 package cache_test
 
 import (
@@ -39,5 +39,31 @@ func BenchmarkCacheLookupMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(2, int64(i))
+	}
+}
+
+// BenchmarkCacheMarkDirtyRangeOverwrite rewrites 1024 already-dirty pages
+// per call, the shape of Fig 11's mem-overwrite writer.
+func BenchmarkCacheMarkDirtyRangeOverwrite(b *testing.B) {
+	c := benchCache(b)
+	c.SetPdflushEnabled(false)
+	ctx := &ioctx.Ctx{PID: 100, Name: "writer", Prio: 4}
+	const pages = 1024
+	c.MarkDirtyRange(ctx, 1, 0, pages-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.MarkDirtyRange(ctx, 1, 0, pages-1)
+	}
+}
+
+// BenchmarkCacheInsertCleanSparse inserts clean pages one per 64-page
+// stretch, as a random reader does, evicting once RAM is full.
+func BenchmarkCacheInsertCleanSparse(b *testing.B) {
+	c := benchCache(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.InsertClean(1, int64(i)*64)
 	}
 }

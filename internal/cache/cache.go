@@ -9,6 +9,7 @@ package cache
 import (
 	"container/heap"
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -60,35 +61,85 @@ type MemHooks struct {
 	BufferFree func(ino, idx int64, c causes.Set)
 }
 
+// chunkShift sets the page-table chunk size: a file's pages are grouped in
+// aligned runs of 1<<chunkShift pages, so one chunk's state fits a uint64.
+const (
+	chunkShift = 6
+	chunkPages = 1 << chunkShift
+)
+
 // page is one resident page. A clean page sits on the cache's LRU ring; a
-// dirty page is off the ring and its index is in its file's dirty heap.
+// dirty page is off the ring and its bit is set in its chunk's dirty mask.
+// Pages come from the cache's slab free list.
 type page struct {
-	file       *file
+	ch         *chunk
 	idx        int64
-	dirty      bool
 	wcauses    causes.Set
-	prev, next *page // LRU ring links, nil while dirty
+	prev, next *page // LRU ring links, nil while dirty; next links the free list
+}
+
+// chunk is the state of one aligned run of chunkPages pages of a file. Bit b
+// of present (dirty) is page key<<chunkShift + b. pages holds only the
+// resident pages, in index order, so a file read at random costs one slot
+// per resident page rather than a whole chunk: page b is
+// pages[rank(present, b)].
+type chunk struct {
+	file           *file
+	key            int64
+	present, dirty uint64
+	pages          []*page
+}
+
+// rank returns the slot of bit b in a chunk whose resident mask is present.
+func rank(present uint64, b uint) int {
+	return bits.OnesCount64(present & (1<<b - 1))
 }
 
 // file is the page-cache state of one inode.
 type file struct {
 	ino    int64
-	pages  map[int64]*page
-	dirty  idxHeap // indices of the dirty pages
-	queued bool    // in Cache.order
+	chunks map[int64]*chunk
+	last   *chunk    // the chunk used last, so runs of pages skip the map
+	dirty  chunkHeap // chunks with dirty pages, by key
+	queued bool      // in Cache.order
+
+	resident, ndirty int64 // page counts
 }
 
-// idxHeap is a min-heap of page indices (container/heap), so writeback
-// takes a file's lowest dirty pages without sorting.
-type idxHeap []int64
+// chunk returns the chunk with the given key, or nil.
+func (f *file) chunk(key int64) *chunk {
+	if ch := f.last; ch != nil && ch.key == key {
+		return ch
+	}
+	ch := f.chunks[key]
+	if ch != nil {
+		f.last = ch
+	}
+	return ch
+}
 
-func (h idxHeap) Len() int           { return len(h) }
-func (h idxHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h idxHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *idxHeap) Push(x any)        { *h = append(*h, x.(int64)) }
-func (h *idxHeap) Pop() any {
+// page returns f's resident page idx, or nil.
+func (f *file) page(idx int64) *page {
+	ch, b := f.chunk(idx>>chunkShift), uint(idx&(chunkPages-1))
+	if ch == nil || ch.present&(1<<b) == 0 {
+		return nil
+	}
+	return ch.pages[rank(ch.present, b)]
+}
+
+// chunkHeap is a min-heap of chunks by key (container/heap). A chunk is in
+// its file's heap exactly while its dirty mask is non-zero, so writeback
+// takes a file's lowest dirty pages without sorting.
+type chunkHeap []*chunk
+
+func (h chunkHeap) Len() int           { return len(h) }
+func (h chunkHeap) Less(i, j int) bool { return h[i].key < h[j].key }
+func (h chunkHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *chunkHeap) Push(x any)        { *h = append(*h, x.(*chunk)) }
+func (h *chunkHeap) Pop() any {
 	old := *h
 	x := old[len(old)-1]
+	old[len(old)-1] = nil
 	*h = old[:len(old)-1]
 	return x
 }
@@ -110,6 +161,7 @@ type Cache struct {
 	files    map[int64]*file
 	lru      page  // sentinel of the ring of clean pages; lru.next is least recent
 	resident int64 // pages across all files
+	free     *page // page free list, carved from chunkPages-page slabs
 
 	dirtyCount int64
 	// order is the round-robin writeback order: every file dirtied since
@@ -210,7 +262,7 @@ func (c *Cache) DirtyBytes() int64 { return c.dirtyCount * PageSize }
 // FileDirtyPages returns the number of dirty pages of ino.
 func (c *Cache) FileDirtyPages(ino int64) int64 {
 	if f := c.files[ino]; f != nil {
-		return int64(len(f.dirty))
+		return f.ndirty
 	}
 	return 0
 }
@@ -225,7 +277,7 @@ func (c *Cache) FileDirtyBytes(ino int64) int64 {
 func (c *Cache) DirtyFiles() []int64 {
 	out := make([]int64, 0, len(c.order))
 	for _, f := range c.order {
-		if len(f.dirty) > 0 {
+		if f.ndirty > 0 {
 			out = append(out, f.ino)
 		}
 	}
@@ -253,7 +305,7 @@ func (c *Cache) dirtyThreshold() int64 {
 // page returns the resident page (ino, idx), or nil.
 func (c *Cache) page(ino, idx int64) *page {
 	if f := c.files[ino]; f != nil {
-		return f.pages[idx]
+		return f.page(idx)
 	}
 	return nil
 }
@@ -286,28 +338,83 @@ func (c *Cache) InsertClean(ino, idx int64) {
 		return
 	}
 	c.evictIfFull()
-	c.lruPush(c.add(ino, idx))
+	c.lruPush(c.add(c.fileOf(ino), idx))
 }
 
-// add makes (ino, idx) resident, creating the file's record if needed.
-func (c *Cache) add(ino, idx int64) *page {
+// fileOf returns ino's record, creating it if needed.
+func (c *Cache) fileOf(ino int64) *file {
 	f := c.files[ino]
 	if f == nil {
-		f = &file{ino: ino, pages: make(map[int64]*page)}
+		f = &file{ino: ino, chunks: make(map[int64]*chunk)}
 		c.files[ino] = f
 	}
-	pg := &page{file: f, idx: idx}
-	f.pages[idx] = pg
+	return f
+}
+
+// add makes page idx of f resident, creating its chunk if needed.
+func (c *Cache) add(f *file, idx int64) *page {
+	key, b := idx>>chunkShift, uint(idx&(chunkPages-1))
+	ch := f.chunk(key)
+	if ch == nil {
+		ch = &chunk{file: f, key: key}
+		f.chunks[key] = ch
+		f.last = ch
+	}
+	pg := c.allocPage()
+	pg.ch, pg.idx = ch, idx
+	ch.pages = slices.Insert(ch.pages, rank(ch.present, b), pg)
+	ch.present |= 1 << b
+	f.resident++
 	c.resident++
 	return pg
+}
+
+// drop makes the clean page pg, already off the LRU ring, non-resident,
+// freeing its chunk if it empties.
+func (c *Cache) drop(pg *page) {
+	ch, b := pg.ch, uint(pg.idx&(chunkPages-1))
+	i := rank(ch.present, b)
+	ch.pages = slices.Delete(ch.pages, i, i+1)
+	ch.present &^= 1 << b
+	f := ch.file
+	f.resident--
+	c.resident--
+	if ch.present == 0 {
+		delete(f.chunks, ch.key)
+		if f.last == ch {
+			f.last = nil
+		}
+	}
+	c.freePage(pg)
+}
+
+// allocPage takes a page from the free list, carving a new slab of
+// chunkPages pages when it is empty: one allocation per 64 pages.
+func (c *Cache) allocPage() *page {
+	if c.free == nil {
+		slab := make([]page, chunkPages)
+		for i := range slab {
+			slab[i].next = c.free
+			c.free = &slab[i]
+		}
+	}
+	pg := c.free
+	c.free = pg.next
+	pg.next = nil
+	return pg
+}
+
+// freePage returns a page that is off the LRU ring to the free list.
+func (c *Cache) freePage(pg *page) {
+	*pg = page{next: c.free}
+	c.free = pg
 }
 
 func (c *Cache) evictIfFull() {
 	for c.resident >= c.cfg.TotalPages && c.lru.next != &c.lru {
 		pg := c.lru.next
 		c.lruUnlink(pg)
-		delete(pg.file.pages, pg.idx)
-		c.resident--
+		c.drop(pg)
 	}
 }
 
@@ -336,49 +443,68 @@ func (c *Cache) touch(pg *page) {
 // buffer-dirty hook. It reports whether the page was already dirty (an
 // overwrite, which costs no new disk I/O).
 func (c *Cache) MarkDirty(ctx *ioctx.Ctx, ino, idx int64) bool {
+	return c.MarkDirtyRange(ctx, ino, idx, idx) == 1
+}
+
+// MarkDirtyRange dirties pages first..last of ino on behalf of ctx in index
+// order, firing the buffer-dirty hook for each page, and returns how many
+// were already dirty. The profiling probe, the file lookup and the cause
+// set are paid once per call, not per page.
+func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 	perf.Count(perf.BucketCache)
+	if first > last {
+		return 0
+	}
+	f := c.fileOf(ino)
 	newCauses := ctx.Causes()
-	pg := c.page(ino, idx)
-	overwrite := pg != nil && pg.dirty
-	prev, label := causes.None, ""
-	if overwrite {
-		prev, label = pg.wcauses, "overwrite"
-		c.tagBytes -= int64(prev.TagBytes())
-		pg.wcauses = prev.Union(newCauses)
-	} else {
-		if pg == nil {
-			c.evictIfFull()
-			pg = c.add(ino, idx)
+	overwrites := 0
+	for idx := first; idx <= last; idx++ {
+		pg, b := f.page(idx), uint(idx&(chunkPages-1))
+		overwrite := pg != nil && pg.ch.dirty&(1<<b) != 0
+		prev, label := causes.None, ""
+		if overwrite {
+			overwrites++
+			prev, label = pg.wcauses, "overwrite"
+			c.tagBytes -= int64(prev.TagBytes())
+			pg.wcauses = prev.Union(newCauses)
 		} else {
-			c.lruUnlink(pg)
+			if pg == nil {
+				c.evictIfFull()
+				pg = c.add(f, idx)
+			} else {
+				c.lruUnlink(pg)
+			}
+			pg.wcauses = newCauses
+			ch := pg.ch
+			if ch.dirty == 0 {
+				heap.Push(&f.dirty, ch)
+			}
+			ch.dirty |= 1 << b
+			f.ndirty++
+			c.dirtyCount++
+			if !f.queued {
+				f.queued = true
+				c.order = append(c.order, f)
+			}
 		}
-		pg.dirty = true
-		pg.wcauses = newCauses
-		c.dirtyCount++
-		f := pg.file
-		heap.Push(&f.dirty, idx)
-		if !f.queued {
-			f.queued = true
-			c.order = append(c.order, f)
+		c.tagBytes += int64(pg.wcauses.TagBytes())
+		c.noteTagMax()
+		if c.hooks.BufferDirty != nil {
+			c.hooks.BufferDirty(ino, idx, pg.wcauses, prev)
+		}
+		if c.tr.Enabled() {
+			now := c.env.Now()
+			c.tr.Record(trace.Event{
+				Layer: trace.LayerCache, Op: trace.OpDirty, Label: label,
+				Req: ctx.Req, PID: ctx.PID, Causes: pg.wcauses,
+				Start: now, End: now, Ino: ino, Page: idx,
+			})
+		}
+		if !overwrite && c.dirtyCount > c.bgThreshold() {
+			c.wbWake.Signal()
 		}
 	}
-	c.tagBytes += int64(pg.wcauses.TagBytes())
-	c.noteTagMax()
-	if c.hooks.BufferDirty != nil {
-		c.hooks.BufferDirty(ino, idx, pg.wcauses, prev)
-	}
-	if c.tr.Enabled() {
-		now := c.env.Now()
-		c.tr.Record(trace.Event{
-			Layer: trace.LayerCache, Op: trace.OpDirty, Label: label,
-			Req: ctx.Req, PID: ctx.PID, Causes: pg.wcauses,
-			Start: now, End: now, Ino: ino, Page: idx,
-		})
-	}
-	if !overwrite && c.dirtyCount > c.bgThreshold() {
-		c.wbWake.Signal()
-	}
-	return overwrite
+	return overwrites
 }
 
 func (c *Cache) noteTagMax() {
@@ -387,28 +513,40 @@ func (c *Cache) noteTagMax() {
 	}
 }
 
+// popDirty clears f's lowest dirty page, which stays resident and off the
+// LRU ring, and returns it.
+func (c *Cache) popDirty(f *file) *page {
+	ch := f.dirty[0]
+	b := uint(bits.TrailingZeros64(ch.dirty))
+	ch.dirty &^= 1 << b
+	if ch.dirty == 0 {
+		heap.Pop(&f.dirty)
+	}
+	f.ndirty--
+	c.dirtyCount--
+	return ch.pages[rank(ch.present, b)]
+}
+
 // TakeDirty removes up to max dirty pages of ino (lowest index first),
 // marking them clean and returning their indices and cause sets. The caller
 // (the file system) is responsible for writing them to disk. Pages
 // re-dirtied while in flight simply become dirty again.
 func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) {
 	f := c.files[ino]
-	if f == nil || len(f.dirty) == 0 {
+	if f == nil || f.ndirty == 0 {
 		return nil, nil
 	}
-	if max <= 0 || max > len(f.dirty) {
-		max = len(f.dirty)
+	if max <= 0 || int64(max) > f.ndirty {
+		max = int(f.ndirty)
 	}
 	idxs = make([]int64, 0, max)
 	tags = make([]causes.Set, 0, max)
 	for len(idxs) < max {
-		pg := f.pages[heap.Pop(&f.dirty).(int64)]
+		pg := c.popDirty(f)
 		idxs = append(idxs, pg.idx)
 		tags = append(tags, pg.wcauses)
-		pg.dirty = false
 		c.tagBytes -= int64(pg.wcauses.TagBytes())
 		pg.wcauses = causes.None
-		c.dirtyCount--
 		c.lruPush(pg)
 	}
 	c.maybeUnthrottle()
@@ -419,8 +557,8 @@ func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) 
 // pages (I/O work that vanished before writeback) in index order.
 func (c *Cache) FreeFile(ino int64) {
 	if f := c.files[ino]; f != nil {
-		for len(f.dirty) > 0 {
-			pg := f.pages[heap.Pop(&f.dirty).(int64)]
+		for f.ndirty > 0 {
+			pg := c.popDirty(f)
 			if c.hooks.BufferFree != nil {
 				c.hooks.BufferFree(ino, pg.idx, pg.wcauses)
 			}
@@ -433,16 +571,20 @@ func (c *Cache) FreeFile(ino int64) {
 				})
 			}
 			c.tagBytes -= int64(pg.wcauses.TagBytes())
-			c.dirtyCount--
 		}
-		//splitlint:ignore maporder unlinking from the ring in any order leaves the same ring
-		for _, pg := range f.pages {
-			if pg.next != nil {
-				c.lruUnlink(pg)
+		//splitlint:ignore maporder unlinking and freeing in any order leaves the same ring and free page count
+		for _, ch := range f.chunks {
+			for _, pg := range ch.pages {
+				if pg.next != nil {
+					c.lruUnlink(pg)
+				}
+				c.freePage(pg)
 			}
 		}
-		c.resident -= int64(len(f.pages))
-		clear(f.pages)
+		c.resident -= f.resident
+		f.resident = 0
+		clear(f.chunks)
+		f.last = nil
 		if !f.queued {
 			delete(c.files, ino)
 		}
@@ -450,13 +592,15 @@ func (c *Cache) FreeFile(ino int64) {
 	c.maybeUnthrottle()
 }
 
-// CheckConsistency verifies the cache's internal invariants: the dirty and
-// resident counters and tag accounting match the pages, each file's dirty
-// heap is a heap holding exactly its dirty pages, a page is clean exactly
-// when it is on the LRU ring, and every file with dirty pages is in the
-// round-robin order. Stress tests call it after random workloads. Files and
-// pages are checked in sorted order, so the first violation reported is
-// the same on every run.
+// CheckConsistency verifies the cache's internal invariants: every chunk is
+// non-empty, its dirty mask lies within its present mask, and its page
+// slots match the present mask in index order; each file's dirty heap is a
+// heap holding exactly its chunks with dirty pages; the per-file, dirty and
+// resident counters and tag accounting match the pages; a page is clean
+// exactly when it is on the LRU ring; and every file with dirty pages is in
+// the round-robin order. Stress tests call it after random workloads. Files
+// and chunks are checked in sorted order, so the first violation reported
+// is the same on every run.
 func (c *Cache) CheckConsistency() error {
 	var dirty, clean, resident, tagSum int64
 	for _, ino := range sortedKeys(c.files) {
@@ -464,37 +608,70 @@ func (c *Cache) CheckConsistency() error {
 		if f.ino != ino {
 			return fmt.Errorf("cache: file %d filed under ino %d", f.ino, ino)
 		}
-		var fileDirty []int64
-		for _, idx := range sortedKeys(f.pages) {
-			pg := f.pages[idx]
-			if pg.file != f || pg.idx != idx {
-				return fmt.Errorf("cache: page (%d,%d) filed under (%d,%d)", pg.file.ino, pg.idx, ino, idx)
-			}
-			if pg.dirty == (pg.next != nil) {
-				return fmt.Errorf("cache: page (%d,%d) dirty=%v but on LRU=%v", ino, idx, pg.dirty, pg.next != nil)
-			}
-			if pg.dirty {
-				fileDirty = append(fileDirty, idx)
-				tagSum += int64(pg.wcauses.TagBytes())
-			} else {
-				clean++
-			}
+		if f.last != nil && f.chunks[f.last.key] != f.last {
+			return fmt.Errorf("cache: file %d caches chunk %d, which is not in its page table", ino, f.last.key)
 		}
-		for i := 1; i < len(f.dirty); i++ {
-			if f.dirty[i] < f.dirty[(i-1)/2] {
+		var fileResident, fileDirty int64
+		var dirtyChunks []int64
+		for _, key := range sortedKeys(f.chunks) {
+			ch := f.chunks[key]
+			if ch.file != f || ch.key != key {
+				return fmt.Errorf("cache: chunk (%d,%d) filed under (%d,%d)", ch.file.ino, ch.key, ino, key)
+			}
+			if ch.present == 0 {
+				return fmt.Errorf("cache: chunk (%d,%d) has no resident page", ino, key)
+			}
+			if ch.dirty&^ch.present != 0 {
+				return fmt.Errorf("cache: chunk (%d,%d) dirty mask %#x outside present mask %#x", ino, key, ch.dirty, ch.present)
+			}
+			if n := bits.OnesCount64(ch.present); len(ch.pages) != n {
+				return fmt.Errorf("cache: chunk (%d,%d) holds %d page slots for %d resident pages", ino, key, len(ch.pages), n)
+			}
+			for i, m := 0, ch.present; m != 0; i, m = i+1, m&(m-1) {
+				b := uint(bits.TrailingZeros64(m))
+				pg, idx := ch.pages[i], key<<chunkShift+int64(b)
+				if pg.ch != ch || pg.idx != idx {
+					return fmt.Errorf("cache: slot of page (%d,%d) holds page %d of another chunk", ino, idx, pg.idx)
+				}
+				isDirty := ch.dirty&(1<<b) != 0
+				if isDirty == (pg.next != nil) {
+					return fmt.Errorf("cache: page (%d,%d) dirty=%v but on LRU=%v", ino, idx, isDirty, pg.next != nil)
+				}
+				if isDirty {
+					tagSum += int64(pg.wcauses.TagBytes())
+				} else {
+					clean++
+				}
+			}
+			if ch.dirty != 0 {
+				dirtyChunks = append(dirtyChunks, key)
+			}
+			fileResident += int64(bits.OnesCount64(ch.present))
+			fileDirty += int64(bits.OnesCount64(ch.dirty))
+		}
+		inHeap := make([]int64, len(f.dirty))
+		for i, ch := range f.dirty {
+			if i > 0 && ch.key < f.dirty[(i-1)/2].key {
 				return fmt.Errorf("cache: file %d dirty heap out of order at %d", ino, i)
 			}
+			if f.chunks[ch.key] != ch {
+				return fmt.Errorf("cache: file %d dirty heap holds chunk %d, which is not in its page table", ino, ch.key)
+			}
+			inHeap[i] = ch.key
 		}
-		inHeap := slices.Clone(f.dirty)
 		slices.Sort(inHeap)
-		if !slices.Equal(inHeap, fileDirty) {
-			return fmt.Errorf("cache: file %d dirty heap holds %v, dirty pages are %v", ino, inHeap, fileDirty)
+		if !slices.Equal(inHeap, dirtyChunks) {
+			return fmt.Errorf("cache: file %d dirty heap holds chunks %v, chunks with dirty pages are %v", ino, inHeap, dirtyChunks)
 		}
-		if len(fileDirty) > 0 && !f.queued {
+		if fileResident != f.resident || fileDirty != f.ndirty {
+			return fmt.Errorf("cache: file %d counts %d resident and %d dirty pages, its chunks hold %d and %d",
+				ino, f.resident, f.ndirty, fileResident, fileDirty)
+		}
+		if fileDirty > 0 && !f.queued {
 			return fmt.Errorf("cache: file %d has dirty pages but is not in the writeback order", ino)
 		}
-		dirty += int64(len(fileDirty))
-		resident += int64(len(f.pages))
+		dirty += fileDirty
+		resident += fileResident
 	}
 	if dirty != c.dirtyCount {
 		return fmt.Errorf("cache: dirtyCount %d != actual %d", c.dirtyCount, dirty)
@@ -611,7 +788,7 @@ func (c *Cache) nextDirtyIno() (int64, bool) {
 	}
 	var best *file
 	for _, f := range c.order {
-		if len(f.dirty) > 0 && (best == nil || len(f.dirty) > len(best.dirty)) {
+		if f.ndirty > 0 && (best == nil || f.ndirty > best.ndirty) {
 			best = f
 		}
 	}
@@ -620,7 +797,7 @@ func (c *Cache) nextDirtyIno() (int64, bool) {
 		// the files FreeFile left queued.
 		for _, f := range c.order {
 			f.queued = false
-			if len(f.pages) == 0 {
+			if f.resident == 0 {
 				delete(c.files, f.ino)
 			}
 		}

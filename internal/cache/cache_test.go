@@ -1,12 +1,16 @@
 package cache
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"splitio/internal/causes"
 	"splitio/internal/ioctx"
+	"splitio/internal/perf"
 	"splitio/internal/sim"
+	"splitio/internal/trace"
 )
 
 func testCtx(pid causes.PID) *ioctx.Ctx {
@@ -396,4 +400,96 @@ func TestRedirtyDuringFlightCountsAgain(t *testing.T) {
 	if c.DirtyPagesCount() != 1 {
 		t.Fatalf("dirty count = %d", c.DirtyPagesCount())
 	}
+}
+
+// TestMarkDirtyRangeMatchesPerPage dirties one range on twin caches, once
+// with MarkDirtyRange and once page by page. Both must fire the same
+// buffer-dirty hooks and trace events in the same order, across chunk
+// boundaries, overwrites and evictions, but the range counts one cache
+// probe.
+func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
+	type dirtied struct {
+		ino, idx  int64
+		now, prev causes.Set
+	}
+	perf.ResetForTest()
+	perf.Enable()
+	defer perf.ResetForTest()
+	const first, last = 55, 140
+	run := func(mark func(c *Cache, ctx *ioctx.Ctx)) ([]dirtied, []trace.Event, int64) {
+		cfg := smallConfig()
+		cfg.TotalPages = 96
+		env, c := newTestCache(cfg)
+		defer env.Close()
+		for i := int64(0); i <= 40; i++ {
+			c.InsertClean(2, i) // evicted once the range fills RAM
+		}
+		for i := int64(60); i <= 70; i++ {
+			c.InsertClean(1, i)
+		}
+		for i := int64(62); i <= 66; i += 2 {
+			c.MarkDirty(testCtx(10), 1, i)
+		}
+		var got []dirtied
+		c.SetHooks(MemHooks{BufferDirty: func(ino, idx int64, now, prev causes.Set) {
+			got = append(got, dirtied{ino, idx, now, prev})
+		}})
+		tr := trace.New()
+		tr.Enable()
+		c.SetTracer(tr)
+		before := perf.TakeSnapshot()
+		mark(c, testCtx(11))
+		calls := perf.Delta(before, perf.TakeSnapshot()).Buckets[perf.BucketCache].Calls
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		if c.Peek(2, 0) {
+			t.Fatal("the range evicted no page")
+		}
+		return got, tr.Events(), calls
+	}
+	rangeHooks, rangeEvents, rangeCalls := run(func(c *Cache, ctx *ioctx.Ctx) {
+		if n := c.MarkDirtyRange(ctx, 1, first, last); n != 3 {
+			t.Fatalf("MarkDirtyRange overwrote %d pages, want 3", n)
+		}
+	})
+	pageHooks, pageEvents, pageCalls := run(func(c *Cache, ctx *ioctx.Ctx) {
+		for i := int64(first); i <= last; i++ {
+			c.MarkDirty(ctx, 1, i)
+		}
+	})
+	if len(rangeHooks) != last-first+1 || !reflect.DeepEqual(rangeHooks, pageHooks) {
+		t.Fatalf("buffer-dirty hooks differ:\nrange    %v\nper page %v", rangeHooks, pageHooks)
+	}
+	if len(rangeEvents) != last-first+1 || !reflect.DeepEqual(rangeEvents, pageEvents) {
+		t.Fatalf("dirty trace events differ:\nrange    %v\nper page %v", rangeEvents, pageEvents)
+	}
+	if rangeCalls != 1 || pageCalls != last-first+1 {
+		t.Fatalf("cache probe counted %d times for the range, %d page by page; want 1 and %d", rangeCalls, pageCalls, last-first+1)
+	}
+}
+
+// TestSparseResidencyMemory guards the page table's memory when residency
+// is sparse, as under a random reader: one clean page in every aligned
+// 64-page stretch must not cost a whole stretch's worth of page records.
+func TestSparseResidencyMemory(t *testing.T) {
+	cfg := smallConfig()
+	cfg.TotalPages = 1 << 20
+	env, c := newTestCache(cfg)
+	defer env.Close()
+	const pages = 4096
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := int64(0); i < pages; i++ {
+		c.InsertClean(1, i*64)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perPage := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / pages
+	t.Logf("%d heap bytes per resident page", perPage)
+	if perPage > 512 {
+		t.Fatalf("%d heap bytes per sparsely resident page, want at most 512", perPage)
+	}
+	runtime.KeepAlive(c)
 }

@@ -144,6 +144,8 @@ func TestTakeDirtyPrefixAcrossTakes(t *testing.T) {
 // TestRandomOpsKeepInvariants drives a small cache (so pages get evicted)
 // with a seeded mix of operations, checking the internal invariants after
 // every one and every TakeDirty result against a model of the dirty set.
+// Page indices span several chunks and ranges cross chunk boundaries, so
+// eviction and FreeFile empty and free chunks.
 func TestRandomOpsKeepInvariants(t *testing.T) {
 	cfg := smallConfig()
 	cfg.TotalPages = 24
@@ -152,22 +154,38 @@ func TestRandomOpsKeepInvariants(t *testing.T) {
 		c.SetPdflushEnabled(false)
 		rng := rand.New(rand.NewSource(seed))
 		model := map[int64]map[int64]bool{} // ino -> dirty page indices
+		dirty := func(ino, idx int64) {
+			if model[ino] == nil {
+				model[ino] = map[int64]bool{}
+			}
+			model[ino][idx] = true
+		}
 		for op := 0; op < 4000; op++ {
 			ino := 1 + rng.Int63n(4)
-			idx := rng.Int63n(40)
+			idx := rng.Int63n(200)
 			if rng.Intn(8) == 0 {
 				idx += 1000
 			}
 			switch r := rng.Intn(20); {
-			case r < 9:
+			case r < 7:
 				was := c.MarkDirty(testCtx(causes.PID(10+rng.Intn(3))), ino, idx)
 				if was != model[ino][idx] {
 					t.Fatalf("seed %d op %d: MarkDirty(%d, %d) = %v, model says %v", seed, op, ino, idx, was, !was)
 				}
-				if model[ino] == nil {
-					model[ino] = map[int64]bool{}
+				dirty(ino, idx)
+			case r < 9:
+				last := idx + rng.Int63n(70)
+				var want int
+				for i := idx; i <= last; i++ {
+					if model[ino][i] {
+						want++
+					}
+					dirty(ino, i)
 				}
-				model[ino][idx] = true
+				got := c.MarkDirtyRange(testCtx(causes.PID(10+rng.Intn(3))), ino, idx, last)
+				if got != want {
+					t.Fatalf("seed %d op %d: MarkDirtyRange(%d, %d, %d) = %d overwrites, model says %d", seed, op, ino, idx, last, got, want)
+				}
 			case r < 13:
 				c.InsertClean(ino, idx)
 			case r < 15:

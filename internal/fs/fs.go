@@ -49,9 +49,10 @@ type PageCache interface {
 	Lookup(ino, idx int64) bool
 	// InsertClean adds a clean resident page.
 	InsertClean(ino, idx int64)
-	// MarkDirty dirties a page on behalf of ctx, tagging it with ctx's
-	// causes. It reports whether the page was already dirty (an overwrite).
-	MarkDirty(ctx *ioctx.Ctx, ino, idx int64) bool
+	// MarkDirtyRange dirties pages first..last of ino in index order on
+	// behalf of ctx, tagging them with ctx's causes. It returns how many
+	// were already dirty (overwrites).
+	MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int
 	// TakeDirty removes up to max dirty pages of ino (all if max <= 0),
 	// returning their indices and cause tags.
 	TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set)
@@ -377,11 +378,7 @@ func (f *FS) Write(p *sim.Proc, ctx *ioctx.Ctx, file *File, off, n int64) {
 	if off+n > file.size {
 		file.size = off + n
 	}
-	first := off / BlockSize
-	last := (off + n - 1) / BlockSize
-	for idx := first; idx <= last; idx++ {
-		f.cache.MarkDirty(ctx, file.Ino, idx)
-	}
+	f.cache.MarkDirtyRange(ctx, file.Ino, off/BlockSize, (off+n-1)/BlockSize)
 	if f.cfg.CopyOnWrite {
 		f.cowNoteOwner(file.Ino, ctx.Causes())
 	}

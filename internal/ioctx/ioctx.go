@@ -44,6 +44,9 @@ type Ctx struct {
 	// proxyFor is non-empty while the process performs I/O on behalf of
 	// other processes (writeback, journal tasks).
 	proxyFor causes.Set
+	// self caches causes.Of(PID). PID is exported and may be reassigned,
+	// so Causes checks the cached member on every call.
+	self causes.Set
 }
 
 // Causes returns the cause set this context's I/O should be tagged with:
@@ -52,7 +55,10 @@ func (c *Ctx) Causes() causes.Set {
 	if !c.proxyFor.Empty() {
 		return c.proxyFor
 	}
-	return causes.Of(c.PID)
+	if pids := c.self.PIDs(); len(pids) != 1 || pids[0] != c.PID {
+		c.self = causes.Of(c.PID)
+	}
+	return c.self
 }
 
 // BeginProxy marks the context as acting on behalf of the given causes.

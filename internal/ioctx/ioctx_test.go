@@ -11,6 +11,13 @@ func TestCausesSelf(t *testing.T) {
 	if !c.Causes().Equal(causes.Of(42)) {
 		t.Fatalf("Causes = %v, want {42}", c.Causes())
 	}
+	if n := testing.AllocsPerRun(100, func() { c.Causes() }); n != 0 {
+		t.Fatalf("Causes allocates %v times per call after the first", n)
+	}
+	c.PID = 7
+	if !c.Causes().Equal(causes.Of(7)) {
+		t.Fatalf("Causes after PID = 7 is %v, want {7}", c.Causes())
+	}
 }
 
 func TestProxy(t *testing.T) {

@@ -15,7 +15,7 @@ func (s *Sched) Snapshot() sched.Snap {
 	snap := sched.Snap{Name: s.Name()}
 	snap.AddInt("reads_queued", len(s.readQ))
 	snap.AddInt("writes_queued", len(s.writeQ))
-	snap.AddInt("prelim_charges", len(s.prelim))
+	snap.AddInt("prelim_charges", s.nprelim)
 	names := make([]string, 0, len(s.accounts))
 	for a := range s.accounts {
 		names = append(names, a)

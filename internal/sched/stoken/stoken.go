@@ -35,11 +35,6 @@ import (
 	"splitio/internal/vfs"
 )
 
-type pageKey struct {
-	ino int64
-	idx int64
-}
-
 type prelimCharge struct {
 	account string
 	amount  float64
@@ -54,8 +49,12 @@ type Sched struct {
 	accounts   map[string]*tokenbucket.Bucket
 	pidAccount map[causes.PID]string
 
-	est    *core.WriteEstimator
-	prelim map[pageKey]prelimCharge
+	est *core.WriteEstimator
+	// prelim holds the outstanding preliminary charges by inode, then page
+	// index. A file's entry goes with its last charge; nprelim counts the
+	// charges across files.
+	prelim  map[int64]map[int64]prelimCharge
+	nprelim int
 
 	writeQ []*block.Request
 	readQ  []*block.Request
@@ -97,7 +96,7 @@ func New(env *sim.Env) core.Scheduler {
 		env:             env,
 		accounts:        make(map[string]*tokenbucket.Bucket),
 		pidAccount:      make(map[causes.PID]string),
-		prelim:          make(map[pageKey]prelimCharge),
+		prelim:          make(map[int64]map[int64]prelimCharge),
 		PrelimRandBytes: 256 << 10,
 	}
 }
@@ -186,18 +185,47 @@ func (s *Sched) bufferDirty(ino, idx int64, now causes.Set, prev causes.Set) {
 	b.Charge(s.env.Now(), amt)
 	//splitlint:ignore floatdet reviewed: diagnostic total of exactly-rounded charges in deterministic order
 	s.statPrelim += amt
-	s.prelim[pageKey{ino, idx}] = prelimCharge{account: acct, amount: amt}
+	fp := s.prelim[ino]
+	if fp == nil {
+		fp = make(map[int64]prelimCharge)
+		s.prelim[ino] = fp
+	}
+	if _, ok := fp[idx]; !ok {
+		s.nprelim++
+	}
+	fp[idx] = prelimCharge{account: acct, amount: amt}
+}
+
+// takePrelim removes the outstanding preliminary charges of ino's pages
+// idxs. It returns their sum, added in idxs order, and the account of the
+// last one found ("" when none was).
+func (s *Sched) takePrelim(ino int64, idxs ...int64) (sum float64, account string) {
+	fp := s.prelim[ino]
+	if fp == nil {
+		return 0, ""
+	}
+	for _, idx := range idxs {
+		if pc, ok := fp[idx]; ok {
+			//splitlint:ignore floatdet reviewed: sums charges recorded in deterministic page order; exactly-rounded
+			sum += pc.amount
+			account = pc.account
+			delete(fp, idx)
+			s.nprelim--
+		}
+	}
+	if len(fp) == 0 {
+		delete(s.prelim, ino)
+	}
+	return sum, account
 }
 
 func (s *Sched) bufferFree(ino, idx int64, cs causes.Set) {
-	key := pageKey{ino, idx}
-	if pc, ok := s.prelim[key]; ok {
-		if b, ok := s.accounts[pc.account]; ok {
-			b.Refund(s.env.Now(), pc.amount)
+	if amt, acct := s.takePrelim(ino, idx); acct != "" {
+		if b, ok := s.accounts[acct]; ok {
+			b.Refund(s.env.Now(), amt)
 			//splitlint:ignore floatdet reviewed: diagnostic total of exactly-rounded refunds in deterministic order
-			s.statRefunds += pc.amount
+			s.statRefunds += amt
 		}
-		delete(s.prelim, key)
 	}
 	s.est.Forget(ino)
 }
@@ -343,17 +371,7 @@ func (s *Sched) Completed(r *block.Request) {
 	}
 	// Writes: subtract what the preliminary model already charged for
 	// these pages, then charge the remainder (possibly a refund).
-	var prelimSum float64
-	prelimAccount := ""
-	for _, idx := range r.Pages {
-		key := pageKey{r.FileID, idx}
-		if pc, ok := s.prelim[key]; ok {
-			//splitlint:ignore floatdet reviewed: sums charges recorded in deterministic page order; exactly-rounded
-			prelimSum += pc.amount
-			prelimAccount = pc.account
-			delete(s.prelim, key)
-		}
-	}
+	prelimSum, prelimAccount := s.takePrelim(r.FileID, r.Pages...)
 	b, _ := s.bucketOf(r.Causes)
 	if b == nil && prelimAccount != "" {
 		b = s.accounts[prelimAccount]

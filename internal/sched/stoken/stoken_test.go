@@ -212,6 +212,20 @@ func TestAccountingRevision(t *testing.T) {
 	if s.RevisedCharged() <= 0 {
 		t.Fatal("no block-level revision")
 	}
+	checkNoPrelim(t, s)
+}
+
+// checkNoPrelim fails unless every preliminary charge has been revised or
+// refunded and no per-file charge state remains.
+func checkNoPrelim(t *testing.T, s *Sched) {
+	t.Helper()
+	snap := s.Snapshot()
+	if n, ok := snap.Get("prelim_charges"); !ok || n != 0 {
+		t.Fatalf("prelim_charges = %v (reported %v), want 0", n, ok)
+	}
+	if len(s.prelim) != 0 {
+		t.Fatalf("charge state remains for %d files", len(s.prelim))
+	}
 }
 
 // TestDeletedBufferRefunded: work that vanishes before writeback is
@@ -224,6 +238,10 @@ func TestDeletedBufferRefunded(t *testing.T) {
 		pr.Ctx.Account = "b"
 		f, _ := k.VFS.Create(p, pr, "/tmp")
 		k.VFS.Write(p, pr, f, 0, 4<<20)
+		snap := s.Snapshot()
+		if n, _ := snap.Get("prelim_charges"); n == 0 {
+			t.Error("no preliminary charges outstanding before unlink")
+		}
 		before := s.Tokens("b")
 		k.VFS.Unlink(p, pr, "/tmp")
 		after := s.Tokens("b")
@@ -232,6 +250,7 @@ func TestDeletedBufferRefunded(t *testing.T) {
 		}
 	})
 	k.Run(time.Second)
+	checkNoPrelim(t, s)
 }
 
 func TestNamesAndLimits(t *testing.T) {

@@ -1,6 +1,7 @@
 // Microbenchmarks for the page cache's hot paths, which `make microbench`
-// tracks directly: the read-path lookup, the write path's range dirtying
-// (one call per write), and clean inserts into a sparsely resident file.
+// tracks directly: the single-page lookup, the read path's run lookup (one
+// call per hit or miss run), the write path's range dirtying (one call per
+// write), and clean inserts into a sparsely resident file.
 package cache_test
 
 import (
@@ -39,6 +40,24 @@ func BenchmarkCacheLookupMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Lookup(2, int64(i))
+	}
+}
+
+// BenchmarkCacheLookupRunHit re-reads resident 256-page runs of two files in
+// turn, one call per run, the shape of Fig 15's mem-read antagonists: each
+// re-read finds its pages linked in order behind the other file's and
+// splices them to the LRU tail.
+func BenchmarkCacheLookupRunHit(b *testing.B) {
+	c := benchCache(b)
+	const pages = 256
+	c.InsertCleanRange(1, 0, pages-1)
+	c.InsertCleanRange(2, 0, pages-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if n, hit := c.LookupRun(int64(1+i%2), 0, pages-1); n != pages || !hit {
+			b.Fatalf("LookupRun = %d, %v, want %d, true", n, hit, pages)
+		}
 	}
 }
 

@@ -302,43 +302,89 @@ func (c *Cache) dirtyThreshold() int64 {
 	return int64(c.cfg.DirtyRatio * float64(c.cfg.TotalPages))
 }
 
-// page returns the resident page (ino, idx), or nil.
-func (c *Cache) page(ino, idx int64) *page {
-	if f := c.files[ino]; f != nil {
-		return f.page(idx)
-	}
-	return nil
-}
-
 // Peek reports whether page (ino, idx) is resident without promoting it or
 // touching hit/miss statistics. SCS-Token uses it to test for cache hits at
 // the system-call level (the file-system modification Craciunas et al.
 // needed).
-func (c *Cache) Peek(ino, idx int64) bool { return c.page(ino, idx) != nil }
+func (c *Cache) Peek(ino, idx int64) bool {
+	f := c.files[ino]
+	return f != nil && f.page(idx) != nil
+}
 
 // Lookup reports whether page (ino, idx) is resident, promoting it in the
-// LRU on a hit. It is one of the cache bucket's profiling probes.
+// LRU on a hit: the one-page case of LookupRun.
 func (c *Cache) Lookup(ino, idx int64) bool {
+	_, hit := c.LookupRun(ino, idx, idx)
+	return hit
+}
+
+// LookupRun returns the length n of the longest run of pages of ino that
+// starts at first, ends no later than last, and is all resident (hit) or
+// all absent. A hit run's pages are promoted in the LRU in index order, and
+// hits and misses are counted per page, exactly as Lookup page by page
+// would. It is one of the cache bucket's profiling probes, counted once per
+// call; the file lookup is paid once per call and the chunk lookup once per
+// chunk. It requires first <= last.
+func (c *Cache) LookupRun(ino, first, last int64) (n int64, hit bool) {
 	perf.Count(perf.BucketCache)
-	pg := c.page(ino, idx)
-	if pg == nil {
-		c.statMisses++
-		return false
+	f := c.files[ino]
+	if f == nil {
+		n = last - first + 1
+		c.statMisses += n
+		return n, false
 	}
-	c.touch(pg)
-	c.statHits++
-	return true
+	for idx := first; idx <= last; {
+		ch, b := f.chunk(idx>>chunkShift), uint(idx&(chunkPages-1))
+		var present uint64
+		if ch != nil {
+			present = ch.present
+		}
+		if idx == first {
+			hit = present&(1<<b) != 0
+		}
+		same := present >> b
+		if !hit {
+			same = ^same
+		}
+		k := min(int64(bits.TrailingZeros64(^same)), chunkPages-int64(b), last-idx+1)
+		if k == 0 {
+			break // the run ended at the previous chunk's last page
+		}
+		if hit {
+			i := rank(present, b)
+			c.touchRun(ch.pages[i : i+int(k)])
+		}
+		idx += k
+		n += k
+		if int64(b)+k < chunkPages {
+			break // the run ends inside this chunk
+		}
+	}
+	if hit {
+		c.statHits += n
+	} else {
+		c.statMisses += n
+	}
+	return n, hit
 }
 
 // InsertClean adds a clean page (after a disk read), evicting LRU clean
-// pages if RAM is full. Inserting an existing page just promotes it.
-func (c *Cache) InsertClean(ino, idx int64) {
-	if pg := c.page(ino, idx); pg != nil {
-		c.touch(pg)
-		return
+// pages if RAM is full. Inserting an existing page just promotes it. It is
+// the one-page case of InsertCleanRange.
+func (c *Cache) InsertClean(ino, idx int64) { c.InsertCleanRange(ino, idx, idx) }
+
+// InsertCleanRange inserts pages first..last of ino in index order as
+// InsertClean page by page would, looking the file up once.
+func (c *Cache) InsertCleanRange(ino, first, last int64) {
+	f := c.fileOf(ino)
+	for idx := first; idx <= last; idx++ {
+		if pg := f.page(idx); pg != nil {
+			c.touch(pg)
+			continue
+		}
+		c.evictIfFull()
+		c.lruPush(c.add(f, idx))
 	}
-	c.evictIfFull()
-	c.lruPush(c.add(c.fileOf(ino), idx))
 }
 
 // fileOf returns ino's record, creating it if needed.
@@ -436,6 +482,33 @@ func (c *Cache) touch(pg *page) {
 	if pg.next != nil {
 		c.lruUnlink(pg)
 		c.lruPush(pg)
+	}
+}
+
+// touchRun promotes the pages pgs in order, skipping dirty ones, leaving the
+// ring touch would leave page by page. Moving pages to the tail one at a
+// time keeps the ring order of each stretch of them that is already linked
+// in order, so each such stretch is spliced to the tail whole. Splicing a
+// stretch that already ends at the tail leaves it in place.
+func (c *Cache) touchRun(pgs []*page) {
+	for i := 0; i < len(pgs); {
+		first := pgs[i]
+		if first.next == nil {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(pgs) && pgs[j-1].next == pgs[j] {
+			j++
+		}
+		last := pgs[j-1]
+		first.prev.next = last.next
+		last.next.prev = first.prev
+		first.prev = c.lru.prev
+		first.prev.next = first
+		last.next = &c.lru
+		c.lru.prev = last
+		i = j
 	}
 }
 
@@ -597,10 +670,11 @@ func (c *Cache) FreeFile(ino int64) {
 // slots match the present mask in index order; each file's dirty heap is a
 // heap holding exactly its chunks with dirty pages; the per-file, dirty and
 // resident counters and tag accounting match the pages; a page is clean
-// exactly when it is on the LRU ring; and every file with dirty pages is in
-// the round-robin order. Stress tests call it after random workloads. Files
-// and chunks are checked in sorted order, so the first violation reported
-// is the same on every run.
+// exactly when it is on the LRU ring, which holds exactly the resident clean
+// pages with every prev link the inverse of a next link; and every file with
+// dirty pages is in the round-robin order. Stress tests call it after random
+// workloads. Files and chunks are checked in sorted order, so the first
+// violation reported is the same on every run.
 func (c *Cache) CheckConsistency() error {
 	var dirty, clean, resident, tagSum int64
 	for _, ino := range sortedKeys(c.files) {
@@ -683,13 +757,34 @@ func (c *Cache) CheckConsistency() error {
 		return fmt.Errorf("cache: resident %d != actual %d", c.resident, resident)
 	}
 	var onLRU int64
-	for pg := c.lru.next; pg != &c.lru; pg = pg.next {
-		onLRU++
+	prev := &c.lru
+	for pg := c.lru.next; ; prev, pg = pg, pg.next {
+		if pg == nil || pg.prev != prev {
+			return fmt.Errorf("cache: LRU ring link broken after %d pages", onLRU)
+		}
+		if pg == &c.lru {
+			break
+		}
+		if onLRU++; onLRU > clean {
+			return fmt.Errorf("cache: LRU holds more than the %d clean pages", clean)
+		}
+		if !c.residentClean(pg) {
+			return fmt.Errorf("cache: LRU page %d (position %d) is not a resident clean page", pg.idx, onLRU)
+		}
 	}
 	if onLRU != clean {
 		return fmt.Errorf("cache: LRU holds %d pages, %d are clean", onLRU, clean)
 	}
 	return nil
+}
+
+// residentClean reports whether pg is a resident clean page in its chunk's
+// slot.
+func (c *Cache) residentClean(pg *page) bool {
+	ch, b := pg.ch, uint(pg.idx&(chunkPages-1))
+	return ch != nil && c.files[ch.file.ino] == ch.file && ch.file.chunks[ch.key] == ch &&
+		pg.idx>>chunkShift == ch.key && ch.present&^ch.dirty&(1<<b) != 0 &&
+		ch.pages[rank(ch.present, b)] == pg
 }
 
 func sortedKeys[V any](m map[int64]V) []int64 {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
@@ -467,6 +468,136 @@ func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
 	if rangeCalls != 1 || pageCalls != last-first+1 {
 		t.Fatalf("cache probe counted %d times for the range, %d page by page; want 1 and %d", rangeCalls, pageCalls, last-first+1)
 	}
+}
+
+// ringOrder lists c's clean pages from least to most recently used.
+func ringOrder(c *Cache) [][2]int64 {
+	var out [][2]int64
+	for pg := c.lru.next; pg != &c.lru; pg = pg.next {
+		out = append(out, [2]int64{pg.ch.file.ino, pg.idx})
+	}
+	return out
+}
+
+// TestLookupRunMatchesPerPage puts twin caches into the same random
+// residency, clean and dirty pages mixed across chunk boundaries, and reads
+// the same ranges from them, with LookupRun on one and Lookup page by page
+// on the other. Both must see the same runs, count the same hits and
+// misses, leave the same LRU ring, and evict the same pages afterwards; the
+// run lookups count one cache probe per run.
+func TestLookupRunMatchesPerPage(t *testing.T) {
+	type run struct {
+		first, n int64
+		hit      bool
+	}
+	perf.ResetForTest()
+	perf.Enable()
+	defer perf.ResetForTest()
+	const span = 320 // five chunks
+	rng := rand.New(rand.NewSource(7))
+	var reads [][2]int64
+	for i := 0; i < 300; i++ {
+		first := rng.Int63n(span)
+		reads = append(reads, [2]int64{first, first + rng.Int63n(span-first)})
+		if i%10 == 0 {
+			reads = append(reads, reads[len(reads)-1]) // the same range twice: its stretch ends at the tail
+		}
+	}
+	setup := func() (*sim.Env, *Cache) {
+		cfg := smallConfig()
+		cfg.TotalPages = 400
+		env, c := newTestCache(cfg)
+		c.SetPdflushEnabled(false)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 60; i++ {
+			ino, first := 1+rng.Int63n(2), rng.Int63n(span)
+			last := min(first+rng.Int63n(12), span-1)
+			switch rng.Intn(4) {
+			case 0:
+				c.MarkDirtyRange(testCtx(10), ino, first, last)
+			case 1:
+				for idx := last; idx >= first; idx-- {
+					c.InsertClean(ino, idx) // linked in reverse order
+				}
+			default:
+				c.InsertCleanRange(ino, first, last)
+			}
+		}
+		// File 3 holds all of chunk 0 and nothing of chunk 1, so its hit
+		// runs end at a chunk boundary, and a few pages of chunk 2.
+		c.InsertCleanRange(3, 0, 63)
+		c.InsertCleanRange(3, 150, 155)
+		return env, c
+	}
+	var runs [2][]run
+	var rings [2][][2]int64
+	var hits, misses, calls [2]int64
+	var evicted [2][][2]int64
+	for side := range 2 {
+		env, c := setup()
+		before := perf.TakeSnapshot()
+		for _, r := range reads {
+			ino := 1 + int64(len(runs[side])%4) // file 4 is never resident
+			if side == 0 {
+				for idx := r[0]; idx <= r[1]; {
+					n, hit := c.LookupRun(ino, idx, r[1])
+					runs[side] = append(runs[side], run{idx, n, hit})
+					idx += n
+				}
+				continue
+			}
+			for idx := r[0]; idx <= r[1]; idx++ {
+				hit := c.Lookup(ino, idx)
+				if k := len(runs[side]) - 1; idx > r[0] && runs[side][k].hit == hit {
+					runs[side][k].n++
+					continue
+				}
+				runs[side] = append(runs[side], run{idx, 1, hit})
+			}
+		}
+		calls[side] = perf.Delta(before, perf.TakeSnapshot()).Buckets[perf.BucketCache].Calls
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		rings[side] = ringOrder(c)
+		hits[side], misses[side] = c.Hits(), c.Misses()
+		for idx := int64(0); idx < 150; idx++ {
+			c.InsertClean(5, idx)
+		}
+		for _, pg := range rings[side] {
+			if !c.Peek(pg[0], pg[1]) {
+				evicted[side] = append(evicted[side], pg)
+			}
+		}
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		env.Close()
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatalf("runs differ:\nLookupRun %v\nper page  %v", runs[0], runs[1])
+	}
+	if !reflect.DeepEqual(rings[0], rings[1]) {
+		t.Fatalf("LRU rings differ:\nLookupRun %v\nper page  %v", rings[0], rings[1])
+	}
+	if hits[0] != hits[1] || misses[0] != misses[1] {
+		t.Fatalf("hits/misses %d/%d with LookupRun, %d/%d page by page", hits[0], misses[0], hits[1], misses[1])
+	}
+	if len(evicted[0]) == 0 || !reflect.DeepEqual(evicted[0], evicted[1]) {
+		t.Fatalf("evicted pages differ:\nLookupRun %v\nper page  %v", evicted[0], evicted[1])
+	}
+	if calls[0] != int64(len(runs[0])) {
+		t.Fatalf("cache probe counted %d times for %d runs", calls[0], len(runs[0]))
+	}
+	var hitRuns, missRuns int
+	for _, r := range runs[0] {
+		if r.hit {
+			hitRuns++
+		} else {
+			missRuns++
+		}
+	}
+	t.Logf("%d hit runs, %d miss runs, %d pages evicted, %d probes page by page", hitRuns, missRuns, len(evicted[0]), calls[1])
 }
 
 // TestSparseResidencyMemory guards the page table's memory when residency

@@ -186,10 +186,22 @@ func TestRandomOpsKeepInvariants(t *testing.T) {
 				if got != want {
 					t.Fatalf("seed %d op %d: MarkDirtyRange(%d, %d, %d) = %d overwrites, model says %d", seed, op, ino, idx, last, got, want)
 				}
-			case r < 13:
+			case r < 11:
 				c.InsertClean(ino, idx)
-			case r < 15:
+			case r < 13:
+				c.InsertCleanRange(ino, idx, idx+rng.Int63n(70))
+			case r < 14:
 				c.Lookup(ino, idx)
+			case r < 15:
+				last := idx + rng.Int63n(140)
+				hit := c.Peek(ino, idx)
+				want := int64(1)
+				for want <= last-idx && c.Peek(ino, idx+want) == hit {
+					want++
+				}
+				if n, got := c.LookupRun(ino, idx, last); n != want || got != hit {
+					t.Fatalf("seed %d op %d: LookupRun(%d, %d, %d) = %d, %v, want %d, %v", seed, op, ino, idx, last, n, got, want, hit)
+				}
 			case r < 19:
 				max := rng.Intn(6)
 				idxs, _ := c.TakeDirty(ino, max)

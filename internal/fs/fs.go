@@ -45,10 +45,12 @@ const BlockSize = 4096
 // up into the cache only through this interface, and the composition root
 // (internal/core) wires a *cache.Cache in.
 type PageCache interface {
-	// Lookup reports whether (ino, idx) is resident, updating LRU state.
-	Lookup(ino, idx int64) bool
-	// InsertClean adds a clean resident page.
-	InsertClean(ino, idx int64)
+	// LookupRun returns the length of the longest run of pages of ino from
+	// first, at most to last, that are all resident (hit) or all absent,
+	// updating LRU state for a hit run.
+	LookupRun(ino, first, last int64) (n int64, hit bool)
+	// InsertCleanRange adds clean resident pages first..last of ino.
+	InsertCleanRange(ino, first, last int64)
 	// MarkDirtyRange dirties pages first..last of ino in index order on
 	// behalf of ctx, tagging them with ctx's causes. It returns how many
 	// were already dirty (overwrites).
@@ -393,45 +395,46 @@ func (f *FS) Read(p *sim.Proc, ctx *ioctx.Ctx, file *File, off, n int64) {
 	if n <= 0 {
 		return
 	}
-	first := off / BlockSize
 	last := (off + n - 1) / BlockSize
-	var missRun []int64
 	var dones []*sim.Completion
-	flush := func() {
-		if len(missRun) == 0 {
-			return
-		}
-		dones = append(dones, f.submitReadRuns(ctx, file, missRun)...)
-		// The read completions still hold slices of missRun.
-		missRun = nil
-	}
-	for idx := first; idx <= last; idx++ {
-		if f.cache.Lookup(file.Ino, idx) {
-			flush()
+	for idx := off / BlockSize; idx <= last; {
+		run, hit := f.cache.LookupRun(file.Ino, idx, last)
+		if hit {
+			idx += run
 			continue
 		}
-		missRun = append(missRun, idx)
+		missFirst, missLast := idx, idx+run-1
+		idx += run
+		if idx <= last {
+			// The page after a miss run is a hit. It is promoted before the
+			// misses are submitted, as a page-by-page read does: a sparse
+			// miss run inserts, and can evict, right away.
+			f.cache.LookupRun(file.Ino, idx, idx)
+			idx++
+		}
+		dones = append(dones, f.submitReadRuns(ctx, file, missFirst, missLast)...)
 	}
-	flush()
 	for _, d := range dones {
 		d.Wait(p)
 	}
 }
 
-// submitReadRuns maps the missed page indices to disk runs and submits one
-// request per mapped run, inserting clean pages on completion; unmapped
+// submitReadRuns maps the missed pages first..last to disk runs and submits
+// one request per mapped run, inserting clean pages on completion; unmapped
 // pages are zero-filled without I/O. It is an fs profiling probe (the read
 // path's synchronous mapping work).
-func (f *FS) submitReadRuns(ctx *ioctx.Ctx, file *File, idxs []int64) []*sim.Completion {
+func (f *FS) submitReadRuns(ctx *ioctx.Ctx, file *File, first, last int64) []*sim.Completion {
 	perf.Count(perf.BucketFS)
+	idxs := make([]int64, last-first+1)
+	for i := range idxs {
+		idxs[i] = first + int64(i)
+	}
 	var dones []*sim.Completion
 	f.eachRun(file, idxs, func(i, j int, diskBlk int64, mapped bool) {
-		run := idxs[i:j]
+		ino, runFirst, runLast := file.Ino, idxs[i], idxs[j-1]
 		if !mapped {
 			// Sparse read: zero-fill, no I/O.
-			for _, idx := range run {
-				f.cache.InsertClean(file.Ino, idx)
-			}
+			f.cache.InsertCleanRange(ino, runFirst, runLast)
 			return
 		}
 		req := &block.Request{
@@ -450,11 +453,7 @@ func (f *FS) submitReadRuns(ctx *ioctx.Ctx, file *File, idxs []int64) []*sim.Com
 			req.Deadline = f.env.Now().Add(ctx.ReadDeadline)
 		}
 		done := f.blk.Submit(req)
-		done.OnComplete(func() {
-			for _, idx := range run {
-				f.cache.InsertClean(file.Ino, idx)
-			}
-		})
+		done.OnComplete(func() { f.cache.InsertCleanRange(ino, runFirst, runLast) })
 		dones = append(dones, done)
 	})
 	return dones

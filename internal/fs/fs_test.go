@@ -23,12 +23,18 @@ type rig struct {
 
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
+	return newRigPages(t, cfg, 1<<16)
+}
+
+// newRigPages is newRig with a page cache of cachePages pages.
+func newRigPages(t *testing.T, cfg Config, cachePages int64) *rig {
+	t.Helper()
 	env := sim.NewEnv(1)
 	blk := block.NewLayer(env, device.NewHDD(), block.NewFIFO())
 	wbCtx := &ioctx.Ctx{PID: 2, Name: "pdflush", Prio: 4}
 	jctx := &ioctx.Ctx{PID: 3, Name: "jbd", Prio: 4}
 	ccfg := cache.DefaultConfig()
-	ccfg.TotalPages = 1 << 16
+	ccfg.TotalPages = cachePages
 	c := cache.New(env, ccfg, wbCtx)
 	f := New(env, cfg, c, blk, jctx, wbCtx)
 	t.Cleanup(env.Close)
@@ -564,6 +570,52 @@ func TestFlushRunSplitting(t *testing.T) {
 		for idx := int64(0); idx < 8; idx++ {
 			if !r.cache.Lookup(f.Ino, idx) {
 				t.Errorf("page %d not cached after the read", idx)
+			}
+		}
+	})
+
+	// A read over miss | hit | hole | hit | hit, in a cache one page from
+	// full, pins how lookups interleave with miss submission: the first hit
+	// after a miss run is promoted before the misses are submitted, and the
+	// hole's zero-fill inserts (and evicts) before the pages after it are
+	// looked up. The LRU order before the read is 4, 5, four pages of
+	// another file, 1, so the hole's second page evicts page 5, which the
+	// read then misses.
+	t.Run("read-interleaving", func(t *testing.T) {
+		r := newRigPages(t, cfg, 8)
+		got := record(r)
+		ctx := userCtx(10)
+		var f *File
+		const other = 99
+		r.env.Go("main", func(p *sim.Proc) {
+			f = r.fs.MkFileContiguous("/data", 6*BlockSize)
+			f.extents = []extent{
+				{fileBlk: 0, diskBlk: 5000, n: 2},
+				{fileBlk: 4, diskBlk: 6000, n: 2},
+			}
+			r.cache.InsertClean(f.Ino, 4)
+			r.cache.InsertClean(f.Ino, 5)
+			for idx := int64(0); idx < 4; idx++ {
+				r.cache.InsertClean(other, idx)
+			}
+			r.cache.InsertClean(f.Ino, 1)
+			r.fs.Read(p, ctx, f, 0, 6*BlockSize)
+		})
+		r.env.Run(sim.Time(time.Hour))
+		check(t, *got, []reqRec{
+			{LBA: 5000, Blocks: 1, Causes: "{10}", Sync: true},
+			{LBA: 6001, Blocks: 1, Causes: "{10}", Sync: true},
+		})
+		for idx := int64(0); idx < 6; idx++ {
+			if !r.cache.Peek(f.Ino, idx) {
+				t.Errorf("page %d not cached after the read", idx)
+			}
+		}
+		// The two read completions evicted the other file's two least
+		// recently used pages.
+		for idx, want := range []bool{false, false, true, true} {
+			if got := r.cache.Peek(other, int64(idx)); got != want {
+				t.Errorf("page %d of the other file resident = %v, want %v", idx, got, want)
 			}
 		}
 	})

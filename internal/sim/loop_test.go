@@ -154,8 +154,8 @@ func TestEventObserverInvariants(t *testing.T) {
 // TestScheduleRunZeroAllocs asserts the steady-state schedule/pop cycle —
 // pooled event structs, a warmed heap slice, a fixed callback value — does
 // not allocate. This is the property the slab pool and the concrete-typed
-// four-ary heap exist to provide; interface{} boxing or per-wake closures
-// would show up here as nonzero allocs.
+// four-ary heap exist to provide; interface{} boxing would show up here as
+// nonzero allocs. TestSleepZeroAllocs covers process wake-ups.
 func TestScheduleRunZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -176,6 +176,26 @@ func TestScheduleRunZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state schedule/pop allocated %.2f objects per cycle, want 0", allocs)
+	}
+}
+
+// TestSleepZeroAllocs asserts that a warmed process sleeps without
+// allocating: its wake-up callback is built once, when it is spawned, not
+// per Sleep.
+func TestSleepZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e := NewEnv(1)
+	defer e.Close()
+	allocs := -1.0
+	e.Go("sleeper", func(p *Proc) {
+		p.Sleep(time.Microsecond) // warm the event pool and the heap slice
+		allocs = testing.AllocsPerRun(100, func() { p.Sleep(time.Microsecond) })
+	})
+	e.RunAll()
+	if allocs != 0 {
+		t.Fatalf("a warmed Sleep allocated %.2f objects, want 0", allocs)
 	}
 }
 

@@ -252,6 +252,7 @@ type Proc struct {
 	resume chan struct{} //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
 	dead   bool
 	killed bool
+	wake   func() // runs the process; built once so wake-ups allocate nothing
 }
 
 // Name returns the process name given at spawn time.
@@ -268,6 +269,7 @@ func (p *Proc) Now() Time { return p.env.now }
 // sleeps, waits, or returns.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, resume: make(chan struct{})} //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
+	p.wake = func() { e.runProc(p) }
 	e.procs = append(e.procs, p)
 	go func() { //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
 		<-p.resume //splitlint:ignore nogoroutine proc goroutine blocks here until runProc hands it the single execution token
@@ -287,7 +289,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		}
 		fn(p)
 	}()
-	e.Schedule(0, func() { e.runProc(p) })
+	e.Schedule(0, p.wake)
 	return p
 }
 
@@ -320,8 +322,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		// events scheduled for this instant may run.
 		d = 0
 	}
-	e := p.env
-	e.Schedule(d, func() { e.runProc(p) })
+	p.env.Schedule(d, p.wake)
 	p.block()
 }
 
@@ -365,7 +366,7 @@ func (p *Proc) Kill() {
 	}
 	p.killed = true
 	if p != p.env.cur {
-		p.env.Schedule(0, func() { p.env.runProc(p) })
+		p.env.Schedule(0, p.wake)
 	}
 }
 
@@ -528,7 +529,7 @@ func (q *WaitQueue) Signal() {
 	w.fired = true
 	w.sig = true
 	if w.p != nil {
-		q.env.Schedule(0, func() { q.env.runProc(w.p) })
+		q.env.Schedule(0, w.p.wake)
 		return
 	}
 	q.env.Schedule(0, func() { w.fn(true) })
@@ -579,8 +580,7 @@ func (c *Completion) Complete() {
 	c.fns = nil
 	for _, w := range c.q {
 		if w.p != nil {
-			proc := w.p
-			c.env.Schedule(0, func() { c.env.runProc(proc) })
+			c.env.Schedule(0, w.p.wake)
 			continue
 		}
 		c.env.Schedule(0, w.fn)

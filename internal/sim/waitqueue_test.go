@@ -177,3 +177,52 @@ func TestSameInstantFIFOWakeOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCompletionSameInstantFIFOWakeOrder is the Completion counterpart of
+// TestSameInstantFIFOWakeOrder: process Waiters and WaitFn continuations
+// registered in interleaved order all wake at the completion instant, in
+// registration order. A Wait on a completion that is already done returns
+// without yielding: no handoff, no time passes.
+func TestCompletionSameInstantFIFOWakeOrder(t *testing.T) {
+	e := NewEnv(1)
+	defer e.Close()
+	c := NewCompletion(e)
+	var woke []string
+	log := func(name string) { woke = append(woke, fmt.Sprintf("%s@%d", name, e.Now())) }
+	// Registration order is event order at t=0: p1, f1, p2, f2.
+	e.Go("p1", func(p *Proc) { c.Wait(p); log("p1") })
+	e.Schedule(0, func() { c.WaitFn(func() { log("f1") }) })
+	e.Go("p2", func(p *Proc) { c.Wait(p); log("p2") })
+	e.Schedule(0, func() { c.WaitFn(func() { log("f2") }) })
+	e.Run(0)
+	if len(woke) != 0 {
+		t.Fatalf("woke before Complete: %v", woke)
+	}
+	e.Schedule(time.Millisecond, c.Complete)
+	e.RunAll()
+	at := Time(time.Millisecond)
+	want := []string{
+		fmt.Sprintf("p1@%d", at),
+		fmt.Sprintf("f1@%d", at),
+		fmt.Sprintf("p2@%d", at),
+		fmt.Sprintf("f2@%d", at),
+	}
+	if fmt.Sprint(woke) != fmt.Sprint(want) {
+		t.Fatalf("wake log %v, want %v (FIFO order violated)", woke, want)
+	}
+
+	var switches int64
+	var before, after Time
+	e.Go("late", func(p *Proc) {
+		before, switches = p.Now(), e.Stats().Switches
+		c.Wait(p)
+		after = p.Now()
+		if got := e.Stats().Switches; got != switches {
+			t.Errorf("Wait on a done Completion switched: %d -> %d", switches, got)
+		}
+	})
+	e.RunAll()
+	if after != before {
+		t.Errorf("Wait on a done Completion advanced time: %v -> %v", before, after)
+	}
+}

@@ -25,7 +25,8 @@
 //
 //   - hotpurity: functions reachable from event-loop entry points (block
 //     elevator implementations, callbacks handed to sim.Env.Schedule /
-//     ScheduleAt / Completion.OnComplete, //splitlint:hot-marked functions)
+//     ScheduleAt or parked with the sim *Fn waits, //splitlint:hot-marked
+//     functions)
 //     must not transitively block (channel ops, mutex locks, time.Sleep,
 //     syscalls) or spawn goroutines, and //splitlint:hot regions must not
 //     allocate.

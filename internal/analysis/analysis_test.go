@@ -101,19 +101,20 @@ func TestHotPurityFixtures(t *testing.T) {
 	assertFindings(t, fixture(t, AnalyzerHotPurity, "hotpurity/bad"), []string{
 		"internal/sched/myelv/myelv.go:30: [hotpurity] blocking call to sync.(*Mutex).Lock on the event-loop hot path: reachable via (*internal/sched/myelv.Elv).Next ((*internal/sched/myelv.Elv).Next is a block.Elevator implementation (scheduler dispatch/completion path))",
 		"internal/sched/myelv/myelv.go:49: [hotpurity] blocking call to time.Sleep on the event-loop hot path: reachable via (*internal/sched/myelv.Elv).Completed -> internal/block.KickAll -> (internal/sched/myelv.sleeper).Kick ((*internal/sched/myelv.Elv).Completed is a block.Elevator implementation (scheduler dispatch/completion path))",
-		"internal/sched/myelv/myelv.go:55: [hotpurity] go statement (goroutine spawn) on the event-loop hot path: reachable via internal/sched/myelv.Arm$1 (internal/sched/myelv.Arm$1 is a event-loop callback (sim handler registration: Schedule/ScheduleAt/NewHandler/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn))",
+		"internal/sched/myelv/myelv.go:55: [hotpurity] go statement (goroutine spawn) on the event-loop hot path: reachable via internal/sched/myelv.Arm$1 (internal/sched/myelv.Arm$1 is a event-loop callback (sim handler registration: Schedule/ScheduleAt/WaitFn/WaitTimeoutFn/WaitAllFn))",
 		"internal/sched/myelv/myelv.go:68: [hotpurity] allocation in //splitlint:hot region internal/sched/myelv.refresh: make (heap allocation); preallocate outside the hot path",
-		"internal/sched/myelv/waitfn.go:21: [hotpurity] blocking call to sync.(*Mutex).Lock on the event-loop hot path: reachable via internal/sched/myelv.ArmWaiters$1 (internal/sched/myelv.ArmWaiters$1 is a event-loop callback (sim handler registration: Schedule/ScheduleAt/NewHandler/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn))",
-		"internal/sched/myelv/waitfn.go:25: [hotpurity] go statement (goroutine spawn) on the event-loop hot path: reachable via internal/sched/myelv.ArmWaiters$2 (internal/sched/myelv.ArmWaiters$2 is a event-loop callback (sim handler registration: Schedule/ScheduleAt/NewHandler/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn))",
-		"internal/sched/myelv/waitfn.go:33: [hotpurity] blocking call to time.Sleep on the event-loop hot path: reachable via internal/sched/myelv.expire (internal/sched/myelv.expire is a event-loop callback (sim handler registration: Schedule/ScheduleAt/NewHandler/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn))",
-		"internal/sched/myelv/waitfn.go:38: [hotpurity] blocking channel receive on the event-loop hot path: reachable via internal/sched/myelv.barrier (internal/sched/myelv.barrier is a event-loop callback (sim handler registration: Schedule/ScheduleAt/NewHandler/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn))",
-		"internal/sched/myelv/waitfn.go:43: [hotpurity] go statement (goroutine spawn) on the event-loop hot path: reachable via internal/sched/myelv.pump (internal/sched/myelv.pump is a event-loop callback (sim handler registration: Schedule/ScheduleAt/NewHandler/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn))",
+		"internal/sched/myelv/waitfn.go:21: [hotpurity] blocking call to sync.(*Mutex).Lock on the event-loop hot path: reachable via internal/sched/myelv.ArmWaiters$1 (internal/sched/myelv.ArmWaiters$1 is a event-loop callback (sim handler registration: Schedule/ScheduleAt/WaitFn/WaitTimeoutFn/WaitAllFn))",
+		"internal/sched/myelv/waitfn.go:25: [hotpurity] go statement (goroutine spawn) on the event-loop hot path: reachable via internal/sched/myelv.ArmWaiters$2 (internal/sched/myelv.ArmWaiters$2 is a event-loop callback (sim handler registration: Schedule/ScheduleAt/WaitFn/WaitTimeoutFn/WaitAllFn))",
+		"internal/sched/myelv/waitfn.go:33: [hotpurity] blocking call to time.Sleep on the event-loop hot path: reachable via internal/sched/myelv.expire (internal/sched/myelv.expire is a event-loop callback (sim handler registration: Schedule/ScheduleAt/WaitFn/WaitTimeoutFn/WaitAllFn))",
+		"internal/sched/myelv/waitfn.go:38: [hotpurity] blocking channel receive on the event-loop hot path: reachable via internal/sched/myelv.barrier (internal/sched/myelv.barrier is a event-loop callback (sim handler registration: Schedule/ScheduleAt/WaitFn/WaitTimeoutFn/WaitAllFn))",
+		"internal/sched/myelv/waitfn.go:43: [hotpurity] go statement (goroutine spawn) on the event-loop hot path: reachable via internal/sched/myelv.pump (internal/sched/myelv.pump is a event-loop callback (sim handler registration: Schedule/ScheduleAt/WaitFn/WaitTimeoutFn/WaitAllFn))",
 		"internal/util/util.go:6: [hotpurity] blocking channel send on the event-loop hot path: reachable via (*internal/sched/myelv.Elv).Add -> internal/util.Notify ((*internal/sched/myelv.Elv).Add is a block.Elevator implementation (scheduler dispatch/completion path))",
 	})
 	// The good fixture has blocking code (util.Drain, a blocking Env.Go
 	// process body) that no hot root reaches, plus pure continuations at
-	// every new registration point (WaitFn/WaitTimeoutFn/WaitAllFn/
-	// NewHandler): reachability decides, not package membership.
+	// every continuation registration point (WaitFn/WaitTimeoutFn/
+	// WaitAllFn) and a named Schedule handler: reachability decides, not
+	// package membership.
 	assertFindings(t, fixture(t, AnalyzerHotPurity, "hotpurity/good"), nil)
 }
 

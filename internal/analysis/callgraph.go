@@ -23,7 +23,7 @@ import (
 //     method of every module type that implements the interface;
 //   - calls through plain function values are unresolvable and produce no
 //     edge — but function values that are *registered* with the event loop
-//     (sim.Env.Schedule / ScheduleAt / sim.Completion.OnComplete) are
+//     (sim.Env.Schedule / ScheduleAt and the *Fn waits) are
 //     recognized at the registration site and marked as event-handler
 //     roots, which is how hot-path analysis regains the edges that matter;
 //   - defer runs the call on the same goroutine and is treated as a call.
@@ -485,8 +485,8 @@ func modulePackage(modPath, path string) bool {
 // inside the event loop. These callbacks are documented "must not block":
 // they run on the single event-loop goroutine between process switches.
 // The set covers the run-to-completion core's whole handler surface —
-// timer scheduling, named handler bodies, and the parked-continuation
-// variants the converted kernel daemons block through. (sim.Env.Go is
+// timer scheduling and the parked continuations the kernel daemons block
+// through. (sim.Env.Go is
 // deliberately absent: process bodies MAY block — that is the coroutine
 // API's whole point.)
 func (b *cgBuilder) handlerRegistration(fn *types.Func) (argIdx int, ok bool) {
@@ -499,10 +499,6 @@ func (b *cgBuilder) handlerRegistration(fn *types.Func) (argIdx int, ok bool) {
 		return 1, true // Schedule(d time.Duration, fn func())
 	case recv == "Env" && fn.Name() == "ScheduleAt":
 		return 1, true // ScheduleAt(at Time, fn func())
-	case recv == "Env" && fn.Name() == "NewHandler":
-		return 1, true // NewHandler(name string, fn func())
-	case recv == "Completion" && fn.Name() == "OnComplete":
-		return 0, true // OnComplete(fn func())
 	case recv == "Completion" && fn.Name() == "WaitFn":
 		return 0, true // WaitFn(fn func())
 	case recv == "WaitQueue" && fn.Name() == "WaitFn":
@@ -623,7 +619,7 @@ func (g *callGraph) hotRoots() map[*cgNode]string {
 	}
 	for _, n := range g.nodes {
 		if n.handler {
-			roots[n] = "event-loop callback (sim handler registration: Schedule/ScheduleAt/NewHandler/OnComplete/WaitFn/WaitTimeoutFn/WaitAllFn)"
+			roots[n] = "event-loop callback (sim handler registration: Schedule/ScheduleAt/WaitFn/WaitTimeoutFn/WaitAllFn)"
 		}
 		if n.hot && n.enclosing == nil {
 			roots[n] = "//splitlint:hot function"

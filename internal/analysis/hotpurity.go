@@ -11,20 +11,19 @@ import (
 // The DES event loop runs scheduled callbacks and the block-layer scheduler
 // surface (Elevator.Add/Next/Completed) to completion on a single goroutine;
 // a blocking operation anywhere in that call tree deadlocks or serializes
-// the simulation, and the planned flat-event-loop rewrite (ROADMAP item 1)
-// additionally requires the hot path to be allocation-free. The per-file
+// the simulation, and the //splitlint:hot regions of the loop must also
+// stay allocation-free. The per-file
 // nogoroutine analyzer catches direct violations inside DES-core packages;
 // this analyzer walks the whole-module call graph so a violation one or five
 // calls deep — or behind an interface dispatch — is caught too.
 //
 // Roots (see callgraph.go): module implementations of block.Elevator's
 // Add/Next/Completed; callbacks registered at any sim handler registration
-// point — Env.Schedule/ScheduleAt, Env.NewHandler bodies,
-// Completion.OnComplete/WaitFn, WaitQueue.WaitFn/WaitTimeoutFn, and
-// sim.WaitAllFn continuations (the parked-continuation surface the
-// run-to-completion kernel daemons block through); //splitlint:hot-annotated
-// functions. sim.Env.Go bodies are NOT roots: processes are coroutines and
-// may block.
+// point — Env.Schedule/ScheduleAt, Completion.WaitFn,
+// WaitQueue.WaitFn/WaitTimeoutFn, and sim.WaitAllFn continuations (the
+// parked-continuation surface the run-to-completion kernel daemons block
+// through); //splitlint:hot-annotated functions. sim.Env.Go bodies are NOT
+// roots: processes are coroutines and may block.
 //
 // Violations in the reachable set: goroutine spawns, channel operations
 // (send/recv/select/range), blocking stdlib calls (mutex lock, WaitGroup /
@@ -38,10 +37,11 @@ import (
 // literals and append to an existing slice are allowed (amortized /
 // stack-allocated).
 //
-// The sim kernel's own coroutine handoff (runProc / block) necessarily
-// performs the park/resume channel operations; those lines carry
-// //splitlint:ignore hotpurity directives with reasons — they are the
-// mechanism, not a violation of it.
+// The sim kernel's own coroutine handoff (runProc / block) performs the
+// park/resume channel operations, but no hot root reaches it: the loop
+// resumes a process only through stored function values (Proc.wake and
+// Proc.Await's resume closure), which the call graph does not follow. Its
+// channel lines carry nogoroutine directives only.
 var AnalyzerHotPurity = &Analyzer{
 	Name:      "hotpurity",
 	Doc:       "event-loop-reachable code must not block, spawn goroutines, or allocate in //splitlint:hot regions",

@@ -8,8 +8,8 @@ import (
 )
 
 // The run-to-completion registration points: continuations parked on wait
-// queues and completions, and named handler bodies, are hot roots exactly
-// like scheduled callbacks — each of these blocks when woken.
+// queues and completions, and named scheduled functions, are hot roots —
+// each of these blocks when woken.
 
 var relockMu sync.Mutex
 
@@ -25,7 +25,7 @@ func ArmWaiters(env *sim.Env, q *sim.WaitQueue, c *sim.Completion) {
 		go drain(nil)
 	})
 	sim.WaitAllFn(nil, barrier)
-	env.NewHandler("pump", pump)
+	env.Schedule(0, pump)
 }
 
 // expire is a named WaitTimeoutFn continuation that sleeps on the host.
@@ -38,7 +38,7 @@ func barrier() {
 	<-pumpCh
 }
 
-// pump is a named handler body that spawns.
+// pump is a named scheduled handler that spawns.
 func pump() {
 	go drain(pumpCh)
 }

@@ -20,8 +20,6 @@ type Proc struct{}
 // Completion is a stub completion future.
 type Completion struct{}
 
-func (c *Completion) OnComplete(fn func()) { _ = fn }
-
 // WaitQueue is a stub FIFO wait queue; its *Fn registrations park handler
 // continuations that run on the event loop.
 type WaitQueue struct{}
@@ -33,8 +31,3 @@ func (c *Completion) WaitFn(fn func()) { _ = fn }
 
 // WaitAllFn is the stub continuation barrier.
 func WaitAllFn(cs []*Completion, k func()) { _ = cs; _ = k }
-
-// Handler is a stub named-handler handle.
-type Handler struct{}
-
-func (e *Env) NewHandler(name string, fn func()) *Handler { _ = name; _ = fn; return nil }

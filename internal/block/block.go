@@ -208,11 +208,6 @@ func (l *Layer) Submit(r *Request) *sim.Completion {
 	return r.done
 }
 
-// SubmitAndWait submits r and blocks p until it completes.
-func (l *Layer) SubmitAndWait(p *sim.Proc, r *Request) {
-	l.Submit(r).Wait(p)
-}
-
 // traceRequest emits the block- and device-layer spans of one completed
 // request: the queue span (submission to dispatch, labeled with the
 // elevator), a gc-wait span when the disk model reports that part of the

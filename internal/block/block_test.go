@@ -37,7 +37,7 @@ func TestFIFOOrder(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		i := i
 		done := l.Submit(&Request{Op: device.Write, LBA: i * 1000, Blocks: 1})
-		done.OnComplete(func() { order = append(order, i) })
+		done.WaitFn(func() { order = append(order, i) })
 	}
 	env.RunAll()
 	for i := range order {
@@ -53,12 +53,12 @@ func TestSubmitAndWait(t *testing.T) {
 	var elapsed time.Duration
 	env.Go("client", func(p *sim.Proc) {
 		start := p.Now()
-		l.SubmitAndWait(p, &Request{Op: device.Read, LBA: 1, Blocks: 1})
+		l.Submit(&Request{Op: device.Read, LBA: 1, Blocks: 1}).Wait(p)
 		elapsed = p.Now().Sub(start)
 	})
 	env.RunAll()
 	if elapsed <= 0 {
-		t.Fatal("SubmitAndWait returned instantly")
+		t.Fatal("Submit(r).Wait returned instantly")
 	}
 	env.Close()
 }
@@ -211,7 +211,7 @@ func TestConservation(t *testing.T) {
 		nb := int(v%7) + 1
 		blocks += int64(nb)
 		done := l.Submit(&Request{Op: op, LBA: v % 100000, Blocks: nb})
-		done.OnComplete(func() { completed++ })
+		done.WaitFn(func() { completed++ })
 	}
 	env.RunAll()
 	if completed != n {

@@ -87,9 +87,9 @@ type Options struct {
 	// When nil each kernel gets a fresh disabled tracer that can be
 	// enabled later via Kernel.Trace.Enable().
 	Tracer *trace.Tracer
-	// MetricsInterval, when positive, starts a sampler process that snapshots
+	// MetricsInterval, when positive, starts a sampler handler that snapshots
 	// every registry gauge into a time series at that virtual-time period.
-	// It is strictly opt-in: the sampler is a simulated process, so enabling
+	// It is strictly opt-in: each sample is a simulation event, so enabling
 	// it perturbs event interleaving and changes experiment results slightly.
 	MetricsInterval time.Duration
 	// Fault, when non-nil, interposes a fault.Device between the block layer
@@ -103,8 +103,8 @@ type Options struct {
 	// tracer (enabling the tracer with a small retention ring if the caller
 	// has not), watches the scheduler, block dispatcher, and FTL GC state,
 	// and starts its virtual-time ticker. Like MetricsInterval, the ticker
-	// is a simulated process and perturbs event interleaving, so it is
-	// strictly opt-in.
+	// is a re-arming handler whose events perturb event interleaving, so it
+	// is strictly opt-in.
 	Monitor *monitor.Config
 }
 

@@ -82,7 +82,7 @@ type Options struct {
 
 // StatsCollector gathers the metrics registries of every kernel an
 // experiment run creates, labeled by scheduler name and creation order.
-// Collecting stats starts a sampler process on each kernel, which perturbs
+// Collecting stats starts a sampler handler on each kernel, which perturbs
 // event interleaving slightly relative to an unsampled run — that is why
 // stats are opt-in rather than always on.
 type StatsCollector struct {
@@ -104,7 +104,7 @@ func (sc *StatsCollector) Add(label string, r *metrics.Registry) {
 
 // MonitorCollector gathers the observability planes of every kernel an
 // experiment run creates, labeled like StatsCollector machines. Monitoring
-// starts a virtual-time ticker on each kernel, which perturbs event
+// starts a virtual-time ticker handler on each kernel, which perturbs event
 // interleaving slightly relative to an unmonitored run — opt-in, like
 // -stats.
 type MonitorCollector struct {

@@ -453,7 +453,9 @@ func (f *FS) submitReadRuns(ctx *ioctx.Ctx, file *File, first, last int64) []*si
 			req.Deadline = f.env.Now().Add(ctx.ReadDeadline)
 		}
 		done := f.blk.Submit(req)
-		done.OnComplete(func() { f.cache.InsertCleanRange(ino, runFirst, runLast) })
+		// Registered before anyone can wait on done (Submit never completes
+		// inline), so the pages are in the cache before any waiter resumes.
+		done.WaitFn(func() { f.cache.InsertCleanRange(ino, runFirst, runLast) })
 		dones = append(dones, done)
 	})
 	return dones

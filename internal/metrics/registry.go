@@ -111,19 +111,20 @@ func (r *Registry) Sample(now sim.Time) {
 	}
 }
 
-// StartSampler spawns a simulation process that samples every gauge each
-// interval of virtual time. Sampling perturbs event ordering at tick
-// instants, so kernels only start a sampler when observability is requested.
+// StartSampler schedules a handler that samples every gauge now and then
+// re-arms itself every interval of virtual time. Sampling perturbs event
+// ordering at tick instants, so kernels only start a sampler when
+// observability is requested.
 func (r *Registry) StartSampler(env *sim.Env, every time.Duration) {
 	if every <= 0 {
 		every = 100 * time.Millisecond
 	}
-	env.Go("metrics-sampler", func(p *sim.Proc) {
-		for {
-			r.Sample(p.Now())
-			p.Sleep(every)
-		}
-	})
+	var sample func()
+	sample = func() {
+		r.Sample(env.Now())
+		env.Schedule(every, sample)
+	}
+	env.Schedule(0, sample)
 }
 
 // WriteText writes a per-gauge summary (samples, min, mean, max, last) in

@@ -100,16 +100,19 @@ func (m *Monitor) Watch(in sched.Introspector) {
 // recorder.
 func (m *Monitor) WatchAttr(a *attr.Attribution) { m.attribution = a }
 
-// Start spawns the virtual-time ticker ("monitor" process). Sampling
-// perturbs event ordering at tick instants, exactly like the metrics
-// sampler, so kernels only start a monitor when observability is requested.
+// Start arms the virtual-time ticker: a handler that closes a window every
+// Window of virtual time and re-arms itself. A zero-delay start event arms
+// the first window, so the first tick's seq is drawn after every event
+// already due at the start instant. Sampling perturbs event ordering at
+// tick instants, exactly like the metrics sampler, so kernels only start a
+// monitor when observability is requested.
 func (m *Monitor) Start() {
-	m.env.Go("monitor", func(p *sim.Proc) {
-		for {
-			p.Sleep(m.cfg.Window)
-			m.tick(p.Now())
-		}
-	})
+	var tick func()
+	tick = func() {
+		m.tick(m.env.Now())
+		m.env.Schedule(m.cfg.Window, tick)
+	}
+	m.env.Schedule(0, func() { m.env.Schedule(m.cfg.Window, tick) })
 }
 
 // Consume implements trace.Sink: syscall spans feed the SLO windows, and

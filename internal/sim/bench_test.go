@@ -1,6 +1,7 @@
 // Microbenchmarks for the DES kernel's two hot paths: the event heap
 // (schedule/pop with no processes) and the coroutine engine (the
-// two-goroutine-handoff cost of every blocking operation), plus
+// two-goroutine-handoff cost of every blocking operation, and the
+// WaitQueue and Completion waits that park a process through it), plus
 // BenchmarkEventLoopMix, the bare kernel under the traffic mix of the
 // run-to-completion stack. `make microbench` runs these; the benchmark of
 // record (cmd/benchmark) measures the same paths end to end through the
@@ -66,6 +67,49 @@ func BenchmarkCoroutineSwitch(b *testing.B) {
 			p.Sleep(time.Microsecond)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.RunAll()
+}
+
+// benchWarmRounds wait/wake round trips run before the timer starts, so
+// the measured rounds see grown slices and a filled event pool.
+const benchWarmRounds = 64
+
+// BenchmarkWaitQueueWaitSignal measures one process's WaitQueue.Wait and
+// Signal round trip: a timer signals the queue, and the wake event resumes
+// the parked process (one handoff, two events per round).
+func BenchmarkWaitQueueWaitSignal(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	q := sim.NewWaitQueue(env)
+	signal := q.Signal
+	env.Go("waiter", func(p *sim.Proc) {
+		for i := 0; i < benchWarmRounds+b.N; i++ {
+			env.Schedule(time.Microsecond, signal)
+			q.Wait(p)
+		}
+	})
+	env.Run(sim.Time(benchWarmRounds * time.Microsecond))
+	b.ReportAllocs()
+	b.ResetTimer()
+	env.RunAll()
+}
+
+// BenchmarkCompletionWait measures one process's Completion.Wait round
+// trip: a timer completes a fresh completion, and the wake event resumes
+// the parked process.
+func BenchmarkCompletionWait(b *testing.B) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	env.Go("waiter", func(p *sim.Proc) {
+		for i := 0; i < benchWarmRounds+b.N; i++ {
+			c := sim.NewCompletion(env)
+			env.Schedule(time.Microsecond, c.Complete)
+			c.Wait(p)
+		}
+	})
+	env.Run(sim.Time(benchWarmRounds * time.Microsecond))
 	b.ReportAllocs()
 	b.ResetTimer()
 	env.RunAll()

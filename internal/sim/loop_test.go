@@ -223,3 +223,25 @@ func TestStatsSwitchesCountHandoffs(t *testing.T) {
 	}
 	e.Close()
 }
+
+// TestRunOnClosedEnvPanics checks that Run and RunAll share one loop body
+// and its guard: neither may drive an environment whose processes Close
+// has already torn down.
+func TestRunOnClosedEnvPanics(t *testing.T) {
+	for name, run := range map[string]func(e *Env){
+		"Run":    func(e *Env) { e.Run(Time(time.Second)) },
+		"RunAll": func(e *Env) { e.RunAll() },
+	} {
+		e := NewEnv(1)
+		e.Schedule(0, func() {})
+		e.Close()
+		func() {
+			defer func() {
+				if r := recover(); r != "sim: Run on closed Env" {
+					t.Errorf("%s on closed Env: recovered %v, want the closed-Env panic", name, r)
+				}
+			}()
+			run(e)
+		}()
+	}
+}

@@ -4,18 +4,23 @@
 // code run on the loop:
 //
 //   - Run-to-completion handlers: plain callbacks scheduled with Schedule /
-//     ScheduleAt (or parked on a WaitQueue / Completion via the *Fn wait
-//     variants). A handler runs on the event loop itself, must not block, and
-//     costs no context switches. All kernel daemons (block dispatcher,
-//     pdflush, journal commit, FTL GC) run this way.
+//     ScheduleAt, or parked as continuations on a WaitQueue or Completion
+//     (WaitFn, WaitTimeoutFn, WaitAllFn). A handler runs on the event loop
+//     itself, must not block, and costs no context switches. All kernel
+//     daemons (block dispatcher, pdflush, journal commit, FTL GC) run this
+//     way.
 //
 //   - Cooperative processes (Proc): goroutines with blocking control flow
-//     (Sleep, Wait, SubmitAndWait) for workload and application code.
+//     (Sleep, Wait, WaitTimeout) for workload and application code.
 //     Exactly one process (or handler) runs at a time; control returns to
 //     the event loop whenever a process sleeps or blocks. Each park/resume
 //     costs two goroutine context switches — which is why hot kernel paths
-//     are handlers, not Procs. A process calls a handler-built operation
-//     through Proc.Await, which parks it once for the whole operation.
+//     are handlers, not Procs.
+//
+// A continuation is the only kind of waiter. A process waits through
+// Proc.Await, which parks it once behind a continuation that resumes it:
+// WaitQueue.Wait, WaitQueue.WaitTimeout and Completion.Wait are such
+// bridges, and so is any handler-built operation a process calls.
 //
 // Events scheduled for the same instant fire in scheduling order, so runs
 // are fully deterministic regardless of which kind of code scheduled them.
@@ -30,6 +35,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -301,8 +307,8 @@ func (e *Env) runProc(p *Proc) {
 	prev := e.cur
 	e.cur = p
 	e.stats.Switches++
-	p.resume <- struct{}{} //splitlint:ignore nogoroutine,hotpurity hand the single execution token to p; this IS the coroutine mechanism the purity contract protects
-	<-e.park               //splitlint:ignore nogoroutine,hotpurity wait until p parks; exactly one runnable goroutine, so the handoff cannot deadlock
+	p.resume <- struct{}{} //splitlint:ignore nogoroutine hand the single execution token to p; this IS the coroutine mechanism the purity contract protects
+	<-e.park               //splitlint:ignore nogoroutine wait until p parks; exactly one runnable goroutine, so the handoff cannot deadlock
 	e.cur = prev
 }
 
@@ -326,25 +332,26 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.block()
 }
 
-// Yield lets any other events scheduled for the current instant run.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Await blocks p on a continuation-style operation: it runs start, handing
 // it a resume callback to call exactly once, when the operation finishes.
 // A resume that runs before start returns means the operation finished
 // inline, and p does not yield at all. A later resume must come from an
-// event handler; it runs p inline, inside that event, the way a WaitTimeout
-// expiry does, so p wakes at exactly the (at, seq) slot a blocking wait on
-// the same completion would have given it. Resuming a dead process is a
-// no-op.
+// event handler; it runs p inline, inside that event, so p wakes at exactly
+// the (at, seq) slot of the event that finished the operation. Every
+// process wait on a WaitQueue or Completion is this bridge over the
+// continuation form. Resuming a dead process is a no-op.
 func (p *Proc) Await(start func(resume func())) {
-	done, parked := false, false
+	// One captured state word, not two flags: each variable a closure
+	// captures is its own heap allocation, and every process wait pays it.
+	const starting, parked, resumed = 0, 1, 2
+	state := starting
 	start(func() {
-		if done {
+		if state == resumed {
 			panic("sim: Await resumed twice")
 		}
-		done = true
-		if !parked {
+		wasParked := state == parked
+		state = resumed
+		if !wasParked {
 			return
 		}
 		if p.env.cur != nil {
@@ -352,8 +359,8 @@ func (p *Proc) Await(start func(resume func())) {
 		}
 		p.env.runProc(p)
 	})
-	if !done {
-		parked = true
+	if state == starting {
+		state = parked
 		p.block()
 	}
 }
@@ -373,9 +380,25 @@ func (p *Proc) Kill() {
 // Run advances the simulation until no events remain or until the virtual
 // clock would pass until. It returns the final virtual time. Events exactly
 // at until still run.
+func (e *Env) Run(until Time) Time {
+	e.loop(until)
+	if e.now < until {
+		e.now = until
+	}
+	return e.now
+}
+
+// RunAll advances the simulation until no events remain.
+func (e *Env) RunAll() Time {
+	e.loop(math.MaxInt64)
+	return e.now
+}
+
+// loop pops and runs events in (at, seq) order until none remain or the
+// next one is due after until.
 //
 //splitlint:hot
-func (e *Env) Run(until Time) Time {
+func (e *Env) loop(until Time) {
 	if e.closed {
 		panic("sim: Run on closed Env")
 	}
@@ -394,28 +417,6 @@ func (e *Env) Run(until Time) Time {
 		}
 		fn()
 	}
-	if e.now < until {
-		e.now = until
-	}
-	return e.now
-}
-
-// RunAll advances the simulation until no events remain.
-//
-//splitlint:hot
-func (e *Env) RunAll() Time {
-	for len(e.events) > 0 {
-		ev := e.heapPop()
-		at, fn := ev.at, ev.fn
-		e.releaseEvent(ev)
-		e.now = at
-		e.stats.Events++
-		if e.obs != nil {
-			e.obs(at)
-		}
-		fn()
-	}
-	return e.now
 }
 
 // Close terminates every live process so their goroutines exit. The
@@ -441,20 +442,18 @@ func (e *Env) Close() {
 	}
 }
 
-// WaitQueue is a FIFO queue of blocked waiters — parked processes and
-// parked handler continuations, interleaved in arrival order. Wakers
-// schedule wake-ups as zero-delay events, so a woken waiter resumes at the
-// current virtual instant but after the waker yields.
+// WaitQueue is a FIFO queue of parked continuations. Wakers schedule
+// wake-ups as zero-delay events, so a woken waiter resumes at the current
+// virtual instant but after the waker yields. A process waits through
+// Proc.Await, parking the continuation that resumes it.
 type WaitQueue struct {
 	env     *Env
 	waiters []*waiter
 }
 
 type waiter struct {
-	p     *Proc          // non-nil for a process waiter
-	fn    func(sig bool) // non-nil for a handler-continuation waiter
-	fired bool           // signaled or timed out; entry is dead
-	sig   bool           // woken by Signal (vs timeout)
+	fn    func(sig bool)
+	fired bool // signaled or timed out; entry is dead
 }
 
 // NewWaitQueue returns an empty wait queue on env.
@@ -465,14 +464,11 @@ func (q *WaitQueue) Len() int { return len(q.waiters) }
 
 // Wait blocks p until another process or event signals the queue.
 func (q *WaitQueue) Wait(p *Proc) {
-	w := &waiter{p: p}
-	q.waiters = append(q.waiters, w)
-	p.block()
+	p.Await(func(resume func()) { q.WaitFn(func(bool) { resume() }) })
 }
 
-// WaitFn parks fn as a handler continuation until the queue is signaled.
-// The continuation runs as a zero-delay event with sig=true, in the same
-// FIFO position a process calling Wait from the same spot would occupy.
+// WaitFn parks fn until the queue is signaled. The continuation runs as a
+// zero-delay event with sig=true.
 func (q *WaitQueue) WaitFn(fn func(sig bool)) {
 	q.waiters = append(q.waiters, &waiter{fn: fn})
 }
@@ -480,26 +476,20 @@ func (q *WaitQueue) WaitFn(fn func(sig bool)) {
 // WaitTimeout blocks p until the queue is signaled or d elapses. It reports
 // whether the wake-up was a signal (true) rather than a timeout (false).
 func (q *WaitQueue) WaitTimeout(p *Proc, d time.Duration) bool {
-	w := &waiter{p: p}
-	q.waiters = append(q.waiters, w)
-	q.armTimeout(w, d)
-	p.block()
-	return w.sig
+	var sig bool
+	p.Await(func(resume func()) {
+		q.WaitTimeoutFn(d, func(s bool) { sig = s; resume() })
+	})
+	return sig
 }
 
-// WaitTimeoutFn parks fn as a handler continuation until the queue is
-// signaled (continuation runs as a zero-delay event with sig=true) or d
-// elapses (continuation runs inside the timer event with sig=false) —
-// exactly the wake-up schedule WaitTimeout gives a process.
+// WaitTimeoutFn parks fn until the queue is signaled (fn runs as a
+// zero-delay event with sig=true) or d elapses (fn runs inside the timer
+// event with sig=false). On expiry the waiter leaves the queue; a signal
+// in flight has already marked it fired.
 func (q *WaitQueue) WaitTimeoutFn(d time.Duration, fn func(sig bool)) {
 	w := &waiter{fn: fn}
 	q.waiters = append(q.waiters, w)
-	q.armTimeout(w, d)
-}
-
-// armTimeout schedules w's expiry. On expiry the waiter is removed and woken
-// inline in the timer event (a signal in flight has already marked it fired).
-func (q *WaitQueue) armTimeout(w *waiter, d time.Duration) {
 	q.env.Schedule(d, func() {
 		if w.fired {
 			return
@@ -510,10 +500,6 @@ func (q *WaitQueue) armTimeout(w *waiter, d time.Duration) {
 				q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
 				break
 			}
-		}
-		if w.p != nil {
-			q.env.runProc(w.p)
-			return
 		}
 		w.fn(false)
 	})
@@ -527,11 +513,6 @@ func (q *WaitQueue) Signal() {
 	w := q.waiters[0]
 	q.waiters = q.waiters[1:]
 	w.fired = true
-	w.sig = true
-	if w.p != nil {
-		q.env.Schedule(0, w.p.wake)
-		return
-	}
 	q.env.Schedule(0, func() { w.fn(true) })
 }
 
@@ -542,20 +523,13 @@ func (q *WaitQueue) Broadcast() {
 	}
 }
 
-// Completion is a one-shot event that processes and handler continuations
-// can wait on. Waiting on an already-completed Completion returns (or, for
-// WaitFn, runs the continuation) immediately.
+// Completion is a one-shot event that continuations, and processes through
+// Proc.Await, can wait on. Waiting on an already-completed Completion
+// returns (or, for WaitFn, runs the continuation) immediately.
 type Completion struct {
 	env  *Env
 	done bool
-	q    []compWaiter
-	fns  []func()
-}
-
-// compWaiter is one parked waiter: a process or a handler continuation.
-type compWaiter struct {
-	p  *Proc
-	fn func()
+	q    []func()
 }
 
 // NewCompletion returns an incomplete Completion on env.
@@ -564,26 +538,15 @@ func NewCompletion(env *Env) *Completion { return &Completion{env: env} }
 // Done reports whether Complete has been called.
 func (c *Completion) Done() bool { return c.done }
 
-// Complete marks the completion done and wakes all waiters. Completing twice
-// is a no-op.
+// Complete marks the completion done and wakes all waiters, each as a
+// zero-delay event in registration order. Completing twice is a no-op.
 func (c *Completion) Complete() {
 	if c.done {
 		return
 	}
 	c.done = true
-	// Callbacks run before waiters resume: completion side effects (e.g.
-	// inserting read pages into the cache) must be visible to whoever was
-	// blocked on the completion.
-	for _, fn := range c.fns {
+	for _, fn := range c.q {
 		c.env.Schedule(0, fn)
-	}
-	c.fns = nil
-	for _, w := range c.q {
-		if w.p != nil {
-			c.env.Schedule(0, w.p.wake)
-			continue
-		}
-		c.env.Schedule(0, w.fn)
 	}
 	c.q = nil
 }
@@ -593,21 +556,18 @@ func (c *Completion) Wait(p *Proc) {
 	if c.done {
 		return
 	}
-	c.q = append(c.q, compWaiter{p: p})
-	p.block()
+	p.Await(c.WaitFn)
 }
 
-// WaitFn parks fn as a handler continuation until the completion is done.
-// If it already is, fn runs inline — the continuation analog of Wait
-// returning without yielding. Otherwise fn runs as a zero-delay event when
-// Complete fires, in the same FIFO position a waiting process would occupy
-// (after the OnComplete callbacks, like every waiter).
+// WaitFn parks fn until the completion is done. If it already is, fn runs
+// inline — the continuation analog of Wait returning without yielding.
+// Otherwise fn runs as a zero-delay event when Complete fires.
 func (c *Completion) WaitFn(fn func()) {
 	if c.done {
 		fn()
 		return
 	}
-	c.q = append(c.q, compWaiter{fn: fn})
+	c.q = append(c.q, fn)
 }
 
 // WaitAllFn invokes k once every completion in cs is done, waiting on each
@@ -626,16 +586,7 @@ func WaitAllFn(cs []*Completion, k func()) {
 		}
 		c := cs[i]
 		i++
-		c.q = append(c.q, compWaiter{fn: step})
+		c.q = append(c.q, step)
 	}
 	step()
-}
-
-// OnComplete runs fn (as a zero-delay event) once the completion is done.
-func (c *Completion) OnComplete(fn func()) {
-	if c.done {
-		c.env.Schedule(0, fn)
-		return
-	}
-	c.fns = append(c.fns, fn)
 }

@@ -176,13 +176,19 @@ func TestCompletionOnComplete(t *testing.T) {
 	e := NewEnv(1)
 	c := NewCompletion(e)
 	fired := 0
-	c.OnComplete(func() { fired++ })
+	c.WaitFn(func() { fired++ })
 	c.Complete()
 	c.Complete() // idempotent
-	c.OnComplete(func() { fired++ })
+	if fired != 0 {
+		t.Fatalf("parked continuation ran inside Complete: fired = %d, want 0", fired)
+	}
 	e.RunAll()
+	if fired != 1 {
+		t.Fatalf("fired = %d after RunAll, want 1", fired)
+	}
+	c.WaitFn(func() { fired++ }) // already done: runs inline
 	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
+		t.Fatalf("fired = %d after WaitFn on a done completion, want 2", fired)
 	}
 }
 
@@ -260,7 +266,7 @@ func TestSleepZeroYields(t *testing.T) {
 	var got []string
 	e.Go("a", func(p *Proc) {
 		got = append(got, "a-before")
-		p.Yield()
+		p.Sleep(0)
 		got = append(got, "a-after")
 	})
 	e.Go("b", func(p *Proc) {

@@ -1,12 +1,13 @@
 # Tier-1 verification plus static and race checks.
 #
-#   make check       vet (with gofmt) + lint + build + tests + benchmark tests + race + fuzz corpora + crash-consistency smoke + gcsweep + report + slo
+#   make check       vet (with gofmt) + lint + build + tests + benchmark tests + race + fuzz corpora + crash-consistency smoke + gcsweep + report + slo + tracegate
 #   make lint        splitlint determinism-contract analyzers (see DESIGN.md)
 #   make benchtest   tests of cmd/benchmark, a nested module the root `go test ./...` skips
 #   make crashsweep  fault-injected crash sweep; fails on any invariant violation
 #   make gcsweep     GC-inversion sweep on an aged FTL SSD; fails if gc-afq inverts
 #   make report      latency-attribution report; fails on split-scheduler inversions
 #   make slo         windowed SLO gate; CFQ must breach (with a bundle), split-AFQ must not
+#   make tracegate   traced fig9 under a virtual-memory cap; fails if -trace memory grows with the run
 #   make clean       remove generated artifacts (reports, SARIF, coverage, post-mortems)
 #   make fuzz        checked-in fuzz corpora in regression mode (no exploration)
 #   make cover       coverage profile + HTML; fails if total drops below coverage-baseline.txt
@@ -18,9 +19,9 @@
 GO ?= go
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: check build test benchtest vet race microbench lint fuzz cover crashsweep gcsweep report slo clean
+.PHONY: check build test benchtest vet race microbench lint fuzz cover crashsweep gcsweep report slo tracegate clean
 
-check: vet lint build test benchtest race fuzz crashsweep gcsweep report slo
+check: vet lint build test benchtest race fuzz crashsweep gcsweep report slo tracegate
 
 # The full interprocedural suite (call graph + taint fixpoints) is the
 # slowest static check, so the wall time is echoed to stderr; the SARIF
@@ -101,6 +102,20 @@ report:
 # dump a flight-recorder bundle; split-AFQ on the same seed must not breach.
 slo:
 	$(GO) run ./cmd/splitbench -scale 0.1 -seed 1 -j $(NPROC) -postmortem postmortem-slo.json slo
+
+# -trace streams its output, so a traced run's memory must not grow with
+# its event count. Traced fig9 at -scale 0.05 records 478,482 events; it runs
+# under a TRACEGATE_KB virtual-memory cap (ulimit -v), which must stay
+# above the Go runtime's own reservations: on a 2-CPU linux/amd64 host
+# splitbench needs about 750000 KB to start and run fig9 at all, while a
+# tracer that kept every event failed at 1000000 KB. The binary is built
+# before the cap applies, so the compiler does not run under it.
+TRACEGATE_KB ?= 900000
+tracegate:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o "$$tmp/splitbench" ./cmd/splitbench && \
+	(ulimit -v $(TRACEGATE_KB) && "$$tmp/splitbench" -scale 0.05 -trace "$$tmp/fig9.json" fig9 >/dev/null 2>"$$tmp/stderr") || \
+	{ head -3 "$$tmp/stderr" >&2; echo "tracegate: traced fig9 failed under ulimit -v $(TRACEGATE_KB)" >&2; exit 1; }
 
 # Generated artifacts only — never sources. Post-mortem bundles are kept by
 # CI as artifacts, not by git.

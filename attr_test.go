@@ -18,8 +18,8 @@ import (
 
 // attributedRun runs the entangled pair — a best-effort fsync appender and
 // an idle-class paced bulk writer — under sched with an attribution sink
-// on a ring-buffered tracer, and returns the attribution plus the
-// appender's PID.
+// on the kernel's tracer, and returns the attribution plus the appender's
+// PID.
 func attributedRun(t *testing.T, sched string) (*attr.Attribution, causes.PID) {
 	t.Helper()
 	m := splitio.New(
@@ -29,9 +29,6 @@ func attributedRun(t *testing.T, sched string) (*attr.Attribution, causes.PID) {
 	)
 	t.Cleanup(m.Close)
 	k := m.Kernel()
-	// A small ring exercises the online contract: the sink must not depend
-	// on retained history the ring has discarded.
-	k.Trace.SetRing(1 << 12)
 	a := attr.New()
 	k.Trace.Attach(a)
 	k.Trace.Enable()

@@ -27,8 +27,8 @@
 //
 //	splitbench -scale 0.1 crashsweep
 //
-// -trace FILE records a cross-layer request trace of the run and writes it
-// as Chrome trace_event JSON (load it at chrome://tracing or
+// -trace FILE records a cross-layer request trace of the run and streams it
+// to FILE as Chrome trace_event JSON (load it at chrome://tracing or
 // https://ui.perfetto.dev); a per-request latency breakdown and summary are
 // printed to stderr. -stats prints each simulated machine's metric registry
 // after the run, including per-layer latency histograms from attribution.
@@ -52,7 +52,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -234,17 +233,16 @@ func run() int {
 		}
 		opts.Monitor = &exp.MonitorCollector{Window: *sloWindow, Rules: rules}
 	}
-	var traceOut *os.File
+	var finishTrace func([]trace.CounterSample) (int, error)
+	var rollup *trace.Rollup
 	if *traceFile != "" {
-		// Open up front so a bad path fails before the run, not after it.
-		f, err := os.Create(*traceFile)
+		opts.Tracer, finishTrace, err = createTrace(*traceFile, opts.Monitor != nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
 			return 1
 		}
-		traceOut = f
-		opts.Tracer = trace.New()
-		opts.Tracer.Enable()
+		rollup = trace.NewRollup(20)
+		opts.Tracer.Attach(rollup)
 	}
 	if *stats {
 		opts.Metrics = &exp.StatsCollector{}
@@ -281,15 +279,15 @@ func run() int {
 		}
 	}
 
-	if opts.Tracer != nil {
-		if err := writeTrace(traceOut, opts.Tracer, monitorCounters(opts.Monitor)); err != nil {
+	if finishTrace != nil {
+		n, err := finishTrace(monitorCounters(opts.Monitor))
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
 			return 1
 		}
-		events := opts.Tracer.Events()
-		fmt.Fprintf(os.Stderr, "\ntrace: %d events -> %s\n\n", len(events), *traceFile)
-		trace.WriteRequests(os.Stderr, events, 20)
-		trace.WriteSummary(os.Stderr, events)
+		fmt.Fprintf(os.Stderr, "\ntrace: %d events -> %s\n\n", n, *traceFile)
+		rollup.WriteRequests(os.Stderr)
+		rollup.WriteSummary(os.Stderr)
 	}
 	if opts.Metrics != nil {
 		for _, m := range opts.Metrics.Machines {
@@ -334,17 +332,27 @@ func sweepSummary(r *sweep.Runner) {
 		w, time.Duration(wallNS).Round(time.Millisecond), time.Duration(maxNS).Round(time.Millisecond))
 }
 
-func writeTrace(f *os.File, tr *trace.Tracer, counters []trace.CounterSample) error {
-	w := bufio.NewWriter(f)
-	if err := trace.WriteChromeFull(w, tr.Events(), counters); err != nil {
-		f.Close()
-		return err
+// createTrace opens path up front, so a bad path fails before the run, not
+// after it, and returns an enabled tracer whose ChromeWriter sink streams
+// the run's trace_event JSON into the file. finish appends the monitor's
+// counter tracks (monitored names their process in the header) and the
+// footer, closes the file, and returns the number of events written.
+func createTrace(path string, monitored bool) (tr *trace.Tracer, finish func([]trace.CounterSample) (int, error), err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	chrome := trace.NewChromeWriter(f, monitored)
+	tr = trace.New()
+	tr.Attach(chrome)
+	tr.Enable()
+	return tr, func(counters []trace.CounterSample) (int, error) {
+		err := chrome.Close(counters)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return chrome.Count(), err
+	}, nil
 }
 
 func printTable(t *exp.Table, wall time.Duration) {

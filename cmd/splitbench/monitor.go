@@ -72,16 +72,13 @@ func runMonitorCmd(opts exp.Options, window time.Duration, sloSpec, traceFile, p
 	}
 	opts.Monitor = &exp.MonitorCollector{Window: window, Rules: rules}
 
-	var traceOut *os.File
+	var finishTrace func([]trace.CounterSample) (int, error)
 	if traceFile != "" {
-		f, err := os.Create(traceFile)
+		opts.Tracer, finishTrace, err = createTrace(traceFile, true)
 		if err != nil {
 			fmt.Fprintf(stderr, "splitbench monitor: %v\n", err)
 			return 1
 		}
-		traceOut = f
-		opts.Tracer = trace.New()
-		opts.Tracer.Enable()
 	}
 
 	code := 0
@@ -105,12 +102,13 @@ func runMonitorCmd(opts exp.Options, window time.Duration, sloSpec, traceFile, p
 	printMonitors(stdout, opts.Monitor)
 	printLastSnaps(stdout, opts.Monitor)
 
-	if traceOut != nil {
-		if err := writeTrace(traceOut, opts.Tracer, monitorCounters(opts.Monitor)); err != nil {
+	if finishTrace != nil {
+		n, err := finishTrace(monitorCounters(opts.Monitor))
+		if err != nil {
 			fmt.Fprintf(stderr, "splitbench monitor: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "trace: %d events -> %s\n", len(opts.Tracer.Events()), traceFile)
+		fmt.Fprintf(stderr, "trace: %d events -> %s\n", n, traceFile)
 	}
 	if postmortem != "" {
 		if err := writePostmortem(postmortem, opts.Monitor, nil); err != nil {

@@ -13,6 +13,7 @@ import (
 	"splitio/internal/crash"
 	"splitio/internal/fault"
 	"splitio/internal/sched/cfq"
+	"splitio/internal/schedtest"
 	"splitio/internal/sim"
 	"splitio/internal/trace"
 	"splitio/internal/vfs"
@@ -21,17 +22,15 @@ import (
 
 // faultedRun builds a cfq machine with the given fault plan and tracing on,
 // runs an fsync-heavy workload for one virtual second, and returns the
-// kernel (caller closes it).
-func faultedRun(t *testing.T, fsKind core.FSKind, plan *fault.Plan) *core.Kernel {
+// kernel and the collected trace.
+func faultedRun(t *testing.T, fsKind core.FSKind, plan *fault.Plan) (*core.Kernel, *schedtest.Collector) {
 	t.Helper()
 	opts := core.DefaultOptions()
 	opts.FS = fsKind
 	opts.Fault = plan
-	tr := trace.New()
-	tr.Enable()
-	opts.Tracer = tr
 	k := core.NewKernel(opts, cfq.Factory)
 	t.Cleanup(func() { k.Env.Close() })
+	col := schedtest.EnableTrace(k)
 
 	fa := k.FS.MkFileContiguous("/a", 64<<20)
 	fb := k.FS.MkFileContiguous("/b", 128<<20)
@@ -42,7 +41,7 @@ func faultedRun(t *testing.T, fsKind core.FSKind, plan *fault.Plan) *core.Kernel
 		workload.RandWriteFsync(k, p, pr, fb, 4096, 128<<20, 128)
 	})
 	k.Run(time.Second)
-	return k
+	return k, col
 }
 
 func legalPlan(seed int64) *fault.Plan {
@@ -54,7 +53,7 @@ func legalPlan(seed int64) *fault.Plan {
 
 func TestCrashSweepNoViolations(t *testing.T) {
 	for _, fsKind := range []core.FSKind{core.Ext4, core.COW} {
-		k := faultedRun(t, fsKind, legalPlan(1))
+		k, _ := faultedRun(t, fsKind, legalPlan(1))
 		if len(k.Fault.Log().Records) == 0 {
 			t.Fatalf("%s: faulted run recorded no media writes", fsKind)
 		}
@@ -73,7 +72,7 @@ func TestCrashSweepNoViolations(t *testing.T) {
 func TestCheckerCatchesLostWrites(t *testing.T) {
 	plan := legalPlan(1)
 	plan.LostProb = 0.2
-	k := faultedRun(t, core.Ext4, plan)
+	k, _ := faultedRun(t, core.Ext4, plan)
 	if k.Fault.Injected(fault.KindLostWrite) == 0 {
 		t.Fatal("plan with LostProb=0.2 lost no writes")
 	}
@@ -85,7 +84,7 @@ func TestCheckerCatchesLostWrites(t *testing.T) {
 
 func TestFaultedGoldenDeterminism(t *testing.T) {
 	run := func(seed int64) (logBytes, traceBytes []byte) {
-		k := faultedRun(t, core.Ext4, legalPlan(seed))
+		k, col := faultedRun(t, core.Ext4, legalPlan(seed))
 		ck := crash.NewChecker(k.Fault.Log(), crash.ConfigFor(k.FS))
 		ck.Tracer = k.Trace
 		ck.Sweep(16, 8, seed)
@@ -94,12 +93,12 @@ func TestFaultedGoldenDeterminism(t *testing.T) {
 			t.Fatalf("WriteText: %v", err)
 		}
 		var tb bytes.Buffer
-		if err := trace.WriteChrome(&tb, k.Trace.Events()); err != nil {
+		if err := trace.WriteChrome(&tb, col.Events); err != nil {
 			t.Fatalf("WriteChrome: %v", err)
 		}
 		// The checker's post-hoc spans must be in the trace.
 		var images, recovers int
-		for _, e := range k.Trace.Events() {
+		for _, e := range col.Events {
 			switch e.Op {
 			case trace.OpCrashImage:
 				images++

@@ -8,9 +8,8 @@
 //
 // Attribution is a trace.Sink: it consumes events online, in emission
 // order, holding only bounded state — open-request category sums, a short
-// window of recent transactions and writeback flushes — so it composes
-// with the tracer's ring-buffer mode and never needs the full event
-// stream. Everything it produces is deterministic for a given seed: state
+// window of recent transactions and writeback flushes — so it never needs
+// the full event stream, which the tracer does not keep. Everything it produces is deterministic for a given seed: state
 // is keyed by insertion-ordered slices, and inversion records are emitted
 // in event order with culprits sorted by PID.
 package attr
@@ -262,8 +261,7 @@ func (a *Attribution) addCat(req trace.ReqID, c Category, d time.Duration) {
 }
 
 // evictOldestReq drops the oldest still-open request state (a straggler
-// whose root never arrived, e.g. a kernel-task round or a request cut off
-// by a ring overwrite of our bookkeeping window).
+// whose root never arrived, e.g. a kernel-task round).
 func (a *Attribution) evictOldestReq() {
 	for len(a.reqOrder) > 0 {
 		req := a.reqOrder[0]

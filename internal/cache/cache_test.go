@@ -436,6 +436,8 @@ func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
 			got = append(got, dirtied{ino, idx, now, prev})
 		}})
 		tr := trace.New()
+		var events collectSink
+		tr.Attach(&events)
 		tr.Enable()
 		c.SetTracer(tr)
 		before := perf.TakeSnapshot()
@@ -447,7 +449,7 @@ func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
 		if c.Peek(2, 0) {
 			t.Fatal("the range evicted no page")
 		}
-		return got, tr.Events(), calls
+		return got, events, calls
 	}
 	rangeHooks, rangeEvents, rangeCalls := run(func(c *Cache, ctx *ioctx.Ctx) {
 		if n := c.MarkDirtyRange(ctx, 1, first, last); n != 3 {
@@ -624,3 +626,8 @@ func TestSparseResidencyMemory(t *testing.T) {
 	}
 	runtime.KeepAlive(c)
 }
+
+// collectSink is a trace sink that keeps every event.
+type collectSink []trace.Event
+
+func (c *collectSink) Consume(ev trace.Event) { *c = append(*c, ev) }

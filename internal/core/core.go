@@ -100,11 +100,11 @@ type Options struct {
 	Fault *fault.Plan
 	// Monitor, when non-nil, builds the observability plane (SLO engine,
 	// introspection sampler, flight recorder), attaches it to the kernel's
-	// tracer (enabling the tracer with a small retention ring if the caller
-	// has not), watches the scheduler, block dispatcher, and FTL GC state,
-	// and starts its virtual-time ticker. Like MetricsInterval, the ticker
-	// is a re-arming handler whose events perturb event interleaving, so it
-	// is strictly opt-in.
+	// tracer as a sink (enabling the tracer if the caller has not), watches
+	// the scheduler, block dispatcher, and FTL GC state, and starts its
+	// virtual-time ticker. Like MetricsInterval, the ticker is a re-arming
+	// handler whose events perturb event interleaving, so it is strictly
+	// opt-in.
 	Monitor *monitor.Config
 }
 
@@ -233,13 +233,7 @@ func NewKernelOn(env *sim.Env, opts Options, factory Factory) *Kernel {
 	}
 	if opts.Monitor != nil {
 		k.Monitor = monitor.New(env, *opts.Monitor)
-		// The monitor is an online trace consumer: it needs the event
-		// stream, not event retention, so a small ring suffices when the
-		// caller has not enabled tracing already.
-		if !tr.Enabled() {
-			tr.SetRing(8192)
-			tr.Enable()
-		}
+		tr.Enable()
 		tr.Attach(k.Monitor)
 		if in, ok := sch.(sched.Introspector); ok {
 			k.Monitor.Watch(in)

@@ -169,6 +169,25 @@ func Fig20(o Options) *Table {
 	return t
 }
 
+// fig21Cluster builds one Fig 21 configuration on env: Split-Token workers
+// with a 256 MiB cache, blockMB blocks, and the throttled group capped at
+// capMB per worker. The workers are built from hdfssim's options, not
+// newKernel, so o's observability is applied to them here.
+func fig21Cluster(o Options, env *sim.Env, blockMB int64, capMB float64) *hdfssim.Cluster {
+	cfg := hdfssim.DefaultConfig(stoken.Factory)
+	cfg.BlockBytes = blockMB << 20
+	cc := cache.DefaultConfig()
+	cc.TotalPages = 256 << 20 / cache.PageSize
+	cfg.WorkerOpts.Cache = &cc
+	o.observe(&cfg.WorkerOpts)
+	c := hdfssim.NewCluster(env, cfg)
+	for _, w := range c.Workers() {
+		o.register(w, "split-token")
+		w.Sched.(*stoken.Sched).SetLimit("throttled", capMB*(1<<20), capMB*(1<<20))
+	}
+	return c
+}
+
 // Fig21 runs the HDFS cluster: an unthrottled group and a throttled group
 // of writers, sweeping the throttled group's per-worker rate cap, at 64 MiB
 // and 16 MiB block sizes.
@@ -183,15 +202,7 @@ func Fig21(o Options) *Table {
 	for _, blockMB := range []int64{64, 16} {
 		for _, capMB := range []float64{8, 16, 32, 64} {
 			env := sim.NewEnv(o.Seed)
-			cfg := hdfssim.DefaultConfig(stoken.Factory)
-			cfg.BlockBytes = blockMB << 20
-			cc := cache.DefaultConfig()
-			cc.TotalPages = 256 << 20 / cache.PageSize
-			cfg.WorkerOpts.Cache = &cc
-			c := hdfssim.NewCluster(env, cfg)
-			for _, w := range c.Workers() {
-				w.Sched.(*stoken.Sched).SetLimit("throttled", capMB*(1<<20), capMB*(1<<20))
-			}
+			c := fig21Cluster(o, env, blockMB, capMB)
 			var throttled, unthrottled []*hdfssim.Client
 			for i := 0; i < writersPerGroup; i++ {
 				ct := c.NewClient(fmt.Sprintf("t%d", i), "throttled")

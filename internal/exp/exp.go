@@ -75,8 +75,8 @@ type Options struct {
 	// cells across a host-side worker pool (splitbench -j) with optional
 	// result caching (splitbench -cache). Nil runs cells inline. Output is
 	// byte-identical either way: results always merge in canonical cell
-	// order. Ignored (forced inline) when Tracer or Metrics is set, since
-	// those observe every kernel of the run.
+	// order. Ignored (forced inline) when Tracer, Metrics or Monitor is
+	// set, since those observe every kernel of the run.
 	Runner *sweep.Runner
 }
 
@@ -232,10 +232,22 @@ func newKernel(sched string, o Options, mut func(*core.Options)) *core.Kernel {
 	cc := cache.DefaultConfig()
 	cc.TotalPages = 256 << 20 / cache.PageSize
 	opts.Cache = &cc
-	opts.Tracer = o.Tracer
 	if o.Device != "" {
 		opts.Disk = core.DiskKind(o.Device)
 	}
+	o.observe(&opts)
+	if mut != nil {
+		mut(&opts)
+	}
+	k := core.NewKernelOn(sim.NewEnv(opts.Seed), opts, factories[sched])
+	o.register(k, sched)
+	return k
+}
+
+// observe sets the kernel options behind o's observability: the shared
+// -trace tracer, the -stats sampler and the -slo monitor.
+func (o Options) observe(opts *core.Options) {
+	opts.Tracer = o.Tracer
 	if o.Metrics != nil {
 		opts.MetricsInterval = o.Metrics.Interval
 		if opts.MetricsInterval <= 0 {
@@ -245,10 +257,11 @@ func newKernel(sched string, o Options, mut func(*core.Options)) *core.Kernel {
 	if o.Monitor != nil {
 		opts.Monitor = &monitor.Config{Window: o.Monitor.Window, Rules: o.Monitor.Rules}
 	}
-	if mut != nil {
-		mut(&opts)
-	}
-	k := core.NewKernelOn(sim.NewEnv(opts.Seed), opts, factories[sched])
+}
+
+// register hands a kernel built with observe's options to o's collectors,
+// labeled by scheduler name and creation order.
+func (o Options) register(k *core.Kernel, sched string) {
 	if o.Monitor != nil && k.Monitor != nil {
 		// Feed the attribution stream into the flight recorder: a new
 		// inversion at any tick trips a post-mortem bundle.
@@ -262,20 +275,15 @@ func newKernel(sched string, o Options, mut func(*core.Options)) *core.Kernel {
 		if o.Tracer == nil {
 			// Give -stats per-layer latency attribution: run the span stream
 			// through an online Attribution sink and publish its histograms
-			// in this kernel's registry. A bounded ring keeps trace memory
-			// flat (the sink sees every event regardless of ring drops).
-			// Skipped when the caller shares one -trace tracer across
-			// kernels: that tracer's stream interleaves machines.
-			if !k.Trace.Enabled() {
-				k.Trace.SetRing(8192)
-				k.Trace.Enable()
-			}
+			// in this kernel's registry. Skipped when the caller shares one
+			// -trace tracer across kernels: that tracer's stream interleaves
+			// machines.
+			k.Trace.Enable()
 			a := attr.New()
 			k.Trace.Attach(a)
 			a.RegisterMetrics(k.Metrics)
 		}
 	}
-	return k
 }
 
 // measure resets the processes' counters, runs the kernel for d, and

@@ -67,7 +67,6 @@ func runGCCell(sched string, o Options) gcCell {
 	tr := o.Tracer
 	if tr == nil {
 		tr = trace.New()
-		tr.SetRing(1 << 14)
 		tr.Enable()
 	}
 	at := attr.New()

@@ -38,8 +38,8 @@ func digest(b []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// goldenPayload executes experiment id with a ring-buffered tracer, an
-// online attribution sink, and a stats collector attached, and returns the
+// goldenPayload executes experiment id with a tail sink, an online
+// attribution sink, and a stats collector attached, and returns the
 // digests of everything the run exposes. The metrics dump leaves out
 // sim.switches: process handoffs are a cost of how blocking code is
 // bridged onto the event loop, not part of the schedule.
@@ -50,11 +50,10 @@ func goldenPayload(t *testing.T, id string) string {
 		t.Fatalf("unknown experiment %s", id)
 	}
 	tr := trace.New()
-	// The ring bounds memory; the attribution sink consumes every span
-	// online regardless of ring drops, and ring retention is a pure
-	// function of the event stream, so the retained tail hashes equal iff
-	// the streams were equal.
-	tr.SetRing(1 << 16)
+	// The tail keeps the newest 1<<16 events of the stream: hashing them
+	// pins the schedule in bounded memory.
+	tail := &schedtest.Tail{N: 1 << 16}
+	tr.Attach(tail)
 	tr.Enable()
 	sink := attr.New()
 	tr.Attach(sink)
@@ -74,7 +73,7 @@ func goldenPayload(t *testing.T, id string) string {
 		fmt.Fprintf(&md, "== %s\n%s", m.Label, schedtest.MetricsDump(m.Registry, "sim.switches"))
 	}
 	return fmt.Sprintf("table=%s trace=%s attr=%s metrics=%s",
-		digest(table), schedtest.TraceHash(tr.Events()), digest(report), digest([]byte(md.String())))
+		digest(table), schedtest.TraceHash(tail.Events()), digest(report), digest([]byte(md.String())))
 }
 
 // TestScheduleGoldens checks each experiment's payload digests against the

@@ -54,10 +54,7 @@ func spawnEntangled(k *core.Kernel) {
 func runEntangled(sched string, o Options) *attr.Attribution {
 	tr := o.Tracer
 	if tr == nil {
-		// A private ring-buffered tracer: the sink consumes spans online, so
-		// the ring only bounds memory; nothing the detector needs is lost.
 		tr = trace.New()
-		tr.SetRing(1 << 14)
 		tr.Enable()
 	}
 	at := attr.New()

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
+	"splitio/internal/schedtest"
+	"splitio/internal/sim"
 	"splitio/internal/trace"
 )
 
@@ -13,6 +16,8 @@ import (
 // request ID, export valid Chrome JSON, and collect per-machine registries.
 func TestFig12Traced(t *testing.T) {
 	tr := trace.New()
+	col := &schedtest.Collector{}
+	tr.Attach(col)
 	tr.Enable()
 	sc := &StatsCollector{}
 	e, _ := ByID("fig12")
@@ -21,7 +26,7 @@ func TestFig12Traced(t *testing.T) {
 		t.Fatal("fig12 produced no rows")
 	}
 
-	events := tr.Events()
+	events := col.Events
 	seen := make(map[trace.Layer]int)
 	for _, ev := range events {
 		seen[ev.Layer]++
@@ -70,5 +75,34 @@ func TestFig12Traced(t *testing.T) {
 		if len(m.Registry.Names()) == 0 {
 			t.Fatalf("machine %s registry has no gauges", m.Label)
 		}
+	}
+}
+
+// TestFig21Observed: fig21 builds its HDFS workers from hdfssim's options,
+// not through newKernel, and must still honor -trace, -stats and -slo: the
+// shared tracer records the workers' events and every worker reaches both
+// collectors.
+func TestFig21Observed(t *testing.T) {
+	tr := trace.New()
+	col := &schedtest.Collector{}
+	tr.Attach(col)
+	tr.Enable()
+	sc := &StatsCollector{}
+	mc := &MonitorCollector{Window: SLOWindow}
+	env := sim.NewEnv(1)
+	defer env.Close()
+	c := fig21Cluster(Options{Seed: 1, Tracer: tr, Metrics: sc, Monitor: mc}, env, 16, 8)
+	cl := c.NewClient("t0", "throttled")
+	env.Go("t-client", func(p *sim.Proc) { cl.WriteLoop(p) })
+	env.Run(env.Now().Add(200 * time.Millisecond))
+	if len(col.Events) == 0 {
+		t.Fatal("traced fig21 cluster recorded no events")
+	}
+	n := len(c.Workers())
+	if len(sc.Machines) != n || len(mc.Machines) != n {
+		t.Fatalf("collected %d stats and %d monitor machines, want %d each", len(sc.Machines), len(mc.Machines), n)
+	}
+	if got := sc.Machines[0].Label; got != "split-token#0" {
+		t.Errorf("first machine label %q, want split-token#0", got)
 	}
 }

@@ -5,8 +5,7 @@
 // deterministic post-mortem bundle when an invariant trips.
 //
 // The monitor consumes the same trace stream the attribution engine does
-// (it is a trace.Sink), so it sees every event even when the tracer retains
-// none, and it runs entirely in virtual time: every tick, every breach
+// (it is a trace.Sink; the tracer keeps no events), and it runs entirely in virtual time: every tick, every breach
 // timestamp, and every bundle byte is identical across hosts and across
 // sweep parallelism.
 package monitor

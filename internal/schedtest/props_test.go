@@ -95,13 +95,13 @@ func runPropCell(factory core.Factory, seed int64) propResult {
 	opts.Cache = &cc
 	k := core.NewKernelOn(sim.NewEnv(seed), opts, factory)
 	defer k.Env.Close()
-	k.Trace.Enable()
+	col := EnableTrace(k)
 
 	procs := workload.Spawn(k, propWorkload)
 	// The workload is finite; the window is virtual headroom, not runtime.
 	k.Run(5 * time.Minute)
 
-	events := k.Trace.Events()
+	events := col.Events
 	res := propResult{
 		Hash:      TraceHash(events),
 		MaxIdleNS: int64(idleWhileQueued(events)),

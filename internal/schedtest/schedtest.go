@@ -78,12 +78,41 @@ func SpawnLoop(k *core.Kernel, name string, prio int, fn func(p *sim.Proc, pr *v
 	return k.Spawn(name, prio, fn)
 }
 
-// EnableTrace turns on the kernel's tracer and returns it. Call before
-// spawning workload processes so every request is captured.
-func EnableTrace(k *core.Kernel) *trace.Tracer {
+// EnableTrace turns on the kernel's tracer and attaches a Collector to it.
+// Call before spawning workload processes so every request is captured.
+func EnableTrace(k *core.Kernel) *Collector {
+	c := &Collector{}
+	k.Trace.Attach(c)
 	k.Trace.Enable()
-	return k.Trace
+	return c
 }
+
+// Collector is a trace sink that keeps every event, for tests that assert
+// on a whole (short) run's events.
+type Collector struct {
+	Events []trace.Event
+}
+
+// Consume implements trace.Sink.
+func (c *Collector) Consume(ev trace.Event) { c.Events = append(c.Events, ev) }
+
+// Tail is a trace sink that keeps the newest N events of a run (in at most
+// 2N events of memory), so a long run's trace can be hashed.
+type Tail struct {
+	N      int
+	events []trace.Event
+}
+
+// Consume implements trace.Sink.
+func (t *Tail) Consume(ev trace.Event) {
+	if len(t.events) == 2*t.N {
+		t.events = append(t.events[:0], t.events[t.N:]...)
+	}
+	t.events = append(t.events, ev)
+}
+
+// Events returns the newest N events, oldest first.
+func (t *Tail) Events() []trace.Event { return t.events[max(0, len(t.events)-t.N):] }
 
 // TraceHash digests the deterministic fields of every event. Causes is
 // omitted (it is set-valued); everything ordered and timed is included, so

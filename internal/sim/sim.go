@@ -247,7 +247,7 @@ func (e *Env) ScheduleAt(at Time, fn func()) {
 	}
 }
 
-// procKilled is the panic sentinel used to unwind killed processes.
+// procKilled is the panic sentinel Close uses to unwind live processes.
 type procKilled struct{}
 
 // Proc is a simulated process: a goroutine that runs cooperatively under the
@@ -362,18 +362,6 @@ func (p *Proc) Await(start func(resume func())) {
 	if state == starting {
 		state = parked
 		p.block()
-	}
-}
-
-// Kill marks the process for termination; the next time it would run it
-// unwinds instead. Killing a dead process is a no-op.
-func (p *Proc) Kill() {
-	if p.dead || p.killed {
-		return
-	}
-	p.killed = true
-	if p != p.env.cur {
-		p.env.Schedule(0, p.wake)
 	}
 }
 

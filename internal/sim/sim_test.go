@@ -192,15 +192,17 @@ func TestCompletionOnComplete(t *testing.T) {
 	}
 }
 
+// TestKill closes the env while a process sleeps on a pending timer: Close
+// kills it, so the body never runs past its Sleep.
 func TestKill(t *testing.T) {
 	e := NewEnv(1)
 	reached := false
-	p := e.Go("victim", func(p *Proc) {
+	e.Go("victim", func(p *Proc) {
 		p.Sleep(10 * time.Millisecond)
 		reached = true
 	})
-	e.Schedule(time.Millisecond, func() { p.Kill() })
-	e.RunAll()
+	e.Run(Time(time.Millisecond))
+	e.Close()
 	if reached {
 		t.Fatal("killed process kept running")
 	}

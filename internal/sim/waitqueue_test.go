@@ -76,55 +76,6 @@ func TestWaitTimeoutExactBoundary(t *testing.T) {
 	}
 }
 
-// TestKillWaiterMidQueue kills the middle of three parked process waiters
-// and pins the resulting semantics: the dead proc's queue entry keeps its
-// FIFO slot, a signal delivered to it is consumed harmlessly (the wake-up
-// finds a dead process and does nothing), and the waiters around it wake
-// in unchanged order at unchanged times. The killed body never resumes.
-func TestKillWaiterMidQueue(t *testing.T) {
-	e := NewEnv(1)
-	defer e.Close()
-	q := NewWaitQueue(e)
-	var woke []string
-	mk := func(name string) *Proc {
-		return e.Go(name, func(p *Proc) {
-			q.Wait(p)
-			woke = append(woke, fmt.Sprintf("%s@%d", name, e.Now()))
-		})
-	}
-	mk("a")
-	b := mk("b")
-	mk("c")
-	e.Run(0)
-	if q.Len() != 3 {
-		t.Fatalf("%d waiters parked, want 3", q.Len())
-	}
-	b.Kill()
-	e.Run(0)
-	if q.Len() != 3 {
-		t.Fatalf("after kill, %d waiters in queue, want 3 (dead entry keeps its slot)", q.Len())
-	}
-	e.Schedule(1*time.Millisecond, q.Signal) // wakes a
-	e.Schedule(2*time.Millisecond, q.Signal) // consumed by dead b
-	e.Schedule(3*time.Millisecond, q.Signal) // wakes c
-	e.RunAll()
-	if q.Len() != 0 {
-		t.Errorf("%d waiters left after three signals, want 0", q.Len())
-	}
-	want := []string{
-		fmt.Sprintf("a@%d", Time(1*time.Millisecond)),
-		fmt.Sprintf("c@%d", Time(3*time.Millisecond)),
-	}
-	if len(woke) != len(want) {
-		t.Fatalf("wake log %v, want %v", woke, want)
-	}
-	for i := range want {
-		if woke[i] != want[i] {
-			t.Errorf("wake %d = %q, want %q", i, woke[i], want[i])
-		}
-	}
-}
-
 // TestSameInstantFIFOWakeOrder interleaves process and continuation
 // waiters in one queue and broadcasts at a single instant: every waiter
 // must wake at that instant, in exact enqueue order, regardless of kind.

@@ -16,8 +16,8 @@ import (
 )
 
 // simCells builds n cells that each construct the full per-cell state an
-// experiment would — a sim.Env, a metrics.Registry, a ring-mode
-// trace.Tracer — exercise it, and assert the per-cell counters from inside
+// experiment would — a sim.Env, a metrics.Registry, a trace.Tracer with a
+// sink — exercise it, and assert the per-cell counters from inside
 // the cell. Shared state across workers is exactly what production shares:
 // the global perf counters (probe counts and the sim.StatsHook fold).
 func simCells(n int) []sweep.Cell {
@@ -31,17 +31,15 @@ func simCells(n int) []sweep.Cell {
 				reg := metrics.NewRegistry()
 				work := reg.Counter("cell.work")
 				tr := trace.New()
+				sink := &countSink{}
+				tr.Attach(sink)
 				tr.Enable()
-				tr.SetRing(8)
 				for j := 0; j < 32; j++ {
 					tr.Record(trace.Event{Layer: trace.LayerBlock, Op: "conc", End: sim.Time(j)})
 					work.Inc()
 				}
-				if got, want := tr.Total(), uint64(32); got != want {
-					return nil, fmt.Errorf("trace total %d, want %d", got, want)
-				}
-				if got, want := tr.Dropped(), uint64(24); got != want {
-					return nil, fmt.Errorf("trace dropped %d, want %d", got, want)
+				if got, want := sink.n, 32; got != want {
+					return nil, fmt.Errorf("trace sink saw %d events, want %d", got, want)
 				}
 				env := sim.NewEnv(seed)
 				env.Go("spin", func(p *sim.Proc) {
@@ -58,6 +56,11 @@ func simCells(n int) []sweep.Cell {
 	}
 	return cells
 }
+
+// countSink is a trace sink that counts the events it is handed.
+type countSink struct{ n int }
+
+func (c *countSink) Consume(trace.Event) { c.n++ }
 
 // TestConcurrentCellsSharedCounters runs cells in parallel with the shared
 // perf counters enabled and the sim.StatsHook installed — the exact sharing

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 // TestWriteChromeFullCounters validates the counter-track export as real
 // trace_event JSON: every CounterSample becomes a "ph":"C" event under the
 // dedicated monitor process, values survive the float formatting, and the
-// monitor process metadata appears only when counters are present.
+// monitor process metadata appears only for a monitored writer.
 func TestWriteChromeFullCounters(t *testing.T) {
 	events := []Event{{
 		Layer: LayerSyscall, Op: "fsync", PID: 7, Req: 1,
@@ -23,7 +24,11 @@ func TestWriteChromeFullCounters(t *testing.T) {
 		{Track: "block/queue_depth", At: sim.Time(time.Second), Value: 1.5},
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeFull(&buf, events, counters); err != nil {
+	c := NewChromeWriter(&buf, true)
+	for _, ev := range events {
+		c.Consume(ev)
+	}
+	if err := c.Close(counters); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -74,7 +79,7 @@ func TestWriteChromeFullCounters(t *testing.T) {
 		t.Errorf("counter ts %v, want 500000", ts)
 	}
 
-	// Without counters (the plain WriteChrome path) the monitor process
+	// Without a monitor (the plain WriteChrome path) the monitor process
 	// must not appear at all.
 	buf.Reset()
 	if err := WriteChrome(&buf, events); err != nil {
@@ -82,5 +87,33 @@ func TestWriteChromeFullCounters(t *testing.T) {
 	}
 	if bytes.Contains(buf.Bytes(), []byte("monitor")) {
 		t.Error("counter-free export mentions the monitor process")
+	}
+}
+
+// failWriter fails every write after the first n bytes.
+type failWriter struct{ n int }
+
+func (f *failWriter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		w := f.n
+		f.n = 0
+		return w, errors.New("disk full")
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
+// TestChromeWriterReportsFirstWriteError: a write that fails mid-run (the
+// buffered writer flushes once its buffer fills) surfaces from Close.
+func TestChromeWriterReportsFirstWriteError(t *testing.T) {
+	c := NewChromeWriter(&failWriter{n: 100}, false)
+	for i := 0; i < 2000; i++ {
+		c.Consume(Event{Layer: LayerBlock, Op: OpQueue, Req: ReqID(i + 1), Start: sim.Time(i), End: sim.Time(i + 1)})
+	}
+	if err := c.Close(nil); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Close = %v, want the first write error", err)
+	}
+	if c.Count() != 2000 {
+		t.Fatalf("Count = %d, want 2000", c.Count())
 	}
 }

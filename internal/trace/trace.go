@@ -1,7 +1,13 @@
 // Package trace is the observability backbone of the simulated stack: a
-// deterministic, zero-overhead-when-disabled recorder of typed span events
+// deterministic, zero-overhead-when-disabled stream of typed span events
 // emitted at instrumentation points in every layer (syscall, cache, file
 // system, block, device).
+//
+// The tracer keeps no events. Every consumer attaches as a Sink and reads
+// the stream online: ChromeWriter streams the trace_event export, Rollup
+// keeps the per-request state behind the latency tables, and attribution
+// and the monitor fold events into their own bounded state. A traced run's
+// memory therefore does not grow with the number of events.
 //
 // Spans carry virtual timestamps from the discrete-event simulation, so a
 // recorded trace is byte-for-byte reproducible for a given seed — traces are
@@ -147,7 +153,7 @@ func (f Flag) String() string {
 
 // Event is one recorded span (Start < End) or instant (Start == End). Fields
 // that do not apply to a layer are left zero. Events are plain values:
-// recording one never allocates beyond the tracer's event buffer.
+// recording one does not allocate (a sink may).
 type Event struct {
 	Layer Layer
 	// Op is the operation name (one of the Op constants).
@@ -195,28 +201,21 @@ func (e Event) Dur() time.Duration { return e.End.Sub(e.Start) }
 func (e Event) Instant() bool { return e.Start == e.End }
 
 // Sink consumes the event stream as it is recorded, in emission order.
-// Sinks run online — attached consumers (latency attribution, inversion
-// detection) see every event even when a ring cap later discards it from
-// the retained buffer. Consume is called synchronously from Record on the
-// simulation's single thread, so sinks need no locking but must not block.
+// Consume is called synchronously from Record on the simulation's single
+// thread, so sinks need no locking but must not block.
 type Sink interface {
 	Consume(ev Event)
 }
 
-// Tracer records events. The zero value is a valid, permanently disabled
-// tracer. A Tracer is not safe for concurrent use; the simulation is
-// single-threaded, so instrumentation points never race.
+// Tracer hands recorded events to its sinks and keeps none. The zero value
+// is a valid, permanently disabled tracer. A Tracer is not safe for
+// concurrent use; the simulation is single-threaded, so instrumentation
+// points never race.
 type Tracer struct {
 	enabled bool
 	nop     bool
 	nextReq uint64
-	events  []Event
 	sinks   []Sink
-	// Ring mode: when ringCap > 0 the events slice is a circular buffer of
-	// that capacity and ringStart indexes its oldest entry.
-	ringCap   int
-	ringStart int
-	total     uint64 // events ever recorded (retained or not)
 }
 
 // Nop is the shared disabled tracer that layers use before a kernel wires a
@@ -235,9 +234,6 @@ func (t *Tracer) Enable() {
 	}
 	t.enabled = true
 }
-
-// Disable turns recording off; already-recorded events are kept.
-func (t *Tracer) Disable() { t.enabled = false }
 
 // Enabled reports whether the tracer records events. Instrumentation points
 // must check it before building an Event so the disabled hot path stays a
@@ -275,66 +271,14 @@ func (t *Tracer) Detach(s Sink) {
 	}
 }
 
-// SetRing bounds the retained event buffer at capacity events, keeping the
-// most recent ones (the retained suffix of the full stream). capacity <= 0
-// restores retain-all. Attached sinks still see every event, so online
-// attribution is unaffected by the cap. Switching modes mid-run keeps the
-// newest events that fit.
-func (t *Tracer) SetRing(capacity int) {
-	events := t.Events() // linearize before changing geometry
-	if capacity > 0 && len(events) > capacity {
-		events = append([]Event(nil), events[len(events)-capacity:]...)
-	}
-	t.events = events
-	t.ringCap = capacity
-	t.ringStart = 0
-}
-
-// Record appends ev to the event buffer (overwriting the oldest entry in
-// ring mode) and feeds it to attached sinks. No-op when disabled.
+// Record feeds ev to the attached sinks. No-op when disabled.
 func (t *Tracer) Record(ev Event) {
 	if !t.enabled {
 		return
 	}
-	t.total++
-	if t.ringCap > 0 && len(t.events) >= t.ringCap {
-		t.events[t.ringStart] = ev
-		t.ringStart = (t.ringStart + 1) % t.ringCap
-	} else {
-		t.events = append(t.events, ev)
-	}
 	for _, s := range t.sinks {
 		s.Consume(ev)
 	}
-}
-
-// Len returns the number of retained events.
-func (t *Tracer) Len() int { return len(t.events) }
-
-// Total returns the number of events ever recorded, retained or not.
-func (t *Tracer) Total() uint64 { return t.total }
-
-// Dropped returns how many events a ring cap has discarded.
-func (t *Tracer) Dropped() uint64 { return t.total - uint64(len(t.events)) }
-
-// Events returns the retained events in emission order. In retain-all mode
-// the returned slice is the tracer's own buffer; in ring mode it is a fresh
-// copy with the circular order unrolled. Callers must not modify it.
-func (t *Tracer) Events() []Event {
-	if t.ringCap <= 0 || t.ringStart == 0 {
-		return t.events
-	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.ringStart:]...)
-	return append(out, t.events[:t.ringStart]...)
-}
-
-// Reset drops all recorded events (the request-ID counter keeps running, so
-// IDs stay unique across resets).
-func (t *Tracer) Reset() {
-	t.events = t.events[:0]
-	t.ringStart = 0
-	t.total = 0
 }
 
 // ByReq groups events by request ID, dropping untracked (ID 0) events. Each

@@ -14,6 +14,21 @@ func span(layer Layer, op string, req ReqID, start, end int64) Event {
 	return Event{Layer: layer, Op: op, Req: req, PID: 100, Start: sim.Time(start), End: sim.Time(end)}
 }
 
+// collectSink keeps every event it is handed.
+type collectSink struct {
+	evs []Event
+}
+
+func (c *collectSink) Consume(ev Event) { c.evs = append(c.evs, ev) }
+
+// collected returns a tracer with a collectSink attached, enabled.
+func collected() (*Tracer, *collectSink) {
+	tr, s := New(), &collectSink{}
+	tr.Attach(s)
+	tr.Enable()
+	return tr, s
+}
+
 func TestDisabledRecordsNothing(t *testing.T) {
 	tr := New()
 	if tr.Enabled() {
@@ -22,9 +37,11 @@ func TestDisabledRecordsNothing(t *testing.T) {
 	if id := tr.NextReq(); id != 0 {
 		t.Fatalf("disabled NextReq = %d, want 0", id)
 	}
+	s := &collectSink{}
+	tr.Attach(s)
 	tr.Record(span(LayerSyscall, OpRead, 1, 0, 10))
-	if tr.Len() != 0 {
-		t.Fatalf("disabled Record stored %d events", tr.Len())
+	if len(s.evs) != 0 {
+		t.Fatalf("disabled Record fed %d events to a sink", len(s.evs))
 	}
 	tr.Enable()
 	if id := tr.NextReq(); id != 1 {
@@ -56,9 +73,10 @@ func TestNopEnablePanics(t *testing.T) {
 	Nop.Enable()
 }
 
+// TestRecordAndByReq: every recorded event reaches the sinks in emission
+// order, ByReq regroups them per request, and a detached sink sees no more.
 func TestRecordAndByReq(t *testing.T) {
-	tr := New()
-	tr.Enable()
+	tr, s := collected()
 	r1, r2 := tr.NextReq(), tr.NextReq()
 	tr.Record(span(LayerSyscall, OpWrite, r1, 0, 100))
 	tr.Record(span(LayerCache, OpDirty, r1, 10, 10))
@@ -66,7 +84,7 @@ func TestRecordAndByReq(t *testing.T) {
 	tr.Record(span(LayerDevice, OpService, r2, 100, 250))
 	tr.Record(span(LayerBlock, OpQueue, 0, 0, 1)) // untracked
 
-	byReq := ByReq(tr.Events())
+	byReq := ByReq(s.evs)
 	if len(byReq) != 2 {
 		t.Fatalf("ByReq groups = %d, want 2 (req 0 dropped)", len(byReq))
 	}
@@ -77,18 +95,19 @@ func TestRecordAndByReq(t *testing.T) {
 		t.Error("dirty event should be an instant")
 	}
 
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatal("Reset kept events")
+	if len(s.evs) != 5 || s.evs[4].Layer != LayerBlock {
+		t.Fatalf("sink saw %d events, want all 5 in emission order", len(s.evs))
 	}
-	if id := tr.NextReq(); id != 3 {
-		t.Fatalf("NextReq after Reset = %d, want 3 (IDs unique across resets)", id)
+
+	tr.Detach(s)
+	tr.Record(span(LayerBlock, OpQueue, 99, 20, 21))
+	if len(s.evs) != 5 {
+		t.Fatalf("detached sink still consumed events (saw %d)", len(s.evs))
 	}
 }
 
 func TestWriteChromeIsValidJSON(t *testing.T) {
-	tr := New()
-	tr.Enable()
+	tr, s := collected()
 	r := tr.NextReq()
 	tr.Record(Event{
 		Layer: LayerSyscall, Op: OpFsync, Req: r, PID: 100,
@@ -105,7 +124,7 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 	})
 
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, tr.Events()); err != nil {
+	if err := WriteChrome(&buf, s.evs); err != nil {
 		t.Fatalf("WriteChrome: %v", err)
 	}
 	var doc struct {
@@ -131,13 +150,12 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 
 func TestWriteChromeDeterministic(t *testing.T) {
 	mk := func() []Event {
-		tr := New()
-		tr.Enable()
+		tr, s := collected()
 		r := tr.NextReq()
 		tr.Record(span(LayerSyscall, OpRead, r, 0, 500))
 		tr.Record(span(LayerBlock, OpQueue, r, 10, 40))
 		tr.Record(span(LayerDevice, OpService, r, 40, 480))
-		return tr.Events()
+		return s.evs
 	}
 	var a, b bytes.Buffer
 	if err := WriteChrome(&a, mk()); err != nil {
@@ -153,15 +171,17 @@ func TestWriteChromeDeterministic(t *testing.T) {
 
 func TestTextExporters(t *testing.T) {
 	tr := New()
+	roll := NewRollup(10)
+	tr.Attach(roll)
 	tr.Enable()
 	r := tr.NextReq()
-	tr.Record(span(LayerSyscall, OpFsync, r, 0, 1_000_000))
 	tr.Record(span(LayerFS, OpTxnCommit, r, 100, 900_000))
 	tr.Record(span(LayerDevice, OpService, r, 200_000, 800_000))
+	tr.Record(span(LayerSyscall, OpFsync, r, 0, 1_000_000))
 
 	var reqs, sum bytes.Buffer
-	WriteRequests(&reqs, tr.Events(), 10)
-	WriteSummary(&sum, tr.Events())
+	roll.WriteRequests(&reqs)
+	roll.WriteSummary(&sum)
 	if !strings.Contains(reqs.String(), "syscall/fsync") {
 		t.Errorf("request table missing root op:\n%s", reqs.String())
 	}
@@ -189,66 +209,6 @@ func TestLayerAndFlagStrings(t *testing.T) {
 	}
 }
 
-// collectSink retains every event it is handed.
-type collectSink struct {
-	evs []Event
-}
-
-func (c *collectSink) Consume(ev Event) { c.evs = append(c.evs, ev) }
-
-func TestSinkSeesEveryEventIncludingRingDrops(t *testing.T) {
-	tr := New()
-	tr.SetRing(4)
-	tr.Enable()
-	s := &collectSink{}
-	tr.Attach(s)
-	for i := int64(0); i < 10; i++ {
-		tr.Record(span(LayerBlock, OpQueue, ReqID(i+1), i, i+1))
-	}
-	if len(s.evs) != 10 {
-		t.Fatalf("sink saw %d events, want all 10", len(s.evs))
-	}
-	if tr.Len() != 4 {
-		t.Fatalf("ring retained %d events, want 4", tr.Len())
-	}
-	if tr.Total() != 10 || tr.Dropped() != 6 {
-		t.Fatalf("Total=%d Dropped=%d, want 10 and 6", tr.Total(), tr.Dropped())
-	}
-	// Events() must linearize the ring: oldest retained first.
-	evs := tr.Events()
-	for i, ev := range evs {
-		if want := ReqID(7 + i); ev.Req != want {
-			t.Fatalf("events[%d].Req = %d, want %d", i, ev.Req, want)
-		}
-	}
-	tr.Detach(s)
-	tr.Record(span(LayerBlock, OpQueue, 99, 20, 21))
-	if len(s.evs) != 10 {
-		t.Fatalf("detached sink still consumed events (saw %d)", len(s.evs))
-	}
-}
-
-func TestSetRingTrimsExistingToNewest(t *testing.T) {
-	tr := New()
-	tr.Enable()
-	for i := int64(0); i < 8; i++ {
-		tr.Record(span(LayerBlock, OpQueue, ReqID(i+1), i, i+1))
-	}
-	tr.SetRing(3)
-	evs := tr.Events()
-	if len(evs) != 3 {
-		t.Fatalf("SetRing kept %d events, want 3", len(evs))
-	}
-	for i, ev := range evs {
-		if want := ReqID(6 + i); ev.Req != want {
-			t.Fatalf("events[%d].Req = %d, want %d (newest suffix)", i, ev.Req, want)
-		}
-	}
-	if tr.Total() != 8 {
-		t.Fatalf("Total = %d, want 8 (SetRing must not forget history count)", tr.Total())
-	}
-}
-
 func TestAttachNopPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -258,19 +218,44 @@ func TestAttachNopPanics(t *testing.T) {
 	Nop.Attach(&collectSink{})
 }
 
-func TestResetClearsRingState(t *testing.T) {
-	tr := New()
-	tr.SetRing(2)
-	tr.Enable()
-	for i := int64(0); i < 5; i++ {
-		tr.Record(span(LayerBlock, OpQueue, ReqID(i+1), i, i+1))
+// TestRollupFinishesAtSyscallSpan: requests finish out of ID order at their
+// syscall span, the table keeps the lowest IDs and counts the rest, and a
+// request with no syscall span rolls up under its first span at the end.
+func TestRollupFinishesAtSyscallSpan(t *testing.T) {
+	const us = 1000
+	roll := NewRollup(2)
+	for _, ev := range []Event{
+		span(LayerFS, OpTxnCommit, 3, 0, 10*us),
+		span(LayerBlock, OpQueue, 1, 5*us, 8*us), // no syscall span follows
+		span(LayerSyscall, OpWrite, 3, 0, 20*us),
+		span(LayerSyscall, OpRead, 2, 0, 5*us),
+		span(LayerSyscall, OpRead, 4, 0, 7*us),
+		span(LayerBlock, OpQueue, 0, 0, 1), // untracked
+	} {
+		roll.Consume(ev)
 	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Total() != 0 || tr.Dropped() != 0 {
-		t.Fatalf("Reset left Len=%d Total=%d Dropped=%d", tr.Len(), tr.Total(), tr.Dropped())
+	var reqs, sum bytes.Buffer
+	roll.WriteRequests(&reqs)
+	roll.WriteSummary(&sum)
+	rows := strings.Split(strings.TrimSuffix(reqs.String(), "\n"), "\n")
+	if len(rows) != 4 {
+		t.Fatalf("request table has %d lines, want header, 2 rows and a note:\n%s", len(rows), reqs.String())
 	}
-	tr.Record(span(LayerBlock, OpQueue, 42, 9, 10))
-	if evs := tr.Events(); len(evs) != 1 || evs[0].Req != 42 {
-		t.Fatalf("post-Reset ring broken: %v", evs)
+	if f := strings.Fields(rows[1]); f[0] != "1" || f[2] != "block/queue" || f[3] != "3.0µs" || f[6] != "3.0µs" {
+		t.Errorf("row 1 = %q, want request 1 rolled up under its block span", rows[1])
+	}
+	if f := strings.Fields(rows[2]); f[0] != "2" || f[2] != "syscall/read" {
+		t.Errorf("row 2 = %q, want request 2's read", rows[2])
+	}
+	if rows[3] != "  ... 2 more requests (raise the cap or use the summary)" {
+		t.Errorf("note = %q, want 2 more requests", rows[3])
+	}
+	wantSum := []string{
+		"  100  read            2         6.0µs         7.0µs             -             -             -             -",
+		"  100  write           1        20.0µs        20.0µs             -        10.0µs             -             -",
+	}
+	lines := strings.Split(strings.TrimSuffix(sum.String(), "\n"), "\n")
+	if len(lines) != 3 || lines[1] != wantSum[0] || lines[2] != wantSum[1] {
+		t.Errorf("summary:\n%s\nwant rows:\n%s", sum.String(), strings.Join(wantSum, "\n"))
 	}
 }

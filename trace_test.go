@@ -49,7 +49,7 @@ func tracedRun(t *testing.T, seed int64) []trace.Event {
 		}
 	})
 	m.Run(2 * time.Second)
-	return tr.Events()
+	return tr.Events
 }
 
 func TestTraceCoversAllLayersLinkedByRequest(t *testing.T) {
@@ -126,6 +126,8 @@ func TestTraceGoldenDeterminism(t *testing.T) {
 func TestUntracedRunRecordsNothing(t *testing.T) {
 	m := splitio.New(splitio.WithScheduler("noop"), splitio.WithSeed(1))
 	defer m.Close()
+	col := &schedtest.Collector{}
+	m.Kernel().Trace.Attach(col)
 	f := m.CreateContiguousFile("/f", 1<<20)
 	m.Spawn("w", splitio.ProcOpts{}, func(tk *splitio.Task) {
 		for {
@@ -134,79 +136,7 @@ func TestUntracedRunRecordsNothing(t *testing.T) {
 		}
 	})
 	m.Run(200 * time.Millisecond)
-	if n := m.Kernel().Trace.Len(); n != 0 {
+	if n := len(col.Events); n != 0 {
 		t.Fatalf("disabled tracer recorded %d events", n)
-	}
-}
-
-// ringRun repeats tracedRun's machine and workload with a configurable
-// ring capacity (0 = retain everything) and returns the retained events
-// plus the tracer itself.
-func ringRun(t *testing.T, seed int64, ring int) ([]trace.Event, *trace.Tracer) {
-	t.Helper()
-	m := splitio.New(
-		splitio.WithScheduler("cfq"),
-		splitio.WithSeed(seed),
-		splitio.WithRAMMB(64),
-	)
-	t.Cleanup(m.Close)
-	tr := m.Kernel().Trace
-	if ring > 0 {
-		tr.SetRing(ring)
-	}
-	tr.Enable()
-
-	logf := m.CreateContiguousFile("/log", 64<<20)
-	data := m.CreateContiguousFile("/data", 256<<20)
-	m.Spawn("appender", splitio.ProcOpts{}, func(tk *splitio.Task) {
-		off := int64(0)
-		for {
-			for i := 0; i < 8; i++ {
-				tk.Write(logf, off%(64<<20), 64<<10)
-				off += 64 << 10
-			}
-			tk.Fsync(logf)
-		}
-	})
-	m.Spawn("scanner", splitio.ProcOpts{}, func(tk *splitio.Task) {
-		for {
-			off := tk.Rand63n(256<<20-1<<20) &^ 4095
-			tk.Read(data, off, 1<<20)
-		}
-	})
-	m.Run(2 * time.Second)
-	return tr.Events(), tr
-}
-
-// TestRingBufferGoldenSuffix: a ring-buffered tracer retains exactly the
-// newest events of the identical unbounded same-seed run, byte-for-byte
-// through the Chrome exporter — bounding memory discards history, it never
-// rewrites it.
-func TestRingBufferGoldenSuffix(t *testing.T) {
-	const cap = 256
-	full, fullTr := ringRun(t, 11, 0)
-	ring, ringTr := ringRun(t, 11, cap)
-	if len(full) <= cap {
-		t.Fatalf("unbounded run kept only %d events; need > %d for the test to bite", len(full), cap)
-	}
-	if len(ring) != cap {
-		t.Fatalf("ring kept %d events, want %d", len(ring), cap)
-	}
-	if fullTr.Total() != ringTr.Total() {
-		t.Fatalf("total recorded differ: unbounded %d vs ring %d", fullTr.Total(), ringTr.Total())
-	}
-	if want := fullTr.Total() - uint64(cap); ringTr.Dropped() != want {
-		t.Fatalf("ring dropped %d events, want %d", ringTr.Dropped(), want)
-	}
-	var wantBuf, gotBuf bytes.Buffer
-	if err := trace.WriteChrome(&wantBuf, full[len(full)-cap:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteChrome(&gotBuf, ring); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantBuf.Bytes(), gotBuf.Bytes()) {
-		t.Fatalf("ring suffix diverges from unbounded run (%d vs %d bytes)",
-			gotBuf.Len(), wantBuf.Len())
 	}
 }

@@ -140,14 +140,22 @@ func BenchmarkAblationPdflush(b *testing.B) {
 
 // BenchmarkAblationScalarTags measures how often set-valued cause tags
 // carry more than one cause — the cases a scalar tag (as in DSS/IOFlow)
-// would misattribute.
+// would misattribute. Data writes are counted as they enter the block
+// layer; their causes are fixed at submit.
 func BenchmarkAblationScalarTags(b *testing.B) {
 	multiShare := func() float64 {
 		opts := core.DefaultOptions()
 		k := core.NewKernel(opts, stoken.Factory)
 		defer k.Close()
 		var multi, total int
-		k.Block.SetHooks(countingHooks{multi: &multi, total: &total})
+		k.Block.OnAdd(func(r *block.Request) {
+			if r.Op == device.Write && !r.Journal {
+				total++
+				if r.Causes.Len() > 1 {
+					multi++
+				}
+			}
+		})
 		f := k.FS.MkFileContiguous("/shared", 64<<20)
 		for i := 0; i < 2; i++ {
 			k.Spawn("w", 4, func(p *sim.Proc, pr *vfs.Process) {
@@ -197,21 +205,6 @@ func BenchmarkAblationXFSFull(b *testing.B) {
 	}
 	b.ReportMetric(partial, "creates_per_s_partial")
 	b.ReportMetric(full, "creates_per_s_full")
-}
-
-type countingHooks struct {
-	multi, total *int
-}
-
-func (h countingHooks) BlockAdded(r *block.Request)      {}
-func (h countingHooks) BlockDispatched(r *block.Request) {}
-func (h countingHooks) BlockCompleted(r *block.Request) {
-	if r.Op == device.Write && !r.Journal {
-		*h.total++
-		if r.Causes.Len() > 1 {
-			*h.multi++
-		}
-	}
 }
 
 // BenchmarkTraceDisabledHotPath guards the tracing subsystem's core promise:

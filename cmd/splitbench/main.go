@@ -132,7 +132,7 @@ func run() int {
 	list := flag.Bool("list", false, "list experiments and exit")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON trace to `FILE`")
 	stats := flag.Bool("stats", false, "print per-machine metric registries after the run")
-	deviceKind := flag.String("device", "", "override the disk model for every kernel: hdd, ssd, or ftlssd (experiments that pin their own device ignore it)")
+	deviceKind := flag.String("device", "", "override the disk model for every kernel: hdd, ssd, or ftlssd (ignored by the experiments that pin their own disk: fig9, fig12, fig19, gcsweep, crashsweep)")
 	sloSpec := flag.String("slo", "", "attach an SLO monitor to every kernel; semicolon-separated rule `specs` like 'pid=100 op=fsync p99<10ms'")
 	sloWindow := flag.Duration("slo-window", 500*time.Millisecond, "SLO evaluation window (virtual time), with -slo")
 	postmortem := flag.String("postmortem", "", "write flight-recorder post-mortem bundles (JSON) to `FILE` when the run fails or an invariant trips")

@@ -15,7 +15,7 @@ import (
 // an explicit //splitlint:ignore with the invariant that keeps it
 // deterministic (exactly one runnable goroutine at any instant). The fault
 // plane runs inside the event loop (its wrapper sits on the device's
-// ServiceTime path), so it is core too, as is the latency attributor: its
+// Serve path), so it is core too, as is the latency attributor: its
 // sinks run synchronously inside trace.Record on the event-loop path. The
 // crash checker analyses the fault log after the simulation and stays
 // outside. The monitor is core for the same reason as attr: it is a trace

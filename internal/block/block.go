@@ -114,20 +114,12 @@ type Stats struct {
 	BusyTime    time.Duration
 }
 
-// Hooks receives framework-level notifications around the elevator. Split
-// schedulers use these for accounting revision; nil hooks are skipped.
-type Hooks interface {
-	BlockAdded(r *Request)
-	BlockDispatched(r *Request)
-	BlockCompleted(r *Request)
-}
-
 // Layer is the block layer: elevator + dispatcher + device.
 type Layer struct {
 	env   *sim.Env
 	disk  device.Disk
 	elv   Elevator
-	hooks Hooks
+	onAdd func(*Request)
 	tr    *trace.Tracer
 	work  *sim.WaitQueue
 	busy  bool
@@ -137,17 +129,14 @@ type Layer struct {
 	// time, matching the paper's single-spindle evaluation.
 
 	// Run-to-completion dispatcher state. The dispatcher issues one request
-	// at a time, so the in-flight request and
-	// its captured trace breakdown live in the layer; the two callbacks are
-	// allocated once here so the steady-state dispatch loop never allocates.
-	inflight      *Request
-	inflightSvc   time.Duration
-	inflightPos   time.Duration
-	inflightXfer  time.Duration
-	inflightStall time.Duration
-	inflightTrcd  bool
-	completeFn    func()
-	resumeFn      func(sig bool)
+	// at a time, so the in-flight request and the disk's answer for it live
+	// in the layer; the two callbacks are allocated once here so the
+	// steady-state dispatch loop never allocates.
+	inflight     *Request
+	inflightSvc  device.Service
+	inflightTrcd bool
+	completeFn   func()
+	resumeFn     func(sig bool)
 }
 
 // NewLayer creates a block layer over disk using elv and starts its
@@ -163,8 +152,10 @@ func NewLayer(env *sim.Env, disk device.Disk, elv Elevator) *Layer {
 	return l
 }
 
-// SetHooks installs framework hooks (may be nil).
-func (l *Layer) SetHooks(h Hooks) { l.hooks = h }
+// OnAdd installs fn to observe every request as it enters the layer, after
+// the elevator's Add (nil removes it). It is for measurement: schedulers
+// see add, dispatch and completion through their Elevator.
+func (l *Layer) OnAdd(fn func(*Request)) { l.onAdd = fn }
 
 // SetTracer installs the kernel's tracer (nil restores the disabled Nop).
 func (l *Layer) SetTracer(tr *trace.Tracer) {
@@ -201,8 +192,8 @@ func (l *Layer) Submit(r *Request) *sim.Completion {
 	l.depth++
 	r.QDepth = l.depth
 	l.elv.Add(r)
-	if l.hooks != nil {
-		l.hooks.BlockAdded(r)
+	if l.onAdd != nil {
+		l.onAdd(r)
 	}
 	l.Kick()
 	return r.done
@@ -210,13 +201,12 @@ func (l *Layer) Submit(r *Request) *sim.Completion {
 
 // traceRequest emits the block- and device-layer spans of one completed
 // request: the queue span (submission to dispatch, labeled with the
-// elevator), a gc-wait span when the disk model reports that part of the
-// service was spent behind its garbage collector, and the device service,
-// split into positioning and transfer when the disk model reports a
-// breakdown. The gc-wait span overlaps the service span (the stall is part
-// of the service) — it is detection metadata for attr, not a latency
-// category of its own.
-func (l *Layer) traceRequest(r *Request, pos, xfer, gcStall time.Duration) {
+// elevator), a gc-wait span when the disk reports that part of the service
+// was spent behind its garbage collector, and the device service split into
+// positioning and transfer. The gc-wait span overlaps the service spans
+// (the stall is part of the service) — it is detection metadata for attr,
+// not a latency category of its own.
+func (l *Layer) traceRequest(r *Request, svc device.Service) {
 	flags := requestFlags(r)
 	l.tr.Record(trace.Event{
 		Layer: trace.LayerBlock, Op: trace.OpQueue, Label: l.elv.Name(),
@@ -224,31 +214,23 @@ func (l *Layer) traceRequest(r *Request, pos, xfer, gcStall time.Duration) {
 		Start: r.Queued, End: r.Start, Depth: int64(r.QDepth),
 		Ino: r.FileID, LBA: r.LBA, Blocks: r.Blocks, Flags: flags,
 	})
-	if gcStall > 0 {
-		l.tr.Record(trace.Event{
-			Layer: trace.LayerDevice, Op: trace.OpGCWait, Label: l.disk.Name(),
-			Req: r.Req, PID: r.Submitter, Causes: r.Causes, Prio: r.Prio,
-			Start: r.Start, End: r.Start.Add(gcStall),
-			Ino: r.FileID, LBA: r.LBA, Blocks: r.Blocks, Flags: flags,
-		})
-	}
 	dev := trace.Event{
-		Layer: trace.LayerDevice, Op: trace.OpService, Label: l.disk.Name(),
+		Layer: trace.LayerDevice, Op: trace.OpGCWait, Label: l.disk.Name(),
 		Req: r.Req, PID: r.Submitter, Causes: r.Causes, Prio: r.Prio,
-		Start: r.Start, End: r.Start.Add(r.Service),
+		Start: r.Start, End: r.Start.Add(svc.GCStall),
 		Ino: r.FileID, LBA: r.LBA, Blocks: r.Blocks, Flags: flags,
 	}
-	if pos+xfer > 0 {
-		if pos > 0 {
-			seek := dev
-			seek.Op = trace.OpPosition
-			seek.End = dev.Start.Add(pos)
-			l.tr.Record(seek)
-		}
-		dev.Op = trace.OpTransfer
-		dev.Start = dev.Start.Add(pos)
-		dev.End = dev.Start.Add(xfer)
+	if svc.GCStall > 0 {
+		l.tr.Record(dev)
 	}
+	if svc.Position > 0 {
+		dev.Op = trace.OpPosition
+		dev.End = dev.Start.Add(svc.Position)
+		l.tr.Record(dev)
+	}
+	dev.Op = trace.OpTransfer
+	dev.Start = r.Start.Add(svc.Position)
+	dev.End = dev.Start.Add(svc.Transfer)
 	l.tr.Record(dev)
 }
 
@@ -299,35 +281,15 @@ func (l *Layer) dispatchStep() {
 	l.busy = true
 	r.Start = l.env.Now()
 	l.stats.Dispatched++
-	if l.hooks != nil {
-		l.hooks.BlockDispatched(r)
-	}
-	if an, ok := l.disk.(device.Annotator); ok {
-		// Device wrappers that model durability (the fault plane) need
-		// the request's semantic tags; raw models ignore them.
-		an.Annotate(device.RequestInfo{
-			Sync: r.Sync, Journal: r.Journal, Meta: r.Meta, Barrier: r.Barrier,
-			FileID: r.FileID, TxnID: r.TxnID, Pages: r.Pages,
-		})
-	}
 	perf.Count(perf.BucketDevice)
-	svc := l.disk.ServiceTime(r.Op, r.LBA, r.Blocks, time.Duration(l.env.Now()), r.Barrier)
 	l.inflight = r
-	l.inflightSvc = svc
-	l.inflightPos, l.inflightXfer, l.inflightStall = 0, 0, 0
+	l.inflightSvc = l.disk.Serve(device.Request{
+		Op: r.Op, LBA: r.LBA, Blocks: r.Blocks, Now: time.Duration(r.Start), Barrier: r.Barrier,
+		Sync: r.Sync, Journal: r.Journal, Meta: r.Meta,
+		FileID: r.FileID, TxnID: r.TxnID, Pages: r.Pages,
+	})
 	l.inflightTrcd = l.tr.Enabled()
-	if l.inflightTrcd {
-		// Capture the positioning/transfer split and GC stall now: the
-		// disk model's per-request state is overwritten by the next
-		// ServiceTime call.
-		if bd, ok := l.disk.(device.Breakdowner); ok {
-			l.inflightPos, l.inflightXfer = bd.Breakdown()
-		}
-		if gs, ok := l.disk.(device.GCStaller); ok {
-			l.inflightStall = gs.GCStall()
-		}
-	}
-	l.env.Schedule(svc, l.completeFn)
+	l.env.Schedule(l.inflightSvc.Total, l.completeFn)
 }
 
 // complete is the device-completion handler: it retires the in-flight
@@ -337,8 +299,8 @@ func (l *Layer) dispatchStep() {
 func (l *Layer) complete() {
 	r, svc := l.inflight, l.inflightSvc
 	l.inflight = nil
-	r.Service = svc
-	l.stats.BusyTime += svc
+	r.Service = svc.Total
+	l.stats.BusyTime += svc.Total
 	if r.Op == device.Read {
 		l.stats.BlocksRead += int64(r.Blocks)
 	} else {
@@ -347,11 +309,8 @@ func (l *Layer) complete() {
 	l.busy = false
 	l.depth--
 	l.elv.Completed(r)
-	if l.hooks != nil {
-		l.hooks.BlockCompleted(r)
-	}
 	if l.inflightTrcd {
-		l.traceRequest(r, l.inflightPos, l.inflightXfer, l.inflightStall)
+		l.traceRequest(r, svc)
 	}
 	r.done.Complete()
 	l.dispatchStep()

@@ -92,23 +92,33 @@ func TestZeroBlocksClamped(t *testing.T) {
 	env.Close()
 }
 
-type recordingHooks struct {
-	added, dispatched, completed int
-}
-
-func (h *recordingHooks) BlockAdded(r *Request)      { h.added++ }
-func (h *recordingHooks) BlockDispatched(r *Request) { h.dispatched++ }
-func (h *recordingHooks) BlockCompleted(r *Request)  { h.completed++ }
-
+// TestHooksFire: the OnAdd observer sees each request once, as it enters
+// the layer: after the elevator's Add, with its queue depth stamped, and
+// before dispatch. A nil observer is removed.
 func TestHooksFire(t *testing.T) {
-	env, l := newTestLayer(NewFIFO())
-	h := &recordingHooks{}
-	l.SetHooks(h)
+	fifo := NewFIFO()
+	env, l := newTestLayer(fifo)
+	var added []*Request
+	l.OnAdd(func(r *Request) {
+		if fifo.Len() != len(added)+1 || r.QDepth != len(added)+1 || r.Done().Done() {
+			t.Errorf("observer saw request %d with %d queued, depth %d, done %v",
+				len(added), fifo.Len(), r.QDepth, r.Done().Done())
+		}
+		added = append(added, r)
+	})
 	l.Submit(&Request{Op: device.Read, LBA: 1, Blocks: 1})
 	l.Submit(&Request{Op: device.Write, LBA: 2, Blocks: 1})
 	env.RunAll()
-	if h.added != 2 || h.dispatched != 2 || h.completed != 2 {
-		t.Fatalf("hooks = %+v, want 2/2/2", *h)
+	l.OnAdd(nil)
+	l.Submit(&Request{Op: device.Read, LBA: 3, Blocks: 1})
+	env.RunAll()
+	if len(added) != 2 {
+		t.Fatalf("observer saw %d requests, want 2", len(added))
+	}
+	for i, r := range added {
+		if !r.Done().Done() {
+			t.Errorf("request %d never completed", i)
+		}
 	}
 	env.Close()
 }

@@ -33,9 +33,10 @@ import (
 const _ = uint(fs.BlockSize-cache.PageSize) + uint(cache.PageSize-fs.BlockSize)
 
 // Scheduler is a scheduling plug-in. A scheduler supplies the block-level
-// elevator and, in Attach, may register system-call hooks (vfs.Hooks),
-// memory hooks (cache.MemHooks), and block hooks (block.Hooks) on the
-// kernel. Single-level schedulers simply leave the other levels untouched.
+// elevator, which sees requests added, dispatched and completed, and in
+// Attach may register system-call hooks (vfs.Hooks) and memory hooks
+// (cache.MemHooks) on the kernel. Single-level schedulers simply leave the
+// other levels untouched.
 type Scheduler interface {
 	// Name identifies the scheduler in reports.
 	Name() string

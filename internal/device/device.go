@@ -43,18 +43,18 @@ func (o Op) String() string {
 	return "write"
 }
 
-// Disk models a storage device. ServiceTime is stateful: it advances the
+// Disk models a storage device. Serve is stateful: it advances the
 // head/NAND state, so calls must be made in dispatch order.
 type Disk interface {
 	// Name identifies the model (for reports).
 	Name() string
-	// ServiceTime returns the time to serve a request of n blocks at lba
-	// starting at virtual time now, updating internal positioning state.
-	// HDDs charge a rotational miss when a "sequential" request arrives
-	// after an idle gap (the target sector has rotated past) and for
-	// barrier writes (sync commits must hit the platter: the drive waits
-	// for the exact sector and drains its cache).
-	ServiceTime(op Op, lba int64, n int, now time.Duration, barrier bool) time.Duration
+	// Serve serves r starting at virtual time r.Now, updating internal
+	// positioning state, and returns how long it took and where the time
+	// went. HDDs charge a rotational miss when a "sequential" request
+	// arrives after an idle gap (the target sector has rotated past) and
+	// for barrier writes (sync commits must hit the platter: the drive
+	// waits for the exact sector and drains its cache).
+	Serve(r Request) Service
 	// SeqBandwidth returns sustained sequential bandwidth in bytes/second,
 	// the unit Split-Token normalizes costs to.
 	SeqBandwidth() float64
@@ -62,16 +62,22 @@ type Disk interface {
 	Blocks() int64
 }
 
-// RequestInfo carries block-layer request metadata down to device wrappers.
-// The Disk interface deliberately knows nothing about journals, files, or
-// transactions; wrappers that model durability (the fault-injection device)
-// need those semantic tags, so the block dispatcher hands them over out of
-// band via Annotator immediately before the matching ServiceTime call.
-type RequestInfo struct {
+// Request is one block request as the device sees it. Op, LBA, Blocks,
+// Now and Barrier drive the timing models. The semantic tags below them
+// are for wrappers that model durability (the fault plane); raw models
+// ignore them.
+type Request struct {
+	Op     Op
+	LBA    int64
+	Blocks int
+	// Now is the virtual time the device starts serving the request.
+	Now time.Duration
+	// Barrier marks sync-commit records that must flush the device cache.
+	Barrier bool
+
 	Sync    bool
 	Journal bool
 	Meta    bool
-	Barrier bool
 	// FileID is the inode a data request belongs to (0 for journal I/O).
 	FileID int64
 	// TxnID is the journal transaction the request serves: the descriptor
@@ -82,12 +88,22 @@ type RequestInfo struct {
 	Pages []int64
 }
 
-// Annotator is implemented by device wrappers that want the block-layer
-// metadata of the request about to be served. The dispatcher calls Annotate
-// immediately before the matching ServiceTime; the wrapper consumes the
-// pending info there. Raw disk models do not implement it.
-type Annotator interface {
-	Annotate(info RequestInfo)
+// Service is a disk's answer to one Request. The block layer emits the
+// device trace spans from it: positioning, then transfer, and a gc-wait
+// span when GCStall is non-zero.
+type Service struct {
+	// Total is the device time from dispatch to completion.
+	Total time.Duration
+	// Position is the wait before media transfer began (seek + rotation,
+	// or flash access latency and die queueing); Transfer is the rest of
+	// the model's work. A raw model's Position and Transfer sum to Total;
+	// a wrapper may lengthen Total alone (the fault plane's read retry).
+	Position time.Duration
+	Transfer time.Duration
+	// GCStall is the part of the service spent waiting on resources held
+	// by the device's background work (flash garbage collection); zero for
+	// models without it.
+	GCStall time.Duration
 }
 
 // DurabilityMarker is implemented by device wrappers that track durability
@@ -101,27 +117,6 @@ type DurabilityMarker interface {
 	// MarkDurable records the promise that ino's writes below upTo are
 	// durable as of the current media-write sequence.
 	MarkDurable(ino, upTo int64)
-}
-
-// Breakdowner is implemented by disk models that can split their most recent
-// ServiceTime result into a positioning component (seek + rotation, or flash
-// access latency) and a media-transfer component. The block layer uses it to
-// emit separate device-level trace spans for seek and transfer.
-type Breakdowner interface {
-	// Breakdown returns the positioning and transfer parts of the last
-	// ServiceTime call. Like ServiceTime itself, it reflects dispatch-order
-	// state: read it before the next request is served.
-	Breakdown() (position, transfer time.Duration)
-}
-
-// GCStaller is implemented by disk models whose internal background work
-// (flash garbage collection) can delay foreground requests. GCStall
-// returns the portion of the last ServiceTime spent waiting on resources
-// held by that background work. Like Breakdown, it reflects dispatch-order
-// state: read it before the next request is served. The block layer uses
-// it to emit a gc-wait span the attr inversion detector can act on.
-type GCStaller interface {
-	GCStall() time.Duration
 }
 
 // HDD is a mechanical hard-disk model.
@@ -147,8 +142,6 @@ type HDD struct {
 
 	head    int64
 	lastEnd time.Duration
-	lastPos time.Duration
-	lastXfr time.Duration
 }
 
 // NewHDD returns a model of a 7200 RPM 500 GB SATA drive roughly matching
@@ -210,12 +203,13 @@ func sqrt(x float64) float64 {
 	return z
 }
 
-// ServiceTime implements Disk.
-func (d *HDD) ServiceTime(op Op, lba int64, n int, now time.Duration, barrier bool) time.Duration {
+// Serve implements Disk.
+func (d *HDD) Serve(r Request) Service {
+	n := r.Blocks
 	if n <= 0 {
 		n = 1
 	}
-	dist := lba - d.head
+	dist := r.LBA - d.head
 	if dist < 0 {
 		dist = -dist
 	}
@@ -226,7 +220,7 @@ func (d *HDD) ServiceTime(op Op, lba int64, n int, now time.Duration, barrier bo
 		// an idle gap the sector has rotated past and the drive waits for
 		// it to come around (this is why each journal commit costs a
 		// rotation on a real disk).
-		if now-d.lastEnd > d.SeqGap {
+		if r.Now-d.lastEnd > d.SeqGap {
 			position = d.RotationHalf
 		}
 	case dist <= d.NearThreshold:
@@ -234,22 +228,15 @@ func (d *HDD) ServiceTime(op Op, lba int64, n int, now time.Duration, barrier bo
 	default:
 		position = d.seekTime(dist) + d.RotationHalf
 	}
-	if barrier && position < d.RotationHalf {
+	if r.Barrier && position < d.RotationHalf {
 		// A flush barrier cannot coalesce with the stream: the drive waits
 		// for the commit sector and drains its write cache.
 		position = d.RotationHalf
 	}
-	d.head = lba + int64(n)
-	svc := position + time.Duration(n)*d.PerBlock
-	d.lastEnd = now + svc
-	d.lastPos = position
-	d.lastXfr = svc - position
-	return svc
-}
-
-// Breakdown implements Breakdowner.
-func (d *HDD) Breakdown() (position, transfer time.Duration) {
-	return d.lastPos, d.lastXfr
+	d.head = r.LBA + int64(n)
+	xfer := time.Duration(n) * d.PerBlock
+	d.lastEnd = r.Now + position + xfer
+	return Service{Total: position + xfer, Position: position, Transfer: xfer}
 }
 
 // SSD is a flash device model with flat access latency and a modest
@@ -259,9 +246,6 @@ type SSD struct {
 	WriteLatency time.Duration
 	PerBlock     time.Duration
 	Capacity     int64
-
-	lastPos time.Duration
-	lastXfr time.Duration
 }
 
 // NewSSD returns a model of an 80 GB SATA SSD roughly matching the paper's
@@ -286,24 +270,19 @@ func (d *SSD) SeqBandwidth() float64 {
 	return float64(BlockSize) / d.PerBlock.Seconds()
 }
 
-// ServiceTime implements Disk.
-func (d *SSD) ServiceTime(op Op, lba int64, n int, now time.Duration, barrier bool) time.Duration {
+// Serve implements Disk.
+func (d *SSD) Serve(r Request) Service {
+	n := r.Blocks
 	if n <= 0 {
 		n = 1
 	}
 	lat := d.ReadLatency
-	if op == Write {
+	if r.Op == Write {
 		lat = d.WriteLatency
 	}
-	if barrier {
+	if r.Barrier {
 		lat += d.WriteLatency // cache flush
 	}
-	d.lastPos = lat
-	d.lastXfr = time.Duration(n) * d.PerBlock
-	return lat + d.lastXfr
-}
-
-// Breakdown implements Breakdowner.
-func (d *SSD) Breakdown() (position, transfer time.Duration) {
-	return d.lastPos, d.lastXfr
+	xfer := time.Duration(n) * d.PerBlock
+	return Service{Total: lat + xfer, Position: lat, Transfer: xfer}
 }

@@ -9,9 +9,9 @@ import (
 func TestHDDSequentialVsRandom(t *testing.T) {
 	d := NewHDD()
 	// Warm up: position head at 0.
-	d.ServiceTime(Read, 0, 1, 0, false)
-	seq := d.ServiceTime(Read, 1, 1, 0, false)
-	rand := d.ServiceTime(Read, d.Capacity/2, 1, 0, false)
+	d.Serve(Request{Op: Read, LBA: 0, Blocks: 1})
+	seq := d.Serve(Request{Op: Read, LBA: 1, Blocks: 1}).Total
+	rand := d.Serve(Request{Op: Read, LBA: d.Capacity / 2, Blocks: 1}).Total
 	if rand < 100*seq {
 		t.Fatalf("random (%v) should dwarf sequential (%v)", rand, seq)
 	}
@@ -22,7 +22,7 @@ func TestHDDSequentialThroughput(t *testing.T) {
 	var total time.Duration
 	const blocks = 1000
 	for i := int64(0); i < blocks; i++ {
-		total += d.ServiceTime(Read, i, 1, 0, false)
+		total += d.Serve(Request{Op: Read, LBA: i, Blocks: 1}).Total
 	}
 	bw := float64(blocks*BlockSize) / total.Seconds() / (1 << 20)
 	if bw < 100 || bw > 160 {
@@ -37,7 +37,7 @@ func TestHDDRandomIOPS(t *testing.T) {
 	lba := int64(1000)
 	for i := 0; i < n; i++ {
 		lba = (lba*48271 + 12345) % d.Capacity
-		total += d.ServiceTime(Read, lba, 1, 0, false)
+		total += d.Serve(Request{Op: Read, LBA: lba, Blocks: 1}).Total
 	}
 	iops := float64(n) / total.Seconds()
 	if iops < 40 || iops > 200 {
@@ -47,11 +47,11 @@ func TestHDDRandomIOPS(t *testing.T) {
 
 func TestHDDNearSeekCheaperThanFar(t *testing.T) {
 	d := NewHDD()
-	d.ServiceTime(Read, 0, 1, 0, false)
-	near := d.ServiceTime(Read, 100, 1, 0, false) // within NearThreshold of head at 1
+	d.Serve(Request{Op: Read, LBA: 0, Blocks: 1})
+	near := d.Serve(Request{Op: Read, LBA: 100, Blocks: 1}).Total // within NearThreshold of head at 1
 	d2 := NewHDD()
-	d2.ServiceTime(Read, 0, 1, 0, false)
-	far := d2.ServiceTime(Read, d2.Capacity-1, 1, 0, false)
+	d2.Serve(Request{Op: Read, LBA: 0, Blocks: 1})
+	far := d2.Serve(Request{Op: Read, LBA: d2.Capacity - 1, Blocks: 1}).Total
 	if near >= far {
 		t.Fatalf("near (%v) should cost less than far (%v)", near, far)
 	}
@@ -73,10 +73,10 @@ func TestHDDSeekMonotone(t *testing.T) {
 
 func TestHDDMultiBlockTransfer(t *testing.T) {
 	d := NewHDD()
-	d.ServiceTime(Read, 0, 1, 0, false)
-	one := d.ServiceTime(Read, 1, 1, 0, false)
-	d.ServiceTime(Read, 0, 1, 0, false) // reposition; next is near
-	eight := d.ServiceTime(Write, d.head, 8, 0, false)
+	d.Serve(Request{Op: Read, LBA: 0, Blocks: 1})
+	one := d.Serve(Request{Op: Read, LBA: 1, Blocks: 1}).Total
+	d.Serve(Request{Op: Read, LBA: 0, Blocks: 1}) // reposition; next is near
+	eight := d.Serve(Request{Op: Write, LBA: d.head, Blocks: 8}).Total
 	if eight < 8*one {
 		t.Fatalf("8-block transfer (%v) should take >= 8x one block (%v)", eight, one)
 	}
@@ -84,15 +84,15 @@ func TestHDDMultiBlockTransfer(t *testing.T) {
 
 func TestHDDZeroBlockClamped(t *testing.T) {
 	d := NewHDD()
-	if d.ServiceTime(Read, 0, 0, 0, false) <= 0 {
+	if d.Serve(Request{Op: Read, LBA: 0, Blocks: 0}).Total <= 0 {
 		t.Fatal("0-block request should be clamped to 1 block")
 	}
 }
 
 func TestSSDFlatLatency(t *testing.T) {
 	d := NewSSD()
-	seq := d.ServiceTime(Read, 0, 1, 0, false)
-	rnd := d.ServiceTime(Read, d.Capacity/2, 1, 0, false)
+	seq := d.Serve(Request{Op: Read, LBA: 0, Blocks: 1}).Total
+	rnd := d.Serve(Request{Op: Read, LBA: d.Capacity / 2, Blocks: 1}).Total
 	if seq != rnd {
 		t.Fatalf("SSD sequential (%v) != random (%v)", seq, rnd)
 	}
@@ -100,8 +100,8 @@ func TestSSDFlatLatency(t *testing.T) {
 
 func TestSSDWritePenalty(t *testing.T) {
 	d := NewSSD()
-	r := d.ServiceTime(Read, 0, 1, 0, false)
-	w := d.ServiceTime(Write, 0, 1, 0, false)
+	r := d.Serve(Request{Op: Read, LBA: 0, Blocks: 1}).Total
+	w := d.Serve(Request{Op: Write, LBA: 0, Blocks: 1}).Total
 	if w <= r {
 		t.Fatalf("SSD write (%v) should cost more than read (%v)", w, r)
 	}
@@ -109,9 +109,9 @@ func TestSSDWritePenalty(t *testing.T) {
 
 func TestSSDMuchFasterThanHDDRandom(t *testing.T) {
 	h, s := NewHDD(), NewSSD()
-	h.ServiceTime(Read, 0, 1, 0, false)
-	hr := h.ServiceTime(Read, h.Capacity/2, 1, 0, false)
-	sr := s.ServiceTime(Read, s.Capacity/2, 1, 0, false)
+	h.Serve(Request{Op: Read, LBA: 0, Blocks: 1})
+	hr := h.Serve(Request{Op: Read, LBA: h.Capacity / 2, Blocks: 1}).Total
+	sr := s.Serve(Request{Op: Read, LBA: s.Capacity / 2, Blocks: 1}).Total
 	if hr < 20*sr {
 		t.Fatalf("HDD random (%v) should be >20x SSD random (%v)", hr, sr)
 	}

@@ -170,16 +170,13 @@ func Fig20(o Options) *Table {
 }
 
 // fig21Cluster builds one Fig 21 configuration on env: Split-Token workers
-// with a 256 MiB cache, blockMB blocks, and the throttled group capped at
-// capMB per worker. The workers are built from hdfssim's options, not
-// newKernel, so o's observability is applied to them here.
+// with blockMB blocks and the throttled group capped at capMB per worker.
+// The workers share env, so they are built by hdfssim rather than
+// newKernel, from the same kernelOptions.
 func fig21Cluster(o Options, env *sim.Env, blockMB int64, capMB float64) *hdfssim.Cluster {
 	cfg := hdfssim.DefaultConfig(stoken.Factory)
 	cfg.BlockBytes = blockMB << 20
-	cc := cache.DefaultConfig()
-	cc.TotalPages = 256 << 20 / cache.PageSize
-	cfg.WorkerOpts.Cache = &cc
-	o.observe(&cfg.WorkerOpts)
+	cfg.WorkerOpts = o.kernelOptions()
 	c := hdfssim.NewCluster(env, cfg)
 	for _, w := range c.Workers() {
 		o.register(w, "split-token")

@@ -69,7 +69,8 @@ type Options struct {
 	Monitor *MonitorCollector
 	// Device overrides every kernel's disk model ("hdd", "ssd", "ftlssd")
 	// when non-empty (splitbench -device). Experiments that pin their own
-	// device (gcsweep's aged FTL, crashsweep's disk axis) ignore it.
+	// disk ignore it: fig9 (SSD), fig12 (its disk axis), fig19 (SSD),
+	// gcsweep (an aged FTL) and crashsweep (its disk axis).
 	Device string
 	// Runner, when non-nil, fans an experiment's independent simulation
 	// cells across a host-side worker pool (splitbench -j) with optional
@@ -224,6 +225,20 @@ func SchedulerFactory(name string) (core.Factory, bool) {
 // newKernel builds an experiment machine: 256 MiB cache so multi-GiB scans
 // miss, HDD and ext4 unless mut overrides.
 func newKernel(sched string, o Options, mut func(*core.Options)) *core.Kernel {
+	opts := o.kernelOptions()
+	if mut != nil {
+		mut(&opts)
+	}
+	k := core.NewKernelOn(sim.NewEnv(opts.Seed), opts, factories[sched])
+	o.register(k, sched)
+	return k
+}
+
+// kernelOptions returns the options every experiment machine starts from:
+// o's seed, a 256 MiB page cache, the -device disk model, and o's
+// observability (the shared -trace tracer, the -stats sampler and the -slo
+// monitor).
+func (o Options) kernelOptions() core.Options {
 	opts := core.DefaultOptions()
 	opts.Seed = o.Seed
 	if opts.Seed == 0 {
@@ -235,18 +250,6 @@ func newKernel(sched string, o Options, mut func(*core.Options)) *core.Kernel {
 	if o.Device != "" {
 		opts.Disk = core.DiskKind(o.Device)
 	}
-	o.observe(&opts)
-	if mut != nil {
-		mut(&opts)
-	}
-	k := core.NewKernelOn(sim.NewEnv(opts.Seed), opts, factories[sched])
-	o.register(k, sched)
-	return k
-}
-
-// observe sets the kernel options behind o's observability: the shared
-// -trace tracer, the -stats sampler and the -slo monitor.
-func (o Options) observe(opts *core.Options) {
 	opts.Tracer = o.Tracer
 	if o.Metrics != nil {
 		opts.MetricsInterval = o.Metrics.Interval
@@ -257,9 +260,10 @@ func (o Options) observe(opts *core.Options) {
 	if o.Monitor != nil {
 		opts.Monitor = &monitor.Config{Window: o.Monitor.Window, Rules: o.Monitor.Rules}
 	}
+	return opts
 }
 
-// register hands a kernel built with observe's options to o's collectors,
+// register hands a kernel built with kernelOptions to o's collectors,
 // labeled by scheduler name and creation order.
 func (o Options) register(k *core.Kernel, sched string) {
 	if o.Monitor != nil && k.Monitor != nil {

@@ -110,11 +110,11 @@ func Fig3(o Options) *Table {
 	defer k.Env.Close()
 	// Count the priority CFQ sees per submitted request.
 	prioSeen := map[int]int64{}
-	k.Block.SetHooks(obsHooks(func(r *block.Request) {
+	k.Block.OnAdd(func(r *block.Request) {
 		if r.Op == device.Write {
 			prioSeen[r.Prio]++
 		}
-	}))
+	})
 	procs := make([]*vfs.Process, 8)
 	for i := 0; i < 8; i++ {
 		prio := i
@@ -159,12 +159,6 @@ func Fig3(o Options) *Table {
 	}
 	return t
 }
-
-type obsHooks func(*block.Request)
-
-func (h obsHooks) BlockAdded(r *block.Request)      { h(r) }
-func (h obsHooks) BlockDispatched(r *block.Request) {}
-func (h obsHooks) BlockCompleted(r *block.Request)  {}
 
 // Fig5 shows A's tiny fsync latency scaling with B's flush size under
 // Block-Deadline: journal ordering makes block-level deadlines meaningless.

@@ -36,7 +36,7 @@ func Table1(o Options) *Table {
 			k.VFS.Write(p, pr, f, 0, 4<<20)
 		})
 		seen := false
-		k.Block.SetHooks(obsHooks(func(r *block.Request) {
+		k.Block.OnAdd(func(r *block.Request) {
 			if r.Op != device.Write || r.Journal {
 				return
 			}
@@ -53,7 +53,7 @@ func Table1(o Options) *Table {
 					seen = true
 				}
 			}
-		}))
+		})
 		k.Run(o.dur(30 * time.Second))
 		return seen
 	}

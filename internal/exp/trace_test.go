@@ -106,3 +106,22 @@ func TestFig21Observed(t *testing.T) {
 		t.Errorf("first machine label %q, want split-token#0", got)
 	}
 }
+
+// TestFig21UsesDevice: the fig21 workers take the -device disk like every
+// newKernel machine, and default to the HDD.
+func TestFig21UsesDevice(t *testing.T) {
+	for _, kind := range []string{"", "ssd", "ftlssd"} {
+		env := sim.NewEnv(1)
+		c := fig21Cluster(Options{Seed: 1, Device: kind}, env, 16, 8)
+		want := kind
+		if want == "" {
+			want = "hdd"
+		}
+		for i, w := range c.Workers() {
+			if got := w.Disk.Name(); got != want {
+				t.Errorf("-device %q: worker %d serves from %q, want %q", kind, i, got, want)
+			}
+		}
+		env.Close()
+	}
+}

@@ -1,8 +1,6 @@
 package fault
 
 import (
-	"time"
-
 	"splitio/internal/device"
 	"splitio/internal/metrics"
 	"splitio/internal/sim"
@@ -18,19 +16,15 @@ type Device struct {
 	plan  *Plan
 	log   *Log
 
-	pending  device.RequestInfo
 	cut      bool
 	injected [numKinds]int64
 }
 
 // Interface conformance: the wrapper must be a drop-in Disk and expose the
-// annotation and durability surfaces the block and fs layers probe for.
+// durability surface the fs layer probes for.
 var (
 	_ device.Disk             = (*Device)(nil)
-	_ device.Breakdowner      = (*Device)(nil)
-	_ device.Annotator        = (*Device)(nil)
 	_ device.DurabilityMarker = (*Device)(nil)
-	_ device.GCStaller        = (*Device)(nil)
 )
 
 // Wrap returns a fault device around inner driven by plan (a nil plan
@@ -69,28 +63,6 @@ func (d *Device) Blocks() int64 { return d.inner.Blocks() }
 // SeqBandwidth implements Disk.
 func (d *Device) SeqBandwidth() float64 { return d.inner.SeqBandwidth() }
 
-// Breakdown implements Breakdowner by forwarding to the inner model.
-func (d *Device) Breakdown() (position, transfer time.Duration) {
-	if bd, ok := d.inner.(device.Breakdowner); ok {
-		return bd.Breakdown()
-	}
-	return 0, 0
-}
-
-// GCStall implements device.GCStaller by forwarding to the inner model
-// (zero for models without background GC), so GC-stall detection keeps
-// working when the fault plane wraps an FTL SSD.
-func (d *Device) GCStall() time.Duration {
-	if gs, ok := d.inner.(device.GCStaller); ok {
-		return gs.GCStall()
-	}
-	return 0
-}
-
-// Annotate implements device.Annotator: the block dispatcher stores the
-// semantic tags of the next request here, and ServiceTime consumes them.
-func (d *Device) Annotate(info device.RequestInfo) { d.pending = info }
-
 // MediaWrites implements device.DurabilityMarker.
 func (d *Device) MediaWrites() int64 { return int64(len(d.log.Records)) }
 
@@ -100,29 +72,27 @@ func (d *Device) MarkDurable(ino, upTo int64) {
 	d.log.Marks = append(d.log.Marks, Mark{Ino: ino, UpTo: upTo, AckSeq: int64(len(d.log.Records))})
 }
 
-// ServiceTime implements Disk: it forwards to the inner model, then logs
-// writes (with the plan's per-write fault decisions) and injects read
-// errors. The power cut is evaluated before the write is logged, so the cut
-// point lies between records.
-func (d *Device) ServiceTime(op device.Op, lba int64, n int, now time.Duration, barrier bool) time.Duration {
-	info := d.pending
-	d.pending = device.RequestInfo{}
-	if n <= 0 {
-		n = 1
+// Serve implements Disk: it forwards to the inner model, then logs writes
+// (with the request's semantic tags and the plan's per-write fault
+// decisions) and injects read errors. The power cut is evaluated before the
+// write is logged, so the cut point lies between records.
+func (d *Device) Serve(r device.Request) device.Service {
+	if r.Blocks <= 0 {
+		r.Blocks = 1
 	}
-	svc := d.inner.ServiceTime(op, lba, n, now, barrier)
-	if op == device.Read {
+	s := d.inner.Serve(r)
+	if r.Op == device.Read {
 		if d.plan.readError() {
 			d.injected[KindReadError]++
-			d.log.ReadFaults = append(d.log.ReadFaults, ReadFault{At: sim.Time(now) + sim.Time(svc), LBA: lba})
+			d.log.ReadFaults = append(d.log.ReadFaults, ReadFault{At: sim.Time(r.Now) + sim.Time(s.Total), LBA: r.LBA})
 			// A latent sector error costs one internal retry pass.
-			svc *= 2
+			s.Total *= 2
 		}
-		return svc
+		return s
 	}
 	seq := int64(len(d.log.Records))
 	if !d.cut {
-		if (d.plan.CutTime > 0 && now >= d.plan.CutTime) ||
+		if (d.plan.CutTime > 0 && r.Now >= d.plan.CutTime) ||
 			(d.plan.CutAfterWrites > 0 && seq >= d.plan.CutAfterWrites) {
 			d.cut = true
 			d.log.CutIndex = int(seq)
@@ -131,18 +101,18 @@ func (d *Device) ServiceTime(op device.Op, lba int64, n int, now time.Duration, 
 	}
 	rec := Record{
 		Seq:     seq,
-		At:      sim.Time(now) + sim.Time(svc),
-		LBA:     lba,
-		Blocks:  n,
-		Sync:    info.Sync,
-		Journal: info.Journal,
-		Meta:    info.Meta,
-		Barrier: barrier,
-		FileID:  info.FileID,
-		TxnID:   info.TxnID,
-		Pages:   info.Pages,
+		At:      sim.Time(r.Now) + sim.Time(s.Total),
+		LBA:     r.LBA,
+		Blocks:  r.Blocks,
+		Sync:    r.Sync,
+		Journal: r.Journal,
+		Meta:    r.Meta,
+		Barrier: r.Barrier,
+		FileID:  r.FileID,
+		TxnID:   r.TxnID,
+		Pages:   r.Pages,
 	}
-	if rec.Torn = d.plan.tornBlocks(n); rec.Torn > 0 {
+	if rec.Torn = d.plan.tornBlocks(r.Blocks); rec.Torn > 0 {
 		d.injected[KindTornWrite]++
 	}
 	if d.plan.lost() {
@@ -150,7 +120,7 @@ func (d *Device) ServiceTime(op device.Op, lba int64, n int, now time.Duration, 
 		d.injected[KindLostWrite]++
 	}
 	d.log.Records = append(d.log.Records, rec)
-	return svc
+	return s
 }
 
 // RegisterMetrics adds the fault plane's standard gauges to r.

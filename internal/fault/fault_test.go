@@ -8,25 +8,25 @@ import (
 	"splitio/internal/device"
 )
 
-// drive pushes a fixed write/read stream through a fault device, annotating
+// drive pushes a fixed write/read stream through a fault device, tagging
 // every request the way the block dispatcher does, and returns the device.
 func drive(plan *Plan) *Device {
 	d := Wrap(device.NewSSD(), plan)
 	now := time.Duration(0)
-	step := func(op device.Op, info device.RequestInfo, lba int64, n int, barrier bool) {
-		d.Annotate(info)
-		now += d.ServiceTime(op, lba, n, now, barrier)
+	step := func(r device.Request) {
+		r.Now = now
+		now += d.Serve(r).Total
 	}
 	for txn := int64(1); txn <= 4; txn++ {
 		for i := int64(0); i < 6; i++ {
-			step(device.Write, device.RequestInfo{FileID: 7, Pages: []int64{i, i + 1}},
-				1000+txn*64+i*2, 2, false)
+			step(device.Request{Op: device.Write, LBA: 1000 + txn*64 + i*2, Blocks: 2,
+				FileID: 7, Pages: []int64{i, i + 1}})
 		}
-		step(device.Write, device.RequestInfo{Journal: true, Meta: true, Sync: true, TxnID: txn},
-			5000+txn*8, 3, false)
-		step(device.Write, device.RequestInfo{Journal: true, Sync: true, Barrier: true, TxnID: txn},
-			5003+txn*8, 1, true)
-		step(device.Read, device.RequestInfo{FileID: 7}, 1000+txn*64, 4, false)
+		step(device.Request{Op: device.Write, LBA: 5000 + txn*8, Blocks: 3,
+			Journal: true, Meta: true, Sync: true, TxnID: txn})
+		step(device.Request{Op: device.Write, LBA: 5003 + txn*8, Blocks: 1, Barrier: true,
+			Journal: true, Sync: true, TxnID: txn})
+		step(device.Request{Op: device.Read, LBA: 1000 + txn*64, Blocks: 4, FileID: 7})
 	}
 	return d
 }
@@ -75,7 +75,7 @@ func TestZeroPlanIsTransparent(t *testing.T) {
 	// Timing must be identical to the unwrapped model.
 	inner := device.NewSSD()
 	rec := d.Log().Records[0]
-	want := inner.ServiceTime(device.Write, rec.LBA, rec.Blocks, 0, rec.Barrier)
+	want := inner.Serve(device.Request{Op: device.Write, LBA: rec.LBA, Blocks: rec.Blocks, Barrier: rec.Barrier}).Total
 	if got := time.Duration(rec.At); got != want {
 		t.Errorf("first write acked at %v, unwrapped model says %v", got, want)
 	}
@@ -135,11 +135,9 @@ func TestDurabilityMarks(t *testing.T) {
 	if d.MediaWrites() != 0 {
 		t.Fatalf("fresh device reports %d media writes", d.MediaWrites())
 	}
-	d.Annotate(device.RequestInfo{FileID: 9, Pages: []int64{0}})
-	d.ServiceTime(device.Write, 100, 1, 0, false)
+	d.Serve(device.Request{Op: device.Write, LBA: 100, Blocks: 1, FileID: 9, Pages: []int64{0}})
 	upTo := d.MediaWrites()
-	d.Annotate(device.RequestInfo{Journal: true, Barrier: true, TxnID: 1})
-	d.ServiceTime(device.Write, 200, 1, 0, true)
+	d.Serve(device.Request{Op: device.Write, LBA: 200, Blocks: 1, Barrier: true, Journal: true, TxnID: 1})
 	d.MarkDurable(9, upTo)
 	marks := d.Log().Marks
 	if len(marks) != 1 {
@@ -167,6 +165,14 @@ func TestFaultCounters(t *testing.T) {
 	}
 	if len(d.Log().ReadFaults) != 4 {
 		t.Errorf("logged %d read faults, want 4", len(d.Log().ReadFaults))
+	}
+	// The retry pass doubles the service total; the positioning and
+	// transfer the inner model reported, and so the trace spans, stay.
+	r := device.Request{Op: device.Read, LBA: 42, Blocks: 3}
+	raw := device.NewSSD().Serve(r)
+	got := Wrap(device.NewSSD(), p).Serve(r)
+	if want := (device.Service{Total: 2 * raw.Total, Position: raw.Position, Transfer: raw.Transfer}); got != want {
+		t.Errorf("read retry served %+v, want %+v", got, want)
 	}
 	// Single-block writes cannot tear.
 	for i := range d.Log().Records {

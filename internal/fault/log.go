@@ -16,7 +16,7 @@ type Record struct {
 	LBA    int64
 	Blocks int
 
-	// Semantic tags mirrored from the block request via device.RequestInfo.
+	// Semantic tags mirrored from the block request via device.Request.
 	Sync    bool
 	Journal bool
 	Meta    bool

@@ -62,12 +62,12 @@ func TestCOWGCRunsAndIsProxied(t *testing.T) {
 	ctx := userCtx(10)
 	var gcCauses causes.Set
 	var gcReqs int
-	r.blk.SetHooks(hookFn(func(req *block.Request) {
+	r.blk.OnAdd(func(req *block.Request) {
 		if req.Submitter == 4 { // gc task pid
 			gcCauses = gcCauses.Union(req.Causes)
 			gcReqs++
 		}
-	}))
+	})
 	r.env.Go("main", func(p *sim.Proc) {
 		f, _ := r.fs.Create(p, ctx, "/a")
 		r.fs.Write(p, ctx, f, 0, 64*BlockSize)

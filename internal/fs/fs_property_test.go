@@ -119,11 +119,11 @@ func findWbCtx(r *rig) *ioctx.Ctx { return r.fs.wbCtx }
 func TestCausesSurviveBatching(t *testing.T) {
 	r := newRig(t, Ext4Config())
 	var jc causes.Set
-	r.blk.SetHooks(hookFn(func(req *block.Request) {
+	r.blk.OnAdd(func(req *block.Request) {
 		if req.Journal {
 			jc = jc.Union(req.Causes)
 		}
-	}))
+	})
 	const writers = 6
 	for i := 0; i < writers; i++ {
 		ctx := userCtx(causes.PID(100 + i))

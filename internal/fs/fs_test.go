@@ -242,11 +242,11 @@ func TestJournalProxyTaggingExt4(t *testing.T) {
 	r := newRig(t, Ext4Config())
 	ctx := userCtx(10)
 	var journalCauses []causes.Set
-	r.blk.SetHooks(hookFn(func(req *block.Request) {
+	r.blk.OnAdd(func(req *block.Request) {
 		if req.Journal {
 			journalCauses = append(journalCauses, req.Causes)
 		}
-	}))
+	})
 	r.env.Go("main", func(p *sim.Proc) {
 		f, _ := r.fs.Create(p, ctx, "/a")
 		r.fs.Write(p, ctx, f, 0, BlockSize)
@@ -267,11 +267,11 @@ func TestJournalNotTaggedXFS(t *testing.T) {
 	r := newRig(t, XFSConfig())
 	ctx := userCtx(10)
 	var journalCauses []causes.Set
-	r.blk.SetHooks(hookFn(func(req *block.Request) {
+	r.blk.OnAdd(func(req *block.Request) {
 		if req.Journal {
 			journalCauses = append(journalCauses, req.Causes)
 		}
-	}))
+	})
 	r.env.Go("main", func(p *sim.Proc) {
 		f, _ := r.fs.Create(p, ctx, "/a")
 		r.fs.Write(p, ctx, f, 0, BlockSize)
@@ -288,22 +288,15 @@ func TestJournalNotTaggedXFS(t *testing.T) {
 	}
 }
 
-// hookFn adapts a func to block.Hooks, observing added requests.
-type hookFn func(*block.Request)
-
-func (h hookFn) BlockAdded(r *block.Request)      { h(r) }
-func (h hookFn) BlockDispatched(r *block.Request) {}
-func (h hookFn) BlockCompleted(r *block.Request)  {}
-
 func TestWritebackProxiesCauses(t *testing.T) {
 	r := newRig(t, Ext4Config())
 	ctx := userCtx(10)
 	var dataCauses []causes.Set
-	r.blk.SetHooks(hookFn(func(req *block.Request) {
+	r.blk.OnAdd(func(req *block.Request) {
 		if !req.Journal && req.Op == device.Write {
 			dataCauses = append(dataCauses, req.Causes)
 		}
-	}))
+	})
 	r.env.Go("main", func(p *sim.Proc) {
 		f, _ := r.fs.Create(p, ctx, "/a")
 		r.fs.Write(p, ctx, f, 0, 4*BlockSize)
@@ -392,11 +385,11 @@ func TestSharedMetadataBatching(t *testing.T) {
 	r := newRig(t, Ext4Config())
 	a, b := userCtx(10), userCtx(11)
 	var journalCauses causes.Set
-	r.blk.SetHooks(hookFn(func(req *block.Request) {
+	r.blk.OnAdd(func(req *block.Request) {
 		if req.Journal {
 			journalCauses = journalCauses.Union(req.Causes)
 		}
-	}))
+	})
 	r.env.Go("main", func(p *sim.Proc) {
 		fa, _ := r.fs.Create(p, a, "/a")
 		fb, _ := r.fs.Create(p, b, "/b")
@@ -461,12 +454,12 @@ func TestFlushRunSplitting(t *testing.T) {
 	cfg.MaxRunBlocks = 4
 	record := func(r *rig) *[]reqRec {
 		var got []reqRec
-		r.blk.SetHooks(hookFn(func(req *block.Request) {
+		r.blk.OnAdd(func(req *block.Request) {
 			got = append(got, reqRec{
 				LBA: req.LBA, Blocks: req.Blocks, Pages: req.Pages,
 				Causes: req.Causes.String(), Sync: req.Sync, TxnID: req.TxnID,
 			})
-		}))
+		})
 		return &got
 	}
 	check := func(t *testing.T, got, want []reqRec) {

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"time"
 )
 
@@ -259,6 +260,9 @@ type Proc struct {
 	dead   bool
 	killed bool
 	wake   func() // runs the process; built once so wake-ups allocate nothing
+	// panicked is the annotated panic of a process body, handed over with
+	// the execution token for runProc to re-raise.
+	panicked string
 }
 
 // Name returns the process name given at spawn time.
@@ -283,9 +287,11 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 			p.dead = true
 			if r := recover(); r != nil {
 				if _, ok := r.(procKilled); !ok {
-					// Re-panicking here would crash a bare goroutine with no
-					// useful trace back to the simulation; annotate instead.
-					panic(fmt.Sprintf("sim: process %q panicked: %v", name, r))
+					// A panic on this bare goroutine would kill the program;
+					// runProc re-raises it on the event loop's goroutine,
+					// where the caller can recover it. The stack is this
+					// goroutine's, the only one that shows the body's frames.
+					p.panicked = fmt.Sprintf("sim: process %q panicked at %v: %v\n%s", name, e.now, r, debug.Stack())
 				}
 			}
 			e.park <- struct{}{} //splitlint:ignore nogoroutine hand the execution token back to the event loop on proc exit
@@ -299,7 +305,8 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// runProc hands control to p until it blocks or exits.
+// runProc hands control to p until it blocks or exits. A panic in p's body
+// is re-raised here, on the caller's goroutine.
 func (e *Env) runProc(p *Proc) {
 	if p.dead {
 		return
@@ -310,6 +317,9 @@ func (e *Env) runProc(p *Proc) {
 	p.resume <- struct{}{} //splitlint:ignore nogoroutine hand the single execution token to p; this IS the coroutine mechanism the purity contract protects
 	<-e.park               //splitlint:ignore nogoroutine wait until p parks; exactly one runnable goroutine, so the handoff cannot deadlock
 	e.cur = prev
+	if p.panicked != "" {
+		panic(p.panicked)
+	}
 }
 
 // block parks the calling process until something calls env.runProc on it.

@@ -21,7 +21,7 @@ func BenchmarkFTLMapLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lp := (int64(i) * 4421) % blocks
-		now += d.ServiceTime(device.Read, lp, 1, now, false)
+		now += d.Serve(device.Request{Op: device.Read, LBA: lp, Blocks: 1, Now: now}).Total
 	}
 }
 

@@ -71,7 +71,7 @@ func (d *Device) victim() int32 {
 // blocks (same die when possible), charge the die for the reads, programs,
 // and erase, and return the block to the free list. It returns the virtual
 // time the erase completes (0 when there was no victim). collect never
-// blocks — it is also the emergency path under ServiceTime — so the caller
+// blocks — it is also the emergency path under Serve — so the caller
 // paces on the returned completion time.
 func (d *Device) collect(now time.Duration) time.Duration {
 	v := d.victim()

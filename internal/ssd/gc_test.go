@@ -19,7 +19,7 @@ func driveSteadyState(seed int64, writes int) *Device {
 	env.Go("writer", func(p *sim.Proc) {
 		lp := int64(0)
 		for i := 0; i < writes; i++ {
-			svc := d.ServiceTime(device.Write, lp, 1, time.Duration(p.Now()), false)
+			svc := d.Serve(device.Request{Op: device.Write, LBA: lp, Blocks: 1, Now: time.Duration(p.Now())}).Total
 			p.Sleep(svc)
 			lp = (lp + 4421) % d.Blocks()
 		}
@@ -95,7 +95,7 @@ func TestGCGateDefers(t *testing.T) {
 	env.Go("writer", func(p *sim.Proc) {
 		lp := int64(0)
 		for i := 0; i < 120; i++ {
-			svc := d.ServiceTime(device.Write, lp, 1, time.Duration(p.Now()), false)
+			svc := d.Serve(device.Request{Op: device.Write, LBA: lp, Blocks: 1, Now: time.Duration(p.Now())}).Total
 			p.Sleep(svc)
 			lp = (lp + 4421) % d.Blocks()
 		}
@@ -131,7 +131,7 @@ func TestEmergencyGC(t *testing.T) {
 	lp := int64(0)
 	now := time.Duration(0)
 	for i := 0; i < 3000; i++ {
-		now += d.ServiceTime(device.Write, lp, 1, now, false)
+		now += d.Serve(device.Request{Op: device.Write, LBA: lp, Blocks: 1, Now: now}).Total
 		lp = (lp + 4421) % d.Blocks()
 	}
 	if d.GCRuns() == 0 {

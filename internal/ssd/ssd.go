@@ -12,7 +12,7 @@
 // model cannot express — and this one exists to expose — is GC-induced
 // priority inversion: a foreground sync write landing on a die held by a
 // victim-block migration waits out the migration, and the per-request
-// GC-attributable wait is reported through device.GCStaller so the block
+// GC-attributable wait is reported in device.Service.GCStall so the block
 // layer can emit a gc-wait span and the attr detector can blame the GC
 // pseudo-process.
 //
@@ -102,9 +102,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// Device is the FTL SSD. It implements device.Disk, device.Breakdowner,
-// and device.GCStaller. Like every disk model, ServiceTime is stateful and
-// must be called in dispatch order.
+// Device is the FTL SSD. It implements device.Disk; like every disk model,
+// Serve is stateful and must be called in dispatch order.
 type Device struct {
 	cfg  Config
 	env  *sim.Env
@@ -157,10 +156,6 @@ type Device struct {
 	stallNS   int64
 	gcBusyNS  int64
 	gcHash    uint64
-
-	lastPos   time.Duration
-	lastXfr   time.Duration
-	lastStall time.Duration
 
 	// Run-to-completion collector state (the default engine): the step and
 	// park callbacks are allocated once so GC pacing never allocates.
@@ -264,16 +259,6 @@ func (d *Device) SeqBandwidth() float64 {
 	return float64(device.BlockSize) / per.Seconds()
 }
 
-// Breakdown implements device.Breakdowner: position is the wait before the
-// first page's media work began, transfer the rest.
-func (d *Device) Breakdown() (position, transfer time.Duration) {
-	return d.lastPos, d.lastXfr
-}
-
-// GCStall implements device.GCStaller: the portion of the last ServiceTime
-// spent waiting on dies held by GC migration or erase.
-func (d *Device) GCStall() time.Duration { return d.lastStall }
-
 // RandPageCost is the cost-model estimate for one random page access
 // (array read plus channel transfer, no queueing).
 func (d *Device) RandPageCost() time.Duration { return pageRead + chanXfer }
@@ -296,27 +281,32 @@ func maxd(a, b time.Duration) time.Duration {
 	return b
 }
 
-// ServiceTime implements device.Disk. Each 4 KiB block is one flash page:
+// Serve implements device.Disk. Each 4 KiB block is one flash page:
 // writes allocate a physical page out-of-place on a round-robin die
 // (channel transfer, then program; the old mapping is invalidated), reads
 // address the mapped die (array read, then channel transfer). Pages of one
 // request overlap across idle dies and channels; the request completes when
 // its last page does. A barrier charges one extra program (the device
-// flushes its buffer RAM). It is reachable from the block dispatcher's hot
-// loop, so it must not block and must stay allocation-free.
+// flushes its buffer RAM). Position is the wait before the first page's
+// media work began, Transfer the rest; GCStall sums the pages' waits on
+// dies held by GC migration or erase. Serve is reachable from the block
+// dispatcher's hot loop, so it must not block and must stay
+// allocation-free.
 //
 //splitlint:hot
-func (d *Device) ServiceTime(op device.Op, lba int64, n int, now time.Duration, barrier bool) time.Duration {
+func (d *Device) Serve(r device.Request) device.Service {
+	n := r.Blocks
 	if n <= 0 {
 		n = 1
 	}
+	now := r.Now
 	end := now
 	first := time.Duration(-1)
 	var stall time.Duration
 	for i := 0; i < n; i++ {
-		lp := d.clampLP(lba + int64(i))
+		lp := d.clampLP(r.LBA + int64(i))
 		var fin, start, st time.Duration
-		if op == device.Write {
+		if r.Op == device.Write {
 			fin, start, st = d.writePage(lp, now)
 		} else {
 			fin, start, st = d.readPage(lp, now)
@@ -329,7 +319,7 @@ func (d *Device) ServiceTime(op device.Op, lba int64, n int, now time.Duration, 
 		}
 		stall += st
 	}
-	if barrier {
+	if r.Barrier {
 		end += pageProgram
 	}
 	svc := end - now
@@ -337,14 +327,11 @@ func (d *Device) ServiceTime(op device.Op, lba int64, n int, now time.Duration, 
 	if pos < 0 {
 		pos = 0
 	}
-	d.lastPos = pos
-	d.lastXfr = svc - pos
-	d.lastStall = stall
 	d.stallNS += int64(stall)
 	if d.freeBlocks <= d.cfg.GCLowWater {
 		d.work.Signal()
 	}
-	return svc
+	return device.Service{Total: svc, Position: pos, Transfer: svc - pos, GCStall: stall}
 }
 
 // writePage maps lp to a fresh physical page and charges the channel

@@ -48,9 +48,9 @@ func TestGeometry(t *testing.T) {
 // transfer serialization.
 func TestDieParallelism(t *testing.T) {
 	_, d := newTestDevice(1)
-	svc1 := d.ServiceTime(device.Write, 0, 1, 0, false)
-	svc2 := d.ServiceTime(device.Write, 1, 1, 0, false)
-	svc3 := d.ServiceTime(device.Write, 2, 1, 0, false)
+	svc1 := d.Serve(device.Request{Op: device.Write, LBA: 0, Blocks: 1}).Total
+	svc2 := d.Serve(device.Request{Op: device.Write, LBA: 1, Blocks: 1}).Total
+	svc3 := d.Serve(device.Request{Op: device.Write, LBA: 2, Blocks: 1}).Total
 	if svc1 != chanXfer+pageProgram {
 		t.Fatalf("first write svc = %v, want xfer+program = %v", svc1, chanXfer+pageProgram)
 	}
@@ -66,7 +66,7 @@ func TestDieParallelism(t *testing.T) {
 // far less than eight serialized page writes.
 func TestMultiPageOverlap(t *testing.T) {
 	_, d := newTestDevice(1)
-	svc := d.ServiceTime(device.Write, 0, 8, 0, false)
+	svc := d.Serve(device.Request{Op: device.Write, LBA: 0, Blocks: 8}).Total
 	serial := 8 * (chanXfer + pageProgram)
 	if svc >= serial {
 		t.Fatalf("8-page write svc = %v, want < serialized %v", svc, serial)
@@ -79,8 +79,8 @@ func TestMultiPageOverlap(t *testing.T) {
 func TestBarrierCharged(t *testing.T) {
 	_, d1 := newTestDevice(1)
 	_, d2 := newTestDevice(1)
-	plain := d1.ServiceTime(device.Write, 0, 1, 0, false)
-	barrier := d2.ServiceTime(device.Write, 0, 1, 0, true)
+	plain := d1.Serve(device.Request{Op: device.Write, LBA: 0, Blocks: 1}).Total
+	barrier := d2.Serve(device.Request{Op: device.Write, LBA: 0, Blocks: 1, Barrier: true}).Total
 	if barrier != plain+pageProgram {
 		t.Fatalf("barrier svc = %v, want plain %v + program", barrier, plain)
 	}
@@ -88,11 +88,11 @@ func TestBarrierCharged(t *testing.T) {
 
 func TestReadUnmappedAndMapped(t *testing.T) {
 	_, d := newTestDevice(1)
-	if svc := d.ServiceTime(device.Read, 7, 1, 0, false); svc <= 0 {
+	if svc := d.Serve(device.Request{Op: device.Read, LBA: 7, Blocks: 1}).Total; svc <= 0 {
 		t.Fatalf("unmapped read svc = %v, want > 0", svc)
 	}
-	d.ServiceTime(device.Write, 7, 1, time.Second, false)
-	if svc := d.ServiceTime(device.Read, 7, 1, 2*time.Second, false); svc != pageRead+chanXfer {
+	d.Serve(device.Request{Op: device.Write, LBA: 7, Blocks: 1, Now: time.Second})
+	if svc := d.Serve(device.Request{Op: device.Read, LBA: 7, Blocks: 1, Now: 2 * time.Second}).Total; svc != pageRead+chanXfer {
 		t.Fatalf("mapped idle read svc = %v, want read+xfer", svc)
 	}
 }
@@ -107,15 +107,14 @@ func TestBreakdownSums(t *testing.T) {
 		if i%3 == 0 {
 			op = device.Read
 		}
-		svc := d.ServiceTime(op, int64(i*13), 1+i%4, now, i%7 == 0)
-		pos, xfr := d.Breakdown()
-		if pos < 0 || xfr < 0 || pos+xfr != svc {
-			t.Fatalf("step %d: breakdown %v+%v != svc %v", i, pos, xfr, svc)
+		s := d.Serve(device.Request{Op: op, LBA: int64(i * 13), Blocks: 1 + i%4, Now: now, Barrier: i%7 == 0})
+		if s.Position < 0 || s.Transfer < 0 || s.Position+s.Transfer != s.Total {
+			t.Fatalf("step %d: breakdown %v+%v != svc %v", i, s.Position, s.Transfer, s.Total)
 		}
-		if st := d.GCStall(); st < 0 || st > svc {
-			t.Fatalf("step %d: gc stall %v outside [0, %v]", i, st, svc)
+		if s.GCStall < 0 || s.GCStall > s.Total {
+			t.Fatalf("step %d: gc stall %v outside [0, %v]", i, s.GCStall, s.Total)
 		}
-		now += svc
+		now += s.Total
 	}
 }
 
@@ -129,7 +128,7 @@ func TestAge(t *testing.T) {
 		t.Fatalf("aging moved service counters: host=%d gc=%d", d.HostPages(), d.GCPages())
 	}
 	// Mapped state survives: a read of an aged page hits its die directly.
-	if svc := d.ServiceTime(device.Read, 0, 1, 0, false); svc != pageRead+chanXfer {
+	if svc := d.Serve(device.Request{Op: device.Read, LBA: 0, Blocks: 1}).Total; svc != pageRead+chanXfer {
 		t.Fatalf("aged read svc = %v, want read+xfer", svc)
 	}
 }

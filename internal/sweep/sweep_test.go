@@ -19,8 +19,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"splitio/internal/exp"
+	"splitio/internal/sim"
 	"splitio/internal/sweep"
 )
 
@@ -76,6 +78,18 @@ func TestPanickingCellSurfacesAsError(t *testing.T) {
 	cells := synthCells(16)
 	cells[5].Run = func() ([]byte, error) { panic("cell exploded") }
 	cells[9].Run = func() ([]byte, error) { return nil, fmt.Errorf("plain failure") }
+	// A panic inside a simulated process fails only its own cell, too.
+	cells[12].Run = func() ([]byte, error) {
+		env := sim.NewEnv(1)
+		defer env.Close()
+		env.Go("bystander", func(p *sim.Proc) { p.Sleep(time.Hour) })
+		env.Go("exploder", func(p *sim.Proc) {
+			p.Sleep(time.Millisecond)
+			panic("process exploded")
+		})
+		env.RunAll()
+		return []byte("unreachable"), nil
+	}
 	// Workers > 1 so a wedged pool would deadlock the test (and -race would
 	// flag any unsynchronized slot writes).
 	rs := (&sweep.Runner{Workers: 4}).Run(cells)
@@ -94,6 +108,14 @@ func TestPanickingCellSurfacesAsError(t *testing.T) {
 		case 9:
 			if r.Err == nil || !strings.Contains(r.Err.Error(), "plain failure") {
 				t.Errorf("cell 9: err = %v, want plain failure", r.Err)
+			}
+		case 12:
+			if r.Err == nil || !strings.Contains(r.Err.Error(), `cell=12`) ||
+				!strings.Contains(r.Err.Error(), `process "exploder" panicked at 1ms: process exploded`) {
+				t.Errorf("cell 12: err = %v, want the cell and the process named", r.Err)
+			}
+			if r.Data != nil {
+				t.Errorf("cell 12: data %q from a failed cell", r.Data)
 			}
 		default:
 			if r.Err != nil {

@@ -121,4 +121,3 @@ tracegate:
 # CI as artifacts, not by git.
 clean:
 	rm -f report.json splitlint.sarif coverage.out coverage.html postmortem-*.json
-	rm -rf .splitbench-cache

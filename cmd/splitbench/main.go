@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	splitbench [-scale F] [-seed N] [-seeds A..B] [-j N] [-cache] [-trace FILE] [-stats] [experiment ...]
+//	splitbench [-scale F] [-seed N] [-seeds A..B] [-j N] [-trace FILE] [-stats] [experiment ...]
 //
 // With no arguments it runs every experiment (fig1..fig21, table1..table3,
 // plus extensions such as crashsweep) in paper order. Scale < 1 shortens
@@ -14,12 +14,10 @@
 // cell of an experiment (one scheduler × file system × disk × seed point)
 // is its own deterministic simulation. -j N fans those cells across N
 // worker goroutines (0 = one per CPU); results always merge in canonical
-// cell order, so the output is byte-identical at any -j. -cache keeps a
-// content-addressed result cache in .splitbench-cache/ so unchanged cells
-// are skipped on re-runs, and -seeds A..B runs each experiment once per
-// seed of the inclusive range:
+// cell order, so the output is byte-identical at any -j. -seeds A..B runs
+// each experiment once per seed of the inclusive range:
 //
-//	splitbench -scale 0.1 -j 8 -cache -seeds 1..8 crashsweep
+//	splitbench -scale 0.1 -j 8 -seeds 1..8 crashsweep
 //
 // The crashsweep experiment fault-injects every scheduler on both file
 // systems and disks, sweeps crash images over each run's persistence log,
@@ -128,7 +126,6 @@ func run() int {
 	seed := flag.Int64("seed", 1, "deterministic random seed")
 	seeds := flag.String("seeds", "", "seed range `A..B` (inclusive); runs each experiment once per seed, overriding -seed")
 	jobs := flag.Int("j", 1, "parallel sweep workers for independent simulation cells (0 = one per CPU)")
-	cacheOn := flag.Bool("cache", false, "cache cell results in "+sweep.DefaultCacheDir+"/ and skip unchanged cells")
 	list := flag.Bool("list", false, "list experiments and exit")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON trace to `FILE`")
 	stats := flag.Bool("stats", false, "print per-machine metric registries after the run")
@@ -136,11 +133,11 @@ func run() int {
 	sloSpec := flag.String("slo", "", "attach an SLO monitor to every kernel; semicolon-separated rule `specs` like 'pid=100 op=fsync p99<10ms'")
 	sloWindow := flag.Duration("slo-window", 500*time.Millisecond, "SLO evaluation window (virtual time), with -slo")
 	postmortem := flag.String("postmortem", "", "write flight-recorder post-mortem bundles (JSON) to `FILE` when the run fails or an invariant trips")
-	progress := flag.Bool("progress", false, "print a sweep progress heartbeat (cells done/total, cache hits, ETA) to stderr")
+	progress := flag.Bool("progress", false, "print a sweep progress heartbeat (cells done/total, ETA) to stderr")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to `FILE`")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to `FILE`")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: splitbench [-scale F] [-seed N] [-seeds A..B] [-j N] [-cache] [-trace FILE] [-stats] [-progress] [experiment ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: splitbench [-scale F] [-seed N] [-seeds A..B] [-j N] [-trace FILE] [-stats] [-progress] [experiment ...]\n")
 		fmt.Fprintf(os.Stderr, "       splitbench [-scale F] [-seed N] [-j N] report [-format text|json] [-o FILE] [-diff OLD NEW]\n")
 		fmt.Fprintf(os.Stderr, "       splitbench [-scale F] [-seed N] [-slo SPECS] [-slo-window D] [-trace FILE] [-postmortem FILE] monitor [-schedulers LIST]\n\nexperiments:\n")
 		for _, e := range exp.All {
@@ -185,14 +182,6 @@ func run() int {
 	}
 
 	runner := &sweep.Runner{Workers: *jobs}
-	if *cacheOn {
-		c, err := sweep.Open(sweep.DefaultCacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-			return 1
-		}
-		runner.Cache = c
-	}
 	if *progress {
 		runner.Progress = runner.ProgressWriter(os.Stderr)
 	}
@@ -312,24 +301,19 @@ func run() int {
 }
 
 // sweepSummary reports cell totals and wall-time accounting on stderr
-// (stdout stays byte-identical across -j and -cache settings).
+// (stdout stays byte-identical across -j settings).
 func sweepSummary(r *sweep.Runner) {
-	cells, cached, errs := r.Stats()
+	cells, _, errs := r.Stats()
 	if cells == 0 {
 		return
 	}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = 0 // printed as "auto"
-	}
 	w := "auto"
-	if workers > 0 {
-		w = fmt.Sprint(workers)
+	if r.Workers > 0 {
+		w = fmt.Sprint(r.Workers)
 	}
 	wallNS, maxNS := r.Wall()
-	fmt.Fprintf(os.Stderr, "sweep: %d cells (%d cached, %d failed, %d misses) across %s workers; cell wall %v total, %v slowest\n",
-		cells, cached, errs, cells-cached,
-		w, time.Duration(wallNS).Round(time.Millisecond), time.Duration(maxNS).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "sweep: %d cells (%d failed) across %s workers; cell wall %v total, %v slowest\n",
+		cells, errs, w, time.Duration(wallNS).Round(time.Millisecond), time.Duration(maxNS).Round(time.Millisecond))
 }
 
 // createTrace opens path up front, so a bad path fails before the run, not

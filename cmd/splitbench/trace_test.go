@@ -66,7 +66,7 @@ func TestTraceArtifactsPinned(t *testing.T) {
 			"f2d016c39ff76aa46bde89b526e754b2353b443701a6cf7f71560117753b1562",
 			"842120e9e3558efaca3ddc4cf5d95e8c970b26b8b22adf913716f4bc083b88c3"},
 		{"fig14", true,
-			"68d6d7cbc31fc8fc20e695db642473f4b6d1174fe7005ed3f4382994b2b49f6c",
+			"380799cdab8dbed83c4db22adf02ff99416ecf362c50e7f16ba1a849cd568c20",
 			"7ebf89659f525b8856be5f5853256c74359bb50b092091f2a7986b264558993a"},
 	} {
 		chrome, tables := tracedArtifacts(t, tc.id, tc.monitored)

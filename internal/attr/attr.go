@@ -234,10 +234,10 @@ func (a *Attribution) Consume(ev trace.Event) {
 	case ev.Op == trace.OpQueue:
 		a.addCat(ev.Req, CatQueue, ev.Dur())
 	case ev.Op == trace.OpGCWait:
-		// Detection only: the stall is inside the service span, which the
-		// device cases below already bill to CatDevice.
+		// Detection only: the stall is inside the position and transfer
+		// spans, which the device case below already bills to CatDevice.
 		a.detectGCStall(ev)
-	case ev.Op == trace.OpService || ev.Op == trace.OpPosition || ev.Op == trace.OpTransfer:
+	case ev.Op == trace.OpPosition || ev.Op == trace.OpTransfer:
 		a.addCat(ev.Req, CatDevice, ev.Dur())
 	case ev.Op == trace.OpFlushData:
 		a.noteFlush(ev)

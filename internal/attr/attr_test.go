@@ -28,7 +28,8 @@ func feedRequest(a *Attribution, req trace.ReqID, pid causes.PID) {
 	commit.Txn = 1
 	a.Consume(commit)
 	a.Consume(ev(trace.LayerBlock, trace.OpQueue, req, pid, 40, 55))
-	a.Consume(ev(trace.LayerDevice, trace.OpService, req, pid, 55, 80))
+	a.Consume(ev(trace.LayerDevice, trace.OpPosition, req, pid, 55, 62))
+	a.Consume(ev(trace.LayerDevice, trace.OpTransfer, req, pid, 62, 80))
 	a.Consume(ev(trace.LayerSyscall, trace.OpFsync, req, pid, 0, 100))
 }
 
@@ -63,8 +64,8 @@ func TestCriticalPathDecomposition(t *testing.T) {
 func TestOtherNeverNegative(t *testing.T) {
 	a := New()
 	// Overlapping block requests: category sums exceed the root wall time.
-	a.Consume(ev(trace.LayerDevice, trace.OpService, 1, 100, 0, 90))
-	a.Consume(ev(trace.LayerDevice, trace.OpService, 1, 100, 0, 90))
+	a.Consume(ev(trace.LayerDevice, trace.OpPosition, 1, 100, 0, 90))
+	a.Consume(ev(trace.LayerDevice, trace.OpTransfer, 1, 100, 0, 90))
 	a.Consume(ev(trace.LayerSyscall, trace.OpWrite, 1, 100, 0, 100))
 	if got := a.Aggregate(CatOther).Max(); got != 0 {
 		t.Fatalf("other = %v, want clamp to 0", got)

@@ -90,8 +90,8 @@ type Options struct {
 	Tracer *trace.Tracer
 	// MetricsInterval, when positive, starts a sampler handler that snapshots
 	// every registry gauge into a time series at that virtual-time period.
-	// It is strictly opt-in: each sample is a simulation event, so enabling
-	// it perturbs event interleaving and changes experiment results slightly.
+	// The sampler only reads state, so results are unchanged; it is opt-in
+	// for its cost.
 	MetricsInterval time.Duration
 	// Fault, when non-nil, interposes a fault.Device between the block layer
 	// and the disk model: the device timing is unchanged, but every media
@@ -103,9 +103,9 @@ type Options struct {
 	// introspection sampler, flight recorder), attaches it to the kernel's
 	// tracer as a sink (enabling the tracer if the caller has not), watches
 	// the scheduler, block dispatcher, and FTL GC state, and starts its
-	// virtual-time ticker. Like MetricsInterval, the ticker is a re-arming
-	// handler whose events perturb event interleaving, so it is strictly
-	// opt-in.
+	// virtual-time ticker. Like MetricsInterval, the ticker is a read-only
+	// re-arming handler: results are unchanged, and it is opt-in for its
+	// cost.
 	Monitor *monitor.Config
 }
 

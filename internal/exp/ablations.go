@@ -16,20 +16,11 @@ import (
 // ablPair dispatches an on/off ablation as two sweep cells (one kernel
 // each) and returns their scalar results as (on, off).
 func ablPair(o Options, experiment, knob string, run func(on bool) float64) (on, off float64) {
-	type scalar struct {
-		V float64 `json:"v"`
-	}
-	cells := []sweep.Cell{
-		{Key: o.cellKey(experiment, knob+"=on"), Run: jsonCell(func() any { return scalar{run(true)} })},
-		{Key: o.cellKey(experiment, knob+"=off"), Run: jsonCell(func() any { return scalar{run(false)} })},
-	}
-	var vals [2]float64
-	o.runCells(cells, func(i int, data []byte) {
-		var s scalar
-		mustUnmarshal(data, &s)
-		vals[i] = s.V
+	o.runCells([]sweep.Cell{
+		{Key: o.cellKey(experiment, knob+"=on"), Run: func() { on = run(true) }},
+		{Key: o.cellKey(experiment, knob+"=off"), Run: func() { off = run(false) }},
 	})
-	return vals[0], vals[1]
+	return on, off
 }
 
 // AblPromptCharge quantifies the value of memory-level prompt charging in
@@ -108,15 +99,13 @@ func AblXFSFull(o Options) *Table {
 // garbage, so Split-Token keeps a neighbor isolated even though the tenant
 // itself issues almost no direct disk I/O.
 func AblCOWGC(o Options) *Table {
-	type cowCell struct {
-		AMbps   float64 `json:"a_mbps"`
-		BMbps   float64 `json:"b_mbps"`
-		Garbage int64   `json:"garbage"`
-		Reloc   int64   `json:"reloc"`
+	var c struct {
+		AMbps, BMbps   float64
+		Garbage, Reloc int64
 	}
-	cells := []sweep.Cell{{
+	o.runCells([]sweep.Cell{{
 		Key: o.cellKey("abl-cowgc", "sched=split-token fs=cow"),
-		Run: jsonCell(func() any {
+		Run: func() {
 			fcfg := fs.COWConfig()
 			fcfg.GCThresholdBlocks = 32 // cleaner engages quickly at bench scale
 			k := newKernel("split-token", o, func(opt *core.Options) { opt.FSConfig = &fcfg })
@@ -135,14 +124,10 @@ func AblCOWGC(o Options) *Table {
 			})
 			k.Run(o.dur(5 * time.Second))
 			tps := measure(k, o.dur(30*time.Second), a, b)
-			return cowCell{
-				AMbps: tps[0], BMbps: tps[1],
-				Garbage: k.FS.GarbageBlocks(), Reloc: k.FS.GCRelocatedBlocks(),
-			}
-		}),
-	}}
-	var c cowCell
-	o.runCells(cells, func(_ int, data []byte) { mustUnmarshal(data, &c) })
+			c.AMbps, c.BMbps = tps[0], tps[1]
+			c.Garbage, c.Reloc = k.FS.GarbageBlocks(), k.FS.GCRelocatedBlocks()
+		},
+	}})
 	tps := []float64{c.AMbps, c.BMbps}
 	t := &Table{
 		ID:     "abl-cowgc",

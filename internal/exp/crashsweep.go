@@ -20,16 +20,16 @@ var crashSchedulers = []string{
 	"afq", "gc-afq", "split-deadline", "split-pdflush", "split-token",
 }
 
-// crashCellResult is one (scheduler, fs, disk) cell's payload: everything
+// crashCellResult is one (scheduler, fs, disk) cell's result: everything
 // the merged table row and metrics are built from.
 type crashCellResult struct {
-	Writes     int      `json:"writes"`
-	Commits    int64    `json:"commits"`
-	Cuts       int64    `json:"cuts"`
-	Images     int64    `json:"images"`
-	Replays    int64    `json:"replays"`
-	Violations int      `json:"violations"`
-	Samples    []string `json:"samples,omitempty"` // first few violations, formatted
+	Writes     int
+	Commits    int64
+	Cuts       int64
+	Images     int64
+	Replays    int64
+	Violations int
+	Samples    []string // first few violations, formatted
 }
 
 // CrashSweep runs a fault-injected workload mix (fsync appends, random
@@ -65,6 +65,7 @@ func CrashSweep(o Options) *Table {
 	}
 	var ids []cellID
 	var cells []sweep.Cell
+	var res []crashCellResult // sized below, once the cells are counted
 	idx := int64(0)
 	for _, fsKind := range []core.FSKind{core.Ext4, core.COW} {
 		for _, disk := range []core.DiskKind{core.HDD, core.SSD, core.FTLSSD} {
@@ -72,20 +73,21 @@ func CrashSweep(o Options) *Table {
 				idx++
 				id := cellID{sched, fsKind, disk}
 				planSeed := o.Seed + idx*7919
+				slot := len(cells)
 				ids = append(ids, id)
 				cells = append(cells, sweep.Cell{
 					Key: o.cellKey("crashsweep", fmt.Sprintf("sched=%s fs=%s disk=%s", id.sched, id.fs, id.disk)),
-					Run: jsonCell(func() any {
-						return runCrashCell(o, id.sched, id.fs, id.disk, planSeed, window)
-					}),
+					Run: func() {
+						res[slot] = runCrashCell(o, id.sched, id.fs, id.disk, planSeed, window)
+					},
 				})
 			}
 		}
 	}
 
-	o.runCells(cells, func(i int, data []byte) {
-		var r crashCellResult
-		mustUnmarshal(data, &r)
+	res = make([]crashCellResult, len(cells))
+	o.runCells(cells)
+	for i, r := range res {
 		id := ids[i]
 		t.Rows = append(t.Rows, []string{
 			id.sched, string(id.fs), string(id.disk),
@@ -103,7 +105,7 @@ func CrashSweep(o Options) *Table {
 		for _, s := range r.Samples {
 			t.Notes += fmt.Sprintf("[%s] %s\n", key, s)
 		}
-	})
+	}
 
 	if t.Metrics["violations_total"] == 0 {
 		t.Notes += "No violations: every legal crash image recovered to a consistent state."

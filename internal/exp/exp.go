@@ -73,19 +73,18 @@ type Options struct {
 	// gcsweep (an aged FTL) and crashsweep (its disk axis).
 	Device string
 	// Runner, when non-nil, fans an experiment's independent simulation
-	// cells across a host-side worker pool (splitbench -j) with optional
-	// result caching (splitbench -cache). Nil runs cells inline. Output is
-	// byte-identical either way: results always merge in canonical cell
-	// order. Ignored (forced inline) when Tracer, Metrics or Monitor is
-	// set, since those observe every kernel of the run.
+	// cells across a host-side worker pool (splitbench -j). Nil runs cells
+	// inline. Output is byte-identical either way: results always merge in
+	// canonical cell order. Ignored (forced inline) when Tracer, Metrics or
+	// Monitor is set, since those observe every kernel of the run.
 	Runner *sweep.Runner
 }
 
 // StatsCollector gathers the metrics registries of every kernel an
 // experiment run creates, labeled by scheduler name and creation order.
-// Collecting stats starts a sampler handler on each kernel, which perturbs
-// event interleaving slightly relative to an unsampled run — that is why
-// stats are opt-in rather than always on.
+// Collecting stats starts a read-only sampler handler on each kernel: it
+// leaves the run's results unchanged, and stats are opt-in only for the
+// sampling cost.
 type StatsCollector struct {
 	// Interval is the virtual-time gauge sampling period (default 100ms).
 	Interval time.Duration
@@ -105,9 +104,8 @@ func (sc *StatsCollector) Add(label string, r *metrics.Registry) {
 
 // MonitorCollector gathers the observability planes of every kernel an
 // experiment run creates, labeled like StatsCollector machines. Monitoring
-// starts a virtual-time ticker handler on each kernel, which perturbs event
-// interleaving slightly relative to an unmonitored run — opt-in, like
-// -stats.
+// starts a read-only virtual-time ticker handler on each kernel: it leaves
+// the run's results unchanged, and is opt-in, like -stats, for its cost.
 type MonitorCollector struct {
 	// Window is the SLO window / sampling period (default 500ms).
 	Window time.Duration

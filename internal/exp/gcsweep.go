@@ -50,15 +50,15 @@ const (
 	gcsweepSlack = 2
 )
 
-// gcCell is one scheduler's payload.
+// gcCell is one scheduler's result.
 type gcCell struct {
-	Requests  int64   `json:"requests"`
-	GCStalls  int64   `json:"gc_stalls"`
-	GCStallNS int64   `json:"gc_stall_ns"`
-	OtherInv  int64   `json:"other_inv"`
-	WriteAmp  float64 `json:"write_amp"`
-	GCRuns    int64   `json:"gc_runs"`
-	MinFree   int     `json:"min_free"`
+	Requests  int64
+	GCStalls  int64
+	GCStallNS int64
+	OtherInv  int64
+	WriteAmp  float64
+	GCRuns    int64
+	MinFree   int
 }
 
 // runGCCell runs the antagonist pair on the aged device under sched with
@@ -125,17 +125,16 @@ func GCSweep(o Options) *Table {
 		},
 		Metrics: map[string]float64{"violations_total": 0},
 	}
+	res := make([]gcCell, len(gcsweepSchedulers))
 	cells := make([]sweep.Cell, len(gcsweepSchedulers))
 	for i, sched := range gcsweepSchedulers {
-		sched := sched
 		cells[i] = sweep.Cell{
 			Key: o.cellKey("gcsweep", "sched="+sched),
-			Run: jsonCell(func() any { return runGCCell(sched, o) }),
+			Run: func() { res[i] = runGCCell(sched, o) },
 		}
 	}
-	o.runCells(cells, func(i int, data []byte) {
-		var c gcCell
-		mustUnmarshal(data, &c)
+	o.runCells(cells)
+	for i, c := range res {
 		sched := gcsweepSchedulers[i]
 		t.Rows = append(t.Rows, []string{
 			sched,
@@ -152,7 +151,7 @@ func GCSweep(o Options) *Table {
 		if sched == "gc-afq" {
 			t.Metrics["violations_total"] += float64(c.GCStalls)
 		}
-	})
+	}
 	if t.Metrics["cfq_gc_inversions"] == 0 {
 		t.Metrics["violations_total"]++
 		t.Notes += "cfq shows no gc-stall inversions: the aged device lost the phenomenon.\n"

@@ -98,21 +98,15 @@ func BuildReport(o Options, schedulers []string) *attr.Report {
 		scale = 1
 	}
 	rep := &attr.Report{Seed: seed, Scale: scale, Workload: inversionWorkload}
+	rep.Schedulers = make([]attr.SchedReport, len(schedulers))
 	cells := make([]sweep.Cell, len(schedulers))
 	for i, sched := range schedulers {
-		sched := sched
 		cells[i] = sweep.Cell{
 			Key: o.cellKey("report", "sched="+sched),
-			Run: jsonCell(func() any {
-				return runEntangled(sched, o).Summary(sched)
-			}),
+			Run: func() { rep.Schedulers[i] = runEntangled(sched, o).Summary(sched) },
 		}
 	}
-	o.runCells(cells, func(i int, data []byte) {
-		var sr attr.SchedReport
-		mustUnmarshal(data, &sr)
-		rep.Schedulers = append(rep.Schedulers, sr)
-	})
+	o.runCells(cells)
 	return rep
 }
 
@@ -132,34 +126,33 @@ func InversionExp(o Options) *Table {
 	}
 	// One cell per scheduler: counts by kind, in attr.Kinds() order.
 	type invCell struct {
-		Requests int64   `json:"requests"`
-		Counts   []int64 `json:"counts"`
-		DurNS    []int64 `json:"dur_ns"`
+		Requests int64
+		Counts   []int64
+		DurNS    []int64
 	}
 	scheds := []string{"noop", "cfq", "afq"}
+	res := make([]invCell, len(scheds))
 	cells := make([]sweep.Cell, len(scheds))
 	for i, sched := range scheds {
-		sched := sched
 		cells[i] = sweep.Cell{
 			Key: o.cellKey("inversion", "sched="+sched),
-			Run: jsonCell(func() any {
+			Run: func() {
 				at := runEntangled(sched, o)
-				c := invCell{Requests: at.Requests()}
+				c := &res[i]
+				c.Requests = at.Requests()
 				for _, k := range attr.Kinds() {
 					c.Counts = append(c.Counts, at.InversionCount(k))
 					c.DurNS = append(c.DurNS, int64(at.InversionTime(k)))
 				}
-				return c
-			}),
+			},
 		}
 	}
 	kindIdx := map[attr.Kind]int{}
 	for i, k := range attr.Kinds() {
 		kindIdx[k] = i
 	}
-	o.runCells(cells, func(i int, data []byte) {
-		var c invCell
-		mustUnmarshal(data, &c)
+	o.runCells(cells)
+	for i, c := range res {
 		sched := scheds[i]
 		var victim time.Duration
 		var total int64
@@ -180,7 +173,7 @@ func InversionExp(o Options) *Table {
 		if splitSchedulers[sched] {
 			t.Metrics["violations_total"] += float64(total)
 		}
-	})
+	}
 	t.Notes = "Inversions: intervals where a request's critical path ran through another process's work.\n" +
 		"Block-level scheduling entangles the appender's commits with the idle writer's data;\n" +
 		"split scheduling (AFQ) holds the writer at the memory level, so none occur."

@@ -68,9 +68,9 @@ func Fig11(o Options) *Table {
 	// Each (panel, scheduler) pair is its own machine: fan the 8 pairs
 	// through the sweep runner and merge rows in panel-major order.
 	type fig11Cell struct {
-		PerPrio []float64 `json:"per_prio"`
-		Total   float64   `json:"total"`
-		Dev     float64   `json:"dev"`
+		PerPrio []float64
+		Total   float64
+		Dev     float64
 	}
 	type cellID struct {
 		panel panel
@@ -78,13 +78,14 @@ func Fig11(o Options) *Table {
 	}
 	var ids []cellID
 	var cells []sweep.Cell
+	var res []fig11Cell // sized below, once the cells are counted
 	for _, pn := range panels {
 		for _, sched := range []string{"cfq", "afq"} {
-			pn, sched := pn, sched
+			slot := len(cells)
 			ids = append(ids, cellID{pn, sched})
 			cells = append(cells, sweep.Cell{
 				Key: o.cellKey("fig11", fmt.Sprintf("panel=%s sched=%s", pn.name, sched)),
-				Run: jsonCell(func() any {
+				Run: func() {
 					k := newKernel(sched, o, nil)
 					defer k.Env.Close()
 					var groups [][]*vfs.Process
@@ -115,14 +116,14 @@ func Fig11(o Options) *Table {
 						ideal[i] = float64(8 - p)
 					}
 					c.Dev = metrics.DeviationFromIdeal(c.PerPrio, ideal)
-					return c
-				}),
+					res[slot] = c
+				},
 			})
 		}
 	}
-	o.runCells(cells, func(i int, data []byte) {
-		var c fig11Cell
-		mustUnmarshal(data, &c)
+	res = make([]fig11Cell, len(cells))
+	o.runCells(cells)
+	for i, c := range res {
 		pn, sched := ids[i].panel, ids[i].sched
 		row := []string{pn.name, sched, joinMBps(c.PerPrio), fmt.Sprintf("%.0f%%", c.Dev*100), mbps(c.Total)}
 		if pn.name == "mem-overwrite" {
@@ -131,7 +132,7 @@ func Fig11(o Options) *Table {
 		t.Rows = append(t.Rows, row)
 		t.Metrics[fmt.Sprintf("%s_%s_deviation", pn.name, sched)] = c.Dev
 		t.Metrics[fmt.Sprintf("%s_%s_total_mbps", pn.name, sched)] = c.Total
-	})
+	}
 	t.Notes = "Paper: CFQ deviates 82% (async write) and 86% (sync write) from the ideal; AFQ 16% and 3%."
 	return t
 }

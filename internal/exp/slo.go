@@ -36,13 +36,13 @@ const SLOWindow = 500 * time.Millisecond
 var sloSchedulers = []string{"cfq", "afq"}
 
 type sloCell struct {
-	Windows    int    `json:"windows"`
-	Breaches   int    `json:"breaches"`
-	FirstNS    int64  `json:"first_ns"`
-	FirstKind  string `json:"first_kind,omitempty"`
-	FirstP99NS int64  `json:"first_p99_ns,omitempty"`
-	BundleLen  int    `json:"bundle_len"`
-	BundleFNV  uint64 `json:"bundle_fnv"`
+	Windows    int
+	Breaches   int
+	FirstNS    int64
+	FirstKind  string
+	FirstP99NS int64
+	BundleLen  int
+	BundleFNV  uint64
 }
 
 // runSLOCell runs the entangled workload under sched with a private
@@ -130,17 +130,16 @@ func SLOExp(o Options) *Table {
 			"violations_total": 0,
 		},
 	}
+	res := make([]sloCell, len(sloSchedulers))
 	cells := make([]sweep.Cell, len(sloSchedulers))
 	for i, sched := range sloSchedulers {
-		sched := sched
 		cells[i] = sweep.Cell{
 			Key: o.cellKey("slo", "sched="+sched+" rule="+SLORuleSpec),
-			Run: jsonCell(func() any { return runSLOCell(sched, o) }),
+			Run: func() { res[i] = runSLOCell(sched, o) },
 		}
 	}
-	o.runCells(cells, func(i int, data []byte) {
-		var c sloCell
-		mustUnmarshal(data, &c)
+	o.runCells(cells)
+	for i, c := range res {
 		sched := sloSchedulers[i]
 		first, kind, p99, bundle := "-", "-", "-", "-"
 		if c.Breaches > 0 {
@@ -167,7 +166,7 @@ func SLOExp(o Options) *Table {
 				t.Metrics["violations_total"]++
 			}
 		}
-	})
+	}
 	t.Notes = "The monitor evaluates the rule at every window close (virtual time), so the first-breach\n" +
 		"timestamp is deterministic and byte-identical at any -j. CFQ's breach trips the flight\n" +
 		"recorder (bundle column); split-AFQ stays breach-free on the same seed."

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"splitio/internal/monitor"
 	"splitio/internal/schedtest"
 	"splitio/internal/sim"
 	"splitio/internal/trace"
@@ -123,5 +124,43 @@ func TestFig21UsesDevice(t *testing.T) {
 			}
 		}
 		env.Close()
+	}
+}
+
+// TestMonitorLeavesSpansUnchanged runs fig14 — Split-Token and SCS-Token,
+// whose snapshots read token balances — traced as `splitbench -trace` does,
+// once plain and once under the default SLO monitor and a stats sampler.
+// Observers only read state, so both runs must record the same spans and
+// render the same table.
+func TestMonitorLeavesSpansUnchanged(t *testing.T) {
+	rule, err := monitor.ParseRule(SLORuleSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(observed bool) (spans string, n int, table []byte) {
+		tr := trace.New()
+		col := &schedtest.Collector{}
+		tr.Attach(col)
+		tr.Enable()
+		o := Options{Scale: 0.05, Seed: 1, Tracer: tr}
+		if observed {
+			o.Monitor = &MonitorCollector{Window: SLOWindow, Rules: []monitor.Rule{rule}}
+			o.Metrics = &StatsCollector{}
+		}
+		e, _ := ByID("fig14")
+		table, err := json.Marshal(e.Run(o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return schedtest.TraceHash(col.Events), len(col.Events), table
+	}
+	plainSpans, plainN, plainTable := run(false)
+	obsSpans, obsN, obsTable := run(true)
+	if obsSpans != plainSpans {
+		t.Errorf("monitored fig14 recorded different spans: %d events (hash %s), unmonitored %d (hash %s)",
+			obsN, obsSpans, plainN, plainSpans)
+	}
+	if !bytes.Equal(obsTable, plainTable) {
+		t.Errorf("monitored fig14 table differs:\nmonitored:   %s\nunmonitored: %s", obsTable, plainTable)
 	}
 }

@@ -112,9 +112,11 @@ func (r *Registry) Sample(now sim.Time) {
 }
 
 // StartSampler schedules a handler that samples every gauge now and then
-// re-arms itself every interval of virtual time. Sampling perturbs event
-// ordering at tick instants, so kernels only start a sampler when
-// observability is requested.
+// re-arms itself every interval of virtual time. Gauges must only read
+// state: the sampler's events take their own sequence numbers and leave the
+// order of every other event unchanged, so a sampled run's results equal an
+// unsampled one's. Kernels start a sampler only when observability is
+// requested, for its cost.
 func (r *Registry) StartSampler(env *sim.Env, every time.Duration) {
 	if every <= 0 {
 		every = 100 * time.Millisecond

@@ -102,9 +102,10 @@ func (m *Monitor) WatchAttr(a *attr.Attribution) { m.attribution = a }
 // Start arms the virtual-time ticker: a handler that closes a window every
 // Window of virtual time and re-arms itself. A zero-delay start event arms
 // the first window, so the first tick's seq is drawn after every event
-// already due at the start instant. Sampling perturbs event ordering at
-// tick instants, exactly like the metrics sampler, so kernels only start a
-// monitor when observability is requested.
+// already due at the start instant. Like the metrics sampler, the ticker
+// only reads simulation state, so a monitored run's results equal an
+// unmonitored one's; kernels start a monitor only when observability is
+// requested, for its cost.
 func (m *Monitor) Start() {
 	var tick func()
 	tick = func() {

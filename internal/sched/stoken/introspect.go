@@ -22,7 +22,12 @@ func (s *Sched) Snapshot() sched.Snap {
 	}
 	sort.Strings(names)
 	for _, a := range names {
-		snap.Add("tokens."+a, s.accounts[a].Tokens(s.env.Now()))
+		// Read a copy: Tokens refills the bucket it is called on, and a
+		// refill split at a snapshot instant rounds later balances
+		// differently, so an observed run would diverge from an unobserved
+		// one.
+		b := *s.accounts[a]
+		snap.Add("tokens."+a, b.Tokens(s.env.Now()))
 	}
 	return snap
 }

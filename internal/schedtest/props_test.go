@@ -9,7 +9,6 @@
 package schedtest
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -71,18 +70,17 @@ var propWorkload = []workload.ProcSpec{
 // those policies but catches a scheduler that forgets to kick its queue.
 const maxIdleWhileQueued = 25 * time.Millisecond
 
-// propResult is one cell's payload: everything the properties assert on,
-// JSON-encoded so cells can flow through the sweep runner.
+// propResult is one cell's result: everything the properties assert on.
 type propResult struct {
 	// Hash digests the full event trace (layer, op, timing, extents).
-	Hash string `json:"hash"`
+	Hash string
 	// Done lists each process's completed I/O as "name=read:N,wrote:N,fsync:N"
 	// in spawn order.
-	Done []string `json:"done"`
+	Done []string
 	// MaxIdleNS is the longest device idle stretch while requests were queued.
-	MaxIdleNS int64 `json:"max_idle_ns"`
+	MaxIdleNS int64
 	// Events is the trace length (a cheap sanity signal that tracing saw work).
-	Events int `json:"events"`
+	Events int
 }
 
 // runPropCell runs the canonical workload under one (scheduler, seed) and
@@ -189,42 +187,25 @@ func idleWhileQueued(events []trace.Event) time.Duration {
 	return time.Duration(maxIdle)
 }
 
-// propCellKey labels one matrix cell for the sweep cache and error output.
-func propCellKey(sched string, seed int64) sweep.Key {
-	return sweep.Key{Experiment: "schedtest-props", Config: "sched=" + sched, Seed: seed, Version: "test"}
-}
-
 // runPropMatrix fans the full (scheduler × seed) matrix through the sweep
-// runner and returns the decoded payloads indexed [scheduler][seed].
+// runner and returns the results indexed [scheduler][seed].
 func runPropMatrix(t *testing.T, seeds int) [][]propResult {
 	t.Helper()
+	out := make([][]propResult, len(propSchedulers))
 	cells := make([]sweep.Cell, 0, len(propSchedulers)*seeds)
-	for _, s := range propSchedulers {
-		factory := s.factory
-		for seed := int64(1); seed <= int64(seeds); seed++ {
-			seed := seed
+	for i, s := range propSchedulers {
+		out[i] = make([]propResult, seeds)
+		for j := range out[i] {
+			seed := int64(j + 1)
 			cells = append(cells, sweep.Cell{
-				Key: propCellKey(s.name, seed),
-				Run: func() ([]byte, error) {
-					return json.Marshal(runPropCell(factory, seed))
-				},
+				Key: sweep.Key{Experiment: "schedtest-props", Config: "sched=" + s.name, Seed: seed},
+				Run: func() { out[i][j] = runPropCell(s.factory, seed) },
 			})
 		}
 	}
 	runner := &sweep.Runner{Workers: 0} // one per CPU
-	results := runner.Run(cells)
-	out := make([][]propResult, len(propSchedulers))
-	for i := range propSchedulers {
-		out[i] = make([]propResult, seeds)
-		for j := 0; j < seeds; j++ {
-			r := results[i*seeds+j]
-			if r.Err != nil {
-				t.Fatalf("cell %s: %v", r.Key, r.Err)
-			}
-			if err := json.Unmarshal(r.Data, &out[i][j]); err != nil {
-				t.Fatalf("cell %s: bad payload: %v", r.Key, err)
-			}
-		}
+	if err := sweep.FirstErr(runner.Run(cells)); err != nil {
+		t.Fatal(err)
 	}
 	return out
 }

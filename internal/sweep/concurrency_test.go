@@ -15,18 +15,19 @@ import (
 	"splitio/internal/trace"
 )
 
-// simCells builds n cells that each construct the full per-cell state an
-// experiment would — a sim.Env, a metrics.Registry, a trace.Tracer with a
-// sink — exercise it, and assert the per-cell counters from inside
-// the cell. Shared state across workers is exactly what production shares:
-// the global perf counters (probe counts and the sim.StatsHook fold).
-func simCells(n int) []sweep.Cell {
-	cells := make([]sweep.Cell, n)
+// simCells builds one cell per slot of out; each constructs the full
+// per-cell state an experiment would — a sim.Env, a metrics.Registry, a
+// trace.Tracer with a sink — exercises it, asserts the per-cell counters
+// from inside the cell, and writes its summary into its slot. Shared state
+// across workers is exactly what production shares: the global perf
+// counters (probe counts and the sim.StatsHook fold).
+func simCells(out []string) []sweep.Cell {
+	cells := make([]sweep.Cell, len(out))
 	for i := range cells {
 		seed := int64(i + 1)
 		cells[i] = sweep.Cell{
-			Key: sweep.Key{Experiment: "conc", Config: fmt.Sprintf("cell=%d", i), Seed: seed, Version: "test"},
-			Run: func() ([]byte, error) {
+			Key: sweep.Key{Experiment: "conc", Config: fmt.Sprintf("cell=%d", i), Seed: seed},
+			Run: func() {
 				perf.Count(perf.BucketSched)
 				reg := metrics.NewRegistry()
 				work := reg.Counter("cell.work")
@@ -39,7 +40,7 @@ func simCells(n int) []sweep.Cell {
 					work.Inc()
 				}
 				if got, want := sink.n, 32; got != want {
-					return nil, fmt.Errorf("trace sink saw %d events, want %d", got, want)
+					panic(fmt.Sprintf("trace sink saw %d events, want %d", got, want))
 				}
 				env := sim.NewEnv(seed)
 				env.Go("spin", func(p *sim.Proc) {
@@ -50,7 +51,7 @@ func simCells(n int) []sweep.Cell {
 				env.RunAll()
 				events := env.Stats().Events
 				env.Close()
-				return []byte(fmt.Sprintf(`{"seed":%d,"events":%d,"work":%.0f}`, seed, events, work.Value())), nil
+				out[i] = fmt.Sprintf(`{"seed":%d,"events":%d,"work":%.0f}`, seed, events, work.Value())
 			},
 		}
 	}
@@ -88,8 +89,8 @@ func TestConcurrentCellsSharedCounters(t *testing.T) {
 			t.Errorf("progress total %d, want %d", total, n)
 		}
 	}
-	parRes := par.Run(simCells(n))
-	if err := sweep.FirstErr(parRes); err != nil {
+	parOut := make([]string, n)
+	if err := sweep.FirstErr(par.Run(simCells(parOut))); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Load(); got != n {
@@ -100,13 +101,13 @@ func TestConcurrentCellsSharedCounters(t *testing.T) {
 	}
 
 	ser := &sweep.Runner{Workers: 1}
-	serRes := ser.Run(simCells(n))
-	if err := sweep.FirstErr(serRes); err != nil {
+	serOut := make([]string, n)
+	if err := sweep.FirstErr(ser.Run(simCells(serOut))); err != nil {
 		t.Fatal(err)
 	}
-	for i := range parRes {
-		if !bytes.Equal(parRes[i].Data, serRes[i].Data) {
-			t.Errorf("cell %d: parallel %q != serial %q", i, parRes[i].Data, serRes[i].Data)
+	for i := range parOut {
+		if parOut[i] == "" || parOut[i] != serOut[i] {
+			t.Errorf("cell %d: parallel %q != serial %q", i, parOut[i], serOut[i])
 		}
 	}
 
@@ -128,7 +129,7 @@ func TestConcurrentCellsSharedCounters(t *testing.T) {
 }
 
 // TestProgressWriter checks the heartbeat's shape: the final cell always
-// prints, with the full done/total count and the cache-hit figure.
+// prints, with the full done/total count.
 func TestProgressWriter(t *testing.T) {
 	var buf bytes.Buffer
 	r := &sweep.Runner{Workers: 4}
@@ -136,15 +137,15 @@ func TestProgressWriter(t *testing.T) {
 	cells := make([]sweep.Cell, 6)
 	for i := range cells {
 		cells[i] = sweep.Cell{
-			Key: sweep.Key{Experiment: "hb", Config: fmt.Sprintf("cell=%d", i), Seed: int64(i), Version: "test"},
-			Run: func() ([]byte, error) { return []byte("x"), nil },
+			Key: sweep.Key{Experiment: "hb", Config: fmt.Sprintf("cell=%d", i), Seed: int64(i)},
+			Run: func() {},
 		}
 	}
 	if err := sweep.FirstErr(r.Run(cells)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "sweep: 6/6 cells (0 cached)") {
+	if !strings.Contains(out, "sweep: 6/6 cells elapsed") {
 		t.Errorf("heartbeat missing final line: %q", out)
 	}
 	if !strings.Contains(out, "eta") {

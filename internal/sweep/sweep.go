@@ -11,12 +11,12 @@
 // makes the paper's evaluation matrix — schedulers × file systems × disks ×
 // seeds — embarrassingly parallel at the host level.
 //
-// Results come back in canonical cell order (the order cells were passed
-// in), never completion order, so any output assembled from them is
-// byte-identical at every worker count. A panicking cell is surfaced as
-// that cell's error — the pool never deadlocks and the remaining cells
-// still run. An optional content-addressed Cache skips cells whose results
-// are already on disk (see cache.go).
+// Each cell stores its result in a slot the caller owns — conventionally
+// its own index of a results slice — so results are read back in
+// canonical cell order, never completion order, and any output assembled
+// from them is byte-identical at every worker count. A panicking cell is
+// surfaced as that cell's error — the pool never deadlocks and the
+// remaining cells still run.
 package sweep
 
 import (
@@ -31,26 +31,32 @@ import (
 	"splitio/internal/perf"
 )
 
-// Cell is one independent unit of a sweep: a deterministic function of its
-// Key. Run must not share mutable state with any other cell — it is called
-// from an arbitrary worker goroutine. The returned bytes are the cell's
-// complete result (conventionally JSON), which is also what the cache
-// stores, so a cached cell is indistinguishable from a freshly run one.
-type Cell struct {
-	Key Key
-	Run func() ([]byte, error)
+// Key is a cell's identity, used to name it in errors. Two cells with
+// equal Keys must produce identical results — that is the contract that
+// makes serial and parallel runs byte-identical.
+type Key struct {
+	// Experiment is the experiment name (e.g. "crashsweep").
+	Experiment string
+	// Config is the canonical cell configuration, e.g.
+	// "sched=cfq fs=ext4 disk=hdd scale=0.1". It must encode everything
+	// that distinguishes this cell from its siblings.
+	Config string
+	// Seed is the cell's deterministic random seed.
+	Seed int64
 }
 
-// Result is one cell's outcome, reported in canonical cell order.
-type Result struct {
+func (k Key) String() string {
+	return fmt.Sprintf("%s[%s seed=%d]", k.Experiment, k.Config, k.Seed)
+}
+
+// Cell is one independent unit of a sweep: a deterministic function of its
+// Key. Run must not share mutable state with any other cell — it is called
+// from an arbitrary worker goroutine — and stores its result in a slot no
+// other cell writes; the Run call's return is the barrier after which the
+// caller may read every slot.
+type Cell struct {
 	Key Key
-	// Data is the cell's payload (nil when Err != nil).
-	Data []byte
-	// Err is the cell's failure: an error returned by Run, or a recovered
-	// panic annotated with the worker's stack.
-	Err error
-	// Cached reports whether Data was served from the cache.
-	Cached bool
+	Run func()
 }
 
 // Runner executes cells on a bounded worker pool.
@@ -60,24 +66,20 @@ type Result struct {
 // byte-for-byte equivalent to the parallel modes by construction, since
 // cells share nothing and results merge in canonical order either way.
 //
-// The zero value is a serial, uncached runner. A Runner is safe for use
-// from multiple goroutines; the counters behind Stats accumulate across
-// Run calls, so one Runner threaded through a whole splitbench invocation
+// The zero value is a serial runner. A Runner is safe for use from
+// multiple goroutines; the counters behind Stats accumulate across Run
+// calls, so one Runner threaded through a whole splitbench invocation
 // reports totals for the run.
 type Runner struct {
 	Workers int
-	// Cache, when non-nil, is consulted before running a cell and updated
-	// after (see Cache).
-	Cache *Cache
 	// Progress, when non-nil, is called after each cell resolves with the
 	// count of cells finished so far in the current Run call and the call's
 	// total. It runs on worker goroutines and must be goroutine-safe; see
 	// ProgressWriter for the standard heartbeat implementation.
 	Progress func(done, total int)
 
-	cells  atomic.Int64
-	cached atomic.Int64
-	errs   atomic.Int64
+	cells atomic.Int64
+	errs  atomic.Int64
 	// Host wall-clock accounting (via perf.NowNS — sweep never reads the
 	// clock itself, keeping internal/perf the module's only host-time
 	// surface). wallNS sums per-cell wall time across workers, so it can
@@ -86,9 +88,10 @@ type Runner struct {
 	maxNS  atomic.Int64
 }
 
-// Run executes every cell and returns results in canonical cell order.
-func (r *Runner) Run(cells []Cell) []Result {
-	out := make([]Result, len(cells))
+// Run executes every cell and returns each cell's error (nil on success)
+// in canonical cell order.
+func (r *Runner) Run(cells []Cell) []error {
+	out := make([]error, len(cells))
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -109,9 +112,10 @@ func (r *Runner) Run(cells []Cell) []Result {
 		}
 		return out
 	}
-	// Each worker claims cell indices from a shared channel and writes its
-	// result into the slot reserved for that cell; distinct slots mean the
-	// only synchronization the merge needs is the WaitGroup barrier.
+	// Each worker claims cell indices from a shared channel; the cell writes
+	// its result into its own slot and the worker its error into out[i].
+	// Distinct slots mean the only synchronization the caller's merge needs
+	// is the WaitGroup barrier.
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -132,12 +136,12 @@ func (r *Runner) Run(cells []Cell) []Result {
 	return out
 }
 
-// runCell resolves one cell: cache hit, or guarded execution. The panic
-// guard converts a crashing cell into a Result.Err so one broken
-// configuration fails loudly without wedging the pool or killing the
-// sibling cells. (Goroutines a crashed simulation leaves parked are leaked,
-// not joined — the process is expected to report the error and exit.)
-func (r *Runner) runCell(c Cell) (res Result) {
+// runCell executes one cell under a panic guard, which converts a crashing
+// cell into its error so one broken configuration fails loudly without
+// wedging the pool or killing the sibling cells. (Goroutines a crashed
+// simulation leaves parked are leaked, not joined — the process is
+// expected to report the error and exit.)
+func (r *Runner) runCell(c Cell) (err error) {
 	start := perf.NowNS()
 	defer func() {
 		// Registered first so it runs after the panic guard below: a
@@ -151,43 +155,23 @@ func (r *Runner) runCell(c Cell) (res Result) {
 			}
 		}
 	}()
-	res.Key = c.Key
 	r.cells.Add(1)
-	if r.Cache != nil {
-		if data, ok := r.Cache.Get(c.Key); ok {
-			r.cached.Add(1)
-			res.Data = data
-			res.Cached = true
-			return res
-		}
-	}
 	defer func() {
 		if p := recover(); p != nil {
-			res.Data = nil
-			res.Err = fmt.Errorf("sweep: cell %s panicked: %v\n%s", c.Key, p, debug.Stack())
-		}
-		if res.Err != nil {
 			r.errs.Add(1)
+			err = fmt.Errorf("sweep: cell %s panicked: %v\n%s", c.Key, p, debug.Stack())
 		}
 	}()
-	data, err := c.Run()
-	if err != nil {
-		res.Err = fmt.Errorf("sweep: cell %s: %w", c.Key, err)
-		return res
-	}
-	res.Data = data
-	if r.Cache != nil {
-		// Best effort: a full disk or unwritable cache dir degrades to
-		// re-running cells, never to failing the sweep.
-		_ = r.Cache.Put(c.Key, data)
-	}
-	return res
+	c.Run()
+	return nil
 }
 
-// Stats reports how many cells this runner has resolved, how many came
-// from the cache, and how many failed, across all Run calls so far.
+// Stats reports how many cells this runner has run and how many failed,
+// across all Run calls so far. The middle result is always 0: it counted
+// cells served from a result cache that no longer exists, and stays only
+// because the benchmark harness (cmd/benchmark) reads three results.
 func (r *Runner) Stats() (cells, cached, errs int64) {
-	return r.cells.Load(), r.cached.Load(), r.errs.Load()
+	return r.cells.Load(), 0, r.errs.Load()
 }
 
 // Wall reports the summed per-cell host wall time and the slowest single
@@ -201,9 +185,9 @@ func (r *Runner) Wall() (totalNS, maxNS int64) {
 const progressEveryNS = 250 * int64(time.Millisecond)
 
 // ProgressWriter returns a Progress callback that writes a throttled
-// heartbeat to w: cells done/total, cache hits so far, elapsed wall time,
-// and a linear ETA from the mean cell rate. The final cell always prints,
-// so a finished sweep never shows a stale count.
+// heartbeat to w: cells done/total, elapsed wall time, and a linear ETA
+// from the mean cell rate. The final cell always prints, so a finished
+// sweep never shows a stale count.
 func (r *Runner) ProgressWriter(w io.Writer) func(done, total int) {
 	var mu sync.Mutex
 	start := perf.NowNS()
@@ -216,22 +200,21 @@ func (r *Runner) ProgressWriter(w io.Writer) func(done, total int) {
 			return
 		}
 		lastNS = now
-		_, cached, _ := r.Stats()
 		elapsed := time.Duration(now - start)
 		eta := "?"
 		if done > 0 {
 			eta = (elapsed / time.Duration(done) * time.Duration(total-done)).Round(time.Second).String()
 		}
-		fmt.Fprintf(w, "sweep: %d/%d cells (%d cached) elapsed %s eta %s\n",
-			done, total, cached, elapsed.Round(time.Second), eta)
+		fmt.Fprintf(w, "sweep: %d/%d cells elapsed %s eta %s\n",
+			done, total, elapsed.Round(time.Second), eta)
 	}
 }
 
-// FirstErr returns the first cell error in rs, or nil.
-func FirstErr(rs []Result) error {
-	for i := range rs {
-		if rs[i].Err != nil {
-			return rs[i].Err
+// FirstErr returns the first non-nil error in errs, or nil.
+func FirstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil

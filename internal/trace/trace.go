@@ -93,14 +93,13 @@ const (
 	OpQueue = "queue"
 
 	// Device layer.
-	OpService  = "service"
 	OpPosition = "position"
 	OpTransfer = "transfer"
 	// OpGCWait spans the part of a request's device service spent waiting
 	// on a die held by background garbage collection (the FTL SSD model).
 	// It is detection metadata for the attr inversion detector: the wait is
-	// already inside the service span, so attribution must not add it to a
-	// latency category.
+	// already inside the position and transfer spans, so attribution must
+	// not add it to a latency category.
 	OpGCWait = "gc-wait"
 	// OpGCMigrate and OpGCErase are background GC activity spans the FTL
 	// SSD emits itself under the GC pseudo-PID (4): valid-page migration

@@ -81,7 +81,7 @@ func TestRecordAndByReq(t *testing.T) {
 	tr.Record(span(LayerSyscall, OpWrite, r1, 0, 100))
 	tr.Record(span(LayerCache, OpDirty, r1, 10, 10))
 	tr.Record(span(LayerSyscall, OpFsync, r2, 50, 300))
-	tr.Record(span(LayerDevice, OpService, r2, 100, 250))
+	tr.Record(span(LayerDevice, OpTransfer, r2, 100, 250))
 	tr.Record(span(LayerBlock, OpQueue, 0, 0, 1)) // untracked
 
 	byReq := ByReq(s.evs)
@@ -119,7 +119,7 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 		Start: 1000, End: 1000, Ino: 7, Page: 3,
 	})
 	tr.Record(Event{
-		Layer: LayerDevice, Op: OpService, Label: "hdd", Req: r, PID: 3,
+		Layer: LayerDevice, Op: OpTransfer, Label: "hdd", Req: r, PID: 3,
 		Start: 2000, End: 9000, LBA: 42, Blocks: 8, Flags: FlagWrite | FlagJournal | FlagBarrier,
 	})
 
@@ -154,7 +154,7 @@ func TestWriteChromeDeterministic(t *testing.T) {
 		r := tr.NextReq()
 		tr.Record(span(LayerSyscall, OpRead, r, 0, 500))
 		tr.Record(span(LayerBlock, OpQueue, r, 10, 40))
-		tr.Record(span(LayerDevice, OpService, r, 40, 480))
+		tr.Record(span(LayerDevice, OpTransfer, r, 40, 480))
 		return s.evs
 	}
 	var a, b bytes.Buffer
@@ -176,7 +176,7 @@ func TestTextExporters(t *testing.T) {
 	tr.Enable()
 	r := tr.NextReq()
 	tr.Record(span(LayerFS, OpTxnCommit, r, 100, 900_000))
-	tr.Record(span(LayerDevice, OpService, r, 200_000, 800_000))
+	tr.Record(span(LayerDevice, OpTransfer, r, 200_000, 800_000))
 	tr.Record(span(LayerSyscall, OpFsync, r, 0, 1_000_000))
 
 	var reqs, sum bytes.Buffer

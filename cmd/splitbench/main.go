@@ -55,10 +55,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"splitio/internal/core"
 	"splitio/internal/exp"
 	"splitio/internal/sweep"
 	"splitio/internal/trace"
@@ -115,6 +117,19 @@ func parseSeeds(s string) ([]int64, error) {
 	return out, nil
 }
 
+// checkDevice validates a -device value: empty (each experiment's own
+// disk) or one of the disk models.
+func checkDevice(kind string) error {
+	if kind == "" || slices.Contains(core.DiskKinds, core.DiskKind(kind)) {
+		return nil
+	}
+	known := make([]string, len(core.DiskKinds))
+	for i, d := range core.DiskKinds {
+		known[i] = string(d)
+	}
+	return fmt.Errorf("unknown -device %q (have %s)", kind, strings.Join(known, ", "))
+}
+
 func main() {
 	// All work happens in run so the pprof deferred stops execute before
 	// the process exits (os.Exit skips deferred calls).
@@ -151,6 +166,11 @@ func run() int {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
 		return 0
+	}
+
+	if err := checkDevice(*deviceKind); err != nil {
+		fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
+		return 2
 	}
 
 	if *cpuProfile != "" {

@@ -57,6 +57,61 @@ func TestReportUnknownFormatIsUsageError(t *testing.T) {
 	}
 }
 
+// TestReportUnknownSchedulerIsUsageError: report validates -schedulers as
+// monitor does. Empty entries are skipped, and an unknown name exits 2
+// naming the known schedulers instead of crashing a sweep cell on a nil
+// scheduler factory.
+func TestReportUnknownSchedulerIsUsageError(t *testing.T) {
+	for _, list := range []string{"cfq,bogus", "bogus"} {
+		var out, errb bytes.Buffer
+		code := runReport(exp.Options{Scale: 0.05, Seed: 1}, []string{"-schedulers", list}, &out, &errb)
+		if code != 2 {
+			t.Errorf("-schedulers %s: exit code = %d, want 2 (usage error)", list, code)
+		}
+		for _, want := range []string{`"bogus"`, "split-token", "cfq"} {
+			if !strings.Contains(errb.String(), want) {
+				t.Errorf("-schedulers %s: stderr does not name %s:\n%s", list, want, errb.String())
+			}
+		}
+		if out.Len() != 0 {
+			t.Errorf("-schedulers %s: usage error still produced report output:\n%s", list, out.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := runReport(exp.Options{Scale: 0.05, Seed: 1}, []string{"-format", "json", "-schedulers", "cfq,,afq"}, &out, &errb); code != 0 {
+		t.Fatalf("-schedulers cfq,,afq: exit code = %d, want 0: %s", code, errb.String())
+	}
+	var rep struct {
+		Schedulers []struct{ Scheduler string }
+	}
+	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Schedulers) != 2 || rep.Schedulers[0].Scheduler != "cfq" || rep.Schedulers[1].Scheduler != "afq" {
+		t.Errorf("-schedulers cfq,,afq ran %+v, want [cfq afq]", rep.Schedulers)
+	}
+}
+
+// TestCheckDevice: -device accepts the three disk models and the empty
+// default, and rejects anything else naming the known models, instead of
+// silently running the HDD model under a mislabeled cell key.
+func TestCheckDevice(t *testing.T) {
+	for _, ok := range []string{"", "hdd", "ssd", "ftlssd"} {
+		if err := checkDevice(ok); err != nil {
+			t.Errorf("checkDevice(%q) = %v, want nil", ok, err)
+		}
+	}
+	err := checkDevice("bogus")
+	if err == nil {
+		t.Fatal(`checkDevice("bogus") accepted an unknown disk model`)
+	}
+	for _, want := range []string{`"bogus"`, "hdd, ssd, ftlssd"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
 // TestReportGoldenDeterministic: same seed, same scale, byte-identical
 // JSON report — the acceptance bar for everything attribution emits.
 func TestReportGoldenDeterministic(t *testing.T) {

@@ -42,6 +42,24 @@ func parseRules(spec string) ([]monitor.Rule, error) {
 	return out, nil
 }
 
+// parseSchedulers parses a -schedulers list: comma-separated scheduler
+// names, skipping empty entries. An unknown name is an error that lists
+// the known schedulers.
+func parseSchedulers(list string) ([]string, error) {
+	var out []string
+	for _, s := range strings.Split(list, ",") {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		if !exp.KnownScheduler(s) {
+			return nil, fmt.Errorf("unknown scheduler %q (have %s)", s, strings.Join(exp.SchedulerNames(), ", "))
+		}
+		out = append(out, s)
+	}
+	return out, nil
+}
+
 // runMonitorCmd implements `splitbench monitor`. Exit code 1 when a split
 // scheduler breaches its SLO (mirroring `splitbench report`; the block-level
 // baseline breaching is the expected phenomenon, not a failure), 2 on usage
@@ -60,6 +78,11 @@ func runMonitorCmd(opts exp.Options, window time.Duration, sloSpec, traceFile, p
 	if fs.NArg() != 0 {
 		fmt.Fprintf(stderr, "splitbench monitor: unexpected arguments %q\n", fs.Args())
 		fs.Usage()
+		return 2
+	}
+	names, err := parseSchedulers(*scheds)
+	if err != nil {
+		fmt.Fprintf(stderr, "splitbench monitor: %v\n", err)
 		return 2
 	}
 	if sloSpec == "" {
@@ -82,17 +105,8 @@ func runMonitorCmd(opts exp.Options, window time.Duration, sloSpec, traceFile, p
 	}
 
 	code := 0
-	for _, s := range strings.Split(*scheds, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		if !exp.KnownScheduler(s) {
-			fmt.Fprintf(stderr, "splitbench monitor: unknown scheduler %q (have %s)\n",
-				s, strings.Join(exp.SchedulerNames(), ", "))
-			return 2
-		}
-		mon := exp.MonitorEntangled(opts, s)
+	for _, s := range names {
+		mon := exp.MonitorEntangled(opts, s, nil)
 		if exp.IsSplitScheduler(s) && len(mon.Breaches()) > 0 {
 			fmt.Fprintf(stderr, "splitbench monitor: split scheduler %s breached its SLO (expected none)\n", s)
 			code = 1

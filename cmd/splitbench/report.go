@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"splitio/internal/attr"
 	"splitio/internal/exp"
@@ -86,9 +85,10 @@ func runReport(opts exp.Options, args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	names := strings.Split(*scheds, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
+	names, err := parseSchedulers(*scheds)
+	if err != nil {
+		fmt.Fprintf(stderr, "splitbench report: %v\n", err)
+		return 2
 	}
 	rep := exp.BuildReport(opts, names)
 

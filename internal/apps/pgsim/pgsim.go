@@ -80,8 +80,7 @@ func Start(k *core.Kernel, cfg Config) *Server {
 		pr.Ctx.FsyncDeadline = foregroundFsyncDeadline
 		pr.Ctx.ReadDeadline = readDeadline
 		pr.Ctx.WriteDeadline = foregroundFsyncDeadline
-		idx := i
-		k.Env.Go("pg-worker", func(p *sim.Proc) { s.worker(p, pr, idx) })
+		k.Env.Go("pg-worker", func(p *sim.Proc) { s.worker(p, pr, i) })
 	}
 	ckpt := k.VFS.NewProcess("pg-checkpointer", 4)
 	ckpt.Ctx.FsyncDeadline = checkpointFsyncDeadline

@@ -60,6 +60,9 @@ const (
 	FTLSSD DiskKind = "ftlssd" // channel/die + page-mapped FTL + background GC
 )
 
+// DiskKinds lists every disk model, for validating outside input.
+var DiskKinds = []DiskKind{HDD, SSD, FTLSSD}
+
 // FSKind selects the file-system integration level.
 type FSKind string
 
@@ -69,6 +72,9 @@ const (
 	XFS  FSKind = "xfs"  // partial integration (journal untagged)
 	COW  FSKind = "cow"  // copy-on-write: remap-on-flush, GC proxy
 )
+
+// FSKinds lists every file system, for validating outside input.
+var FSKinds = []FSKind{Ext4, XFS, COW}
 
 // Options configures a simulated machine.
 type Options struct {

@@ -31,9 +31,6 @@ func New(cores int) *CPU {
 // Cores returns the core count.
 func (c *CPU) Cores() int { return c.cores }
 
-// Active returns the number of bursts currently executing.
-func (c *CPU) Active() int { return c.active }
-
 // BusyTime returns total core-time consumed so far.
 func (c *CPU) BusyTime() time.Duration { return c.busy }
 

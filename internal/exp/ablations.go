@@ -8,7 +8,6 @@ import (
 	"splitio/internal/fs"
 	"splitio/internal/sched/stoken"
 	"splitio/internal/sim"
-	"splitio/internal/sweep"
 	"splitio/internal/vfs"
 	"splitio/internal/workload"
 )
@@ -16,11 +15,9 @@ import (
 // ablPair dispatches an on/off ablation as two sweep cells (one kernel
 // each) and returns their scalar results as (on, off).
 func ablPair(o Options, experiment, knob string, run func(on bool) float64) (on, off float64) {
-	o.runCells([]sweep.Cell{
-		{Key: o.cellKey(experiment, knob+"=on"), Run: func() { on = run(true) }},
-		{Key: o.cellKey(experiment, knob+"=off"), Run: func() { off = run(false) }},
-	})
-	return on, off
+	res := runCells(o, experiment, []string{"on", "off"}, func(v string) string { return knob + "=" + v },
+		func(v string) float64 { return run(v == "on") })
+	return res[0], res[1]
 }
 
 // AblPromptCharge quantifies the value of memory-level prompt charging in
@@ -35,7 +32,7 @@ func AblPromptCharge(o Options) *Table {
 			s.PrelimRandBytes = 0
 			s.Attach(k) // rebuild the estimator with the neutered model
 		}
-		s.SetLimit("b", 1<<20, 1<<20)
+		limit(k, "b", 1<<20)
 		fb := k.FS.MkFileContiguous("/b", 2<<30)
 		bp := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {
 			pr.Ctx.Account = "b"
@@ -44,7 +41,7 @@ func AblPromptCharge(o Options) *Table {
 		k.Run(o.dur(2 * time.Second))
 		return float64(bp.BytesWritten.Total()) / (1 << 20)
 	}
-	with, without := ablPair(o, "abl-prompt", "prompt", func(on bool) float64 { return burstMB(on) })
+	with, without := ablPair(o, "abl-prompt", "prompt", burstMB)
 	t := &Table{
 		ID:     "abl-prompt",
 		Title:  "Ablation: memory-level prompt charging (Split-Token burst containment)",
@@ -70,7 +67,7 @@ func AblXFSFull(o Options) *Table {
 		fcfg.TagJournalProxy = full
 		k := newKernel("split-token", o, func(opt *core.Options) { opt.FSConfig = &fcfg })
 		defer k.Env.Close()
-		k.Sched.(*stoken.Sched).SetLimit("b", 1<<20, 1<<20)
+		limit(k, "b", 1<<20)
 		bp := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {
 			pr.Ctx.Account = "b"
 			workload.Creator(k, p, pr, "/meta", 0)
@@ -99,18 +96,17 @@ func AblXFSFull(o Options) *Table {
 // garbage, so Split-Token keeps a neighbor isolated even though the tenant
 // itself issues almost no direct disk I/O.
 func AblCOWGC(o Options) *Table {
-	var c struct {
-		AMbps, BMbps   float64
-		Garbage, Reloc int64
+	type cowgcCell struct {
+		tps            []float64 // A, B MB/s
+		garbage, reloc int64
 	}
-	o.runCells([]sweep.Cell{{
-		Key: o.cellKey("abl-cowgc", "sched=split-token fs=cow"),
-		Run: func() {
+	c := runCells(o, "abl-cowgc", []string{"sched=split-token fs=cow"}, func(config string) string { return config },
+		func(string) cowgcCell {
 			fcfg := fs.COWConfig()
 			fcfg.GCThresholdBlocks = 32 // cleaner engages quickly at bench scale
 			k := newKernel("split-token", o, func(opt *core.Options) { opt.FSConfig = &fcfg })
 			defer k.Env.Close()
-			k.Sched.(*stoken.Sched).SetLimit("b", 2<<20, 2<<20)
+			limit(k, "b", 2<<20)
 			fa := k.FS.MkFileContiguous("/a", 4<<30)
 			a := k.Spawn("A", 4, func(p *sim.Proc, pr *vfs.Process) {
 				workload.SeqReader(k, p, pr, fa, 1<<20)
@@ -123,27 +119,23 @@ func AblCOWGC(o Options) *Table {
 				workload.RandWriteFsync(k, p, pr, fb, 4096, 64<<20, 8)
 			})
 			k.Run(o.dur(5 * time.Second))
-			tps := measure(k, o.dur(30*time.Second), a, b)
-			c.AMbps, c.BMbps = tps[0], tps[1]
-			c.Garbage, c.Reloc = k.FS.GarbageBlocks(), k.FS.GCRelocatedBlocks()
-		},
-	}})
-	tps := []float64{c.AMbps, c.BMbps}
+			return cowgcCell{measure(k, o.dur(30*time.Second), a, b), k.FS.GarbageBlocks(), k.FS.GCRelocatedBlocks()}
+		})[0]
 	t := &Table{
 		ID:     "abl-cowgc",
 		Title:  "Ablation: copy-on-write GC as an I/O proxy (Split-Token on cowsim)",
 		Header: []string{"process", "MB/s", "note"},
 		Rows: [][]string{
-			{"A (unthrottled reader)", fmt.Sprintf("%.1f", tps[0]), "isolated from B's churn + GC"},
-			{"B (churn, 2 MB/s cap)", fmt.Sprintf("%.3f", tps[1]), "billed for data, commits, and relocation"},
+			{"A (unthrottled reader)", fmt.Sprintf("%.1f", c.tps[0]), "isolated from B's churn + GC"},
+			{"B (churn, 2 MB/s cap)", fmt.Sprintf("%.3f", c.tps[1]), "billed for data, commits, and relocation"},
 		},
 		Notes: fmt.Sprintf("garbage=%d blocks, GC relocated=%d blocks; relocation I/O carries B's cause tag",
-			c.Garbage, c.Reloc),
+			c.garbage, c.reloc),
 		Metrics: map[string]float64{
-			"a_mbps":         tps[0],
-			"b_mbps":         tps[1],
-			"gc_relocated":   float64(c.Reloc),
-			"garbage_blocks": float64(c.Garbage),
+			"a_mbps":         c.tps[0],
+			"b_mbps":         c.tps[1],
+			"gc_relocated":   float64(c.reloc),
+			"garbage_blocks": float64(c.garbage),
 		},
 	}
 	return t

@@ -12,7 +12,6 @@ import (
 	"splitio/internal/core"
 	"splitio/internal/sched/stoken"
 	"splitio/internal/sim"
-	"splitio/internal/workload"
 )
 
 // Fig18 runs the SQLite workload across checkpoint thresholds under
@@ -92,11 +91,7 @@ func Fig20(o Options) *Table {
 	for _, wname := range workloads {
 		for _, sched := range []string{"scs-token", "split-token"} {
 			k := newKernel(sched, o, nil)
-			if s, ok := k.Sched.(interface {
-				SetLimit(string, float64, float64)
-			}); ok {
-				s.SetLimit("vmB", 1<<20, 1<<20)
-			}
+			limit(k, "vmB", 1<<20)
 			vmA := qemusim.Launch(k, "vmA", qemusim.DefaultConfig(""))
 			vmB := qemusim.Launch(k, "vmB", qemusim.DefaultConfig("vmB"))
 			// A: sequential reader inside its guest.
@@ -110,11 +105,10 @@ func Fig20(o Options) *Table {
 					off += 1 << 20
 				}
 			})
-			name := wname
 			k.Env.Go("guestB", func(p *sim.Proc) {
 				rng := k.Env.Rand()
 				pages := int64(4 << 30 / cache.PageSize)
-				switch name {
+				switch wname {
 				case "read-rand":
 					for {
 						vmB.Read(p, rng.Int63n(pages)*cache.PageSize, 4096)
@@ -180,7 +174,7 @@ func fig21Cluster(o Options, env *sim.Env, blockMB int64, capMB float64) *hdfssi
 	c := hdfssim.NewCluster(env, cfg)
 	for _, w := range c.Workers() {
 		o.register(w, "split-token")
-		w.Sched.(*stoken.Sched).SetLimit("throttled", capMB*(1<<20), capMB*(1<<20))
+		limit(w, "throttled", capMB*(1<<20))
 	}
 	return c
 }
@@ -235,5 +229,3 @@ func Fig21(o Options) *Table {
 	t.Notes = "Smaller caps on the throttled group buy the unthrottled group throughput; 16 MB blocks balance load and close the gap to the bound."
 	return t
 }
-
-var _ = workload.SeqReader // referenced by sibling files

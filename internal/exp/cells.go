@@ -1,11 +1,10 @@
 // Sweep dispatch: experiments whose bodies are a cross-product of
 // independent simulations (crashsweep, report, sched comparisons,
-// ablations) build their per-configuration runs as sweep.Cells and send
-// them through the Options.Runner worker pool. Each cell constructs its
-// own kernel and stores its typed result in its own index of a slice the
-// experiment owns; after runCells returns, the experiment merges the slice
-// in canonical cell order, so the rendered table is byte-identical at
-// every worker count.
+// ablations) hand runCells their configurations and a cell body. runCells
+// builds one sweep.Cell per configuration, sends them through the
+// Options.Runner worker pool, and returns the typed results in
+// configuration order, so the rendered table is byte-identical at every
+// worker count. Each cell constructs its own kernel.
 
 package exp
 
@@ -40,12 +39,22 @@ func (o Options) cellRunner() *sweep.Runner {
 	return o.Runner
 }
 
-// runCells executes cells; on return every cell has filled its result
-// slot. A cell error is a bug in a deterministic simulation (or a worker
+// runCells runs run(c) as one sweep cell per configuration c, keyed
+// key(c) within experiment, and returns the results in configuration
+// order. A cell error is a bug in a deterministic simulation (or a worker
 // panic), not an input condition, so it aborts the experiment by panicking
 // with the first failed cell's identity and stack.
-func (o Options) runCells(cells []sweep.Cell) {
+func runCells[C, R any](o Options, experiment string, configs []C, key func(C) string, run func(C) R) []R {
+	res := make([]R, len(configs))
+	cells := make([]sweep.Cell, len(configs))
+	for i, c := range configs {
+		cells[i] = sweep.Cell{Key: o.cellKey(experiment, key(c)), Run: func() { res[i] = run(c) }}
+	}
 	if err := sweep.FirstErr(o.cellRunner().Run(cells)); err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
+	return res
 }
+
+// schedKey keys a cell by its scheduler alone.
+func schedKey(sched string) string { return "sched=" + sched }

@@ -8,7 +8,6 @@ import (
 	"splitio/internal/crash"
 	"splitio/internal/fault"
 	"splitio/internal/sim"
-	"splitio/internal/sweep"
 	"splitio/internal/vfs"
 	"splitio/internal/workload"
 )
@@ -59,34 +58,24 @@ func CrashSweep(o Options) *Table {
 	window := o.dur(2 * time.Second)
 
 	type cellID struct {
-		sched string
-		fs    core.FSKind
-		disk  core.DiskKind
+		sched    string
+		fs       core.FSKind
+		disk     core.DiskKind
+		planSeed int64
 	}
 	var ids []cellID
-	var cells []sweep.Cell
-	var res []crashCellResult // sized below, once the cells are counted
-	idx := int64(0)
 	for _, fsKind := range []core.FSKind{core.Ext4, core.COW} {
 		for _, disk := range []core.DiskKind{core.HDD, core.SSD, core.FTLSSD} {
 			for _, sched := range crashSchedulers {
-				idx++
-				id := cellID{sched, fsKind, disk}
-				planSeed := o.Seed + idx*7919
-				slot := len(cells)
-				ids = append(ids, id)
-				cells = append(cells, sweep.Cell{
-					Key: o.cellKey("crashsweep", fmt.Sprintf("sched=%s fs=%s disk=%s", id.sched, id.fs, id.disk)),
-					Run: func() {
-						res[slot] = runCrashCell(o, id.sched, id.fs, id.disk, planSeed, window)
-					},
-				})
+				ids = append(ids, cellID{sched, fsKind, disk, o.Seed + int64(len(ids)+1)*7919})
 			}
 		}
 	}
-
-	res = make([]crashCellResult, len(cells))
-	o.runCells(cells)
+	res := runCells(o, "crashsweep", ids, func(id cellID) string {
+		return fmt.Sprintf("sched=%s fs=%s disk=%s", id.sched, id.fs, id.disk)
+	}, func(id cellID) crashCellResult {
+		return runCrashCell(o, id.sched, id.fs, id.disk, id.planSeed, window)
+	})
 	for i, r := range res {
 		id := ids[i]
 		t.Rows = append(t.Rows, []string{

@@ -125,9 +125,6 @@ func (mc *MonitorCollector) Add(label string, m *monitor.Monitor) {
 	mc.Machines = append(mc.Machines, MachineMonitor{Label: label, Mon: m})
 }
 
-// DefaultOptions runs at full scale with seed 1.
-func DefaultOptions() Options { return Options{Scale: 1, Seed: 1} }
-
 func (o Options) dur(d time.Duration) time.Duration {
 	if o.Scale <= 0 {
 		o.Scale = 1
@@ -232,6 +229,17 @@ func newKernel(sched string, o Options, mut func(*core.Options)) *core.Kernel {
 	return k
 }
 
+// limit caps account at rate normalized bytes/s, with a burst of one
+// second's worth, on k's token scheduler; other schedulers have no
+// accounts and ignore it.
+func limit(k *core.Kernel, account string, rate float64) {
+	if s, ok := k.Sched.(interface {
+		SetLimit(string, float64, float64)
+	}); ok {
+		s.SetLimit(account, rate, rate)
+	}
+}
+
 // kernelOptions returns the options every experiment machine starts from:
 // o's seed, a 256 MiB page cache, the -device disk model, and o's
 // observability (the shared -trace tracer, the -stats sampler and the -slo
@@ -312,13 +320,3 @@ func ms(d time.Duration) string {
 }
 
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-
-// sortedMetricKeys helps render Metrics deterministically.
-func sortedMetricKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}

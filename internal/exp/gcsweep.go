@@ -16,14 +16,8 @@ import (
 	"time"
 
 	"splitio/internal/attr"
-	"splitio/internal/block"
 	"splitio/internal/core"
-	"splitio/internal/sim"
 	"splitio/internal/ssd"
-	"splitio/internal/sweep"
-	"splitio/internal/trace"
-	"splitio/internal/vfs"
-	"splitio/internal/workload"
 )
 
 // gcsweepSSD is the sweep's device: small enough to age instantly, with
@@ -61,39 +55,19 @@ type gcCell struct {
 	MinFree   int
 }
 
-// runGCCell runs the antagonist pair on the aged device under sched with
-// an attribution sink attached.
+// runGCCell runs the antagonist pair, with its smaller files, on the aged
+// device under sched and reads the result.
 func runGCCell(sched string, o Options) gcCell {
-	tr := o.Tracer
-	if tr == nil {
-		tr = trace.New()
-		tr.Enable()
-	}
-	at := attr.New()
-	tr.Attach(at)
-	defer tr.Detach(at)
-	k := newKernel(sched, o, func(opt *core.Options) {
+	var dev *ssd.Device
+	at := runAttributed(o, sched, 4*time.Second, func(opt *core.Options) {
 		opt.Disk = core.FTLSSD
 		opt.SSD = gcsweepSSD()
-		opt.Tracer = tr
+	}, func(k *core.Kernel) {
+		dev = k.Disk.(*ssd.Device)
+		dev.Age(gcsweepUtil, gcsweepSlack)
+		spawnEntangled(k, 32<<20, 128<<20)
 	})
-	defer k.Env.Close()
-	dev := k.Disk.(*ssd.Device)
-	dev.Age(gcsweepUtil, gcsweepSlack)
-	fa := k.FS.MkFileContiguous("/log", 32<<20)
-	fb := k.FS.MkFileContiguous("/bulk", 128<<20)
-	k.Spawn("A", 4, func(p *sim.Proc, pr *vfs.Process) {
-		workload.FsyncAppender(k, p, pr, fa, 4096)
-	})
-	k.Spawn("B", 7, func(p *sim.Proc, pr *vfs.Process) {
-		pr.Ctx.Class = block.ClassIdle
-		for {
-			workload.WriteBurst(k, p, pr, fb, 64<<10, 4<<20)
-			p.Sleep(500 * time.Millisecond)
-		}
-	})
-	k.Run(o.dur(4 * time.Second))
-	c := gcCell{
+	return gcCell{
 		Requests:  at.Requests(),
 		GCStalls:  at.InversionCount(attr.KindGCStall),
 		GCStallNS: int64(at.InversionTime(attr.KindGCStall)),
@@ -102,7 +76,6 @@ func runGCCell(sched string, o Options) gcCell {
 		GCRuns:    dev.GCRuns(),
 		MinFree:   dev.MinFreeBlocks(),
 	}
-	return c
 }
 
 // gcsweepSchedulers: two block-level schedulers that suffer GC stalls, the
@@ -125,15 +98,7 @@ func GCSweep(o Options) *Table {
 		},
 		Metrics: map[string]float64{"violations_total": 0},
 	}
-	res := make([]gcCell, len(gcsweepSchedulers))
-	cells := make([]sweep.Cell, len(gcsweepSchedulers))
-	for i, sched := range gcsweepSchedulers {
-		cells[i] = sweep.Cell{
-			Key: o.cellKey("gcsweep", "sched="+sched),
-			Run: func() { res[i] = runGCCell(sched, o) },
-		}
-	}
-	o.runCells(cells)
+	res := runCells(o, "gcsweep", gcsweepSchedulers, schedKey, func(sched string) gcCell { return runGCCell(sched, o) })
 	for i, c := range res {
 		sched := gcsweepSchedulers[i]
 		t.Rows = append(t.Rows, []string{

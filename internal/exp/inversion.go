@@ -17,7 +17,6 @@ import (
 	"splitio/internal/block"
 	"splitio/internal/core"
 	"splitio/internal/sim"
-	"splitio/internal/sweep"
 	"splitio/internal/trace"
 	"splitio/internal/vfs"
 	"splitio/internal/workload"
@@ -27,12 +26,13 @@ import (
 const inversionWorkload = "fsync-appender (BE prio 4) vs idle bulk writer"
 
 // spawnEntangled starts the antagonist pair on k: a best-effort fsync
-// appender (the first user process, PID 100) against an idle-class paced
-// bulk writer. Shared by the inversion, report, and slo experiments so they
-// all observe the same phenomenon.
-func spawnEntangled(k *core.Kernel) {
-	fa := k.FS.MkFileContiguous("/log", 64<<20)
-	fb := k.FS.MkFileContiguous("/bulk", 1<<30)
+// appender (the first user process, PID 100) on a logBytes file against an
+// idle-class paced bulk writer on a bulkBytes file. Shared by the
+// inversion, report, gcsweep and slo experiments so they all observe the
+// same phenomenon.
+func spawnEntangled(k *core.Kernel, logBytes, bulkBytes int64) {
+	fa := k.FS.MkFileContiguous("/log", logBytes)
+	fb := k.FS.MkFileContiguous("/bulk", bulkBytes)
 	k.Spawn("A", 4, func(p *sim.Proc, pr *vfs.Process) {
 		workload.FsyncAppender(k, p, pr, fa, 4096)
 	})
@@ -49,9 +49,12 @@ func spawnEntangled(k *core.Kernel) {
 	})
 }
 
-// runEntangled runs the antagonist pair under sched and returns the
-// attribution of the run.
-func runEntangled(sched string, o Options) *attr.Attribution {
+// runAttributed builds a kernel under sched (mut, when non-nil, adjusts
+// its options), lets setup populate it, runs it for d of scaled virtual
+// time, and returns the run's attribution. The attribution sink rides on
+// the shared -trace tracer, or on a private enabled one, for this run
+// only.
+func runAttributed(o Options, sched string, d time.Duration, mut func(*core.Options), setup func(*core.Kernel)) *attr.Attribution {
 	tr := o.Tracer
 	if tr == nil {
 		tr = trace.New()
@@ -61,11 +64,14 @@ func runEntangled(sched string, o Options) *attr.Attribution {
 	tr.Attach(at)
 	defer tr.Detach(at)
 	k := newKernel(sched, o, func(opt *core.Options) {
+		if mut != nil {
+			mut(opt)
+		}
 		opt.Tracer = tr
 	})
 	defer k.Env.Close()
-	spawnEntangled(k)
-	k.Run(o.dur(10 * time.Second))
+	setup(k)
+	k.Run(o.dur(d))
 	return at
 }
 
@@ -89,6 +95,11 @@ func IsSplitScheduler(name string) bool { return splitSchedulers[name] }
 // Scheduler runs are independent machines, so they dispatch through
 // Options.Runner; sections merge in the order schedulers were requested.
 func BuildReport(o Options, schedulers []string) *attr.Report {
+	return buildReport(o, "report", schedulers)
+}
+
+// buildReport is BuildReport with its cells keyed under experiment.
+func buildReport(o Options, experiment string, schedulers []string) *attr.Report {
 	seed := o.Seed
 	if seed == 0 {
 		seed = 1
@@ -97,24 +108,22 @@ func BuildReport(o Options, schedulers []string) *attr.Report {
 	if scale <= 0 {
 		scale = 1
 	}
-	rep := &attr.Report{Seed: seed, Scale: scale, Workload: inversionWorkload}
-	rep.Schedulers = make([]attr.SchedReport, len(schedulers))
-	cells := make([]sweep.Cell, len(schedulers))
-	for i, sched := range schedulers {
-		cells[i] = sweep.Cell{
-			Key: o.cellKey("report", "sched="+sched),
-			Run: func() { rep.Schedulers[i] = runEntangled(sched, o).Summary(sched) },
-		}
+	return &attr.Report{
+		Seed: seed, Scale: scale, Workload: inversionWorkload,
+		Schedulers: runCells(o, experiment, schedulers, schedKey, func(sched string) attr.SchedReport {
+			return runAttributed(o, sched, 10*time.Second, nil, func(k *core.Kernel) {
+				spawnEntangled(k, 64<<20, 1<<30)
+			}).Summary(sched)
+		}),
 	}
-	o.runCells(cells)
-	return rep
 }
 
 // InversionExp regenerates the inversion comparison as a table: per-kind
 // inversion counts and victim time under a block-level scheduler, a split
-// scheduler, and the noop baseline. Metrics["violations_total"] counts
-// inversions detected under split schedulers — nonzero fails the bench
-// run, wiring the paper's claim into CI.
+// scheduler, and the noop baseline, read from the report's sections.
+// Metrics["violations_total"] counts inversions detected under split
+// schedulers — nonzero fails the bench run, wiring the paper's claim into
+// CI.
 func InversionExp(o Options) *Table {
 	t := &Table{
 		ID:     "inversion",
@@ -124,53 +133,26 @@ func InversionExp(o Options) *Table {
 			"violations_total": 0,
 		},
 	}
-	// One cell per scheduler: counts by kind, in attr.Kinds() order.
-	type invCell struct {
-		Requests int64
-		Counts   []int64
-		DurNS    []int64
-	}
-	scheds := []string{"noop", "cfq", "afq"}
-	res := make([]invCell, len(scheds))
-	cells := make([]sweep.Cell, len(scheds))
-	for i, sched := range scheds {
-		cells[i] = sweep.Cell{
-			Key: o.cellKey("inversion", "sched="+sched),
-			Run: func() {
-				at := runEntangled(sched, o)
-				c := &res[i]
-				c.Requests = at.Requests()
-				for _, k := range attr.Kinds() {
-					c.Counts = append(c.Counts, at.InversionCount(k))
-					c.DurNS = append(c.DurNS, int64(at.InversionTime(k)))
-				}
-			},
-		}
-	}
-	kindIdx := map[attr.Kind]int{}
-	for i, k := range attr.Kinds() {
-		kindIdx[k] = i
-	}
-	o.runCells(cells)
-	for i, c := range res {
-		sched := scheds[i]
+	for _, sr := range buildReport(o, "inversion", []string{"noop", "cfq", "afq"}).Schedulers {
 		var victim time.Duration
 		var total int64
-		for ki := range attr.Kinds() {
-			victim += time.Duration(c.DurNS[ki])
-			total += c.Counts[ki]
+		counts := map[string]int64{}
+		for _, kc := range sr.InversionCounts {
+			victim += time.Duration(kc.TotalNS)
+			total += kc.Count
+			counts[kc.Kind] = kc.Count
 		}
 		t.Rows = append(t.Rows, []string{
-			sched,
-			fmt.Sprintf("%d", c.Requests),
-			fmt.Sprintf("%d", c.Counts[kindIdx[attr.KindTxnCommit]]),
-			fmt.Sprintf("%d", c.Counts[kindIdx[attr.KindOrderedFlush]]),
-			fmt.Sprintf("%d", c.Counts[kindIdx[attr.KindWriteback]]),
-			fmt.Sprintf("%d", c.Counts[kindIdx[attr.KindGCStall]]),
+			sr.Scheduler,
+			fmt.Sprintf("%d", sr.Requests),
+			fmt.Sprintf("%d", counts[attr.KindTxnCommit.String()]),
+			fmt.Sprintf("%d", counts[attr.KindOrderedFlush.String()]),
+			fmt.Sprintf("%d", counts[attr.KindWriteback.String()]),
+			fmt.Sprintf("%d", counts[attr.KindGCStall.String()]),
 			victim.Round(time.Millisecond).String(),
 		})
-		t.Metrics[sched+"_inversions"] = float64(total)
-		if splitSchedulers[sched] {
+		t.Metrics[sr.Scheduler+"_inversions"] = float64(total)
+		if splitSchedulers[sr.Scheduler] {
 			t.Metrics["violations_total"] += float64(total)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"splitio/internal/core"
 	"splitio/internal/metrics"
 	"splitio/internal/sim"
-	"splitio/internal/sweep"
 	"splitio/internal/vfs"
 	"splitio/internal/workload"
 )
@@ -77,52 +76,47 @@ func Fig11(o Options) *Table {
 		sched string
 	}
 	var ids []cellID
-	var cells []sweep.Cell
-	var res []fig11Cell // sized below, once the cells are counted
 	for _, pn := range panels {
 		for _, sched := range []string{"cfq", "afq"} {
-			slot := len(cells)
 			ids = append(ids, cellID{pn, sched})
-			cells = append(cells, sweep.Cell{
-				Key: o.cellKey("fig11", fmt.Sprintf("panel=%s sched=%s", pn.name, sched)),
-				Run: func() {
-					k := newKernel(sched, o, nil)
-					defer k.Env.Close()
-					var groups [][]*vfs.Process
-					for _, prio := range prios {
-						var g []*vfs.Process
-						for j := 0; j < pn.perPrio; j++ {
-							g = append(g, pn.spawn(k, prio, j))
-						}
-						groups = append(groups, g)
-					}
-					k.Run(o.dur(pn.warm))
-					var all []*vfs.Process
-					for _, g := range groups {
-						all = append(all, g...)
-					}
-					tps := measure(k, o.dur(pn.run), all...)
-					c := fig11Cell{PerPrio: make([]float64, len(prios))}
-					idx := 0
-					for gi := range groups {
-						for range groups[gi] {
-							c.PerPrio[gi] += tps[idx]
-							c.Total += tps[idx]
-							idx++
-						}
-					}
-					ideal := make([]float64, len(prios))
-					for i, p := range prios {
-						ideal[i] = float64(8 - p)
-					}
-					c.Dev = metrics.DeviationFromIdeal(c.PerPrio, ideal)
-					res[slot] = c
-				},
-			})
 		}
 	}
-	res = make([]fig11Cell, len(cells))
-	o.runCells(cells)
+	res := runCells(o, "fig11", ids, func(id cellID) string {
+		return fmt.Sprintf("panel=%s sched=%s", id.panel.name, id.sched)
+	}, func(id cellID) fig11Cell {
+		pn := id.panel
+		k := newKernel(id.sched, o, nil)
+		defer k.Env.Close()
+		var groups [][]*vfs.Process
+		for _, prio := range prios {
+			var g []*vfs.Process
+			for j := 0; j < pn.perPrio; j++ {
+				g = append(g, pn.spawn(k, prio, j))
+			}
+			groups = append(groups, g)
+		}
+		k.Run(o.dur(pn.warm))
+		var all []*vfs.Process
+		for _, g := range groups {
+			all = append(all, g...)
+		}
+		tps := measure(k, o.dur(pn.run), all...)
+		c := fig11Cell{PerPrio: make([]float64, len(prios))}
+		idx := 0
+		for gi := range groups {
+			for range groups[gi] {
+				c.PerPrio[gi] += tps[idx]
+				c.Total += tps[idx]
+				idx++
+			}
+		}
+		ideal := make([]float64, len(prios))
+		for i, p := range prios {
+			ideal[i] = float64(8 - p)
+		}
+		c.Dev = metrics.DeviationFromIdeal(c.PerPrio, ideal)
+		return c
+	})
 	for i, c := range res {
 		pn, sched := ids[i].panel, ids[i].sched
 		row := []string{pn.name, sched, joinMBps(c.PerPrio), fmt.Sprintf("%.0f%%", c.Dev*100), mbps(c.Total)}
@@ -233,18 +227,13 @@ func Fig14(o Options) *Table {
 			k := newKernel(sched, o, nil)
 			fa := k.FS.MkFileContiguous("/a", 4<<30)
 			fb := k.FS.MkFileContiguous("/b", 4<<30)
-			if s, ok := k.Sched.(interface {
-				SetLimit(string, float64, float64)
-			}); ok {
-				s.SetLimit("b", 1<<20, 1<<20)
-			}
+			limit(k, "b", 1<<20)
 			a := k.Spawn("A", 4, func(p *sim.Proc, pr *vfs.Process) {
 				workload.SeqReader(k, p, pr, fa, 1<<20)
 			})
-			name := w
 			b := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {
 				pr.Ctx.Account = "b"
-				switch name {
+				switch w {
 				case "read-rand":
 					workload.RandReader(k, p, pr, fb, 4096)
 				case "read-seq":
@@ -302,11 +291,7 @@ func Fig15(o Options) *Table {
 		for _, n := range counts {
 			k := newKernel("split-token", o, nil)
 			fa := k.FS.MkFileContiguous("/a", 4<<30)
-			if s, ok := k.Sched.(interface {
-				SetLimit(string, float64, float64)
-			}); ok {
-				s.SetLimit("b", 1<<20, 1<<20)
-			}
+			limit(k, "b", 1<<20)
 			a := k.Spawn("A", 4, func(p *sim.Proc, pr *vfs.Process) {
 				workload.SeqReader(k, p, pr, fa, 1<<20)
 			})
@@ -318,12 +303,11 @@ func Fig15(o Options) *Table {
 			k.Env.Go("warmer", func(p *sim.Proc) {
 				k.VFS.Read(p, warmer, bmem, 0, 4<<20)
 			})
-			act := activity
 			for i := 0; i < n; i++ {
 				k.Spawn(fmt.Sprintf("B%d", i), 4, func(p *sim.Proc, pr *vfs.Process) {
 					pr.Ctx.Account = "b"
 					p.Sleep(500 * time.Millisecond) // let the warmer finish
-					switch act {
+					switch activity {
 					case "seq-read":
 						workload.RunReader(k, p, pr, fb, 4<<20)
 					case "mem-read":
@@ -372,18 +356,13 @@ func Fig17(o Options) *Table {
 		for _, sl := range sleeps {
 			k := newKernel("split-token", o, func(opt *core.Options) { opt.FS = fsKind })
 			fa := k.FS.MkFileContiguous("/a", 4<<30)
-			if s, ok := k.Sched.(interface {
-				SetLimit(string, float64, float64)
-			}); ok {
-				s.SetLimit("b", 4<<20, 4<<20)
-			}
+			limit(k, "b", 4<<20)
 			a := k.Spawn("A", 4, func(p *sim.Proc, pr *vfs.Process) {
 				workload.SeqReader(k, p, pr, fa, 1<<20)
 			})
-			sleep := sl
 			b := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {
 				pr.Ctx.Account = "b"
-				workload.Creator(k, p, pr, "/meta", sleep)
+				workload.Creator(k, p, pr, "/meta", sl)
 			})
 			k.Run(o.dur(3 * time.Second))
 			start := b.Fsyncs.Count()

@@ -17,7 +17,6 @@ import (
 
 	"splitio/internal/core"
 	"splitio/internal/monitor"
-	"splitio/internal/sweep"
 )
 
 // SLORuleSpec is the acceptance SLO: the appender (first user process, PID
@@ -54,13 +53,7 @@ func runSLOCell(sched string, o Options) sloCell {
 	if err != nil {
 		panic("exp: bad SLO rule: " + err.Error())
 	}
-	cfg := &monitor.Config{Window: SLOWindow, Rules: []monitor.Rule{rule}}
-	k := newKernel(sched, o, func(opt *core.Options) { opt.Monitor = cfg })
-	defer k.Env.Close()
-	spawnEntangled(k)
-	k.Run(o.dur(10 * time.Second))
-
-	m := k.Monitor
+	m := MonitorEntangled(o, sched, &monitor.Config{Window: SLOWindow, Rules: []monitor.Rule{rule}})
 	c := sloCell{Windows: m.Ticks(), Breaches: len(m.Breaches())}
 	if bs := m.Breaches(); len(bs) > 0 {
 		c.FirstNS = int64(bs[0].At)
@@ -79,15 +72,20 @@ func runSLOCell(sched string, o Options) sloCell {
 }
 
 // MonitorEntangled runs the entangled antagonist workload under sched with
-// the collector's monitor attached (o.Monitor must be set) and returns the
-// machine's monitor, which is also appended to o.Monitor.Machines. The
-// kernel is torn down before returning; the monitor retains everything the
-// caller needs (breaches, counters, snapshots, dumps). This is the engine
-// of `splitbench monitor`.
-func MonitorEntangled(o Options, sched string) *monitor.Monitor {
-	k := newKernel(sched, o, nil)
+// a monitor attached and returns it: cfg when non-nil, else the one o's
+// collector configures (o.Monitor must then be set). When o.Monitor is
+// set the machine's monitor is also appended to o.Monitor.Machines. The
+// kernel is torn down before returning; the monitor retains everything
+// the caller needs (breaches, counters, snapshots, dumps). This is the
+// engine of `splitbench monitor` and of the slo experiment's cells.
+func MonitorEntangled(o Options, sched string, cfg *monitor.Config) *monitor.Monitor {
+	k := newKernel(sched, o, func(opt *core.Options) {
+		if cfg != nil {
+			opt.Monitor = cfg
+		}
+	})
 	defer k.Env.Close()
-	spawnEntangled(k)
+	spawnEntangled(k, 64<<20, 1<<30)
 	k.Run(o.dur(10 * time.Second))
 	return k.Monitor
 }
@@ -130,15 +128,8 @@ func SLOExp(o Options) *Table {
 			"violations_total": 0,
 		},
 	}
-	res := make([]sloCell, len(sloSchedulers))
-	cells := make([]sweep.Cell, len(sloSchedulers))
-	for i, sched := range sloSchedulers {
-		cells[i] = sweep.Cell{
-			Key: o.cellKey("slo", "sched="+sched+" rule="+SLORuleSpec),
-			Run: func() { res[i] = runSLOCell(sched, o) },
-		}
-	}
-	o.runCells(cells)
+	res := runCells(o, "slo", sloSchedulers, func(sched string) string { return schedKey(sched) + " rule=" + SLORuleSpec },
+		func(sched string) sloCell { return runSLOCell(sched, o) })
 	for i, c := range res {
 		sched := sloSchedulers[i]
 		first, kind, p99, bundle := "-", "-", "-", "-"

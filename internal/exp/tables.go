@@ -66,11 +66,7 @@ func Table1(o Options) *Table {
 		rate := func(random bool) float64 {
 			k := newKernel(sched, o, nil)
 			defer k.Env.Close()
-			if s, ok := k.Sched.(interface {
-				SetLimit(string, float64, float64)
-			}); ok {
-				s.SetLimit("b", 10<<20, 10<<20)
-			}
+			limit(k, "b", 10<<20)
 			fb := k.FS.MkFileContiguous("/b", 2<<30)
 			b := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {
 				pr.Ctx.Account = "b"

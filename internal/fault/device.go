@@ -36,9 +36,6 @@ func Wrap(inner device.Disk, plan *Plan) *Device {
 	return &Device{inner: inner, plan: plan, log: NewLog()}
 }
 
-// Inner returns the wrapped disk model.
-func (d *Device) Inner() device.Disk { return d.inner }
-
 // Log returns the persistence log recorded so far.
 func (d *Device) Log() *Log { return d.log }
 

@@ -4,7 +4,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"time"
@@ -305,6 +304,3 @@ func DeviationFromIdeal(got, ideal []float64) float64 {
 	}
 	return dev / float64(len(got))
 }
-
-// FormatMBps renders a throughput for table output.
-func FormatMBps(v float64) string { return fmt.Sprintf("%7.1f MB/s", v) }

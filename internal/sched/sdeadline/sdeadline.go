@@ -8,9 +8,10 @@
 // could not be met, the scheduler first spreads that cost by triggering
 // asynchronous writeback (no synchronization point, so nothing else waits
 // on it) and only issues the fsync when the remaining burst is affordable.
-// Write system calls are throttled when the global dirty backlog grows
-// beyond what can be flushed inside the tightest deadline, which bounds the
-// ordered-mode entanglement every commit drags in (Fig 12, Fig 19).
+// A write system call is throttled while the written file's own dirty data
+// would take longer to flush than half the tightest fsync deadline seen
+// (50 ms before the first fsync), which bounds the ordered-mode
+// entanglement every commit drags in (Fig 12, Fig 19).
 //
 // With full control (the default), the scheduler disables pdflush and paces
 // writeback itself, eliminating untimely flusher I/O (the paper's
@@ -65,8 +66,8 @@ type Sched struct {
 	// maxBurst is the device-time budget an fsync may force at once; larger
 	// estimated costs are spread via async writeback first.
 	maxBurst time.Duration
-	// backlogBudget bounds total dirty device-time before write syscalls
-	// are throttled.
+	// backlogBudget bounds the device time to flush the written file's
+	// own dirty data (fileCost) before a write syscall is throttled.
 	backlogBudget time.Duration
 	// fullControl disables pdflush and paces writeback from the scheduler.
 	fullControl bool
@@ -198,15 +199,6 @@ func (s *Sched) fsyncCost(file *fs.File) time.Duration {
 		cost += time.Duration(s.k.Cache.FileDirtyPages(ino)) * s.pageCost(ino)
 	}
 	cost += time.Duration(meta+2) * s.seqCost
-	return cost
-}
-
-// backlogCost estimates total device time to drain all dirty data.
-func (s *Sched) backlogCost() time.Duration {
-	var cost time.Duration
-	for _, ino := range s.k.Cache.DirtyFiles() {
-		cost += time.Duration(s.k.Cache.FileDirtyPages(ino)) * s.pageCost(ino)
-	}
 	return cost
 }
 

@@ -19,7 +19,6 @@ import (
 	"splitio/internal/core"
 	"splitio/internal/fs"
 	"splitio/internal/metrics"
-	"splitio/internal/sched"
 	"splitio/internal/sim"
 	"splitio/internal/trace"
 	"splitio/internal/vfs"
@@ -72,11 +71,6 @@ func Throughputs(k *core.Kernel, d time.Duration, procs ...*vfs.Process) []float
 
 // Warm runs the kernel for d to let workloads reach steady state.
 func Warm(k *core.Kernel, d time.Duration) { k.Run(d) }
-
-// SpawnLoop spawns a process whose body loops forever via fn.
-func SpawnLoop(k *core.Kernel, name string, prio int, fn func(p *sim.Proc, pr *vfs.Process)) *vfs.Process {
-	return k.Spawn(name, prio, fn)
-}
 
 // EnableTrace turns on the kernel's tracer and attaches a Collector to it.
 // Call before spawning workload processes so every request is captured.
@@ -305,25 +299,6 @@ func AssertNoInversion(t *testing.T, a *attr.Attribution, kinds ...attr.Kind) {
 			break
 		}
 	}
-}
-
-// Introspect asserts the kernel's scheduler implements the observability
-// plane's introspection contract — every registered scheduler must — and
-// returns its snapshot for counter-level assertions.
-func Introspect(t *testing.T, k *core.Kernel) sched.Snap {
-	t.Helper()
-	in, ok := k.Sched.(sched.Introspector)
-	if !ok {
-		t.Fatalf("scheduler %s does not implement sched.Introspector", k.Sched.Name())
-	}
-	snap := in.Snapshot()
-	if snap.Name != k.Sched.Name() {
-		t.Errorf("snapshot name %q, want scheduler name %q", snap.Name, k.Sched.Name())
-	}
-	if len(snap.Counters) == 0 {
-		t.Errorf("scheduler %s snapshot has no counters", k.Sched.Name())
-	}
-	return snap
 }
 
 // AssertLatencyBudget fails the test if any requested quantile of h

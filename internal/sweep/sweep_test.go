@@ -1,8 +1,9 @@
 // Race-focused tests of the sweep runner: serial and parallel runs must
 // produce byte-identical merged output, and a panicking cell must surface
 // as that cell's error (not a deadlock). The exp-backed tests at the bottom
-// pin the end-to-end acceptance claim: crashsweep and report output is
-// byte-identical at -j 1 and -j 8.
+// pin the end-to-end acceptance claim: the output of crashsweep, report and
+// every other experiment that dispatches cells is byte-identical at -j 1
+// and -j 8.
 //
 // The package is sweep_test (external) so it can import exp without a
 // cycle; run with `go test -race` to make the pool's synchronization — and
@@ -169,5 +170,34 @@ func TestBuildReportParallelMatchesSerial(t *testing.T) {
 	}
 	if !bytes.Equal(serial.Bytes(), parallel.Bytes()) {
 		t.Error("report -j8 JSON differs from -j1")
+	}
+}
+
+// TestCellExperimentsParallelMatchSerial pins the same property for the
+// other experiments that dispatch sweep cells (slo has its own test in
+// internal/exp): each table (rows, notes, metrics) at -j 8 must be
+// byte-identical to -j 1. Scale 0.05 clamps every measurement window to
+// the 1 s minimum, which keeps each experiment's shape.
+func TestCellExperimentsParallelMatchSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cell-experiment goldens are slow; run without -short")
+	}
+	for _, id := range []string{"fig11", "gcsweep", "inversion", "abl-prompt", "abl-xfsfull", "abl-cowgc"} {
+		t.Run(id, func(t *testing.T) {
+			e, ok := exp.ByID(id)
+			if !ok {
+				t.Fatalf("unknown experiment %s", id)
+			}
+			marshal := func(workers int) []byte {
+				b, err := json.Marshal(e.Run(small(&sweep.Runner{Workers: workers})))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			if serial, parallel := marshal(1), marshal(8); !bytes.Equal(serial, parallel) {
+				t.Errorf("%s -j8 output differs from -j1:\nserial:   %s\nparallel: %s", id, serial, parallel)
+			}
+		})
 	}
 }

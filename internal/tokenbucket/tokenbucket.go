@@ -25,9 +25,6 @@ func New(rate, cap float64) *Bucket {
 	return &Bucket{rate: rate, cap: cap, tokens: cap}
 }
 
-// Rate returns the refill rate.
-func (b *Bucket) Rate() float64 { return b.rate }
-
 // refill advances the balance to now.
 func (b *Bucket) refill(now sim.Time) {
 	if now <= b.last {

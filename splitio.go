@@ -23,6 +23,7 @@ package splitio
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"splitio/internal/block"
@@ -78,8 +79,8 @@ type Machine struct {
 	k *core.Kernel
 }
 
-// New builds a machine. Unknown scheduler names panic; use NewMachine for
-// an error-returning variant.
+// New builds a machine. Unknown scheduler, disk or file system names
+// panic; use NewMachine for an error-returning variant.
 func New(opts ...Option) *Machine {
 	m, err := NewMachine(opts...)
 	if err != nil {
@@ -88,7 +89,8 @@ func New(opts ...Option) *Machine {
 	return m
 }
 
-// NewMachine builds a machine, reporting unknown scheduler names as errors.
+// NewMachine builds a machine, reporting unknown scheduler, disk and file
+// system names as errors.
 func NewMachine(opts ...Option) (*Machine, error) {
 	cfg := &config{sched: "noop", opts: core.DefaultOptions(), ramMB: 256}
 	for _, o := range opts {
@@ -97,6 +99,12 @@ func NewMachine(opts ...Option) (*Machine, error) {
 	factory, ok := exp.SchedulerFactory(cfg.sched)
 	if !ok {
 		return nil, fmt.Errorf("splitio: unknown scheduler %q (have %v)", cfg.sched, Schedulers())
+	}
+	if !slices.Contains(core.DiskKinds, cfg.opts.Disk) {
+		return nil, fmt.Errorf("splitio: unknown disk %q (have %v)", cfg.opts.Disk, core.DiskKinds)
+	}
+	if !slices.Contains(core.FSKinds, cfg.opts.FS) {
+		return nil, fmt.Errorf("splitio: unknown file system %q (have %v)", cfg.opts.FS, core.FSKinds)
 	}
 	cc := cache.DefaultConfig()
 	cc.TotalPages = cfg.ramMB << 20 / cache.PageSize

@@ -27,6 +27,31 @@ func TestNewMachineUnknownScheduler(t *testing.T) {
 	}
 }
 
+// TestNewMachineUnknownDiskAndFS: an unknown disk or file-system kind is an
+// error naming the offender and the known kinds, not a silent fallback to
+// the HDD and ext4 defaults.
+func TestNewMachineUnknownDiskAndFS(t *testing.T) {
+	for _, c := range []struct {
+		opt  Option
+		want []string
+	}{
+		{WithDisk("bogus"), []string{`"bogus"`, "hdd", "ssd", "ftlssd"}},
+		{WithFS("zfs"), []string{`"zfs"`, "ext4", "xfs", "cow"}},
+	} {
+		m, err := NewMachine(c.opt)
+		if err == nil {
+			m.Close()
+			t.Errorf("NewMachine accepted an unknown kind (want an error naming %v)", c.want)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("error %q does not name %s", err, w)
+			}
+		}
+	}
+}
+
 func TestEverySchedulerBoots(t *testing.T) {
 	for _, name := range Schedulers() {
 		m := New(WithScheduler(name))

@@ -37,11 +37,9 @@ import (
 // literals and append to an existing slice are allowed (amortized /
 // stack-allocated).
 //
-// The sim kernel's own coroutine handoff (runProc / block) performs the
-// park/resume channel operations, but no hot root reaches it: the loop
-// resumes a process only through stored function values (Proc.wake and
-// Proc.Await's resume closure), which the call graph does not follow. Its
-// channel lines carry nogoroutine directives only.
+// The sim kernel's own process handoff (runProc / block) is a runtime
+// coroutine switch (iter.Pull): no channel operation and no goroutine
+// spawn, so it needs no directive.
 var AnalyzerHotPurity = &Analyzer{
 	Name:      "hotpurity",
 	Doc:       "event-loop-reachable code must not block, spawn goroutines, or allocate in //splitlint:hot regions",

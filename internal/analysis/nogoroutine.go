@@ -10,10 +10,9 @@ import (
 // desCorePackages are the single-threaded DES core layers. Everything the
 // event loop touches runs one step at a time on one goroutine; concurrency
 // primitives inside these packages would reintroduce scheduler-dependent
-// interleavings. internal/sim is included deliberately: its coroutine
-// engine is the one legitimate user of go/chan, and each such line carries
-// an explicit //splitlint:ignore with the invariant that keeps it
-// deterministic (exactly one runnable goroutine at any instant). The fault
+// interleavings. internal/sim is included like the rest: its processes are
+// runtime coroutines (iter.Pull), which switch directly with no go
+// statement or channel, so the core has no user of either. The fault
 // plane runs inside the event loop (its wrapper sits on the device's
 // Serve path), so it is core too, as is the latency attributor: its
 // sinks run synchronously inside trace.Record on the event-loop path. The

@@ -1,7 +1,7 @@
 // Microbenchmarks for the DES kernel's two hot paths: the event heap
 // (schedule/pop with no processes) and the coroutine engine (the
-// two-goroutine-handoff cost of every blocking operation, and the
-// WaitQueue and Completion waits that park a process through it), plus
+// coroutine switch behind every blocking operation, and the WaitQueue and
+// Completion waits that park a process through it), plus
 // BenchmarkEventLoopMix, the bare kernel under the traffic mix of the
 // run-to-completion stack. `make microbench` runs these; the benchmark of
 // record (cmd/benchmark) measures the same paths end to end through the
@@ -58,7 +58,8 @@ func BenchmarkEventHeapDepth(b *testing.B) {
 }
 
 // BenchmarkCoroutineSwitch measures the park/resume handoff: one process
-// sleeping b.N times, two goroutine context switches per sleep.
+// sleeping b.N times, one coroutine switch into the process and one back
+// out per sleep.
 func BenchmarkCoroutineSwitch(b *testing.B) {
 	env := sim.NewEnv(1)
 	defer env.Close()
@@ -123,8 +124,8 @@ func BenchmarkCompletionWait(b *testing.B) {
 // cooperative processes, the share workload and app code keep.
 const (
 	// eventLoopProcs cooperative processes take 1/eventLoopProcShare of
-	// the events; each Sleep costs two goroutine handoffs, like app code
-	// blocking in the stack, so switches/event stays near 0.016.
+	// the events; each Sleep costs a coroutine switch in and out, like app
+	// code blocking in the stack, so switches/event stays near 0.016.
 	eventLoopProcs     = 4
 	eventLoopProcShare = 64
 	// eventLoopWakeShare divides the events given to each kind of handler

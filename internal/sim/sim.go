@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel drives a virtual clock and an ordered event queue. Two kinds of
@@ -10,12 +12,14 @@
 //     daemons (block dispatcher, pdflush, journal commit, FTL GC) run this
 //     way.
 //
-//   - Cooperative processes (Proc): goroutines with blocking control flow
-//     (Sleep, Wait, WaitTimeout) for workload and application code.
-//     Exactly one process (or handler) runs at a time; control returns to
-//     the event loop whenever a process sleeps or blocks. Each park/resume
-//     costs two goroutine context switches — which is why hot kernel paths
-//     are handlers, not Procs.
+//   - Cooperative processes (Proc): runtime coroutines (iter.Pull) with
+//     blocking control flow (Sleep, Wait, WaitTimeout) for workload and
+//     application code. Exactly one process (or handler) runs at a time;
+//     control returns to the event loop whenever a process sleeps or
+//     blocks. Each park/resume is a direct coroutine switch, with no
+//     channel and no trip through the Go scheduler, yet still costs an
+//     order of magnitude more than a handler call — which is why hot
+//     kernel paths are handlers, not Procs.
 //
 // A continuation is the only kind of waiter. A process waits through
 // Proc.Await, which parks it once behind a continuation that resumes it:
@@ -35,9 +39,11 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"time"
 )
 
@@ -76,9 +82,9 @@ const eventSlabSize = 256
 type Stats struct {
 	// Events is the number of events popped and executed.
 	Events int64
-	// Switches counts process handoffs (each one costs two goroutine context
-	// switches). Run-to-completion handlers never switch, so on kernel
-	// paths this stays near zero.
+	// Switches counts process handoffs: each one resumes a process's
+	// coroutine until it parks again. Run-to-completion handlers never
+	// switch, so on kernel paths this stays near zero.
 	Switches int64
 	// HeapMax is the event-heap depth high-water mark.
 	HeapMax int
@@ -103,7 +109,6 @@ type Env struct {
 	seq    int64
 	rng    *rand.Rand
 	procs  []*Proc
-	park   chan struct{} //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
 	cur    *Proc
 	closed bool
 	obs    func(at Time)
@@ -113,10 +118,7 @@ type Env struct {
 // NewEnv returns a new environment whose clock starts at zero and whose
 // random stream is seeded with seed.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		rng:  rand.New(rand.NewSource(seed)),
-		park: make(chan struct{}), //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -251,18 +253,16 @@ func (e *Env) ScheduleAt(at Time, fn func()) {
 // procKilled is the panic sentinel Close uses to unwind live processes.
 type procKilled struct{}
 
-// Proc is a simulated process: a goroutine that runs cooperatively under the
-// environment's event loop.
+// Proc is a simulated process: a coroutine that runs cooperatively under
+// the environment's event loop.
 type Proc struct {
 	env    *Env
 	name   string
-	resume chan struct{} //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
+	next   func() (struct{}, bool) // runs the body until it parks or ends
+	yield  func(struct{}) bool     // parks the body, handing control back
 	dead   bool
 	killed bool
 	wake   func() // runs the process; built once so wake-ups allocate nothing
-	// panicked is the annotated panic of a process body, handed over with
-	// the execution token for runProc to re-raise.
-	panicked string
 }
 
 // Name returns the process name given at spawn time.
@@ -278,35 +278,32 @@ func (p *Proc) Now() Time { return p.env.now }
 // The process body runs cooperatively: it holds the simulation until it
 // sleeps, waits, or returns.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})} //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
+	p := &Proc{env: e, name: name}
 	p.wake = func() { e.runProc(p) }
-	e.procs = append(e.procs, p)
-	go func() { //splitlint:ignore nogoroutine coroutine engine: exactly one goroutine runs at a time; the park/resume handoff IS the deterministic scheduler
-		<-p.resume //splitlint:ignore nogoroutine proc goroutine blocks here until runProc hands it the single execution token
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.dead = true
 			if r := recover(); r != nil {
 				if _, ok := r.(procKilled); !ok {
-					// A panic on this bare goroutine would kill the program;
-					// runProc re-raises it on the event loop's goroutine,
-					// where the caller can recover it. The stack is this
-					// goroutine's, the only one that shows the body's frames.
-					p.panicked = fmt.Sprintf("sim: process %q panicked at %v: %v\n%s", name, e.now, r, debug.Stack())
+					// next re-raises this on the event loop's side, where
+					// the caller can recover it; the stack is captured here,
+					// the only place that shows the body's frames.
+					panic(fmt.Sprintf("sim: process %q panicked at %v: %v\n%s", name, e.now, r, debug.Stack()))
 				}
 			}
-			e.park <- struct{}{} //splitlint:ignore nogoroutine hand the execution token back to the event loop on proc exit
 		}()
-		if p.killed {
-			panic(procKilled{})
+		if !p.killed {
+			fn(p)
 		}
-		fn(p)
-	}()
+	})
+	e.procs = append(e.procs, p)
 	e.Schedule(0, p.wake)
 	return p
 }
 
 // runProc hands control to p until it blocks or exits. A panic in p's body
-// is re-raised here, on the caller's goroutine.
+// is re-raised here, after the loop has left p.
 func (e *Env) runProc(p *Proc) {
 	if p.dead {
 		return
@@ -314,18 +311,13 @@ func (e *Env) runProc(p *Proc) {
 	prev := e.cur
 	e.cur = p
 	e.stats.Switches++
-	p.resume <- struct{}{} //splitlint:ignore nogoroutine hand the single execution token to p; this IS the coroutine mechanism the purity contract protects
-	<-e.park               //splitlint:ignore nogoroutine wait until p parks; exactly one runnable goroutine, so the handoff cannot deadlock
-	e.cur = prev
-	if p.panicked != "" {
-		panic(p.panicked)
-	}
+	defer func() { e.cur = prev }()
+	p.next()
 }
 
 // block parks the calling process until something calls env.runProc on it.
 func (p *Proc) block() {
-	p.env.park <- struct{}{} //splitlint:ignore nogoroutine park: return the execution token to the event loop
-	<-p.resume               //splitlint:ignore nogoroutine sleep until the event loop hands the token back
+	p.yield(struct{}{})
 	if p.killed {
 		panic(procKilled{})
 	}
@@ -417,7 +409,8 @@ func (e *Env) loop(until Time) {
 	}
 }
 
-// Close terminates every live process so their goroutines exit. The
+// Close terminates every live process, unwinding its coroutine so that its
+// deferred calls run and nothing of it outlives the environment. The
 // environment must not be used afterwards.
 func (e *Env) Close() {
 	if e.closed {
@@ -444,21 +437,37 @@ func (e *Env) Close() {
 // wake-ups as zero-delay events, so a woken waiter resumes at the current
 // virtual instant but after the waker yields. A process waits through
 // Proc.Await, parking the continuation that resumes it.
+//
+// A park and a wake-up allocate nothing: waiters are kept by value, and
+// Signal moves the waiter's continuation onto the ready FIFO and schedules
+// the queue's one fire handler, which runs the front of that FIFO. The
+// queue schedules its fire events at non-decreasing (at, seq), so they pop
+// in signal order and each continuation runs in its own wake event's slot.
 type WaitQueue struct {
 	env     *Env
-	waiters []*waiter
+	waiters fifo[waiter]
+	ready   fifo[func(sig bool)] // signaled, awaiting their fire events
+	fire    func()
+	lastID  uint64
 }
 
+// waiter is a parked continuation. Its id, unique within the queue, is how
+// a WaitTimeoutFn timer finds it; a timer that no longer finds its waiter
+// knows that it was signaled.
 type waiter struct {
-	fn    func(sig bool)
-	fired bool // signaled or timed out; entry is dead
+	fn func(sig bool)
+	id uint64
 }
 
 // NewWaitQueue returns an empty wait queue on env.
-func NewWaitQueue(env *Env) *WaitQueue { return &WaitQueue{env: env} }
+func NewWaitQueue(env *Env) *WaitQueue {
+	q := &WaitQueue{env: env}
+	q.fire = func() { q.ready.pop()(true) }
+	return q
+}
 
 // Len returns the number of blocked waiters.
-func (q *WaitQueue) Len() int { return len(q.waiters) }
+func (q *WaitQueue) Len() int { return q.waiters.len() }
 
 // Wait blocks p until another process or event signals the queue.
 func (q *WaitQueue) Wait(p *Proc) {
@@ -467,8 +476,13 @@ func (q *WaitQueue) Wait(p *Proc) {
 
 // WaitFn parks fn until the queue is signaled. The continuation runs as a
 // zero-delay event with sig=true.
-func (q *WaitQueue) WaitFn(fn func(sig bool)) {
-	q.waiters = append(q.waiters, &waiter{fn: fn})
+func (q *WaitQueue) WaitFn(fn func(sig bool)) { q.park(fn) }
+
+// park appends fn as a waiter and returns its id.
+func (q *WaitQueue) park(fn func(sig bool)) uint64 {
+	q.lastID++
+	q.waiters.push(waiter{fn: fn, id: q.lastID})
+	return q.lastID
 }
 
 // WaitTimeout blocks p until the queue is signaled or d elapses. It reports
@@ -483,41 +497,77 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d time.Duration) bool {
 
 // WaitTimeoutFn parks fn until the queue is signaled (fn runs as a
 // zero-delay event with sig=true) or d elapses (fn runs inside the timer
-// event with sig=false). On expiry the waiter leaves the queue; a signal
-// in flight has already marked it fired.
+// event with sig=false). On expiry the waiter leaves the queue; a waiter
+// already signaled has left it, and its timer does nothing.
 func (q *WaitQueue) WaitTimeoutFn(d time.Duration, fn func(sig bool)) {
-	w := &waiter{fn: fn}
-	q.waiters = append(q.waiters, w)
+	id := q.park(fn)
 	q.env.Schedule(d, func() {
-		if w.fired {
-			return
-		}
-		w.fired = true
-		for i, x := range q.waiters {
-			if x == w {
-				q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-				break
+		for i, w := range q.waiters.items() {
+			if w.id == id {
+				q.waiters.remove(i)
+				w.fn(false)
+				return
 			}
 		}
-		w.fn(false)
 	})
 }
 
 // Signal wakes the longest-waiting waiter, if any.
 func (q *WaitQueue) Signal() {
-	if len(q.waiters) == 0 {
+	if q.waiters.len() == 0 {
 		return
 	}
-	w := q.waiters[0]
-	q.waiters = q.waiters[1:]
-	w.fired = true
-	q.env.Schedule(0, func() { w.fn(true) })
+	q.ready.push(q.waiters.pop().fn)
+	q.env.Schedule(0, q.fire)
 }
 
 // Broadcast wakes every blocked waiter in FIFO order.
 func (q *WaitQueue) Broadcast() {
-	for len(q.waiters) > 0 {
+	for q.waiters.len() > 0 {
 		q.Signal()
+	}
+}
+
+// fifo is a queue on a reused slice. pop advances a head index; push slides
+// the live entries back to the front once the slice is full and at least
+// half of it has been popped. A steady push/pop cycle thus allocates
+// nothing, and each entry is copied a constant number of times amortized.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// items returns the queued entries, front first.
+func (f *fifo[T]) items() []T { return f.buf[f.head:] }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && 2*f.head >= len(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes and returns the front entry. The queue must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
+}
+
+// remove deletes the i-th entry from the front, keeping the rest in order.
+func (f *fifo[T]) remove(i int) {
+	f.buf = slices.Delete(f.buf, f.head+i, f.head+i+1)
+	if f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
 	}
 }
 

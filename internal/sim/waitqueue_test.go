@@ -2,12 +2,16 @@
 // race between a timeout and a same-instant signal (seq order decides, and
 // process and continuation waiters must agree), killing a waiter that is
 // parked mid-queue (its dead entry consumes one signal harmlessly and
-// never corrupts FIFO order), and the golden wake order of mixed
-// process/continuation waiters woken at a single virtual instant.
+// never corrupts FIFO order), the golden wake order of mixed
+// process/continuation waiters woken at a single virtual instant, the
+// allocation-free park and wake-up of a handler waiter, and the FIFO the
+// queue keeps its waiters in.
 package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -175,5 +179,64 @@ func TestCompletionSameInstantFIFOWakeOrder(t *testing.T) {
 	e.RunAll()
 	if after != before {
 		t.Errorf("Wait on a done Completion advanced time: %v -> %v", before, after)
+	}
+}
+
+// TestWaitFnSignalZeroAllocs asserts that a warmed handler parks on a
+// WaitQueue and is woken without allocating: waiters are kept by value, and
+// every wake event runs the queue's one prebuilt fire handler.
+func TestWaitFnSignalZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	e := NewEnv(1)
+	defer e.Close()
+	q := NewWaitQueue(e)
+	woken := 0
+	fn := func(bool) { woken++ }
+	cycle := func() {
+		for i := 0; i < 4; i++ {
+			q.WaitFn(fn)
+		}
+		q.Signal()
+		q.Broadcast()
+		e.RunAll()
+	}
+	cycle() // warm the queue's slices, the event pool and the heap slice
+	allocs := testing.AllocsPerRun(1000, cycle)
+	if allocs != 0 {
+		t.Fatalf("a warmed WaitFn+Signal cycle allocated %.2f objects, want 0", allocs)
+	}
+	// One warm cycle here, one inside AllocsPerRun, then the 1000 measured.
+	if want := 4 * 1002; woken != want {
+		t.Fatalf("woken %d times, want %d", woken, want)
+	}
+}
+
+// TestFifoMatchesSlice drives the waiter FIFO with a random mix of push,
+// pop and mid-queue remove, long enough to exercise both compaction and
+// growth, and checks it against a plain slice after every step.
+func TestFifoMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var f fifo[int]
+	var ref []int
+	for step := 0; step < 20000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 5 || len(ref) == 0:
+			f.push(step)
+			ref = append(ref, step)
+		case r < 9:
+			if got := f.pop(); got != ref[0] {
+				t.Fatalf("step %d: pop = %d, want %d", step, got, ref[0])
+			}
+			ref = ref[1:]
+		default:
+			i := rng.Intn(len(ref))
+			f.remove(i)
+			ref = slices.Delete(ref, i, i+1)
+		}
+		if f.len() != len(ref) || !slices.Equal(f.items(), ref) {
+			t.Fatalf("step %d: fifo holds %v, want %v", step, f.items(), ref)
+		}
 	}
 }

@@ -105,9 +105,8 @@ func runMonitorCmd(opts exp.Options, window time.Duration, sloSpec, traceFile, p
 	}
 
 	code := 0
-	for _, s := range names {
-		mon := exp.MonitorEntangled(opts, s, nil)
-		if exp.IsSplitScheduler(s) && len(mon.Breaches()) > 0 {
+	for i, mon := range exp.MonitorEntangled(opts, names) {
+		if s := names[i]; exp.IsSplitScheduler(s) && len(mon.Breaches()) > 0 {
 			fmt.Fprintf(stderr, "splitbench monitor: split scheduler %s breached its SLO (expected none)\n", s)
 			code = 1
 		}

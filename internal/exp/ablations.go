@@ -15,8 +15,10 @@ import (
 // ablPair dispatches an on/off ablation as two sweep cells (one kernel
 // each) and returns their scalar results as (on, off).
 func ablPair(o Options, experiment, knob string, run func(on bool) float64) (on, off float64) {
-	res := runCells(o, experiment, []string{"on", "off"}, func(v string) string { return knob + "=" + v },
-		func(v string) float64 { return run(v == "on") })
+	res := runCells(o, experiment, []cell[float64]{
+		{knob + "=on", func() float64 { return run(true) }},
+		{knob + "=off", func() float64 { return run(false) }},
+	})
 	return res[0], res[1]
 }
 
@@ -96,49 +98,44 @@ func AblXFSFull(o Options) *Table {
 // garbage, so Split-Token keeps a neighbor isolated even though the tenant
 // itself issues almost no direct disk I/O.
 func AblCOWGC(o Options) *Table {
-	type cowgcCell struct {
-		tps            []float64 // A, B MB/s
-		garbage, reloc int64
-	}
-	c := runCells(o, "abl-cowgc", []string{"sched=split-token fs=cow"}, func(config string) string { return config },
-		func(string) cowgcCell {
-			fcfg := fs.COWConfig()
-			fcfg.GCThresholdBlocks = 32 // cleaner engages quickly at bench scale
-			k := newKernel("split-token", o, func(opt *core.Options) { opt.FSConfig = &fcfg })
-			defer k.Env.Close()
-			limit(k, "b", 2<<20)
-			fa := k.FS.MkFileContiguous("/a", 4<<30)
-			a := k.Spawn("A", 4, func(p *sim.Proc, pr *vfs.Process) {
-				workload.SeqReader(k, p, pr, fa, 1<<20)
-			})
-			// The churn file preexists (setup is not billed); every overwrite
-			// then remaps and leaves garbage behind.
-			fb := k.FS.MkFileContiguous("/churn", 64<<20)
-			b := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {
-				pr.Ctx.Account = "b"
-				workload.RandWriteFsync(k, p, pr, fb, 4096, 64<<20, 8)
-			})
-			k.Run(o.dur(5 * time.Second))
-			return cowgcCell{measure(k, o.dur(30*time.Second), a, b), k.FS.GarbageBlocks(), k.FS.GCRelocatedBlocks()}
-		})[0]
-	t := &Table{
-		ID:     "abl-cowgc",
-		Title:  "Ablation: copy-on-write GC as an I/O proxy (Split-Token on cowsim)",
-		Header: []string{"process", "MB/s", "note"},
-		Rows: [][]string{
-			{"A (unthrottled reader)", fmt.Sprintf("%.1f", c.tps[0]), "isolated from B's churn + GC"},
-			{"B (churn, 2 MB/s cap)", fmt.Sprintf("%.3f", c.tps[1]), "billed for data, commits, and relocation"},
-		},
-		Notes: fmt.Sprintf("garbage=%d blocks, GC relocated=%d blocks; relocation I/O carries B's cause tag",
-			c.garbage, c.reloc),
-		Metrics: map[string]float64{
-			"a_mbps":         c.tps[0],
-			"b_mbps":         c.tps[1],
-			"gc_relocated":   float64(c.reloc),
-			"garbage_blocks": float64(c.garbage),
-		},
-	}
-	return t
+	return runCells(o, "abl-cowgc", []cell[*Table]{{"sched=split-token fs=cow", func() *Table {
+		fcfg := fs.COWConfig()
+		fcfg.GCThresholdBlocks = 32 // cleaner engages quickly at bench scale
+		k := newKernel("split-token", o, func(opt *core.Options) { opt.FSConfig = &fcfg })
+		defer k.Env.Close()
+		limit(k, "b", 2<<20)
+		fa := k.FS.MkFileContiguous("/a", 4<<30)
+		a := k.Spawn("A", 4, func(p *sim.Proc, pr *vfs.Process) {
+			workload.SeqReader(k, p, pr, fa, 1<<20)
+		})
+		// The churn file preexists (setup is not billed); every overwrite
+		// then remaps and leaves garbage behind.
+		fb := k.FS.MkFileContiguous("/churn", 64<<20)
+		b := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {
+			pr.Ctx.Account = "b"
+			workload.RandWriteFsync(k, p, pr, fb, 4096, 64<<20, 8)
+		})
+		k.Run(o.dur(5 * time.Second))
+		tps := measure(k, o.dur(30*time.Second), a, b)
+		garbage, reloc := k.FS.GarbageBlocks(), k.FS.GCRelocatedBlocks()
+		return &Table{
+			ID:     "abl-cowgc",
+			Title:  "Ablation: copy-on-write GC as an I/O proxy (Split-Token on cowsim)",
+			Header: []string{"process", "MB/s", "note"},
+			Rows: [][]string{
+				{"A (unthrottled reader)", fmt.Sprintf("%.1f", tps[0]), "isolated from B's churn + GC"},
+				{"B (churn, 2 MB/s cap)", fmt.Sprintf("%.3f", tps[1]), "billed for data, commits, and relocation"},
+			},
+			Notes: fmt.Sprintf("garbage=%d blocks, GC relocated=%d blocks; relocation I/O carries B's cause tag",
+				garbage, reloc),
+			Metrics: map[string]float64{
+				"a_mbps":         tps[0],
+				"b_mbps":         tps[1],
+				"gc_relocated":   float64(reloc),
+				"garbage_blocks": float64(garbage),
+			},
+		}
+	}}})[0]
 }
 
 func init() {

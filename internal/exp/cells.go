@@ -1,15 +1,16 @@
-// Sweep dispatch: experiments whose bodies are a cross-product of
-// independent simulations (crashsweep, report, sched comparisons,
-// ablations) hand runCells their configurations and a cell body. runCells
-// builds one sweep.Cell per configuration, sends them through the
-// Options.Runner worker pool, and returns the typed results in
-// configuration order, so the rendered table is byte-identical at every
-// worker count. Each cell constructs its own kernel.
+// Sweep dispatch: every experiment is a list of independent simulations,
+// its cells. A cell pairs a configuration key with a body that builds its
+// own machine (newKernel or sim.NewEnv), runs it, tears it down with
+// defer, and returns plain values. runCells sends the cells through the
+// Options.Runner worker pool and returns their results in cell order, and
+// the experiment renders its table from them in that order, so the output
+// is byte-identical at every worker count.
 
 package exp
 
 import (
 	"fmt"
+	"maps"
 
 	"splitio/internal/sweep"
 )
@@ -39,22 +40,44 @@ func (o Options) cellRunner() *sweep.Runner {
 	return o.Runner
 }
 
-// runCells runs run(c) as one sweep cell per configuration c, keyed
-// key(c) within experiment, and returns the results in configuration
-// order. A cell error is a bug in a deterministic simulation (or a worker
-// panic), not an input condition, so it aborts the experiment by panicking
-// with the first failed cell's identity and stack.
-func runCells[C, R any](o Options, experiment string, configs []C, key func(C) string, run func(C) R) []R {
-	res := make([]R, len(configs))
-	cells := make([]sweep.Cell, len(configs))
-	for i, c := range configs {
-		cells[i] = sweep.Cell{Key: o.cellKey(experiment, key(c)), Run: func() { res[i] = run(c) }}
+// cell is one simulation of an experiment: key is its configuration,
+// unique within the experiment, and run its body. run must share no
+// mutable state with other cells: it may be called on any worker.
+type cell[R any] struct {
+	key string
+	run func() R
+}
+
+// runCells runs each cell as one sweep cell of experiment and returns the
+// results in cell order. A cell error is a bug in a deterministic
+// simulation (or a worker panic), not an input condition, so it aborts the
+// experiment by panicking with the first failed cell's identity and stack.
+func runCells[R any](o Options, experiment string, cells []cell[R]) []R {
+	res := make([]R, len(cells))
+	sc := make([]sweep.Cell, len(cells))
+	for i, c := range cells {
+		sc[i] = sweep.Cell{Key: o.cellKey(experiment, c.key), Run: func() { res[i] = c.run() }}
 	}
-	if err := sweep.FirstErr(o.cellRunner().Run(cells)); err != nil {
+	if err := sweep.FirstErr(o.cellRunner().Run(sc)); err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
 	return res
 }
 
-// schedKey keys a cell by its scheduler alone.
-func schedKey(sched string) string { return "sched=" + sched }
+// row is the result of a cell that renders as one table row: the row's
+// columns and the metrics it contributes.
+type row struct {
+	cols    []string
+	metrics map[string]float64
+}
+
+// addRows appends rows to t in order and merges their metrics.
+func (t *Table) addRows(rows []row) {
+	if t.Metrics == nil {
+		t.Metrics = map[string]float64{}
+	}
+	for _, r := range rows {
+		t.Rows = append(t.Rows, r.cols)
+		maps.Copy(t.Metrics, r.metrics)
+	}
+}

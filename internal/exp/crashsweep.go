@@ -19,14 +19,12 @@ var crashSchedulers = []string{
 	"afq", "gc-afq", "split-deadline", "split-pdflush", "split-token",
 }
 
-// crashCellResult is one (scheduler, fs, disk) cell's result: everything
-// the merged table row and metrics are built from.
+// crashCellResult is one (scheduler, fs, disk) cell's result: its table
+// row and what the merged metrics and notes are built from.
 type crashCellResult struct {
-	Writes     int
-	Commits    int64
-	Cuts       int64
+	Row        []string
+	Key        string // sched_fs_disk, the metric and note prefix
 	Images     int64
-	Replays    int64
 	Violations int
 	Samples    []string // first few violations, formatted
 }
@@ -57,42 +55,23 @@ func CrashSweep(o Options) *Table {
 	t.Metrics = map[string]float64{}
 	window := o.dur(2 * time.Second)
 
-	type cellID struct {
-		sched    string
-		fs       core.FSKind
-		disk     core.DiskKind
-		planSeed int64
-	}
-	var ids []cellID
+	var cells []cell[crashCellResult]
 	for _, fsKind := range []core.FSKind{core.Ext4, core.COW} {
 		for _, disk := range []core.DiskKind{core.HDD, core.SSD, core.FTLSSD} {
 			for _, sched := range crashSchedulers {
-				ids = append(ids, cellID{sched, fsKind, disk, o.Seed + int64(len(ids)+1)*7919})
+				planSeed := o.Seed + int64(len(cells)+1)*7919
+				cells = append(cells, cell[crashCellResult]{fmt.Sprintf("sched=%s fs=%s disk=%s", sched, fsKind, disk),
+					func() crashCellResult { return runCrashCell(o, sched, fsKind, disk, planSeed, window) }})
 			}
 		}
 	}
-	res := runCells(o, "crashsweep", ids, func(id cellID) string {
-		return fmt.Sprintf("sched=%s fs=%s disk=%s", id.sched, id.fs, id.disk)
-	}, func(id cellID) crashCellResult {
-		return runCrashCell(o, id.sched, id.fs, id.disk, id.planSeed, window)
-	})
-	for i, r := range res {
-		id := ids[i]
-		t.Rows = append(t.Rows, []string{
-			id.sched, string(id.fs), string(id.disk),
-			fmt.Sprint(r.Writes),
-			fmt.Sprint(r.Commits),
-			fmt.Sprint(r.Cuts),
-			fmt.Sprint(r.Images),
-			fmt.Sprint(r.Replays),
-			fmt.Sprint(r.Violations),
-		})
-		key := fmt.Sprintf("%s_%s_%s", id.sched, id.fs, id.disk)
-		t.Metrics[key+"_violations"] = float64(r.Violations)
+	for _, r := range runCells(o, "crashsweep", cells) {
+		t.Rows = append(t.Rows, r.Row)
+		t.Metrics[r.Key+"_violations"] = float64(r.Violations)
 		t.Metrics["violations_total"] += float64(r.Violations)
 		t.Metrics["images_total"] += float64(r.Images)
 		for _, s := range r.Samples {
-			t.Notes += fmt.Sprintf("[%s] %s\n", key, s)
+			t.Notes += fmt.Sprintf("[%s] %s\n", r.Key, s)
 		}
 	}
 
@@ -141,11 +120,17 @@ func runCrashCell(o Options, sched string, fsKind core.FSKind, disk core.DiskKin
 		k.Metrics.Sample(k.Env.Now())
 	}
 	r := crashCellResult{
-		Writes:     len(k.Fault.Log().Records),
-		Commits:    k.FS.Commits(),
-		Cuts:       ck.CutsSwept,
+		Row: []string{
+			sched, string(fsKind), string(disk),
+			fmt.Sprint(len(k.Fault.Log().Records)),
+			fmt.Sprint(k.FS.Commits()),
+			fmt.Sprint(ck.CutsSwept),
+			fmt.Sprint(ck.ImagesChecked),
+			fmt.Sprint(ck.Replays),
+			fmt.Sprint(len(vs)),
+		},
+		Key:        fmt.Sprintf("%s_%s_%s", sched, fsKind, disk),
 		Images:     ck.ImagesChecked,
-		Replays:    ck.Replays,
 		Violations: len(vs),
 	}
 	for i, v := range vs {

@@ -72,11 +72,11 @@ type Options struct {
 	// disk ignore it: fig9 (SSD), fig12 (its disk axis), fig19 (SSD),
 	// gcsweep (an aged FTL) and crashsweep (its disk axis).
 	Device string
-	// Runner, when non-nil, fans an experiment's independent simulation
-	// cells across a host-side worker pool (splitbench -j). Nil runs cells
-	// inline. Output is byte-identical either way: results always merge in
-	// canonical cell order. Ignored (forced inline) when Tracer, Metrics or
-	// Monitor is set, since those observe every kernel of the run.
+	// Runner, when non-nil, fans every simulation an experiment runs (each
+	// is one cell, see runCells) across a host-side worker pool (splitbench
+	// -j). Nil runs cells inline. Output is byte-identical either way:
+	// results merge in cell order. Ignored (forced inline) when Tracer,
+	// Metrics or Monitor is set, since those observe every kernel of the run.
 	Runner *sweep.Runner
 }
 

@@ -2,16 +2,19 @@ package exp
 
 import (
 	"testing"
+
+	"splitio/internal/sweep"
 )
 
-// small runs an experiment at reduced scale.
+// small runs an experiment at reduced scale, its cells on one worker per
+// CPU.
 func small(t *testing.T, id string) *Table {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("unknown experiment %s", id)
 	}
-	tab := e.Run(Options{Scale: 0.34, Seed: 1})
+	tab := e.Run(Options{Scale: 0.34, Seed: 1, Runner: &sweep.Runner{}})
 	if tab.ID != id {
 		t.Fatalf("table ID = %s, want %s", tab.ID, id)
 	}

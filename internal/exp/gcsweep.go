@@ -44,20 +44,9 @@ const (
 	gcsweepSlack = 2
 )
 
-// gcCell is one scheduler's result.
-type gcCell struct {
-	Requests  int64
-	GCStalls  int64
-	GCStallNS int64
-	OtherInv  int64
-	WriteAmp  float64
-	GCRuns    int64
-	MinFree   int
-}
-
 // runGCCell runs the antagonist pair, with its smaller files, on the aged
-// device under sched and reads the result.
-func runGCCell(sched string, o Options) gcCell {
+// device under sched and returns its table row.
+func runGCCell(sched string, o Options) row {
 	var dev *ssd.Device
 	at := runAttributed(o, sched, 4*time.Second, func(opt *core.Options) {
 		opt.Disk = core.FTLSSD
@@ -67,15 +56,20 @@ func runGCCell(sched string, o Options) gcCell {
 		dev.Age(gcsweepUtil, gcsweepSlack)
 		spawnEntangled(k, 32<<20, 128<<20)
 	})
-	return gcCell{
-		Requests:  at.Requests(),
-		GCStalls:  at.InversionCount(attr.KindGCStall),
-		GCStallNS: int64(at.InversionTime(attr.KindGCStall)),
-		OtherInv:  at.TotalInversions() - at.InversionCount(attr.KindGCStall),
-		WriteAmp:  dev.WriteAmp(),
-		GCRuns:    dev.GCRuns(),
-		MinFree:   dev.MinFreeBlocks(),
-	}
+	stalls := at.InversionCount(attr.KindGCStall)
+	return row{[]string{
+		sched,
+		fmt.Sprintf("%d", at.Requests()),
+		fmt.Sprintf("%d", stalls),
+		at.InversionTime(attr.KindGCStall).Round(time.Millisecond).String(),
+		fmt.Sprintf("%d", at.TotalInversions()-stalls),
+		fmt.Sprintf("%.2f", dev.WriteAmp()),
+		fmt.Sprintf("%d", dev.GCRuns()),
+		fmt.Sprintf("%d", dev.MinFreeBlocks()),
+	}, map[string]float64{
+		sched + "_gc_inversions": float64(stalls),
+		sched + "_gc_runs":       float64(dev.GCRuns()),
+	}}
 }
 
 // gcsweepSchedulers: two block-level schedulers that suffer GC stalls, the
@@ -96,27 +90,13 @@ func GCSweep(o Options) *Table {
 			"scheduler", "requests", "gc-stalls", "stall time",
 			"other-inv", "write-amp", "gc-runs", "min-free",
 		},
-		Metrics: map[string]float64{"violations_total": 0},
 	}
-	res := runCells(o, "gcsweep", gcsweepSchedulers, schedKey, func(sched string) gcCell { return runGCCell(sched, o) })
-	for i, c := range res {
-		sched := gcsweepSchedulers[i]
-		t.Rows = append(t.Rows, []string{
-			sched,
-			fmt.Sprintf("%d", c.Requests),
-			fmt.Sprintf("%d", c.GCStalls),
-			time.Duration(c.GCStallNS).Round(time.Millisecond).String(),
-			fmt.Sprintf("%d", c.OtherInv),
-			fmt.Sprintf("%.2f", c.WriteAmp),
-			fmt.Sprintf("%d", c.GCRuns),
-			fmt.Sprintf("%d", c.MinFree),
-		})
-		t.Metrics[sched+"_gc_inversions"] = float64(c.GCStalls)
-		t.Metrics[sched+"_gc_runs"] = float64(c.GCRuns)
-		if sched == "gc-afq" {
-			t.Metrics["violations_total"] += float64(c.GCStalls)
-		}
+	var cells []cell[row]
+	for _, sched := range gcsweepSchedulers {
+		cells = append(cells, cell[row]{"sched=" + sched, func() row { return runGCCell(sched, o) }})
 	}
+	t.addRows(runCells(o, "gcsweep", cells))
+	t.Metrics["violations_total"] = t.Metrics["gc-afq_gc_inversions"]
 	if t.Metrics["cfq_gc_inversions"] == 0 {
 		t.Metrics["violations_total"]++
 		t.Notes += "cfq shows no gc-stall inversions: the aged device lost the phenomenon.\n"

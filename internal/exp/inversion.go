@@ -108,13 +108,17 @@ func buildReport(o Options, experiment string, schedulers []string) *attr.Report
 	if scale <= 0 {
 		scale = 1
 	}
-	return &attr.Report{
-		Seed: seed, Scale: scale, Workload: inversionWorkload,
-		Schedulers: runCells(o, experiment, schedulers, schedKey, func(sched string) attr.SchedReport {
+	var cells []cell[attr.SchedReport]
+	for _, sched := range schedulers {
+		cells = append(cells, cell[attr.SchedReport]{"sched=" + sched, func() attr.SchedReport {
 			return runAttributed(o, sched, 10*time.Second, nil, func(k *core.Kernel) {
 				spawnEntangled(k, 64<<20, 1<<30)
 			}).Summary(sched)
-		}),
+		}})
+	}
+	return &attr.Report{
+		Seed: seed, Scale: scale, Workload: inversionWorkload,
+		Schedulers: runCells(o, experiment, cells),
 	}
 }
 

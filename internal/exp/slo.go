@@ -12,6 +12,7 @@ package exp
 
 import (
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"time"
 
@@ -53,32 +54,41 @@ func runSLOCell(sched string, o Options) sloCell {
 	if err != nil {
 		panic("exp: bad SLO rule: " + err.Error())
 	}
-	m := MonitorEntangled(o, sched, &monitor.Config{Window: SLOWindow, Rules: []monitor.Rule{rule}})
+	m := monitorEntangled(o, sched, &monitor.Config{Window: SLOWindow, Rules: []monitor.Rule{rule}})
 	c := sloCell{Windows: m.Ticks(), Breaches: len(m.Breaches())}
 	if bs := m.Breaches(); len(bs) > 0 {
 		c.FirstNS = int64(bs[0].At)
 		c.FirstKind = bs[0].Kind
 		c.FirstP99NS = int64(bs[0].Window.P99)
 	}
-	var buf bundleHasher
+	buf := bundleHasher{Hash64: fnv.New64a()}
 	if err := m.WriteBundles(&buf); err != nil {
 		panic("exp: bundle encode: " + err.Error())
 	}
 	if len(m.Dumps()) > 0 {
 		c.BundleLen = buf.n
-		c.BundleFNV = buf.sum()
+		c.BundleFNV = buf.Sum64()
 	}
 	return c
 }
 
-// MonitorEntangled runs the entangled antagonist workload under sched with
-// a monitor attached and returns it: cfg when non-nil, else the one o's
-// collector configures (o.Monitor must then be set). When o.Monitor is
-// set the machine's monitor is also appended to o.Monitor.Machines. The
-// kernel is torn down before returning; the monitor retains everything
-// the caller needs (breaches, counters, snapshots, dumps). This is the
-// engine of `splitbench monitor` and of the slo experiment's cells.
-func MonitorEntangled(o Options, sched string, cfg *monitor.Config) *monitor.Monitor {
+// MonitorEntangled runs the entangled antagonist workload under each of
+// schedulers, one cell each, with the monitor o.Monitor configures, and
+// returns the monitors in scheduler order (they are also appended to
+// o.Monitor.Machines). This is the engine of `splitbench monitor`.
+func MonitorEntangled(o Options, schedulers []string) []*monitor.Monitor {
+	var cells []cell[*monitor.Monitor]
+	for _, sched := range schedulers {
+		cells = append(cells, cell[*monitor.Monitor]{"sched=" + sched,
+			func() *monitor.Monitor { return monitorEntangled(o, sched, nil) }})
+	}
+	return runCells(o, "monitor", cells)
+}
+
+// monitorEntangled runs one machine of MonitorEntangled or of the slo
+// experiment, monitored under cfg when non-nil, else under o.Monitor's
+// configuration, and returns its monitor after teardown.
+func monitorEntangled(o Options, sched string, cfg *monitor.Config) *monitor.Monitor {
 	k := newKernel(sched, o, func(opt *core.Options) {
 		if cfg != nil {
 			opt.Monitor = cfg
@@ -90,30 +100,17 @@ func MonitorEntangled(o Options, sched string, cfg *monitor.Config) *monitor.Mon
 	return k.Monitor
 }
 
-// bundleHasher hashes the bundle stream without retaining it: cells return
-// a fingerprint, and byte-identity across -j follows from fingerprint
-// identity plus deterministic JSON field order.
+// bundleHasher hashes and counts the bundle stream without retaining it:
+// cells return a fingerprint, and byte-identity across -j follows from
+// fingerprint identity plus deterministic JSON field order.
 type bundleHasher struct {
-	h interface {
-		Write([]byte) (int, error)
-		Sum64() uint64
-	}
+	hash.Hash64
 	n int
 }
 
 func (b *bundleHasher) Write(p []byte) (int, error) {
-	if b.h == nil {
-		b.h = fnv.New64a()
-	}
 	b.n += len(p)
-	return b.h.Write(p)
-}
-
-func (b *bundleHasher) sum() uint64 {
-	if b.h == nil {
-		return 0
-	}
-	return b.h.Sum64()
+	return b.Hash64.Write(p)
 }
 
 // SLOExp regenerates the SLO comparison as a table. The gate is two-sided:
@@ -128,8 +125,11 @@ func SLOExp(o Options) *Table {
 			"violations_total": 0,
 		},
 	}
-	res := runCells(o, "slo", sloSchedulers, func(sched string) string { return schedKey(sched) + " rule=" + SLORuleSpec },
-		func(sched string) sloCell { return runSLOCell(sched, o) })
+	var cells []cell[sloCell]
+	for _, sched := range sloSchedulers {
+		cells = append(cells, cell[sloCell]{"sched=" + sched + " rule=" + SLORuleSpec, func() sloCell { return runSLOCell(sched, o) }})
+	}
+	res := runCells(o, "slo", cells)
 	for i, c := range res {
 		sched := sloSchedulers[i]
 		first, kind, p99, bundle := "-", "-", "-", "-"

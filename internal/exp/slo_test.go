@@ -97,7 +97,7 @@ func TestAllSchedulersIntrospect(t *testing.T) {
 func TestMonitorEntangledCollects(t *testing.T) {
 	o := Options{Scale: 0.1, Seed: 1, Device: "ftlssd",
 		Monitor: &MonitorCollector{Window: SLOWindow}}
-	mon := MonitorEntangled(o, "cfq", nil)
+	mon := MonitorEntangled(o, []string{"cfq"})[0]
 	if mon == nil {
 		t.Fatal("no monitor attached")
 	}

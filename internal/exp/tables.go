@@ -16,16 +16,16 @@ import (
 // writer?), cost estimation (does the throttle distinguish random from
 // sequential?), and reordering (can a tiny fsync overtake a big flush?).
 func Table1(o Options) *Table {
-	t := &Table{
-		ID:     "table1",
-		Title:  "Table 1: framework properties (probed)",
-		Header: []string{"property", "block (CFQ)", "syscall (SCS)", "split (AFQ/Split-Token)"},
+	bool2f := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
 	}
-	t.Metrics = map[string]float64{}
 
 	// Cause mapping probe: one buffered writer; does the block-level view
 	// attribute its flushed I/O to the writer (vs the writeback task)?
-	causeMapped := func(sched string, split bool) bool {
+	causeMapped := func(sched string, split bool) float64 {
 		k := newKernel(sched, o, nil)
 		defer k.Env.Close()
 		pr := k.Spawn("w", 2, func(p *sim.Proc, pr *vfs.Process) {
@@ -35,7 +35,7 @@ func Table1(o Options) *Table {
 			}
 			k.VFS.Write(p, pr, f, 0, 4<<20)
 		})
-		seen := false
+		seen := 0.0
 		k.Block.OnAdd(func(r *block.Request) {
 			if r.Op != device.Write || r.Journal {
 				return
@@ -43,51 +43,43 @@ func Table1(o Options) *Table {
 			if split {
 				// Split view: the request's cause tags name the writer.
 				if r.Causes.Contains(pr.PID()) {
-					seen = true
+					seen = 1
 				}
 			} else {
 				// Block view: only the submitter is visible; delegated
 				// writeback appears as the writeback task, so the writer is
 				// mapped only if it submitted the I/O itself.
 				if r.Submitter == pr.PID() {
-					seen = true
+					seen = 1
 				}
 			}
 		})
 		k.Run(o.dur(30 * time.Second))
 		return seen
 	}
-	blockMaps := causeMapped("cfq", false)
-	splitMaps := causeMapped("afq", true)
 
 	// Cost estimation probe: under each token scheduler, is a random
 	// writer throttled harder than a sequential writer at equal byte rate?
-	costAware := func(sched string) bool {
-		rate := func(random bool) float64 {
-			k := newKernel(sched, o, nil)
-			defer k.Env.Close()
-			limit(k, "b", 10<<20)
-			fb := k.FS.MkFileContiguous("/b", 2<<30)
-			b := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {
-				pr.Ctx.Account = "b"
-				if random {
-					workload.RandWriter(k, p, pr, fb, 4096, 2<<30)
-				} else {
-					workload.RunWriter(k, p, pr, fb, 4<<20)
-				}
-			})
-			k.Run(o.dur(3 * time.Second))
-			return measure(k, o.dur(10*time.Second), b)[0]
-		}
-		seq, rnd := rate(false), rate(true)
-		return rnd < seq/4 // random must be charged much more per byte
+	rate := func(sched string, random bool) float64 {
+		k := newKernel(sched, o, nil)
+		defer k.Env.Close()
+		limit(k, "b", 10<<20)
+		fb := k.FS.MkFileContiguous("/b", 2<<30)
+		b := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {
+			pr.Ctx.Account = "b"
+			if random {
+				workload.RandWriter(k, p, pr, fb, 4096, 2<<30)
+			} else {
+				workload.RunWriter(k, p, pr, fb, 4<<20)
+			}
+		})
+		k.Run(o.dur(3 * time.Second))
+		return measure(k, o.dur(10*time.Second), b)[0]
 	}
-	scsCost := costAware("scs-token")
-	splitCost := costAware("split-token")
 
 	// Reordering probe: with a big buffered backlog from B, can A's tiny
 	// fsync finish fast? (Block level cannot: journal ordering.)
-	reorders := func(sched string) bool {
+	reorders := func(sched string) float64 {
 		k := newKernel(sched, o, nil)
 		defer k.Env.Close()
 		fa := k.FS.MkFileContiguous("/a", 64<<20)
@@ -101,36 +93,47 @@ func Table1(o Options) *Table {
 			workload.RandWriteFsync(k, p, pr, fb, 4096, 2<<30, 512)
 		})
 		k.Run(o.dur(30 * time.Second))
-		return a.Fsyncs.Percentile(99) < 500*time.Millisecond
+		return bool2f(a.Fsyncs.Percentile(99) < 500*time.Millisecond)
 	}
-	blockReorders := reorders("block-deadline")
-	splitReorders := reorders("split-deadline")
-
-	mark := func(b bool) string {
-		if b {
+	// Each probe machine is one cell. The cause mapping and reordering
+	// probes return 1 for yes; the cost probes return the writer's MB/s.
+	res := runCells(o, "table1", []cell[float64]{
+		{"probe=cause sched=cfq", func() float64 { return causeMapped("cfq", false) }},
+		{"probe=cause sched=afq", func() float64 { return causeMapped("afq", true) }},
+		{"probe=cost sched=scs-token io=seq", func() float64 { return rate("scs-token", false) }},
+		{"probe=cost sched=scs-token io=rand", func() float64 { return rate("scs-token", true) }},
+		{"probe=cost sched=split-token io=seq", func() float64 { return rate("split-token", false) }},
+		{"probe=cost sched=split-token io=rand", func() float64 { return rate("split-token", true) }},
+		{"probe=reorder sched=block-deadline", func() float64 { return reorders("block-deadline") }},
+		{"probe=reorder sched=split-deadline", func() float64 { return reorders("split-deadline") }},
+	})
+	m := map[string]float64{
+		"block_cause_mapping": res[0],
+		"split_cause_mapping": res[1],
+		// Random writes must be charged much more per byte.
+		"scs_cost_estimation":   bool2f(res[3] < res[2]/4),
+		"split_cost_estimation": bool2f(res[5] < res[4]/4),
+		"block_reordering":      res[6],
+		"split_reordering":      res[7],
+	}
+	mark := func(metric string) string {
+		if m[metric] == 1 {
 			return "yes"
 		}
 		return "NO"
 	}
-	t.Rows = [][]string{
-		{"cause mapping", mark(blockMaps), "yes (caller known)", mark(splitMaps)},
-		{"cost estimation", "yes (below cache)", mark(scsCost), mark(splitCost)},
-		{"reordering", mark(blockReorders), "yes (above journal)", mark(splitReorders)},
+	return &Table{
+		ID:     "table1",
+		Title:  "Table 1: framework properties (probed)",
+		Header: []string{"property", "block (CFQ)", "syscall (SCS)", "split (AFQ/Split-Token)"},
+		Rows: [][]string{
+			{"cause mapping", mark("block_cause_mapping"), "yes (caller known)", mark("split_cause_mapping")},
+			{"cost estimation", "yes (below cache)", mark("scs_cost_estimation"), mark("split_cost_estimation")},
+			{"reordering", mark("block_reordering"), "yes (above journal)", mark("split_reordering")},
+		},
+		Notes:   "Probed dynamically; paper Table 1: block = {no, yes, no}, syscall = {yes, no, yes}, split = {yes, yes, yes}.",
+		Metrics: m,
 	}
-	t.Notes = "Probed dynamically; paper Table 1: block = {no, yes, no}, syscall = {yes, no, yes}, split = {yes, yes, yes}."
-	bool2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	t.Metrics["block_cause_mapping"] = bool2f(blockMaps)
-	t.Metrics["split_cause_mapping"] = bool2f(splitMaps)
-	t.Metrics["scs_cost_estimation"] = bool2f(scsCost)
-	t.Metrics["split_cost_estimation"] = bool2f(splitCost)
-	t.Metrics["block_reordering"] = bool2f(blockReorders)
-	t.Metrics["split_reordering"] = bool2f(splitReorders)
-	return t
 }
 
 // Table2 lists the split framework's hooks (paper Table 2).

@@ -1,9 +1,8 @@
 // Race-focused tests of the sweep runner: serial and parallel runs must
 // produce byte-identical merged output, and a panicking cell must surface
 // as that cell's error (not a deadlock). The exp-backed tests at the bottom
-// pin the end-to-end acceptance claim: the output of crashsweep, report and
-// every other experiment that dispatches cells is byte-identical at -j 1
-// and -j 8.
+// pin the end-to-end acceptance claim: the output of report and of every
+// experiment is byte-identical at -j 1 and -j 8.
 //
 // The package is sweep_test (external) so it can import exp without a
 // cycle; run with `go test -race` to make the pool's synchronization — and
@@ -132,28 +131,6 @@ func small(r *sweep.Runner) exp.Options {
 	return exp.Options{Scale: 0.05, Seed: 1, Runner: r}
 }
 
-// TestCrashSweepParallelMatchesSerial is the acceptance golden: the full
-// fault-injection crashsweep merged at -j 8 must be byte-identical to -j 1.
-// The Table (rows, notes, metrics) is compared via its JSON encoding.
-func TestCrashSweepParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crashsweep golden is slow; run without -short")
-	}
-	serialTab := exp.CrashSweep(small(&sweep.Runner{Workers: 1}))
-	parallelTab := exp.CrashSweep(small(&sweep.Runner{Workers: 8}))
-	serial, err := json.Marshal(serialTab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := json.Marshal(parallelTab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("crashsweep -j8 output differs from -j1:\nserial:   %s\nparallel: %s", serial, parallel)
-	}
-}
-
 // TestBuildReportParallelMatchesSerial pins the same property for the
 // report pipeline, including its JSON archive form.
 func TestBuildReportParallelMatchesSerial(t *testing.T) {
@@ -173,21 +150,17 @@ func TestBuildReportParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestCellExperimentsParallelMatchSerial pins the same property for the
-// other experiments that dispatch sweep cells (slo has its own test in
-// internal/exp): each table (rows, notes, metrics) at -j 8 must be
+// TestCellExperimentsParallelMatchSerial pins the same property for every
+// experiment: each table (rows, notes, metrics) at -j 8 must be
 // byte-identical to -j 1. Scale 0.05 clamps every measurement window to
 // the 1 s minimum, which keeps each experiment's shape.
 func TestCellExperimentsParallelMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cell-experiment goldens are slow; run without -short")
 	}
-	for _, id := range []string{"fig11", "gcsweep", "inversion", "abl-prompt", "abl-xfsfull", "abl-cowgc"} {
+	for _, e := range exp.All {
+		id := e.ID
 		t.Run(id, func(t *testing.T) {
-			e, ok := exp.ByID(id)
-			if !ok {
-				t.Fatalf("unknown experiment %s", id)
-			}
 			marshal := func(workers int) []byte {
 				b, err := json.Marshal(e.Run(small(&sweep.Runner{Workers: workers})))
 				if err != nil {

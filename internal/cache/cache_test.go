@@ -1,9 +1,13 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,13 +74,62 @@ func TestMarkDirtyAndCounts(t *testing.T) {
 	}
 }
 
+// hookFixture returns the pages testdata/hook_pages.txt records for
+// scenario, one line per page a memory hook covered, in firing order:
+// "dirty INO IDX fresh|overwrite" or "free INO IDX".
+func hookFixture(t *testing.T, scenario string) []string {
+	t.Helper()
+	data, err := os.ReadFile("testdata/hook_pages.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, ln := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(ln, scenario+" "); ok {
+			out = append(out, rest)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("testdata/hook_pages.txt has no lines for %s", scenario)
+	}
+	return out
+}
+
+// checkHookPages compares the pages the hooks covered with the fixture.
+func checkHookPages(t *testing.T, scenario string, got []string) {
+	t.Helper()
+	if want := hookFixture(t, scenario); !slices.Equal(got, want) {
+		t.Fatalf("%s: hooks covered\n%s\nwant\n%s", scenario, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// pageHooks returns hooks that log every page they cover in the fixture's
+// form.
+func pageHooks(log *[]string) MemHooks {
+	return MemHooks{
+		BufferDirty: func(ino, idx int64, now, prev causes.Set) {
+			kind := "fresh"
+			if !prev.Empty() {
+				kind = "overwrite"
+			}
+			*log = append(*log, fmt.Sprintf("dirty %d %d %s", ino, idx, kind))
+		},
+		BufferFree: func(ino, idx int64, cs causes.Set) {
+			*log = append(*log, fmt.Sprintf("free %d %d", ino, idx))
+		},
+	}
+}
+
 func TestBufferDirtyHook(t *testing.T) {
 	env, c := newTestCache(smallConfig())
 	defer env.Close()
 	var fresh, overwrite int
 	var lastPrev causes.Set
+	var log []string
+	logHooks := pageHooks(&log)
 	c.SetHooks(MemHooks{
 		BufferDirty: func(ino, idx int64, now, prev causes.Set) {
+			logHooks.BufferDirty(ino, idx, now, prev)
 			if prev.Empty() {
 				fresh++
 			} else {
@@ -93,6 +146,7 @@ func TestBufferDirtyHook(t *testing.T) {
 	if !lastPrev.Equal(causes.Of(10)) {
 		t.Fatalf("prev causes = %v", lastPrev)
 	}
+	checkHookPages(t, "bufferdirty", log)
 }
 
 func TestCauseUnionOnSharedPage(t *testing.T) {
@@ -162,16 +216,14 @@ func TestTagAccounting(t *testing.T) {
 func TestFreeFileFiresBufferFree(t *testing.T) {
 	env, c := newTestCache(smallConfig())
 	defer env.Close()
-	freed := 0
-	c.SetHooks(MemHooks{BufferFree: func(ino, idx int64, cs causes.Set) { freed++ }})
+	var log []string
+	c.SetHooks(MemHooks{BufferFree: pageHooks(&log).BufferFree})
 	ctx := testCtx(10)
 	c.MarkDirty(ctx, 1, 0)
 	c.MarkDirty(ctx, 1, 1)
 	c.InsertClean(1, 2)
 	c.FreeFile(1)
-	if freed != 2 {
-		t.Fatalf("buffer-free fired %d times, want 2 (dirty pages only)", freed)
-	}
+	checkHookPages(t, "freefile", log) // the dirty pages only
 	if c.DirtyPagesCount() != 0 {
 		t.Fatal("dirty pages remain after FreeFile")
 	}
@@ -407,7 +459,9 @@ func TestRedirtyDuringFlightCountsAgain(t *testing.T) {
 // with MarkDirtyRange and once page by page. Both must fire the same
 // buffer-dirty hooks and trace events in the same order, across chunk
 // boundaries, overwrites and evictions, but the range counts one cache
-// probe.
+// probe. The pages the hooks cover, and those buffer-free covers when the
+// file is then freed, must match the "range" lines of
+// testdata/hook_pages.txt.
 func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
 	type dirtied struct {
 		ino, idx  int64
@@ -417,7 +471,7 @@ func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
 	perf.Enable()
 	defer perf.ResetForTest()
 	const first, last = 55, 140
-	run := func(mark func(c *Cache, ctx *ioctx.Ctx)) ([]dirtied, []trace.Event, int64) {
+	run := func(mark func(c *Cache, ctx *ioctx.Ctx)) ([]dirtied, []trace.Event, int64, []string) {
 		cfg := smallConfig()
 		cfg.TotalPages = 96
 		env, c := newTestCache(cfg)
@@ -432,9 +486,15 @@ func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
 			c.MarkDirty(testCtx(10), 1, i)
 		}
 		var got []dirtied
-		c.SetHooks(MemHooks{BufferDirty: func(ino, idx int64, now, prev causes.Set) {
-			got = append(got, dirtied{ino, idx, now, prev})
-		}})
+		var log []string
+		logHooks := pageHooks(&log)
+		c.SetHooks(MemHooks{
+			BufferDirty: func(ino, idx int64, now, prev causes.Set) {
+				logHooks.BufferDirty(ino, idx, now, prev)
+				got = append(got, dirtied{ino, idx, now, prev})
+			},
+			BufferFree: logHooks.BufferFree,
+		})
 		tr := trace.New()
 		var events collectSink
 		tr.Attach(&events)
@@ -449,21 +509,28 @@ func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
 		if c.Peek(2, 0) {
 			t.Fatal("the range evicted no page")
 		}
-		return got, events, calls
+		dirtyEvents := len(events)
+		c.FreeFile(1)
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		return got, events[:dirtyEvents], calls, log
 	}
-	rangeHooks, rangeEvents, rangeCalls := run(func(c *Cache, ctx *ioctx.Ctx) {
+	rangeHooks, rangeEvents, rangeCalls, rangeLog := run(func(c *Cache, ctx *ioctx.Ctx) {
 		if n := c.MarkDirtyRange(ctx, 1, first, last); n != 3 {
 			t.Fatalf("MarkDirtyRange overwrote %d pages, want 3", n)
 		}
 	})
-	pageHooks, pageEvents, pageCalls := run(func(c *Cache, ctx *ioctx.Ctx) {
+	perPageHooks, pageEvents, pageCalls, pageLog := run(func(c *Cache, ctx *ioctx.Ctx) {
 		for i := int64(first); i <= last; i++ {
 			c.MarkDirty(ctx, 1, i)
 		}
 	})
-	if len(rangeHooks) != last-first+1 || !reflect.DeepEqual(rangeHooks, pageHooks) {
-		t.Fatalf("buffer-dirty hooks differ:\nrange    %v\nper page %v", rangeHooks, pageHooks)
+	if len(rangeHooks) != last-first+1 || !reflect.DeepEqual(rangeHooks, perPageHooks) {
+		t.Fatalf("buffer-dirty hooks differ:\nrange    %v\nper page %v", rangeHooks, perPageHooks)
 	}
+	checkHookPages(t, "range", rangeLog)
+	checkHookPages(t, "range", pageLog)
 	if len(rangeEvents) != last-first+1 || !reflect.DeepEqual(rangeEvents, pageEvents) {
 		t.Fatalf("dirty trace events differ:\nrange    %v\nper page %v", rangeEvents, pageEvents)
 	}

@@ -1,11 +1,12 @@
-// Schedule goldens at experiment granularity: fig11, inversion, and
-// crashsweep run end to end and everything observable — the rendered
-// table, the cross-layer trace hash, the attribution report, and the
-// sampled metrics dump — is digested and compared with the committed
-// testdata/schedule_goldens.txt. The schedtest property matrix pins the
-// schedule on a controlled workload; this pins it on the paper's real
-// experiment cells, with writeback, journal commits, COW GC, fault
-// injection, and the full scheduler set in play.
+// Schedule goldens at experiment granularity: fig11, inversion,
+// crashsweep and abl-prompt (Split-Token's prompt charging) run end to end
+// and everything observable — the rendered table, the cross-layer trace
+// hash, the attribution report, and the sampled metrics dump — is digested
+// and compared with the committed testdata/schedule_goldens.txt. The
+// schedtest property matrix pins the schedule on a controlled workload;
+// this pins it on the paper's real experiment cells, with writeback,
+// journal commits, COW GC, fault injection, and the full scheduler set in
+// play.
 
 package exp
 
@@ -78,12 +79,12 @@ func goldenPayload(t *testing.T, id string) string {
 
 // TestScheduleGoldens checks each experiment's payload digests against the
 // committed goldens. Table JSON covers every cell result (fig11 throughput
-// shares, inversion counts, crashsweep replay verdicts); the trace hash
-// covers the virtual-time schedule itself; the attr report and metrics
-// dump cover the derived observability planes.
+// shares, inversion counts, crashsweep replay verdicts, Split-Token's
+// admitted burst); the trace hash covers the virtual-time schedule itself;
+// the attr report and metrics dump cover the derived observability planes.
 func TestScheduleGoldens(t *testing.T) {
 	goldens := schedtest.LoadGoldens(t, "testdata/schedule_goldens.txt")
-	for _, id := range []string{"fig11", "inversion", "crashsweep"} {
+	for _, id := range []string{"fig11", "inversion", "crashsweep", "abl-prompt"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			goldens.Check(t, fmt.Sprintf("%s/scale=%g", id, goldenScale()), goldenPayload(t, id))

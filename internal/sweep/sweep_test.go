@@ -12,6 +12,8 @@ package sweep_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -19,6 +21,7 @@ import (
 	"time"
 
 	"splitio/internal/exp"
+	"splitio/internal/schedtest"
 	"splitio/internal/sim"
 	"splitio/internal/sweep"
 )
@@ -153,11 +156,14 @@ func TestBuildReportParallelMatchesSerial(t *testing.T) {
 // TestCellExperimentsParallelMatchSerial pins the same property for every
 // experiment: each table (rows, notes, metrics) at -j 8 must be
 // byte-identical to -j 1. Scale 0.05 clamps every measurement window to
-// the 1 s minimum, which keeps each experiment's shape.
+// the 1 s minimum, which keeps each experiment's shape. The serial table's
+// SHA-256 must also match its line in testdata/experiment_digests.txt, so
+// the payload of every experiment is pinned, not only its -j invariance.
 func TestCellExperimentsParallelMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cell-experiment goldens are slow; run without -short")
 	}
+	goldens := schedtest.LoadGoldens(t, "testdata/experiment_digests.txt")
 	for _, e := range exp.All {
 		id := e.ID
 		t.Run(id, func(t *testing.T) {
@@ -168,9 +174,12 @@ func TestCellExperimentsParallelMatchSerial(t *testing.T) {
 				}
 				return b
 			}
-			if serial, parallel := marshal(1), marshal(8); !bytes.Equal(serial, parallel) {
+			serial, parallel := marshal(1), marshal(8)
+			if !bytes.Equal(serial, parallel) {
 				t.Errorf("%s -j8 output differs from -j1:\nserial:   %s\nparallel: %s", id, serial, parallel)
 			}
+			sum := sha256.Sum256(serial)
+			goldens.Check(t, id+"/scale=0.05/seed=1", "sha256="+hex.EncodeToString(sum[:]))
 		})
 	}
 }

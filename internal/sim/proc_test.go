@@ -58,6 +58,36 @@ func TestCloseEndsProcessGoroutines(t *testing.T) {
 	}
 }
 
+// TestFinishedProcessReleasesBody checks that a process that has returned
+// no longer keeps its body reachable: an object only the body's closure
+// captures is collected while the Env is still open.
+func TestFinishedProcessReleasesBody(t *testing.T) {
+	e := NewEnv(1)
+	defer e.Close()
+	collected := make(chan struct{})
+	func() {
+		captured := new([64]byte)
+		runtime.SetFinalizer(captured, func(*[64]byte) { close(collected) })
+		e.Go("finished", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			captured[0]++
+		})
+	}()
+	e.RunAll()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a finished process's body closure is still reachable before Close")
+		}
+	}
+}
+
 // TestProcPanicSurfacesFromRun recovers a process body's panic from RunAll:
 // the message names the process, the virtual time and the value, carries
 // the body's own stack, and the loop is no longer inside the process.

@@ -283,7 +283,9 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
 		defer func() {
-			p.dead = true
+			// Drop the coroutine, whose start function holds fn and all
+			// it captures, so a finished body is garbage before Close.
+			p.dead, p.next, p.yield = true, nil, nil
 			if r := recover(); r != nil {
 				if _, ok := r.(procKilled); !ok {
 					// next re-raises this on the event loop's side, where

@@ -50,22 +50,31 @@ func DefaultConfig() Config {
 	}
 }
 
-// MemHooks are the split framework's memory-level notifications. Any field
-// may be nil.
+// MemHooks are the split framework's memory-level notifications (paper
+// §4.2). A hook fires once per chunk run: the pages one call covers within
+// one aligned chunk of ChunkPages pages, named by the chunk's first page
+// index base and a mask whose bit b stands for page base+b. A call's runs
+// fire in index order, and a hook takes its pages in index order. Hooks
+// must not record trace events or schedule events: the cache records its
+// per-page events itself, so traces and schedules are the same as if the
+// hooks fired page by page. Any field may be nil.
 type MemHooks struct {
-	// BufferDirty fires when a page is dirtied. prev is the previous cause
-	// set when an already-dirty buffer is overwritten (paper: the scheduler
-	// may shift responsibility to the last writer), empty for a fresh dirty.
-	BufferDirty func(ino, idx int64, now causes.Set, prev causes.Set)
-	// BufferFree fires when a dirty page is discarded before writeback.
-	BufferFree func(ino, idx int64, c causes.Set)
+	// BufferDirty fires after MarkDirtyRange dirties a chunk run on behalf
+	// of the writer's cause set cs. pages marks the run, and overwrite the
+	// pages of it that were already dirty (the paper: the scheduler may
+	// shift responsibility to the last writer). No scheduler reads an
+	// overwritten page's previous causes, so the hook does not carry them.
+	BufferDirty func(ino, base int64, pages, overwrite uint64, cs causes.Set)
+	// BufferFree fires after FreeFile discards a chunk's dirty pages before
+	// writeback; freed marks them.
+	BufferFree func(ino, base int64, freed uint64)
 }
 
-// chunkShift sets the page-table chunk size: a file's pages are grouped in
-// aligned runs of 1<<chunkShift pages, so one chunk's state fits a uint64.
+// ChunkShift sets the page-table chunk size: a file's pages are grouped in
+// aligned runs of 1<<ChunkShift pages, so one chunk's state fits a uint64.
 const (
-	chunkShift = 6
-	chunkPages = 1 << chunkShift
+	ChunkShift = 6
+	ChunkPages = 1 << ChunkShift
 )
 
 // page is one resident page. A clean page sits on the cache's LRU ring; a
@@ -78,8 +87,8 @@ type page struct {
 	prev, next *page // LRU ring links, nil while dirty; next links the free list
 }
 
-// chunk is the state of one aligned run of chunkPages pages of a file. Bit b
-// of present (dirty) is page key<<chunkShift + b. pages holds only the
+// chunk is the state of one aligned run of ChunkPages pages of a file. Bit b
+// of present (dirty) is page key<<ChunkShift + b. pages holds only the
 // resident pages, in index order, so a file read at random costs one slot
 // per resident page rather than a whole chunk: page b is
 // pages[rank(present, b)].
@@ -120,7 +129,7 @@ func (f *file) chunk(key int64) *chunk {
 
 // page returns f's resident page idx, or nil.
 func (f *file) page(idx int64) *page {
-	ch, b := f.chunk(idx>>chunkShift), uint(idx&(chunkPages-1))
+	ch, b := f.chunk(idx>>ChunkShift), uint(idx&(ChunkPages-1))
 	if ch == nil || ch.present&(1<<b) == 0 {
 		return nil
 	}
@@ -161,7 +170,7 @@ type Cache struct {
 	files    map[int64]*file
 	lru      page  // sentinel of the ring of clean pages; lru.next is least recent
 	resident int64 // pages across all files
-	free     *page // page free list, carved from chunkPages-page slabs
+	free     *page // page free list, carved from ChunkPages-page slabs
 
 	dirtyCount int64
 	// order is the round-robin writeback order: every file dirtied since
@@ -334,7 +343,7 @@ func (c *Cache) LookupRun(ino, first, last int64) (n int64, hit bool) {
 		return n, false
 	}
 	for idx := first; idx <= last; {
-		ch, b := f.chunk(idx>>chunkShift), uint(idx&(chunkPages-1))
+		ch, b := f.chunk(idx>>ChunkShift), uint(idx&(ChunkPages-1))
 		var present uint64
 		if ch != nil {
 			present = ch.present
@@ -346,7 +355,7 @@ func (c *Cache) LookupRun(ino, first, last int64) (n int64, hit bool) {
 		if !hit {
 			same = ^same
 		}
-		k := min(int64(bits.TrailingZeros64(^same)), chunkPages-int64(b), last-idx+1)
+		k := min(int64(bits.TrailingZeros64(^same)), ChunkPages-int64(b), last-idx+1)
 		if k == 0 {
 			break // the run ended at the previous chunk's last page
 		}
@@ -356,7 +365,7 @@ func (c *Cache) LookupRun(ino, first, last int64) (n int64, hit bool) {
 		}
 		idx += k
 		n += k
-		if int64(b)+k < chunkPages {
+		if int64(b)+k < ChunkPages {
 			break // the run ends inside this chunk
 		}
 	}
@@ -399,7 +408,7 @@ func (c *Cache) fileOf(ino int64) *file {
 
 // add makes page idx of f resident, creating its chunk if needed.
 func (c *Cache) add(f *file, idx int64) *page {
-	key, b := idx>>chunkShift, uint(idx&(chunkPages-1))
+	key, b := idx>>ChunkShift, uint(idx&(ChunkPages-1))
 	ch := f.chunk(key)
 	if ch == nil {
 		ch = &chunk{file: f, key: key}
@@ -418,7 +427,7 @@ func (c *Cache) add(f *file, idx int64) *page {
 // drop makes the clean page pg, already off the LRU ring, non-resident,
 // freeing its chunk if it empties.
 func (c *Cache) drop(pg *page) {
-	ch, b := pg.ch, uint(pg.idx&(chunkPages-1))
+	ch, b := pg.ch, uint(pg.idx&(ChunkPages-1))
 	i := rank(ch.present, b)
 	ch.pages = slices.Delete(ch.pages, i, i+1)
 	ch.present &^= 1 << b
@@ -435,10 +444,10 @@ func (c *Cache) drop(pg *page) {
 }
 
 // allocPage takes a page from the free list, carving a new slab of
-// chunkPages pages when it is empty: one allocation per 64 pages.
+// ChunkPages pages when it is empty: one allocation per 64 pages.
 func (c *Cache) allocPage() *page {
 	if c.free == nil {
-		slab := make([]page, chunkPages)
+		slab := make([]page, ChunkPages)
 		for i := range slab {
 			slab[i].next = c.free
 			c.free = &slab[i]
@@ -520,9 +529,9 @@ func (c *Cache) MarkDirty(ctx *ioctx.Ctx, ino, idx int64) bool {
 }
 
 // MarkDirtyRange dirties pages first..last of ino on behalf of ctx in index
-// order, firing the buffer-dirty hook for each page, and returns how many
-// were already dirty. The profiling probe, the file lookup and the cause
-// set are paid once per call, not per page.
+// order, firing the buffer-dirty hook once per chunk run, and returns how
+// many were already dirty. The profiling probe, the file lookup and the
+// cause set are paid once per call, not per page.
 func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 	perf.Count(perf.BucketCache)
 	if first > last {
@@ -531,50 +540,57 @@ func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 	f := c.fileOf(ino)
 	newCauses := ctx.Causes()
 	overwrites := 0
-	for idx := first; idx <= last; idx++ {
-		pg, b := f.page(idx), uint(idx&(chunkPages-1))
-		overwrite := pg != nil && pg.ch.dirty&(1<<b) != 0
-		prev, label := causes.None, ""
-		if overwrite {
-			overwrites++
-			prev, label = pg.wcauses, "overwrite"
-			c.tagBytes -= int64(prev.TagBytes())
-			pg.wcauses = prev.Union(newCauses)
-		} else {
-			if pg == nil {
-				c.evictIfFull()
-				pg = c.add(f, idx)
+	for idx := first; idx <= last; {
+		base := idx &^ (ChunkPages - 1)
+		end := min(last, base+ChunkPages-1)
+		var pages, overwrite uint64
+		for ; idx <= end; idx++ {
+			pg, b := f.page(idx), uint(idx-base)
+			pages |= 1 << b
+			isOverwrite := pg != nil && pg.ch.dirty&(1<<b) != 0
+			label := ""
+			if isOverwrite {
+				overwrites++
+				overwrite |= 1 << b
+				label = "overwrite"
+				c.tagBytes -= int64(pg.wcauses.TagBytes())
+				pg.wcauses = pg.wcauses.Union(newCauses)
 			} else {
-				c.lruUnlink(pg)
+				if pg == nil {
+					c.evictIfFull()
+					pg = c.add(f, idx)
+				} else {
+					c.lruUnlink(pg)
+				}
+				pg.wcauses = newCauses
+				ch := pg.ch
+				if ch.dirty == 0 {
+					heap.Push(&f.dirty, ch)
+				}
+				ch.dirty |= 1 << b
+				f.ndirty++
+				c.dirtyCount++
+				if !f.queued {
+					f.queued = true
+					c.order = append(c.order, f)
+				}
 			}
-			pg.wcauses = newCauses
-			ch := pg.ch
-			if ch.dirty == 0 {
-				heap.Push(&f.dirty, ch)
+			c.tagBytes += int64(pg.wcauses.TagBytes())
+			c.noteTagMax()
+			if c.tr.Enabled() {
+				now := c.env.Now()
+				c.tr.Record(trace.Event{
+					Layer: trace.LayerCache, Op: trace.OpDirty, Label: label,
+					Req: ctx.Req, PID: ctx.PID, Causes: pg.wcauses,
+					Start: now, End: now, Ino: ino, Page: idx,
+				})
 			}
-			ch.dirty |= 1 << b
-			f.ndirty++
-			c.dirtyCount++
-			if !f.queued {
-				f.queued = true
-				c.order = append(c.order, f)
+			if !isOverwrite && c.dirtyCount > c.bgThreshold() {
+				c.wbWake.Signal()
 			}
 		}
-		c.tagBytes += int64(pg.wcauses.TagBytes())
-		c.noteTagMax()
 		if c.hooks.BufferDirty != nil {
-			c.hooks.BufferDirty(ino, idx, pg.wcauses, prev)
-		}
-		if c.tr.Enabled() {
-			now := c.env.Now()
-			c.tr.Record(trace.Event{
-				Layer: trace.LayerCache, Op: trace.OpDirty, Label: label,
-				Req: ctx.Req, PID: ctx.PID, Causes: pg.wcauses,
-				Start: now, End: now, Ino: ino, Page: idx,
-			})
-		}
-		if !overwrite && c.dirtyCount > c.bgThreshold() {
-			c.wbWake.Signal()
+			c.hooks.BufferDirty(ino, base, pages, overwrite, newCauses)
 		}
 	}
 	return overwrites
@@ -626,24 +642,29 @@ func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) 
 	return idxs, tags
 }
 
-// FreeFile drops every page of ino, firing buffer-free hooks for dirty
-// pages (I/O work that vanished before writeback) in index order.
+// FreeFile drops every page of ino, firing the buffer-free hook for the
+// dirty pages (I/O work that vanished before writeback) once per chunk, in
+// index order.
 func (c *Cache) FreeFile(ino int64) {
 	if f := c.files[ino]; f != nil {
 		for f.ndirty > 0 {
-			pg := c.popDirty(f)
+			ch := f.dirty[0]
+			freed := ch.dirty
+			for ch.dirty != 0 {
+				pg := c.popDirty(f)
+				if c.tr.Enabled() {
+					now := c.env.Now()
+					c.tr.Record(trace.Event{
+						Layer: trace.LayerCache, Op: trace.OpBufferFree,
+						PID: 0, Causes: pg.wcauses,
+						Start: now, End: now, Ino: ino, Page: pg.idx,
+					})
+				}
+				c.tagBytes -= int64(pg.wcauses.TagBytes())
+			}
 			if c.hooks.BufferFree != nil {
-				c.hooks.BufferFree(ino, pg.idx, pg.wcauses)
+				c.hooks.BufferFree(ino, ch.key<<ChunkShift, freed)
 			}
-			if c.tr.Enabled() {
-				now := c.env.Now()
-				c.tr.Record(trace.Event{
-					Layer: trace.LayerCache, Op: trace.OpBufferFree,
-					PID: 0, Causes: pg.wcauses,
-					Start: now, End: now, Ino: ino, Page: pg.idx,
-				})
-			}
-			c.tagBytes -= int64(pg.wcauses.TagBytes())
 		}
 		//splitlint:ignore maporder unlinking and freeing in any order leaves the same ring and free page count
 		for _, ch := range f.chunks {
@@ -703,7 +724,7 @@ func (c *Cache) CheckConsistency() error {
 			}
 			for i, m := 0, ch.present; m != 0; i, m = i+1, m&(m-1) {
 				b := uint(bits.TrailingZeros64(m))
-				pg, idx := ch.pages[i], key<<chunkShift+int64(b)
+				pg, idx := ch.pages[i], key<<ChunkShift+int64(b)
 				if pg.ch != ch || pg.idx != idx {
 					return fmt.Errorf("cache: slot of page (%d,%d) holds page %d of another chunk", ino, idx, pg.idx)
 				}
@@ -781,9 +802,9 @@ func (c *Cache) CheckConsistency() error {
 // residentClean reports whether pg is a resident clean page in its chunk's
 // slot.
 func (c *Cache) residentClean(pg *page) bool {
-	ch, b := pg.ch, uint(pg.idx&(chunkPages-1))
+	ch, b := pg.ch, uint(pg.idx&(ChunkPages-1))
 	return ch != nil && c.files[ch.file.ino] == ch.file && ch.file.chunks[ch.key] == ch &&
-		pg.idx>>chunkShift == ch.key && ch.present&^ch.dirty&(1<<b) != 0 &&
+		pg.idx>>ChunkShift == ch.key && ch.present&^ch.dirty&(1<<b) != 0 &&
 		ch.pages[rank(ch.present, b)] == pg
 }
 

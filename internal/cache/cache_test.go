@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"reflect"
@@ -103,50 +104,68 @@ func checkHookPages(t *testing.T, scenario string, got []string) {
 	}
 }
 
-// pageHooks returns hooks that log every page they cover in the fixture's
-// form.
-func pageHooks(log *[]string) MemHooks {
+// hookCall is one firing of a memory hook: op is "dirty" or "free", and
+// overwrite is zero for buffer-free.
+type hookCall struct {
+	op               string
+	ino, base        int64
+	pages, overwrite uint64
+	cs               causes.Set
+}
+
+// logHooks returns hooks that append each call to calls.
+func logHooks(calls *[]hookCall) MemHooks {
 	return MemHooks{
-		BufferDirty: func(ino, idx int64, now, prev causes.Set) {
-			kind := "fresh"
-			if !prev.Empty() {
-				kind = "overwrite"
-			}
-			*log = append(*log, fmt.Sprintf("dirty %d %d %s", ino, idx, kind))
+		BufferDirty: func(ino, base int64, pages, overwrite uint64, cs causes.Set) {
+			*calls = append(*calls, hookCall{"dirty", ino, base, pages, overwrite, cs})
 		},
-		BufferFree: func(ino, idx int64, cs causes.Set) {
-			*log = append(*log, fmt.Sprintf("free %d %d", ino, idx))
+		BufferFree: func(ino, base int64, freed uint64) {
+			*calls = append(*calls, hookCall{"free", ino, base, freed, 0, causes.None})
 		},
 	}
 }
 
+// expandPages checks that every call covers one chunk run, a contiguous one
+// for buffer-dirty with its overwrites inside it, and lists the pages the
+// calls cover in the fixture's form, in order.
+func expandPages(t *testing.T, calls []hookCall) []string {
+	t.Helper()
+	var out []string
+	for _, hc := range calls {
+		run := hc.pages >> bits.TrailingZeros64(hc.pages)
+		if hc.base%ChunkPages != 0 || hc.pages == 0 || hc.overwrite&^hc.pages != 0 ||
+			(hc.op == "dirty" && run&(run+1) != 0) {
+			t.Fatalf("%s hook call %+v does not cover one chunk run", hc.op, hc)
+		}
+		for m := hc.pages; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			idx := hc.base + int64(b)
+			switch {
+			case hc.op == "free":
+				out = append(out, fmt.Sprintf("free %d %d", hc.ino, idx))
+			case hc.overwrite&(1<<b) != 0:
+				out = append(out, fmt.Sprintf("dirty %d %d overwrite", hc.ino, idx))
+			default:
+				out = append(out, fmt.Sprintf("dirty %d %d fresh", hc.ino, idx))
+			}
+		}
+	}
+	return out
+}
+
+// TestBufferDirtyHook checks that a fresh dirty and an overwrite each fire
+// buffer-dirty with the writer's causes and the page's overwrite bit.
 func TestBufferDirtyHook(t *testing.T) {
 	env, c := newTestCache(smallConfig())
 	defer env.Close()
-	var fresh, overwrite int
-	var lastPrev causes.Set
-	var log []string
-	logHooks := pageHooks(&log)
-	c.SetHooks(MemHooks{
-		BufferDirty: func(ino, idx int64, now, prev causes.Set) {
-			logHooks.BufferDirty(ino, idx, now, prev)
-			if prev.Empty() {
-				fresh++
-			} else {
-				overwrite++
-				lastPrev = prev
-			}
-		},
-	})
+	var calls []hookCall
+	c.SetHooks(logHooks(&calls))
 	c.MarkDirty(testCtx(10), 1, 0)
 	c.MarkDirty(testCtx(11), 1, 0)
-	if fresh != 1 || overwrite != 1 {
-		t.Fatalf("fresh=%d overwrite=%d", fresh, overwrite)
+	if len(calls) != 2 || !calls[0].cs.Equal(causes.Of(10)) || !calls[1].cs.Equal(causes.Of(11)) {
+		t.Fatalf("buffer-dirty calls %+v, want one for each writer with its own causes", calls)
 	}
-	if !lastPrev.Equal(causes.Of(10)) {
-		t.Fatalf("prev causes = %v", lastPrev)
-	}
-	checkHookPages(t, "bufferdirty", log)
+	checkHookPages(t, "bufferdirty", expandPages(t, calls))
 }
 
 func TestCauseUnionOnSharedPage(t *testing.T) {
@@ -216,14 +235,17 @@ func TestTagAccounting(t *testing.T) {
 func TestFreeFileFiresBufferFree(t *testing.T) {
 	env, c := newTestCache(smallConfig())
 	defer env.Close()
-	var log []string
-	c.SetHooks(MemHooks{BufferFree: pageHooks(&log).BufferFree})
+	var calls []hookCall
 	ctx := testCtx(10)
 	c.MarkDirty(ctx, 1, 0)
 	c.MarkDirty(ctx, 1, 1)
 	c.InsertClean(1, 2)
+	c.SetHooks(logHooks(&calls))
 	c.FreeFile(1)
-	checkHookPages(t, "freefile", log) // the dirty pages only
+	if len(calls) != 1 {
+		t.Fatalf("buffer-free fired %d times for one chunk, want 1", len(calls))
+	}
+	checkHookPages(t, "freefile", expandPages(t, calls)) // the dirty pages only
 	if c.DirtyPagesCount() != 0 {
 		t.Fatal("dirty pages remain after FreeFile")
 	}
@@ -456,22 +478,19 @@ func TestRedirtyDuringFlightCountsAgain(t *testing.T) {
 }
 
 // TestMarkDirtyRangeMatchesPerPage dirties one range on twin caches, once
-// with MarkDirtyRange and once page by page. Both must fire the same
-// buffer-dirty hooks and trace events in the same order, across chunk
+// with MarkDirtyRange and once page by page, and then frees the file. Both
+// must record the same trace events in the same order, across chunk
 // boundaries, overwrites and evictions, but the range counts one cache
-// probe. The pages the hooks cover, and those buffer-free covers when the
-// file is then freed, must match the "range" lines of
-// testdata/hook_pages.txt.
+// probe and fires buffer-dirty once per chunk run. Expanded page by page,
+// the hooks of either twin must cover the pages the per-page hooks did,
+// the "range" lines of testdata/hook_pages.txt, each with the writer's
+// causes.
 func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
-	type dirtied struct {
-		ino, idx  int64
-		now, prev causes.Set
-	}
 	perf.ResetForTest()
 	perf.Enable()
 	defer perf.ResetForTest()
 	const first, last = 55, 140
-	run := func(mark func(c *Cache, ctx *ioctx.Ctx)) ([]dirtied, []trace.Event, int64, []string) {
+	run := func(mark func(c *Cache, ctx *ioctx.Ctx)) ([]hookCall, []trace.Event, int64) {
 		cfg := smallConfig()
 		cfg.TotalPages = 96
 		env, c := newTestCache(cfg)
@@ -485,16 +504,8 @@ func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
 		for i := int64(62); i <= 66; i += 2 {
 			c.MarkDirty(testCtx(10), 1, i)
 		}
-		var got []dirtied
-		var log []string
-		logHooks := pageHooks(&log)
-		c.SetHooks(MemHooks{
-			BufferDirty: func(ino, idx int64, now, prev causes.Set) {
-				logHooks.BufferDirty(ino, idx, now, prev)
-				got = append(got, dirtied{ino, idx, now, prev})
-			},
-			BufferFree: logHooks.BufferFree,
-		})
+		var calls []hookCall
+		c.SetHooks(logHooks(&calls))
 		tr := trace.New()
 		var events collectSink
 		tr.Attach(&events)
@@ -502,40 +513,46 @@ func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
 		c.SetTracer(tr)
 		before := perf.TakeSnapshot()
 		mark(c, testCtx(11))
-		calls := perf.Delta(before, perf.TakeSnapshot()).Buckets[perf.BucketCache].Calls
+		probes := perf.Delta(before, perf.TakeSnapshot()).Buckets[perf.BucketCache].Calls
 		if err := c.CheckConsistency(); err != nil {
 			t.Fatal(err)
 		}
 		if c.Peek(2, 0) {
 			t.Fatal("the range evicted no page")
 		}
-		dirtyEvents := len(events)
 		c.FreeFile(1)
 		if err := c.CheckConsistency(); err != nil {
 			t.Fatal(err)
 		}
-		return got, events[:dirtyEvents], calls, log
+		for _, hc := range calls {
+			if hc.op == "dirty" && !hc.cs.Equal(causes.Of(11)) {
+				t.Fatalf("buffer-dirty call %+v does not carry the writer's causes", hc)
+			}
+		}
+		return calls, events, probes
 	}
-	rangeHooks, rangeEvents, rangeCalls, rangeLog := run(func(c *Cache, ctx *ioctx.Ctx) {
+	rangeCalls, rangeEvents, rangeProbes := run(func(c *Cache, ctx *ioctx.Ctx) {
 		if n := c.MarkDirtyRange(ctx, 1, first, last); n != 3 {
 			t.Fatalf("MarkDirtyRange overwrote %d pages, want 3", n)
 		}
 	})
-	perPageHooks, pageEvents, pageCalls, pageLog := run(func(c *Cache, ctx *ioctx.Ctx) {
+	pageCalls, pageEvents, pageProbes := run(func(c *Cache, ctx *ioctx.Ctx) {
 		for i := int64(first); i <= last; i++ {
 			c.MarkDirty(ctx, 1, i)
 		}
 	})
-	if len(rangeHooks) != last-first+1 || !reflect.DeepEqual(rangeHooks, perPageHooks) {
-		t.Fatalf("buffer-dirty hooks differ:\nrange    %v\nper page %v", rangeHooks, perPageHooks)
+	checkHookPages(t, "range", expandPages(t, rangeCalls))
+	checkHookPages(t, "range", expandPages(t, pageCalls))
+	// Pages 55..140 span chunks 0, 1 and 2: three buffer-dirty runs, then
+	// three buffer-free runs.
+	if len(rangeCalls) != 6 || len(pageCalls) != last-first+1+3 {
+		t.Fatalf("hooks fired %d times for the range, %d page by page; want 6 and %d", len(rangeCalls), len(pageCalls), last-first+1+3)
 	}
-	checkHookPages(t, "range", rangeLog)
-	checkHookPages(t, "range", pageLog)
-	if len(rangeEvents) != last-first+1 || !reflect.DeepEqual(rangeEvents, pageEvents) {
-		t.Fatalf("dirty trace events differ:\nrange    %v\nper page %v", rangeEvents, pageEvents)
+	if len(rangeEvents) != 2*(last-first+1) || !reflect.DeepEqual(rangeEvents, pageEvents) {
+		t.Fatalf("dirty and free trace events differ:\nrange    %v\nper page %v", rangeEvents, pageEvents)
 	}
-	if rangeCalls != 1 || pageCalls != last-first+1 {
-		t.Fatalf("cache probe counted %d times for the range, %d page by page; want 1 and %d", rangeCalls, pageCalls, last-first+1)
+	if rangeProbes != 1 || pageProbes != last-first+1 {
+		t.Fatalf("cache probe counted %d times for the range, %d page by page; want 1 and %d", rangeProbes, pageProbes, last-first+1)
 	}
 }
 

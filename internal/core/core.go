@@ -359,22 +359,23 @@ func NewWriteEstimator(randBytes float64) *WriteEstimator {
 	}
 }
 
-// Estimate returns the preliminary normalized cost of dirtying page idx of
-// ino and updates the per-file pattern state.
-func (e *WriteEstimator) Estimate(ino, idx int64) float64 {
-	last, seen := e.lastIdx[ino]
-	e.lastIdx[ino] = idx
-	if !seen {
-		return e.SeqBytes
+// EstimateRun returns the preliminary normalized cost of dirtying pages of
+// ino whose lowest index is first and highest last, in index order, and
+// updates the per-file pattern state once. head is the cost of page first,
+// judged by its distance from the last page estimated before; each later
+// page follows its predecessor within the window and costs rest, SeqBytes.
+// It requires last-first <= Window: a cache chunk run satisfies it.
+func (e *WriteEstimator) EstimateRun(ino, first, last int64) (head, rest float64) {
+	if last-first > e.Window {
+		panic("core: EstimateRun pages span more than the window")
 	}
-	d := idx - last
-	if d < 0 {
-		d = -d
+	prev, seen := e.lastIdx[ino]
+	e.lastIdx[ino] = last
+	head = e.SeqBytes
+	if d := first - prev; seen && (d > e.Window || d < -e.Window) {
+		head = e.RandBytes
 	}
-	if d <= e.Window {
-		return e.SeqBytes
-	}
-	return e.RandBytes
+	return head, e.SeqBytes
 }
 
 // Forget clears pattern state for ino (file deleted).

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -119,25 +121,70 @@ func TestNormalizedBytes(t *testing.T) {
 
 func TestWriteEstimator(t *testing.T) {
 	e := NewWriteEstimator(1 << 20)
-	// First touch is charged sequentially.
-	if got := e.Estimate(1, 0); got != e.SeqBytes {
-		t.Fatalf("first = %v", got)
+	// First touch is charged sequentially, and so is the rest of the run.
+	if head, rest := e.EstimateRun(1, 0, 1); head != e.SeqBytes || rest != e.SeqBytes {
+		t.Fatalf("first = %v, %v", head, rest)
 	}
 	// Sequential advance stays cheap.
-	if got := e.Estimate(1, 1); got != e.SeqBytes {
-		t.Fatalf("seq = %v", got)
+	if head, _ := e.EstimateRun(1, 2, 2); head != e.SeqBytes {
+		t.Fatalf("seq = %v", head)
 	}
 	// A big jump is charged as random.
-	if got := e.Estimate(1, 100000); got != 1<<20 {
-		t.Fatalf("rand = %v", got)
+	if head, _ := e.EstimateRun(1, 100000, 100000); head != 1<<20 {
+		t.Fatalf("rand = %v", head)
 	}
 	// Files have independent state.
-	if got := e.Estimate(2, 50); got != e.SeqBytes {
-		t.Fatalf("new file = %v", got)
+	if head, _ := e.EstimateRun(2, 50, 60); head != e.SeqBytes {
+		t.Fatalf("new file = %v", head)
 	}
 	e.Forget(1)
-	if got := e.Estimate(1, 999999); got != e.SeqBytes {
-		t.Fatalf("after Forget = %v", got)
+	if head, _ := e.EstimateRun(1, 999999, 999999); head != e.SeqBytes {
+		t.Fatalf("after Forget = %v", head)
+	}
+}
+
+// TestEstimateRunMatchesPerPage estimates random runs of pages within one
+// cache chunk, some pages skipped, with EstimateRun and with the per-page
+// model it replaces: each page is sequential unless it lies more than
+// Window pages from the page estimated before it in the same file. Every
+// page must cost the same.
+func TestEstimateRunMatchesPerPage(t *testing.T) {
+	e := NewWriteEstimator(1 << 20)
+	lastIdx := map[int64]int64{}
+	perPage := func(ino, idx int64) float64 {
+		last, seen := lastIdx[ino]
+		lastIdx[ino] = idx
+		if d := idx - last; seen && (d > e.Window || d < -e.Window) {
+			return e.RandBytes
+		}
+		return e.SeqBytes
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		ino := 1 + rng.Int63n(3)
+		base := rng.Int63n(8) << 6
+		if rng.Intn(4) == 0 {
+			base = rng.Int63n(1<<20) << 6
+		}
+		pages := rng.Uint64()
+		if pages == 0 {
+			pages = 1
+		}
+		if rng.Intn(20) == 0 {
+			e.Forget(ino)
+			delete(lastIdx, ino)
+		}
+		first := base + int64(bits.TrailingZeros64(pages))
+		last := base + 63 - int64(bits.LeadingZeros64(pages))
+		head, rest := e.EstimateRun(ino, first, last)
+		want := head
+		for m := pages; m != 0; m &= m - 1 {
+			idx := base + int64(bits.TrailingZeros64(m))
+			if got := perPage(ino, idx); got != want {
+				t.Fatalf("run %d: page %d of file %d costs %v per page, %v in the run", i, idx, ino, got, want)
+			}
+			want = rest
+		}
 	}
 }
 

@@ -136,7 +136,7 @@ func (s *Sched) Attach(k *core.Kernel) {
 	})
 	k.Cache.SetHooks(cache.MemHooks{
 		BufferDirty: s.bufferDirty,
-		BufferFree:  func(ino, idx int64, cs causes.Set) { s.pump() },
+		BufferFree:  func(ino, base int64, freed uint64) { s.pump() },
 	})
 	// AFQ drains writeback itself, in stride order.
 	k.Cache.SetPdflushEnabled(false)
@@ -144,12 +144,13 @@ func (s *Sched) Attach(k *core.Kernel) {
 }
 
 // bufferDirty attributes dirty files to their first user-process cause so
-// the pacer knows whose data to drain next.
-func (s *Sched) bufferDirty(ino, idx int64, now causes.Set, prev causes.Set) {
+// the pacer knows whose data to drain next. A file with no owner yet has no
+// user process in any page's causes, so the writer's causes alone decide.
+func (s *Sched) bufferDirty(ino, base int64, pages, overwrite uint64, cs causes.Set) {
 	if _, ok := s.fileOwner[ino]; ok {
 		return
 	}
-	for _, pid := range now.PIDs() {
+	for _, pid := range cs.PIDs() {
 		if pid >= 100 { // user processes
 			s.fileOwner[ino] = pid
 			s.ownerFiles[pid] = append(s.ownerFiles[pid], ino)

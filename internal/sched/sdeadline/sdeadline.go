@@ -20,6 +20,7 @@
 package sdeadline
 
 import (
+	"math/bits"
 	"sort"
 	"time"
 
@@ -147,29 +148,33 @@ func (s *Sched) Attach(k *core.Kernel) {
 }
 
 // bufferDirty maintains the per-file randomness estimate the cost model
-// uses (memory-level accounting: prompt, approximate).
-func (s *Sched) bufferDirty(ino, idx int64, now causes.Set, prev causes.Set) {
+// uses (memory-level accounting: prompt, approximate), page by page in
+// index order.
+func (s *Sched) bufferDirty(ino, base int64, pages, overwrite uint64, cs causes.Set) {
 	st, ok := s.files[ino]
 	if !ok {
 		st = &fileStats{}
 		s.files[ino] = st
 	}
-	if st.seen {
-		d := idx - st.lastIdx
-		if d < 0 {
-			d = -d
+	for m := pages; m != 0; m &= m - 1 {
+		idx := base + int64(bits.TrailingZeros64(m))
+		if st.seen {
+			d := idx - st.lastIdx
+			if d < 0 {
+				d = -d
+			}
+			isRand := 0.0
+			if d > 64 {
+				isRand = 1.0
+			}
+			// float64(...) forces the intermediate rounding so no platform
+			// can fuse the multiply-add (identical results on amd64, which
+			// never fuses, and arm64, which otherwise would).
+			st.randFrac = float64(0.9*st.randFrac) + float64(0.1*isRand)
 		}
-		isRand := 0.0
-		if d > 64 {
-			isRand = 1.0
-		}
-		// float64(...) forces the intermediate rounding so no platform can
-		// fuse the multiply-add (identical results on amd64, which never
-		// fuses, and arm64, which otherwise would).
-		st.randFrac = float64(0.9*st.randFrac) + float64(0.1*isRand)
+		st.lastIdx = idx
+		st.seen = true
 	}
-	st.lastIdx = idx
-	st.seen = true
 }
 
 // pageCost returns the estimated device time to flush one page of ino.

@@ -111,13 +111,13 @@ func TestFullControlDisablesPdflush(t *testing.T) {
 func TestCostModelTracksRandomness(t *testing.T) {
 	k := schedtest.Kernel(t, Factory, nil)
 	s := k.Sched.(*Sched)
-	// Sequential dirties.
+	// Sequential dirties: two chunk runs.
+	s.bufferDirty(1, 0, ^uint64(0), 0, causes.None)
+	s.bufferDirty(1, 64, 1<<36-1, 0, causes.None)
+	// Random dirties: one page per call.
 	for i := int64(0); i < 100; i++ {
-		s.bufferDirty(1, i, causes.None, causes.None)
-	}
-	// Random dirties.
-	for i := int64(0); i < 100; i++ {
-		s.bufferDirty(2, (i*7919)%100000, causes.None, causes.None)
+		idx := (i * 7919) % 100000
+		s.bufferDirty(2, idx&^63, 1<<(idx&63), 0, causes.None)
 	}
 	if s.pageCost(1) >= s.pageCost(2) {
 		t.Fatalf("sequential file cost %v should be below random %v", s.pageCost(1), s.pageCost(2))

@@ -21,6 +21,7 @@
 package stoken
 
 import (
+	"math/bits"
 	"time"
 
 	"splitio/internal/block"
@@ -35,10 +36,18 @@ import (
 	"splitio/internal/vfs"
 )
 
-type prelimCharge struct {
-	account string
-	amount  float64
+// prelimChunk holds the outstanding preliminary charges of one cache chunk
+// of a file: bit b of present marks page chunk<<cache.ChunkShift+b, charged
+// amount[b] to the account acctNames[acct[b]]. It holds no pointers, so the
+// collector never scans it.
+type prelimChunk struct {
+	present uint64
+	acct    [cache.ChunkPages]int32
+	amount  [cache.ChunkPages]float64
 }
+
+// prelimKey names a cache chunk of a file.
+type prelimKey struct{ ino, chunk int64 }
 
 // Sched is the Split-Token scheduler; it is its own block elevator.
 type Sched struct {
@@ -50,11 +59,15 @@ type Sched struct {
 	pidAccount map[causes.PID]string
 
 	est *core.WriteEstimator
-	// prelim holds the outstanding preliminary charges by inode, then page
-	// index. A file's entry goes with its last charge; nprelim counts the
-	// charges across files.
-	prelim  map[int64]map[int64]prelimCharge
-	nprelim int
+	// prelim holds the outstanding preliminary charges per cache chunk. A
+	// chunk's record goes with its last charge, to spare for reuse;
+	// nprelim counts the charges across chunks. acctNames lists the
+	// accounts charged, indexed by acctIdx.
+	prelim    map[prelimKey]*prelimChunk
+	spare     []*prelimChunk
+	nprelim   int
+	acctNames []string
+	acctIdx   map[string]int32
 
 	writeQ []*block.Request
 	readQ  []*block.Request
@@ -96,7 +109,8 @@ func New(env *sim.Env) core.Scheduler {
 		env:             env,
 		accounts:        make(map[string]*tokenbucket.Bucket),
 		pidAccount:      make(map[causes.PID]string),
-		prelim:          make(map[int64]map[int64]prelimCharge),
+		prelim:          make(map[prelimKey]*prelimChunk),
+		acctIdx:         make(map[string]int32),
 		PrelimRandBytes: 256 << 10,
 	}
 }
@@ -170,61 +184,115 @@ func (s *Sched) bucketOf(cs causes.Set) (*tokenbucket.Bucket, string) {
 
 // --- Memory level: prompt preliminary charging ---
 
-func (s *Sched) bufferDirty(ino, idx int64, now causes.Set, prev causes.Set) {
-	if !prev.Empty() {
-		// Overwrite of a dirty buffer: no new disk work, no charge. (The
-		// paper notes the scheduler may shift responsibility to the last
-		// writer; we keep the original charge.)
+// bufferDirty charges the writer's account for the chunk run's freshly
+// dirtied pages, page by page in index order. Overwrites of dirty buffers
+// create no new disk work and cost nothing. (The paper notes the scheduler
+// may shift responsibility to the last writer; we keep the original
+// charge.) A fresh page with a charge outstanding, its earlier write still
+// in flight, has that charge replaced.
+func (s *Sched) bufferDirty(ino, base int64, pages, overwrite uint64, cs causes.Set) {
+	fresh := pages &^ overwrite
+	if fresh == 0 {
 		return
 	}
-	amt := s.est.Estimate(ino, idx)
-	b, acct := s.bucketOf(now)
+	amt, rest := s.est.EstimateRun(ino,
+		base+int64(bits.TrailingZeros64(fresh)), base+cache.ChunkPages-1-int64(bits.LeadingZeros64(fresh)))
+	b, acct := s.bucketOf(cs)
 	if b == nil {
 		return
 	}
-	b.Charge(s.env.Now(), amt)
-	//splitlint:ignore floatdet reviewed: diagnostic total of exactly-rounded charges in deterministic order
-	s.statPrelim += amt
-	fp := s.prelim[ino]
-	if fp == nil {
-		fp = make(map[int64]prelimCharge)
-		s.prelim[ino] = fp
+	now := s.env.Now()
+	pc := s.prelimChunk(prelimKey{ino, base >> cache.ChunkShift})
+	a := s.acctIndex(acct)
+	for m := fresh; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		b.Charge(now, amt)
+		//splitlint:ignore floatdet reviewed: diagnostic total of exactly-rounded charges in deterministic order
+		s.statPrelim += amt
+		pc.acct[i], pc.amount[i] = a, amt
+		amt = rest
 	}
-	if _, ok := fp[idx]; !ok {
-		s.nprelim++
+	s.nprelim += bits.OnesCount64(fresh &^ pc.present)
+	pc.present |= fresh
+}
+
+// prelimChunk returns the charge record of chunk key, making it if needed.
+func (s *Sched) prelimChunk(key prelimKey) *prelimChunk {
+	pc := s.prelim[key]
+	if pc == nil {
+		if n := len(s.spare); n > 0 {
+			pc, s.spare = s.spare[n-1], s.spare[:n-1]
+		} else {
+			pc = new(prelimChunk)
+		}
+		s.prelim[key] = pc
 	}
-	fp[idx] = prelimCharge{account: acct, amount: amt}
+	return pc
+}
+
+// releasePrelim drops chunk key's record once its last charge is taken.
+func (s *Sched) releasePrelim(key prelimKey, pc *prelimChunk) {
+	delete(s.prelim, key)
+	s.spare = append(s.spare, pc)
+}
+
+// acctIndex returns the index of account a in acctNames, adding it if new.
+func (s *Sched) acctIndex(a string) int32 {
+	i, ok := s.acctIdx[a]
+	if !ok {
+		i = int32(len(s.acctNames))
+		s.acctNames = append(s.acctNames, a)
+		s.acctIdx[a] = i
+	}
+	return i
 }
 
 // takePrelim removes the outstanding preliminary charges of ino's pages
 // idxs. It returns their sum, added in idxs order, and the account of the
 // last one found ("" when none was).
 func (s *Sched) takePrelim(ino int64, idxs ...int64) (sum float64, account string) {
-	fp := s.prelim[ino]
-	if fp == nil {
-		return 0, ""
-	}
+	key := prelimKey{ino, -1} // no chunk of a page index is negative
+	var pc *prelimChunk
 	for _, idx := range idxs {
-		if pc, ok := fp[idx]; ok {
-			//splitlint:ignore floatdet reviewed: sums charges recorded in deterministic page order; exactly-rounded
-			sum += pc.amount
-			account = pc.account
-			delete(fp, idx)
-			s.nprelim--
+		if c := idx >> cache.ChunkShift; c != key.chunk {
+			key.chunk = c
+			pc = s.prelim[key]
 		}
-	}
-	if len(fp) == 0 {
-		delete(s.prelim, ino)
+		i := idx & (cache.ChunkPages - 1)
+		if pc == nil || pc.present&(1<<i) == 0 {
+			continue
+		}
+		//splitlint:ignore floatdet reviewed: sums charges recorded in deterministic page order; exactly-rounded
+		sum += pc.amount[i]
+		account = s.acctNames[pc.acct[i]]
+		pc.present &^= 1 << i
+		s.nprelim--
+		if pc.present == 0 {
+			s.releasePrelim(key, pc)
+			pc = nil
+		}
 	}
 	return sum, account
 }
 
-func (s *Sched) bufferFree(ino, idx int64, cs causes.Set) {
-	if amt, acct := s.takePrelim(ino, idx); acct != "" {
-		if b, ok := s.accounts[acct]; ok {
-			b.Refund(s.env.Now(), amt)
-			//splitlint:ignore floatdet reviewed: diagnostic total of exactly-rounded refunds in deterministic order
-			s.statRefunds += amt
+// bufferFree refunds the outstanding preliminary charges of the freed
+// pages, page by page in index order.
+func (s *Sched) bufferFree(ino, base int64, freed uint64) {
+	key := prelimKey{ino, base >> cache.ChunkShift}
+	if pc := s.prelim[key]; pc != nil {
+		now := s.env.Now()
+		taken := freed & pc.present
+		for m := taken; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if b, ok := s.accounts[s.acctNames[pc.acct[i]]]; ok {
+				b.Refund(now, pc.amount[i])
+				//splitlint:ignore floatdet reviewed: diagnostic total of exactly-rounded refunds in deterministic order
+				s.statRefunds += pc.amount[i]
+			}
+		}
+		s.nprelim -= bits.OnesCount64(taken)
+		if pc.present &^= taken; pc.present == 0 {
+			s.releasePrelim(key, pc)
 		}
 	}
 	s.est.Forget(ino)

@@ -216,7 +216,7 @@ func TestAccountingRevision(t *testing.T) {
 }
 
 // checkNoPrelim fails unless every preliminary charge has been revised or
-// refunded and no per-file charge state remains.
+// refunded and no per-chunk charge record remains.
 func checkNoPrelim(t *testing.T, s *Sched) {
 	t.Helper()
 	snap := s.Snapshot()
@@ -224,7 +224,7 @@ func checkNoPrelim(t *testing.T, s *Sched) {
 		t.Fatalf("prelim_charges = %v (reported %v), want 0", n, ok)
 	}
 	if len(s.prelim) != 0 {
-		t.Fatalf("charge state remains for %d files", len(s.prelim))
+		t.Fatalf("charge records remain for %d chunks", len(s.prelim))
 	}
 }
 

@@ -540,57 +540,56 @@ func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 	f := c.fileOf(ino)
 	newCauses := ctx.Causes()
 	overwrites := 0
-	for idx := first; idx <= last; {
-		base := idx &^ (ChunkPages - 1)
-		end := min(last, base+ChunkPages-1)
-		var pages, overwrite uint64
-		for ; idx <= end; idx++ {
-			pg, b := f.page(idx), uint(idx-base)
-			pages |= 1 << b
-			isOverwrite := pg != nil && pg.ch.dirty&(1<<b) != 0
-			label := ""
-			if isOverwrite {
-				overwrites++
-				overwrite |= 1 << b
-				label = "overwrite"
-				c.tagBytes -= int64(pg.wcauses.TagBytes())
-				pg.wcauses = pg.wcauses.Union(newCauses)
+	var run, runOverwrite uint64 // the chunk run so far and its overwrites
+	for idx := first; idx <= last; idx++ {
+		pg, b := f.page(idx), uint(idx&(ChunkPages-1))
+		overwrite := pg != nil && pg.ch.dirty&(1<<b) != 0
+		run |= 1 << b
+		label := ""
+		if overwrite {
+			overwrites++
+			runOverwrite |= 1 << b
+			label = "overwrite"
+			c.tagBytes -= int64(pg.wcauses.TagBytes())
+			pg.wcauses = pg.wcauses.Union(newCauses)
+		} else {
+			if pg == nil {
+				c.evictIfFull()
+				pg = c.add(f, idx)
 			} else {
-				if pg == nil {
-					c.evictIfFull()
-					pg = c.add(f, idx)
-				} else {
-					c.lruUnlink(pg)
-				}
-				pg.wcauses = newCauses
-				ch := pg.ch
-				if ch.dirty == 0 {
-					heap.Push(&f.dirty, ch)
-				}
-				ch.dirty |= 1 << b
-				f.ndirty++
-				c.dirtyCount++
-				if !f.queued {
-					f.queued = true
-					c.order = append(c.order, f)
-				}
+				c.lruUnlink(pg)
 			}
-			c.tagBytes += int64(pg.wcauses.TagBytes())
-			c.noteTagMax()
-			if c.tr.Enabled() {
-				now := c.env.Now()
-				c.tr.Record(trace.Event{
-					Layer: trace.LayerCache, Op: trace.OpDirty, Label: label,
-					Req: ctx.Req, PID: ctx.PID, Causes: pg.wcauses,
-					Start: now, End: now, Ino: ino, Page: idx,
-				})
+			pg.wcauses = newCauses
+			ch := pg.ch
+			if ch.dirty == 0 {
+				heap.Push(&f.dirty, ch)
 			}
-			if !isOverwrite && c.dirtyCount > c.bgThreshold() {
-				c.wbWake.Signal()
+			ch.dirty |= 1 << b
+			f.ndirty++
+			c.dirtyCount++
+			if !f.queued {
+				f.queued = true
+				c.order = append(c.order, f)
 			}
 		}
-		if c.hooks.BufferDirty != nil {
-			c.hooks.BufferDirty(ino, base, pages, overwrite, newCauses)
+		c.tagBytes += int64(pg.wcauses.TagBytes())
+		c.noteTagMax()
+		if c.tr.Enabled() {
+			now := c.env.Now()
+			c.tr.Record(trace.Event{
+				Layer: trace.LayerCache, Op: trace.OpDirty, Label: label,
+				Req: ctx.Req, PID: ctx.PID, Causes: pg.wcauses,
+				Start: now, End: now, Ino: ino, Page: idx,
+			})
+		}
+		if !overwrite && c.dirtyCount > c.bgThreshold() {
+			c.wbWake.Signal()
+		}
+		if b == ChunkPages-1 || idx == last {
+			if c.hooks.BufferDirty != nil {
+				c.hooks.BufferDirty(ino, idx-int64(b), run, runOverwrite, newCauses)
+			}
+			run, runOverwrite = 0, 0
 		}
 	}
 	return overwrites
@@ -647,23 +646,24 @@ func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) 
 // index order.
 func (c *Cache) FreeFile(ino int64) {
 	if f := c.files[ino]; f != nil {
+		var freed uint64 // the chunk's dirty pages freed so far
 		for f.ndirty > 0 {
-			ch := f.dirty[0]
-			freed := ch.dirty
-			for ch.dirty != 0 {
-				pg := c.popDirty(f)
-				if c.tr.Enabled() {
-					now := c.env.Now()
-					c.tr.Record(trace.Event{
-						Layer: trace.LayerCache, Op: trace.OpBufferFree,
-						PID: 0, Causes: pg.wcauses,
-						Start: now, End: now, Ino: ino, Page: pg.idx,
-					})
-				}
-				c.tagBytes -= int64(pg.wcauses.TagBytes())
+			pg := c.popDirty(f)
+			freed |= 1 << (pg.idx & (ChunkPages - 1))
+			if c.tr.Enabled() {
+				now := c.env.Now()
+				c.tr.Record(trace.Event{
+					Layer: trace.LayerCache, Op: trace.OpBufferFree,
+					PID: 0, Causes: pg.wcauses,
+					Start: now, End: now, Ino: ino, Page: pg.idx,
+				})
 			}
-			if c.hooks.BufferFree != nil {
-				c.hooks.BufferFree(ino, ch.key<<ChunkShift, freed)
+			c.tagBytes -= int64(pg.wcauses.TagBytes())
+			if ch := pg.ch; ch.dirty == 0 {
+				if c.hooks.BufferFree != nil {
+					c.hooks.BufferFree(ino, ch.key<<ChunkShift, freed)
+				}
+				freed = 0
 			}
 		}
 		//splitlint:ignore maporder unlinking and freeing in any order leaves the same ring and free page count

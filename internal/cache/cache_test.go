@@ -75,31 +75,22 @@ func TestMarkDirtyAndCounts(t *testing.T) {
 	}
 }
 
-// hookFixture returns the pages testdata/hook_pages.txt records for
-// scenario, one line per page a memory hook covered, in firing order:
-// "dirty INO IDX fresh|overwrite" or "free INO IDX".
-func hookFixture(t *testing.T, scenario string) []string {
+// checkHookPages compares the pages the hooks covered, in the form
+// expandPages gives, with the lines testdata/hook_pages.txt records for
+// scenario: one per page a per-page hook covered, in firing order.
+func checkHookPages(t *testing.T, scenario string, got []string) {
 	t.Helper()
 	data, err := os.ReadFile("testdata/hook_pages.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
+	var want []string
 	for _, ln := range strings.Split(string(data), "\n") {
 		if rest, ok := strings.CutPrefix(ln, scenario+" "); ok {
-			out = append(out, rest)
+			want = append(want, rest)
 		}
 	}
-	if len(out) == 0 {
-		t.Fatalf("testdata/hook_pages.txt has no lines for %s", scenario)
-	}
-	return out
-}
-
-// checkHookPages compares the pages the hooks covered with the fixture.
-func checkHookPages(t *testing.T, scenario string, got []string) {
-	t.Helper()
-	if want := hookFixture(t, scenario); !slices.Equal(got, want) {
+	if len(want) == 0 || !slices.Equal(got, want) {
 		t.Fatalf("%s: hooks covered\n%s\nwant\n%s", scenario, strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

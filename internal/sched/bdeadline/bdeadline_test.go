@@ -64,6 +64,35 @@ func TestLocationOrderWhenNoExpiry(t *testing.T) {
 	}
 }
 
+// TestExpiredTieRule pins which expired request goes first, on the read
+// and the write path: the earliest deadline, and among equal deadlines the
+// lowest position in the LBA-sorted queue, where a new request goes before
+// those already queued at its LBA.
+func TestExpiredTieRule(t *testing.T) {
+	for _, op := range []device.Op{device.Read, device.Write} {
+		env := sim.NewEnv(1)
+		s := New(env).(*Sched)
+		req := func(lba int64, deadline sim.Time) *block.Request {
+			r := &block.Request{Op: op, LBA: lba, Blocks: 1, Deadline: deadline}
+			s.Add(r)
+			return r
+		}
+		older := req(100, 5)
+		low := req(50, 5)
+		newer := req(100, 5)
+		later := req(10, 7)
+		earliest := req(900, 3)
+		want := []*block.Request{earliest, low, newer, older, later}
+		for i, w := range want {
+			if got := s.Next(sim.Time(10)); got != w {
+				t.Fatalf("%v: pick %d = LBA %d deadline %d, want LBA %d deadline %d",
+					op, i, got.LBA, got.Deadline, w.LBA, w.Deadline)
+			}
+		}
+		env.Close()
+	}
+}
+
 func TestWritesNotStarved(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()

@@ -7,42 +7,12 @@
 package fs
 
 import (
-	"sort"
 	"time"
 
 	"splitio/internal/block"
 	"splitio/internal/causes"
 	"splitio/internal/device"
 )
-
-// remapRange points file blocks [fileBlk, fileBlk+n) at diskBlk..,
-// splitting or trimming any overlapping extents, and returns how many
-// previously mapped blocks became garbage.
-func (f *FS) remapRange(file *File, fileBlk, n, diskBlk int64) int64 {
-	var garbage int64
-	var out []extent
-	end := fileBlk + n
-	for _, e := range file.extents {
-		eEnd := e.fileBlk + e.n
-		if eEnd <= fileBlk || e.fileBlk >= end {
-			out = append(out, e)
-			continue
-		}
-		// Overlap: keep the non-overlapping prefix/suffix pieces.
-		if e.fileBlk < fileBlk {
-			out = append(out, extent{fileBlk: e.fileBlk, diskBlk: e.diskBlk, n: fileBlk - e.fileBlk})
-		}
-		if eEnd > end {
-			off := end - e.fileBlk
-			out = append(out, extent{fileBlk: end, diskBlk: e.diskBlk + off, n: eEnd - end})
-		}
-		garbage += min(eEnd, end) - max(e.fileBlk, fileBlk)
-	}
-	out = append(out, extent{fileBlk: fileBlk, diskBlk: diskBlk, n: n})
-	sort.Slice(out, func(i, j int) bool { return out[i].fileBlk < out[j].fileBlk })
-	file.extents = out
-	return garbage
-}
 
 // cowNoteOwner remembers the original writer causes of a file so GC can be
 // billed to them later.
@@ -60,8 +30,7 @@ func (f *FS) cowNoteOwner(ino int64, cs causes.Set) {
 // cowRemap allocates fresh space for an already-mapped run during a flush
 // and accounts the garbage it leaves behind.
 func (f *FS) cowRemap(file *File, fileBlk, n int64) int64 {
-	diskBlk := f.allocCursor
-	f.allocCursor += n
+	diskBlk := f.alloc(n)
 	garbage := f.remapRange(file, fileBlk, n, diskBlk)
 	f.garbageBlocks += garbage
 	if f.garbageBlocks > f.cfg.GCThresholdBlocks && f.gcWake != nil {
@@ -155,8 +124,7 @@ func (f *FS) relocateFn(file *File, max int, k func()) {
 			FileID:    file.Ino,
 		}
 		f.blk.Submit(read).WaitFn(func() {
-			dst := f.allocCursor
-			f.allocCursor += n
+			dst := f.alloc(n)
 			f.remapRange(file, e.fileBlk, n, dst)
 			write := &block.Request{
 				Op:        device.Write,

@@ -117,9 +117,7 @@ func TestExtentEditsMatchReference(t *testing.T) {
 				}
 				e := stale[rng.Intn(len(stale))]
 				n := min(e.n, 1+rng.Int63n(32))
-				dst := f.allocCursor
-				f.allocCursor += n
-				got := f.remapRange(file, e.fileBlk, n, dst)
+				got := f.remapRange(file, e.fileBlk, n, f.alloc(n))
 				want := ref.remapRange(e.fileBlk, n, ref.cursor)
 				ref.cursor += n
 				if got != want {

@@ -20,6 +20,7 @@ package fs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -85,7 +86,7 @@ type File struct {
 	Path string
 
 	size    int64
-	extents []extent // sorted by file block
+	extents []extent // sorted by file block, never overlapping
 }
 
 // Size returns the file size in bytes.
@@ -310,8 +311,7 @@ func (f *FS) MkFileContiguous(path string, size int64) *File {
 	f.nextIno++
 	blocks := (size + BlockSize - 1) / BlockSize
 	if blocks > 0 {
-		file.extents = []extent{{fileBlk: 0, diskBlk: f.allocCursor, n: blocks}}
-		f.allocCursor += blocks
+		file.extents = []extent{{fileBlk: 0, diskBlk: f.alloc(blocks), n: blocks}}
 	}
 	f.files[path] = file
 	f.byIno[file.Ino] = file
@@ -483,20 +483,63 @@ func (f *FS) eachRun(file *File, idxs []int64, fn func(i, j int, diskBlk int64, 
 }
 
 func (f *FS) lookupBlock(file *File, fileBlk int64) (int64, bool) {
-	for _, e := range file.extents {
-		if fileBlk >= e.fileBlk && fileBlk < e.fileBlk+e.n {
-			return e.diskBlk + (fileBlk - e.fileBlk), true
-		}
+	if i := extentAt(file.extents, fileBlk); i < len(file.extents) && file.extents[i].fileBlk <= fileBlk {
+		e := file.extents[i]
+		return e.diskBlk + (fileBlk - e.fileBlk), true
 	}
 	return 0, false
 }
 
-// allocate maps fileBlk..fileBlk+n-1 to fresh disk blocks (delayed
-// allocation happens here, at flush time).
-func (f *FS) allocate(file *File, fileBlk, n int64) int64 {
+// extentAt returns the index of the first extent in exts that ends after
+// fileBlk: the extent holding fileBlk if one does.
+func extentAt(exts []extent, fileBlk int64) int {
+	return sort.Search(len(exts), func(i int) bool { return exts[i].fileBlk+exts[i].n > fileBlk })
+}
+
+// remapRange points file blocks [fileBlk, fileBlk+n) at diskBlk..,
+// trimming or splitting the extents it overlaps, and returns how many
+// previously mapped blocks became garbage. It is the one edit of a file's
+// extent list: it splices the list in place and keeps it sorted by file
+// block.
+func (f *FS) remapRange(file *File, fileBlk, n, diskBlk int64) int64 {
+	exts := file.extents
+	end := fileBlk + n
+	i := extentAt(exts, fileBlk)
+	j := i
+	var garbage int64
+	for ; j < len(exts) && exts[j].fileBlk < end; j++ {
+		garbage += min(exts[j].fileBlk+exts[j].n, end) - max(exts[j].fileBlk, fileBlk)
+	}
+	// exts[i:j] overlap the range: keep their outer pieces around the new
+	// extent.
+	var buf [3]extent
+	span := buf[:0]
+	if i < j && exts[i].fileBlk < fileBlk {
+		e := exts[i]
+		span = append(span, extent{fileBlk: e.fileBlk, diskBlk: e.diskBlk, n: fileBlk - e.fileBlk})
+	}
+	span = append(span, extent{fileBlk: fileBlk, diskBlk: diskBlk, n: n})
+	if i < j {
+		if e := exts[j-1]; e.fileBlk+e.n > end {
+			span = append(span, extent{fileBlk: end, diskBlk: e.diskBlk + (end - e.fileBlk), n: e.fileBlk + e.n - end})
+		}
+	}
+	file.extents = slices.Replace(exts, i, j, span...)
+	return garbage
+}
+
+// alloc reserves n fresh disk blocks at the allocation cursor.
+func (f *FS) alloc(n int64) int64 {
 	diskBlk := f.allocCursor
 	f.allocCursor += n
-	// Merge with the previous extent when contiguous in both spaces.
+	return diskBlk
+}
+
+// allocate maps the unmapped file blocks fileBlk..fileBlk+n-1 to fresh disk
+// blocks (delayed allocation happens here, at flush time).
+func (f *FS) allocate(file *File, fileBlk, n int64) int64 {
+	diskBlk := f.alloc(n)
+	// Merge with the last extent when contiguous in both spaces.
 	if len(file.extents) > 0 {
 		lastE := &file.extents[len(file.extents)-1]
 		if lastE.fileBlk+lastE.n == fileBlk && lastE.diskBlk+lastE.n == diskBlk {
@@ -504,10 +547,7 @@ func (f *FS) allocate(file *File, fileBlk, n int64) int64 {
 			return diskBlk
 		}
 	}
-	file.extents = append(file.extents, extent{fileBlk: fileBlk, diskBlk: diskBlk, n: n})
-	sort.Slice(file.extents, func(i, j int) bool {
-		return file.extents[i].fileBlk < file.extents[j].fileBlk
-	})
+	f.remapRange(file, fileBlk, n, diskBlk)
 	return diskBlk
 }
 

@@ -73,15 +73,10 @@ func (c *Ctx) EndProxy() { c.proxyFor = causes.None }
 // IsProxy reports whether the context currently proxies for others.
 func (c *Ctx) IsProxy() bool { return !c.proxyFor.Empty() }
 
-// Tickets returns the stride-scheduling ticket count for the context's
-// priority: priority 0 gets 8 tickets, priority 7 gets 1.
-func (c *Ctx) Tickets() int {
-	t := 8 - c.Prio
-	if t < 1 {
-		t = 1
-	}
-	if t > 8 {
-		t = 8
-	}
-	return t
-}
+// Tickets returns TicketsFor(c.Prio).
+func (c *Ctx) Tickets() int { return TicketsFor(c.Prio) }
+
+// TicketsFor returns the stride-scheduling ticket count for an I/O
+// priority: priority 0 gets 8 tickets, priority 7 gets 1, and a priority
+// outside 0..7 gets the count of the nearer end.
+func TicketsFor(prio int) int { return min(max(8-prio, 1), 8) }

@@ -327,7 +327,7 @@ func (s *Sched) Add(r *block.Request) {
 		return
 	}
 	pid := ownerOf(r)
-	s.st.Ensure(int64(pid), ticketsFor(r))
+	s.st.Ensure(int64(pid), ioctx.TicketsFor(r.Prio))
 	s.readQs[pid] = append(s.readQs[pid], r)
 }
 
@@ -338,14 +338,6 @@ func ownerOf(r *block.Request) causes.PID {
 		return r.Causes.PIDs()[0]
 	}
 	return r.Submitter
-}
-
-func ticketsFor(r *block.Request) int {
-	t := 8 - r.Prio
-	if t < 1 {
-		t = 1
-	}
-	return t
 }
 
 // Next implements block.Elevator.

@@ -7,6 +7,7 @@ import (
 	"splitio/internal/block"
 	"splitio/internal/causes"
 	"splitio/internal/device"
+	"splitio/internal/ioctx"
 	"splitio/internal/schedtest"
 	"splitio/internal/sim"
 	"splitio/internal/vfs"
@@ -24,10 +25,21 @@ func TestOwnerOfPrefersCauses(t *testing.T) {
 	}
 }
 
+// TestTicketsFor checks that a read's priority gives its owner the same
+// tickets as the owner's context does at the gate (ioctx.TicketsFor), also
+// outside 0..7, so the stride weight never flips between the two paths.
 func TestTicketsFor(t *testing.T) {
-	for prio, want := range map[int]int{0: 8, 4: 4, 7: 1, 9: 1} {
-		if got := ticketsFor(&block.Request{Prio: prio}); got != want {
-			t.Fatalf("ticketsFor(prio=%d) = %d, want %d", prio, got, want)
+	env := sim.NewEnv(1)
+	defer env.Close()
+	s := New(env).(*Sched)
+	for prio, want := range map[int]int{-1: 8, 0: 8, 4: 4, 7: 1, 9: 1} {
+		pid := causes.PID(100 + prio)
+		s.Add(&block.Request{Op: device.Read, LBA: 1, Blocks: 1, Causes: causes.Of(pid), Prio: prio})
+		if got := s.st.Tickets(int64(pid)); got != want {
+			t.Fatalf("tickets(prio=%d) = %d, want %d", prio, got, want)
+		}
+		if ctx := (&ioctx.Ctx{Prio: prio}); ctx.Tickets() != want {
+			t.Fatalf("Ctx.Tickets(prio=%d) = %d, want %d", prio, ctx.Tickets(), want)
 		}
 	}
 }

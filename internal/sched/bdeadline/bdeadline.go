@@ -26,8 +26,15 @@ import (
 
 // Sched is the Block-Deadline scheduler; it is its own elevator.
 type Sched struct {
+	Queues
 	env *sim.Env
+}
 
+// Queues is the location half of a deadline scheduler, which Split-Deadline
+// shares: LBA-sorted read and write queues served in C-SCAN order from the
+// last dispatched block, reads preferred until writes have been passed over
+// writesStarvedLimit times, and expired reads served first by deadline.
+type Queues struct {
 	reads  []*block.Request // sorted by LBA
 	writes []*block.Request // sorted by LBA
 
@@ -71,12 +78,57 @@ func (s *Sched) Add(r *block.Request) {
 		}
 		r.Deadline = s.env.Now().Add(d)
 	}
+	s.Insert(r)
+}
+
+// Next implements block.Elevator: expired requests first, reads before
+// writes, then location order.
+func (s *Sched) Next(now sim.Time) *block.Request { return s.Pop(now, earliestExpired) }
+
+// Completed implements block.Elevator.
+func (s *Sched) Completed(r *block.Request) {}
+
+// Insert queues r by LBA, ahead of any request already queued at its LBA.
+func (q *Queues) Insert(r *block.Request) {
 	if r.Op == device.Read {
-		s.reads = insertByLBA(s.reads, r)
+		q.reads = insertByLBA(q.reads, r)
 	} else {
-		s.writes = insertByLBA(s.writes, r)
+		q.writes = insertByLBA(q.writes, r)
 	}
 }
+
+// Pop removes and returns the next request to dispatch, or nil if none is
+// queued: the earliest expired read, else the write at urgent(writes, now)
+// unless that is -1, else the next request in location order.
+func (q *Queues) Pop(now sim.Time, urgent func(writes []*block.Request, now sim.Time) int) *block.Request {
+	if len(q.reads)+len(q.writes) == 0 {
+		return nil
+	}
+	var r *block.Request
+	if i := earliestExpired(q.reads, now); i >= 0 {
+		q.reads, r = remove(q.reads, i)
+	} else if i := urgent(q.writes, now); i >= 0 {
+		q.writes, r = remove(q.writes, i)
+	} else if len(q.reads) > 0 && (len(q.writes) == 0 || q.writesStarve < writesStarvedLimit) {
+		// Location order, reads preferred until writes starve.
+		q.reads, r = q.nextByLBA(q.reads)
+		if len(q.writes) > 0 {
+			q.writesStarve++
+		}
+	} else {
+		q.writes, r = q.nextByLBA(q.writes)
+		q.writesStarve = 0
+	}
+	q.lastLBA = r.LBA + int64(r.Blocks)
+	return r
+}
+
+// Queued returns the pending (reads, writes).
+func (q *Queues) Queued() (int, int) { return len(q.reads), len(q.writes) }
+
+// WritesStarved returns how many read batches have passed while writes
+// wait.
+func (q *Queues) WritesStarved() int { return q.writesStarve }
 
 func insertByLBA(q []*block.Request, r *block.Request) []*block.Request {
 	i := sort.Search(len(q), func(i int) bool { return q[i].LBA >= r.LBA })
@@ -108,47 +160,10 @@ func remove(q []*block.Request, i int) ([]*block.Request, *block.Request) {
 }
 
 // nextByLBA pops the request at or after lastLBA (C-SCAN wrap).
-func (s *Sched) nextByLBA(q []*block.Request) ([]*block.Request, *block.Request) {
-	i := sort.Search(len(q), func(i int) bool { return q[i].LBA >= s.lastLBA })
-	if i == len(q) {
+func (q *Queues) nextByLBA(rs []*block.Request) ([]*block.Request, *block.Request) {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].LBA >= q.lastLBA })
+	if i == len(rs) {
 		i = 0
 	}
-	return remove(q, i)
+	return remove(rs, i)
 }
-
-// Next implements block.Elevator.
-func (s *Sched) Next(now sim.Time) *block.Request {
-	var r *block.Request
-	switch {
-	case len(s.reads)+len(s.writes) == 0:
-		return nil
-	default:
-		if i := earliestExpired(s.reads, now); i >= 0 {
-			s.reads, r = remove(s.reads, i)
-			break
-		}
-		if i := earliestExpired(s.writes, now); i >= 0 {
-			s.writes, r = remove(s.writes, i)
-			break
-		}
-		// No expired deadlines: location order, reads preferred until
-		// writes starve.
-		if len(s.reads) > 0 && (len(s.writes) == 0 || s.writesStarve < writesStarvedLimit) {
-			s.reads, r = s.nextByLBA(s.reads)
-			if len(s.writes) > 0 {
-				s.writesStarve++
-			}
-			break
-		}
-		s.writes, r = s.nextByLBA(s.writes)
-		s.writesStarve = 0
-	}
-	s.lastLBA = r.LBA + int64(r.Blocks)
-	return r
-}
-
-// Completed implements block.Elevator.
-func (s *Sched) Completed(r *block.Request) {}
-
-// Queued returns pending (reads, writes), for tests.
-func (s *Sched) Queued() (int, int) { return len(s.reads), len(s.writes) }

@@ -21,6 +21,7 @@ import (
 	"splitio/internal/block"
 	"splitio/internal/causes"
 	"splitio/internal/core"
+	"splitio/internal/ioctx"
 	"splitio/internal/sim"
 	"splitio/internal/stride"
 )
@@ -90,11 +91,7 @@ func (s *Sched) Add(r *block.Request) {
 	if !ok {
 		q = &queue{pid: r.Submitter, prio: r.Prio, class: r.Class}
 		s.queues[r.Submitter] = q
-		tickets := 8 - r.Prio
-		if tickets < 1 {
-			tickets = 1
-		}
-		s.st.Ensure(int64(r.Submitter), tickets)
+		s.st.Ensure(int64(r.Submitter), ioctx.TicketsFor(r.Prio))
 	}
 	q.reqs = append(q.reqs, r)
 }

@@ -105,17 +105,6 @@ func (s *Sched) bucket(c *ioctx.Ctx) *tokenbucket.Bucket {
 	return s.accounts[c.Account]
 }
 
-// waitPositive blocks until the bucket balance is non-negative.
-func (s *Sched) waitPositive(p *sim.Proc, b *tokenbucket.Bucket) {
-	for !b.Positive(p.Now()) {
-		d := b.UntilPositive(p.Now())
-		if d < 100*time.Microsecond {
-			d = 100 * time.Microsecond
-		}
-		p.Sleep(d)
-	}
-}
-
 // allCached reports whether the whole range is resident (SCS's cache-hit
 // test, which required file-system modification in the original system).
 func (s *Sched) allCached(f *fs.File, off, n int64) bool {
@@ -140,7 +129,7 @@ func (s *Sched) readEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File, off, n int64) {
 		return
 	}
 	b.Charge(p.Now(), float64(n))
-	s.waitPositive(p, b)
+	b.Wait(p)
 }
 
 func (s *Sched) writeEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File, off, n int64) {
@@ -152,7 +141,7 @@ func (s *Sched) writeEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File, off, n int64) 
 	// Raw bytes, no overwrite detection, no randomness model: the
 	// system-call level simply cannot know better.
 	b.Charge(p.Now(), float64(n))
-	s.waitPositive(p, b)
+	b.Wait(p)
 }
 
 func (s *Sched) fsyncEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File) {
@@ -161,5 +150,5 @@ func (s *Sched) fsyncEntry(p *sim.Proc, c *ioctx.Ctx, f *fs.File) {
 	if b == nil {
 		return
 	}
-	s.waitPositive(p, b)
+	b.Wait(p)
 }

@@ -9,10 +9,11 @@ var _ sched.Introspector = (*Sched)(nil)
 // both registered schedulers.
 func (s *Sched) Snapshot() sched.Snap {
 	snap := sched.Snap{Name: s.Name()}
-	snap.AddInt("reads_queued", len(s.reads))
-	snap.AddInt("writes_queued", len(s.writes))
+	reads, writes := s.Queued()
+	snap.AddInt("reads_queued", reads)
+	snap.AddInt("writes_queued", writes)
 	snap.AddInt("pending_fsyncs", len(s.pending))
 	snap.AddInt("tracked_files", len(s.files))
-	snap.AddInt("writes_starved", s.writesStarve)
+	snap.AddInt("writes_starved", s.WritesStarved())
 	return snap
 }

@@ -17,11 +17,16 @@
 // writeback itself, eliminating untimely flusher I/O (the paper's
 // Split-Deadline line in Fig 19; NewWithPdflush gives the Split-Pdflush
 // variant).
+//
+// At the block level it keeps Block-Deadline's location half
+// (bdeadline.Queues): deadline reads, LBA-sorted queues in C-SCAN order and
+// bounded write starvation. Only two things differ: writes get no block
+// deadline, and fsync-driven writes and journal commits go ahead of async
+// writeback.
 package sdeadline
 
 import (
 	"math/bits"
-	"sort"
 	"time"
 
 	"splitio/internal/block"
@@ -31,6 +36,7 @@ import (
 	"splitio/internal/device"
 	"splitio/internal/fs"
 	"splitio/internal/ioctx"
+	"splitio/internal/sched/bdeadline"
 	"splitio/internal/sim"
 	"splitio/internal/vfs"
 )
@@ -46,17 +52,14 @@ type pendingFsync struct {
 	deadline sim.Time
 }
 
-// Sched is the Split-Deadline scheduler; it is its own block elevator.
+// Sched is the Split-Deadline scheduler; it is its own block elevator, on
+// Block-Deadline's location queues.
 type Sched struct {
+	bdeadline.Queues
+
 	env   *sim.Env
 	k     *core.Kernel
 	layer *block.Layer
-
-	reads  []*block.Request
-	writes []*block.Request
-
-	lastLBA      int64
-	writesStarve int
 
 	files   map[int64]*fileStats
 	pending []*pendingFsync
@@ -86,8 +89,6 @@ const (
 	// no per-process setting (Table 3).
 	defaultReadDeadline  = 50 * time.Millisecond
 	defaultFsyncDeadline = 500 * time.Millisecond
-	// writesStarvedLimit bounds read preference at the block level.
-	writesStarvedLimit int = 2
 )
 
 // New builds a Split-Deadline scheduler with full writeback control.
@@ -326,74 +327,22 @@ func (s *Sched) writebackPacer(p *sim.Proc) {
 
 // --- Block elevator: deadline reads + location-ordered writes ---
 
-// Add implements block.Elevator.
+// Add implements block.Elevator: only reads get a default deadline.
 func (s *Sched) Add(r *block.Request) {
-	if r.Op == device.Read {
-		if r.Deadline == 0 {
-			r.Deadline = s.env.Now().Add(defaultReadDeadline)
-		}
-		s.reads = insertByLBA(s.reads, r)
-		return
+	if r.Op == device.Read && r.Deadline == 0 {
+		r.Deadline = s.env.Now().Add(defaultReadDeadline)
 	}
-	s.writes = insertByLBA(s.writes, r)
+	s.Insert(r)
 }
 
-func insertByLBA(q []*block.Request, r *block.Request) []*block.Request {
-	i := sort.Search(len(q), func(i int) bool { return q[i].LBA >= r.LBA })
-	q = append(q, nil)
-	copy(q[i+1:], q[i:])
-	q[i] = r
-	return q
-}
-
-func remove(q []*block.Request, i int) ([]*block.Request, *block.Request) {
-	r := q[i]
-	copy(q[i:], q[i+1:])
-	return q[:len(q)-1], r
-}
-
-func (s *Sched) nextByLBA(q []*block.Request) ([]*block.Request, *block.Request) {
-	i := sort.Search(len(q), func(i int) bool { return q[i].LBA >= s.lastLBA })
-	if i == len(q) {
-		i = 0
-	}
-	return remove(q, i)
-}
-
-// Next implements block.Elevator: expired reads first (EDF), then location
-// order with bounded write starvation; sync (fsync-driven) writes beat
-// async writeback.
-func (s *Sched) Next(now sim.Time) *block.Request {
-	if len(s.reads)+len(s.writes) == 0 {
-		return nil
-	}
-	best := -1
-	for i, r := range s.reads {
-		if r.Deadline <= now && (best < 0 || r.Deadline < s.reads[best].Deadline) {
-			best = i
-		}
-	}
-	var r *block.Request
-	if best >= 0 {
-		s.reads, r = remove(s.reads, best)
-	} else if si := s.syncWriteIndex(); si >= 0 {
-		s.writes, r = remove(s.writes, si)
-	} else if len(s.reads) > 0 && (len(s.writes) == 0 || s.writesStarve < writesStarvedLimit) {
-		s.reads, r = s.nextByLBA(s.reads)
-		if len(s.writes) > 0 {
-			s.writesStarve++
-		}
-	} else {
-		s.writes, r = s.nextByLBA(s.writes)
-		s.writesStarve = 0
-	}
-	s.lastLBA = r.LBA + int64(r.Blocks)
-	return r
-}
+// Next implements block.Elevator: expired reads first (EDF), then sync
+// (fsync-driven) writes ahead of async writeback, then location order with
+// bounded write starvation.
+func (s *Sched) Next(now sim.Time) *block.Request { return s.Pop(now, syncWriteIndex) }
 
 // syncWriteIndex returns the first fsync-driven write, or -1.
-func (s *Sched) syncWriteIndex() int {
-	for i, w := range s.writes {
+func syncWriteIndex(writes []*block.Request, _ sim.Time) int {
+	for i, w := range writes {
 		if w.Sync && !w.Journal {
 			return i
 		}

@@ -308,16 +308,8 @@ func (s *Sched) throttleSyscall(p *sim.Proc, c *ioctx.Ctx) {
 	if a == "" {
 		return
 	}
-	b, ok := s.accounts[a]
-	if !ok {
-		return
-	}
-	for !b.Positive(p.Now()) {
-		d := b.UntilPositive(p.Now())
-		if d < 100*time.Microsecond {
-			d = 100 * time.Microsecond
-		}
-		p.Sleep(d)
+	if b, ok := s.accounts[a]; ok {
+		b.Wait(p)
 	}
 }
 

@@ -85,3 +85,11 @@ func (b *Bucket) UntilPositive(now sim.Time) time.Duration {
 	secs := -b.tokens / b.rate
 	return time.Duration(secs * float64(time.Second))
 }
+
+// Wait blocks p until the balance is non-negative, sleeping until the
+// refill is due and at least 100 µs at a time.
+func (b *Bucket) Wait(p *sim.Proc) {
+	for !b.Positive(p.Now()) {
+		p.Sleep(max(b.UntilPositive(p.Now()), 100*time.Microsecond))
+	}
+}

@@ -85,3 +85,25 @@ func TestMonotoneClock(t *testing.T) {
 		t.Fatalf("tokens = %v, want 90", got)
 	}
 }
+
+func TestWait(t *testing.T) {
+	env := sim.NewEnv(1)
+	defer env.Close()
+	b := New(1000, 1000)
+	b.Charge(0, 1500) // 500 in debt: non-negative again at 0.5 s
+	var woke, quick sim.Time
+	env.Go("debtor", func(p *sim.Proc) {
+		b.Wait(p)
+		woke = p.Now()
+		b.Charge(p.Now(), 0.01) // due in 10 µs, but waits at least 100 µs
+		b.Wait(p)
+		quick = p.Now()
+	})
+	env.RunAll()
+	if woke != at(500*time.Millisecond) {
+		t.Fatalf("woke at %v, want 500ms", woke)
+	}
+	if quick != woke.Add(100*time.Microsecond) {
+		t.Fatalf("short wait ended at %v, want %v", quick, woke.Add(100*time.Microsecond))
+	}
+}

@@ -1,14 +1,19 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"splitio/internal/causes"
+	"splitio/internal/ioctx"
 	"splitio/internal/sim"
+	"splitio/internal/trace"
 )
 
 // These tests pin the orderings the schedule goldens depend on: which file
@@ -240,6 +245,140 @@ func TestRandomOpsKeepInvariants(t *testing.T) {
 			}
 			if c.DirtyPagesCount() != n {
 				t.Fatalf("seed %d op %d: %d dirty pages, model has %d", seed, op, c.DirtyPagesCount(), n)
+			}
+		}
+		env.Close()
+	}
+}
+
+// TestCauseTagsMatchPerPage drives a small cache (so pages get evicted)
+// with a seeded mix of operations against a reference model that keeps one
+// cause set per dirty page. Writers are single processes and proxies whose
+// cause sets are subsets and supersets of each other. After every step
+// TakeDirty's tags, the causes on the traced dirty and buffer-free events,
+// TagBytes and MaxTagBytes must equal the model's, the model uniting a
+// rewritten page's set with the writer's one page at a time.
+func TestCauseTagsMatchPerPage(t *testing.T) {
+	cfg := smallConfig()
+	cfg.TotalPages = 24
+	proxySets := []causes.Set{
+		causes.Of(10, 11), causes.Of(11, 12), causes.Of(10, 11, 12),
+		causes.Of(13), causes.Of(12, 13, 14), causes.Of(10),
+	}
+	union := func(a, b causes.Set) causes.Set {
+		return causes.Of(append(slices.Clone(a.PIDs()), b.PIDs()...)...)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		env, c := newTestCache(cfg)
+		c.SetPdflushEnabled(false)
+		tr := trace.New()
+		var events collectSink
+		tr.Attach(&events)
+		tr.Enable()
+		c.SetTracer(tr)
+		var writers []*ioctx.Ctx
+		for pid := causes.PID(10); pid <= 12; pid++ {
+			writers = append(writers, testCtx(pid))
+		}
+		for _, cs := range proxySets {
+			ctx := testCtx(2)
+			ctx.BeginProxy(cs)
+			writers = append(writers, ctx)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		model := map[int64]map[int64]causes.Set{} // ino -> dirty page -> causes
+		var tagBytes, maxTag int64
+		var want []string // the model's dirty and buffer-free events this step
+		event := func(op, label string, ino, idx int64, cs causes.Set) {
+			want = append(want, fmt.Sprintf("%s %q %d %d %v", op, label, ino, idx, cs))
+		}
+		dirtied := func(ino int64) []int64 {
+			var idxs []int64
+			for i := range model[ino] {
+				idxs = append(idxs, i)
+			}
+			slices.Sort(idxs)
+			return idxs
+		}
+		for op := 0; op < 3000; op++ {
+			ino := 1 + rng.Int63n(3)
+			idx := rng.Int63n(200)
+			if rng.Intn(8) == 0 {
+				idx += 1000
+			}
+			want, events = want[:0], events[:0]
+			switch r := rng.Intn(20); {
+			case r < 9:
+				ctx := writers[rng.Intn(len(writers))]
+				last := idx
+				if r >= 4 {
+					last += rng.Int63n(70)
+				}
+				if model[ino] == nil {
+					model[ino] = map[int64]causes.Set{}
+				}
+				for i := idx; i <= last; i++ {
+					cs, label := ctx.Causes(), ""
+					if old, ok := model[ino][i]; ok {
+						tagBytes -= int64(old.TagBytes())
+						cs, label = union(old, cs), "overwrite"
+					}
+					model[ino][i] = cs
+					tagBytes += int64(cs.TagBytes())
+					maxTag = max(maxTag, tagBytes)
+					event(trace.OpDirty, label, ino, i, cs)
+				}
+				if last == idx {
+					c.MarkDirty(ctx, ino, idx)
+				} else {
+					c.MarkDirtyRange(ctx, ino, idx, last)
+				}
+			case r < 11:
+				c.InsertClean(ino, idx)
+			case r < 13:
+				c.InsertCleanRange(ino, idx, idx+rng.Int63n(70))
+			case r < 14:
+				c.LookupRun(ino, idx, idx+rng.Int63n(140))
+			case r < 19:
+				max := rng.Intn(6)
+				wantIdxs := dirtied(ino)
+				if max > 0 && max < len(wantIdxs) {
+					wantIdxs = wantIdxs[:max]
+				}
+				idxs, tags := c.TakeDirty(ino, max)
+				if len(idxs) != len(wantIdxs) || len(tags) != len(idxs) {
+					t.Fatalf("seed %d op %d: TakeDirty(%d, %d) = %v with %d tags, want %v", seed, op, ino, max, idxs, len(tags), wantIdxs)
+				}
+				for k, i := range wantIdxs {
+					if idxs[k] != i || !tags[k].Equal(model[ino][i]) {
+						t.Fatalf("seed %d op %d: TakeDirty(%d, %d) gave page %d tagged %v, model has page %d tagged %v",
+							seed, op, ino, max, idxs[k], tags[k], i, model[ino][i])
+					}
+					tagBytes -= int64(model[ino][i].TagBytes())
+					delete(model[ino], i)
+				}
+			default:
+				for _, i := range dirtied(ino) {
+					event(trace.OpBufferFree, "", ino, i, model[ino][i])
+					tagBytes -= int64(model[ino][i].TagBytes())
+				}
+				delete(model, ino)
+				c.FreeFile(ino)
+			}
+			var got []string
+			for _, ev := range events {
+				if ev.Op == trace.OpDirty || ev.Op == trace.OpBufferFree {
+					got = append(got, fmt.Sprintf("%s %q %d %d %v", ev.Op, ev.Label, ev.Ino, ev.Page, ev.Causes))
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d op %d: traced events\n%s\nmodel\n%s", seed, op, strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+			if c.TagBytes() != tagBytes || c.MaxTagBytes() != maxTag {
+				t.Fatalf("seed %d op %d: tag bytes %d (max %d), model %d (max %d)", seed, op, c.TagBytes(), c.MaxTagBytes(), tagBytes, maxTag)
+			}
+			if err := c.CheckConsistency(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
 		}
 		env.Close()

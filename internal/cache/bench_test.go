@@ -1,7 +1,8 @@
 // Microbenchmarks for the page cache's hot paths, which `make microbench`
 // tracks directly: the single-page lookup, the read path's run lookup (one
 // call per hit or miss run), the write path's range dirtying (one call per
-// write), and clean inserts into a sparsely resident file.
+// write, overwriting dirty pages or dirtying clean ones that writeback then
+// takes), and clean inserts into a sparsely resident file.
 package cache_test
 
 import (
@@ -73,6 +74,24 @@ func BenchmarkCacheMarkDirtyRangeOverwrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.MarkDirtyRange(ctx, 1, 0, pages-1)
+	}
+}
+
+// BenchmarkCacheMarkDirtyRangeFresh dirties 1024 clean pages per call and
+// then takes them all for writeback, the write-then-writeback shape of
+// Fig 21 and the crash sweep.
+func BenchmarkCacheMarkDirtyRangeFresh(b *testing.B) {
+	c := benchCache(b)
+	c.SetPdflushEnabled(false)
+	ctx := &ioctx.Ctx{PID: 100, Name: "writer", Prio: 4}
+	const pages = 1024
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.MarkDirtyRange(ctx, 1, 0, pages-1)
+		if idxs, _ := c.TakeDirty(1, 0); len(idxs) != pages {
+			b.Fatalf("TakeDirty took %d pages, want %d", len(idxs), pages)
+		}
 	}
 }
 

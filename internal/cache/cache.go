@@ -83,7 +83,6 @@ const (
 type page struct {
 	ch         *chunk
 	idx        int64
-	wcauses    causes.Set
 	prev, next *page // LRU ring links, nil while dirty; next links the free list
 }
 
@@ -91,12 +90,97 @@ type page struct {
 // of present (dirty) is page key<<ChunkShift + b. pages holds only the
 // resident pages, in index order, so a file read at random costs one slot
 // per resident page rather than a whole chunk: page b is
-// pages[rank(present, b)].
+// pages[rank(present, b)]. runs holds the write cause sets of the dirty
+// pages, one run per distinct set: the run masks are disjoint, together
+// they are the dirty mask, and no two runs have equal sets.
 type chunk struct {
 	file           *file
 	key            int64
 	present, dirty uint64
 	pages          []*page
+	runs           []causeRun
+}
+
+// causeRun is one write cause set of a chunk and the dirty pages it tags.
+type causeRun struct {
+	mask uint64
+	set  causes.Set
+}
+
+// runOf returns the index of the chunk's run whose set equals cs, or -1.
+func (ch *chunk) runOf(cs causes.Set) int {
+	for i, r := range ch.runs {
+		if r.set.Equal(cs) {
+			return i
+		}
+	}
+	return -1
+}
+
+// tag adds the pages of mask, none of them in a run, to the run for cs.
+func (ch *chunk) tag(mask uint64, cs causes.Set) {
+	if i := ch.runOf(cs); i >= 0 {
+		ch.runs[i].mask |= mask
+		return
+	}
+	ch.runs = append(ch.runs, causeRun{mask, cs})
+}
+
+// retag unites the cause sets of the dirty pages over with cs and returns
+// the change in tag bytes. A run whose set already covers cs is left as it
+// is; otherwise the pages of it in over move to the run for the union.
+func (ch *chunk) retag(over uint64, cs causes.Set) int64 {
+	var delta int64
+	emptied := false
+	for i := 0; i < len(ch.runs); i++ {
+		r := &ch.runs[i]
+		o := r.mask & over
+		if o == 0 {
+			continue
+		}
+		u := r.set.Union(cs)
+		if u.Len() == r.set.Len() {
+			continue // cs ⊆ r.set, so u is r.set
+		}
+		delta += int64(bits.OnesCount64(o)) * int64(u.TagBytes()-r.set.TagBytes())
+		if o == r.mask && ch.runOf(u) < 0 {
+			r.set = u
+			continue
+		}
+		r.mask &^= o
+		emptied = emptied || r.mask == 0
+		ch.tag(o, u)
+	}
+	if emptied {
+		ch.runs = slices.DeleteFunc(ch.runs, func(r causeRun) bool { return r.mask == 0 })
+	}
+	return delta
+}
+
+// causesOf returns the cause set of the chunk's dirty page b.
+func (ch *chunk) causesOf(b uint) causes.Set {
+	for _, r := range ch.runs {
+		if r.mask&(1<<b) != 0 {
+			return r.set
+		}
+	}
+	return causes.None
+}
+
+// untag removes the dirty page b from its run, dropping the run if it
+// empties, and returns the page's cause set.
+func (ch *chunk) untag(b uint) causes.Set {
+	for i := range ch.runs {
+		r := &ch.runs[i]
+		if r.mask&(1<<b) != 0 {
+			cs := r.set
+			if r.mask &^= 1 << b; r.mask == 0 {
+				ch.runs = slices.Delete(ch.runs, i, i+1)
+			}
+			return cs
+		}
+	}
+	return causes.None
 }
 
 // rank returns the slot of bit b in a chunk whose resident mask is present.
@@ -529,81 +613,101 @@ func (c *Cache) MarkDirty(ctx *ioctx.Ctx, ino, idx int64) bool {
 }
 
 // MarkDirtyRange dirties pages first..last of ino on behalf of ctx in index
-// order, firing the buffer-dirty hook once per chunk run, and returns how
-// many were already dirty. The profiling probe, the file lookup and the
-// cause set are paid once per call, not per page.
+// order and returns how many were already dirty. It works a chunk at a time:
+// a chunk's overwritten pages cost one cause-set union per cause run, not
+// one per page, and leave the runs as they are when the writer's causes are
+// already in them. Its newly dirty pages are made resident (evicting clean
+// pages if RAM is full) or taken off the LRU ring one by one in index
+// order, then tagged together. The buffer-dirty hook fires once per chunk
+// run and, when tracing, each page records its dirty event in index order
+// with its causes after the write. The tag-memory high-water mark is noted
+// and the writeback daemon woken once per call; both are exact, because
+// tag bytes and the dirty count only rise within a call. The profiling
+// probe, the file lookup and the writer's cause set are paid once per call.
 func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 	perf.Count(perf.BucketCache)
 	if first > last {
 		return 0
 	}
 	f := c.fileOf(ino)
-	newCauses := ctx.Causes()
-	overwrites := 0
-	var run, runOverwrite uint64 // the chunk run so far and its overwrites
-	for idx := first; idx <= last; idx++ {
-		pg, b := f.page(idx), uint(idx&(ChunkPages-1))
-		overwrite := pg != nil && pg.ch.dirty&(1<<b) != 0
-		run |= 1 << b
-		label := ""
-		if overwrite {
-			overwrites++
-			runOverwrite |= 1 << b
-			label = "overwrite"
-			c.tagBytes -= int64(pg.wcauses.TagBytes())
-			pg.wcauses = pg.wcauses.Union(newCauses)
-		} else {
-			if pg == nil {
+	cs := ctx.Causes()
+	overwrites, dirtied := 0, false
+	for lo := first; lo <= last; {
+		key, b0 := lo>>ChunkShift, uint(lo&(ChunkPages-1))
+		n := min(last-lo+1, ChunkPages-int64(b0))
+		run := (uint64(1)<<n - 1) << b0
+		var over uint64
+		ch := f.chunk(key)
+		if ch != nil {
+			over = ch.present & ch.dirty & run
+		}
+		if over != 0 {
+			overwrites += bits.OnesCount64(over)
+			c.tagBytes += ch.retag(over, cs)
+		}
+		if fresh := run &^ over; fresh != 0 {
+			for m := fresh; m != 0; m &= m - 1 {
+				b := uint(bits.TrailingZeros64(m))
+				if ch != nil && ch.present&(1<<b) != 0 {
+					c.lruUnlink(ch.pages[rank(ch.present, b)])
+					continue
+				}
+				// Eviction may empty and free ch: the page's chunk is
+				// looked up again.
 				c.evictIfFull()
-				pg = c.add(f, idx)
-			} else {
-				c.lruUnlink(pg)
+				ch = c.add(f, key<<ChunkShift+int64(b)).ch
 			}
-			pg.wcauses = newCauses
-			ch := pg.ch
 			if ch.dirty == 0 {
 				heap.Push(&f.dirty, ch)
 			}
-			ch.dirty |= 1 << b
-			f.ndirty++
-			c.dirtyCount++
+			ch.dirty |= fresh
+			ch.tag(fresh, cs)
+			k := int64(bits.OnesCount64(fresh))
+			f.ndirty += k
+			c.dirtyCount += k
+			c.tagBytes += k * int64(cs.TagBytes())
+			dirtied = true
 			if !f.queued {
 				f.queued = true
 				c.order = append(c.order, f)
 			}
 		}
-		c.tagBytes += int64(pg.wcauses.TagBytes())
-		c.noteTagMax()
 		if c.tr.Enabled() {
-			now := c.env.Now()
-			c.tr.Record(trace.Event{
-				Layer: trace.LayerCache, Op: trace.OpDirty, Label: label,
-				Req: ctx.Req, PID: ctx.PID, Causes: pg.wcauses,
-				Start: now, End: now, Ino: ino, Page: idx,
-			})
+			c.traceDirty(ctx, ch, run, over)
 		}
-		if !overwrite && c.dirtyCount > c.bgThreshold() {
-			c.wbWake.Signal()
+		if c.hooks.BufferDirty != nil {
+			c.hooks.BufferDirty(ino, key<<ChunkShift, run, over, cs)
 		}
-		if b == ChunkPages-1 || idx == last {
-			if c.hooks.BufferDirty != nil {
-				c.hooks.BufferDirty(ino, idx-int64(b), run, runOverwrite, newCauses)
-			}
-			run, runOverwrite = 0, 0
-		}
+		lo += n
+	}
+	c.maxTagBytes = max(c.maxTagBytes, c.tagBytes)
+	if dirtied && c.dirtyCount > c.bgThreshold() {
+		c.wbWake.Signal()
 	}
 	return overwrites
 }
 
-func (c *Cache) noteTagMax() {
-	if c.tagBytes > c.maxTagBytes {
-		c.maxTagBytes = c.tagBytes
+// traceDirty records the dirty event of each page of run in ch, in index
+// order, with the page's causes; the pages of over are overwrites.
+func (c *Cache) traceDirty(ctx *ioctx.Ctx, ch *chunk, run, over uint64) {
+	now := c.env.Now()
+	for m := run; m != 0; m &= m - 1 {
+		b := uint(bits.TrailingZeros64(m))
+		label := ""
+		if over&(1<<b) != 0 {
+			label = "overwrite"
+		}
+		c.tr.Record(trace.Event{
+			Layer: trace.LayerCache, Op: trace.OpDirty, Label: label,
+			Req: ctx.Req, PID: ctx.PID, Causes: ch.causesOf(b),
+			Start: now, End: now, Ino: ch.file.ino, Page: ch.key<<ChunkShift + int64(b),
+		})
 	}
 }
 
 // popDirty clears f's lowest dirty page, which stays resident and off the
-// LRU ring, and returns it.
-func (c *Cache) popDirty(f *file) *page {
+// LRU ring, and returns it with its cause set, whose tag bytes it releases.
+func (c *Cache) popDirty(f *file) (*page, causes.Set) {
 	ch := f.dirty[0]
 	b := uint(bits.TrailingZeros64(ch.dirty))
 	ch.dirty &^= 1 << b
@@ -612,7 +716,9 @@ func (c *Cache) popDirty(f *file) *page {
 	}
 	f.ndirty--
 	c.dirtyCount--
-	return ch.pages[rank(ch.present, b)]
+	cs := ch.untag(b)
+	c.tagBytes -= int64(cs.TagBytes())
+	return ch.pages[rank(ch.present, b)], cs
 }
 
 // TakeDirty removes up to max dirty pages of ino (lowest index first),
@@ -630,11 +736,9 @@ func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) 
 	idxs = make([]int64, 0, max)
 	tags = make([]causes.Set, 0, max)
 	for len(idxs) < max {
-		pg := c.popDirty(f)
+		pg, cs := c.popDirty(f)
 		idxs = append(idxs, pg.idx)
-		tags = append(tags, pg.wcauses)
-		c.tagBytes -= int64(pg.wcauses.TagBytes())
-		pg.wcauses = causes.None
+		tags = append(tags, cs)
 		c.lruPush(pg)
 	}
 	c.maybeUnthrottle()
@@ -648,17 +752,16 @@ func (c *Cache) FreeFile(ino int64) {
 	if f := c.files[ino]; f != nil {
 		var freed uint64 // the chunk's dirty pages freed so far
 		for f.ndirty > 0 {
-			pg := c.popDirty(f)
+			pg, cs := c.popDirty(f)
 			freed |= 1 << (pg.idx & (ChunkPages - 1))
 			if c.tr.Enabled() {
 				now := c.env.Now()
 				c.tr.Record(trace.Event{
 					Layer: trace.LayerCache, Op: trace.OpBufferFree,
-					PID: 0, Causes: pg.wcauses,
+					PID: 0, Causes: cs,
 					Start: now, End: now, Ino: ino, Page: pg.idx,
 				})
 			}
-			c.tagBytes -= int64(pg.wcauses.TagBytes())
 			if ch := pg.ch; ch.dirty == 0 {
 				if c.hooks.BufferFree != nil {
 					c.hooks.BufferFree(ino, ch.key<<ChunkShift, freed)
@@ -687,15 +790,16 @@ func (c *Cache) FreeFile(ino int64) {
 }
 
 // CheckConsistency verifies the cache's internal invariants: every chunk is
-// non-empty, its dirty mask lies within its present mask, and its page
-// slots match the present mask in index order; each file's dirty heap is a
-// heap holding exactly its chunks with dirty pages; the per-file, dirty and
-// resident counters and tag accounting match the pages; a page is clean
-// exactly when it is on the LRU ring, which holds exactly the resident clean
-// pages with every prev link the inverse of a next link; and every file with
-// dirty pages is in the round-robin order. Stress tests call it after random
-// workloads. Files and chunks are checked in sorted order, so the first
-// violation reported is the same on every run.
+// non-empty, its dirty mask lies within its present mask, its page slots
+// match the present mask in index order, and its cause runs are non-empty,
+// disjoint, of distinct sets and together tag exactly its dirty pages; each
+// file's dirty heap is a heap holding exactly its chunks with dirty pages;
+// the per-file, dirty and resident counters and tag accounting match the
+// pages; a page is clean exactly when it is on the LRU ring, which holds
+// exactly the resident clean pages with every prev link the inverse of a
+// next link; and every file with dirty pages is in the round-robin order.
+// Stress tests call it after random workloads. Files and chunks are checked
+// in sorted order, so the first violation reported is the same on every run.
 func (c *Cache) CheckConsistency() error {
 	var dirty, clean, resident, tagSum int64
 	for _, ino := range sortedKeys(c.files) {
@@ -732,11 +836,25 @@ func (c *Cache) CheckConsistency() error {
 				if isDirty == (pg.next != nil) {
 					return fmt.Errorf("cache: page (%d,%d) dirty=%v but on LRU=%v", ino, idx, isDirty, pg.next != nil)
 				}
-				if isDirty {
-					tagSum += int64(pg.wcauses.TagBytes())
-				} else {
+				if !isDirty {
 					clean++
 				}
+			}
+			var tagged uint64
+			for i, r := range ch.runs {
+				switch {
+				case r.mask == 0:
+					return fmt.Errorf("cache: chunk (%d,%d) cause run %d tags no page", ino, key, i)
+				case r.mask&tagged != 0:
+					return fmt.Errorf("cache: chunk (%d,%d) cause run %d tags pages %#x of an earlier run", ino, key, i, r.mask&tagged)
+				case slices.ContainsFunc(ch.runs[:i], func(q causeRun) bool { return q.set.Equal(r.set) }):
+					return fmt.Errorf("cache: chunk (%d,%d) cause run %d repeats the set %v of an earlier run", ino, key, i, r.set)
+				}
+				tagged |= r.mask
+				tagSum += int64(bits.OnesCount64(r.mask)) * int64(r.set.TagBytes())
+			}
+			if tagged != ch.dirty {
+				return fmt.Errorf("cache: chunk (%d,%d) cause runs tag pages %#x, dirty mask is %#x", ino, key, tagged, ch.dirty)
 			}
 			if ch.dirty != 0 {
 				dirtyChunks = append(dirtyChunks, key)

@@ -547,6 +547,64 @@ func TestMarkDirtyRangeMatchesPerPage(t *testing.T) {
 	}
 }
 
+// TestCheckConsistencyCatchesBadCauseRuns corrupts a chunk's cause runs in
+// each way CheckConsistency guards against and expects it to say so.
+func TestCheckConsistencyCatchesBadCauseRuns(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		corrupt func(ch *chunk)
+		want    string
+	}{
+		{"empty run", func(ch *chunk) { ch.runs = append(ch.runs, causeRun{0, causes.Of(12)}) }, "tags no page"},
+		{"overlapping runs", func(ch *chunk) { ch.runs[1].mask |= 1 }, "of an earlier run"},
+		{"runs short of the dirty mask", func(ch *chunk) { ch.runs[1].mask &^= 1 << 7 }, "dirty mask is"},
+		{"equal sets", func(ch *chunk) { ch.runs[1].set = causes.Of(10) }, "repeats the set"},
+		{"tag bytes", func(ch *chunk) { ch.runs[1].set = causes.Of(11, 12) }, "tagBytes"},
+	} {
+		env, c := newTestCache(smallConfig())
+		c.MarkDirtyRange(testCtx(10), 1, 0, 3)
+		c.MarkDirtyRange(testCtx(11), 1, 4, 7)
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		ch := c.files[1].chunks[0]
+		if len(ch.runs) != 2 {
+			t.Fatalf("chunk has cause runs %+v, want one per writer", ch.runs)
+		}
+		tc.corrupt(ch)
+		if err := c.CheckConsistency(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckConsistency = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		env.Close()
+	}
+}
+
+// TestMarkDirtyRangeOverwriteZeroAllocs asserts that rewriting warmed dirty
+// pages whose cause runs already hold the writer allocates nothing, whether
+// the pages were dirtied by the same writer or by a proxy for a set that
+// includes it.
+func TestMarkDirtyRangeOverwriteZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := smallConfig()
+	cfg.TotalPages = 1 << 12
+	env, c := newTestCache(cfg)
+	defer env.Close()
+	c.SetPdflushEnabled(false)
+	const pages = 1024
+	writer, proxy := testCtx(10), testCtx(2)
+	proxy.BeginProxy(causes.Of(10, 11))
+	for ino, dirtier := range []*ioctx.Ctx{writer, proxy} {
+		c.MarkDirtyRange(dirtier, int64(ino), 0, pages-1)
+		c.MarkDirtyRange(writer, int64(ino), 0, pages-1)
+		allocs := testing.AllocsPerRun(100, func() { c.MarkDirtyRange(writer, int64(ino), 0, pages-1) })
+		if allocs != 0 {
+			t.Errorf("rewriting %d pages dirtied by %v allocated %.2f objects per call, want 0", pages, dirtier.Causes(), allocs)
+		}
+	}
+}
+
 // ringOrder lists c's clean pages from least to most recently used.
 func ringOrder(c *Cache) [][2]int64 {
 	var out [][2]int64

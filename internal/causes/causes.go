@@ -55,16 +55,15 @@ func (s Set) Contains(pid PID) bool {
 	return i < len(s.pids) && s.pids[i] == pid
 }
 
-// Union returns the set containing every cause in s or t.
+// Union returns the set containing every cause in s or t. It returns s
+// itself when t ⊆ s and t when s ⊆ t, so a union that adds nothing to one
+// side allocates nothing.
 func (s Set) Union(t Set) Set {
-	if t.Empty() {
+	if t.subsetOf(s) {
 		return s
 	}
-	if s.Empty() {
+	if s.subsetOf(t) {
 		return t
-	}
-	if s.Equal(t) {
-		return s
 	}
 	merged := make([]PID, 0, len(s.pids)+len(t.pids))
 	i, j := 0, 0
@@ -85,6 +84,27 @@ func (s Set) Union(t Set) Set {
 	merged = append(merged, s.pids[i:]...)
 	merged = append(merged, t.pids[j:]...)
 	return Set{pids: merged}
+}
+
+// subsetOf reports whether every cause in s is in t.
+func (s Set) subsetOf(t Set) bool {
+	if len(s.pids) > len(t.pids) {
+		return false
+	}
+	if len(s.pids) == 0 || &s.pids[0] == &t.pids[0] {
+		return true // s is empty or a prefix of t's own slice
+	}
+	j := 0
+	for _, p := range s.pids {
+		for j < len(t.pids) && t.pids[j] < p {
+			j++
+		}
+		if j == len(t.pids) || t.pids[j] != p {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // Equal reports whether s and t contain the same causes.

@@ -65,6 +65,33 @@ func TestUnion(t *testing.T) {
 	}
 }
 
+// TestUnionReturnsCoveringOperand checks that a union one operand covers is
+// that operand itself, not a merged copy, so it allocates nothing.
+func TestUnionReturnsCoveringOperand(t *testing.T) {
+	same := func(a, b Set) bool { return &a.PIDs()[0] == &b.PIDs()[0] }
+	s, sub, eq := Of(1, 3, 5), Of(3, 5), Of(1, 3, 5)
+	for _, c := range []struct {
+		name      string
+		got, want Set
+	}{
+		{"s ∪ subset", s.Union(sub), s},
+		{"subset ∪ s", sub.Union(s), s},
+		{"s ∪ equal", s.Union(eq), s},
+		{"s ∪ None", s.Union(None), s},
+		{"None ∪ s", None.Union(s), s},
+	} {
+		if !same(c.got, c.want) {
+			t.Errorf("%s = %v, not the covering operand %v", c.name, c.got, c.want)
+		}
+	}
+	if u := s.Union(Of(2, 3)); !u.Equal(Of(1, 2, 3, 5)) || same(u, s) {
+		t.Fatalf("s ∪ {2,3} = %v, want a new set {1,2,3,5}", u)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Union(sub) }); allocs != 0 {
+		t.Fatalf("covered union allocated %.0f objects, want 0", allocs)
+	}
+}
+
 func TestUnionImmutable(t *testing.T) {
 	a := Of(1, 2)
 	b := Of(3)

@@ -510,6 +510,38 @@ func TestFlushRunSplitting(t *testing.T) {
 		})
 	})
 
+	// Two extents that are contiguous on disk are one run: a request spans
+	// both, on the write path and on the read path.
+	t.Run("contiguous-extents", func(t *testing.T) {
+		r := newRig(t, cfg)
+		got := record(r)
+		ctx := userCtx(10)
+		r.env.Go("main", func(p *sim.Proc) {
+			fw, _ := r.fs.Create(p, ctx, "/w")
+			fw.extents = []extent{
+				{fileBlk: 0, diskBlk: 5000, n: 3},
+				{fileBlk: 3, diskBlk: 5003, n: 3},
+			}
+			r.fs.Write(p, ctx, fw, 0, 6*BlockSize)
+			r.fs.Fsync(p, ctx, fw)
+			fr := r.fs.MkFileContiguous("/r", 6*BlockSize)
+			fr.extents = []extent{
+				{fileBlk: 0, diskBlk: 6000, n: 3},
+				{fileBlk: 3, diskBlk: 6003, n: 3},
+			}
+			r.fs.Read(p, ctx, fr, 0, 6*BlockSize)
+		})
+		r.env.Run(sim.Time(time.Hour))
+		check(t, *got, []reqRec{
+			{LBA: 5000, Blocks: 4, Pages: []int64{0, 1, 2, 3}, Causes: "{10}", Sync: true},
+			{LBA: 5004, Blocks: 2, Pages: []int64{4, 5}, Causes: "{10}", Sync: true},
+			{LBA: r.fs.journalStart, Blocks: 4, Causes: "{10}", Sync: true, TxnID: 1},
+			{LBA: r.fs.journalStart + 4, Blocks: 1, Causes: "{10}", Sync: true, TxnID: 1},
+			{LBA: 6000, Blocks: 4, Causes: "{10}", Sync: true},
+			{LBA: 6004, Blocks: 2, Causes: "{10}", Sync: true},
+		})
+	})
+
 	t.Run("sparse-read", func(t *testing.T) {
 		r := newRig(t, cfg)
 		got := record(r)

@@ -56,10 +56,10 @@ type Request struct {
 	Meta bool
 	// FileID is the inode number the request belongs to (0 for journal).
 	FileID int64
-	// Pages lists the file page indices a data write covers, letting split
-	// schedulers revise their memory-level cost estimates per page when the
-	// true on-disk cost is known (paper §3.2). Nil for reads and journal I/O.
-	Pages []int64
+	// Pages is the file pages a data write covers (none for reads, journal
+	// I/O and relocations), letting split schedulers revise their memory-level
+	// cost estimates per page when the true on-disk cost is known (§3.2).
+	Pages device.PageRange
 	// TxnID is the journal transaction the request serves: the descriptor
 	// and commit record of a committing transaction, plus the ordered-mode
 	// data flushes its commit forces (0 otherwise). Schedulers must not use

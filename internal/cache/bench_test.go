@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"splitio/internal/cache"
+	"splitio/internal/causes"
 	"splitio/internal/ioctx"
 	"splitio/internal/sim"
 )
@@ -89,8 +90,10 @@ func BenchmarkCacheMarkDirtyRangeFresh(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.MarkDirtyRange(ctx, 1, 0, pages-1)
-		if idxs, _ := c.TakeDirty(1, 0); len(idxs) != pages {
-			b.Fatalf("TakeDirty took %d pages, want %d", len(idxs), pages)
+		var taken int64
+		c.TakeDirty(1, 0, func(_, n int64, _ causes.Set) { taken += n })
+		if taken != pages {
+			b.Fatalf("TakeDirty took %d pages, want %d", taken, pages)
 		}
 	}
 }

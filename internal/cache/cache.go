@@ -131,7 +131,6 @@ func (ch *chunk) tag(mask uint64, cs causes.Set) {
 // is; otherwise the pages of it in over move to the run for the union.
 func (ch *chunk) retag(over uint64, cs causes.Set) int64 {
 	var delta int64
-	emptied := false
 	for i := 0; i < len(ch.runs); i++ {
 		r := &ch.runs[i]
 		o := r.mask & over
@@ -148,39 +147,28 @@ func (ch *chunk) retag(over uint64, cs causes.Set) int64 {
 			continue
 		}
 		r.mask &^= o
-		emptied = emptied || r.mask == 0
 		ch.tag(o, u)
 	}
-	if emptied {
-		ch.runs = slices.DeleteFunc(ch.runs, func(r causeRun) bool { return r.mask == 0 })
-	}
+	ch.dropEmptyRuns()
 	return delta
 }
 
-// causesOf returns the cause set of the chunk's dirty page b.
-func (ch *chunk) causesOf(b uint) causes.Set {
-	for _, r := range ch.runs {
-		if r.mask&(1<<b) != 0 {
-			return r.set
-		}
-	}
-	return causes.None
+// dropEmptyRuns deletes the cause runs that tag no page.
+func (ch *chunk) dropEmptyRuns() {
+	ch.runs = slices.DeleteFunc(ch.runs, func(r causeRun) bool { return r.mask == 0 })
 }
 
-// untag removes the dirty page b from its run, dropping the run if it
-// empties, and returns the page's cause set.
-func (ch *chunk) untag(b uint) causes.Set {
-	for i := range ch.runs {
-		r := &ch.runs[i]
+// stretch returns the lowest page b of the dirty pages m, the number n of
+// pages of m from b on that are consecutive and in b's cause run, and that
+// run's set.
+func (ch *chunk) stretch(m uint64) (b uint, n int64, cs causes.Set) {
+	b = uint(bits.TrailingZeros64(m))
+	for _, r := range ch.runs {
 		if r.mask&(1<<b) != 0 {
-			cs := r.set
-			if r.mask &^= 1 << b; r.mask == 0 {
-				ch.runs = slices.Delete(ch.runs, i, i+1)
-			}
-			return cs
+			return b, int64(bits.TrailingZeros64(^(r.mask & m >> b))), r.set
 		}
 	}
-	return causes.None
+	return b, 1, causes.None
 }
 
 // rank returns the slot of bit b in a chunk whose resident mask is present.
@@ -692,57 +680,71 @@ func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 func (c *Cache) traceDirty(ctx *ioctx.Ctx, ch *chunk, run, over uint64) {
 	now := c.env.Now()
 	for m := run; m != 0; m &= m - 1 {
-		b := uint(bits.TrailingZeros64(m))
+		b, _, cs := ch.stretch(m)
 		label := ""
 		if over&(1<<b) != 0 {
 			label = "overwrite"
 		}
 		c.tr.Record(trace.Event{
 			Layer: trace.LayerCache, Op: trace.OpDirty, Label: label,
-			Req: ctx.Req, PID: ctx.PID, Causes: ch.causesOf(b),
+			Req: ctx.Req, PID: ctx.PID, Causes: cs,
 			Start: now, End: now, Ino: ch.file.ino, Page: ch.key<<ChunkShift + int64(b),
 		})
 	}
 }
 
-// popDirty clears f's lowest dirty page, which stays resident and off the
-// LRU ring, and returns it with its cause set, whose tag bytes it releases.
-func (c *Cache) popDirty(f *file) (*page, causes.Set) {
-	ch := f.dirty[0]
-	b := uint(bits.TrailingZeros64(ch.dirty))
-	ch.dirty &^= 1 << b
-	if ch.dirty == 0 {
+// clean clears the dirty pages mask of ch, its file's lowest dirty chunk,
+// and releases their cause tags, dropping emptied cause runs. The pages stay
+// resident and off the LRU ring.
+func (c *Cache) clean(ch *chunk, mask uint64) {
+	f := ch.file
+	if ch.dirty &^= mask; ch.dirty == 0 {
 		heap.Pop(&f.dirty)
 	}
-	f.ndirty--
-	c.dirtyCount--
-	cs := ch.untag(b)
-	c.tagBytes -= int64(cs.TagBytes())
-	return ch.pages[rank(ch.present, b)], cs
+	k := int64(bits.OnesCount64(mask))
+	f.ndirty -= k
+	c.dirtyCount -= k
+	for i := range ch.runs {
+		r := &ch.runs[i]
+		c.tagBytes -= int64(bits.OnesCount64(r.mask&mask)) * int64(r.set.TagBytes())
+		r.mask &^= mask
+	}
+	ch.dropEmptyRuns()
 }
 
-// TakeDirty removes up to max dirty pages of ino (lowest index first),
-// marking them clean and returning their indices and cause sets. The caller
-// (the file system) is responsible for writing them to disk. Pages
-// re-dirtied while in flight simply become dirty again.
-func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) {
+// TakeDirty cleans up to max dirty pages of ino (all if max <= 0), lowest
+// first, calling run(first, n, cs) in ascending order for each run of pages
+// first..first+n-1 with one cause set cs; run must not call into the cache. A
+// run is non-empty and within one chunk: runs that meet inside a chunk differ
+// in set, and equal-set runs that meet at a chunk boundary are not merged.
+// The pages go back on the LRU ring in index order; the caller (the file
+// system) writes them to disk, and a page re-dirtied meanwhile is dirty again.
+func (c *Cache) TakeDirty(ino int64, max int, run func(first, n int64, cs causes.Set)) {
 	f := c.files[ino]
 	if f == nil || f.ndirty == 0 {
-		return nil, nil
+		return
 	}
-	if max <= 0 || int64(max) > f.ndirty {
-		max = int(f.ndirty)
+	left := f.ndirty
+	if max > 0 && int64(max) < left {
+		left = int64(max)
 	}
-	idxs = make([]int64, 0, max)
-	tags = make([]causes.Set, 0, max)
-	for len(idxs) < max {
-		pg, cs := c.popDirty(f)
-		idxs = append(idxs, pg.idx)
-		tags = append(tags, cs)
-		c.lruPush(pg)
+	for left > 0 {
+		ch := f.dirty[0]
+		var take uint64
+		for m := ch.dirty; m != 0 && left > 0; {
+			b, k, cs := ch.stretch(m)
+			k = min(k, left)
+			run(ch.key<<ChunkShift+int64(b), k, cs)
+			take |= (1<<k - 1) << b
+			m &^= take
+			left -= k
+		}
+		for m := take; m != 0; m &= m - 1 {
+			c.lruPush(ch.pages[rank(ch.present, uint(bits.TrailingZeros64(m)))])
+		}
+		c.clean(ch, take)
 	}
 	c.maybeUnthrottle()
-	return idxs, tags
 }
 
 // FreeFile drops every page of ino, firing the buffer-free hook for the
@@ -750,23 +752,23 @@ func (c *Cache) TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set) 
 // index order.
 func (c *Cache) FreeFile(ino int64) {
 	if f := c.files[ino]; f != nil {
-		var freed uint64 // the chunk's dirty pages freed so far
 		for f.ndirty > 0 {
-			pg, cs := c.popDirty(f)
-			freed |= 1 << (pg.idx & (ChunkPages - 1))
+			ch := f.dirty[0]
+			freed := ch.dirty
 			if c.tr.Enabled() {
 				now := c.env.Now()
-				c.tr.Record(trace.Event{
-					Layer: trace.LayerCache, Op: trace.OpBufferFree,
-					PID: 0, Causes: cs,
-					Start: now, End: now, Ino: ino, Page: pg.idx,
-				})
-			}
-			if ch := pg.ch; ch.dirty == 0 {
-				if c.hooks.BufferFree != nil {
-					c.hooks.BufferFree(ino, ch.key<<ChunkShift, freed)
+				for m := freed; m != 0; m &= m - 1 {
+					b, _, cs := ch.stretch(m)
+					c.tr.Record(trace.Event{
+						Layer: trace.LayerCache, Op: trace.OpBufferFree,
+						PID: 0, Causes: cs,
+						Start: now, End: now, Ino: ino, Page: ch.key<<ChunkShift + int64(b),
+					})
 				}
-				freed = 0
+			}
+			c.clean(ch, freed)
+			if c.hooks.BufferFree != nil {
+				c.hooks.BufferFree(ino, ch.key<<ChunkShift, freed)
 			}
 		}
 		//splitlint:ignore maporder unlinking and freeing in any order leaves the same ring and free page count
@@ -1084,7 +1086,7 @@ func (c *Cache) pdflushAfterIdle(sig bool) {
 func (c *Cache) flushOneFn(ino int64) {
 	if c.writeback == nil {
 		// No file system attached: drop the pages (test configurations).
-		c.TakeDirty(ino, c.cfg.WritebackBatch)
+		c.TakeDirty(ino, c.cfg.WritebackBatch, func(int64, int64, causes.Set) {})
 		c.pdflushLoop()
 		return
 	}

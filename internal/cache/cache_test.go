@@ -164,7 +164,7 @@ func TestCauseUnionOnSharedPage(t *testing.T) {
 	defer env.Close()
 	c.MarkDirty(testCtx(10), 1, 0)
 	c.MarkDirty(testCtx(11), 1, 0)
-	idxs, tags := c.TakeDirty(1, 10)
+	idxs, tags := takePages(t, c, 1, 10)
 	if len(idxs) != 1 {
 		t.Fatalf("TakeDirty returned %d pages", len(idxs))
 	}
@@ -179,7 +179,7 @@ func TestProxyTagging(t *testing.T) {
 	wb := testCtx(2)
 	wb.BeginProxy(causes.Of(10, 11))
 	c.MarkDirty(wb, 5, 0)
-	_, tags := c.TakeDirty(5, 1)
+	_, tags := takePages(t, c, 5, 1)
 	if !tags[0].Equal(causes.Of(10, 11)) {
 		t.Fatalf("proxy dirty tagged %v, want {10,11}", tags[0])
 	}
@@ -192,7 +192,7 @@ func TestTakeDirtySortedAndCleans(t *testing.T) {
 	for _, idx := range []int64{5, 1, 3} {
 		c.MarkDirty(ctx, 1, idx)
 	}
-	idxs, _ := c.TakeDirty(1, 2)
+	idxs, _ := takePages(t, c, 1, 2)
 	if len(idxs) != 2 || idxs[0] != 1 || idxs[1] != 3 {
 		t.Fatalf("TakeDirty = %v, want [1 3]", idxs)
 	}
@@ -214,7 +214,7 @@ func TestTagAccounting(t *testing.T) {
 		t.Fatal("tag bytes not accounted")
 	}
 	peak := c.MaxTagBytes()
-	c.TakeDirty(1, 10)
+	takePages(t, c, 1, 10)
 	if c.TagBytes() != 0 {
 		t.Fatalf("tag bytes after clean = %d", c.TagBytes())
 	}
@@ -324,7 +324,7 @@ func TestWritebackFnCalled(t *testing.T) {
 	defer env.Close()
 	flushed := 0
 	c.SetWriteback(func(ino int64, max int, done func(n int)) {
-		idxs, _ := c.TakeDirty(ino, max)
+		idxs, _ := takePages(t, c, ino, max)
 		flushed += len(idxs)
 		env.Schedule(time.Millisecond, func() { done(len(idxs)) })
 	})
@@ -348,7 +348,7 @@ func TestWritebackBlocksUntilDone(t *testing.T) {
 	defer env.Close()
 	c.SetPdflushEnabled(false)
 	c.SetWriteback(func(ino int64, max int, done func(n int)) {
-		idxs, _ := c.TakeDirty(ino, max)
+		idxs, _ := takePages(t, c, ino, max)
 		env.Schedule(3*time.Millisecond, func() { done(len(idxs)) })
 	})
 	var n int
@@ -395,7 +395,7 @@ func TestFlushAsyncPrioritizesFile(t *testing.T) {
 	defer env.Close()
 	var order []int64
 	c.SetWriteback(func(ino int64, max int, done func(n int)) {
-		idxs, _ := c.TakeDirty(ino, max)
+		idxs, _ := takePages(t, c, ino, max)
 		if len(idxs) > 0 {
 			order = append(order, ino)
 		}
@@ -421,7 +421,7 @@ func TestFlushAsyncDroppedWhilePdflushDisabled(t *testing.T) {
 	defer env.Close()
 	var order []int64
 	c.SetWriteback(func(ino int64, max int, done func(n int)) {
-		idxs, _ := c.TakeDirty(ino, max)
+		idxs, _ := takePages(t, c, ino, max)
 		if len(idxs) > 0 {
 			order = append(order, ino)
 		}
@@ -448,7 +448,7 @@ func TestFlushAsyncDroppedWhilePdflushDisabled(t *testing.T) {
 func TestTakeDirtyEmptyFile(t *testing.T) {
 	env, c := newTestCache(smallConfig())
 	defer env.Close()
-	idxs, tags := c.TakeDirty(99, 10)
+	idxs, tags := takePages(t, c, 99, 10)
 	if idxs != nil || tags != nil {
 		t.Fatal("TakeDirty on unknown file returned pages")
 	}
@@ -459,7 +459,7 @@ func TestRedirtyDuringFlightCountsAgain(t *testing.T) {
 	defer env.Close()
 	ctx := testCtx(10)
 	c.MarkDirty(ctx, 1, 0)
-	c.TakeDirty(1, 1)
+	takePages(t, c, 1, 1)
 	if was := c.MarkDirty(ctx, 1, 0); was {
 		t.Fatal("re-dirty after take should be fresh")
 	}

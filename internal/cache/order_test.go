@@ -20,12 +20,34 @@ import (
 // writeback picks, where a file sits in DirtyFiles, and which pages
 // TakeDirty hands out.
 
+// takePages calls TakeDirty and expands the runs it hands out page by page,
+// returning the pages in order and each page's cause set (nil, nil when it
+// hands out none). It fails t unless the runs keep TakeDirty's contract:
+// non-empty, ascending, non-overlapping and each within one chunk, and a
+// run that ends where the next begins in the same chunk has a different set.
+func takePages(t testing.TB, c *Cache, ino int64, max int) (idxs []int64, tags []causes.Set) {
+	t.Helper()
+	c.TakeDirty(ino, max, func(first, n int64, cs causes.Set) {
+		t.Helper()
+		k := len(idxs)
+		if n <= 0 || first>>ChunkShift != (first+n-1)>>ChunkShift || k > 0 && first <= idxs[k-1] ||
+			k > 0 && first == idxs[k-1]+1 && first&(ChunkPages-1) != 0 && cs.Equal(tags[k-1]) {
+			t.Fatalf("TakeDirty(%d, %d) ran pages %d+%d with %v after pages %v with %v", ino, max, first, n, cs, idxs, tags)
+		}
+		for idx := first; idx < first+n; idx++ {
+			idxs = append(idxs, idx)
+			tags = append(tags, cs)
+		}
+	})
+	return idxs, tags
+}
+
 func TestWritebackPicksLargestFileTieToFirstDirtied(t *testing.T) {
 	env, c := newTestCache(smallConfig())
 	defer env.Close()
 	var order []int64
 	c.SetWriteback(func(ino int64, max int, done func(n int)) {
-		idxs, _ := c.TakeDirty(ino, max)
+		idxs, _ := takePages(t, c, ino, max)
 		order = append(order, ino)
 		done(len(idxs))
 	})
@@ -63,7 +85,7 @@ func TestDirtyFilesKeepsPlaceUntilAllClean(t *testing.T) {
 		c.MarkDirty(ctx, ino, 0)
 	}
 	check(1, 2, 3)
-	c.TakeDirty(1, 0)
+	takePages(t, c, 1, 0)
 	check(2, 3)
 	c.MarkDirty(ctx, 1, 4)
 	check(1, 2, 3) // cleaned, then re-dirtied: back in its old place
@@ -71,14 +93,14 @@ func TestDirtyFilesKeepsPlaceUntilAllClean(t *testing.T) {
 	check(1, 3)
 	c.MarkDirty(ctx, 2, 0)
 	check(1, 2, 3) // freed, then re-dirtied: back in its old place
-	c.TakeDirty(1, 0)
-	c.TakeDirty(2, 0)
-	c.TakeDirty(3, 0)
+	takePages(t, c, 1, 0)
+	takePages(t, c, 2, 0)
+	takePages(t, c, 3, 0)
 	c.MarkDirty(ctx, 3, 0)
 	c.MarkDirty(ctx, 1, 0)
 	check(1, 3) // no daemon pass saw the cache clean: the order stands
-	c.TakeDirty(1, 0)
-	c.TakeDirty(3, 0)
+	takePages(t, c, 1, 0)
+	takePages(t, c, 3, 0)
 	// With every file clean, a daemon pass (here a flush hint on a clean
 	// file) finds nothing to write and resets the order.
 	c.SetPdflushEnabled(true)
@@ -125,7 +147,7 @@ func TestTakeDirtyPrefixAcrossTakes(t *testing.T) {
 	ctx := testCtx(10)
 	take := func(max int, want ...int64) {
 		t.Helper()
-		idxs, tags := c.TakeDirty(1, max)
+		idxs, tags := takePages(t, c, 1, max)
 		if !reflect.DeepEqual(idxs, want) {
 			t.Fatalf("TakeDirty(1, %d) = %v, want %v", max, idxs, want)
 		}
@@ -144,6 +166,17 @@ func TestTakeDirtyPrefixAcrossTakes(t *testing.T) {
 	c.MarkDirty(ctx, 1, 300) // past the small-integer range
 	take(2, 7, 8)
 	take(0, 9, 300)
+	// A run ends at a chunk boundary, even between pages of one set, and
+	// where the next page has another set.
+	c.MarkDirtyRange(ctx, 1, 60, 70)
+	c.MarkDirty(testCtx(11), 1, 71)
+	var runs []string
+	c.TakeDirty(1, 0, func(first, n int64, cs causes.Set) {
+		runs = append(runs, fmt.Sprintf("%d+%d %v", first, n, cs))
+	})
+	if want := []string{"60+4 {10}", "64+7 {10}", "71+1 {11}"}; !slices.Equal(runs, want) {
+		t.Fatalf("TakeDirty ran %q, want %q", runs, want)
+	}
 }
 
 // TestRandomOpsKeepInvariants drives a small cache (so pages get evicted)
@@ -209,7 +242,7 @@ func TestRandomOpsKeepInvariants(t *testing.T) {
 				}
 			case r < 19:
 				max := rng.Intn(6)
-				idxs, _ := c.TakeDirty(ino, max)
+				idxs, _ := takePages(t, c, ino, max)
 				var want []int64
 				for i := range model[ino] {
 					want = append(want, i)
@@ -345,7 +378,7 @@ func TestCauseTagsMatchPerPage(t *testing.T) {
 				if max > 0 && max < len(wantIdxs) {
 					wantIdxs = wantIdxs[:max]
 				}
-				idxs, tags := c.TakeDirty(ino, max)
+				idxs, tags := takePages(t, c, ino, max)
 				if len(idxs) != len(wantIdxs) || len(tags) != len(idxs) {
 					t.Fatalf("seed %d op %d: TakeDirty(%d, %d) = %v with %d tags, want %v", seed, op, ino, max, idxs, len(tags), wantIdxs)
 				}

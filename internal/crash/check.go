@@ -154,7 +154,7 @@ func (c *Checker) CheckImage(img Image) {
 		}
 		for _, d := range devs {
 			r := d.r
-			if r.Journal || r.FileID != m.Ino || r.Seq >= m.UpTo || len(r.Pages) == 0 {
+			if r.Journal || r.FileID != m.Ino || r.Seq >= m.UpTo || r.Pages.N == 0 {
 				continue
 			}
 			if !c.dataSuperseded(img, r, d.kept, dropped) {
@@ -179,60 +179,36 @@ func (c *Checker) journalSuperseded(img Image, r *fault.Record, kept int) bool {
 
 // dataSuperseded reports whether every missing page (or block) of data record
 // r was rewritten by a later write of the same file that survived both the
-// image and recovery. Page-tagged writes match on page indices; untagged ones
-// (GC/relocation) fall back to LBA coverage.
+// image and recovery.
 func (c *Checker) dataSuperseded(img Image, r *fault.Record, kept int, dropped map[int64]bool) bool {
-	if len(r.Pages) == 0 {
-		return c.superseded(img, r, kept, func(o *fault.Record) bool {
-			return !o.Journal && o.FileID == r.FileID && !dropped[o.Seq]
-		})
-	}
-	start := kept
-	if start > len(r.Pages) {
-		start = len(r.Pages)
-	}
-missing:
-	for _, pg := range r.Pages[start:] {
-		for i := range c.Log.Records {
-			o := &c.Log.Records[i]
-			if o.Seq <= r.Seq || o.Seq >= int64(img.Cut) ||
-				o.Journal || o.FileID != r.FileID || dropped[o.Seq] {
-				continue
-			}
-			limit := img.Persisted(o)
-			if limit > len(o.Pages) {
-				limit = len(o.Pages)
-			}
-			for _, opg := range o.Pages[:limit] {
-				if opg == pg {
-					continue missing
-				}
-			}
-		}
-		return false
-	}
-	return true
+	return c.superseded(img, r, kept, func(o *fault.Record) bool {
+		return !o.Journal && o.FileID == r.FileID && !dropped[o.Seq]
+	})
 }
 
-// superseded reports whether every missing block of r (indices kept..Blocks)
-// falls inside the persisted prefix of some later record matching eligible.
+// superseded reports whether the persisted prefixes of the later records in
+// the image that match eligible together cover r's missing part, the blocks
+// or pages from kept on. Page-tagged records match on pages; untagged ones
+// (journal, GC/relocation) on LBAs.
 func (c *Checker) superseded(img Image, r *fault.Record, kept int, eligible func(*fault.Record) bool) bool {
-	for b := kept; b < r.Blocks; b++ {
-		lba := r.LBA + int64(b)
-		found := false
+	span := func(o *fault.Record) (int64, int64) { return o.LBA, int64(o.Blocks) }
+	if r.Pages.N > 0 {
+		span = func(o *fault.Record) (int64, int64) { return o.Pages.First, o.Pages.N }
+	}
+	first, n := span(r)
+next:
+	for lo := first + min(int64(kept), n); lo < first+n; {
 		for i := range c.Log.Records {
 			o := &c.Log.Records[i]
 			if o.Seq <= r.Seq || o.Seq >= int64(img.Cut) || !eligible(o) {
 				continue
 			}
-			if lba >= o.LBA && lba < o.LBA+int64(img.Persisted(o)) {
-				found = true
-				break
+			if oFirst, on := span(o); oFirst <= lo && lo < oFirst+min(int64(img.Persisted(o)), on) {
+				lo = oFirst + min(int64(img.Persisted(o)), on) // covered up to o's persisted end
+				continue next
 			}
 		}
-		if !found {
-			return false
-		}
+		return false
 	}
 	return true
 }

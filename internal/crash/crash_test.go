@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"splitio/internal/device"
 	"splitio/internal/fault"
 	"splitio/internal/sim"
 )
@@ -31,17 +32,17 @@ func synthLog() *fault.Log {
 	for txn := int64(1); txn <= 3; txn++ {
 		base := (txn - 1) * 4
 		add(fault.Record{LBA: 100 + base, Blocks: 2, FileID: 7, TxnID: txn,
-			Pages: []int64{base, base + 1}})
+			Pages: device.PageRange{First: base, N: 2}})
 		add(fault.Record{LBA: 102 + base, Blocks: 2, FileID: 7, TxnID: txn,
-			Pages: []int64{base + 2, base + 3}})
+			Pages: device.PageRange{First: base + 2, N: 2}})
 		add(fault.Record{LBA: 5000 + txn*4, Blocks: 2, Journal: true, Meta: true, Sync: true, TxnID: txn})
 		add(fault.Record{LBA: 5002 + txn*4, Blocks: 1, Journal: true, Sync: true, Barrier: true, TxnID: txn})
 		if txn == 2 {
 			l.Marks = append(l.Marks, fault.Mark{Ino: 7, UpTo: 6, AckSeq: 8})
 		}
 	}
-	add(fault.Record{LBA: 200, Blocks: 2, FileID: 8, Pages: []int64{0, 1}, Torn: 1})
-	add(fault.Record{LBA: 202, Blocks: 2, FileID: 8, Pages: []int64{2, 3}})
+	add(fault.Record{LBA: 200, Blocks: 2, FileID: 8, Pages: device.PageRange{First: 0, N: 2}, Torn: 1})
+	add(fault.Record{LBA: 202, Blocks: 2, FileID: 8, Pages: device.PageRange{First: 2, N: 2}})
 	l.CutIndex = 13
 	return l
 }
@@ -130,7 +131,7 @@ func TestRewrittenDataIsSuperseded(t *testing.T) {
 	// rewrite is volatile and may itself be dropped, so flagging is correct.
 	l := synthLog()
 	l.Records[0].Lost = true
-	l.Records[8].Pages = []int64{0, 1} // txn 3 rewrites pages 0,1 of ino 7
+	l.Records[8].Pages = device.PageRange{First: 0, N: 2} // txn 3 rewrites pages 0,1 of ino 7
 	ck := NewChecker(l, ext4Cfg())
 	vs := ck.Sweep(0, 8, 1)
 	for _, v := range vs {
@@ -147,6 +148,34 @@ func TestRewrittenDataIsSuperseded(t *testing.T) {
 	}
 	if !flagged {
 		t.Error("lost record with volatile rewrite was not flagged at any early cut")
+	}
+
+	// Record 5 (pages 6..8) keeps only its first block. The later writes 8
+	// and 9 each persist only their first page: pages 7 and 8 together
+	// cover the missing tail, so nothing is reported for record 5. When
+	// write 9 starts at page 9 instead, page 8 stays uncovered and the loss
+	// must be reported.
+	for _, tc := range []struct {
+		name   string
+		second int64 // write 9's first page
+		want   bool  // record 5 reported
+	}{
+		{"joint-cover", 8, false},
+		{"uncovered-page", 9, true},
+	} {
+		l := synthLog()
+		l.Records[5].Blocks, l.Records[5].Pages = 3, device.PageRange{First: 6, N: 3}
+		l.Records[8].Pages = device.PageRange{First: 7, N: 2}
+		l.Records[9].Pages = device.PageRange{First: tc.second, N: 2}
+		ck := NewChecker(l, ext4Cfg())
+		ck.CheckImage(Image{Cut: 12, Partial: map[int64]int{5: 1, 8: 1, 9: 1}, Label: tc.name})
+		reported := false
+		for _, v := range ck.Violations {
+			reported = reported || v.Seq == 5
+		}
+		if reported != tc.want {
+			t.Errorf("%s: record 5 reported = %v, want %v; violations %v", tc.name, reported, tc.want, ck.Violations)
+		}
 	}
 }
 

@@ -84,8 +84,13 @@ type Request struct {
 	// and commit record of the transaction, plus the ordered-mode data
 	// flushes its commit forces (0 otherwise).
 	TxnID int64
-	// Pages lists the file page indices a data write covers (nil otherwise).
-	Pages []int64
+	// Pages is the file pages a data write covers (none otherwise).
+	Pages PageRange
+}
+
+// PageRange is the file pages First..First+N-1 an I/O covers; zero is none.
+type PageRange struct {
+	First, N int64
 }
 
 // Service is a disk's answer to one Request. The block layer emits the

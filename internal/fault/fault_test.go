@@ -20,7 +20,7 @@ func drive(plan *Plan) *Device {
 	for txn := int64(1); txn <= 4; txn++ {
 		for i := int64(0); i < 6; i++ {
 			step(device.Request{Op: device.Write, LBA: 1000 + txn*64 + i*2, Blocks: 2,
-				FileID: 7, Pages: []int64{i, i + 1}})
+				FileID: 7, Pages: device.PageRange{First: i, N: 2}})
 		}
 		step(device.Request{Op: device.Write, LBA: 5000 + txn*8, Blocks: 3,
 			Journal: true, Meta: true, Sync: true, TxnID: txn})
@@ -135,7 +135,7 @@ func TestDurabilityMarks(t *testing.T) {
 	if d.MediaWrites() != 0 {
 		t.Fatalf("fresh device reports %d media writes", d.MediaWrites())
 	}
-	d.Serve(device.Request{Op: device.Write, LBA: 100, Blocks: 1, FileID: 9, Pages: []int64{0}})
+	d.Serve(device.Request{Op: device.Write, LBA: 100, Blocks: 1, FileID: 9, Pages: device.PageRange{First: 0, N: 1}})
 	upTo := d.MediaWrites()
 	d.Serve(device.Request{Op: device.Write, LBA: 200, Blocks: 1, Barrier: true, Journal: true, TxnID: 1})
 	d.MarkDurable(9, upTo)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"splitio/internal/device"
 	"splitio/internal/sim"
 )
 
@@ -23,7 +24,7 @@ type Record struct {
 	Barrier bool
 	FileID  int64
 	TxnID   int64
-	Pages   []int64
+	Pages   device.PageRange
 
 	// Torn > 0 marks a plan-torn write: if a crash catches it in the
 	// volatile window, only the first Torn blocks persist. A write flushed

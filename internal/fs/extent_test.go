@@ -2,9 +2,19 @@ package fs
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
+
+// lookupBlock maps file block fileBlk of file to its disk block, if mapped.
+func (f *FS) lookupBlock(file *File, fileBlk int64) (int64, bool) {
+	if i := extentAt(file.extents, fileBlk); i < len(file.extents) && file.extents[i].fileBlk <= fileBlk {
+		e := file.extents[i]
+		return e.diskBlk + (fileBlk - e.fileBlk), true
+	}
+	return 0, false
+}
 
 // refExtents is the reference model of a file's extent list: allocate
 // appends (or merges with the last extent) and re-sorts, and remapRange
@@ -156,6 +166,124 @@ func checkExtentsMatch(t *testing.T, f *FS, file *File, ref *refExtents, rng *ra
 		wantD, wantOK := ref.lookup(blk)
 		if gotD != wantD || gotOK != wantOK {
 			t.Fatalf("seed %d step %d: lookupBlock(%d) = %d,%v, want %d,%v", seed, step, blk, gotD, gotOK, wantD, wantOK)
+		}
+	}
+}
+
+// refEachRun is the per-page reference for eachRun: it looks each of the
+// ascending page indices idxs up on its own and cuts them into runs
+// idxs[i:j], extending a run while the next page is consecutive and, for a
+// mapped run, next on disk and within MaxRunBlocks.
+func refEachRun(f *FS, file *File, idxs []int64, fn func(i, j int, diskBlk int64, mapped bool)) {
+	for i := 0; i < len(idxs); {
+		diskBlk, mapped := f.lookupBlock(file, idxs[i])
+		j := i + 1
+		for j < len(idxs) && idxs[j] == idxs[j-1]+1 && (!mapped || j-i < f.cfg.MaxRunBlocks) {
+			next, ok := f.lookupBlock(file, idxs[j])
+			if ok != mapped || mapped && next != diskBlk+int64(j-i) {
+				break
+			}
+			j++
+		}
+		fn(i, j, diskBlk, mapped)
+		i = j
+	}
+}
+
+// runCut is one run eachRun hands out.
+type runCut struct {
+	first, n, diskBlk int64
+	mapped            bool
+}
+
+// cutsOf returns eachRun's cuts of pages first..first+n-1, allocating each
+// unmapped run as the flush path does when alloc is set.
+func cutsOf(f *FS, file *File, first, n int64, alloc bool) []runCut {
+	var got []runCut
+	f.eachRun(file, first, n, func(first, n, diskBlk int64, mapped bool) {
+		got = append(got, runCut{first, n, diskBlk, mapped})
+		if alloc && !mapped {
+			f.allocate(file, first, n)
+		}
+	})
+	return got
+}
+
+// refCutsOf is cutsOf on the per-page reference.
+func refCutsOf(f *FS, file *File, first, n int64, alloc bool) []runCut {
+	idxs := make([]int64, n)
+	for i := range idxs {
+		idxs[i] = first + int64(i)
+	}
+	var want []runCut
+	refEachRun(f, file, idxs, func(i, j int, diskBlk int64, mapped bool) {
+		want = append(want, runCut{idxs[i], int64(j - i), diskBlk, mapped})
+		if alloc && !mapped {
+			f.allocate(file, idxs[i], int64(j-i))
+		}
+	})
+	return want
+}
+
+// TestEachRunMatchesPerPage builds random extent lists from delayed
+// allocations, copy-on-write remaps (some back to back, which leaves
+// neighbours contiguous on disk) and cleaner relocations, and requires the
+// extent walk to cut random page ranges, with holes and past the last
+// extent, exactly as the per-page reference does, at MaxRunBlocks of 1, 4
+// and 256. It also cuts with delayed allocation mapping each unmapped run
+// during the walk, and requires the same cuts, extents and disk cursor.
+func TestEachRunMatchesPerPage(t *testing.T) {
+	const span = 512 // file blocks the edits touch
+	for _, maxRun := range []int{1, 4, 256} {
+		for seed := int64(1); seed <= 30; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			f := &FS{cfg: Config{MaxRunBlocks: maxRun}, allocCursor: 1024}
+			file := &File{}
+			for step := 0; step < 150; step++ {
+				switch op := rng.Intn(10); {
+				case op < 3:
+					start := rng.Int63n(span)
+					n := int64(1)
+					if _, ok := f.lookupBlock(file, start); ok {
+						continue
+					}
+					for limit := 1 + rng.Int63n(64); n < limit; n++ {
+						if _, ok := f.lookupBlock(file, start+n); ok {
+							break
+						}
+					}
+					f.allocate(file, start, n)
+				case op < 6:
+					f.cowRemap(file, rng.Int63n(span), 1+rng.Int63n(48))
+				case op < 8:
+					start, n := rng.Int63n(span), 1+rng.Int63n(16)
+					f.cowRemap(file, start, n)
+					f.cowRemap(file, start+n, 1+rng.Int63n(16))
+				default:
+					if len(file.extents) == 0 {
+						continue
+					}
+					e := file.extents[rng.Intn(len(file.extents))]
+					n := min(e.n, 1+rng.Int63n(32))
+					f.remapRange(file, e.fileBlk, n, f.alloc(n))
+				}
+				for k := 0; k < 4; k++ {
+					first, n := rng.Int63n(span+64), 1+rng.Int63n(300)
+					alloc := k%2 == 1
+					fGot, fileGot := &FS{cfg: f.cfg, allocCursor: f.allocCursor}, &File{extents: slices.Clone(file.extents)}
+					fWant, fileWant := &FS{cfg: f.cfg, allocCursor: f.allocCursor}, &File{extents: slices.Clone(file.extents)}
+					got := cutsOf(fGot, fileGot, first, n, alloc)
+					want := refCutsOf(fWant, fileWant, first, n, alloc)
+					if !slices.Equal(got, want) {
+						t.Fatalf("max %d seed %d step %d: cuts of %d+%d (alloc %v) over %v\n got %v\nwant %v",
+							maxRun, seed, step, first, n, alloc, file.extents, got, want)
+					}
+					if !slices.Equal(fileGot.extents, fileWant.extents) || fGot.allocCursor != fWant.allocCursor {
+						t.Fatalf("max %d seed %d step %d: allocating %d+%d left extents %v cursor %d, want %v cursor %d",
+							maxRun, seed, step, first, n, fileGot.extents, fGot.allocCursor, fileWant.extents, fWant.allocCursor)
+					}
+				}
+			}
 		}
 	}
 }

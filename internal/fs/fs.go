@@ -56,9 +56,10 @@ type PageCache interface {
 	// behalf of ctx, tagging them with ctx's causes. It returns how many
 	// were already dirty (overwrites).
 	MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int
-	// TakeDirty removes up to max dirty pages of ino (all if max <= 0),
-	// returning their indices and cause tags.
-	TakeDirty(ino int64, max int) (idxs []int64, tags []causes.Set)
+	// TakeDirty marks up to max dirty pages of ino clean (all if max <= 0),
+	// lowest index first, and calls run for each run of them with one cause
+	// set, in ascending order.
+	TakeDirty(ino int64, max int, run func(first, n int64, cs causes.Set))
 	// FreeFile drops every page of ino.
 	FreeFile(ino int64)
 	// FileDirtyPages returns ino's dirty page count.
@@ -412,35 +413,29 @@ func (f *FS) Read(p *sim.Proc, ctx *ioctx.Ctx, file *File, off, n int64) {
 			f.cache.LookupRun(file.Ino, idx, idx)
 			idx++
 		}
-		dones = append(dones, f.submitReadRuns(ctx, file, missFirst, missLast)...)
+		dones = f.submitReadRuns(ctx, file, missFirst, missLast, dones)
 	}
 	for _, d := range dones {
 		d.Wait(p)
 	}
 }
 
-// submitReadRuns maps the missed pages first..last to disk runs and submits
-// one request per mapped run, inserting clean pages on completion; unmapped
-// pages are zero-filled without I/O. It is an fs profiling probe (the read
-// path's synchronous mapping work).
-func (f *FS) submitReadRuns(ctx *ioctx.Ctx, file *File, first, last int64) []*sim.Completion {
+// submitReadRuns maps the missed pages first..last to disk runs, submits one
+// request per mapped run, appending its completion to dones, and inserts clean
+// pages on completion; unmapped pages are zero-filled without I/O. It is an fs
+// profiling probe (the read path's synchronous mapping work).
+func (f *FS) submitReadRuns(ctx *ioctx.Ctx, file *File, first, last int64, dones []*sim.Completion) []*sim.Completion {
 	perf.Count(perf.BucketFS)
-	idxs := make([]int64, last-first+1)
-	for i := range idxs {
-		idxs[i] = first + int64(i)
-	}
-	var dones []*sim.Completion
-	f.eachRun(file, idxs, func(i, j int, diskBlk int64, mapped bool) {
-		ino, runFirst, runLast := file.Ino, idxs[i], idxs[j-1]
+	f.eachRun(file, first, last-first+1, func(first, n, diskBlk int64, mapped bool) {
 		if !mapped {
 			// Sparse read: zero-fill, no I/O.
-			f.cache.InsertCleanRange(ino, runFirst, runLast)
+			f.cache.InsertCleanRange(file.Ino, first, first+n-1)
 			return
 		}
 		req := &block.Request{
 			Op:        device.Read,
 			LBA:       diskBlk,
-			Blocks:    j - i,
+			Blocks:    int(n),
 			Causes:    ctx.Causes(),
 			Submitter: ctx.PID,
 			Prio:      ctx.Prio,
@@ -455,39 +450,41 @@ func (f *FS) submitReadRuns(ctx *ioctx.Ctx, file *File, first, last int64) []*si
 		done := f.blk.Submit(req)
 		// Registered before anyone can wait on done (Submit never completes
 		// inline), so the pages are in the cache before any waiter resumes.
-		done.WaitFn(func() { f.cache.InsertCleanRange(ino, runFirst, runLast) })
+		done.WaitFn(func() { f.cache.InsertCleanRange(file.Ino, first, first+n-1) })
 		dones = append(dones, done)
 	})
 	return dones
 }
 
-// eachRun cuts the ascending page indices idxs of file into runs and calls
-// fn(i, j, diskBlk, mapped) for each run idxs[i:j] in order. A mapped run is
-// contiguous in file and disk space, starts at diskBlk and holds at most
-// MaxRunBlocks pages; an unmapped run is consecutive unmapped pages,
-// uncapped, so delayed allocation gives it one extent.
-func (f *FS) eachRun(file *File, idxs []int64, fn func(i, j int, diskBlk int64, mapped bool)) {
-	for i := 0; i < len(idxs); {
-		diskBlk, mapped := f.lookupBlock(file, idxs[i])
-		j := i + 1
-		for j < len(idxs) && idxs[j] == idxs[j-1]+1 && (!mapped || j-i < f.cfg.MaxRunBlocks) {
-			next, ok := f.lookupBlock(file, idxs[j])
-			if ok != mapped || mapped && next != diskBlk+int64(j-i) {
-				break
-			}
-			j++
+// eachRun cuts the pages first..first+n-1 of file into runs, calling
+// fn(first, n, diskBlk, mapped) for each in order. A mapped run is contiguous
+// in file and disk space across extents, starts at diskBlk and holds at most
+// MaxRunBlocks pages; an unmapped run is consecutive unmapped pages, uncapped,
+// so delayed allocation gives it one extent. It walks the extents from
+// extentAt's, re-reading the list after each run so fn may map an unmapped one.
+func (f *FS) eachRun(file *File, first, n int64, fn func(first, n, diskBlk int64, mapped bool)) {
+	i := extentAt(file.extents, first)
+	for idx, end := first, first+n; idx < end; {
+		exts := file.extents
+		for i < len(exts) && exts[i].fileBlk+exts[i].n <= idx {
+			i++
 		}
-		fn(i, j, diskBlk, mapped)
-		i = j
+		if next := end; i == len(exts) || exts[i].fileBlk > idx {
+			if i < len(exts) {
+				next = min(end, exts[i].fileBlk)
+			}
+			fn(idx, next-idx, 0, false)
+			idx = next
+			continue
+		}
+		off := exts[i].diskBlk - exts[i].fileBlk // disk block - file block, along the run
+		stop, runEnd := min(end, idx+max(int64(f.cfg.MaxRunBlocks), 1)), idx
+		for j := i; runEnd < stop && j < len(exts) && exts[j].fileBlk <= runEnd && exts[j].diskBlk-exts[j].fileBlk == off; j++ {
+			runEnd = min(stop, exts[j].fileBlk+exts[j].n)
+		}
+		fn(idx, runEnd-idx, idx+off, true)
+		idx = runEnd
 	}
-}
-
-func (f *FS) lookupBlock(file *File, fileBlk int64) (int64, bool) {
-	if i := extentAt(file.extents, fileBlk); i < len(file.extents) && file.extents[i].fileBlk <= fileBlk {
-		e := file.extents[i]
-		return e.diskBlk + (fileBlk - e.fileBlk), true
-	}
-	return 0, false
 }
 
 // extentAt returns the index of the first extent in exts that ends after
@@ -559,41 +556,45 @@ func (f *FS) allocate(file *File, fileBlk, n int64) int64 {
 // fs profiling probe (the write path's synchronous flush work).
 func (f *FS) flushFileDataFn(ctx *ioctx.Ctx, ino int64, max int, k func(n int)) {
 	perf.Count(perf.BucketFS)
-	idxs, tags := f.cache.TakeDirty(ino, max)
+	var runs []dirtyRun          // as TakeDirty hands them out
+	var spans []device.PageRange // the runs' stretches of consecutive pages
+	var union causes.Set
+	var pages int64
+	f.cache.TakeDirty(ino, max, func(first, n int64, cs causes.Set) {
+		runs = append(runs, dirtyRun{first, n, cs})
+		if k := len(spans) - 1; k >= 0 && spans[k].First+spans[k].N == first {
+			spans[k].N += n
+		} else {
+			spans = append(spans, device.PageRange{First: first, N: n})
+		}
+		union = union.Union(cs)
+		pages += n
+	})
 	file, ok := f.byIno[ino]
-	if !ok || len(idxs) == 0 {
+	if !ok || len(runs) == 0 {
 		// Nothing dirty, or unlinked while dirty: nothing to write.
 		k(0)
 		return
 	}
 	flushStart := f.env.Now()
-	var union causes.Set
-	for _, t := range tags {
-		union = union.Union(t)
-	}
 	proxied := ctx == f.wbCtx || ctx == f.jctx
 	if proxied {
 		ctx.BeginProxy(union)
 	}
 	// Allocate unmapped runs; allocation is a metadata update that joins
 	// the running transaction, charged to the proxied causes. In
-	// copy-on-write mode every flushed run of consecutive pages gets fresh
-	// blocks, remapping the file and leaving garbage behind.
+	// copy-on-write mode every flushed stretch of consecutive pages gets
+	// fresh blocks, remapping the file and leaving garbage behind.
 	allocated := false
-	if f.cfg.CopyOnWrite {
-		for i := 0; i < len(idxs); {
-			j := i + 1
-			for j < len(idxs) && idxs[j] == idxs[j-1]+1 {
-				j++
-			}
-			f.cowRemap(file, idxs[i], int64(j-i))
+	for _, sp := range spans {
+		if f.cfg.CopyOnWrite {
+			f.cowRemap(file, sp.First, sp.N)
 			allocated = true
-			i = j
+			continue
 		}
-	} else {
-		f.eachRun(file, idxs, func(i, j int, _ int64, mapped bool) {
+		f.eachRun(file, sp.First, sp.N, func(first, n, _ int64, mapped bool) {
 			if !mapped {
-				f.allocate(file, idxs[i], int64(j-i))
+				f.allocate(file, first, n)
 				allocated = true
 			}
 		})
@@ -610,7 +611,7 @@ func (f *FS) flushFileDataFn(ctx *ioctx.Ctx, ino int64, max int, k func(n int)) 
 			f.tr.Record(trace.Event{
 				Layer: trace.LayerFS, Op: trace.OpAlloc,
 				Req: ctx.Req, PID: ctx.PID, Causes: who,
-				Start: flushStart, End: flushStart, Ino: ino, Blocks: len(idxs),
+				Start: flushStart, End: flushStart, Ino: ino, Blocks: int(pages),
 			})
 		}
 	}
@@ -623,32 +624,38 @@ func (f *FS) flushFileDataFn(ctx *ioctx.Ctx, ino int64, max int, k func(n int)) 
 		txnID = f.flushTxnID
 	}
 	var dones []*sim.Completion
-	f.eachRun(file, idxs, func(i, j int, diskBlk int64, _ bool) {
-		runCauses := tags[i]
-		for _, t := range tags[i+1 : j] {
-			runCauses = runCauses.Union(t)
-		}
-		req := &block.Request{
-			Op:        device.Write,
-			LBA:       diskBlk,
-			Blocks:    j - i,
-			Causes:    runCauses,
-			Submitter: ctx.PID,
-			Prio:      ctx.Prio,
-			Class:     ctx.Class,
-			Sync:      ctx != f.wbCtx,
-			FileID:    ino,
-			Pages:     append([]int64(nil), idxs[i:j]...),
-			TxnID:     txnID,
-			Req:       ctx.Req,
-		}
-		if ctx.WriteDeadline > 0 {
-			req.Deadline = f.env.Now().Add(ctx.WriteDeadline)
-		}
-		done := f.blk.Submit(req)
-		f.inflightDones[ino] = append(f.inflightDones[ino], done)
-		dones = append(dones, done)
-	})
+	r := 0 // the first dirty run not wholly before the next request
+	for _, sp := range spans {
+		f.eachRun(file, sp.First, sp.N, func(first, n, diskBlk int64, _ bool) {
+			for runs[r].first+runs[r].n <= first {
+				r++
+			}
+			var runCauses causes.Set
+			for q := r; q < len(runs) && runs[q].first < first+n; q++ {
+				runCauses = runCauses.Union(runs[q].cs)
+			}
+			req := &block.Request{
+				Op:        device.Write,
+				LBA:       diskBlk,
+				Blocks:    int(n),
+				Causes:    runCauses,
+				Submitter: ctx.PID,
+				Prio:      ctx.Prio,
+				Class:     ctx.Class,
+				Sync:      ctx != f.wbCtx,
+				FileID:    ino,
+				Pages:     device.PageRange{First: first, N: n},
+				TxnID:     txnID,
+				Req:       ctx.Req,
+			}
+			if ctx.WriteDeadline > 0 {
+				req.Deadline = f.env.Now().Add(ctx.WriteDeadline)
+			}
+			done := f.blk.Submit(req)
+			f.inflightDones[ino] = append(f.inflightDones[ino], done)
+			dones = append(dones, done)
+		})
+	}
 	sim.WaitAllFn(dones, func() {
 		if f.tr.Enabled() {
 			// The transaction id lets attribution tie foreign data flushes
@@ -656,15 +663,21 @@ func (f *FS) flushFileDataFn(ctx *ioctx.Ctx, ino int64, max int, k func(n int)) 
 			f.tr.Record(trace.Event{
 				Layer: trace.LayerFS, Op: trace.OpFlushData,
 				Req: ctx.Req, PID: ctx.PID, Causes: union, Prio: ctx.Prio,
-				Start: flushStart, End: f.env.Now(), Ino: ino, Blocks: len(idxs),
+				Start: flushStart, End: f.env.Now(), Ino: ino, Blocks: int(pages),
 				Txn: txnID,
 			})
 		}
 		if proxied {
 			ctx.EndProxy()
 		}
-		k(len(idxs))
+		k(int(pages))
 	})
+}
+
+// dirtyRun is a run of dirty pages TakeDirty hands out, with its cause set.
+type dirtyRun struct {
+	first, n int64
+	cs       causes.Set
 }
 
 // flushFileData flushes every dirty page of ino on behalf of ctx and blocks

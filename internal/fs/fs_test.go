@@ -438,7 +438,7 @@ func TestOverwriteNoNewAllocation(t *testing.T) {
 type reqRec struct {
 	LBA    int64
 	Blocks int
-	Pages  []int64
+	Pages  device.PageRange
 	Causes string
 	Sync   bool
 	TxnID  int64
@@ -495,12 +495,12 @@ func TestFlushRunSplitting(t *testing.T) {
 		})
 		r.env.Run(sim.Time(time.Hour))
 		check(t, *got, []reqRec{
-			{LBA: 5000, Blocks: 4, Pages: []int64{0, 1, 2, 3}, Causes: "{10}", Sync: true},
-			{LBA: 5004, Blocks: 2, Pages: []int64{4, 5}, Causes: "{10,11}", Sync: true},
-			{LBA: 7000, Blocks: 2, Pages: []int64{6, 7}, Causes: "{11}", Sync: true},
-			{LBA: 1024, Blocks: 2, Pages: []int64{8, 9}, Causes: "{11}", Sync: true},
-			{LBA: 9000, Blocks: 2, Pages: []int64{10, 11}, Causes: "{11}", Sync: true},
-			{LBA: 1026, Blocks: 2, Pages: []int64{0, 1}, Causes: "{12}", Sync: true, TxnID: 1},
+			{LBA: 5000, Blocks: 4, Pages: device.PageRange{First: 0, N: 4}, Causes: "{10}", Sync: true},
+			{LBA: 5004, Blocks: 2, Pages: device.PageRange{First: 4, N: 2}, Causes: "{10,11}", Sync: true},
+			{LBA: 7000, Blocks: 2, Pages: device.PageRange{First: 6, N: 2}, Causes: "{11}", Sync: true},
+			{LBA: 1024, Blocks: 2, Pages: device.PageRange{First: 8, N: 2}, Causes: "{11}", Sync: true},
+			{LBA: 9000, Blocks: 2, Pages: device.PageRange{First: 10, N: 2}, Causes: "{11}", Sync: true},
+			{LBA: 1026, Blocks: 2, Pages: device.PageRange{First: 0, N: 2}, Causes: "{12}", Sync: true, TxnID: 1},
 			{LBA: r.fs.journalStart, Blocks: 9, Causes: "{10,11,12}", Sync: true, TxnID: 1},
 			{LBA: r.fs.journalStart + 9, Blocks: 1, Causes: "{10,11,12}", Sync: true, TxnID: 1},
 			// The periodic commit of the allocation the ordered flush made
@@ -533,8 +533,8 @@ func TestFlushRunSplitting(t *testing.T) {
 		})
 		r.env.Run(sim.Time(time.Hour))
 		check(t, *got, []reqRec{
-			{LBA: 5000, Blocks: 4, Pages: []int64{0, 1, 2, 3}, Causes: "{10}", Sync: true},
-			{LBA: 5004, Blocks: 2, Pages: []int64{4, 5}, Causes: "{10}", Sync: true},
+			{LBA: 5000, Blocks: 4, Pages: device.PageRange{First: 0, N: 4}, Causes: "{10}", Sync: true},
+			{LBA: 5004, Blocks: 2, Pages: device.PageRange{First: 4, N: 2}, Causes: "{10}", Sync: true},
 			{LBA: r.fs.journalStart, Blocks: 4, Causes: "{10}", Sync: true, TxnID: 1},
 			{LBA: r.fs.journalStart + 4, Blocks: 1, Causes: "{10}", Sync: true, TxnID: 1},
 			{LBA: 6000, Blocks: 4, Causes: "{10}", Sync: true},

@@ -111,7 +111,11 @@ func (r *refPrelim) bufferFree(ino, idx int64) {
 
 func (r *refPrelim) completed(req *block.Request) {
 	actual := r.k.NormalizedBytes(req)
-	prelimSum, prelimAccount := r.takePrelim(req.FileID, req.Pages...)
+	var idxs []int64
+	for idx := req.Pages.First; idx < req.Pages.First+req.Pages.N; idx++ {
+		idxs = append(idxs, idx)
+	}
+	prelimSum, prelimAccount := r.takePrelim(req.FileID, idxs...)
 	b, _ := r.bucketOf(req.Causes)
 	if b == nil && prelimAccount != "" {
 		b = r.accounts[prelimAccount]
@@ -234,7 +238,7 @@ func TestPrelimTableMatchesPerPage(t *testing.T) {
 					}
 					s.bufferDirty(ino, base, pages, overwrite, cs)
 				}
-			case op < 7: // write back some dirty pages, lowest first
+			case op < 7: // write back some consecutive dirty pages, lowest first
 				idxs := make([]int64, 0, len(fd))
 				for idx := range fd {
 					idxs = append(idxs, idx)
@@ -243,6 +247,12 @@ func TestPrelimTableMatchesPerPage(t *testing.T) {
 				idxs = idxs[:min(len(idxs), 1+rng.Intn(3*cache.ChunkPages))]
 				if len(idxs) == 0 {
 					continue
+				}
+				for j := 1; j < len(idxs); j++ {
+					if idxs[j] != idxs[j-1]+1 {
+						idxs = idxs[:j] // a write covers one page range
+						break
+					}
 				}
 				var cs causes.Set
 				for _, idx := range idxs {
@@ -253,7 +263,7 @@ func TestPrelimTableMatchesPerPage(t *testing.T) {
 					cs = causes.Of(3) // billed to nobody: the charge falls back to the prelim account
 				}
 				inFlight = append(inFlight, &block.Request{
-					Op: device.Write, FileID: ino, Pages: idxs, Causes: cs,
+					Op: device.Write, FileID: ino, Pages: device.PageRange{First: idxs[0], N: int64(len(idxs))}, Causes: cs,
 					Service: time.Duration(1+rng.Intn(20000)) * time.Microsecond,
 				})
 			case op < 9: // complete a write

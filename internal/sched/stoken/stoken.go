@@ -248,12 +248,12 @@ func (s *Sched) acctIndex(a string) int32 {
 }
 
 // takePrelim removes the outstanding preliminary charges of ino's pages
-// idxs. It returns their sum, added in idxs order, and the account of the
-// last one found ("" when none was).
-func (s *Sched) takePrelim(ino int64, idxs ...int64) (sum float64, account string) {
+// first..first+n-1. It returns their sum, added in ascending page order,
+// and the account of the last one found ("" when none was).
+func (s *Sched) takePrelim(ino, first, n int64) (sum float64, account string) {
 	key := prelimKey{ino, -1} // no chunk of a page index is negative
 	var pc *prelimChunk
-	for _, idx := range idxs {
+	for idx := first; idx < first+n; idx++ {
 		if c := idx >> cache.ChunkShift; c != key.chunk {
 			key.chunk = c
 			pc = s.prelim[key]
@@ -431,7 +431,7 @@ func (s *Sched) Completed(r *block.Request) {
 	}
 	// Writes: subtract what the preliminary model already charged for
 	// these pages, then charge the remainder (possibly a refund).
-	prelimSum, prelimAccount := s.takePrelim(r.FileID, r.Pages...)
+	prelimSum, prelimAccount := s.takePrelim(r.FileID, r.Pages.First, r.Pages.N)
 	b, _ := s.bucketOf(r.Causes)
 	if b == nil && prelimAccount != "" {
 		b = s.accounts[prelimAccount]

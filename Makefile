@@ -3,7 +3,7 @@
 #   make check       vet (with gofmt) + lint + build + tests + benchmark tests + race + fuzz corpora + crash-consistency smoke + gcsweep + report + slo + tracegate
 #   make lint        splitlint determinism-contract analyzers (see DESIGN.md)
 #   make benchtest   tests of cmd/benchmark, a nested module the root `go test ./...` skips
-#   make crashsweep  fault-injected crash sweep; fails on any invariant violation
+#   make crashsweep  fault-injected crash sweep over seeds 1..4; fails on any invariant violation
 #   make gcsweep     GC-inversion sweep on an aged FTL SSD; fails if gc-afq inverts
 #   make report      latency-attribution report; fails on split-scheduler inversions
 #   make slo         windowed SLO gate; CFQ must breach (with a bundle), split-AFQ must not
@@ -82,8 +82,10 @@ cover:
 	awk -v t="$$total" -v b="$$base" 'BEGIN { exit (t+0 < b+0) ? 1 : 0 }' || \
 		{ echo "coverage $$total% fell below the $$base% baseline" >&2; exit 1; }
 
+# Crash invariants must hold across the seed sweep, not just one seed: each
+# seed draws its own fault plans and crash images.
 crashsweep:
-	$(GO) run ./cmd/splitbench -scale 0.1 -seed 1 -j $(NPROC) -postmortem postmortem-crashsweep.json crashsweep
+	$(GO) run ./cmd/splitbench -scale 0.1 -seeds 1..4 -j $(NPROC) -postmortem postmortem-crashsweep.json crashsweep
 
 # GC-inversion demonstration on a steady-state-aged FTL SSD: CFQ must show
 # gc-stall inversions (the phenomenon) and gc-afq must show none (the fix);

@@ -6,6 +6,7 @@ package splitio_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -83,15 +84,11 @@ func TestCheckerCatchesLostWrites(t *testing.T) {
 }
 
 func TestFaultedGoldenDeterminism(t *testing.T) {
-	run := func(seed int64) (logBytes, traceBytes []byte) {
+	run := func(seed int64) (*fault.Log, []byte) {
 		k, col := faultedRun(t, core.Ext4, legalPlan(seed))
 		ck := crash.NewChecker(k.Fault.Log(), crash.ConfigFor(k.FS))
 		ck.Tracer = k.Trace
 		ck.Sweep(16, 8, seed)
-		var lb bytes.Buffer
-		if err := k.Fault.Log().WriteText(&lb); err != nil {
-			t.Fatalf("WriteText: %v", err)
-		}
 		var tb bytes.Buffer
 		if err := trace.WriteChrome(&tb, col.Events); err != nil {
 			t.Fatalf("WriteChrome: %v", err)
@@ -109,18 +106,18 @@ func TestFaultedGoldenDeterminism(t *testing.T) {
 		if images == 0 || recovers == 0 {
 			t.Fatalf("sweep traced %d crash-image and %d recover spans", images, recovers)
 		}
-		return lb.Bytes(), tb.Bytes()
+		return k.Fault.Log(), tb.Bytes()
 	}
 	log1, tr1 := run(1)
 	log2, tr2 := run(1)
-	if !bytes.Equal(log1, log2) {
+	if !reflect.DeepEqual(log1, log2) {
 		t.Error("same-seed faulted runs produced different persistence logs")
 	}
 	if !bytes.Equal(tr1, tr2) {
 		t.Error("same-seed faulted runs exported different traces")
 	}
 	log3, _ := run(2)
-	if bytes.Equal(log1, log3) {
+	if reflect.DeepEqual(log1, log3) {
 		t.Error("different seeds produced identical persistence logs (suspicious)")
 	}
 }

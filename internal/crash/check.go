@@ -1,7 +1,6 @@
 package crash
 
 import (
-	"bytes"
 	"fmt"
 
 	"splitio/internal/fault"
@@ -165,7 +164,7 @@ func (c *Checker) CheckImage(img Image) {
 		}
 	}
 
-	if r2 := c.Recover(rec.Image()); !bytes.Equal(rec.Encode(), r2.Encode()) {
+	if !rec.same(c.Recover(rec.Image())) {
 		report(InvIdempotent, rec.HeadSeq, "second recovery changed the recovered state")
 	}
 }
@@ -196,11 +195,14 @@ func (c *Checker) superseded(img Image, r *fault.Record, kept int, eligible func
 		span = func(o *fault.Record) (int64, int64) { return o.Pages.First, o.Pages.N }
 	}
 	first, n := span(r)
+	// Record.Seq is the record's index, so the later records in the image
+	// are one slice.
+	later := c.Log.Records[r.Seq+1 : min(img.Cut, len(c.Log.Records))]
 next:
 	for lo := first + min(int64(kept), n); lo < first+n; {
-		for i := range c.Log.Records {
-			o := &c.Log.Records[i]
-			if o.Seq <= r.Seq || o.Seq >= int64(img.Cut) || !eligible(o) {
+		for i := range later {
+			o := &later[i]
+			if !eligible(o) {
 				continue
 			}
 			if oFirst, on := span(o); oFirst <= lo && lo < oFirst+min(int64(img.Persisted(o)), on) {

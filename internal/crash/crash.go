@@ -26,7 +26,7 @@ package crash
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"splitio/internal/fault"
 	"splitio/internal/fs"
@@ -90,24 +90,18 @@ func (img *Image) Persisted(rec *fault.Record) int {
 // points than maxCuts, they are sampled evenly, always keeping the first and
 // last.
 func Cuts(log *fault.Log, maxCuts int) []int {
-	set := map[int]bool{len(log.Records): true}
+	cuts := []int{len(log.Records)}
 	for i := range log.Records {
 		r := &log.Records[i]
 		if r.Barrier && !r.Lost {
-			set[i] = true
-			if i+1 <= len(log.Records) {
-				set[i+1] = true
-			}
+			cuts = append(cuts, i, i+1)
 		}
 	}
 	if log.CutIndex >= 0 {
-		set[log.CutIndex] = true
+		cuts = append(cuts, log.CutIndex)
 	}
-	cuts := make([]int, 0, len(set))
-	for c := range set {
-		cuts = append(cuts, c)
-	}
-	sort.Ints(cuts)
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
 	if maxCuts <= 0 || len(cuts) <= maxCuts {
 		return cuts
 	}
@@ -119,14 +113,8 @@ func Cuts(log *fault.Log, maxCuts int) []int {
 		sampled = append(sampled, cuts[i*(len(cuts)-1)/(maxCuts-1)])
 	}
 	// The stride formula can repeat indices when maxCuts is close to
-	// len(cuts); dedupe while preserving order.
-	out := sampled[:0]
-	for i, c := range sampled {
-		if i == 0 || c != out[len(out)-1] {
-			out = append(out, c)
-		}
-	}
-	return out
+	// len(cuts).
+	return slices.Compact(sampled)
 }
 
 // ImagesAt enumerates persisted images for one crash point: the full prefix,
@@ -152,13 +140,7 @@ func ImagesAt(log *fault.Log, cut, budget int, seed int64) []Image {
 	}
 	images = append(images, Image{Cut: cut, Partial: none, Label: "none"})
 
-	idxs := []int{0, len(window) / 2, len(window) - 1}
-	seen := map[int]bool{}
-	for _, i := range idxs {
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
+	for _, i := range slices.Compact([]int{0, len(window) / 2, len(window) - 1}) {
 		r := window[i]
 		images = append(images, Image{
 			Cut: cut, Partial: map[int64]int{r.Seq: 0},

@@ -1,7 +1,6 @@
 package crash
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -188,11 +187,45 @@ func TestRecoveryIdempotent(t *testing.T) {
 			for _, img := range ImagesAt(l, cut, 8, 1) {
 				rec := ck.Recover(img)
 				r2 := ck.Recover(rec.Image())
-				if !bytes.Equal(rec.Encode(), r2.Encode()) {
-					t.Fatalf("%s: recover(recover(img)) != recover(img) at cut=%d image=%s:\n%s\n--- vs ---\n%s",
-						cfg.FSName, cut, img.Label, rec.Encode(), r2.Encode())
+				if !rec.same(r2) {
+					t.Fatalf("%s: recover(recover(img)) != recover(img) at cut=%d image=%s:\n%+v\n--- vs ---\n%+v",
+						cfg.FSName, cut, img.Label, rec, r2)
 				}
 			}
+		}
+	}
+}
+
+// TestRecoverySame pins what the idempotence check compares: every field of
+// the outcome and the post-recovery image, with nil and empty lists equal.
+// The image already lost record 10, so dropping it again leaves the
+// post-recovery image unchanged: only the Dropped lists tell the pair apart.
+func TestRecoverySame(t *testing.T) {
+	base := func() *Recovered {
+		return &Recovered{
+			FSName: "ext4sim", Committed: []int64{1, 2}, HeadSeq: 7, Dropped: []int64{8, 9},
+			img: Image{Cut: 11, Partial: map[int64]int{5: 1, 10: 0}},
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(a, b *Recovered)
+		want bool
+	}{
+		{"identical", func(_, _ *Recovered) {}, true},
+		{"nil-vs-empty-dropped", func(a, b *Recovered) { a.Dropped, b.Dropped = []int64{}, nil }, true},
+		{"head-seq", func(_, b *Recovered) { b.HeadSeq = 3 }, false},
+		{"one-more-committed", func(_, b *Recovered) { b.Committed = append(b.Committed, 3) }, false},
+		{"one-more-dropped", func(_, b *Recovered) { b.Dropped = append(b.Dropped, 10) }, false},
+		{"post-image-partial", func(_, b *Recovered) { b.img.Partial = map[int64]int{5: 2, 10: 0} }, false},
+	} {
+		a, b := base(), base()
+		tc.edit(a, b)
+		if got := a.same(b); got != tc.want {
+			t.Errorf("%s: same = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := b.same(a); got != tc.want {
+			t.Errorf("%s (reversed): same = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -1,9 +1,8 @@
 package crash
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"maps"
+	"slices"
 )
 
 // Recovered is the outcome of running the file system's recovery procedure
@@ -40,23 +39,13 @@ func (r *Recovered) Image() Image {
 	return Image{Cut: r.img.Cut, Partial: part, Label: r.img.Label + "+recovered"}
 }
 
-// Encode serializes the recovery outcome deterministically; the idempotence
-// check and determinism tests compare these bytes directly.
-func (r *Recovered) Encode() []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fs=%s head=%d cut=%d\n", r.FSName, r.HeadSeq, r.img.Cut)
-	fmt.Fprintf(&b, "committed=%v\n", r.Committed)
-	fmt.Fprintf(&b, "dropped=%v\n", r.Dropped)
-	post := r.Image()
-	seqs := make([]int64, 0, len(post.Partial))
-	for s := range post.Partial {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		fmt.Fprintf(&b, "p %d=%d\n", s, post.Partial[s])
-	}
-	return []byte(b.String())
+// same reports whether r and o are the same recovery outcome: the same file
+// system, recovery head and crash point, the same committed and dropped
+// records, and the same post-recovery image. Nil and empty lists are equal.
+func (r *Recovered) same(o *Recovered) bool {
+	return r.FSName == o.FSName && r.HeadSeq == o.HeadSeq && r.img.Cut == o.img.Cut &&
+		slices.Equal(r.Committed, o.Committed) && slices.Equal(r.Dropped, o.Dropped) &&
+		maps.Equal(r.Image().Partial, o.Image().Partial)
 }
 
 // Recover runs the configured recovery procedure against img.

@@ -1,7 +1,7 @@
 package fault
 
 import (
-	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -31,15 +31,6 @@ func drive(plan *Plan) *Device {
 	return d
 }
 
-func logText(t *testing.T, d *Device) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := d.Log().WriteText(&buf); err != nil {
-		t.Fatalf("WriteText: %v", err)
-	}
-	return buf.Bytes()
-}
-
 func TestSameSeedSameLog(t *testing.T) {
 	mk := func(seed int64) *Plan {
 		p := NewPlan(seed)
@@ -49,12 +40,12 @@ func TestSameSeedSameLog(t *testing.T) {
 		p.CutAfterWrites = 20
 		return p
 	}
-	a := logText(t, drive(mk(42)))
-	b := logText(t, drive(mk(42)))
-	if !bytes.Equal(a, b) {
-		t.Fatalf("same-seed runs produced different logs:\n%s\n--- vs ---\n%s", a, b)
+	a := drive(mk(42)).Log()
+	b := drive(mk(42)).Log()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same-seed runs produced different logs:\n%+v\n--- vs ---\n%+v", a, b)
 	}
-	if c := logText(t, drive(mk(43))); bytes.Equal(a, c) {
+	if c := drive(mk(43)).Log(); reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical fault schedules (suspicious)")
 	}
 }

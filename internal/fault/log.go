@@ -1,9 +1,6 @@
 package fault
 
 import (
-	"fmt"
-	"io"
-
 	"splitio/internal/device"
 	"splitio/internal/sim"
 )
@@ -80,33 +77,4 @@ func (l *Log) LastBarrier(cut int) int {
 		}
 	}
 	return -1
-}
-
-// WriteText serializes the log deterministically, one line per record, mark,
-// and read fault. Same-seed runs must produce byte-identical output; tests
-// compare these bytes directly.
-func (l *Log) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "records=%d cut=%d\n", len(l.Records), l.CutIndex); err != nil {
-		return err
-	}
-	for i := range l.Records {
-		r := &l.Records[i]
-		if _, err := fmt.Fprintf(w,
-			"w %d at=%d lba=%d n=%d sync=%t journal=%t meta=%t barrier=%t ino=%d txn=%d pages=%v torn=%d lost=%t\n",
-			r.Seq, int64(r.At), r.LBA, r.Blocks, r.Sync, r.Journal, r.Meta, r.Barrier,
-			r.FileID, r.TxnID, r.Pages, r.Torn, r.Lost); err != nil {
-			return err
-		}
-	}
-	for _, m := range l.Marks {
-		if _, err := fmt.Fprintf(w, "m ino=%d upto=%d ack=%d\n", m.Ino, m.UpTo, m.AckSeq); err != nil {
-			return err
-		}
-	}
-	for _, rf := range l.ReadFaults {
-		if _, err := fmt.Fprintf(w, "r at=%d lba=%d\n", int64(rf.At), rf.LBA); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -218,6 +218,16 @@ type FS struct {
 	gcStepFn func()
 	gcWakeFn func(sig bool)
 
+	// Flush scratch, reset by each flushFileDataFn call and filled by
+	// takeRunFn, its TakeDirty callback built once in New. One set serves
+	// every flush: nothing on a flush's synchronous part starts another
+	// (block submission and wait-queue signals only schedule).
+	flushRuns  []dirtyRun         // as TakeDirty hands them out
+	flushSpans []device.PageRange // the runs' stretches of consecutive pages
+	flushUnion causes.Set
+	flushPages int64
+	takeRunFn  func(first, n int64, cs causes.Set)
+
 	// Stats.
 	statCommits     int64
 	statJournalBlks int64
@@ -251,6 +261,7 @@ func New(env *sim.Env, cfg Config, c PageCache, blk *block.Layer, jctx, wbCtx *i
 	// (journal, commit timer, COW cleaner), which fixes the kernel's seq
 	// numbering; the schedule goldens pin it.
 	f.jWakeFn = func(sig bool) { f.journalStep() }
+	f.takeRunFn = f.takeRun
 	env.Schedule(0, f.journalStep)
 	env.Schedule(0, f.armCommitTimer)
 	if cfg.CopyOnWrite {
@@ -556,20 +567,10 @@ func (f *FS) allocate(file *File, fileBlk, n int64) int64 {
 // fs profiling probe (the write path's synchronous flush work).
 func (f *FS) flushFileDataFn(ctx *ioctx.Ctx, ino int64, max int, k func(n int)) {
 	perf.Count(perf.BucketFS)
-	var runs []dirtyRun          // as TakeDirty hands them out
-	var spans []device.PageRange // the runs' stretches of consecutive pages
-	var union causes.Set
-	var pages int64
-	f.cache.TakeDirty(ino, max, func(first, n int64, cs causes.Set) {
-		runs = append(runs, dirtyRun{first, n, cs})
-		if k := len(spans) - 1; k >= 0 && spans[k].First+spans[k].N == first {
-			spans[k].N += n
-		} else {
-			spans = append(spans, device.PageRange{First: first, N: n})
-		}
-		union = union.Union(cs)
-		pages += n
-	})
+	f.flushRuns, f.flushSpans = f.flushRuns[:0], f.flushSpans[:0]
+	f.flushUnion, f.flushPages = causes.Set{}, 0
+	f.cache.TakeDirty(ino, max, f.takeRunFn)
+	runs, spans, union, pages := f.flushRuns, f.flushSpans, f.flushUnion, f.flushPages
 	file, ok := f.byIno[ino]
 	if !ok || len(runs) == 0 {
 		// Nothing dirty, or unlinked while dirty: nothing to write.
@@ -678,6 +679,19 @@ func (f *FS) flushFileDataFn(ctx *ioctx.Ctx, ino int64, max int, k func(n int)) 
 type dirtyRun struct {
 	first, n int64
 	cs       causes.Set
+}
+
+// takeRun is flushFileDataFn's TakeDirty callback: it adds one run to the
+// flush scratch.
+func (f *FS) takeRun(first, n int64, cs causes.Set) {
+	f.flushRuns = append(f.flushRuns, dirtyRun{first, n, cs})
+	if k := len(f.flushSpans) - 1; k >= 0 && f.flushSpans[k].First+f.flushSpans[k].N == first {
+		f.flushSpans[k].N += n
+	} else {
+		f.flushSpans = append(f.flushSpans, device.PageRange{First: first, N: n})
+	}
+	f.flushUnion = f.flushUnion.Union(cs)
+	f.flushPages += n
 }
 
 // flushFileData flushes every dirty page of ino on behalf of ctx and blocks

@@ -15,14 +15,16 @@ func buildRegistry() *Registry {
 		v := float64(i + 1)
 		r.Gauge(n, func() float64 { return v })
 	}
-	r.Histogram("lat.fsync").Add(1000)
+	h := &Histogram{}
+	h.Add(1000)
+	r.AddHistogram("lat.fsync", h)
 	return r
 }
 
 // TestRegistryOrderingDeterminism pins the gauge-ordering contract the
 // monitor and -stats depend on: registration order is preserved by Names,
-// Sample, and WriteText (never map order), SortedNames does not perturb
-// it, and two identical registries render byte-identical text.
+// Sample, and WriteText (never map order), Names returns a copy, and two
+// identical registries render byte-identical text.
 func TestRegistryOrderingDeterminism(t *testing.T) {
 	want := []string{"zeta.depth", "alpha.dirty", "mid.tokens", "beta.queue"}
 	r := buildRegistry()
@@ -30,13 +32,10 @@ func TestRegistryOrderingDeterminism(t *testing.T) {
 		t.Fatalf("Names() = %v, want registration order %v", got, want)
 	}
 
-	// SortedNames sorts a copy; registration order must survive.
-	sorted := r.SortedNames()
-	if !sort.StringsAreSorted(sorted) {
-		t.Errorf("SortedNames() not sorted: %v", sorted)
-	}
+	// Names hands out a copy: sorting it leaves registration order intact.
+	sort.Strings(r.Names())
 	if got := r.Names(); !reflect.DeepEqual(got, want) {
-		t.Errorf("SortedNames mutated registration order: %v", got)
+		t.Errorf("sorting Names() mutated registration order: %v", got)
 	}
 
 	// Two identical registries sampled identically render byte-identical

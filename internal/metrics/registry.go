@@ -1,14 +1,13 @@
-// Registry: named gauges and counters sampled on virtual-time ticks into
-// time series, giving every experiment a uniform view of internal state
-// (queue depths, dirty pages, transaction sizes, dispatch counts) without
-// each experiment hand-rolling its own probes.
+// Registry: named gauges sampled on virtual-time ticks into time series,
+// giving every experiment a uniform view of internal state (queue depths,
+// dirty pages, transaction sizes, dispatch counts) without each experiment
+// hand-rolling its own probes.
 
 package metrics
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"splitio/internal/sim"
@@ -16,22 +15,6 @@ import (
 
 // Gauge reads an instantaneous value.
 type Gauge func() float64
-
-// RegCounter is a monotonically accumulating counter registered in a
-// Registry (e.g. per-scheduler dispatch counts). Reading it as a gauge
-// yields the running total.
-type RegCounter struct {
-	v float64
-}
-
-// Add accumulates n.
-func (c *RegCounter) Add(n float64) { c.v += n }
-
-// Inc accumulates 1.
-func (c *RegCounter) Inc() { c.v++ }
-
-// Value returns the running total.
-func (c *RegCounter) Value() float64 { return c.v }
 
 // Registry is a named set of gauges sampled into time series. It is not
 // safe for concurrent use; the simulation is single-threaded.
@@ -64,13 +47,6 @@ func (r *Registry) Gauge(name string, fn Gauge) {
 	r.names = append(r.names, name)
 }
 
-// Counter registers and returns a new counter gauge under name.
-func (r *Registry) Counter(name string) *RegCounter {
-	c := &RegCounter{}
-	r.Gauge(name, c.Value)
-	return c
-}
-
 // AddHistogram registers an existing histogram under name, so a subsystem
 // that owns its histograms (latency attribution) can publish them without
 // copying samples. Duplicate names panic, as with Gauge.
@@ -80,21 +56,6 @@ func (r *Registry) AddHistogram(name string, h *Histogram) {
 	}
 	r.hists[name] = h
 	r.histNames = append(r.histNames, name)
-}
-
-// Histogram registers and returns a new histogram under name.
-func (r *Registry) Histogram(name string) *Histogram {
-	h := &Histogram{}
-	r.AddHistogram(name, h)
-	return h
-}
-
-// Hist returns the registered histogram for name (nil if unregistered).
-func (r *Registry) Hist(name string) *Histogram { return r.hists[name] }
-
-// HistogramNames returns registered histogram names in registration order.
-func (r *Registry) HistogramNames() []string {
-	return append([]string(nil), r.histNames...)
 }
 
 // Names returns the registered names in registration order.
@@ -149,12 +110,4 @@ func (r *Registry) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "%-28s  %8d  %12v  %12v  %12v  %12v\n",
 			name, h.Count(), qs[0], qs[1], qs[2], h.Max())
 	}
-}
-
-// SortedNames returns the registered names sorted alphabetically (for
-// deterministic map-style access in tests).
-func (r *Registry) SortedNames() []string {
-	names := r.Names()
-	sort.Strings(names)
-	return names
 }

@@ -12,12 +12,13 @@ import (
 func TestRegistryGaugesAndSeries(t *testing.T) {
 	r := NewRegistry()
 	v := 1.0
+	ops := 0.0
 	r.Gauge("stack.depth", func() float64 { return v })
-	c := r.Counter("stack.ops")
+	r.Gauge("stack.ops", func() float64 { return ops })
 
 	r.Sample(0)
 	v = 5
-	c.Add(3)
+	ops += 3
 	r.Sample(sim.Time(time.Second))
 
 	s := r.Series("stack.depth")
@@ -25,7 +26,7 @@ func TestRegistryGaugesAndSeries(t *testing.T) {
 		t.Fatalf("depth series = %+v", s.Points)
 	}
 	if got := r.Series("stack.ops").Last(); got != 3 {
-		t.Fatalf("counter series last = %v, want 3", got)
+		t.Fatalf("ops series last = %v, want 3", got)
 	}
 	if names := r.Names(); len(names) != 2 || names[0] != "stack.depth" {
 		t.Fatalf("Names = %v", names)
@@ -68,19 +69,23 @@ func TestRegistrySampler(t *testing.T) {
 
 func TestRegistryHistograms(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat.fsync")
-	h.Add(5 * time.Millisecond)
-	own := &Histogram{}
-	own.Add(time.Millisecond)
-	r.AddHistogram("lat.write", own)
-	if got := r.HistogramNames(); len(got) != 2 || got[0] != "lat.fsync" || got[1] != "lat.write" {
-		t.Fatalf("HistogramNames = %v, want registration order", got)
+	for _, name := range []string{"lat.write", "lat.fsync"} {
+		h := &Histogram{}
+		r.AddHistogram(name, h)
+		h.Add(time.Millisecond)
 	}
-	if r.Hist("lat.write") != own {
-		t.Fatal("Hist returned a different histogram than registered")
+	// The registry publishes the histograms it was handed, not copies, in
+	// registration order.
+	var rows []string
+	var buf bytes.Buffer
+	r.WriteText(&buf)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && strings.HasPrefix(f[0], "lat.") {
+			rows = append(rows, f[0]+"="+f[1])
+		}
 	}
-	if r.Hist("missing") != nil {
-		t.Fatal("Hist on unregistered name should be nil")
+	if got, want := strings.Join(rows, " "), "lat.write=1 lat.fsync=1"; got != want {
+		t.Fatalf("histogram rows = %q, want %q:\n%s", got, want, buf.String())
 	}
 	defer func() {
 		if recover() == nil {
@@ -97,7 +102,8 @@ func TestWriteTextIncludesHistogramTable(t *testing.T) {
 	if strings.Contains(buf.String(), "histogram") {
 		t.Fatalf("histogram table printed with no histograms:\n%s", buf.String())
 	}
-	h := r.Histogram("lat.fsync")
+	h := &Histogram{}
+	r.AddHistogram("lat.fsync", h)
 	for i := 1; i <= 100; i++ {
 		h.Add(time.Duration(i) * time.Millisecond)
 	}

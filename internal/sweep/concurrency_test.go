@@ -30,14 +30,15 @@ func simCells(out []string) []sweep.Cell {
 			Run: func() {
 				perf.Count(perf.BucketSched)
 				reg := metrics.NewRegistry()
-				work := reg.Counter("cell.work")
+				work := 0
+				reg.Gauge("cell.work", func() float64 { return float64(work) })
 				tr := trace.New()
 				sink := &countSink{}
 				tr.Attach(sink)
 				tr.Enable()
 				for j := 0; j < 32; j++ {
 					tr.Record(trace.Event{Layer: trace.LayerBlock, Op: "conc", End: sim.Time(j)})
-					work.Inc()
+					work++
 				}
 				if got, want := sink.n, 32; got != want {
 					panic(fmt.Sprintf("trace sink saw %d events, want %d", got, want))
@@ -51,7 +52,8 @@ func simCells(out []string) []sweep.Cell {
 				env.RunAll()
 				events := env.Stats().Events
 				env.Close()
-				out[i] = fmt.Sprintf(`{"seed":%d,"events":%d,"work":%.0f}`, seed, events, work.Value())
+				reg.Sample(0)
+				out[i] = fmt.Sprintf(`{"seed":%d,"events":%d,"work":%.0f}`, seed, events, reg.Series("cell.work").Last())
 			},
 		}
 	}

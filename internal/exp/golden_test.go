@@ -1,6 +1,7 @@
 // Schedule goldens at experiment granularity: fig11, inversion,
-// crashsweep and abl-prompt (Split-Token's prompt charging) run end to end
-// and everything observable — the rendered table, the cross-layer trace
+// crashsweep, abl-prompt (Split-Token's prompt charging) and fig20 (QEMU
+// guests with their own page cache over the host) run end to end and
+// everything observable — the rendered table, the cross-layer trace
 // hash, the attribution report, and the sampled metrics dump — is digested
 // and compared with the committed testdata/schedule_goldens.txt. The
 // schedtest property matrix pins the schedule on a controlled workload;
@@ -84,7 +85,7 @@ func goldenPayload(t *testing.T, id string) string {
 // the attr report and metrics dump cover the derived observability planes.
 func TestScheduleGoldens(t *testing.T) {
 	goldens := schedtest.LoadGoldens(t, "testdata/schedule_goldens.txt")
-	for _, id := range []string{"fig11", "inversion", "crashsweep", "abl-prompt"} {
+	for _, id := range []string{"fig11", "inversion", "crashsweep", "abl-prompt", "fig20"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			goldens.Check(t, fmt.Sprintf("%s/scale=%g", id, goldenScale()), goldenPayload(t, id))

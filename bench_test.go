@@ -14,12 +14,10 @@ import (
 	"splitio/internal/core"
 	"splitio/internal/device"
 	"splitio/internal/exp"
-	"splitio/internal/fs"
 	"splitio/internal/sched/stoken"
 	"splitio/internal/sim"
 	"splitio/internal/trace"
 	"splitio/internal/vfs"
-	"splitio/internal/workload"
 )
 
 // benchScale keeps each benchmark iteration to a few wall-clock seconds.
@@ -64,41 +62,8 @@ func BenchmarkTable3Deadlines(b *testing.B)          { runExperiment(b, "table3"
 // --- Ablations (design choices called out in DESIGN.md) ---
 
 // BenchmarkAblationPromptCharge compares Split-Token with and without the
-// memory-level preliminary charge. Without prompt accounting, a throttled
-// process's opening burst is admitted at full speed before the block-level
-// revision catches up; prompt charging bounds the burst.
-func BenchmarkAblationPromptCharge(b *testing.B) {
-	burstBytes := func(prompt bool) float64 {
-		opts := core.DefaultOptions()
-		k := core.NewKernel(opts, stoken.Factory)
-		defer k.Close()
-		s := k.Sched.(*stoken.Sched)
-		if !prompt {
-			// Gut the preliminary model: everything looks free until the
-			// block-level revision lands.
-			s.PrelimRandBytes = 0
-			s.Attach(k) // rebuild estimator with the new setting
-		}
-		s.SetLimit("b", 1<<20, 1<<20)
-		fb := k.FS.MkFileContiguous("/b", 2<<30)
-		bp := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {
-			pr.Ctx.Account = "b"
-			workload.RandWriter(k, p, pr, fb, 4096, 2<<30)
-		})
-		k.Run(2 * time.Second)
-		return float64(bp.BytesWritten.Total())
-	}
-	var with, without float64
-	for i := 0; i < b.N; i++ {
-		with = burstBytes(true)
-		without = burstBytes(false)
-	}
-	b.ReportMetric(with/(1<<20), "burst_mb_prompt")
-	b.ReportMetric(without/(1<<20), "burst_mb_block_only")
-	if with > 0 {
-		b.ReportMetric(without/with, "overshoot_factor")
-	}
-}
+// memory-level preliminary charge (`splitbench abl-prompt`).
+func BenchmarkAblationPromptCharge(b *testing.B) { runExperiment(b, "abl-prompt") }
 
 // BenchmarkAblationPdflush contrasts Split-Deadline's full writeback
 // control with the Split-Pdflush variant (paper §7.1.2) on the Fig 12
@@ -179,33 +144,9 @@ func BenchmarkAblationScalarTags(b *testing.B) {
 	b.ReportMetric(share*100, "multi_cause_write_pct")
 }
 
-// BenchmarkAblationXFSFull flips full integration on for XFS and reruns the
-// Fig 17 metadata probe: with the journal proxy tagged, XFS throttles the
-// creator just like ext4.
-func BenchmarkAblationXFSFull(b *testing.B) {
-	createRate := func(full bool) float64 {
-		opts := core.DefaultOptions()
-		fcfg := fs.XFSConfig()
-		fcfg.TagJournalProxy = full
-		opts.FSConfig = &fcfg
-		k := core.NewKernel(opts, stoken.Factory)
-		defer k.Close()
-		k.Sched.(*stoken.Sched).SetLimit("b", 64<<10, 64<<10)
-		bp := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {
-			pr.Ctx.Account = "b"
-			workload.Creator(k, p, pr, "/meta", 0)
-		})
-		k.Run(20 * time.Second)
-		return float64(bp.Fsyncs.Count()) / 20
-	}
-	var partial, full float64
-	for i := 0; i < b.N; i++ {
-		partial = createRate(false)
-		full = createRate(true)
-	}
-	b.ReportMetric(partial, "creates_per_s_partial")
-	b.ReportMetric(full, "creates_per_s_full")
-}
+// BenchmarkAblationXFSFull compares XFS partial and full split
+// integration on the Fig 17 metadata antagonist (`splitbench abl-xfsfull`).
+func BenchmarkAblationXFSFull(b *testing.B) { runExperiment(b, "abl-xfsfull") }
 
 // BenchmarkTraceDisabledHotPath guards the tracing subsystem's core promise:
 // with tracing off (the default for every kernel), the per-request

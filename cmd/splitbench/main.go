@@ -27,9 +27,11 @@
 //
 // -trace FILE records a cross-layer request trace of the run and streams it
 // to FILE as Chrome trace_event JSON (load it at chrome://tracing or
-// https://ui.perfetto.dev); a per-request latency breakdown and summary are
-// printed to stderr. -stats prints each simulated machine's metric registry
-// after the run, including per-layer latency histograms from attribution.
+// https://ui.perfetto.dev); the latency-attribution blame table (per
+// (pid, op): count, p50/p95/p99, mean throttle/journal/queue/device/other
+// time) is printed to stderr. -stats prints each simulated machine's
+// metric registry after the run, including per-layer latency histograms
+// from attribution.
 // Both observe every kernel of the run, so they force cells inline (-j is
 // ignored for the experiments' simulation cells).
 //
@@ -52,6 +54,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -60,6 +63,7 @@ import (
 	"strings"
 	"time"
 
+	"splitio/internal/attr"
 	"splitio/internal/core"
 	"splitio/internal/exp"
 	"splitio/internal/sweep"
@@ -242,16 +246,13 @@ func run() int {
 		}
 		opts.Monitor = &exp.MonitorCollector{Window: *sloWindow, Rules: rules}
 	}
-	var finishTrace func([]trace.CounterSample) (int, error)
-	var rollup *trace.Rollup
+	var traced *tracedRun
 	if *traceFile != "" {
-		opts.Tracer, finishTrace, err = createTrace(*traceFile, opts.Monitor != nil)
+		opts.Tracer, traced, err = createTrace(*traceFile, opts.Monitor != nil)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
 			return 1
 		}
-		rollup = trace.NewRollup(20)
-		opts.Tracer.Attach(rollup)
 	}
 	if *stats {
 		opts.Metrics = &exp.StatsCollector{}
@@ -288,15 +289,11 @@ func run() int {
 		}
 	}
 
-	if finishTrace != nil {
-		n, err := finishTrace(monitorCounters(opts.Monitor))
-		if err != nil {
+	if traced != nil {
+		if err := traced.finish(os.Stderr, monitorCounters(opts.Monitor)); err != nil {
 			fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "\ntrace: %d events -> %s\n\n", n, *traceFile)
-		rollup.WriteRequests(os.Stderr)
-		rollup.WriteSummary(os.Stderr)
 	}
 	if opts.Metrics != nil {
 		for _, m := range opts.Metrics.Machines {
@@ -336,27 +333,48 @@ func sweepSummary(r *sweep.Runner) {
 		cells, errs, w, time.Duration(wallNS).Round(time.Millisecond), time.Duration(maxNS).Round(time.Millisecond))
 }
 
+// tracedRun is the output side of a -trace run: the file the Chrome
+// trace_event JSON streams into and the attribution sink behind the blame
+// table.
+type tracedRun struct {
+	path   string
+	f      *os.File
+	chrome *trace.ChromeWriter
+	blame  *attr.Attribution
+}
+
 // createTrace opens path up front, so a bad path fails before the run, not
-// after it, and returns an enabled tracer whose ChromeWriter sink streams
-// the run's trace_event JSON into the file. finish appends the monitor's
-// counter tracks (monitored names their process in the header) and the
-// footer, closes the file, and returns the number of events written.
-func createTrace(path string, monitored bool) (tr *trace.Tracer, finish func([]trace.CounterSample) (int, error), err error) {
+// after it, and returns an enabled tracer with two sinks: a ChromeWriter
+// streaming the run's trace_event JSON into the file (monitored names the
+// monitor process in its header) and an attribution sink. The tracer may
+// span several machines, whose transaction IDs and clocks collide, so
+// only the per-(pid, op) blame rows are printed, never inversions.
+func createTrace(path string, monitored bool) (*trace.Tracer, *tracedRun, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	chrome := trace.NewChromeWriter(f, monitored)
-	tr = trace.New()
-	tr.Attach(chrome)
+	t := &tracedRun{path: path, f: f, chrome: trace.NewChromeWriter(f, monitored), blame: attr.New()}
+	tr := trace.New()
+	tr.Attach(t.chrome)
+	tr.Attach(t.blame)
 	tr.Enable()
-	return tr, func(counters []trace.CounterSample) (int, error) {
-		err := chrome.Close(counters)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		return chrome.Count(), err
-	}, nil
+	return tr, t, nil
+}
+
+// finish appends the monitor's counter tracks and the footer, closes the
+// file, and writes the event count and the blame table to w.
+func (t *tracedRun) finish(w io.Writer, counters []trace.CounterSample) error {
+	err := t.chrome.Close(counters)
+	if cerr := t.f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\ntrace: %d events -> %s\n\n", t.chrome.Count(), t.path)
+	attr.WriteGroups(w, t.blame.Summary("").Groups)
+	return nil
 }
 
 func printTable(t *exp.Table, wall time.Duration) {

@@ -95,9 +95,9 @@ func runMonitorCmd(opts exp.Options, window time.Duration, sloSpec, traceFile, p
 	}
 	opts.Monitor = &exp.MonitorCollector{Window: window, Rules: rules}
 
-	var finishTrace func([]trace.CounterSample) (int, error)
+	var traced *tracedRun
 	if traceFile != "" {
-		opts.Tracer, finishTrace, err = createTrace(traceFile, true)
+		opts.Tracer, traced, err = createTrace(traceFile, true)
 		if err != nil {
 			fmt.Fprintf(stderr, "splitbench monitor: %v\n", err)
 			return 1
@@ -115,13 +115,11 @@ func runMonitorCmd(opts exp.Options, window time.Duration, sloSpec, traceFile, p
 	printMonitors(stdout, opts.Monitor)
 	printLastSnaps(stdout, opts.Monitor)
 
-	if finishTrace != nil {
-		n, err := finishTrace(monitorCounters(opts.Monitor))
-		if err != nil {
+	if traced != nil {
+		if err := traced.finish(stderr, monitorCounters(opts.Monitor)); err != nil {
 			fmt.Fprintf(stderr, "splitbench monitor: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "trace: %d events -> %s\n", n, traceFile)
 	}
 	if postmortem != "" {
 		if err := writePostmortem(postmortem, opts.Monitor, nil); err != nil {

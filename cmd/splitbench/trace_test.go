@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"splitio/internal/exp"
-	"splitio/internal/trace"
 )
 
 // tracedArtifacts runs experiment id at -scale 0.05, seed 1 the way
 // `splitbench -trace FILE` does (with `-slo` at the default rules when
-// monitored) and returns the Chrome JSON and the stderr trace tables.
+// monitored) and returns the Chrome JSON and what -trace prints on stderr,
+// with the trace file's path replaced by FILE.
 func tracedArtifacts(t *testing.T, id string, monitored bool) (chrome, tables []byte) {
 	t.Helper()
 	e, ok := exp.ByID(id)
@@ -31,31 +30,25 @@ func tracedArtifacts(t *testing.T, id string, monitored bool) (chrome, tables []
 		opts.Monitor = &exp.MonitorCollector{Window: exp.SLOWindow, Rules: rules}
 	}
 	path := filepath.Join(t.TempDir(), "trace.json")
-	tr, finish, err := createTrace(path, monitored)
+	tr, traced, err := createTrace(path, monitored)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rollup := trace.NewRollup(20)
-	tr.Attach(rollup)
 	opts.Tracer = tr
 	e.Run(opts)
-	n, err := finish(monitorCounters(opts.Monitor))
-	if err != nil {
+	var stderr bytes.Buffer
+	if err := traced.finish(&stderr, monitorCounters(opts.Monitor)); err != nil {
 		t.Fatal(err)
 	}
 	if chrome, err = os.ReadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	var tb bytes.Buffer
-	fmt.Fprintf(&tb, "trace: %d events\n", n)
-	rollup.WriteRequests(&tb)
-	rollup.WriteSummary(&tb)
-	return chrome, tb.Bytes()
+	return chrome, bytes.ReplaceAll(stderr.Bytes(), []byte(path), []byte("FILE"))
 }
 
 // TestTraceArtifactsPinned pins the -trace outputs byte for byte: the
 // Chrome JSON (with monitor counter tracks in the monitored case) and the
-// event count, per-request table and summary printed on stderr.
+// event count and blame table printed on stderr.
 func TestTraceArtifactsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		id             string
@@ -64,10 +57,10 @@ func TestTraceArtifactsPinned(t *testing.T) {
 	}{
 		{"fig1", false,
 			"f2d016c39ff76aa46bde89b526e754b2353b443701a6cf7f71560117753b1562",
-			"842120e9e3558efaca3ddc4cf5d95e8c970b26b8b22adf913716f4bc083b88c3"},
+			"daffb5115e425f46c23e8dd77fc44417b2a91204de70d6379eefccc34bf8ceea"},
 		{"fig14", true,
 			"380799cdab8dbed83c4db22adf02ff99416ecf362c50e7f16ba1a849cd568c20",
-			"7ebf89659f525b8856be5f5853256c74359bb50b092091f2a7986b264558993a"},
+			"21a9abdf6ca815935cccc1c573643b8ae7795bf24bdbf9dbc1a9b4aed4267bac"},
 	} {
 		chrome, tables := tracedArtifacts(t, tc.id, tc.monitored)
 		if got := sha(chrome); got != tc.chrome {

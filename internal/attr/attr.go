@@ -15,6 +15,7 @@
 package attr
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -42,6 +43,7 @@ const (
 	maxFlushesPerTxn  = 64   // foreign flushes remembered per transaction
 	maxWritebackSpans = 64   // recent kernel-task flushes for throttle overlap
 	maxInversionsKept = 1024 // retained Inversion records (counters keep going)
+	minCompactAt      = 64   // reqOrder length below which it is never compacted
 )
 
 // Category names one destination of a request's wall time.
@@ -173,7 +175,9 @@ type group struct {
 // results after the run (or sample the registered histograms during it).
 type Attribution struct {
 	reqs     map[trace.ReqID]*reqState
-	reqOrder []trace.ReqID
+	reqOrder []trace.ReqID // open request IDs, oldest first (and finished ones until compaction)
+	// compactAt is the reqOrder length that triggers the next compaction.
+	compactAt int
 
 	txns     map[int64]*txnState
 	txnOrder []int64
@@ -196,9 +200,10 @@ type Attribution struct {
 // New returns an empty attribution sink.
 func New() *Attribution {
 	a := &Attribution{
-		reqs:   make(map[trace.ReqID]*reqState),
-		txns:   make(map[int64]*txnState),
-		groups: make(map[groupKey]*group),
+		reqs:      make(map[trace.ReqID]*reqState),
+		compactAt: minCompactAt,
+		txns:      make(map[int64]*txnState),
+		groups:    make(map[groupKey]*group),
 	}
 	for i := range a.agg {
 		a.agg[i] = &metrics.Histogram{}
@@ -256,8 +261,20 @@ func (a *Attribution) addCat(req trace.ReqID, c Category, d time.Duration) {
 		st = &reqState{}
 		a.reqs[req] = st
 		a.reqOrder = append(a.reqOrder, req)
+		if len(a.reqOrder) >= a.compactAt {
+			a.compactReqOrder()
+		}
 	}
 	st.cats[c] += d
+}
+
+// compactReqOrder drops the IDs of finished requests from reqOrder,
+// keeping the open ones in order, so the slice tracks the open requests
+// instead of every request ever opened. The next compaction waits until
+// the slice has doubled, which keeps the cost amortised O(1) per request.
+func (a *Attribution) compactReqOrder() {
+	a.reqOrder = slices.DeleteFunc(a.reqOrder, func(req trace.ReqID) bool { return a.reqs[req] == nil })
+	a.compactAt = max(2*len(a.reqOrder), minCompactAt)
 }
 
 // evictOldestReq drops the oldest still-open request state (a straggler

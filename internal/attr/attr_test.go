@@ -2,6 +2,7 @@ package attr
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,11 +76,36 @@ func TestOtherNeverNegative(t *testing.T) {
 	}
 }
 
+// TestKernelRootsIgnored: only user syscall roots join a group. A request
+// finishes at its syscall span, whatever the ID order, and one that never
+// sees a syscall span (a writeback round, a journal commit) joins none.
 func TestKernelRootsIgnored(t *testing.T) {
 	a := New()
 	a.Consume(ev(trace.LayerSyscall, trace.OpWrite, 1, 2, 0, 100)) // pdflush
 	if a.Requests() != 0 {
 		t.Fatalf("kernel-task root attributed as a user request")
+	}
+
+	a = New()
+	for _, e := range []trace.Event{
+		ev(trace.LayerFS, trace.OpCommitWait, 3, 100, 0, 10),
+		ev(trace.LayerBlock, trace.OpQueue, 1, 100, 5, 8), // no syscall span follows
+		ev(trace.LayerSyscall, trace.OpWrite, 3, 100, 0, 20),
+		ev(trace.LayerSyscall, trace.OpRead, 2, 100, 0, 5),
+		ev(trace.LayerSyscall, trace.OpRead, 4, 100, 0, 7),
+		ev(trace.LayerBlock, trace.OpQueue, 0, 100, 0, 1), // untracked
+	} {
+		a.Consume(e)
+	}
+	want := []GroupSummary{
+		{PID: 100, Op: trace.OpRead, Count: 2, P50: 5, P95: 7, P99: 7, MeanTotal: 6, MeanOther: 6},
+		{PID: 100, Op: trace.OpWrite, Count: 1, P50: 20, P95: 20, P99: 20, MeanTotal: 20, MeanJournal: 10, MeanOther: 10},
+	}
+	if got := a.Summary("").Groups; !slices.Equal(got, want) {
+		t.Errorf("groups = %+v, want %+v", got, want)
+	}
+	if _, open := a.reqs[1]; !open || len(a.reqs) != 1 {
+		t.Errorf("open requests %v, want only request 1", a.reqs)
 	}
 }
 
@@ -210,6 +236,31 @@ func TestBoundedStateEviction(t *testing.T) {
 	}
 	if len(a.txns) > maxTxnsTracked {
 		t.Fatalf("txn state grew to %d, cap is %d", len(a.txns), maxTxnsTracked)
+	}
+}
+
+// TestReqOrderBounded: finished requests leave reqOrder, so it tracks the
+// open requests rather than every request ever opened, and eviction still
+// drops the oldest open request.
+func TestReqOrderBounded(t *testing.T) {
+	a := New()
+	a.Consume(ev(trace.LayerBlock, trace.OpQueue, 1, 100, 0, 5)) // never finishes
+	req := trace.ReqID(2)
+	for ; req < 20*maxOpenReqs; req++ {
+		a.Consume(ev(trace.LayerBlock, trace.OpQueue, req, 100, 0, 5))
+		a.Consume(ev(trace.LayerSyscall, trace.OpRead, req, 100, 0, 10))
+		if len(a.reqOrder) > minCompactAt {
+			t.Fatalf("after %d finished requests reqOrder holds %d IDs for %d open", req-1, len(a.reqOrder), len(a.reqs))
+		}
+	}
+	for i := 0; i < maxOpenReqs; i++ {
+		a.Consume(ev(trace.LayerBlock, trace.OpQueue, req+trace.ReqID(i), 100, 0, 5))
+	}
+	if _, open := a.reqs[1]; open || len(a.reqs) != maxOpenReqs {
+		t.Fatalf("%d open, request 1 open=%v; want the oldest evicted and %d open", len(a.reqs), open, maxOpenReqs)
+	}
+	if len(a.reqOrder) > 2*maxOpenReqs {
+		t.Fatalf("reqOrder holds %d IDs for %d open requests", len(a.reqOrder), len(a.reqs))
 	}
 }
 

@@ -130,6 +130,22 @@ func reportDur(d time.Duration) string {
 	}
 }
 
+// WriteGroups renders a blame table: a header, then one row per (pid, op)
+// group with its request count, total-latency quantiles and the mean time
+// per category.
+func WriteGroups(w io.Writer, groups []GroupSummary) {
+	fmt.Fprintf(w, "%5s  %-6s  %6s  %10s  %10s  %10s  |  %10s %10s %10s %10s %10s\n",
+		"pid", "op", "count", "p50", "p95", "p99",
+		"throttle", "journal", "queue", "device", "other")
+	for _, g := range groups {
+		fmt.Fprintf(w, "%5d  %-6s  %6d  %10s  %10s  %10s  |  %10s %10s %10s %10s %10s\n",
+			g.PID, g.Op, g.Count,
+			reportDur(g.P50), reportDur(g.P95), reportDur(g.P99),
+			reportDur(g.MeanThrottle), reportDur(g.MeanJournal),
+			reportDur(g.MeanQueue), reportDur(g.MeanDevice), reportDur(g.MeanOther))
+	}
+}
+
 // WriteText renders the report as human-readable blame tables.
 func (r *Report) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "latency attribution report  seed=%d scale=%g workload=%s\n",
@@ -137,16 +153,7 @@ func (r *Report) WriteText(w io.Writer) {
 	for i := range r.Schedulers {
 		sr := &r.Schedulers[i]
 		fmt.Fprintf(w, "\n=== %s  (%d requests) ===\n", sr.Scheduler, sr.Requests)
-		fmt.Fprintf(w, "%5s  %-6s  %6s  %10s  %10s  %10s  |  %10s %10s %10s %10s %10s\n",
-			"pid", "op", "count", "p50", "p95", "p99",
-			"throttle", "journal", "queue", "device", "other")
-		for _, g := range sr.Groups {
-			fmt.Fprintf(w, "%5d  %-6s  %6d  %10s  %10s  %10s  |  %10s %10s %10s %10s %10s\n",
-				g.PID, g.Op, g.Count,
-				reportDur(g.P50), reportDur(g.P95), reportDur(g.P99),
-				reportDur(g.MeanThrottle), reportDur(g.MeanJournal),
-				reportDur(g.MeanQueue), reportDur(g.MeanDevice), reportDur(g.MeanOther))
-		}
+		WriteGroups(w, sr.Groups)
 		fmt.Fprintf(w, "inversions:")
 		total := int64(0)
 		for _, kc := range sr.InversionCounts {

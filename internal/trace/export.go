@@ -1,24 +1,18 @@
-// Exporters: Chrome trace_event JSON (loadable in chrome://tracing or
-// https://ui.perfetto.dev) and plain-text latency breakdown tables. Both
-// are sinks that consume the event stream as it is recorded, in memory that
-// does not grow with the number of events. All output is deterministic for
-// a deterministic event stream — iteration over maps is always sorted — so
+// Exporter: Chrome trace_event JSON (loadable in chrome://tracing or
+// https://ui.perfetto.dev). ChromeWriter is a sink that writes the event
+// stream as it is recorded, in memory that does not grow with the number of
+// events. Its output is deterministic for a deterministic event stream, so
 // exported traces can be compared byte-for-byte in regression tests.
 
 package trace
 
 import (
 	"bufio"
-	"cmp"
 	"fmt"
 	"io"
-	"slices"
-	"sort"
 	"strconv"
-	"strings"
 	"time"
 
-	"splitio/internal/causes"
 	"splitio/internal/sim"
 )
 
@@ -165,177 +159,4 @@ func appendNonZero(b []byte, key string, v int64) []byte {
 func appendUsec(b []byte, d time.Duration) []byte {
 	ns := d % time.Microsecond
 	return append(strconv.AppendInt(b, int64(d/time.Microsecond), 10), '.', byte('0'+ns/100), byte('0'+ns/10%10), byte('0'+ns%10))
-}
-
-// reqRollup is one request's latency decomposition: its root span plus the
-// summed time its spans spent in each lower layer.
-type reqRollup struct {
-	req      ReqID
-	pid      causes.PID
-	layer    Layer
-	op       string
-	dur      time.Duration
-	perLayer [numLayers]time.Duration
-}
-
-// groupKey and groupAgg are one (pid, op) row of the summary.
-type groupKey struct {
-	pid int
-	op  string
-}
-
-type groupAgg struct {
-	n        int
-	total    time.Duration
-	max      time.Duration
-	perLayer [numLayers]time.Duration
-}
-
-// Rollup is a Sink that keeps the per-request state behind the latency
-// tables. A request's root is its syscall span; requests with no syscall
-// span (background writeback rounds, journal commits) roll up under their
-// first span instead.
-//
-// A request is finished when its syscall span arrives: the VFS records a
-// syscall's span after all its synchronous descendants, so the request is
-// folded into the tables there and its state dropped. (A span arriving
-// later would be rolled up as a second request with the same ID; no
-// experiment emits one.) Requests without a syscall span stay open until a table is
-// written. Memory is the open requests, the kept rows and the summary
-// groups.
-type Rollup struct {
-	rows   int
-	open   map[ReqID]reqRollup
-	lowest []reqRollup // the finished requests with the lowest IDs, sorted
-	more   int         // finished requests beyond lowest
-	groups map[groupKey]groupAgg
-}
-
-// NewRollup returns a rollup whose request table keeps the rows requests
-// with the lowest IDs.
-func NewRollup(rows int) *Rollup {
-	return &Rollup{rows: rows, open: make(map[ReqID]reqRollup), groups: make(map[groupKey]groupAgg)}
-}
-
-// Consume implements Sink.
-func (r *Rollup) Consume(ev Event) {
-	if ev.Req == 0 {
-		return
-	}
-	x, ok := r.open[ev.Req]
-	if !ok || ev.Layer == LayerSyscall {
-		x.req, x.pid, x.layer, x.op, x.dur = ev.Req, ev.PID, ev.Layer, ev.Op, ev.Dur()
-	}
-	if ev.Layer == LayerSyscall {
-		delete(r.open, ev.Req)
-		r.finish(x)
-		return
-	}
-	if !ev.Instant() {
-		x.perLayer[ev.Layer] += ev.Dur()
-	}
-	r.open[ev.Req] = x
-}
-
-func (r *Rollup) finish(x reqRollup) {
-	r.keep(x)
-	if x.layer != LayerSyscall {
-		return
-	}
-	k := groupKey{int(x.pid), x.op}
-	a := r.groups[k]
-	a.n++
-	a.total += x.dur
-	if x.dur > a.max {
-		a.max = x.dur
-	}
-	for l, v := range x.perLayer {
-		a.perLayer[l] += v
-	}
-	r.groups[k] = a
-}
-
-// keep inserts x among the lowest-ID rows and counts the request that
-// falls off the end, if any.
-func (r *Rollup) keep(x reqRollup) {
-	i := sort.Search(len(r.lowest), func(i int) bool { return r.lowest[i].req > x.req })
-	if len(r.lowest) == r.rows {
-		r.more++
-		if i == r.rows {
-			return
-		}
-		r.lowest = r.lowest[:r.rows-1]
-	}
-	r.lowest = slices.Insert(r.lowest, i, x)
-}
-
-// finishOpen finishes the requests that never saw a syscall span.
-func (r *Rollup) finishOpen() {
-	ids := make([]ReqID, 0, len(r.open))
-	for id := range r.open {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		r.finish(r.open[id])
-	}
-	clear(r.open)
-}
-
-// WriteRequests writes a per-request latency breakdown table: one row per
-// kept request, in request order, with the request's total latency and the
-// time its spans spent in each lower layer. A note counts the requests
-// beyond the kept rows.
-func (r *Rollup) WriteRequests(w io.Writer) {
-	r.finishOpen()
-	fmt.Fprintf(w, "%6s  %5s  %-13s  %12s  %12s  %12s  %12s  %12s\n",
-		"req", "pid", "op", "total", "cache", "fs", "block", "device")
-	for _, x := range r.lowest {
-		fmt.Fprintf(w, "%6d  %5d  %-13s  %12s  %12s  %12s  %12s  %12s\n",
-			x.req, int(x.pid), x.layer.String()+"/"+x.op,
-			fmtDur(x.dur), fmtDur(x.perLayer[LayerCache]), fmtDur(x.perLayer[LayerFS]),
-			fmtDur(x.perLayer[LayerBlock]), fmtDur(x.perLayer[LayerDevice]))
-	}
-	if r.more > 0 {
-		fmt.Fprintf(w, "  ... %d more requests (raise the cap or use the summary)\n", r.more)
-	}
-}
-
-// WriteSummary writes an aggregated latency breakdown: for each (pid, op)
-// syscall group, the request count, mean and max total latency, and the mean
-// time spent per lower layer. This is the "where did the time go" table for
-// a whole run.
-func (r *Rollup) WriteSummary(w io.Writer) {
-	r.finishOpen()
-	keys := make([]groupKey, 0, len(r.groups))
-	for k := range r.groups {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, func(a, b groupKey) int {
-		return cmp.Or(cmp.Compare(a.pid, b.pid), strings.Compare(a.op, b.op))
-	})
-	fmt.Fprintf(w, "%5s  %-8s  %7s  %12s  %12s  %12s  %12s  %12s  %12s\n",
-		"pid", "op", "count", "mean", "max", "cache", "fs", "block", "device")
-	for _, k := range keys {
-		a := r.groups[k]
-		n := time.Duration(a.n)
-		fmt.Fprintf(w, "%5d  %-8s  %7d  %12s  %12s  %12s  %12s  %12s  %12s\n",
-			k.pid, k.op, a.n, fmtDur(a.total/n), fmtDur(a.max),
-			fmtDur(a.perLayer[LayerCache]/n), fmtDur(a.perLayer[LayerFS]/n),
-			fmtDur(a.perLayer[LayerBlock]/n), fmtDur(a.perLayer[LayerDevice]/n))
-	}
-}
-
-func fmtDur(d time.Duration) string {
-	if d == 0 {
-		return "-"
-	}
-	switch {
-	case d < time.Millisecond:
-		return fmt.Sprintf("%.1fµs", float64(d)/float64(time.Microsecond))
-	case d < time.Second:
-		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
-	default:
-		return fmt.Sprintf("%.3fs", d.Seconds())
-	}
 }

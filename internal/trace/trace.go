@@ -4,10 +4,10 @@
 // system, block, device).
 //
 // The tracer keeps no events. Every consumer attaches as a Sink and reads
-// the stream online: ChromeWriter streams the trace_event export, Rollup
-// keeps the per-request state behind the latency tables, and attribution
-// and the monitor fold events into their own bounded state. A traced run's
-// memory therefore does not grow with the number of events.
+// the stream online: ChromeWriter streams the trace_event export, and
+// latency attribution (internal/attr) and the monitor fold events into
+// their own bounded state. A traced run's memory therefore does not grow
+// with the number of events.
 //
 // Spans carry virtual timestamps from the discrete-event simulation, so a
 // recorded trace is byte-for-byte reproducible for a given seed — traces are

@@ -169,27 +169,6 @@ func TestWriteChromeDeterministic(t *testing.T) {
 	}
 }
 
-func TestTextExporters(t *testing.T) {
-	tr := New()
-	roll := NewRollup(10)
-	tr.Attach(roll)
-	tr.Enable()
-	r := tr.NextReq()
-	tr.Record(span(LayerFS, OpTxnCommit, r, 100, 900_000))
-	tr.Record(span(LayerDevice, OpTransfer, r, 200_000, 800_000))
-	tr.Record(span(LayerSyscall, OpFsync, r, 0, 1_000_000))
-
-	var reqs, sum bytes.Buffer
-	roll.WriteRequests(&reqs)
-	roll.WriteSummary(&sum)
-	if !strings.Contains(reqs.String(), "syscall/fsync") {
-		t.Errorf("request table missing root op:\n%s", reqs.String())
-	}
-	if !strings.Contains(sum.String(), "fsync") || !strings.Contains(sum.String(), "100") {
-		t.Errorf("summary missing fsync group for pid 100:\n%s", sum.String())
-	}
-}
-
 func TestLayerAndFlagStrings(t *testing.T) {
 	if got := LayerFS.String(); got != "fs" {
 		t.Errorf("LayerFS = %q", got)
@@ -216,46 +195,4 @@ func TestAttachNopPanics(t *testing.T) {
 		}
 	}()
 	Nop.Attach(&collectSink{})
-}
-
-// TestRollupFinishesAtSyscallSpan: requests finish out of ID order at their
-// syscall span, the table keeps the lowest IDs and counts the rest, and a
-// request with no syscall span rolls up under its first span at the end.
-func TestRollupFinishesAtSyscallSpan(t *testing.T) {
-	const us = 1000
-	roll := NewRollup(2)
-	for _, ev := range []Event{
-		span(LayerFS, OpTxnCommit, 3, 0, 10*us),
-		span(LayerBlock, OpQueue, 1, 5*us, 8*us), // no syscall span follows
-		span(LayerSyscall, OpWrite, 3, 0, 20*us),
-		span(LayerSyscall, OpRead, 2, 0, 5*us),
-		span(LayerSyscall, OpRead, 4, 0, 7*us),
-		span(LayerBlock, OpQueue, 0, 0, 1), // untracked
-	} {
-		roll.Consume(ev)
-	}
-	var reqs, sum bytes.Buffer
-	roll.WriteRequests(&reqs)
-	roll.WriteSummary(&sum)
-	rows := strings.Split(strings.TrimSuffix(reqs.String(), "\n"), "\n")
-	if len(rows) != 4 {
-		t.Fatalf("request table has %d lines, want header, 2 rows and a note:\n%s", len(rows), reqs.String())
-	}
-	if f := strings.Fields(rows[1]); f[0] != "1" || f[2] != "block/queue" || f[3] != "3.0µs" || f[6] != "3.0µs" {
-		t.Errorf("row 1 = %q, want request 1 rolled up under its block span", rows[1])
-	}
-	if f := strings.Fields(rows[2]); f[0] != "2" || f[2] != "syscall/read" {
-		t.Errorf("row 2 = %q, want request 2's read", rows[2])
-	}
-	if rows[3] != "  ... 2 more requests (raise the cap or use the summary)" {
-		t.Errorf("note = %q, want 2 more requests", rows[3])
-	}
-	wantSum := []string{
-		"  100  read            2         6.0µs         7.0µs             -             -             -             -",
-		"  100  write           1        20.0µs        20.0µs             -        10.0µs             -             -",
-	}
-	lines := strings.Split(strings.TrimSuffix(sum.String(), "\n"), "\n")
-	if len(lines) != 3 || lines[1] != wantSum[0] || lines[2] != wantSum[1] {
-		t.Errorf("summary:\n%s\nwant rows:\n%s", sum.String(), strings.Join(wantSum, "\n"))
-	}
 }

@@ -6,7 +6,8 @@
 #   make crashsweep  fault-injected crash sweep over seeds 1..4; fails on any invariant violation
 #   make gcsweep     GC-inversion sweep on an aged FTL SSD; fails if gc-afq inverts
 #   make report      latency-attribution report; fails on split-scheduler inversions
-#   make slo         windowed SLO gate; CFQ must breach (with a bundle), split-AFQ must not
+#   make slo         windowed SLO gates: the slo experiment (CFQ must breach with a bundle, split-AFQ
+#                    must not) and `splitbench monitor` (fails if a split scheduler breaches)
 #   make tracegate   traced fig9 under a virtual-memory cap; fails if -trace memory grows with the run
 #   make clean       remove generated artifacts (reports, SARIF, coverage, post-mortems)
 #   make fuzz        checked-in fuzz corpora in regression mode (no exploration)
@@ -102,8 +103,13 @@ report:
 # Two-sided windowed-SLO gate on the entangled antagonist workload: the
 # block-level baseline must breach at a deterministic virtual timestamp and
 # dump a flight-recorder bundle; split-AFQ on the same seed must not breach.
+# Then the live monitor over the same workload exits 1 if a split scheduler
+# (afq, split-token) breaches. It runs without -postmortem: CFQ's expected
+# breach always trips a bundle, so the file would exist on every passing
+# run, and a postmortem file's existence signals a failed gate.
 slo:
 	$(GO) run ./cmd/splitbench -scale 0.1 -seed 1 -j $(NPROC) -postmortem postmortem-slo.json slo
+	$(GO) run ./cmd/splitbench -scale 0.1 -seed 1 -j $(NPROC) monitor -schedulers cfq,afq,split-token
 
 # -trace streams its output, so a traced run's memory must not grow with
 # its event count. Traced fig9 at -scale 0.3 records 490,334 events (at 0.05

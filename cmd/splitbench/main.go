@@ -45,7 +45,7 @@
 //
 // The monitor subcommand runs the same workload with a windowed SLO monitor
 // attached (-slo rule specs, -slo-window) and prints each machine's
-// breaches and final scheduler snapshot; -postmortem writes flight-recorder
+// breaches and last gauge sample; -postmortem writes flight-recorder
 // bundles. A breach under a split scheduler makes the run exit nonzero:
 //
 //	splitbench -scale 0.1 -seed 1 monitor -schedulers cfq,afq

@@ -1,8 +1,8 @@
 // The `splitbench monitor` subcommand and the -slo/-postmortem plumbing:
 // run the entangled antagonist workload under a set of schedulers with a
 // windowed SLO monitor attached, print per-machine breach tables and the
-// final introspection snapshot, export counter tracks alongside the spans
-// with -trace, and write flight-recorder bundles with -postmortem.
+// last gauge sample, export counter tracks alongside the spans with -trace,
+// and write flight-recorder bundles with -postmortem.
 
 package main
 
@@ -113,7 +113,7 @@ func runMonitorCmd(opts exp.Options, window time.Duration, sloSpec, traceFile, p
 	}
 
 	printMonitors(stdout, opts.Monitor)
-	printLastSnaps(stdout, opts.Monitor)
+	printLastSamples(stdout, opts.Monitor)
 
 	if traced != nil {
 		if err := traced.finish(stderr, monitorCounters(opts.Monitor)); err != nil {
@@ -192,21 +192,18 @@ func fmtNS(ns int64) string {
 	return fmt.Sprintf("%.1fms", float64(ns)/1e6)
 }
 
-// printLastSnaps renders the last introspection tick of each machine — the
+// printLastSamples renders the last gauge sample of each machine — the
 // text view of the Chrome counter tracks.
-func printLastSnaps(w io.Writer, mc *exp.MonitorCollector) {
+func printLastSamples(w io.Writer, mc *exp.MonitorCollector) {
 	for _, m := range mc.Machines {
-		snaps := m.Mon.Snapshots()
-		if len(snaps) == 0 {
+		samples := m.Mon.Samples()
+		if len(samples) == 0 {
 			continue
 		}
-		last := snaps[len(snaps)-1]
-		fmt.Fprintf(w, "\nmachine %s, last snapshot at %s:\n", m.Label, fmtNS(int64(last.At)))
-		for _, s := range last.Snaps {
-			for _, c := range s.Counters {
-				fmt.Fprintf(w, "  %-36s %s\n", s.Name+"/"+c.Name,
-					strconv.FormatFloat(c.Value, 'g', -1, 64))
-			}
+		last := samples[len(samples)-1]
+		fmt.Fprintf(w, "\nmachine %s, last sample at %s:\n", m.Label, fmtNS(int64(last.At)))
+		for _, g := range last.Gauges {
+			fmt.Fprintf(w, "  %-36s %s\n", g.Name, strconv.FormatFloat(g.Value, 'g', -1, 64))
 		}
 	}
 }

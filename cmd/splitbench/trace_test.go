@@ -59,7 +59,7 @@ func TestTraceArtifactsPinned(t *testing.T) {
 			"f2d016c39ff76aa46bde89b526e754b2353b443701a6cf7f71560117753b1562",
 			"daffb5115e425f46c23e8dd77fc44417b2a91204de70d6379eefccc34bf8ceea"},
 		{"fig14", true,
-			"380799cdab8dbed83c4db22adf02ff99416ecf362c50e7f16ba1a849cd568c20",
+			"1d9f7eba7780a02df61dbc7f6a2b7af7d7fae5863a7a256617263fc14c95dd2a",
 			"21a9abdf6ca815935cccc1c573643b8ae7795bf24bdbf9dbc1a9b4aed4267bac"},
 	} {
 		chrome, tables := tracedArtifacts(t, tc.id, tc.monitored)

@@ -169,6 +169,9 @@ func (l *Layer) SetTracer(tr *trace.Tracer) {
 // or being served).
 func (l *Layer) QueueDepth() int { return l.depth }
 
+// Dispatching reports whether a request is in service at the disk.
+func (l *Layer) Dispatching() bool { return l.busy }
+
 // Elevator returns the installed elevator.
 func (l *Layer) Elevator() Elevator { return l.elv }
 

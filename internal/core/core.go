@@ -20,7 +20,6 @@ import (
 	"splitio/internal/ioctx"
 	"splitio/internal/metrics"
 	"splitio/internal/monitor"
-	"splitio/internal/sched"
 	"splitio/internal/sim"
 	"splitio/internal/ssd"
 	"splitio/internal/trace"
@@ -43,7 +42,9 @@ type Scheduler interface {
 	// Elevator returns the block-level half of the scheduler. It is called
 	// once, before Attach, so the block layer can be built around it.
 	Elevator() block.Elevator
-	// Attach wires the scheduler to the assembled kernel.
+	// Attach wires the scheduler to the assembled kernel and publishes its
+	// state (queues, gates, token balances) as sched.* gauges on
+	// k.Metrics.
 	Attach(k *Kernel)
 }
 
@@ -106,12 +107,11 @@ type Options struct {
 	// exposed as Kernel.Fault; Kernel.Disk stays the raw model.
 	Fault *fault.Plan
 	// Monitor, when non-nil, builds the observability plane (SLO engine,
-	// introspection sampler, flight recorder), attaches it to the kernel's
-	// tracer as a sink (enabling the tracer if the caller has not), watches
-	// the scheduler, block dispatcher, and FTL GC state, and starts its
-	// virtual-time ticker. Like MetricsInterval, the ticker is a read-only
-	// re-arming handler: results are unchanged, and it is opt-in for its
-	// cost.
+	// gauge sampler over Kernel.Metrics, flight recorder), attaches it to
+	// the kernel's tracer as a sink (enabling the tracer if the caller has
+	// not), and starts its virtual-time ticker. Like MetricsInterval, the
+	// ticker is a read-only re-arming handler: results are unchanged, and
+	// it is opt-in for its cost.
 	Monitor *monitor.Config
 }
 
@@ -239,16 +239,9 @@ func NewKernelOn(env *sim.Env, opts Options, factory Factory) *Kernel {
 		k.Metrics.StartSampler(env, opts.MetricsInterval)
 	}
 	if opts.Monitor != nil {
-		k.Monitor = monitor.New(env, *opts.Monitor)
+		k.Monitor = monitor.New(env, k.Metrics, *opts.Monitor)
 		tr.Enable()
 		tr.Attach(k.Monitor)
-		if in, ok := sch.(sched.Introspector); ok {
-			k.Monitor.Watch(in)
-		}
-		k.Monitor.Watch(blk)
-		if sd, ok := disk.(*ssd.Device); ok {
-			k.Monitor.Watch(sd)
-		}
 		k.Monitor.RegisterMetrics(k.Metrics)
 		k.Monitor.Start()
 	}
@@ -276,6 +269,8 @@ func (k *Kernel) registerGauges() {
 		return float64(dep)
 	})
 	r.Gauge("block.queue_depth", func() float64 { return float64(k.Block.QueueDepth()) })
+	r.Gauge("block.dispatching", func() float64 { return metrics.Flag(k.Block.Dispatching()) })
+	r.Gauge("block.requests", func() float64 { return float64(k.Block.Stats().Requests) })
 	r.Gauge("block.dispatched", func() float64 { return float64(k.Block.Stats().Dispatched) })
 	r.Gauge("block.busy_seconds", func() float64 { return k.Block.Stats().BusyTime.Seconds() })
 	r.Gauge("sim.events", func() float64 { return float64(k.Env.Stats().Events) })

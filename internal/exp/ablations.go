@@ -27,13 +27,16 @@ func ablPair(o Options, experiment, knob string, run func(on bool) float64) (on,
 // at memory speed until block-level revisions catch up.
 func AblPromptCharge(o Options) *Table {
 	burstMB := func(prompt bool) float64 {
-		k := newKernel("split-token", o, nil)
-		defer k.Env.Close()
-		s := k.Sched.(*stoken.Sched)
+		factory := stoken.Factory
 		if !prompt {
-			s.PrelimRandBytes = 0
-			s.Attach(k) // rebuild the estimator with the neutered model
+			factory = func(env *sim.Env) core.Scheduler {
+				s := stoken.New(env).(*stoken.Sched)
+				s.PrelimRandBytes = 0 // neuter the memory-level estimate
+				return s
+			}
 		}
+		k := newKernelOf("split-token", factory, o, nil)
+		defer k.Env.Close()
 		limit(k, "b", 1<<20)
 		fb := k.FS.MkFileContiguous("/b", 2<<30)
 		bp := k.Spawn("B", 4, func(p *sim.Proc, pr *vfs.Process) {

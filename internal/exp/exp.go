@@ -220,11 +220,17 @@ func SchedulerFactory(name string) (core.Factory, bool) {
 // newKernel builds an experiment machine: 256 MiB cache so multi-GiB scans
 // miss, HDD and ext4 unless mut overrides.
 func newKernel(sched string, o Options, mut func(*core.Options)) *core.Kernel {
+	return newKernelOf(sched, factories[sched], o, mut)
+}
+
+// newKernelOf is newKernel with the scheduler built by factory: a variant,
+// configured before Attach, of the scheduler registered under sched.
+func newKernelOf(sched string, factory core.Factory, o Options, mut func(*core.Options)) *core.Kernel {
 	opts := o.kernelOptions()
 	if mut != nil {
 		mut(&opts)
 	}
-	k := core.NewKernelOn(sim.NewEnv(opts.Seed), opts, factories[sched])
+	k := core.NewKernelOn(sim.NewEnv(opts.Seed), opts, factory)
 	o.register(k, sched)
 	return k
 }

@@ -3,10 +3,10 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
-	"splitio/internal/sched"
 	"splitio/internal/sweep"
 )
 
@@ -66,34 +66,28 @@ func TestSLOExpByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestAllSchedulersIntrospect: every registered scheduler implements the
-// introspection contract and reports under its own name with at least one
-// counter — the compile-time asserts in the introspect files pin the
-// interface, this pins the runtime behavior across the whole registry.
+// TestAllSchedulersIntrospect: every registered scheduler publishes its
+// state as at least one sched.* gauge on its kernel's registry when
+// attached.
 func TestAllSchedulersIntrospect(t *testing.T) {
 	for _, name := range SchedulerNames() {
 		k := newKernel(name, Options{Seed: 1}, nil)
-		in, ok := k.Sched.(sched.Introspector)
-		if !ok {
-			t.Errorf("%s: does not implement sched.Introspector", name)
-			k.Env.Close()
-			continue
-		}
-		snap := in.Snapshot()
-		if snap.Name != k.Sched.Name() {
-			t.Errorf("%s: snapshot name %q, want %q", name, snap.Name, k.Sched.Name())
-		}
-		if len(snap.Counters) == 0 {
-			t.Errorf("%s: snapshot has no counters", name)
+		n := 0
+		k.Metrics.Visit(func(g string, _ float64) {
+			if strings.HasPrefix(g, "sched.") {
+				n++
+			}
+		})
+		if n == 0 {
+			t.Errorf("%s: publishes no sched.* gauge", name)
 		}
 		k.Env.Close()
 	}
 }
 
 // TestMonitorEntangledCollects: the splitbench-monitor engine registers
-// each machine in the collector and the monitors carry introspection
-// snapshots for the scheduler, block dispatcher, and (on the FTL device)
-// the GC engine.
+// each machine in the collector, and each monitor tick samples the
+// scheduler, block dispatcher and (on the FTL device) FTL gauges.
 func TestMonitorEntangledCollects(t *testing.T) {
 	o := Options{Scale: 0.1, Seed: 1, Device: "ftlssd",
 		Monitor: &MonitorCollector{Window: SLOWindow}}
@@ -107,9 +101,9 @@ func TestMonitorEntangledCollects(t *testing.T) {
 	if mon.Ticks() == 0 {
 		t.Error("monitor never ticked")
 	}
-	for _, name := range []string{"cfq", "block", "ftlssd-gc"} {
-		if _, ok := mon.LastSnap(name); !ok {
-			t.Errorf("no snapshot of %q sampled", name)
+	for _, name := range []string{"sched.queued_be", "block.queue_depth", "ssd.gc_runs"} {
+		if _, ok := mon.Last(name); !ok {
+			t.Errorf("last sample has no %s", name)
 		}
 	}
 	if len(mon.Counters()) == 0 {

@@ -64,6 +64,23 @@ func (r *Registry) Names() []string { return append([]string(nil), r.names...) }
 // Series returns the sampled series for name (nil if unregistered).
 func (r *Registry) Series(name string) *Series { return r.series[name] }
 
+// Visit calls fn with every gauge's current value, in registration order,
+// without appending to any series: a second reader (the monitor) can take
+// its own samples on its own tick while -stats samples on another.
+func (r *Registry) Visit(fn func(name string, v float64)) {
+	for _, name := range r.names {
+		fn(name, r.gauges[name]())
+	}
+}
+
+// Flag reads a boolean state as a 0/1 gauge value.
+func Flag(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Sample reads every gauge at virtual time now and appends the values to
 // their series.
 func (r *Registry) Sample(now sim.Time) {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -33,6 +34,17 @@ func TestRegistryGaugesAndSeries(t *testing.T) {
 	}
 	if r.Series("nope") != nil {
 		t.Fatal("unregistered series should be nil")
+	}
+
+	// Visit reads every gauge in registration order and leaves the series
+	// to Sample alone.
+	var visited []string
+	r.Visit(func(name string, v float64) { visited = append(visited, fmt.Sprintf("%s=%g", name, v)) })
+	if got := strings.Join(visited, " "); got != "stack.depth=5 stack.ops=3" {
+		t.Fatalf("Visit read %q", got)
+	}
+	if n := len(r.Series("stack.depth").Points); n != 2 {
+		t.Fatalf("Visit appended to the series: %d points, want 2", n)
 	}
 
 	var buf bytes.Buffer

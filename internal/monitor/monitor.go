@@ -1,8 +1,9 @@
 // Package monitor is the simulator's continuous observability plane: a
-// virtual-time SLO engine over per-ioctx syscall latencies, a sampler for
-// scheduler/dispatcher/FTL introspection snapshots (exported as Chrome
-// counter tracks), and an always-on flight recorder that dumps a
-// deterministic post-mortem bundle when an invariant trips.
+// virtual-time SLO engine over per-ioctx syscall latencies, a sampler that
+// reads every gauge of the kernel's metrics registry (scheduler queues and
+// gates, block dispatcher, FTL, cache; exported as Chrome counter tracks),
+// and an always-on flight recorder that dumps a deterministic post-mortem
+// bundle when an invariant trips.
 //
 // The monitor consumes the same trace stream the attribution engine does
 // (it is a trace.Sink; the tracer keeps no events), and it runs entirely in virtual time: every tick, every breach
@@ -18,14 +19,13 @@ import (
 
 	"splitio/internal/attr"
 	"splitio/internal/metrics"
-	"splitio/internal/sched"
 	"splitio/internal/sim"
 	"splitio/internal/trace"
 )
 
 // Config configures a Monitor.
 type Config struct {
-	// Window is the SLO evaluation (and introspection sampling) interval;
+	// Window is the SLO evaluation (and gauge sampling) interval;
 	// default 500ms of virtual time.
 	Window time.Duration
 	// Rules are the SLOs to evaluate each window.
@@ -35,8 +35,8 @@ type Config struct {
 const (
 	// eventRing bounds the flight recorder's recent-event ring.
 	eventRing int = 512
-	// snapRing bounds retained introspection ticks.
-	snapRing int = 16
+	// sampleRing bounds retained gauge samples.
+	sampleRing int = 16
 )
 
 func (c Config) withDefaults() Config {
@@ -46,25 +46,32 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// SnapSample is one sampling tick's introspection snapshots.
-type SnapSample struct {
-	At    sim.Time     `json:"at_ns"`
-	Snaps []sched.Snap `json:"snaps"`
+// Reading is one gauge's value at a tick.
+type Reading struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"`
+}
+
+// Sample is one tick's reading of every registry gauge, in registration
+// order.
+type Sample struct {
+	At     sim.Time  `json:"at_ns"`
+	Gauges []Reading `json:"gauges"`
 }
 
 // Monitor is the observability plane for one kernel. Create with New,
-// attach to the kernel's tracer (trace.Attach), register introspectors with
-// Watch, then Start the virtual-time ticker.
+// attach to the kernel's tracer (trace.Attach), then Start the virtual-time
+// ticker.
 type Monitor struct {
 	env *sim.Env
+	reg *metrics.Registry
 	cfg Config
 
 	windows map[sloKey]*window
 	breach  []Breach
 
-	watched  []sched.Introspector
 	counters []trace.CounterSample
-	snaps    []SnapSample
+	samples  []Sample
 	ticks    int
 
 	attribution *attr.Attribution
@@ -73,25 +80,17 @@ type Monitor struct {
 	rec recorder
 }
 
-// New builds a Monitor. It does nothing until attached to a tracer and
-// started.
-func New(env *sim.Env, cfg Config) *Monitor {
+// New builds a Monitor that samples reg's gauges on every tick. It does
+// nothing until attached to a tracer and started.
+func New(env *sim.Env, reg *metrics.Registry, cfg Config) *Monitor {
 	m := &Monitor{
 		env:     env,
+		reg:     reg,
 		cfg:     cfg.withDefaults(),
 		windows: make(map[sloKey]*window),
 	}
 	m.rec.cap = eventRing
 	return m
-}
-
-// Watch registers an introspector to be sampled every tick. Registration
-// order is sampling order (and counter-track order in the export).
-func (m *Monitor) Watch(in sched.Introspector) {
-	if in == nil {
-		return
-	}
-	m.watched = append(m.watched, in)
 }
 
 // WatchAttr registers the attribution engine: any new priority inversion
@@ -133,28 +132,20 @@ func (m *Monitor) Consume(ev trace.Event) {
 	w.seen = true
 }
 
-// tick closes the current SLO window and samples every watched
-// introspector.
+// tick closes the current SLO window and reads every registry gauge.
 func (m *Monitor) tick(now sim.Time) {
 	m.ticks++
 
-	// Introspection: one Snap per watched component, appended to the
-	// counter-sample log and the bounded snapshot ring.
-	if len(m.watched) > 0 {
-		ss := SnapSample{At: now, Snaps: make([]sched.Snap, 0, len(m.watched))}
-		for _, in := range m.watched {
-			snap := in.Snapshot()
-			ss.Snaps = append(ss.Snaps, snap)
-			for _, c := range snap.Counters {
-				m.counters = append(m.counters, trace.CounterSample{
-					Track: snap.Name + "/" + c.Name, At: now, Value: c.Value,
-				})
-			}
-		}
-		m.snaps = append(m.snaps, ss)
-		if len(m.snaps) > snapRing {
-			m.snaps = m.snaps[len(m.snaps)-snapRing:]
-		}
+	// Gauges: one reading each, appended to the counter-sample log and the
+	// bounded sample ring.
+	s := Sample{At: now}
+	m.reg.Visit(func(name string, v float64) {
+		s.Gauges = append(s.Gauges, Reading{Name: name, Value: v})
+		m.counters = append(m.counters, trace.CounterSample{Track: name, At: now, Value: v})
+	})
+	m.samples = append(m.samples, s)
+	if len(m.samples) > sampleRing {
+		m.samples = m.samples[len(m.samples)-sampleRing:]
 	}
 
 	// SLO evaluation over the closing window.
@@ -191,19 +182,20 @@ func (m *Monitor) Ticks() int { return m.ticks }
 // Counters returns the full counter-sample log for Chrome export.
 func (m *Monitor) Counters() []trace.CounterSample { return m.counters }
 
-// Snapshots returns the retained introspection ticks (oldest first).
-func (m *Monitor) Snapshots() []SnapSample { return m.snaps }
+// Samples returns the retained gauge samples (oldest first).
+func (m *Monitor) Samples() []Sample { return m.samples }
 
-// LastSnap returns the most recent snapshot of the named component.
-func (m *Monitor) LastSnap(name string) (sched.Snap, bool) {
-	for i := len(m.snaps) - 1; i >= 0; i-- {
-		for _, s := range m.snaps[i].Snaps {
-			if s.Name == name {
-				return s, true
-			}
+// Last returns the named gauge's value in the most recent sample.
+func (m *Monitor) Last(name string) (float64, bool) {
+	if len(m.samples) == 0 {
+		return 0, false
+	}
+	for _, r := range m.samples[len(m.samples)-1].Gauges {
+		if r.Name == name {
+			return r.Value, true
 		}
 	}
-	return sched.Snap{}, false
+	return 0, false
 }
 
 // RegisterMetrics publishes the monitor's own health as gauges.

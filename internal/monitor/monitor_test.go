@@ -52,6 +52,10 @@ func TestParseRule(t *testing.T) {
 		"p99<tenms",           // bad duration
 		"op=fsync budget=0.1", // budget without latency bound
 		"frobnicate",          // unknown token
+		"bps>=10MB",           // unit suffix on a throughput floor
+		"pid=12abc p99<10ms",  // trailing garbage after a pid
+		"p99<10ms budget=0.01x",
+		"p99<10ms budget=0.01 burn=2x",
 	} {
 		if _, err := ParseRule(bad); err == nil {
 			t.Errorf("ParseRule(%q) accepted", bad)
@@ -161,7 +165,7 @@ func TestRecorderRing(t *testing.T) {
 func TestTripFirstPerKind(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
-	m := New(env, Config{})
+	m := New(env, metrics.NewRegistry(), Config{})
 	m.TripNow("slo-breach", "first")
 	m.TripNow("slo-breach", "second") // no-op: kind already dumped
 	m.TripNow("inversion", "other kind")
@@ -188,7 +192,8 @@ func TestTripFirstPerKind(t *testing.T) {
 
 // TestMonitorEndToEnd drives a Monitor purely with synthetic trace events
 // and a virtual-time env: a latency rule breaches on the slow stream and
-// trips exactly one slo-breach bundle whose window stats match.
+// trips exactly one slo-breach bundle whose window stats match, and every
+// tick reads the registry's gauges into the counter log and the bundle.
 func TestMonitorEndToEnd(t *testing.T) {
 	env := sim.NewEnv(1)
 	defer env.Close()
@@ -196,13 +201,17 @@ func TestMonitorEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(env, Config{Window: 100 * time.Millisecond, Rules: []Rule{rule}})
+	reg := metrics.NewRegistry()
+	issued := 0
+	reg.Gauge("load.issued", func() float64 { return float64(issued) })
+	m := New(env, reg, Config{Window: 100 * time.Millisecond, Rules: []Rule{rule}})
 	m.Start()
 
 	// A process that issues one slow "fsync" span per 25ms of virtual time.
 	env.Go("load", func(p *sim.Proc) {
 		for i := 0; i < 12; i++ {
 			p.Sleep(25 * time.Millisecond)
+			issued++
 			m.Consume(trace.Event{
 				Layer: trace.LayerSyscall, Op: "fsync", PID: 7,
 				Start: p.Now() - sim.Time(20*time.Millisecond), End: p.Now(),
@@ -239,6 +248,18 @@ func TestMonitorEndToEnd(t *testing.T) {
 	if !strings.Contains(dumps[0].Detail, rule.Name) {
 		t.Errorf("bundle detail %q does not name the rule", dumps[0].Detail)
 	}
+	if s := dumps[0].Samples; len(s) != 1 || s[0].Gauges[0] != (Reading{"load.issued", 3}) {
+		t.Errorf("bundle samples = %+v, want load.issued=3 at the first tick", s)
+	}
+	if v, ok := m.Last("load.issued"); !ok || v != 12 {
+		t.Errorf("last load.issued = %v (sampled %v), want 12", v, ok)
+	}
+	if _, ok := m.Last("absent"); ok {
+		t.Error("Last found a gauge that was never registered")
+	}
+	if c := m.Counters(); len(c) != 4 || c[3].Track != "load.issued" || c[3].At != sim.Time(400*time.Millisecond) {
+		t.Errorf("counter log = %+v, want one load.issued point per tick", c)
+	}
 }
 
 // TestThroughputRule checks the floor only arms once the stream has been
@@ -250,7 +271,7 @@ func TestThroughputRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(env, Config{Window: 100 * time.Millisecond, Rules: []Rule{rule}})
+	m := New(env, metrics.NewRegistry(), Config{Window: 100 * time.Millisecond, Rules: []Rule{rule}})
 	m.Start()
 	env.Go("load", func(p *sim.Proc) {
 		// Window 1: plenty of bytes. Windows 2+: silence (a stall).

@@ -1,5 +1,5 @@
 // Flight recorder: a bounded ring of recent trace events plus the last K
-// introspection ticks, always cheap to maintain, dumped as a deterministic
+// gauge samples, always cheap to maintain, dumped as a deterministic
 // JSON post-mortem bundle the first time each kind of invariant trips
 // (SLO breach, priority inversion, gc-stall, crash-consistency violation —
 // external checkers call TripNow for the kinds the monitor cannot see).
@@ -78,17 +78,17 @@ func (r *recorder) recent() []RecEvent {
 
 // Bundle is one post-mortem dump: why and when the invariant tripped, every
 // SLO breach up to that point, the recent-event ring, and the retained
-// introspection snapshots. Field order is fixed, so marshaling a bundle of
+// gauge samples. Field order is fixed, so marshaling a bundle of
 // a deterministic run is byte-identical everywhere.
 type Bundle struct {
-	Kind       string       `json:"kind"`
-	At         sim.Time     `json:"at_ns"`
-	Detail     string       `json:"detail"`
-	Ticks      int          `json:"ticks"`
-	EventsSeen int64        `json:"events_seen"`
-	Breaches   []Breach     `json:"breaches,omitempty"`
-	Events     []RecEvent   `json:"events"`
-	Snapshots  []SnapSample `json:"snapshots,omitempty"`
+	Kind       string     `json:"kind"`
+	At         sim.Time   `json:"at_ns"`
+	Detail     string     `json:"detail"`
+	Ticks      int        `json:"ticks"`
+	EventsSeen int64      `json:"events_seen"`
+	Breaches   []Breach   `json:"breaches,omitempty"`
+	Events     []RecEvent `json:"events"`
+	Samples    []Sample   `json:"samples,omitempty"`
 }
 
 // TripNow captures a post-mortem bundle for kind. Only the first trip per
@@ -108,7 +108,7 @@ func (m *Monitor) TripNow(kind, detail string) {
 		EventsSeen: m.rec.total,
 		Breaches:   append([]Breach(nil), m.breach...),
 		Events:     m.rec.recent(),
-		Snapshots:  append([]SnapSample(nil), m.snaps...),
+		Samples:    append([]Sample(nil), m.samples...),
 	}
 	m.rec.dumps = append(m.rec.dumps, b)
 }

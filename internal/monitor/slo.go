@@ -10,6 +10,7 @@ package monitor
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -49,32 +50,26 @@ type Rule struct {
 //	op=write bps>=1048576
 //	op=fsync p99<10ms budget=0.01 burn=2
 //
-// Latency terms are pNN<duration (p50, p95, p99, p999); throughput terms
-// are bps>=N or bps>N. budget= adds an error-budget burn-rate rule on top
-// of the latency bound.
+// Latency terms are pNN<duration (p50, p90, p95, p99, p999); throughput
+// terms are bps>=N or bps>N with N in bytes/second. budget= adds an
+// error-budget burn-rate rule on top of the latency bound. Every number
+// must fill the rest of its token: "bps>=10MB" is an error, not 10 B/s.
 func ParseRule(spec string) (Rule, error) {
 	r := Rule{Name: spec, Burn: 1}
 	for _, tok := range strings.Fields(spec) {
+		var err error
 		switch {
 		case strings.HasPrefix(tok, "pid="):
-			if _, err := fmt.Sscanf(tok, "pid=%d", &r.PID); err != nil {
-				return r, fmt.Errorf("monitor: bad pid token %q", tok)
-			}
+			r.PID, err = strconv.Atoi(strings.TrimPrefix(tok, "pid="))
 		case strings.HasPrefix(tok, "op="):
 			r.Op = strings.TrimPrefix(tok, "op=")
 		case strings.HasPrefix(tok, "budget="):
-			if _, err := fmt.Sscanf(tok, "budget=%g", &r.Budget); err != nil {
-				return r, fmt.Errorf("monitor: bad budget token %q", tok)
-			}
+			r.Budget, err = strconv.ParseFloat(strings.TrimPrefix(tok, "budget="), 64)
 		case strings.HasPrefix(tok, "burn="):
-			if _, err := fmt.Sscanf(tok, "burn=%g", &r.Burn); err != nil {
-				return r, fmt.Errorf("monitor: bad burn token %q", tok)
-			}
+			r.Burn, err = strconv.ParseFloat(strings.TrimPrefix(tok, "burn="), 64)
 		case strings.HasPrefix(tok, "bps>"):
 			v := strings.TrimPrefix(strings.TrimPrefix(tok, "bps>"), "=")
-			if _, err := fmt.Sscanf(v, "%g", &r.MinBps); err != nil {
-				return r, fmt.Errorf("monitor: bad throughput token %q", tok)
-			}
+			r.MinBps, err = strconv.ParseFloat(v, 64)
 		case strings.HasPrefix(tok, "p"):
 			lt := strings.IndexByte(tok, '<')
 			if lt < 0 {
@@ -91,6 +86,9 @@ func ParseRule(spec string) (Rule, error) {
 			r.Quantile, r.MaxLatency = q, d
 		default:
 			return r, fmt.Errorf("monitor: unknown rule token %q", tok)
+		}
+		if err != nil {
+			return r, fmt.Errorf("monitor: bad number in %q: %v", tok, err)
 		}
 	}
 	if r.Quantile == 0 && r.MinBps == 0 {

@@ -29,6 +29,7 @@ import (
 	"splitio/internal/device"
 	"splitio/internal/fs"
 	"splitio/internal/ioctx"
+	"splitio/internal/metrics"
 	"splitio/internal/sim"
 	"splitio/internal/stride"
 	"splitio/internal/vfs"
@@ -112,10 +113,13 @@ func (s *Sched) Name() string { return "afq" }
 // Elevator implements core.Scheduler.
 func (s *Sched) Elevator() block.Elevator { return s }
 
-// Attach implements core.Scheduler.
+// Attach implements core.Scheduler. Besides the hooks it publishes both
+// levels of the split scheduler as gauges: block-level queue state and the
+// syscall-level admission gate.
 func (s *Sched) Attach(k *core.Kernel) {
 	s.k = k
 	s.layer = k.Block
+	s.registerGauges(k.Metrics)
 	// AFQ's admission gate replaces the kernel's dirty-ratio throttling:
 	// proportional admission must be the binding constraint.
 	k.VFS.ThrottleWrites = false
@@ -141,6 +145,31 @@ func (s *Sched) Attach(k *core.Kernel) {
 	// AFQ drains writeback itself, in stride order.
 	k.Cache.SetPdflushEnabled(false)
 	k.Env.Go("afq-writeback", s.writebackPacer)
+}
+
+// registerGauges publishes the read queues, the write queue and the
+// admission gate's waiters and outstanding sync work under sched.
+func (s *Sched) registerGauges(r *metrics.Registry) {
+	r.Gauge("sched.reads_queued", func() float64 {
+		n := 0
+		for _, q := range s.readQs {
+			n += len(q)
+		}
+		return float64(n)
+	})
+	r.Gauge("sched.read_queues", func() float64 {
+		n := 0
+		for _, q := range s.readQs {
+			if len(q) > 0 {
+				n++
+			}
+		}
+		return float64(n)
+	})
+	r.Gauge("sched.writes_queued", func() float64 { return float64(len(s.writeQ)) })
+	r.Gauge("sched.gate_waiters", func() float64 { return float64(len(s.waiters)) })
+	r.Gauge("sched.fsyncs_out", func() float64 { return float64(s.fsyncsOut) })
+	r.Gauge("sched.sync_inflight", func() float64 { return float64(s.syncInFlight) })
 }
 
 // bufferDirty attributes dirty files to their first user-process cause so

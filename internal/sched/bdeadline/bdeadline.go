@@ -21,6 +21,7 @@ import (
 	"splitio/internal/block"
 	"splitio/internal/core"
 	"splitio/internal/device"
+	"splitio/internal/metrics"
 	"splitio/internal/sim"
 )
 
@@ -66,8 +67,8 @@ func (s *Sched) Name() string { return "block-deadline" }
 // Elevator implements core.Scheduler.
 func (s *Sched) Elevator() block.Elevator { return s }
 
-// Attach implements core.Scheduler.
-func (s *Sched) Attach(k *core.Kernel) {}
+// Attach implements core.Scheduler: it publishes the queue gauges.
+func (s *Sched) Attach(k *core.Kernel) { s.RegisterGauges(k.Metrics) }
 
 // Add implements block.Elevator.
 func (s *Sched) Add(r *block.Request) {
@@ -126,9 +127,13 @@ func (q *Queues) Pop(now sim.Time, urgent func(writes []*block.Request, now sim.
 // Queued returns the pending (reads, writes).
 func (q *Queues) Queued() (int, int) { return len(q.reads), len(q.writes) }
 
-// WritesStarved returns how many read batches have passed while writes
-// wait.
-func (q *Queues) WritesStarved() int { return q.writesStarve }
+// RegisterGauges publishes the two sorted queues' lengths and how many
+// read batches have passed while writes wait.
+func (q *Queues) RegisterGauges(r *metrics.Registry) {
+	r.Gauge("sched.reads_queued", func() float64 { return float64(len(q.reads)) })
+	r.Gauge("sched.writes_queued", func() float64 { return float64(len(q.writes)) })
+	r.Gauge("sched.writes_starved", func() float64 { return float64(q.writesStarve) })
+}
 
 func insertByLBA(q []*block.Request, r *block.Request) []*block.Request {
 	i := sort.Search(len(q), func(i int) bool { return q[i].LBA >= r.LBA })

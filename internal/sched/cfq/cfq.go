@@ -22,6 +22,7 @@ import (
 	"splitio/internal/causes"
 	"splitio/internal/core"
 	"splitio/internal/ioctx"
+	"splitio/internal/metrics"
 	"splitio/internal/sim"
 	"splitio/internal/stride"
 )
@@ -81,8 +82,37 @@ func (s *Sched) Name() string { return "cfq" }
 // Elevator implements core.Scheduler.
 func (s *Sched) Elevator() block.Elevator { return s }
 
-// Attach implements core.Scheduler.
-func (s *Sched) Attach(k *core.Kernel) { s.layer = k.Block }
+// Attach implements core.Scheduler: it publishes the per-class queued
+// totals and the state of the slice/anticipation machinery as gauges.
+func (s *Sched) Attach(k *core.Kernel) {
+	s.layer = k.Block
+	r := k.Metrics
+	r.Gauge("sched.queued_be", func() float64 { return s.queued(false) })
+	r.Gauge("sched.queued_idle", func() float64 { return s.queued(true) })
+	r.Gauge("sched.active_queues", func() float64 {
+		n := 0
+		for _, q := range s.queues {
+			if len(q.reqs) > 0 {
+				n++
+			}
+		}
+		return float64(n)
+	})
+	r.Gauge("sched.slice_active", func() float64 { return metrics.Flag(s.curValid) })
+	r.Gauge("sched.anticipating", func() float64 { return metrics.Flag(s.env.Now() < s.idleUntil) })
+}
+
+// queued counts the requests queued in the idle class, or in the
+// best-effort classes when idle is false.
+func (s *Sched) queued(idle bool) float64 {
+	n := 0
+	for _, q := range s.queues {
+		if (q.class == block.ClassIdle) == idle {
+			n += len(q.reqs)
+		}
+	}
+	return float64(n)
+}
 
 // Add implements block.Elevator. CFQ sees only the submitter, never the
 // causes — that is the block-level information gap.

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"splitio/internal/core"
+	"splitio/internal/metrics"
 	"splitio/internal/sched/afq"
 	"splitio/internal/sim"
 	"splitio/internal/ssd"
@@ -47,8 +48,10 @@ func (s *Sched) Name() string { return "gc-afq" }
 
 // Attach implements core.Scheduler: attach AFQ, then close the FTL's GC
 // gate under sync pressure. On non-FTL disks GC-AFQ degenerates to AFQ.
+// The gate's state is published as gauge sched.gc_gate_open.
 func (s *Sched) Attach(k *core.Kernel) {
 	s.Sched.Attach(k)
+	k.Metrics.Gauge("sched.gc_gate_open", func() float64 { return metrics.Flag(!s.SyncPressure(gcGrace)) })
 	if d, ok := k.Disk.(*ssd.Device); ok {
 		d.SetGCGate(func() bool { return !s.SyncPressure(gcGrace) })
 	}

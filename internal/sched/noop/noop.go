@@ -28,5 +28,8 @@ func (s *Sched) Name() string { return "noop" }
 // Elevator implements core.Scheduler.
 func (s *Sched) Elevator() block.Elevator { return s.elv }
 
-// Attach implements core.Scheduler.
-func (s *Sched) Attach(k *core.Kernel) {}
+// Attach implements core.Scheduler: it publishes the FIFO's length as
+// gauge sched.queued.
+func (s *Sched) Attach(k *core.Kernel) {
+	k.Metrics.Gauge("sched.queued", func() float64 { return float64(s.elv.Len()) })
+}

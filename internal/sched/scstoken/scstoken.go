@@ -72,8 +72,14 @@ func (s *Sched) Name() string { return "scs-token" }
 func (s *Sched) Elevator() block.Elevator { return s.inner.Elevator() }
 
 // SetLimit creates (or replaces) an account refilled at rate bytes/second
-// with burst capacity cap bytes.
+// with burst capacity cap bytes. An account's first SetLimit after Attach
+// publishes its balance as gauge sched.tokens.<account>.
 func (s *Sched) SetLimit(account string, rate, cap float64) {
+	if _, ok := s.accounts[account]; !ok && s.k != nil {
+		s.k.Metrics.Gauge("sched.tokens."+account, func() float64 {
+			return s.accounts[account].Peek(s.env.Now())
+		})
+	}
 	s.accounts[account] = tokenbucket.New(rate, cap)
 }
 
@@ -87,7 +93,7 @@ func (s *Sched) Tokens(account string) float64 {
 }
 
 // Attach implements core.Scheduler: register syscall hooks and wire the
-// stock elevator.
+// stock elevator, which publishes its own gauges.
 func (s *Sched) Attach(k *core.Kernel) {
 	s.k = k
 	s.inner.Attach(k)

@@ -125,4 +125,15 @@ func TestTokensAccessor(t *testing.T) {
 	if s.Tokens("x") != 50 {
 		t.Fatalf("fresh bucket = %v, want cap", s.Tokens("x"))
 	}
+	// A repeated SetLimit replaces the bucket without registering the
+	// account's gauge again; the inner CFQ publishes its own gauges.
+	s.SetLimit("x", 100, 80)
+	got := map[string]float64{}
+	k.Metrics.Visit(func(name string, v float64) { got[name] = v })
+	if v, ok := got["sched.tokens.x"]; !ok || v != 80 {
+		t.Errorf("sched.tokens.x = %v (registered %v), want the replacing bucket's 80", v, ok)
+	}
+	if _, ok := got["sched.queued_be"]; !ok {
+		t.Error("inner CFQ publishes no sched.queued_be gauge")
+	}
 }

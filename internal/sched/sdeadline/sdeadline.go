@@ -127,12 +127,17 @@ func (s *Sched) Name() string {
 // Elevator implements core.Scheduler.
 func (s *Sched) Elevator() block.Elevator { return s }
 
-// Attach implements core.Scheduler.
+// Attach implements core.Scheduler. Besides the hooks it publishes the
+// location queues, the pending fsync deadlines and the files with a
+// randomness estimate as gauges.
 func (s *Sched) Attach(k *core.Kernel) {
 	s.k = k
 	s.layer = k.Block
 	s.seqCost = k.SeqPageCost()
 	s.randCost = k.RandPageCost()
+	s.RegisterGauges(k.Metrics)
+	k.Metrics.Gauge("sched.pending_fsyncs", func() float64 { return float64(len(s.pending)) })
+	k.Metrics.Gauge("sched.tracked_files", func() float64 { return float64(len(s.files)) })
 	k.VFS.SetHooks(vfs.Hooks{
 		WriteEntry: s.writeEntry,
 		FsyncEntry: s.fsyncEntry,

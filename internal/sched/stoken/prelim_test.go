@@ -136,7 +136,7 @@ func (r *refPrelim) completed(req *block.Request) {
 // re-dirties of pages whose write is in flight, completions and file
 // frees — and runs the per-page reference model beside it. Charges, refunds
 // and revisions must match bit for bit, and so must the account balances
-// and the prelim_charges count in the scheduler's snapshot. Re-dirtying a
+// and the scheduler's sched.prelim_charges gauge. Re-dirtying a
 // page whose write is in flight replaces its outstanding charge in both.
 func TestPrelimTableMatchesPerPage(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
@@ -176,11 +176,10 @@ func TestPrelimTableMatchesPerPage(t *testing.T) {
 			same("prelim charged", s.statPrelim, ref.statPrelim)
 			same("revised", s.statRevised, ref.statRevised)
 			same("refunded", s.statRefunds, ref.statRefunds)
-			snap := s.Snapshot()
-			n, _ := snap.Get("prelim_charges")
+			n, _ := gauge(k, "sched.prelim_charges")
 			same("prelim_charges", n, float64(ref.nprelim))
 			for a, b := range ref.accounts {
-				got, _ := snap.Get("tokens." + a)
+				got, _ := gauge(k, "sched.tokens."+a)
 				bc := *b
 				same("tokens."+a, got, bc.Tokens(k.Now()))
 			}

@@ -82,7 +82,8 @@ type Sched struct {
 	lastFg sim.Time
 
 	// PrelimRandBytes is the preliminary (memory-level) normalized cost of
-	// a random page; the block-level revision corrects it.
+	// a random page; the block-level revision corrects it. Attach builds
+	// the estimator from it, so set it before.
 	PrelimRandBytes float64
 
 	statPrelim  float64
@@ -125,8 +126,14 @@ func (s *Sched) Name() string { return "split-token" }
 func (s *Sched) Elevator() block.Elevator { return s }
 
 // SetLimit creates (or replaces) an account refilled at rate normalized
-// bytes/second with burst capacity cap.
+// bytes/second with burst capacity cap. An account's first SetLimit after
+// Attach publishes its balance as gauge sched.tokens.<account>.
 func (s *Sched) SetLimit(account string, rate, cap float64) {
+	if _, ok := s.accounts[account]; !ok && s.k != nil {
+		s.k.Metrics.Gauge("sched.tokens."+account, func() float64 {
+			return s.accounts[account].Peek(s.env.Now())
+		})
+	}
 	s.accounts[account] = tokenbucket.New(rate, cap)
 }
 
@@ -139,11 +146,16 @@ func (s *Sched) Tokens(account string) float64 {
 	return b.Tokens(s.env.Now())
 }
 
-// Attach implements core.Scheduler.
+// Attach implements core.Scheduler. Besides the hooks it publishes the
+// block-level queues and the outstanding preliminary charges awaiting
+// block-level revision as gauges.
 func (s *Sched) Attach(k *core.Kernel) {
 	s.k = k
 	s.layer = k.Block
 	s.est = core.NewWriteEstimator(s.PrelimRandBytes)
+	k.Metrics.Gauge("sched.reads_queued", func() float64 { return float64(len(s.readQ)) })
+	k.Metrics.Gauge("sched.writes_queued", func() float64 { return float64(len(s.writeQ)) })
+	k.Metrics.Gauge("sched.prelim_charges", func() float64 { return float64(s.nprelim) })
 	k.VFS.SetHooks(vfs.Hooks{
 		WriteEntry:  s.writeEntry,
 		FsyncEntry:  func(p *sim.Proc, c *ioctx.Ctx, f *fs.File) { s.throttleSyscall(p, c) },

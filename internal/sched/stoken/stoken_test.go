@@ -212,16 +212,25 @@ func TestAccountingRevision(t *testing.T) {
 	if s.RevisedCharged() <= 0 {
 		t.Fatal("no block-level revision")
 	}
-	checkNoPrelim(t, s)
+	checkNoPrelim(t, k, s)
+}
+
+// gauge reads the named gauge of k's registry now.
+func gauge(k *core.Kernel, name string) (v float64, ok bool) {
+	k.Metrics.Visit(func(n string, x float64) {
+		if n == name {
+			v, ok = x, true
+		}
+	})
+	return v, ok
 }
 
 // checkNoPrelim fails unless every preliminary charge has been revised or
 // refunded and no per-chunk charge record remains.
-func checkNoPrelim(t *testing.T, s *Sched) {
+func checkNoPrelim(t *testing.T, k *core.Kernel, s *Sched) {
 	t.Helper()
-	snap := s.Snapshot()
-	if n, ok := snap.Get("prelim_charges"); !ok || n != 0 {
-		t.Fatalf("prelim_charges = %v (reported %v), want 0", n, ok)
+	if n, ok := gauge(k, "sched.prelim_charges"); !ok || n != 0 {
+		t.Fatalf("sched.prelim_charges = %v (registered %v), want 0", n, ok)
 	}
 	if len(s.prelim) != 0 {
 		t.Fatalf("charge records remain for %d chunks", len(s.prelim))
@@ -238,8 +247,7 @@ func TestDeletedBufferRefunded(t *testing.T) {
 		pr.Ctx.Account = "b"
 		f, _ := k.VFS.Create(p, pr, "/tmp")
 		k.VFS.Write(p, pr, f, 0, 4<<20)
-		snap := s.Snapshot()
-		if n, _ := snap.Get("prelim_charges"); n == 0 {
+		if n, _ := gauge(k, "sched.prelim_charges"); n == 0 {
 			t.Error("no preliminary charges outstanding before unlink")
 		}
 		before := s.Tokens("b")
@@ -250,7 +258,7 @@ func TestDeletedBufferRefunded(t *testing.T) {
 		}
 	})
 	k.Run(time.Second)
-	checkNoPrelim(t, s)
+	checkNoPrelim(t, k, s)
 }
 
 func TestNamesAndLimits(t *testing.T) {
@@ -261,6 +269,13 @@ func TestNamesAndLimits(t *testing.T) {
 	}
 	if s.Tokens("missing") != 0 {
 		t.Fatal("missing account should report 0 tokens")
+	}
+	// A repeated SetLimit replaces the bucket without registering the
+	// account's gauge again (a duplicate name panics).
+	s.SetLimit("b", 1<<20, 1<<20)
+	s.SetLimit("b", 2<<20, 2<<20)
+	if v, ok := gauge(k, "sched.tokens.b"); !ok || v != 2<<20 {
+		t.Fatalf("sched.tokens.b = %v (registered %v), want the replacing bucket's %d", v, ok, 2<<20)
 	}
 	_ = fmt.Sprint() // keep fmt
 }

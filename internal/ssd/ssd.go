@@ -538,6 +538,7 @@ func (d *Device) RegisterMetrics(r *metrics.Registry) {
 	r.Gauge("ssd.free_blocks", func() float64 { return float64(d.freeBlocks) })
 	r.Gauge("ssd.write_amp", func() float64 { return d.WriteAmp() })
 	r.Gauge("ssd.host_pages", func() float64 { return float64(d.hostPages) })
+	r.Gauge("ssd.gc_runs", func() float64 { return float64(d.gcRuns) })
 	r.Gauge("ssd.gc_pages", func() float64 { return float64(d.gcPages) })
 	r.Gauge("ssd.gc_erases", func() float64 { return float64(d.erases) })
 	r.Gauge("ssd.gc_busy_seconds", func() float64 { return d.GCBusy().Seconds() })

@@ -49,6 +49,16 @@ func (b *Bucket) Tokens(now sim.Time) float64 {
 	return b.tokens
 }
 
+// Peek returns the balance at now without refilling b. Observers read
+// balances this way: a refill split at an observation instant rounds later
+// balances differently, so an observed run would diverge from an
+// unobserved one.
+func (b *Bucket) Peek(now sim.Time) float64 {
+	c := *b
+	c.refill(now)
+	return c.tokens
+}
+
 // Charge deducts n tokens at now; the balance may go negative.
 func (b *Bucket) Charge(now sim.Time, n float64) {
 	b.refill(now)

@@ -21,11 +21,11 @@ import (
 const monitorPID = int(numLayers) + 1
 
 // CounterSample is one point on a Chrome trace_event counter track
-// ("ph":"C"): the monitor emits one per introspection counter per sampling
-// tick, so queue depths and token balances render as stacked area charts in
+// ("ph":"C"): the monitor emits one per registry gauge per sampling tick,
+// so queue depths and token balances render as stacked area charts in
 // Perfetto alongside the request spans.
 type CounterSample struct {
-	// Track is the counter-track name ("cfq/queued_be", "block/queue_depth").
+	// Track is the counter-track name ("sched.queued_be", "block.queue_depth").
 	Track string `json:"track"`
 	// At is the virtual sampling time.
 	At sim.Time `json:"at"`

@@ -103,28 +103,18 @@ func RandWriteFsync(k *core.Kernel, p *sim.Proc, pr *vfs.Process, f *fs.File, ch
 // RunReader repeatedly reads run bytes sequentially then seeks to a random
 // offset (the Fig 6 access pattern).
 func RunReader(k *core.Kernel, p *sim.Proc, pr *vfs.Process, f *fs.File, run int64) {
-	pages := f.Size() / cache.PageSize
-	rng := k.Env.Rand()
-	const chunk = int64(128 << 10)
-	for {
-		off := rng.Int63n(pages) * cache.PageSize
-		end := off + run
-		if end > f.Size() {
-			end = f.Size()
-		}
-		for off < end {
-			var n int64 = chunk
-			if off+n > end {
-				n = end - off
-			}
-			k.VFS.Read(p, pr, f, off, n)
-			off += n
-		}
-	}
+	runs(k, p, pr, f, run, k.VFS.Read)
 }
 
 // RunWriter is RunReader's write counterpart.
 func RunWriter(k *core.Kernel, p *sim.Proc, pr *vfs.Process, f *fs.File, run int64) {
+	runs(k, p, pr, f, run, k.VFS.Write)
+}
+
+// runs issues call over run bytes from a random page offset, in 128 KB
+// chunks, then seeks again, forever.
+func runs(k *core.Kernel, p *sim.Proc, pr *vfs.Process, f *fs.File, run int64,
+	call func(p *sim.Proc, pr *vfs.Process, f *fs.File, off, n int64)) {
 	pages := f.Size() / cache.PageSize
 	rng := k.Env.Rand()
 	const chunk = int64(128 << 10)
@@ -139,7 +129,7 @@ func RunWriter(k *core.Kernel, p *sim.Proc, pr *vfs.Process, f *fs.File, run int
 			if off+n > end {
 				n = end - off
 			}
-			k.VFS.Write(p, pr, f, off, n)
+			call(p, pr, f, off, n)
 			off += n
 		}
 	}

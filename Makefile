@@ -60,11 +60,14 @@ race:
 # iteration, so it gets its own -benchtime=1x invocation rather than
 # joining the 1000x hot-path line. BenchmarkEventLoopMix gets a 2M-event
 # budget: at 1000 events its set-up dominates events/s. The zero-alloc
-# test is the asserted complement of the heap microbenchmarks:
-# steady-state schedule/pop must allocate nothing (pooled events,
-# concrete-typed four-ary heap), and the target fails if it regresses.
+# tests are the asserted complement of the microbenchmarks: steady-state
+# schedule/pop must allocate nothing (pooled events, concrete-typed
+# four-ary heap), nor must a page run evicting its way into a full page
+# cache (recycled arena pages and chunks), and the target fails if either
+# regresses.
 microbench:
 	$(GO) test -run '^TestScheduleRunZeroAllocs$$' -count=1 ./internal/sim
+	$(GO) test -run '^TestEvictInsertZeroAllocs$$' -count=1 ./internal/cache
 	$(GO) test -bench=. -skip=BenchmarkEventLoopMix -benchtime=1000x -run '^$$' ./internal/sim ./internal/cache ./internal/perf ./internal/ssd
 	$(GO) test -bench=BenchmarkEventLoopMix -benchtime=2000000x -run '^$$' ./internal/sim
 	$(GO) test -bench=BenchmarkSplitlintRepo -benchtime=1x -run '^$$' ./internal/analysis

@@ -2,7 +2,8 @@
 // tracks directly: the single-page lookup, the read path's run lookup (one
 // call per hit or miss run), the write path's range dirtying (one call per
 // write, overwriting dirty pages or dirtying clean ones that writeback then
-// takes), and clean inserts into a sparsely resident file.
+// takes, or dirtying fresh pages into a full cache), and clean inserts into a
+// sparsely resident file.
 package cache_test
 
 import (
@@ -90,6 +91,29 @@ func BenchmarkCacheMarkDirtyRangeFresh(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.MarkDirtyRange(ctx, 1, 0, pages-1)
+		var taken int64
+		c.TakeDirty(1, 0, func(_, n int64, _ causes.Set) { taken += n })
+		if taken != pages {
+			b.Fatalf("TakeDirty took %d pages, want %d", taken, pages)
+		}
+	}
+}
+
+// BenchmarkCacheMarkDirtyRangeEvicting dirties fresh 256-page runs into a
+// full cache and takes each for writeback, the shape of Fig 21's HDFS
+// writers: every fresh page evicts the least recently used clean page, and
+// the pages taken become the clean pages later runs evict.
+func BenchmarkCacheMarkDirtyRangeEvicting(b *testing.B) {
+	c := benchCache(b)
+	c.SetPdflushEnabled(false)
+	ctx := &ioctx.Ctx{PID: 100, Name: "writer", Prio: 4}
+	const pages = 256
+	c.InsertCleanRange(2, 0, c.Config().TotalPages-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		first := int64(i) * pages
+		c.MarkDirtyRange(ctx, 1, first, first+pages-1)
 		var taken int64
 		c.TakeDirty(1, 0, func(_, n int64, _ causes.Set) { taken += n })
 		if taken != pages {

@@ -7,8 +7,8 @@
 package cache
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -77,27 +77,55 @@ const (
 	ChunkPages = 1 << ChunkShift
 )
 
-// page is one resident page. A clean page sits on the cache's LRU ring; a
-// dirty page is off the ring and its bit is set in its chunk's dirty mask.
-// Pages come from the cache's slab free list.
+// page is one record of the cache's page arena, named by its int32 handle
+// (pg finds it). Page 0 is the sentinel of the LRU ring of clean pages, and
+// handle 0 names no page elsewhere. A resident page names its chunk by
+// handle and its bit in it; a clean one sits on the ring, a dirty one is off
+// it (both links offRing) and its bit is set in its chunk's dirty mask. A
+// free page names no chunk and next links the free list, which 0 ends. The
+// record holds no pointers, so the collector never scans the arena.
 type page struct {
-	ch         *chunk
-	idx        int64
-	prev, next *page // LRU ring links, nil while dirty; next links the free list
+	ch         int32 // chunks handle; 0 while free
+	prev, next int32 // LRU ring links; next also links the free list
+	bit        uint8 // the page's bit in its chunk
 }
 
-// chunk is the state of one aligned run of ChunkPages pages of a file. Bit b
-// of present (dirty) is page key<<ChunkShift + b. pages holds only the
-// resident pages, in index order, so a file read at random costs one slot
-// per resident page rather than a whole chunk: page b is
-// pages[rank(present, b)]. runs holds the write cause sets of the dirty
-// pages, one run per distinct set: the run masks are disjoint, together
-// they are the dirty mask, and no two runs have equal sets.
+// The page arena is a list of blocks of 1<<pageBlockShift records: it grows
+// a block at a time and never moves a record. Grown as one slice, it would be
+// copied into fresh, zeroed memory a dozen times on its way to a full
+// cache's size.
+const pageBlockShift = 10
+
+// pageBlock is one block of the page arena.
+type pageBlock [1 << pageBlockShift]page
+
+// pg returns the record of page handle p.
+func (c *Cache) pg(p int32) *page {
+	return &c.pages[p>>pageBlockShift][p&(1<<pageBlockShift-1)]
+}
+
+// offRing is the ring link of a resident page that is not on the LRU ring.
+const offRing int32 = -1
+
+// chunk is the state of one aligned run of ChunkPages pages of a file, one
+// record of the cache's chunk arena, named by its int32 handle. Bit b of
+// present (dirty) is page key<<ChunkShift + b. slots holds page handles in
+// one of two layouts, and page b is slots[ch.slot(b)]. A compact chunk holds
+// only its resident pages, in index order, at most compactSlots of them, so
+// a file read at random costs one slot per resident page rather than a whole
+// chunk. The page that would overfill it makes it direct: ChunkPages slots,
+// slot b holding page b (0 while it is absent), so evicting and refilling a
+// dense chunk moves no other slot. It stays direct until it empties. runs
+// holds the write cause sets of the dirty pages, one run per distinct set:
+// the run masks are disjoint, together they are the dirty mask, and no two
+// runs have equal sets. A chunk that empties is recycled with the capacity
+// of its slots and runs, so a cache at steady state allocates no chunk
+// storage.
 type chunk struct {
 	file           *file
 	key            int64
 	present, dirty uint64
-	pages          []*page
+	slots          []int32
 	runs           []causeRun
 }
 
@@ -176,53 +204,133 @@ func rank(present uint64, b uint) int {
 	return bits.OnesCount64(present & (1<<b - 1))
 }
 
+// compactSlots is the most pages a compact chunk holds.
+const compactSlots = 16
+
+// slot returns the index in ch.slots of page b.
+func (ch *chunk) slot(b uint) int {
+	if len(ch.slots) == ChunkPages {
+		return int(b)
+	}
+	return rank(ch.present, b)
+}
+
+// setSlot puts page p in ch's slot for the absent page b, making a full
+// compact chunk direct.
+func (ch *chunk) setSlot(b uint, p int32) {
+	n := len(ch.slots)
+	if n == compactSlots {
+		var compact [compactSlots]int32
+		copy(compact[:], ch.slots)
+		ch.slots = slices.Grow(ch.slots[:0], ChunkPages)[:ChunkPages]
+		clear(ch.slots)
+		for i, m := 0, ch.present; m != 0; i, m = i+1, m&(m-1) {
+			ch.slots[bits.TrailingZeros64(m)] = compact[i]
+		}
+		n = ChunkPages
+	}
+	if n == ChunkPages {
+		ch.slots[b] = p
+		return
+	}
+	if n == cap(ch.slots) {
+		ch.slots = slices.Grow(ch.slots, max(n, 4))
+	}
+	// Reslicing in place writes no slice pointer, so no write barrier.
+	i := rank(ch.present, b)
+	ch.slots = ch.slots[:n+1]
+	copy(ch.slots[i+1:], ch.slots[i:n])
+	ch.slots[i] = p
+}
+
+// clearSlot empties ch's slot for the resident page b.
+func (ch *chunk) clearSlot(b uint) {
+	if n := len(ch.slots); n == ChunkPages {
+		ch.slots[b] = 0
+	} else {
+		i := rank(ch.present, b)
+		copy(ch.slots[i:], ch.slots[i+1:])
+		ch.slots = ch.slots[:n-1]
+	}
+}
+
 // file is the page-cache state of one inode.
 type file struct {
 	ino    int64
-	chunks map[int64]*chunk
-	last   *chunk    // the chunk used last, so runs of pages skip the map
-	dirty  chunkHeap // chunks with dirty pages, by key
-	queued bool      // in Cache.order
+	chunks map[int64]int32 // chunk handles by key
+	last   int32           // the chunk used last (0 for none), so runs of pages skip the map
+	dirty  dirtyHeap       // chunks with dirty pages, by key
+	queued bool            // in Cache.order
 
 	resident, ndirty int64 // page counts
 }
 
-// chunk returns the chunk with the given key, or nil.
-func (f *file) chunk(key int64) *chunk {
-	if ch := f.last; ch != nil && ch.key == key {
-		return ch
+// chunkOf returns the handle of f's chunk with the given key, or 0.
+func (c *Cache) chunkOf(f *file, key int64) int32 {
+	if h := f.last; h != 0 && c.chunks[h].key == key {
+		return h
 	}
-	ch := f.chunks[key]
-	if ch != nil {
-		f.last = ch
+	h := f.chunks[key]
+	if h != 0 {
+		f.last = h
 	}
-	return ch
+	return h
 }
 
-// page returns f's resident page idx, or nil.
-func (f *file) page(idx int64) *page {
-	ch, b := f.chunk(idx>>ChunkShift), uint(idx&(ChunkPages-1))
-	if ch == nil || ch.present&(1<<b) == 0 {
-		return nil
+// pageOf returns the handle of f's resident page idx, or 0.
+func (c *Cache) pageOf(f *file, idx int64) int32 {
+	h, b := c.chunkOf(f, idx>>ChunkShift), uint(idx&(ChunkPages-1))
+	if ch := &c.chunks[h]; ch.present&(1<<b) != 0 {
+		return ch.slots[ch.slot(b)]
 	}
-	return ch.pages[rank(ch.present, b)]
+	return 0
 }
 
-// chunkHeap is a min-heap of chunks by key (container/heap). A chunk is in
-// its file's heap exactly while its dirty mask is non-zero, so writeback
-// takes a file's lowest dirty pages without sorting.
-type chunkHeap []*chunk
+// dirtyHeap is a min-heap of a file's chunks by key. A chunk is in its
+// file's heap exactly while its dirty mask is non-zero, so writeback takes a
+// file's lowest dirty pages without sorting. It sifts as container/heap
+// does, typed so that a push boxes nothing.
+type dirtyHeap []dirtyChunk
 
-func (h chunkHeap) Len() int           { return len(h) }
-func (h chunkHeap) Less(i, j int) bool { return h[i].key < h[j].key }
-func (h chunkHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *chunkHeap) Push(x any)        { *h = append(*h, x.(*chunk)) }
-func (h *chunkHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	return x
+// dirtyChunk is a dirtyHeap entry: a chunk's key and handle.
+type dirtyChunk struct {
+	key int64
+	ch  int32
+}
+
+func (h *dirtyHeap) push(key int64, ch int32) {
+	*h = append(*h, dirtyChunk{key, ch})
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if s[j].key >= s[i].key {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// pop removes the chunk with the lowest key.
+func (h *dirtyHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].key < s[j].key {
+			j = j2
+		}
+		if s[j].key >= s[i].key {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
 }
 
 // WritebackFn flushes up to max dirty pages of file ino to disk and invokes
@@ -239,10 +347,20 @@ type Cache struct {
 	hooks MemHooks
 	tr    *trace.Tracer
 
-	files    map[int64]*file
-	lru      page  // sentinel of the ring of clean pages; lru.next is least recent
-	resident int64 // pages across all files
-	free     *page // page free list, carved from ChunkPages-page slabs
+	files map[int64]*file
+	// pages is the page arena, whose npages handles (pg) are issued in
+	// order. Page 0 is the sentinel of the LRU ring of clean pages, its next
+	// the least recent; free heads the list of free pages (0 when empty).
+	// chunks is the chunk arena, whose entry 0 stands for "no chunk" and
+	// stays empty; freeChunks holds the handles of recycled chunk records.
+	// Nothing visits either arena in handle order, so handle numbering never
+	// shows in behaviour.
+	pages      []*pageBlock
+	npages     int32
+	free       int32
+	chunks     []chunk
+	freeChunks []int32
+	resident   int64 // pages across all files
 
 	dirtyCount int64
 	// order is the round-robin writeback order: every file dirtied since
@@ -279,12 +397,14 @@ func New(env *sim.Env, cfg Config, wbCtx *ioctx.Ctx) *Cache {
 		cfg:            cfg,
 		tr:             trace.Nop,
 		files:          make(map[int64]*file),
+		pages:          []*pageBlock{new(pageBlock)},
+		npages:         1,
+		chunks:         make([]chunk, 1),
 		throttleQ:      sim.NewWaitQueue(env),
 		wbWake:         sim.NewWaitQueue(env),
 		pdflushEnabled: true,
 		wbCtx:          wbCtx,
 	}
-	c.lru.prev, c.lru.next = &c.lru, &c.lru
 	c.pdWakeFn = func(sig bool) { c.pdflushLoop() }
 	c.pdIdleFn = c.pdflushAfterIdle
 	// The daemon's first pass is a t=0 startup event scheduled in
@@ -389,7 +509,7 @@ func (c *Cache) dirtyThreshold() int64 {
 // needed).
 func (c *Cache) Peek(ino, idx int64) bool {
 	f := c.files[ino]
-	return f != nil && f.page(idx) != nil
+	return f != nil && c.pageOf(f, idx) != 0
 }
 
 // Lookup reports whether page (ino, idx) is resident, promoting it in the
@@ -415,11 +535,8 @@ func (c *Cache) LookupRun(ino, first, last int64) (n int64, hit bool) {
 		return n, false
 	}
 	for idx := first; idx <= last; {
-		ch, b := f.chunk(idx>>ChunkShift), uint(idx&(ChunkPages-1))
-		var present uint64
-		if ch != nil {
-			present = ch.present
-		}
+		h, b := c.chunkOf(f, idx>>ChunkShift), uint(idx&(ChunkPages-1))
+		present := c.chunks[h].present
 		if idx == first {
 			hit = present&(1<<b) != 0
 		}
@@ -432,8 +549,9 @@ func (c *Cache) LookupRun(ino, first, last int64) (n int64, hit bool) {
 			break // the run ended at the previous chunk's last page
 		}
 		if hit {
-			i := rank(present, b)
-			c.touchRun(ch.pages[i : i+int(k)])
+			ch := &c.chunks[h]
+			i := ch.slot(b)
+			c.touchRun(ch.slots[i : i+int(k)])
 		}
 		idx += k
 		n += k
@@ -459,8 +577,8 @@ func (c *Cache) InsertClean(ino, idx int64) { c.InsertCleanRange(ino, idx, idx) 
 func (c *Cache) InsertCleanRange(ino, first, last int64) {
 	f := c.fileOf(ino)
 	for idx := first; idx <= last; idx++ {
-		if pg := f.page(idx); pg != nil {
-			c.touch(pg)
+		if p := c.pageOf(f, idx); p != 0 {
+			c.touch(p)
 			continue
 		}
 		c.evictIfFull()
@@ -472,123 +590,163 @@ func (c *Cache) InsertCleanRange(ino, first, last int64) {
 func (c *Cache) fileOf(ino int64) *file {
 	f := c.files[ino]
 	if f == nil {
-		f = &file{ino: ino, chunks: make(map[int64]*chunk)}
+		f = &file{ino: ino, chunks: make(map[int64]int32)}
 		c.files[ino] = f
 	}
 	return f
 }
 
-// add makes page idx of f resident, creating its chunk if needed.
-func (c *Cache) add(f *file, idx int64) *page {
+// add makes page idx of f resident and returns its handle, creating its
+// chunk if needed. The page is off the LRU ring.
+func (c *Cache) add(f *file, idx int64) int32 {
 	key, b := idx>>ChunkShift, uint(idx&(ChunkPages-1))
-	ch := f.chunk(key)
-	if ch == nil {
-		ch = &chunk{file: f, key: key}
-		f.chunks[key] = ch
-		f.last = ch
+	h := c.chunkOf(f, key)
+	if h == 0 {
+		h = c.newChunk(f, key)
 	}
-	pg := c.allocPage()
-	pg.ch, pg.idx = ch, idx
-	ch.pages = slices.Insert(ch.pages, rank(ch.present, b), pg)
+	p := c.allocPage(h, b)
+	ch := &c.chunks[h]
+	ch.setSlot(b, p)
 	ch.present |= 1 << b
 	f.resident++
 	c.resident++
-	return pg
+	return p
 }
 
-// drop makes the clean page pg, already off the LRU ring, non-resident,
-// freeing its chunk if it empties.
-func (c *Cache) drop(pg *page) {
-	ch, b := pg.ch, uint(pg.idx&(ChunkPages-1))
-	i := rank(ch.present, b)
-	ch.pages = slices.Delete(ch.pages, i, i+1)
+// drop makes the clean page p, already off the LRU ring, non-resident,
+// recycling its chunk if it empties.
+func (c *Cache) drop(p int32) {
+	h, b := c.pg(p).ch, uint(c.pg(p).bit)
+	ch := &c.chunks[h]
+	ch.clearSlot(b)
 	ch.present &^= 1 << b
 	f := ch.file
 	f.resident--
 	c.resident--
 	if ch.present == 0 {
 		delete(f.chunks, ch.key)
-		if f.last == ch {
-			f.last = nil
+		if f.last == h {
+			f.last = 0
 		}
+		c.freeChunk(h)
 	}
-	c.freePage(pg)
+	c.freePage(p)
 }
 
-// allocPage takes a page from the free list, carving a new slab of
-// ChunkPages pages when it is empty: one allocation per 64 pages.
-func (c *Cache) allocPage() *page {
-	if c.free == nil {
-		slab := make([]page, ChunkPages)
-		for i := range slab {
-			slab[i].next = c.free
-			c.free = &slab[i]
-		}
+// newChunk files an empty chunk of f under key, reusing a recycled record
+// when there is one, and returns its handle.
+func (c *Cache) newChunk(f *file, key int64) int32 {
+	var h int32
+	if n := len(c.freeChunks); n > 0 {
+		h, c.freeChunks = c.freeChunks[n-1], c.freeChunks[:n-1]
+	} else {
+		h = handle(len(c.chunks))
+		c.chunks = append(c.chunks, chunk{})
 	}
-	pg := c.free
-	c.free = pg.next
-	pg.next = nil
-	return pg
+	c.chunks[h].file, c.chunks[h].key = f, key
+	f.chunks[key] = h
+	f.last = h
+	return h
+}
+
+// freeChunk recycles the empty chunk h, keeping the capacity of its slots
+// and of its cause runs, which are empty and zeroed.
+func (c *Cache) freeChunk(h int32) {
+	ch := &c.chunks[h]
+	*ch = chunk{slots: ch.slots[:0], runs: ch.runs[:0]}
+	c.freeChunks = append(c.freeChunks, h)
+}
+
+// allocPage takes a page from the free list, extending the arena when it is
+// empty, and names it bit b of chunk h, off the LRU ring.
+func (c *Cache) allocPage(h int32, b uint) int32 {
+	p := c.free
+	if p == 0 {
+		p = c.npages
+		if int(p)>>pageBlockShift == len(c.pages) {
+			c.pages = append(c.pages, new(pageBlock))
+		}
+		c.npages = handle(int(p) + 1)
+	} else {
+		c.free = c.pg(p).next
+	}
+	*c.pg(p) = page{ch: h, prev: offRing, next: offRing, bit: uint8(b)}
+	return p
 }
 
 // freePage returns a page that is off the LRU ring to the free list.
-func (c *Cache) freePage(pg *page) {
-	*pg = page{next: c.free}
-	c.free = pg
+func (c *Cache) freePage(p int32) {
+	*c.pg(p) = page{prev: offRing, next: c.free}
+	c.free = p
+}
+
+// handle returns arena index i as a handle, panicking if an arena would
+// outgrow int32.
+func handle(i int) int32 {
+	if i > math.MaxInt32 {
+		panic("cache: arena outgrew int32 handles")
+	}
+	return int32(i)
 }
 
 func (c *Cache) evictIfFull() {
-	for c.resident >= c.cfg.TotalPages && c.lru.next != &c.lru {
-		pg := c.lru.next
-		c.lruUnlink(pg)
-		c.drop(pg)
+	for c.resident >= c.cfg.TotalPages && c.pg(0).next != 0 {
+		p := c.pg(0).next
+		c.lruUnlink(p)
+		c.drop(p)
 	}
 }
 
-// lruPush appends a clean page at the most-recently-used end of the ring.
-func (c *Cache) lruPush(pg *page) {
-	pg.prev, pg.next = c.lru.prev, &c.lru
-	pg.prev.next = pg
-	c.lru.prev = pg
+// lruPush appends the clean page p at the most-recently-used end of the ring.
+func (c *Cache) lruPush(p int32) {
+	sentinel := c.pg(0)
+	tail := sentinel.prev
+	pg := c.pg(p)
+	pg.prev, pg.next = tail, 0
+	c.pg(tail).next = p
+	sentinel.prev = p
 }
 
-func (c *Cache) lruUnlink(pg *page) {
-	pg.prev.next = pg.next
-	pg.next.prev = pg.prev
-	pg.prev, pg.next = nil, nil
+func (c *Cache) lruUnlink(p int32) {
+	pg := c.pg(p)
+	c.pg(pg.prev).next = pg.next
+	c.pg(pg.next).prev = pg.prev
+	pg.prev, pg.next = offRing, offRing
 }
 
 // touch promotes a clean page to most recently used.
-func (c *Cache) touch(pg *page) {
-	if pg.next != nil {
-		c.lruUnlink(pg)
-		c.lruPush(pg)
+func (c *Cache) touch(p int32) {
+	if c.pg(p).next != offRing {
+		c.lruUnlink(p)
+		c.lruPush(p)
 	}
 }
 
-// touchRun promotes the pages pgs in order, skipping dirty ones, leaving the
+// touchRun promotes the pages ps in order, skipping dirty ones, leaving the
 // ring touch would leave page by page. Moving pages to the tail one at a
 // time keeps the ring order of each stretch of them that is already linked
 // in order, so each such stretch is spliced to the tail whole. Splicing a
 // stretch that already ends at the tail leaves it in place.
-func (c *Cache) touchRun(pgs []*page) {
-	for i := 0; i < len(pgs); {
-		first := pgs[i]
-		if first.next == nil {
+func (c *Cache) touchRun(ps []int32) {
+	sentinel := c.pg(0)
+	for i := 0; i < len(ps); {
+		first := c.pg(ps[i])
+		if first.next == offRing {
 			i++
 			continue
 		}
 		j := i + 1
-		for j < len(pgs) && pgs[j-1].next == pgs[j] {
+		for j < len(ps) && c.pg(ps[j-1]).next == ps[j] {
 			j++
 		}
-		last := pgs[j-1]
-		first.prev.next = last.next
-		last.next.prev = first.prev
-		first.prev = c.lru.prev
-		first.prev.next = first
-		last.next = &c.lru
-		c.lru.prev = last
+		last := c.pg(ps[j-1])
+		c.pg(first.prev).next = last.next
+		c.pg(last.next).prev = first.prev
+		tail := sentinel.prev
+		first.prev = tail
+		c.pg(tail).next = ps[i]
+		last.next = 0
+		sentinel.prev = ps[j-1]
 		i = j
 	}
 }
@@ -624,29 +782,27 @@ func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 		key, b0 := lo>>ChunkShift, uint(lo&(ChunkPages-1))
 		n := min(last-lo+1, ChunkPages-int64(b0))
 		run := (uint64(1)<<n - 1) << b0
-		var over uint64
-		ch := f.chunk(key)
-		if ch != nil {
-			over = ch.present & ch.dirty & run
-		}
+		h := c.chunkOf(f, key)
+		over := c.chunks[h].present & c.chunks[h].dirty & run
 		if over != 0 {
 			overwrites += bits.OnesCount64(over)
-			c.tagBytes += ch.retag(over, cs)
+			c.tagBytes += c.chunks[h].retag(over, cs)
 		}
 		if fresh := run &^ over; fresh != 0 {
 			for m := fresh; m != 0; m &= m - 1 {
 				b := uint(bits.TrailingZeros64(m))
-				if ch != nil && ch.present&(1<<b) != 0 {
-					c.lruUnlink(ch.pages[rank(ch.present, b)])
+				if ch := &c.chunks[h]; ch.present&(1<<b) != 0 {
+					c.lruUnlink(ch.slots[ch.slot(b)])
 					continue
 				}
-				// Eviction may empty and free ch: the page's chunk is
-				// looked up again.
+				// Eviction may empty and recycle chunk h: the page's chunk
+				// is looked up again.
 				c.evictIfFull()
-				ch = c.add(f, key<<ChunkShift+int64(b)).ch
+				h = c.pg(c.add(f, key<<ChunkShift+int64(b))).ch
 			}
+			ch := &c.chunks[h]
 			if ch.dirty == 0 {
-				heap.Push(&f.dirty, ch)
+				f.dirty.push(key, h)
 			}
 			ch.dirty |= fresh
 			ch.tag(fresh, cs)
@@ -661,7 +817,7 @@ func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 			}
 		}
 		if c.tr.Enabled() {
-			c.traceDirty(ctx, ch, run, over)
+			c.traceDirty(ctx, &c.chunks[h], run, over)
 		}
 		if c.hooks.BufferDirty != nil {
 			c.hooks.BufferDirty(ino, key<<ChunkShift, run, over, cs)
@@ -699,7 +855,7 @@ func (c *Cache) traceDirty(ctx *ioctx.Ctx, ch *chunk, run, over uint64) {
 func (c *Cache) clean(ch *chunk, mask uint64) {
 	f := ch.file
 	if ch.dirty &^= mask; ch.dirty == 0 {
-		heap.Pop(&f.dirty)
+		f.dirty.pop()
 	}
 	k := int64(bits.OnesCount64(mask))
 	f.ndirty -= k
@@ -729,7 +885,7 @@ func (c *Cache) TakeDirty(ino int64, max int, run func(first, n int64, cs causes
 		left = int64(max)
 	}
 	for left > 0 {
-		ch := f.dirty[0]
+		ch := &c.chunks[f.dirty[0].ch]
 		var take uint64
 		for m := ch.dirty; m != 0 && left > 0; {
 			b, k, cs := ch.stretch(m)
@@ -740,7 +896,7 @@ func (c *Cache) TakeDirty(ino int64, max int, run func(first, n int64, cs causes
 			left -= k
 		}
 		for m := take; m != 0; m &= m - 1 {
-			c.lruPush(ch.pages[rank(ch.present, uint(bits.TrailingZeros64(m)))])
+			c.lruPush(ch.slots[ch.slot(uint(bits.TrailingZeros64(m)))])
 		}
 		c.clean(ch, take)
 	}
@@ -753,8 +909,8 @@ func (c *Cache) TakeDirty(ino int64, max int, run func(first, n int64, cs causes
 func (c *Cache) FreeFile(ino int64) {
 	if f := c.files[ino]; f != nil {
 		for f.ndirty > 0 {
-			ch := f.dirty[0]
-			freed := ch.dirty
+			ch := &c.chunks[f.dirty[0].ch]
+			freed, base := ch.dirty, ch.key<<ChunkShift
 			if c.tr.Enabled() {
 				now := c.env.Now()
 				for m := freed; m != 0; m &= m - 1 {
@@ -762,28 +918,32 @@ func (c *Cache) FreeFile(ino int64) {
 					c.tr.Record(trace.Event{
 						Layer: trace.LayerCache, Op: trace.OpBufferFree,
 						PID: 0, Causes: cs,
-						Start: now, End: now, Ino: ino, Page: ch.key<<ChunkShift + int64(b),
+						Start: now, End: now, Ino: ino, Page: base + int64(b),
 					})
 				}
 			}
 			c.clean(ch, freed)
 			if c.hooks.BufferFree != nil {
-				c.hooks.BufferFree(ino, ch.key<<ChunkShift, freed)
+				c.hooks.BufferFree(ino, base, freed)
 			}
 		}
-		//splitlint:ignore maporder unlinking and freeing in any order leaves the same ring and free page count
-		for _, ch := range f.chunks {
-			for _, pg := range ch.pages {
-				if pg.next != nil {
-					c.lruUnlink(pg)
+		//splitlint:ignore maporder unlinking in any order leaves the same ring; the order only numbers free handles, which nothing visits in handle order
+		for _, h := range f.chunks {
+			for _, p := range c.chunks[h].slots {
+				if p == 0 {
+					continue // an absent page of a direct chunk
 				}
-				c.freePage(pg)
+				if c.pg(p).next != offRing {
+					c.lruUnlink(p)
+				}
+				c.freePage(p)
 			}
+			c.freeChunk(h)
 		}
 		c.resident -= f.resident
 		f.resident = 0
 		clear(f.chunks)
-		f.last = nil
+		f.last = 0
 		if !f.queued {
 			delete(c.files, ino)
 		}
@@ -792,32 +952,50 @@ func (c *Cache) FreeFile(ino int64) {
 }
 
 // CheckConsistency verifies the cache's internal invariants: every chunk is
-// non-empty, its dirty mask lies within its present mask, its page slots
-// match the present mask in index order, and its cause runs are non-empty,
-// disjoint, of distinct sets and together tag exactly its dirty pages; each
-// file's dirty heap is a heap holding exactly its chunks with dirty pages;
-// the per-file, dirty and resident counters and tag accounting match the
-// pages; a page is clean exactly when it is on the LRU ring, which holds
-// exactly the resident clean pages with every prev link the inverse of a
-// next link; and every file with dirty pages is in the round-robin order.
-// Stress tests call it after random workloads. Files and chunks are checked
-// in sorted order, so the first violation reported is the same on every run.
+// non-empty, its dirty mask lies within its present mask, its slots match
+// the present mask in index order with each slot's page naming that chunk
+// and bit, and its cause runs are non-empty, disjoint, of distinct sets and
+// together tag exactly its dirty pages; each file's dirty heap is a heap
+// holding exactly its chunks with dirty pages; the per-file, dirty and
+// resident counters and tag accounting match the pages; no page is in two
+// slots, the free list is acyclic and holds no resident page, and resident
+// plus free pages fill the page arena less its sentinel, as chunks in use
+// plus recycled records fill the chunk arena less its entry 0; a page is
+// clean exactly when it is on the LRU ring, which holds exactly the resident
+// clean pages with every prev link the inverse of a next link; and every
+// file with dirty pages is in the round-robin order. Stress tests call it
+// after random workloads. Files and chunks are checked in sorted order, so
+// the first violation reported is the same on every run.
 func (c *Cache) CheckConsistency() error {
 	var dirty, clean, resident, tagSum int64
+	var chunksInUse int
+	const (
+		unseen = iota
+		inSlot
+		onFreeList
+	)
+	pageState := make([]byte, c.npages)
+	chunkInUse := make([]bool, len(c.chunks))
 	for _, ino := range sortedKeys(c.files) {
 		f := c.files[ino]
 		if f.ino != ino {
 			return fmt.Errorf("cache: file %d filed under ino %d", f.ino, ino)
 		}
-		if f.last != nil && f.chunks[f.last.key] != f.last {
-			return fmt.Errorf("cache: file %d caches chunk %d, which is not in its page table", ino, f.last.key)
+		if f.last != 0 && (int(f.last) >= len(c.chunks) || f.chunks[c.chunks[f.last].key] != f.last) {
+			return fmt.Errorf("cache: file %d caches chunk handle %d, which is not in its page table", ino, f.last)
 		}
 		var fileResident, fileDirty int64
 		var dirtyChunks []int64
 		for _, key := range sortedKeys(f.chunks) {
-			ch := f.chunks[key]
+			h := f.chunks[key]
+			if h <= 0 || int(h) >= len(c.chunks) || chunkInUse[h] {
+				return fmt.Errorf("cache: chunk (%d,%d) has handle %d, outside the chunk arena or another chunk's", ino, key, h)
+			}
+			chunkInUse[h] = true
+			chunksInUse++
+			ch := &c.chunks[h]
 			if ch.file != f || ch.key != key {
-				return fmt.Errorf("cache: chunk (%d,%d) filed under (%d,%d)", ch.file.ino, ch.key, ino, key)
+				return fmt.Errorf("cache: chunk (%d,%d) has the record of another chunk", ino, key)
 			}
 			if ch.present == 0 {
 				return fmt.Errorf("cache: chunk (%d,%d) has no resident page", ino, key)
@@ -825,18 +1003,30 @@ func (c *Cache) CheckConsistency() error {
 			if ch.dirty&^ch.present != 0 {
 				return fmt.Errorf("cache: chunk (%d,%d) dirty mask %#x outside present mask %#x", ino, key, ch.dirty, ch.present)
 			}
-			if n := bits.OnesCount64(ch.present); len(ch.pages) != n {
-				return fmt.Errorf("cache: chunk (%d,%d) holds %d page slots for %d resident pages", ino, key, len(ch.pages), n)
+			if n := bits.OnesCount64(ch.present); len(ch.slots) != ChunkPages && (len(ch.slots) != n || n > compactSlots) {
+				return fmt.Errorf("cache: chunk (%d,%d) holds %d page slots for %d resident pages, neither compact nor direct", ino, key, len(ch.slots), n)
 			}
-			for i, m := 0, ch.present; m != 0; i, m = i+1, m&(m-1) {
+			if len(ch.slots) == ChunkPages {
+				for b, p := range ch.slots {
+					if (ch.present&(1<<b) != 0) != (p != 0) {
+						return fmt.Errorf("cache: chunk (%d,%d) slot %d holds page %d, present mask is %#x", ino, key, b, p, ch.present)
+					}
+				}
+			}
+			for m := ch.present; m != 0; m &= m - 1 {
 				b := uint(bits.TrailingZeros64(m))
-				pg, idx := ch.pages[i], key<<ChunkShift+int64(b)
-				if pg.ch != ch || pg.idx != idx {
-					return fmt.Errorf("cache: slot of page (%d,%d) holds page %d of another chunk", ino, idx, pg.idx)
+				p, idx := ch.slots[ch.slot(b)], key<<ChunkShift+int64(b)
+				if p <= 0 || p >= c.npages || pageState[p] != unseen {
+					return fmt.Errorf("cache: slot of page (%d,%d) holds handle %d, outside the page arena or another slot's", ino, idx, p)
+				}
+				pageState[p] = inSlot
+				pg := c.pg(p)
+				if pg.ch != h || uint(pg.bit) != b {
+					return fmt.Errorf("cache: slot of page (%d,%d) holds a page that does not point back to it", ino, idx)
 				}
 				isDirty := ch.dirty&(1<<b) != 0
-				if isDirty == (pg.next != nil) {
-					return fmt.Errorf("cache: page (%d,%d) dirty=%v but on LRU=%v", ino, idx, isDirty, pg.next != nil)
+				if isDirty == (pg.next != offRing) {
+					return fmt.Errorf("cache: page (%d,%d) dirty=%v but on LRU=%v", ino, idx, isDirty, pg.next != offRing)
 				}
 				if !isDirty {
 					clean++
@@ -865,14 +1055,14 @@ func (c *Cache) CheckConsistency() error {
 			fileDirty += int64(bits.OnesCount64(ch.dirty))
 		}
 		inHeap := make([]int64, len(f.dirty))
-		for i, ch := range f.dirty {
-			if i > 0 && ch.key < f.dirty[(i-1)/2].key {
+		for i, e := range f.dirty {
+			if i > 0 && e.key < f.dirty[(i-1)/2].key {
 				return fmt.Errorf("cache: file %d dirty heap out of order at %d", ino, i)
 			}
-			if f.chunks[ch.key] != ch {
-				return fmt.Errorf("cache: file %d dirty heap holds chunk %d, which is not in its page table", ino, ch.key)
+			if f.chunks[e.key] != e.ch {
+				return fmt.Errorf("cache: file %d dirty heap holds chunk %d, which is not in its page table", ino, e.key)
 			}
-			inHeap[i] = ch.key
+			inHeap[i] = e.key
 		}
 		slices.Sort(inHeap)
 		if !slices.Equal(inHeap, dirtyChunks) {
@@ -897,35 +1087,51 @@ func (c *Cache) CheckConsistency() error {
 	if resident != c.resident {
 		return fmt.Errorf("cache: resident %d != actual %d", c.resident, resident)
 	}
+	var free int64
+	for p := c.free; p != 0; p = c.pg(p).next {
+		switch {
+		case p < 0 || p >= c.npages:
+			return fmt.Errorf("cache: free list holds handle %d, outside the page arena", p)
+		case pageState[p] == inSlot:
+			return fmt.Errorf("cache: free list holds resident page %d", p)
+		case pageState[p] == onFreeList:
+			return fmt.Errorf("cache: free list cycles back to page %d", p)
+		}
+		pageState[p] = onFreeList
+		free++
+	}
+	if resident+free != int64(c.npages-1) {
+		return fmt.Errorf("cache: %d resident and %d free pages, the page arena holds %d", resident, free, c.npages-1)
+	}
+	for _, h := range c.freeChunks {
+		if h <= 0 || int(h) >= len(c.chunks) || chunkInUse[h] {
+			return fmt.Errorf("cache: recycled chunk handle %d is outside the chunk arena, in use or recycled twice", h)
+		}
+		chunkInUse[h] = true
+	}
+	if chunksInUse+len(c.freeChunks) != len(c.chunks)-1 {
+		return fmt.Errorf("cache: %d chunks in use and %d recycled, the chunk arena holds %d", chunksInUse, len(c.freeChunks), len(c.chunks)-1)
+	}
 	var onLRU int64
-	prev := &c.lru
-	for pg := c.lru.next; ; prev, pg = pg, pg.next {
-		if pg == nil || pg.prev != prev {
+	prev := int32(0)
+	for p := c.pg(0).next; ; prev, p = p, c.pg(p).next {
+		if p < 0 || p >= c.npages || c.pg(p).prev != prev {
 			return fmt.Errorf("cache: LRU ring link broken after %d pages", onLRU)
 		}
-		if pg == &c.lru {
+		if p == 0 {
 			break
 		}
 		if onLRU++; onLRU > clean {
 			return fmt.Errorf("cache: LRU holds more than the %d clean pages", clean)
 		}
-		if !c.residentClean(pg) {
-			return fmt.Errorf("cache: LRU page %d (position %d) is not a resident clean page", pg.idx, onLRU)
+		if pageState[p] != inSlot {
+			return fmt.Errorf("cache: LRU position %d holds page %d, which is not resident", onLRU, p)
 		}
 	}
 	if onLRU != clean {
 		return fmt.Errorf("cache: LRU holds %d pages, %d are clean", onLRU, clean)
 	}
 	return nil
-}
-
-// residentClean reports whether pg is a resident clean page in its chunk's
-// slot.
-func (c *Cache) residentClean(pg *page) bool {
-	ch, b := pg.ch, uint(pg.idx&(ChunkPages-1))
-	return ch != nil && c.files[ch.file.ino] == ch.file && ch.file.chunks[ch.key] == ch &&
-		pg.idx>>ChunkShift == ch.key && ch.present&^ch.dirty&(1<<b) != 0 &&
-		ch.pages[rank(ch.present, b)] == pg
 }
 
 func sortedKeys[V any](m map[int64]V) []int64 {

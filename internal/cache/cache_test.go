@@ -567,7 +567,7 @@ func TestCheckConsistencyCatchesBadCauseRuns(t *testing.T) {
 		if err := c.CheckConsistency(); err != nil {
 			t.Fatal(err)
 		}
-		ch := c.files[1].chunks[0]
+		ch := &c.chunks[c.files[1].chunks[0]]
 		if len(ch.runs) != 2 {
 			t.Fatalf("chunk has cause runs %+v, want one per writer", ch.runs)
 		}
@@ -605,11 +605,122 @@ func TestMarkDirtyRangeOverwriteZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCheckConsistencyCatchesBadArena corrupts the page and chunk arenas in
+// each way CheckConsistency guards against and expects it to say so.
+func TestCheckConsistencyCatchesBadArena(t *testing.T) {
+	lastFree := func(c *Cache) int32 {
+		p := c.free
+		for c.pg(p).next != 0 {
+			p = c.pg(p).next
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(c *Cache)
+		want    string
+	}{
+		{"free list cycle", func(c *Cache) { c.pg(lastFree(c)).next = c.free }, "free list cycles"},
+		{"free list shares a resident page", func(c *Cache) { c.pg(lastFree(c)).next = c.pg(0).next }, "free list holds resident page"},
+		{"leaked page", func(c *Cache) { c.npages++ }, "the page arena holds"},
+		{"slot not pointing back", func(c *Cache) { c.pg(c.chunks[c.files[1].chunks[0]].slots[2]).bit++ }, "does not point back"},
+		{"ring links not inverse", func(c *Cache) { p := c.pg(0).next; c.pg(c.pg(p).next).prev = 0 }, "LRU ring link broken"},
+		{"leaked chunk", func(c *Cache) { c.chunks = append(c.chunks, chunk{}) }, "the chunk arena holds"},
+		{"direct slot emptied", func(c *Cache) { c.chunks[c.files[3].chunks[0]].slots[63] = 0 }, "present mask is"},
+	} {
+		env, c := newTestCache(smallConfig())
+		c.InsertCleanRange(1, 0, 9)
+		c.MarkDirtyRange(testCtx(10), 1, 4, 5)
+		c.InsertCleanRange(2, 0, 99)
+		c.FreeFile(2)
+		c.InsertCleanRange(3, 0, 63) // a direct chunk
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+		if c.free == 0 || len(c.freeChunks) == 0 {
+			t.Fatal("freeing file 2 left no free page or recycled chunk")
+		}
+		tc.corrupt(c)
+		if err := c.CheckConsistency(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckConsistency = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		env.Close()
+	}
+}
+
+// TestPageRecordHoldsNoPointers keeps the page arena out of the collector's
+// mark phase: its record must hold no pointer, however deeply nested.
+func TestPageRecordHoldsNoPointers(t *testing.T) {
+	var check func(reflect.Type) bool
+	check = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			return true
+		case reflect.Array:
+			return check(typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if !check(typ.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	if typ := reflect.TypeOf(page{}); !check(typ) {
+		t.Fatalf("%v holds a pointer: the page arena would be scanned by the collector", typ)
+	}
+}
+
+// TestEvictInsertZeroAllocs asserts that at steady state a 64-page run into
+// a full cache allocates nothing, whether it is read in clean or written
+// fresh (and then taken for writeback): the pages and the chunk it evicts
+// are recycled for it.
+func TestEvictInsertZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := smallConfig()
+	env, c := newTestCache(cfg)
+	defer env.Close()
+	c.SetPdflushEnabled(false)
+	ctx := testCtx(10)
+	for i, tc := range []struct {
+		name string
+		fill func(ino, first, last int64)
+	}{
+		{"InsertCleanRange", c.InsertCleanRange},
+		{"MarkDirtyRange", func(ino, first, last int64) {
+			c.MarkDirtyRange(ctx, ino, first, last)
+			c.TakeDirty(ino, 0, func(int64, int64, causes.Set) {})
+		}},
+	} {
+		ino, next := int64(i+1), int64(0)
+		run := func() {
+			tc.fill(ino, next, next+ChunkPages-1)
+			next += ChunkPages
+		}
+		for next < 2*cfg.TotalPages {
+			run()
+		}
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("%s of a 64-page run into a full cache allocated %.2f objects per run, want 0", tc.name, allocs)
+		}
+		if err := c.CheckConsistency(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // ringOrder lists c's clean pages from least to most recently used.
 func ringOrder(c *Cache) [][2]int64 {
 	var out [][2]int64
-	for pg := c.lru.next; pg != &c.lru; pg = pg.next {
-		out = append(out, [2]int64{pg.ch.file.ino, pg.idx})
+	for p := c.pg(0).next; p != 0; p = c.pg(p).next {
+		ch := &c.chunks[c.pg(p).ch]
+		out = append(out, [2]int64{ch.file.ino, ch.key<<ChunkShift + int64(c.pg(p).bit)})
 	}
 	return out
 }
@@ -756,6 +867,29 @@ func TestSparseResidencyMemory(t *testing.T) {
 	t.Logf("%d heap bytes per resident page", perPage)
 	if perPage > 512 {
 		t.Fatalf("%d heap bytes per sparsely resident page, want at most 512", perPage)
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestDenseResidencyMemory guards the page table's memory when residency is
+// dense, as under a sequential reader: a resident page costs its arena
+// record, its slot and a 64th of its chunk.
+func TestDenseResidencyMemory(t *testing.T) {
+	cfg := smallConfig()
+	cfg.TotalPages = 1 << 20
+	env, c := newTestCache(cfg)
+	defer env.Close()
+	const pages = 1 << 16
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c.InsertCleanRange(1, 0, pages-1)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perPage := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / pages
+	t.Logf("%d heap bytes per resident page", perPage)
+	if perPage > 32 {
+		t.Fatalf("%d heap bytes per densely resident page, want at most 32", perPage)
 	}
 	runtime.KeepAlive(c)
 }

@@ -658,6 +658,9 @@ func (f *FS) flushFileDataFn(ctx *ioctx.Ctx, ino int64, max int, k func(n int)) 
 		})
 	}
 	sim.WaitAllFn(dones, func() {
+		// Only an fsync would otherwise prune the list, so a file that only
+		// writeback flushes would keep every completion it ever had.
+		f.pruneInflight(ino)
 		if f.tr.Enabled() {
 			// The transaction id lets attribution tie foreign data flushes
 			// to the fsyncs waiting on that commit.

@@ -313,6 +313,49 @@ func TestWritebackProxiesCauses(t *testing.T) {
 	}
 }
 
+// TestWritebackPrunesInflight writes a file that only pdflush flushes, one
+// run at a time, and checks that its list of data writes in flight holds
+// none that have completed once none is in flight, and is empty at the end.
+func TestWritebackPrunesInflight(t *testing.T) {
+	r := newRig(t, Ext4Config())
+	ctx := userCtx(10)
+	var ino int64
+	longest := 0
+	r.env.Go("writer", func(p *sim.Proc) {
+		f, _ := r.fs.Create(p, ctx, "/a")
+		ino = f.Ino
+		for i := int64(0); i < 100; i++ {
+			r.fs.Write(p, ctx, f, 2*i*BlockSize, BlockSize) // one run each
+			p.Sleep(time.Second)
+		}
+	})
+	r.env.Go("probe", func(p *sim.Proc) {
+		for p.Now() < sim.Time(2*time.Minute) {
+			p.Sleep(10 * time.Millisecond)
+			dones := r.fs.inflightDones[ino]
+			inflight := 0
+			for _, d := range dones {
+				if !d.Done() {
+					inflight++
+				}
+			}
+			if inflight == 0 && len(dones) > 0 {
+				t.Errorf("at %v: %d completed writes listed, none in flight", p.Now(), len(dones))
+				return
+			}
+			longest = max(longest, len(dones))
+		}
+	})
+	r.env.Run(sim.Time(3 * time.Minute))
+	if r.cache.FileDirtyPages(ino) != 0 || longest == 0 {
+		t.Fatalf("%d pages left dirty, at most %d writes listed: pdflush did not flush the file", r.cache.FileDirtyPages(ino), longest)
+	}
+	if n := len(r.fs.inflightDones[ino]); n != 0 {
+		t.Fatalf("%d completed writes still listed after every flush finished", n)
+	}
+	t.Logf("at most %d writes listed", longest)
+}
+
 func TestUnlinkFreesDirtyPages(t *testing.T) {
 	r := newRig(t, Ext4Config())
 	ctx := userCtx(10)

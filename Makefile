@@ -63,7 +63,7 @@ race:
 # tests are the asserted complement of the microbenchmarks: steady-state
 # schedule/pop must allocate nothing (pooled events, concrete-typed
 # four-ary heap), nor must a page run evicting its way into a full page
-# cache (recycled arena pages and chunks), and the target fails if either
+# cache (recycled ring nodes and chunks), and the target fails if either
 # regresses.
 microbench:
 	$(GO) test -run '^TestScheduleRunZeroAllocs$$' -count=1 ./internal/sim

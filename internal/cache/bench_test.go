@@ -48,8 +48,8 @@ func BenchmarkCacheLookupMiss(b *testing.B) {
 
 // BenchmarkCacheLookupRunHit re-reads resident 256-page runs of two files in
 // turn, one call per run, the shape of Fig 15's mem-read antagonists: each
-// re-read finds its pages linked in order behind the other file's and
-// splices them to the LRU tail.
+// re-read finds its pages' ring nodes behind the other file's and moves
+// them to the LRU tail.
 func BenchmarkCacheLookupRunHit(b *testing.B) {
 	c := benchCache(b)
 	const pages = 256

@@ -77,55 +77,66 @@ const (
 	ChunkPages = 1 << ChunkShift
 )
 
-// page is one record of the cache's page arena, named by its int32 handle
-// (pg finds it). Page 0 is the sentinel of the LRU ring of clean pages, and
-// handle 0 names no page elsewhere. A resident page names its chunk by
-// handle and its bit in it; a clean one sits on the ring, a dirty one is off
-// it (both links offRing) and its bit is set in its chunk's dirty mask. A
-// free page names no chunk and next links the free list, which 0 ends. The
-// record holds no pointers, so the collector never scans the arena.
-type page struct {
-	ch         int32 // chunks handle; 0 while free
-	prev, next int32 // LRU ring links; next also links the free list
-	bit        uint8 // the page's bit in its chunk
+// node is one record of the cache's node arena, named by its int32 handle:
+// clean pages of chunk ch, the bits of mask, that sit next to each other on
+// the LRU ring in ascending index order. The ring's page order is each
+// node's pages in ascending order, node after node from the sentinel's next.
+// Node 0 is the sentinel and names no chunk. Taking pages out of a node
+// leaves the rest of it adjacent and in order, so a node never splits; it is
+// freed when it empties. A free node names no chunk and next links the free
+// list, which 0 ends. The record holds no pointers, so the collector never
+// scans the arena.
+type node struct {
+	mask       uint64
+	ch         int32 // chunks handle; 0 for the sentinel and free nodes
+	prev, next int32 // ring links; next also links the free list
 }
 
-// The page arena is a list of blocks of 1<<pageBlockShift records: it grows
-// a block at a time and never moves a record. Grown as one slice, it would be
-// copied into fresh, zeroed memory a dozen times on its way to a full
-// cache's size.
-const pageBlockShift = 10
-
-// pageBlock is one block of the page arena.
-type pageBlock [1 << pageBlockShift]page
-
-// pg returns the record of page handle p.
-func (c *Cache) pg(p int32) *page {
-	return &c.pages[p>>pageBlockShift][p&(1<<pageBlockShift-1)]
+// arena is a list of blocks of 1<<blockShift records of T, named by the
+// int32 handles grow issues in order. It grows a block at a time and never
+// moves a record, so a pointer to one stays valid. Grown as one slice, an
+// arena would be copied into fresh, zeroed memory a dozen times on its way
+// to a full cache's size.
+type arena[T any] struct {
+	blocks []*[1 << blockShift]T
+	n      int32 // handles issued
 }
 
-// offRing is the ring link of a resident page that is not on the LRU ring.
-const offRing int32 = -1
+const blockShift = 10
+
+// at returns the record of handle h.
+func (a *arena[T]) at(h int32) *T {
+	return &a.blocks[h>>blockShift][h&(1<<blockShift-1)]
+}
+
+// grow issues the next handle, whose record is zero, panicking if the
+// arena would outgrow int32 handles.
+func (a *arena[T]) grow() int32 {
+	h := a.n
+	if h == math.MaxInt32 {
+		panic("cache: arena outgrew int32 handles")
+	}
+	if int(h)>>blockShift == len(a.blocks) {
+		a.blocks = append(a.blocks, new([1 << blockShift]T))
+	}
+	a.n++
+	return h
+}
 
 // chunk is the state of one aligned run of ChunkPages pages of a file, one
 // record of the cache's chunk arena, named by its int32 handle. Bit b of
-// present (dirty) is page key<<ChunkShift + b. slots holds page handles in
-// one of two layouts, and page b is slots[ch.slot(b)]. A compact chunk holds
-// only its resident pages, in index order, at most compactSlots of them, so
-// a file read at random costs one slot per resident page rather than a whole
-// chunk. The page that would overfill it makes it direct: ChunkPages slots,
-// slot b holding page b (0 while it is absent), so evicting and refilling a
-// dense chunk moves no other slot. It stays direct until it empties. runs
-// holds the write cause sets of the dirty pages, one run per distinct set:
-// the run masks are disjoint, together they are the dirty mask, and no two
-// runs have equal sets. A chunk that empties is recycled with the capacity
-// of its slots and runs, so a cache at steady state allocates no chunk
-// storage.
+// present (dirty) is page key<<ChunkShift + b. nodes lists the ring nodes
+// holding its clean pages: their masks are disjoint and together are
+// present &^ dirty, so the list's order never matters. runs holds the write
+// cause sets of the dirty pages, one run per distinct set: the run masks are
+// disjoint, together they are the dirty mask, and no two runs have equal
+// sets. A chunk that empties is recycled with the capacity of its node list
+// and runs, so a cache at steady state allocates no chunk storage.
 type chunk struct {
 	file           *file
 	key            int64
 	present, dirty uint64
-	slots          []int32
+	nodes          []int32
 	runs           []causeRun
 }
 
@@ -199,61 +210,6 @@ func (ch *chunk) stretch(m uint64) (b uint, n int64, cs causes.Set) {
 	return b, 1, causes.None
 }
 
-// rank returns the slot of bit b in a chunk whose resident mask is present.
-func rank(present uint64, b uint) int {
-	return bits.OnesCount64(present & (1<<b - 1))
-}
-
-// compactSlots is the most pages a compact chunk holds.
-const compactSlots = 16
-
-// slot returns the index in ch.slots of page b.
-func (ch *chunk) slot(b uint) int {
-	if len(ch.slots) == ChunkPages {
-		return int(b)
-	}
-	return rank(ch.present, b)
-}
-
-// setSlot puts page p in ch's slot for the absent page b, making a full
-// compact chunk direct.
-func (ch *chunk) setSlot(b uint, p int32) {
-	n := len(ch.slots)
-	if n == compactSlots {
-		var compact [compactSlots]int32
-		copy(compact[:], ch.slots)
-		ch.slots = slices.Grow(ch.slots[:0], ChunkPages)[:ChunkPages]
-		clear(ch.slots)
-		for i, m := 0, ch.present; m != 0; i, m = i+1, m&(m-1) {
-			ch.slots[bits.TrailingZeros64(m)] = compact[i]
-		}
-		n = ChunkPages
-	}
-	if n == ChunkPages {
-		ch.slots[b] = p
-		return
-	}
-	if n == cap(ch.slots) {
-		ch.slots = slices.Grow(ch.slots, max(n, 4))
-	}
-	// Reslicing in place writes no slice pointer, so no write barrier.
-	i := rank(ch.present, b)
-	ch.slots = ch.slots[:n+1]
-	copy(ch.slots[i+1:], ch.slots[i:n])
-	ch.slots[i] = p
-}
-
-// clearSlot empties ch's slot for the resident page b.
-func (ch *chunk) clearSlot(b uint) {
-	if n := len(ch.slots); n == ChunkPages {
-		ch.slots[b] = 0
-	} else {
-		i := rank(ch.present, b)
-		copy(ch.slots[i:], ch.slots[i+1:])
-		ch.slots = ch.slots[:n-1]
-	}
-}
-
 // file is the page-cache state of one inode.
 type file struct {
 	ino    int64
@@ -267,7 +223,7 @@ type file struct {
 
 // chunkOf returns the handle of f's chunk with the given key, or 0.
 func (c *Cache) chunkOf(f *file, key int64) int32 {
-	if h := f.last; h != 0 && c.chunks[h].key == key {
+	if h := f.last; h != 0 && c.chunks.at(h).key == key {
 		return h
 	}
 	h := f.chunks[key]
@@ -275,15 +231,6 @@ func (c *Cache) chunkOf(f *file, key int64) int32 {
 		f.last = h
 	}
 	return h
-}
-
-// pageOf returns the handle of f's resident page idx, or 0.
-func (c *Cache) pageOf(f *file, idx int64) int32 {
-	h, b := c.chunkOf(f, idx>>ChunkShift), uint(idx&(ChunkPages-1))
-	if ch := &c.chunks[h]; ch.present&(1<<b) != 0 {
-		return ch.slots[ch.slot(b)]
-	}
-	return 0
 }
 
 // dirtyHeap is a min-heap of a file's chunks by key. A chunk is in its
@@ -348,17 +295,15 @@ type Cache struct {
 	tr    *trace.Tracer
 
 	files map[int64]*file
-	// pages is the page arena, whose npages handles (pg) are issued in
-	// order. Page 0 is the sentinel of the LRU ring of clean pages, its next
-	// the least recent; free heads the list of free pages (0 when empty).
-	// chunks is the chunk arena, whose entry 0 stands for "no chunk" and
-	// stays empty; freeChunks holds the handles of recycled chunk records.
-	// Nothing visits either arena in handle order, so handle numbering never
-	// shows in behaviour.
-	pages      []*pageBlock
-	npages     int32
+	// nodes is the node arena. Node 0 is the sentinel of the LRU ring of
+	// clean pages, its next the least recent node; free heads the list of
+	// free nodes (0 when empty). chunks is the chunk arena, whose handle 0
+	// stands for "no chunk" and stays empty; freeChunks holds the handles of
+	// recycled chunk records. Nothing visits either arena in handle order, so
+	// handle numbering never shows in behaviour.
+	nodes      arena[node]
 	free       int32
-	chunks     []chunk
+	chunks     arena[chunk]
 	freeChunks []int32
 	resident   int64 // pages across all files
 
@@ -397,14 +342,13 @@ func New(env *sim.Env, cfg Config, wbCtx *ioctx.Ctx) *Cache {
 		cfg:            cfg,
 		tr:             trace.Nop,
 		files:          make(map[int64]*file),
-		pages:          []*pageBlock{new(pageBlock)},
-		npages:         1,
-		chunks:         make([]chunk, 1),
 		throttleQ:      sim.NewWaitQueue(env),
 		wbWake:         sim.NewWaitQueue(env),
 		pdflushEnabled: true,
 		wbCtx:          wbCtx,
 	}
+	c.nodes.grow()  // the ring's sentinel
+	c.chunks.grow() // "no chunk"
 	c.pdWakeFn = func(sig bool) { c.pdflushLoop() }
 	c.pdIdleFn = c.pdflushAfterIdle
 	// The daemon's first pass is a t=0 startup event scheduled in
@@ -509,7 +453,7 @@ func (c *Cache) dirtyThreshold() int64 {
 // needed).
 func (c *Cache) Peek(ino, idx int64) bool {
 	f := c.files[ino]
-	return f != nil && c.pageOf(f, idx) != 0
+	return f != nil && c.chunks.at(c.chunkOf(f, idx>>ChunkShift)).present&(1<<(idx&(ChunkPages-1))) != 0
 }
 
 // Lookup reports whether page (ino, idx) is resident, promoting it in the
@@ -536,7 +480,7 @@ func (c *Cache) LookupRun(ino, first, last int64) (n int64, hit bool) {
 	}
 	for idx := first; idx <= last; {
 		h, b := c.chunkOf(f, idx>>ChunkShift), uint(idx&(ChunkPages-1))
-		present := c.chunks[h].present
+		present := c.chunks.at(h).present
 		if idx == first {
 			hit = present&(1<<b) != 0
 		}
@@ -549,9 +493,7 @@ func (c *Cache) LookupRun(ino, first, last int64) (n int64, hit bool) {
 			break // the run ended at the previous chunk's last page
 		}
 		if hit {
-			ch := &c.chunks[h]
-			i := ch.slot(b)
-			c.touchRun(ch.slots[i : i+int(k)])
+			c.promote(h, (uint64(1)<<k-1)<<b)
 		}
 		idx += k
 		n += k
@@ -577,12 +519,13 @@ func (c *Cache) InsertClean(ino, idx int64) { c.InsertCleanRange(ino, idx, idx) 
 func (c *Cache) InsertCleanRange(ino, first, last int64) {
 	f := c.fileOf(ino)
 	for idx := first; idx <= last; idx++ {
-		if p := c.pageOf(f, idx); p != 0 {
-			c.touch(p)
+		key, bit := idx>>ChunkShift, uint64(1)<<(idx&(ChunkPages-1))
+		if h := c.chunkOf(f, key); c.chunks.at(h).present&bit != 0 {
+			c.promote(h, bit)
 			continue
 		}
 		c.evictIfFull()
-		c.lruPush(c.add(f, idx))
+		c.push(c.add(f, key, bit), bit)
 	}
 }
 
@@ -596,30 +539,24 @@ func (c *Cache) fileOf(ino int64) *file {
 	return f
 }
 
-// add makes page idx of f resident and returns its handle, creating its
-// chunk if needed. The page is off the LRU ring.
-func (c *Cache) add(f *file, idx int64) int32 {
-	key, b := idx>>ChunkShift, uint(idx&(ChunkPages-1))
+// add makes the absent page bit of f's chunk key resident, off the LRU
+// ring, creating the chunk if needed, and returns the chunk's handle.
+func (c *Cache) add(f *file, key int64, bit uint64) int32 {
 	h := c.chunkOf(f, key)
 	if h == 0 {
 		h = c.newChunk(f, key)
 	}
-	p := c.allocPage(h, b)
-	ch := &c.chunks[h]
-	ch.setSlot(b, p)
-	ch.present |= 1 << b
+	c.chunks.at(h).present |= bit
 	f.resident++
 	c.resident++
-	return p
+	return h
 }
 
-// drop makes the clean page p, already off the LRU ring, non-resident,
-// recycling its chunk if it empties.
-func (c *Cache) drop(p int32) {
-	h, b := c.pg(p).ch, uint(c.pg(p).bit)
-	ch := &c.chunks[h]
-	ch.clearSlot(b)
-	ch.present &^= 1 << b
+// drop makes the clean page bit of chunk h, already off the LRU ring,
+// non-resident, recycling the chunk if it empties.
+func (c *Cache) drop(h int32, bit uint64) {
+	ch := c.chunks.at(h)
+	ch.present &^= bit
 	f := ch.file
 	f.resident--
 	c.resident--
@@ -630,7 +567,6 @@ func (c *Cache) drop(p int32) {
 		}
 		c.freeChunk(h)
 	}
-	c.freePage(p)
 }
 
 // newChunk files an empty chunk of f under key, reusing a recycled record
@@ -640,114 +576,98 @@ func (c *Cache) newChunk(f *file, key int64) int32 {
 	if n := len(c.freeChunks); n > 0 {
 		h, c.freeChunks = c.freeChunks[n-1], c.freeChunks[:n-1]
 	} else {
-		h = handle(len(c.chunks))
-		c.chunks = append(c.chunks, chunk{})
+		h = c.chunks.grow()
 	}
-	c.chunks[h].file, c.chunks[h].key = f, key
+	ch := c.chunks.at(h)
+	ch.file, ch.key = f, key
 	f.chunks[key] = h
 	f.last = h
 	return h
 }
 
-// freeChunk recycles the empty chunk h, keeping the capacity of its slots
-// and of its cause runs, which are empty and zeroed.
+// freeChunk recycles the empty chunk h, keeping the capacity of its node
+// list and of its cause runs, which are empty and zeroed.
 func (c *Cache) freeChunk(h int32) {
-	ch := &c.chunks[h]
-	*ch = chunk{slots: ch.slots[:0], runs: ch.runs[:0]}
+	ch := c.chunks.at(h)
+	*ch = chunk{nodes: ch.nodes[:0], runs: ch.runs[:0]}
 	c.freeChunks = append(c.freeChunks, h)
 }
 
-// allocPage takes a page from the free list, extending the arena when it is
-// empty, and names it bit b of chunk h, off the LRU ring.
-func (c *Cache) allocPage(h int32, b uint) int32 {
-	p := c.free
-	if p == 0 {
-		p = c.npages
-		if int(p)>>pageBlockShift == len(c.pages) {
-			c.pages = append(c.pages, new(pageBlock))
-		}
-		c.npages = handle(int(p) + 1)
-	} else {
-		c.free = c.pg(p).next
-	}
-	*c.pg(p) = page{ch: h, prev: offRing, next: offRing, bit: uint8(b)}
-	return p
-}
-
-// freePage returns a page that is off the LRU ring to the free list.
-func (c *Cache) freePage(p int32) {
-	*c.pg(p) = page{prev: offRing, next: c.free}
-	c.free = p
-}
-
-// handle returns arena index i as a handle, panicking if an arena would
-// outgrow int32.
-func handle(i int) int32 {
-	if i > math.MaxInt32 {
-		panic("cache: arena outgrew int32 handles")
-	}
-	return int32(i)
-}
-
+// evictIfFull drops least recently used clean pages, the head node's lowest
+// first, while RAM is full.
 func (c *Cache) evictIfFull() {
-	for c.resident >= c.cfg.TotalPages && c.pg(0).next != 0 {
-		p := c.pg(0).next
-		c.lruUnlink(p)
-		c.drop(p)
+	for c.resident >= c.cfg.TotalPages {
+		n := c.nodes.at(0).next
+		if n == 0 {
+			return
+		}
+		nd := c.nodes.at(n)
+		h, bit := nd.ch, nd.mask&-nd.mask
+		if nd.mask != bit {
+			nd.mask &^= bit
+		} else {
+			c.unlink(h, bit) // empties and frees the node
+		}
+		c.drop(h, bit)
 	}
 }
 
-// lruPush appends the clean page p at the most-recently-used end of the ring.
-func (c *Cache) lruPush(p int32) {
-	sentinel := c.pg(0)
-	tail := sentinel.prev
-	pg := c.pg(p)
-	pg.prev, pg.next = tail, 0
-	c.pg(tail).next = p
-	sentinel.prev = p
-}
-
-func (c *Cache) lruUnlink(p int32) {
-	pg := c.pg(p)
-	c.pg(pg.prev).next = pg.next
-	c.pg(pg.next).prev = pg.prev
-	pg.prev, pg.next = offRing, offRing
-}
-
-// touch promotes a clean page to most recently used.
-func (c *Cache) touch(p int32) {
-	if c.pg(p).next != offRing {
-		c.lruUnlink(p)
-		c.lruPush(p)
+// push appends the clean pages m of chunk h, none of them on the LRU ring,
+// at its most recently used end in index order. They join the tail node when
+// it is h's and holds only lower pages, and make a new node otherwise.
+func (c *Cache) push(h int32, m uint64) {
+	sentinel := c.nodes.at(0)
+	if tail := c.nodes.at(sentinel.prev); tail.ch == h && bits.Len64(tail.mask) <= bits.TrailingZeros64(m) {
+		tail.mask |= m
+		return
 	}
+	n := c.free
+	if n == 0 {
+		n = c.nodes.grow()
+	} else {
+		c.free = c.nodes.at(n).next
+	}
+	*c.nodes.at(n) = node{mask: m, ch: h, prev: sentinel.prev}
+	c.nodes.at(sentinel.prev).next = n
+	sentinel.prev = n
+	ch := c.chunks.at(h)
+	ch.nodes = append(ch.nodes, n)
 }
 
-// touchRun promotes the pages ps in order, skipping dirty ones, leaving the
-// ring touch would leave page by page. Moving pages to the tail one at a
-// time keeps the ring order of each stretch of them that is already linked
-// in order, so each such stretch is spliced to the tail whole. Splicing a
-// stretch that already ends at the tail leaves it in place.
-func (c *Cache) touchRun(ps []int32) {
-	sentinel := c.pg(0)
-	for i := 0; i < len(ps); {
-		first := c.pg(ps[i])
-		if first.next == offRing {
-			i++
+// unlink takes the clean pages m of chunk h off the LRU ring, freeing the
+// nodes it empties.
+func (c *Cache) unlink(h int32, m uint64) {
+	ch := c.chunks.at(h)
+	kept := ch.nodes[:0]
+	for _, n := range ch.nodes {
+		nd := c.nodes.at(n)
+		if nd.mask &^= m; nd.mask == 0 {
+			c.freeNode(n)
 			continue
 		}
-		j := i + 1
-		for j < len(ps) && c.pg(ps[j-1]).next == ps[j] {
-			j++
-		}
-		last := c.pg(ps[j-1])
-		c.pg(first.prev).next = last.next
-		c.pg(last.next).prev = first.prev
-		tail := sentinel.prev
-		first.prev = tail
-		c.pg(tail).next = ps[i]
-		last.next = 0
-		sentinel.prev = ps[j-1]
-		i = j
+		kept = append(kept, n)
+	}
+	ch.nodes = kept
+}
+
+// freeNode takes node n off the LRU ring and returns it to the free list;
+// the caller drops it from its chunk's list.
+func (c *Cache) freeNode(n int32) {
+	nd := c.nodes.at(n)
+	c.nodes.at(nd.prev).next = nd.next
+	c.nodes.at(nd.next).prev = nd.prev
+	*nd = node{next: c.free}
+	c.free = n
+}
+
+// promote moves the clean pages of m in chunk h to the most recently used
+// end of the LRU ring in index order, leaving the ring that promoting them
+// one at a time would.
+func (c *Cache) promote(h int32, m uint64) {
+	ch := c.chunks.at(h)
+	if m &= ch.present &^ ch.dirty; m != 0 {
+		c.unlink(h, m)
+		c.push(h, m)
 	}
 }
 
@@ -762,14 +682,15 @@ func (c *Cache) MarkDirty(ctx *ioctx.Ctx, ino, idx int64) bool {
 // order and returns how many were already dirty. It works a chunk at a time:
 // a chunk's overwritten pages cost one cause-set union per cause run, not
 // one per page, and leave the runs as they are when the writer's causes are
-// already in them. Its newly dirty pages are made resident (evicting clean
-// pages if RAM is full) or taken off the LRU ring one by one in index
-// order, then tagged together. The buffer-dirty hook fires once per chunk
-// run and, when tracing, each page records its dirty event in index order
-// with its causes after the write. The tag-memory high-water mark is noted
-// and the writeback daemon woken once per call; both are exact, because
-// tag bytes and the dirty count only rise within a call. The profiling
-// probe, the file lookup and the writer's cause set are paid once per call.
+// already in them. Its newly dirty pages are made resident one by one
+// (evicting clean pages if RAM is full) or taken off the LRU ring a stretch
+// at a time, in index order, then tagged together. The buffer-dirty hook
+// fires once per chunk run and, when tracing, each page records its dirty
+// event in index order with its causes after the write. The tag-memory
+// high-water mark is noted and the writeback daemon woken once per call;
+// both are exact, because tag bytes and the dirty count only rise within a
+// call. The profiling probe, the file lookup and the writer's cause set are
+// paid once per call.
 func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 	perf.Count(perf.BucketCache)
 	if first > last {
@@ -783,24 +704,31 @@ func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 		n := min(last-lo+1, ChunkPages-int64(b0))
 		run := (uint64(1)<<n - 1) << b0
 		h := c.chunkOf(f, key)
-		over := c.chunks[h].present & c.chunks[h].dirty & run
+		ch := c.chunks.at(h)
+		over := ch.present & ch.dirty & run
 		if over != 0 {
 			overwrites += bits.OnesCount64(over)
-			c.tagBytes += c.chunks[h].retag(over, cs)
+			c.tagBytes += ch.retag(over, cs)
 		}
 		if fresh := run &^ over; fresh != 0 {
-			for m := fresh; m != 0; m &= m - 1 {
-				b := uint(bits.TrailingZeros64(m))
-				if ch := &c.chunks[h]; ch.present&(1<<b) != 0 {
-					c.lruUnlink(ch.slots[ch.slot(b)])
+			// The resident pages of fresh are clean. Those below its lowest
+			// absent page leave the ring before that page is made resident,
+			// whose eviction may take one of fresh's later pages.
+			for m := fresh; m != 0; {
+				absent := m &^ c.chunks.at(h).present
+				low := absent & -absent
+				if below := m & (low - 1); below != 0 {
+					c.unlink(h, below)
+					m &^= below
 					continue
 				}
-				// Eviction may empty and recycle chunk h: the page's chunk
-				// is looked up again.
+				// Eviction may empty and recycle chunk h: add looks the
+				// chunk up again.
 				c.evictIfFull()
-				h = c.pg(c.add(f, key<<ChunkShift+int64(b))).ch
+				h = c.add(f, key, low)
+				m &^= low
 			}
-			ch := &c.chunks[h]
+			ch = c.chunks.at(h)
 			if ch.dirty == 0 {
 				f.dirty.push(key, h)
 			}
@@ -817,7 +745,7 @@ func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 			}
 		}
 		if c.tr.Enabled() {
-			c.traceDirty(ctx, &c.chunks[h], run, over)
+			c.traceDirty(ctx, ch, run, over)
 		}
 		if c.hooks.BufferDirty != nil {
 			c.hooks.BufferDirty(ino, key<<ChunkShift, run, over, cs)
@@ -885,7 +813,8 @@ func (c *Cache) TakeDirty(ino int64, max int, run func(first, n int64, cs causes
 		left = int64(max)
 	}
 	for left > 0 {
-		ch := &c.chunks[f.dirty[0].ch]
+		h := f.dirty[0].ch
+		ch := c.chunks.at(h)
 		var take uint64
 		for m := ch.dirty; m != 0 && left > 0; {
 			b, k, cs := ch.stretch(m)
@@ -895,10 +824,8 @@ func (c *Cache) TakeDirty(ino int64, max int, run func(first, n int64, cs causes
 			m &^= take
 			left -= k
 		}
-		for m := take; m != 0; m &= m - 1 {
-			c.lruPush(ch.slots[ch.slot(uint(bits.TrailingZeros64(m)))])
-		}
 		c.clean(ch, take)
+		c.push(h, take)
 	}
 	c.maybeUnthrottle()
 }
@@ -909,7 +836,7 @@ func (c *Cache) TakeDirty(ino int64, max int, run func(first, n int64, cs causes
 func (c *Cache) FreeFile(ino int64) {
 	if f := c.files[ino]; f != nil {
 		for f.ndirty > 0 {
-			ch := &c.chunks[f.dirty[0].ch]
+			ch := c.chunks.at(f.dirty[0].ch)
 			freed, base := ch.dirty, ch.key<<ChunkShift
 			if c.tr.Enabled() {
 				now := c.env.Now()
@@ -927,16 +854,10 @@ func (c *Cache) FreeFile(ino int64) {
 				c.hooks.BufferFree(ino, base, freed)
 			}
 		}
-		//splitlint:ignore maporder unlinking in any order leaves the same ring; the order only numbers free handles, which nothing visits in handle order
+		//splitlint:ignore maporder freeing in any order leaves the same ring; the order only numbers free handles, which nothing visits in handle order
 		for _, h := range f.chunks {
-			for _, p := range c.chunks[h].slots {
-				if p == 0 {
-					continue // an absent page of a direct chunk
-				}
-				if c.pg(p).next != offRing {
-					c.lruUnlink(p)
-				}
-				c.freePage(p)
+			for _, n := range c.chunks.at(h).nodes {
+				c.freeNode(n)
 			}
 			c.freeChunk(h)
 		}
@@ -952,48 +873,48 @@ func (c *Cache) FreeFile(ino int64) {
 }
 
 // CheckConsistency verifies the cache's internal invariants: every chunk is
-// non-empty, its dirty mask lies within its present mask, its slots match
-// the present mask in index order with each slot's page naming that chunk
-// and bit, and its cause runs are non-empty, disjoint, of distinct sets and
+// non-empty, its dirty mask lies within its present mask, the nodes it lists
+// name it and hold non-empty, disjoint masks that together are its clean
+// pages, and its cause runs are non-empty, disjoint, of distinct sets and
 // together tag exactly its dirty pages; each file's dirty heap is a heap
 // holding exactly its chunks with dirty pages; the per-file, dirty and
-// resident counters and tag accounting match the pages; no page is in two
-// slots, the free list is acyclic and holds no resident page, and resident
-// plus free pages fill the page arena less its sentinel, as chunks in use
-// plus recycled records fill the chunk arena less its entry 0; a page is
-// clean exactly when it is on the LRU ring, which holds exactly the resident
-// clean pages with every prev link the inverse of a next link; and every
-// file with dirty pages is in the round-robin order. Stress tests call it
-// after random workloads. Files and chunks are checked in sorted order, so
-// the first violation reported is the same on every run.
+// resident counters and tag accounting match the pages; no node is listed
+// by two chunks, the free list is acyclic and holds no node in use, and
+// nodes in use plus free nodes fill the node arena less its sentinel, as
+// chunks in use plus recycled records fill the chunk arena less handle 0;
+// the LRU ring holds exactly the nodes in use, with every prev link the
+// inverse of a next link; and every file with dirty pages is in the
+// round-robin order. Stress tests call it after random workloads. Files and
+// chunks are checked in sorted order, so the first violation reported is
+// the same on every run.
 func (c *Cache) CheckConsistency() error {
-	var dirty, clean, resident, tagSum int64
-	var chunksInUse int
+	var dirty, resident, tagSum int64
+	var chunksInUse, nodesInUse int
 	const (
 		unseen = iota
-		inSlot
+		inUse
 		onFreeList
 	)
-	pageState := make([]byte, c.npages)
-	chunkInUse := make([]bool, len(c.chunks))
+	nodeState := make([]byte, c.nodes.n)
+	chunkInUse := make([]bool, c.chunks.n)
 	for _, ino := range sortedKeys(c.files) {
 		f := c.files[ino]
 		if f.ino != ino {
 			return fmt.Errorf("cache: file %d filed under ino %d", f.ino, ino)
 		}
-		if f.last != 0 && (int(f.last) >= len(c.chunks) || f.chunks[c.chunks[f.last].key] != f.last) {
+		if f.last != 0 && (f.last >= c.chunks.n || f.chunks[c.chunks.at(f.last).key] != f.last) {
 			return fmt.Errorf("cache: file %d caches chunk handle %d, which is not in its page table", ino, f.last)
 		}
 		var fileResident, fileDirty int64
 		var dirtyChunks []int64
 		for _, key := range sortedKeys(f.chunks) {
 			h := f.chunks[key]
-			if h <= 0 || int(h) >= len(c.chunks) || chunkInUse[h] {
+			if h <= 0 || h >= c.chunks.n || chunkInUse[h] {
 				return fmt.Errorf("cache: chunk (%d,%d) has handle %d, outside the chunk arena or another chunk's", ino, key, h)
 			}
 			chunkInUse[h] = true
 			chunksInUse++
-			ch := &c.chunks[h]
+			ch := c.chunks.at(h)
 			if ch.file != f || ch.key != key {
 				return fmt.Errorf("cache: chunk (%d,%d) has the record of another chunk", ino, key)
 			}
@@ -1003,35 +924,25 @@ func (c *Cache) CheckConsistency() error {
 			if ch.dirty&^ch.present != 0 {
 				return fmt.Errorf("cache: chunk (%d,%d) dirty mask %#x outside present mask %#x", ino, key, ch.dirty, ch.present)
 			}
-			if n := bits.OnesCount64(ch.present); len(ch.slots) != ChunkPages && (len(ch.slots) != n || n > compactSlots) {
-				return fmt.Errorf("cache: chunk (%d,%d) holds %d page slots for %d resident pages, neither compact nor direct", ino, key, len(ch.slots), n)
+			var held uint64
+			for _, n := range ch.nodes {
+				if n <= 0 || n >= c.nodes.n || nodeState[n] != unseen {
+					return fmt.Errorf("cache: chunk (%d,%d) lists node %d, outside the node arena or another chunk's", ino, key, n)
+				}
+				nodeState[n] = inUse
+				nd := c.nodes.at(n)
+				if nd.ch != h {
+					return fmt.Errorf("cache: chunk (%d,%d) lists node %d, which names chunk %d", ino, key, n, nd.ch)
+				}
+				if nd.mask == 0 || nd.mask&held != 0 {
+					return fmt.Errorf("cache: chunk (%d,%d) node %d holds pages %#x, none or another node's", ino, key, n, nd.mask)
+				}
+				held |= nd.mask
 			}
-			if len(ch.slots) == ChunkPages {
-				for b, p := range ch.slots {
-					if (ch.present&(1<<b) != 0) != (p != 0) {
-						return fmt.Errorf("cache: chunk (%d,%d) slot %d holds page %d, present mask is %#x", ino, key, b, p, ch.present)
-					}
-				}
+			if clean := ch.present &^ ch.dirty; held != clean {
+				return fmt.Errorf("cache: chunk (%d,%d) nodes hold pages %#x, its clean pages are %#x", ino, key, held, clean)
 			}
-			for m := ch.present; m != 0; m &= m - 1 {
-				b := uint(bits.TrailingZeros64(m))
-				p, idx := ch.slots[ch.slot(b)], key<<ChunkShift+int64(b)
-				if p <= 0 || p >= c.npages || pageState[p] != unseen {
-					return fmt.Errorf("cache: slot of page (%d,%d) holds handle %d, outside the page arena or another slot's", ino, idx, p)
-				}
-				pageState[p] = inSlot
-				pg := c.pg(p)
-				if pg.ch != h || uint(pg.bit) != b {
-					return fmt.Errorf("cache: slot of page (%d,%d) holds a page that does not point back to it", ino, idx)
-				}
-				isDirty := ch.dirty&(1<<b) != 0
-				if isDirty == (pg.next != offRing) {
-					return fmt.Errorf("cache: page (%d,%d) dirty=%v but on LRU=%v", ino, idx, isDirty, pg.next != offRing)
-				}
-				if !isDirty {
-					clean++
-				}
-			}
+			nodesInUse += len(ch.nodes)
 			var tagged uint64
 			for i, r := range ch.runs {
 				switch {
@@ -1087,49 +998,51 @@ func (c *Cache) CheckConsistency() error {
 	if resident != c.resident {
 		return fmt.Errorf("cache: resident %d != actual %d", c.resident, resident)
 	}
-	var free int64
-	for p := c.free; p != 0; p = c.pg(p).next {
+	var free int
+	for n := c.free; n != 0; n = c.nodes.at(n).next {
 		switch {
-		case p < 0 || p >= c.npages:
-			return fmt.Errorf("cache: free list holds handle %d, outside the page arena", p)
-		case pageState[p] == inSlot:
-			return fmt.Errorf("cache: free list holds resident page %d", p)
-		case pageState[p] == onFreeList:
-			return fmt.Errorf("cache: free list cycles back to page %d", p)
+		case n < 0 || n >= c.nodes.n:
+			return fmt.Errorf("cache: free list holds handle %d, outside the node arena", n)
+		case nodeState[n] == inUse:
+			return fmt.Errorf("cache: free list holds node %d, which is in use", n)
+		case nodeState[n] == onFreeList:
+			return fmt.Errorf("cache: free list cycles back to node %d", n)
 		}
-		pageState[p] = onFreeList
+		nodeState[n] = onFreeList
 		free++
 	}
-	if resident+free != int64(c.npages-1) {
-		return fmt.Errorf("cache: %d resident and %d free pages, the page arena holds %d", resident, free, c.npages-1)
+	if nodesInUse+free != int(c.nodes.n-1) {
+		return fmt.Errorf("cache: %d nodes in use and %d free, the node arena holds %d", nodesInUse, free, c.nodes.n-1)
 	}
 	for _, h := range c.freeChunks {
-		if h <= 0 || int(h) >= len(c.chunks) || chunkInUse[h] {
+		if h <= 0 || h >= c.chunks.n || chunkInUse[h] {
 			return fmt.Errorf("cache: recycled chunk handle %d is outside the chunk arena, in use or recycled twice", h)
 		}
 		chunkInUse[h] = true
 	}
-	if chunksInUse+len(c.freeChunks) != len(c.chunks)-1 {
-		return fmt.Errorf("cache: %d chunks in use and %d recycled, the chunk arena holds %d", chunksInUse, len(c.freeChunks), len(c.chunks)-1)
+	if chunksInUse+len(c.freeChunks) != int(c.chunks.n-1) {
+		return fmt.Errorf("cache: %d chunks in use and %d recycled, the chunk arena holds %d", chunksInUse, len(c.freeChunks), c.chunks.n-1)
 	}
-	var onLRU int64
+	// With every prev link the inverse of a next link, the walk meets no node
+	// twice before it returns to the sentinel.
+	var onRing int
 	prev := int32(0)
-	for p := c.pg(0).next; ; prev, p = p, c.pg(p).next {
-		if p < 0 || p >= c.npages || c.pg(p).prev != prev {
-			return fmt.Errorf("cache: LRU ring link broken after %d pages", onLRU)
+	for n := c.nodes.at(0).next; ; prev, n = n, c.nodes.at(n).next {
+		if n < 0 || n >= c.nodes.n || c.nodes.at(n).prev != prev {
+			return fmt.Errorf("cache: LRU ring link broken after %d nodes", onRing)
 		}
-		if p == 0 {
+		if n == 0 {
 			break
 		}
-		if onLRU++; onLRU > clean {
-			return fmt.Errorf("cache: LRU holds more than the %d clean pages", clean)
+		if onRing++; onRing > nodesInUse {
+			return fmt.Errorf("cache: LRU ring holds more than the %d nodes in use", nodesInUse)
 		}
-		if pageState[p] != inSlot {
-			return fmt.Errorf("cache: LRU position %d holds page %d, which is not resident", onLRU, p)
+		if nodeState[n] != inUse {
+			return fmt.Errorf("cache: LRU ring position %d holds node %d, which is not in use", onRing, n)
 		}
 	}
-	if onLRU != clean {
-		return fmt.Errorf("cache: LRU holds %d pages, %d are clean", onLRU, clean)
+	if onRing != nodesInUse {
+		return fmt.Errorf("cache: LRU ring holds %d nodes, %d are in use", onRing, nodesInUse)
 	}
 	return nil
 }

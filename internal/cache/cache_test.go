@@ -567,7 +567,7 @@ func TestCheckConsistencyCatchesBadCauseRuns(t *testing.T) {
 		if err := c.CheckConsistency(); err != nil {
 			t.Fatal(err)
 		}
-		ch := &c.chunks[c.files[1].chunks[0]]
+		ch := c.chunks.at(c.files[1].chunks[0])
 		if len(ch.runs) != 2 {
 			t.Fatalf("chunk has cause runs %+v, want one per writer", ch.runs)
 		}
@@ -605,40 +605,43 @@ func TestMarkDirtyRangeOverwriteZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckConsistencyCatchesBadArena corrupts the page and chunk arenas in
+// TestCheckConsistencyCatchesBadArena corrupts the node and chunk arenas in
 // each way CheckConsistency guards against and expects it to say so.
 func TestCheckConsistencyCatchesBadArena(t *testing.T) {
-	lastFree := func(c *Cache) int32 {
-		p := c.free
-		for c.pg(p).next != 0 {
-			p = c.pg(p).next
+	lastFree := func(c *Cache) *node {
+		n := c.free
+		for c.nodes.at(n).next != 0 {
+			n = c.nodes.at(n).next
 		}
-		return p
+		return c.nodes.at(n)
+	}
+	firstNode := func(c *Cache, ino int64) *node {
+		return c.nodes.at(c.chunks.at(c.files[ino].chunks[0]).nodes[0])
 	}
 	for _, tc := range []struct {
 		name    string
 		corrupt func(c *Cache)
 		want    string
 	}{
-		{"free list cycle", func(c *Cache) { c.pg(lastFree(c)).next = c.free }, "free list cycles"},
-		{"free list shares a resident page", func(c *Cache) { c.pg(lastFree(c)).next = c.pg(0).next }, "free list holds resident page"},
-		{"leaked page", func(c *Cache) { c.npages++ }, "the page arena holds"},
-		{"slot not pointing back", func(c *Cache) { c.pg(c.chunks[c.files[1].chunks[0]].slots[2]).bit++ }, "does not point back"},
-		{"ring links not inverse", func(c *Cache) { p := c.pg(0).next; c.pg(c.pg(p).next).prev = 0 }, "LRU ring link broken"},
-		{"leaked chunk", func(c *Cache) { c.chunks = append(c.chunks, chunk{}) }, "the chunk arena holds"},
-		{"direct slot emptied", func(c *Cache) { c.chunks[c.files[3].chunks[0]].slots[63] = 0 }, "present mask is"},
+		{"free list cycle", func(c *Cache) { lastFree(c).next = c.free }, "free list cycles"},
+		{"free node still in use", func(c *Cache) { lastFree(c).next = c.nodes.at(0).next }, "which is in use"},
+		{"leaked node", func(c *Cache) { c.nodes.grow() }, "the node arena holds"},
+		{"node naming the wrong chunk", func(c *Cache) { firstNode(c, 1).ch = c.files[3].chunks[0] }, "which names chunk"},
+		{"ring links not inverse", func(c *Cache) { n := c.nodes.at(0).next; c.nodes.at(c.nodes.at(n).next).prev = 0 }, "LRU ring link broken"},
+		{"leaked chunk", func(c *Cache) { c.chunks.grow() }, "the chunk arena holds"},
+		{"node lost a clean page", func(c *Cache) { firstNode(c, 3).mask &^= 1 << 63 }, "its clean pages are"},
 	} {
 		env, c := newTestCache(smallConfig())
 		c.InsertCleanRange(1, 0, 9)
 		c.MarkDirtyRange(testCtx(10), 1, 4, 5)
 		c.InsertCleanRange(2, 0, 99)
 		c.FreeFile(2)
-		c.InsertCleanRange(3, 0, 63) // a direct chunk
+		c.InsertCleanRange(3, 0, 63)
 		if err := c.CheckConsistency(); err != nil {
 			t.Fatal(err)
 		}
 		if c.free == 0 || len(c.freeChunks) == 0 {
-			t.Fatal("freeing file 2 left no free page or recycled chunk")
+			t.Fatal("freeing file 2 left no free node or recycled chunk")
 		}
 		tc.corrupt(c)
 		if err := c.CheckConsistency(); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -648,8 +651,9 @@ func TestCheckConsistencyCatchesBadArena(t *testing.T) {
 	}
 }
 
-// TestPageRecordHoldsNoPointers keeps the page arena out of the collector's
-// mark phase: its record must hold no pointer, however deeply nested.
+// TestPageRecordHoldsNoPointers keeps the node arena, which holds the LRU
+// ring of clean pages, out of the collector's mark phase: its record must
+// hold no pointer, however deeply nested.
 func TestPageRecordHoldsNoPointers(t *testing.T) {
 	var check func(reflect.Type) bool
 	check = func(typ reflect.Type) bool {
@@ -670,14 +674,14 @@ func TestPageRecordHoldsNoPointers(t *testing.T) {
 		}
 		return false
 	}
-	if typ := reflect.TypeOf(page{}); !check(typ) {
-		t.Fatalf("%v holds a pointer: the page arena would be scanned by the collector", typ)
+	if typ := reflect.TypeOf(node{}); !check(typ) {
+		t.Fatalf("%v holds a pointer: the node arena would be scanned by the collector", typ)
 	}
 }
 
 // TestEvictInsertZeroAllocs asserts that at steady state a 64-page run into
 // a full cache allocates nothing, whether it is read in clean or written
-// fresh (and then taken for writeback): the pages and the chunk it evicts
+// fresh (and then taken for writeback): the nodes and the chunk it evicts
 // are recycled for it.
 func TestEvictInsertZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -715,12 +719,16 @@ func TestEvictInsertZeroAllocs(t *testing.T) {
 	}
 }
 
-// ringOrder lists c's clean pages from least to most recently used.
+// ringOrder lists c's clean pages from least to most recently used: each
+// node's pages in index order, node after node.
 func ringOrder(c *Cache) [][2]int64 {
 	var out [][2]int64
-	for p := c.pg(0).next; p != 0; p = c.pg(p).next {
-		ch := &c.chunks[c.pg(p).ch]
-		out = append(out, [2]int64{ch.file.ino, ch.key<<ChunkShift + int64(c.pg(p).bit)})
+	for n := c.nodes.at(0).next; n != 0; n = c.nodes.at(n).next {
+		nd := c.nodes.at(n)
+		ch := c.chunks.at(nd.ch)
+		for m := nd.mask; m != 0; m &= m - 1 {
+			out = append(out, [2]int64{ch.file.ino, ch.key<<ChunkShift + int64(bits.TrailingZeros64(m))})
+		}
 	}
 	return out
 }
@@ -746,7 +754,7 @@ func TestLookupRunMatchesPerPage(t *testing.T) {
 		first := rng.Int63n(span)
 		reads = append(reads, [2]int64{first, first + rng.Int63n(span-first)})
 		if i%10 == 0 {
-			reads = append(reads, reads[len(reads)-1]) // the same range twice: its stretch ends at the tail
+			reads = append(reads, reads[len(reads)-1]) // the same range twice: its pages end the ring
 		}
 	}
 	setup := func() (*sim.Env, *Cache) {
@@ -848,7 +856,7 @@ func TestLookupRunMatchesPerPage(t *testing.T) {
 
 // TestSparseResidencyMemory guards the page table's memory when residency
 // is sparse, as under a random reader: one clean page in every aligned
-// 64-page stretch must not cost a whole stretch's worth of page records.
+// 64-page stretch must not cost a whole stretch's worth of memory.
 func TestSparseResidencyMemory(t *testing.T) {
 	cfg := smallConfig()
 	cfg.TotalPages = 1 << 20
@@ -872,8 +880,8 @@ func TestSparseResidencyMemory(t *testing.T) {
 }
 
 // TestDenseResidencyMemory guards the page table's memory when residency is
-// dense, as under a sequential reader: a resident page costs its arena
-// record, its slot and a 64th of its chunk.
+// dense, as under a sequential reader: a chunk read whole is one ring node,
+// so a resident page costs a 64th of its chunk and of its node.
 func TestDenseResidencyMemory(t *testing.T) {
 	cfg := smallConfig()
 	cfg.TotalPages = 1 << 20
@@ -888,8 +896,8 @@ func TestDenseResidencyMemory(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perPage := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / pages
 	t.Logf("%d heap bytes per resident page", perPage)
-	if perPage > 32 {
-		t.Fatalf("%d heap bytes per densely resident page, want at most 32", perPage)
+	if perPage > 8 {
+		t.Fatalf("%d heap bytes per densely resident page, want at most 8", perPage)
 	}
 	runtime.KeepAlive(c)
 }

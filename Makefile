@@ -1,16 +1,15 @@
 # Tier-1 verification plus static and race checks.
 #
-#   make check       vet (with gofmt) + lint + build + tests + benchmark tests + race + fuzz corpora + crash-consistency smoke + gcsweep + report + slo + tracegate
+#   make check       vet (with gofmt) + lint + build + tests + benchmark tests + race + crash-consistency smoke + gcsweep + report + slo + tracegate
 #   make lint        splitlint determinism-contract analyzers (see DESIGN.md)
 #   make benchtest   tests of cmd/benchmark, a nested module the root `go test ./...` skips
 #   make crashsweep  fault-injected crash sweep over seeds 1..4; fails on any invariant violation
 #   make gcsweep     GC-inversion sweep on an aged FTL SSD; fails if gc-afq inverts
 #   make report      latency-attribution report; fails on split-scheduler inversions
 #   make slo         windowed SLO gates: the slo experiment (CFQ must breach with a bundle, split-AFQ
-#                    must not) and `splitbench monitor` (fails if a split scheduler breaches)
+#                    must not) and `splitbench -slo ... report` (fails if a split scheduler breaches)
 #   make tracegate   traced fig9 under a virtual-memory cap; fails if -trace memory grows with the run
 #   make clean       remove generated artifacts (reports, SARIF, coverage, post-mortems)
-#   make fuzz        checked-in fuzz corpora in regression mode (no exploration)
 #   make cover       coverage profile + HTML; fails if total drops below coverage-baseline.txt
 #   make microbench  testing.B microbenchmarks: DES event loop and mix, cache, perf probes, SSD
 #
@@ -20,9 +19,9 @@
 GO ?= go
 NPROC ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: check build test benchtest vet race microbench lint fuzz cover crashsweep gcsweep report slo tracegate clean
+.PHONY: check build test benchtest vet race microbench lint cover crashsweep gcsweep report slo tracegate clean
 
-check: vet lint build test benchtest race fuzz crashsweep gcsweep report slo tracegate
+check: vet lint build test benchtest race crashsweep gcsweep report slo tracegate
 
 # The full interprocedural suite (call graph + taint fixpoints) is the
 # slowest static check, so the wall time is echoed to stderr; the SARIF
@@ -72,11 +71,6 @@ microbench:
 	$(GO) test -bench=BenchmarkEventLoopMix -benchtime=2000000x -run '^$$' ./internal/sim
 	$(GO) test -bench=BenchmarkSplitlintRepo -benchtime=1x -run '^$$' ./internal/analysis
 
-# Replays the checked-in seed corpora (testdata/fuzz/...) without fuzzing:
-# a pure regression gate that keeps every once-interesting input passing.
-fuzz:
-	$(GO) test -run '^Fuzz' ./internal/attr
-
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -html=coverage.out -o coverage.html
@@ -106,13 +100,14 @@ report:
 # Two-sided windowed-SLO gate on the entangled antagonist workload: the
 # block-level baseline must breach at a deterministic virtual timestamp and
 # dump a flight-recorder bundle; split-AFQ on the same seed must not breach.
-# Then the live monitor over the same workload exits 1 if a split scheduler
-# (afq, split-token) breaches. It runs without -postmortem: CFQ's expected
+# Then the report over the same workload, monitored under the same rule,
+# exits 1 if a split scheduler (afq, split-token) breaches or inverts. It
+# runs without -postmortem: CFQ's expected
 # breach always trips a bundle, so the file would exist on every passing
 # run, and a postmortem file's existence signals a failed gate.
 slo:
 	$(GO) run ./cmd/splitbench -scale 0.1 -seed 1 -j $(NPROC) -postmortem postmortem-slo.json slo
-	$(GO) run ./cmd/splitbench -scale 0.1 -seed 1 -j $(NPROC) monitor -schedulers cfq,afq,split-token
+	$(GO) run ./cmd/splitbench -scale 0.1 -seed 1 -j $(NPROC) -slo 'pid=100 op=fsync p99<250ms' report -schedulers cfq,afq,split-token
 
 # -trace streams its output, so a traced run's memory must not grow with
 # its event count. Traced fig9 at -scale 0.3 records 490,334 events (at 0.05

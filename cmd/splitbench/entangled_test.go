@@ -1,55 +1,39 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"splitio/internal/exp"
 	"splitio/internal/schedtest"
 )
-
-// verdictBlock cuts the per-machine SLO verdict lines ("monitor LABEL: ...",
-// their breaches and bundles) out of splitbench's stdout.
-func verdictBlock(out string) string {
-	i := strings.Index(out, "\nmonitor ")
-	if i < 0 {
-		return ""
-	}
-	out = out[i:]
-	if j := strings.Index(out, "\nmachine "); j >= 0 {
-		out = out[:j]
-	}
-	return out
-}
 
 // TestEntangledOutputsPinned pins, byte for byte, what splitbench prints
 // and writes for the entangled workload: the JSON report, the SLO verdict
 // block and the post-mortem bundle (testdata/entangled_digests.txt).
 func TestEntangledOutputsPinned(t *testing.T) {
 	goldens := schedtest.LoadGoldens(t, "testdata/entangled_digests.txt")
-	opts := exp.Options{Scale: 0.1, Seed: 1}
-
-	var out, errb bytes.Buffer
-	if code := runReport(opts, []string{"-format", "json"}, &out, &errb); code != 0 {
-		t.Fatalf("report exited %d: %s", code, errb.String())
+	out, errs, code := splitbench("-scale", "0.1", "-seed", "1", "report", "-format", "json")
+	if code != 0 {
+		t.Fatalf("report exited %d: %s", code, errs)
 	}
-	goldens.Check(t, "report-json", "sha256="+sha(out.Bytes()))
+	goldens.Check(t, "report-json", "sha256="+sha([]byte(out)))
 
 	pm := filepath.Join(t.TempDir(), "pm.json")
-	out.Reset()
-	errb.Reset()
-	if code := runMonitorCmd(opts, 500*time.Millisecond, exp.SLORuleSpec, "", pm,
-		[]string{"-schedulers", "cfq,afq,split-token"}, &out, &errb); code != 0 {
-		t.Fatalf("slo run exited %d: %s", code, errb.String())
+	out, errs, code = splitbench("-scale", "0.1", "-seed", "1", "-slo", exp.SLORuleSpec, "-postmortem", pm,
+		"report", "-schedulers", "cfq,afq,split-token")
+	if code != 0 {
+		t.Fatalf("slo run exited %d: %s", code, errs)
 	}
-	verdicts := verdictBlock(out.String())
-	if !strings.Contains(verdicts, "monitor split-token#2: ") {
-		t.Fatalf("no verdict for split-token#2 in:\n%s", out.String())
+	// The verdict block ends stdout: one "monitor LABEL: ..." line per
+	// machine with its breaches and bundles.
+	i := strings.Index(out, "\nmonitor ")
+	if i < 0 || !strings.Contains(out[i:], "\nmonitor split-token#2: ") {
+		t.Fatalf("no verdict block for cfq#0..split-token#2 in:\n%s", out)
 	}
+	verdicts := out[i:]
 	goldens.Check(t, "slo-verdicts", "sha256="+sha([]byte(verdicts)))
 	bundle, err := os.ReadFile(pm)
 	if err != nil {

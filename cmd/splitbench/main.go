@@ -2,7 +2,8 @@
 //
 // Usage:
 //
-//	splitbench [-scale F] [-seed N] [-seeds A..B] [-j N] [-trace FILE] [-stats] [experiment ...]
+//	splitbench [flags] [experiment ...]
+//	splitbench [flags] report [-format text|json] [-o FILE] [-schedulers LIST]
 //
 // With no arguments it runs every experiment (fig1..fig21, table1..table3,
 // plus extensions such as crashsweep) in paper order. Scale < 1 shortens
@@ -31,27 +32,28 @@
 // (pid, op): count, p50/p95/p99, mean throttle/journal/queue/device/other
 // time) is printed to stderr. -stats prints each simulated machine's
 // metric registry after the run, including per-layer latency histograms
-// from attribution.
-// Both observe every kernel of the run, so they force cells inline (-j is
-// ignored for the experiments' simulation cells).
+// from attribution. -slo SPECS attaches a windowed SLO monitor to every
+// kernel and prints each machine's verdict after the run; -postmortem FILE
+// writes the flight-recorder bundles and failure lines when the run fails
+// or a monitor trips. -trace, -stats and -slo observe every kernel of the
+// run, so they force cells inline (-j is ignored for the simulation cells).
 //
-// The report subcommand runs the entangled antagonist workload under a set
+// The report subcommand runs the entangled antagonist workload (a
+// best-effort fsync appender against an idle-class bulk writer) under a set
 // of schedulers and renders per-process latency blame tables plus detected
-// priority inversions (text or JSON); -diff compares two archived reports.
-// Any inversion under a split scheduler makes the run exit nonzero:
+// priority inversions, as text or JSON:
 //
 //	splitbench -scale 0.2 report -format json -o report.json
-//	splitbench report -diff old.json new.json
 //
-// The monitor subcommand runs the same workload with a windowed SLO monitor
-// attached (-slo rule specs, -slo-window) and prints each machine's
-// breaches and last gauge sample; -postmortem writes flight-recorder
-// bundles. A breach under a split scheduler makes the run exit nonzero:
+// The global flags mean the same for report as for experiments. An
+// inversion, or with -slo an SLO breach, under a scheduler that isolates
+// the idle writer (afq, gc-afq, split-token) makes the run exit 1:
 //
-//	splitbench -scale 0.1 -seed 1 monitor -schedulers cfq,afq
+//	splitbench -scale 0.1 -seed 1 -slo 'pid=100 op=fsync p99<250ms' report -schedulers cfq,afq,split-token
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -137,56 +139,114 @@ func checkDevice(kind string) error {
 func main() {
 	// All work happens in run so the pprof deferred stops execute before
 	// the process exits (os.Exit skips deferred calls).
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	scale := flag.Float64("scale", 1.0, "measurement-window scale factor")
-	seed := flag.Int64("seed", 1, "deterministic random seed")
-	seeds := flag.String("seeds", "", "seed range `A..B` (inclusive); runs each experiment once per seed, overriding -seed")
-	jobs := flag.Int("j", 1, "parallel sweep workers for independent simulation cells (0 = one per CPU)")
-	list := flag.Bool("list", false, "list experiments and exit")
-	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON trace to `FILE`")
-	stats := flag.Bool("stats", false, "print per-machine metric registries after the run")
-	deviceKind := flag.String("device", "", "override the disk model for every kernel: hdd, ssd, or ftlssd (ignored by the experiments that pin their own disk: fig9, fig12, fig19, gcsweep, crashsweep)")
-	sloSpec := flag.String("slo", "", "attach an SLO monitor to every kernel; semicolon-separated rule `specs` like 'pid=100 op=fsync p99<10ms'")
-	sloWindow := flag.Duration("slo-window", 500*time.Millisecond, "SLO evaluation window (virtual time), with -slo")
-	postmortem := flag.String("postmortem", "", "write flight-recorder post-mortem bundles (JSON) to `FILE` when the run fails or an invariant trips")
-	progress := flag.Bool("progress", false, "print a sweep progress heartbeat (cells done/total, ETA) to stderr")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to `FILE`")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to `FILE`")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: splitbench [-scale F] [-seed N] [-seeds A..B] [-j N] [-trace FILE] [-stats] [-progress] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "       splitbench [-scale F] [-seed N] [-j N] report [-format text|json] [-o FILE] [-diff OLD NEW]\n")
-		fmt.Fprintf(os.Stderr, "       splitbench [-scale F] [-seed N] [-slo SPECS] [-slo-window D] [-trace FILE] [-postmortem FILE] monitor [-schedulers LIST]\n\nexperiments:\n")
+// run is the whole command. It builds one exp.Options from the global
+// flags, runs the experiments or the report subcommand under it, then
+// writes what the observability flags asked for. It returns the exit
+// code: 1 when a gate fails or an output cannot be written, 2 on usage
+// errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("splitbench", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	scale := fl.Float64("scale", 1.0, "measurement-window scale factor")
+	seed := fl.Int64("seed", 1, "deterministic random seed")
+	seeds := fl.String("seeds", "", "seed range `A..B` (inclusive); runs each experiment once per seed, overriding -seed")
+	jobs := fl.Int("j", 1, "parallel sweep workers for independent simulation cells (0 = one per CPU)")
+	list := fl.Bool("list", false, "list experiments and exit")
+	traceFile := fl.String("trace", "", "write a Chrome trace_event JSON trace to `FILE`")
+	stats := fl.Bool("stats", false, "print per-machine metric registries after the run")
+	deviceKind := fl.String("device", "", "override the disk model for every kernel: hdd, ssd, or ftlssd (ignored by the experiments that pin their own disk: fig9, fig12, fig19, gcsweep, crashsweep)")
+	sloSpec := fl.String("slo", "", "attach an SLO monitor (500ms windows) to every kernel; semicolon-separated rule `specs` like 'pid=100 op=fsync p99<10ms'")
+	postmortem := fl.String("postmortem", "", "write flight-recorder post-mortem bundles (JSON) to `FILE` when the run fails or an invariant trips")
+	progress := fl.Bool("progress", false, "print a sweep progress heartbeat (cells done/total, ETA) to stderr")
+	cpuProfile := fl.String("cpuprofile", "", "write a pprof CPU profile of the whole run to `FILE`")
+	memProfile := fl.String("memprofile", "", "write a pprof heap profile at exit to `FILE`")
+	fl.Usage = func() {
+		fmt.Fprintf(stderr, "usage: splitbench [flags] [experiment ...]\n")
+		fmt.Fprintf(stderr, "       splitbench [flags] report [-format text|json] [-o FILE] [-schedulers LIST]\n\nflags:\n")
+		fl.PrintDefaults()
+		fmt.Fprintf(stderr, "\nexperiments:\n")
 		for _, e := range exp.All {
-			fmt.Fprintf(os.Stderr, "  %-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stderr, "  %-8s %s\n", e.ID, e.Title)
 		}
 	}
-	flag.Parse()
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, e := range exp.All {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
 
-	if err := checkDevice(*deviceKind); err != nil {
-		fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
+	usageErr := func(err error) int {
+		fmt.Fprintf(stderr, "splitbench: %v\n", err)
 		return 2
+	}
+	if err := checkDevice(*deviceKind); err != nil {
+		return usageErr(err)
+	}
+	seedList, err := parseSeeds(*seeds)
+	if err != nil {
+		return usageErr(err)
+	}
+	if seedList == nil {
+		seedList = []int64{*seed}
+	}
+
+	opts := exp.Options{Scale: *scale, Seed: *seed, Runner: &sweep.Runner{Workers: *jobs}, Device: *deviceKind}
+	if *progress {
+		opts.Runner.Progress = opts.Runner.ProgressWriter(stderr)
+	}
+	if *sloSpec != "" {
+		rules, err := parseRules(*sloSpec)
+		if err != nil {
+			return usageErr(err)
+		}
+		opts.Monitor = &exp.MonitorCollector{Rules: rules}
+	}
+	if *stats {
+		opts.Metrics = &exp.StatsCollector{}
+	}
+
+	// work runs what the arguments name under opts and returns why the run
+	// failed, one line per failure.
+	var work func() ([]string, error)
+	if rest := fl.Args(); len(rest) > 0 && rest[0] == "report" {
+		if len(seedList) > 1 {
+			return usageErr(errors.New("report runs one seed: use -seed, not a -seeds range"))
+		}
+		r, ok := parseReport(rest[1:], stdout, stderr)
+		if !ok {
+			return 2
+		}
+		if r.file != nil {
+			defer r.file.Close()
+		}
+		work = func() ([]string, error) { return r.run(opts, stderr) }
+	} else {
+		exps, err := resolve(rest)
+		if err != nil {
+			return usageErr(err)
+		}
+		work = func() ([]string, error) { return runExperiments(exps, seedList, opts, stdout, stderr), nil }
 	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-			return 2
+			return usageErr(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-			return 2
+			return usageErr(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -194,80 +254,68 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
+				fmt.Fprintf(stderr, "splitbench: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // profile live objects, not collectible garbage
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
+				fmt.Fprintf(stderr, "splitbench: %v\n", err)
 			}
 		}()
 	}
 
-	runner := &sweep.Runner{Workers: *jobs}
-	if *progress {
-		runner.Progress = runner.ProgressWriter(os.Stderr)
-	}
-
-	if args := flag.Args(); len(args) > 0 && args[0] == "report" {
-		opts := exp.Options{Scale: *scale, Seed: *seed, Runner: runner, Device: *deviceKind}
-		code := runReport(opts, args[1:], os.Stdout, os.Stderr)
-		sweepSummary(runner)
-		if code == 1 && *postmortem != "" {
-			if err := writePostmortem(*postmortem, nil,
-				[]string{"report: split-scheduler inversions detected"}); err != nil {
-				fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-			}
-		}
-		return code
-	}
-
-	if args := flag.Args(); len(args) > 0 && args[0] == "monitor" {
-		opts := exp.Options{Scale: *scale, Seed: *seed, Device: *deviceKind}
-		return runMonitorCmd(opts, *sloWindow, *sloSpec, *traceFile, *postmortem, args[1:], os.Stdout, os.Stderr)
-	}
-
-	seedList, err := parseSeeds(*seeds)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-		return 2
-	}
-	if seedList == nil {
-		seedList = []int64{*seed}
-	}
-
-	opts := exp.Options{Scale: *scale, Seed: *seed, Runner: runner, Device: *deviceKind}
-	if *sloSpec != "" {
-		rules, err := parseRules(*sloSpec)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-			return 2
-		}
-		opts.Monitor = &exp.MonitorCollector{Window: *sloWindow, Rules: rules}
-	}
 	var traced *tracedRun
 	if *traceFile != "" {
 		opts.Tracer, traced, err = createTrace(*traceFile, opts.Monitor != nil)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
+			fmt.Fprintf(stderr, "splitbench: %v\n", err)
 			return 1
 		}
 	}
-	if *stats {
-		opts.Metrics = &exp.StatsCollector{}
-	}
-	exps, err := resolve(flag.Args())
+
+	failures, err := work()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-		return 2
+		fmt.Fprintf(stderr, "splitbench: %v\n", err)
+		return 1
 	}
-	failed := false
+	if traced != nil {
+		if err := traced.finish(stderr, monitorCounters(opts.Monitor)); err != nil {
+			fmt.Fprintf(stderr, "splitbench: %v\n", err)
+			return 1
+		}
+	}
+	if opts.Metrics != nil {
+		for _, m := range opts.Metrics.Machines {
+			fmt.Fprintf(stdout, "\nmachine %s:\n", m.Label)
+			m.Registry.WriteText(stdout)
+		}
+	}
+	if opts.Monitor != nil {
+		printMonitors(stdout, opts.Monitor)
+	}
+	if *postmortem != "" {
+		if err := writePostmortem(*postmortem, opts.Monitor, failures, stderr); err != nil {
+			fmt.Fprintf(stderr, "splitbench: %v\n", err)
+			return 1
+		}
+	}
+	sweepSummary(stderr, opts.Runner)
+	if len(failures) > 0 {
+		return 1
+	}
+	return 0
+}
+
+// runExperiments runs each experiment once per seed, printing its table to
+// stdout, and returns a line per experiment that reported invariant
+// violations.
+func runExperiments(exps []exp.Experiment, seeds []int64, opts exp.Options, stdout, stderr io.Writer) []string {
 	var failures []string
-	for _, sd := range seedList {
+	for _, sd := range seeds {
 		opts.Seed = sd
-		if len(seedList) > 1 {
-			fmt.Printf("\n######## seed %d ########\n", sd)
+		if len(seeds) > 1 {
+			fmt.Fprintf(stdout, "\n######## seed %d ########\n", sd)
 		}
 		for _, e := range exps {
 			// Host-side wall time for the progress banner; cmd/ packages are
@@ -275,62 +323,33 @@ func run() int {
 			// contract") and it never feeds back into the simulation.
 			start := time.Now()
 			tab := e.Run(opts)
-			printTable(tab, time.Since(start))
+			printTable(stdout, tab, time.Since(start))
 			// Checking experiments (crashsweep) report invariant violations via
 			// this metric; a nonzero count fails the run so `make crashsweep`
 			// gates CI.
-			if tab.Metrics["violations_total"] > 0 {
-				fmt.Fprintf(os.Stderr, "splitbench: %s reported %.0f invariant violations\n",
-					tab.ID, tab.Metrics["violations_total"])
-				failures = append(failures, fmt.Sprintf("seed %d: %s reported %.0f invariant violations",
-					sd, tab.ID, tab.Metrics["violations_total"]))
-				failed = true
+			if n := tab.Metrics["violations_total"]; n > 0 {
+				fmt.Fprintf(stderr, "splitbench: %s reported %.0f invariant violations\n", tab.ID, n)
+				failures = append(failures, fmt.Sprintf("seed %d: %s reported %.0f invariant violations", sd, tab.ID, n))
 			}
 		}
 	}
-
-	if traced != nil {
-		if err := traced.finish(os.Stderr, monitorCounters(opts.Monitor)); err != nil {
-			fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-			return 1
-		}
-	}
-	if opts.Metrics != nil {
-		for _, m := range opts.Metrics.Machines {
-			fmt.Printf("\nmachine %s:\n", m.Label)
-			m.Registry.WriteText(os.Stdout)
-		}
-	}
-	if opts.Monitor != nil {
-		printMonitors(os.Stdout, opts.Monitor)
-	}
-	if *postmortem != "" {
-		if err := writePostmortem(*postmortem, opts.Monitor, failures); err != nil {
-			fmt.Fprintf(os.Stderr, "splitbench: %v\n", err)
-			return 1
-		}
-	}
-	sweepSummary(runner)
-	if failed {
-		return 1
-	}
-	return 0
+	return failures
 }
 
-// sweepSummary reports cell totals and wall-time accounting on stderr
-// (stdout stays byte-identical across -j settings).
-func sweepSummary(r *sweep.Runner) {
+// sweepSummary reports cell totals and wall-time accounting on w, which is
+// stderr: stdout stays byte-identical across -j settings.
+func sweepSummary(w io.Writer, r *sweep.Runner) {
 	cells, _, errs := r.Stats()
 	if cells == 0 {
 		return
 	}
-	w := "auto"
+	workers := "auto"
 	if r.Workers > 0 {
-		w = fmt.Sprint(r.Workers)
+		workers = fmt.Sprint(r.Workers)
 	}
 	wallNS, maxNS := r.Wall()
-	fmt.Fprintf(os.Stderr, "sweep: %d cells (%d failed) across %s workers; cell wall %v total, %v slowest\n",
-		cells, errs, w, time.Duration(wallNS).Round(time.Millisecond), time.Duration(maxNS).Round(time.Millisecond))
+	fmt.Fprintf(w, "sweep: %d cells (%d failed) across %s workers; cell wall %v total, %v slowest\n",
+		cells, errs, workers, time.Duration(wallNS).Round(time.Millisecond), time.Duration(maxNS).Round(time.Millisecond))
 }
 
 // tracedRun is the output side of a -trace run: the file the Chrome
@@ -377,8 +396,8 @@ func (t *tracedRun) finish(w io.Writer, counters []trace.CounterSample) error {
 	return nil
 }
 
-func printTable(t *exp.Table, wall time.Duration) {
-	fmt.Printf("\n%s\n%s (wall %v)\n", strings.Repeat("=", len(t.Title)), t.Title, wall.Round(time.Millisecond))
+func printTable(w io.Writer, t *exp.Table, wall time.Duration) {
+	fmt.Fprintf(w, "\n%s\n%s (wall %v)\n", strings.Repeat("=", len(t.Title)), t.Title, wall.Round(time.Millisecond))
 	widths := make([]int, len(t.Header))
 	for i, h := range t.Header {
 		widths[i] = len(h)
@@ -395,7 +414,7 @@ func printTable(t *exp.Table, wall time.Duration) {
 		for i, c := range cells {
 			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
 		}
-		fmt.Println("  " + strings.Join(parts, "  "))
+		fmt.Fprintln(w, "  "+strings.Join(parts, "  "))
 	}
 	printRow(t.Header)
 	sep := make([]string, len(t.Header))
@@ -407,13 +426,13 @@ func printTable(t *exp.Table, wall time.Duration) {
 		printRow(row)
 	}
 	for _, s := range t.Series {
-		fmt.Printf("  %s (every %v):", s.Label, s.Step)
+		fmt.Fprintf(w, "  %s (every %v):", s.Label, s.Step)
 		for _, v := range s.Values {
-			fmt.Printf(" %.0f", v)
+			fmt.Fprintf(w, " %.0f", v)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if t.Notes != "" {
-		fmt.Printf("  note: %s\n", t.Notes)
+		fmt.Fprintf(w, "  note: %s\n", t.Notes)
 	}
 }

@@ -3,14 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"splitio/internal/exp"
-	"splitio/internal/sweep"
 )
 
 func TestResolveDefaultsToAll(t *testing.T) {
@@ -43,48 +39,54 @@ func TestResolveUnknownIDNamesOffender(t *testing.T) {
 	}
 }
 
-func TestReportUnknownFormatIsUsageError(t *testing.T) {
+// splitbench runs the command line args and returns its stdout, stderr and
+// exit code.
+func splitbench(args ...string) (stdout, stderr string, code int) {
 	var out, errb bytes.Buffer
-	code := runReport(exp.Options{Scale: 0.2, Seed: 1}, []string{"-format", "yaml"}, &out, &errb)
+	code = run(args, &out, &errb)
+	return out.String(), errb.String(), code
+}
+
+func TestReportUnknownFormatIsUsageError(t *testing.T) {
+	out, errs, code := splitbench("-scale", "0.2", "-seed", "1", "report", "-format", "yaml")
 	if code != 2 {
 		t.Fatalf("exit code = %d, want 2 (usage error)", code)
 	}
-	if !strings.Contains(errb.String(), `"yaml"`) {
-		t.Fatalf("stderr does not name the bad format:\n%s", errb.String())
+	if !strings.Contains(errs, `"yaml"`) {
+		t.Fatalf("stderr does not name the bad format:\n%s", errs)
 	}
-	if out.Len() != 0 {
-		t.Fatalf("usage error still produced report output:\n%s", out.String())
+	if out != "" {
+		t.Fatalf("usage error still produced report output:\n%s", out)
 	}
 }
 
-// TestReportUnknownSchedulerIsUsageError: report validates -schedulers as
-// monitor does. Empty entries are skipped, and an unknown name exits 2
+// TestReportUnknownSchedulerIsUsageError: report validates -schedulers.
+// Empty entries are skipped, and an unknown name exits 2
 // naming the known schedulers instead of crashing a sweep cell on a nil
 // scheduler factory.
 func TestReportUnknownSchedulerIsUsageError(t *testing.T) {
 	for _, list := range []string{"cfq,bogus", "bogus"} {
-		var out, errb bytes.Buffer
-		code := runReport(exp.Options{Scale: 0.05, Seed: 1}, []string{"-schedulers", list}, &out, &errb)
+		out, errs, code := splitbench("-scale", "0.05", "report", "-schedulers", list)
 		if code != 2 {
 			t.Errorf("-schedulers %s: exit code = %d, want 2 (usage error)", list, code)
 		}
 		for _, want := range []string{`"bogus"`, "split-token", "cfq"} {
-			if !strings.Contains(errb.String(), want) {
-				t.Errorf("-schedulers %s: stderr does not name %s:\n%s", list, want, errb.String())
+			if !strings.Contains(errs, want) {
+				t.Errorf("-schedulers %s: stderr does not name %s:\n%s", list, want, errs)
 			}
 		}
-		if out.Len() != 0 {
-			t.Errorf("-schedulers %s: usage error still produced report output:\n%s", list, out.String())
+		if out != "" {
+			t.Errorf("-schedulers %s: usage error still produced report output:\n%s", list, out)
 		}
 	}
-	var out, errb bytes.Buffer
-	if code := runReport(exp.Options{Scale: 0.05, Seed: 1}, []string{"-format", "json", "-schedulers", "cfq,,afq"}, &out, &errb); code != 0 {
-		t.Fatalf("-schedulers cfq,,afq: exit code = %d, want 0: %s", code, errb.String())
+	out, errs, code := splitbench("-scale", "0.05", "report", "-format", "json", "-schedulers", "cfq,,afq")
+	if code != 0 {
+		t.Fatalf("-schedulers cfq,,afq: exit code = %d, want 0: %s", code, errs)
 	}
 	var rep struct {
 		Schedulers []struct{ Scheduler string }
 	}
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Schedulers) != 2 || rep.Schedulers[0].Scheduler != "cfq" || rep.Schedulers[1].Scheduler != "afq" {
@@ -115,41 +117,24 @@ func TestCheckDevice(t *testing.T) {
 // TestReportGoldenDeterministic: same seed, same scale, byte-identical
 // JSON report — the acceptance bar for everything attribution emits.
 func TestReportGoldenDeterministic(t *testing.T) {
-	run := func() ([]byte, int) {
-		var out, errb bytes.Buffer
-		code := runReport(exp.Options{Scale: 0.2, Seed: 1}, []string{"-format", "json", "-schedulers", "cfq,afq"}, &out, &errb)
+	report := func() (string, int) {
+		out, errs, code := splitbench("-scale", "0.2", "-seed", "1", "report", "-format", "json", "-schedulers", "cfq,afq")
 		if code == 2 {
-			t.Fatalf("usage error: %s", errb.String())
+			t.Fatalf("usage error: %s", errs)
 		}
-		return out.Bytes(), code
+		return out, code
 	}
-	first, code1 := run()
-	second, code2 := run()
+	first, code1 := report()
+	second, code2 := report()
 	if code1 != 0 || code2 != 0 {
 		t.Fatalf("report exited %d/%d, want 0 (split scheduler showed inversions?)", code1, code2)
 	}
-	if !bytes.Equal(first, second) {
+	if first != second {
 		t.Fatalf("same-seed reports differ (%d vs %d bytes)", len(first), len(second))
 	}
 	var rep map[string]any
-	if err := json.Unmarshal(first, &rep); err != nil {
+	if err := json.Unmarshal([]byte(first), &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
-	}
-}
-
-func TestReportDiffSmoke(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "r.json")
-	var errb bytes.Buffer
-	if code := runReport(exp.Options{Scale: 0.2, Seed: 1}, []string{"-format", "json", "-o", path, "-schedulers", "cfq"}, io.Discard, &errb); code != 0 {
-		t.Fatalf("report run exited %d: %s", code, errb.String())
-	}
-	var out bytes.Buffer
-	if code := runReport(exp.Options{Scale: 0.2, Seed: 1}, []string{"-diff", path, path}, &out, &errb); code != 0 {
-		t.Fatalf("diff exited %d: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "cfq") {
-		t.Fatalf("diff output missing scheduler section:\n%s", out.String())
 	}
 }
 
@@ -174,57 +159,20 @@ func TestSeedsParsing(t *testing.T) {
 	}
 }
 
-// TestReportDiffMalformedArchive: handing -diff a file that is not a report
-// archive must exit 2 (usage error) and print the expected schema, for both
-// a malformed and an empty file.
-func TestReportDiffMalformedArchive(t *testing.T) {
-	dir := t.TempDir()
-	malformed := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(malformed, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// {} parses as JSON but is not a report archive.
-	hollow := filepath.Join(dir, "hollow.json")
-	if err := os.WriteFile(hollow, []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{malformed, empty, hollow} {
-		var out, errb bytes.Buffer
-		code := runReport(exp.Options{Scale: 0.2, Seed: 1}, []string{"-diff", path, path}, &out, &errb)
-		if code != 2 {
-			t.Errorf("%s: -diff exited %d, want 2\nstderr: %s", path, code, errb.String())
-		}
-		if !strings.Contains(errb.String(), "schedulers") || !strings.Contains(errb.String(), "-format json") {
-			t.Errorf("%s: stderr lacks the expected-schema hint:\n%s", path, errb.String())
-		}
-		if !strings.Contains(errb.String(), filepath.Base(path)) {
-			t.Errorf("%s: stderr does not name the offending file:\n%s", path, errb.String())
-		}
-		if out.Len() != 0 {
-			t.Errorf("%s: diff error still wrote output:\n%s", path, out.String())
-		}
-	}
-}
-
 // TestReportParallelMatchesSerial: the report subcommand's JSON must be
 // byte-identical whether scheduler cells run serially or fanned across
 // eight workers.
 func TestReportParallelMatchesSerial(t *testing.T) {
-	run := func(workers int) []byte {
-		var out, errb bytes.Buffer
-		opts := exp.Options{Scale: 0.2, Seed: 1, Runner: &sweep.Runner{Workers: workers}}
-		if code := runReport(opts, []string{"-format", "json", "-schedulers", "cfq,afq"}, &out, &errb); code != 0 {
-			t.Fatalf("report (-j %d) exited %d: %s", workers, code, errb.String())
+	report := func(workers string) string {
+		out, errs, code := splitbench("-scale", "0.2", "-seed", "1", "-j", workers, "report", "-format", "json", "-schedulers", "cfq,afq")
+		if code != 0 {
+			t.Fatalf("report (-j %s) exited %d: %s", workers, code, errs)
 		}
-		return out.Bytes()
+		return out
 	}
-	serial := run(1)
-	parallel := run(8)
-	if !bytes.Equal(serial, parallel) {
+	serial := report("1")
+	parallel := report("8")
+	if serial != parallel {
 		t.Fatalf("-j 1 and -j 8 reports differ (%d vs %d bytes)", len(serial), len(parallel))
 	}
 }

@@ -1,20 +1,15 @@
-// The `splitbench monitor` subcommand and the -slo/-postmortem plumbing:
-// run the entangled antagonist workload under a set of schedulers with a
-// windowed SLO monitor attached, print per-machine breach tables and the
-// last gauge sample, export counter tracks alongside the spans with -trace,
-// and write flight-recorder bundles with -postmortem.
+// The -slo/-postmortem plumbing: parse SLO rules, print
+// each monitored machine's verdict, export its counter tracks alongside the
+// spans with -trace, and write flight-recorder bundles with -postmortem.
 
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
 	"splitio/internal/exp"
 	"splitio/internal/monitor"
@@ -40,94 +35,6 @@ func parseRules(spec string) ([]monitor.Rule, error) {
 		return nil, fmt.Errorf("-slo %q: no rules", spec)
 	}
 	return out, nil
-}
-
-// parseSchedulers parses a -schedulers list: comma-separated scheduler
-// names, skipping empty entries. An unknown name is an error that lists
-// the known schedulers.
-func parseSchedulers(list string) ([]string, error) {
-	var out []string
-	for _, s := range strings.Split(list, ",") {
-		s = strings.TrimSpace(s)
-		if s == "" {
-			continue
-		}
-		if !exp.KnownScheduler(s) {
-			return nil, fmt.Errorf("unknown scheduler %q (have %s)", s, strings.Join(exp.SchedulerNames(), ", "))
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-// runMonitorCmd implements `splitbench monitor`. Exit code 1 when a split
-// scheduler breaches its SLO (mirroring `splitbench report`; the block-level
-// baseline breaching is the expected phenomenon, not a failure), 2 on usage
-// errors.
-func runMonitorCmd(opts exp.Options, window time.Duration, sloSpec, traceFile, postmortem string, args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("monitor", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	scheds := fs.String("schedulers", "cfq,afq", "comma-separated schedulers to run the entangled workload under")
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: splitbench [-scale F] [-seed N] [-slo SPECS] [-slo-window D] [-device KIND] [-trace FILE] [-postmortem FILE] monitor [-schedulers LIST]\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() != 0 {
-		fmt.Fprintf(stderr, "splitbench monitor: unexpected arguments %q\n", fs.Args())
-		fs.Usage()
-		return 2
-	}
-	names, err := parseSchedulers(*scheds)
-	if err != nil {
-		fmt.Fprintf(stderr, "splitbench monitor: %v\n", err)
-		return 2
-	}
-	if sloSpec == "" {
-		sloSpec = exp.SLORuleSpec
-	}
-	rules, err := parseRules(sloSpec)
-	if err != nil {
-		fmt.Fprintf(stderr, "splitbench monitor: %v\n", err)
-		return 2
-	}
-	opts.Monitor = &exp.MonitorCollector{Window: window, Rules: rules}
-
-	var traced *tracedRun
-	if traceFile != "" {
-		opts.Tracer, traced, err = createTrace(traceFile, true)
-		if err != nil {
-			fmt.Fprintf(stderr, "splitbench monitor: %v\n", err)
-			return 1
-		}
-	}
-
-	code := 0
-	for i, mon := range exp.MonitorEntangled(opts, names) {
-		if s := names[i]; exp.IsSplitScheduler(s) && len(mon.Breaches()) > 0 {
-			fmt.Fprintf(stderr, "splitbench monitor: split scheduler %s breached its SLO (expected none)\n", s)
-			code = 1
-		}
-	}
-
-	printMonitors(stdout, opts.Monitor)
-	printLastSamples(stdout, opts.Monitor)
-
-	if traced != nil {
-		if err := traced.finish(stderr, monitorCounters(opts.Monitor)); err != nil {
-			fmt.Fprintf(stderr, "splitbench monitor: %v\n", err)
-			return 1
-		}
-	}
-	if postmortem != "" {
-		if err := writePostmortem(postmortem, opts.Monitor, nil); err != nil {
-			fmt.Fprintf(stderr, "splitbench monitor: %v\n", err)
-			return 1
-		}
-	}
-	return code
 }
 
 // monitorCounters flattens every machine's counter-sample log for the
@@ -192,22 +99,6 @@ func fmtNS(ns int64) string {
 	return fmt.Sprintf("%.1fms", float64(ns)/1e6)
 }
 
-// printLastSamples renders the last gauge sample of each machine — the
-// text view of the Chrome counter tracks.
-func printLastSamples(w io.Writer, mc *exp.MonitorCollector) {
-	for _, m := range mc.Machines {
-		samples := m.Mon.Samples()
-		if len(samples) == 0 {
-			continue
-		}
-		last := samples[len(samples)-1]
-		fmt.Fprintf(w, "\nmachine %s, last sample at %s:\n", m.Label, fmtNS(int64(last.At)))
-		for _, g := range last.Gauges {
-			fmt.Fprintf(w, "  %-36s %s\n", g.Name, strconv.FormatFloat(g.Value, 'g', -1, 64))
-		}
-	}
-}
-
 // postmortemDoc is the on-disk shape of a -postmortem file: why the run
 // failed plus every machine's flight-recorder bundles.
 type postmortemDoc struct {
@@ -224,8 +115,9 @@ type machinePostmortem struct {
 // writePostmortem writes the post-mortem document when there is anything to
 // report (a failed experiment or a tripped flight recorder). A clean run
 // leaves no file, so CI can upload postmortem-*.json unconditionally and
-// the artifact's existence itself signals a failure.
-func writePostmortem(path string, mc *exp.MonitorCollector, failures []string) error {
+// the artifact's existence itself signals a failure. A line saying what was
+// written goes to w.
+func writePostmortem(path string, mc *exp.MonitorCollector, failures []string, w io.Writer) error {
 	doc := postmortemDoc{Failures: failures}
 	if mc != nil {
 		for _, m := range mc.Machines {
@@ -250,7 +142,7 @@ func writePostmortem(path string, mc *exp.MonitorCollector, failures []string) e
 		f.Close()
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "postmortem: %d failure(s), %d machine bundle set(s) -> %s\n",
+	fmt.Fprintf(w, "postmortem: %d failure(s), %d machine bundle set(s) -> %s\n",
 		len(doc.Failures), len(doc.Machines), path)
 	return f.Close()
 }

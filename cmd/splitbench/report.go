@@ -1,8 +1,8 @@
 // The `splitbench report` subcommand: run the entangled antagonist
-// workload under a set of schedulers, render the latency-attribution blame
-// tables (text or JSON), and optionally diff two archived reports. A split
-// scheduler showing any inversion fails the run, which is how CI pins the
-// paper's isolation claim.
+// workload under a set of schedulers and render the latency-attribution
+// blame tables (text or JSON). A scheduler that isolates the idle writer
+// showing any inversion, or with -slo any SLO breach, fails the run, which
+// is how CI pins the paper's isolation claim.
 
 package main
 
@@ -11,110 +11,88 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
-	"splitio/internal/attr"
 	"splitio/internal/exp"
 )
 
-// reportSchemaHint is printed when -diff is handed a file that is not a
-// report archive, so the user learns what shape is expected and where such
-// files come from.
-const reportSchemaHint = `splitbench report: a report archive is the JSON written by 'splitbench report -format json [-o FILE]':
-  {
-    "seed": 1,
-    "scale": 1,
-    "workload": "...",
-    "schedulers": [
-      {"scheduler": "cfq", "requests": N,
-       "groups": [{"pid": P, "op": "fsync", "count": N, "p50_ns": ..., ...}],
-       "inversion_counts": [{"kind": "txn-commit", "count": N, "total_ns": ...}]}
-    ]
-  }
-Identity fields are what -diff matches on and are validated field-by-field:
-every scheduler section needs a unique "scheduler" name, every blame group
-its per-ioctx identity ("pid" >= 0 and a non-empty "op") plus a positive
-"count", and every inversion tally a "kind". The error above names the
-first offending field and the section it sits in.
-`
+// report is a parsed report command line.
+type report struct {
+	json       bool
+	w          io.Writer // stdout, or file
+	file       *os.File  // the -o file, nil for stdout
+	schedulers []string
+}
 
-// runReport implements `splitbench report`. It returns the process exit
-// code: 0 on success, 1 when a split scheduler shows inversions, 2 on
-// usage errors.
-func runReport(opts exp.Options, args []string, stdout, stderr io.Writer) int {
+// parseReport parses the report subcommand's arguments and opens its -o
+// file, so a bad path fails before the run. It reports usage errors on
+// stderr and returns ok false.
+func parseReport(args []string, stdout, stderr io.Writer) (r *report, ok bool) {
 	fs := flag.NewFlagSet("report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	format := fs.String("format", "text", "output format: text or json")
 	out := fs.String("o", "", "write the report to `FILE` instead of stdout")
-	diff := fs.Bool("diff", false, "diff two report JSON files (old new) instead of running")
 	scheds := fs.String("schedulers", "noop,cfq,afq", "comma-separated schedulers to run")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: splitbench [-scale F] [-seed N] report [-format text|json] [-o FILE] [-schedulers LIST]\n")
-		fmt.Fprintf(stderr, "       splitbench report -diff OLD.json NEW.json\n")
+		fmt.Fprintf(stderr, "usage: splitbench [flags] report [-format text|json] [-o FILE] [-schedulers LIST]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return nil, false
 	}
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(stderr, "splitbench report: unknown format %q (want text or json)\n", *format)
 		fs.Usage()
-		return 2
-	}
-	if *diff {
-		if fs.NArg() != 2 {
-			fmt.Fprintf(stderr, "splitbench report: -diff needs exactly two report files, got %d\n", fs.NArg())
-			return 2
-		}
-		old, err := readReportFile(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintf(stderr, "splitbench report: %s: %v\n", fs.Arg(0), err)
-			fmt.Fprint(stderr, reportSchemaHint)
-			return 2
-		}
-		cur, err := readReportFile(fs.Arg(1))
-		if err != nil {
-			fmt.Fprintf(stderr, "splitbench report: %s: %v\n", fs.Arg(1), err)
-			fmt.Fprint(stderr, reportSchemaHint)
-			return 2
-		}
-		attr.WriteDiff(stdout, old, cur)
-		return 0
+		return nil, false
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintf(stderr, "splitbench report: unexpected arguments %q\n", fs.Args())
 		fs.Usage()
-		return 2
+		return nil, false
 	}
 	names, err := parseSchedulers(*scheds)
 	if err != nil {
 		fmt.Fprintf(stderr, "splitbench report: %v\n", err)
-		return 2
+		return nil, false
 	}
-	rep := exp.BuildReport(opts, names)
-
-	w := stdout
+	r = &report{json: *format == "json", w: stdout, schedulers: names}
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if r.file, err = os.Create(*out); err != nil {
 			fmt.Fprintf(stderr, "splitbench report: %v\n", err)
-			return 2
+			return nil, false
 		}
-		defer f.Close()
-		w = f
+		r.w = r.file
 	}
-	if *format == "json" {
-		if err := rep.WriteJSON(w); err != nil {
-			fmt.Fprintf(stderr, "splitbench report: %v\n", err)
-			return 1
+	return r, true
+}
+
+// run runs the entangled workload under each scheduler with opts, writes
+// the report, and returns a line, also printed on stderr, for each
+// scheduler that isolates the idle writer yet shows inversions or, under
+// opts.Monitor, breaches an SLO rule.
+func (r *report) run(opts exp.Options, stderr io.Writer) ([]string, error) {
+	rep := exp.BuildReport(opts, r.schedulers)
+	if r.json {
+		if err := rep.WriteJSON(r.w); err != nil {
+			return nil, err
 		}
 	} else {
-		rep.WriteText(w)
+		rep.WriteText(r.w)
+	}
+	if r.file != nil {
+		if err := r.file.Close(); err != nil {
+			return nil, err
+		}
 	}
 
-	code := 0
-	for i := range rep.Schedulers {
-		sr := &rep.Schedulers[i]
-		if !exp.IsSplitScheduler(sr.Scheduler) {
+	var failures []string
+	fail := func(format string, a ...any) {
+		msg := fmt.Sprintf(format, a...)
+		fmt.Fprintf(stderr, "splitbench %s\n", msg)
+		failures = append(failures, msg)
+	}
+	for i, sr := range rep.Schedulers {
+		if !exp.IsolatesIdleWriter(sr.Scheduler) {
 			continue
 		}
 		var n int64
@@ -122,19 +100,31 @@ func runReport(opts exp.Options, args []string, stdout, stderr io.Writer) int {
 			n += kc.Count
 		}
 		if n > 0 {
-			fmt.Fprintf(stderr, "splitbench report: split scheduler %s shows %d inversions (expected none)\n",
-				sr.Scheduler, n)
-			code = 1
+			fail("report: split scheduler %s shows %d inversions (expected none)", sr.Scheduler, n)
+		}
+		if opts.Monitor != nil {
+			if b := len(opts.Monitor.Machines[i].Mon.Breaches()); b > 0 {
+				fail("report: split scheduler %s breached its SLO %d times (expected none)", sr.Scheduler, b)
+			}
 		}
 	}
-	return code
+	return failures, nil
 }
 
-func readReportFile(path string) (*attr.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// parseSchedulers parses a -schedulers list: comma-separated scheduler
+// names, skipping empty entries. An unknown name is an error that lists
+// the known schedulers.
+func parseSchedulers(list string) ([]string, error) {
+	var out []string
+	for _, s := range strings.Split(list, ",") {
+		s = strings.TrimSpace(s)
+		if s == "" {
+			continue
+		}
+		if !exp.KnownScheduler(s) {
+			return nil, fmt.Errorf("unknown scheduler %q (have %s)", s, strings.Join(exp.SchedulerNames(), ", "))
+		}
+		out = append(out, s)
 	}
-	defer f.Close()
-	return attr.ReadReport(f)
+	return out, nil
 }

@@ -27,7 +27,7 @@ func tracedArtifacts(t *testing.T, id string, monitored bool) (chrome, tables []
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.Monitor = &exp.MonitorCollector{Window: exp.SLOWindow, Rules: rules}
+		opts.Monitor = &exp.MonitorCollector{Rules: rules}
 	}
 	path := filepath.Join(t.TempDir(), "trace.json")
 	tr, traced, err := createTrace(path, monitored)

@@ -2,6 +2,7 @@ package attr
 
 import (
 	"bytes"
+	"encoding/json"
 	"slices"
 	"strings"
 	"testing"
@@ -298,8 +299,8 @@ func TestSummaryAndReportRoundTrip(t *testing.T) {
 	if err := rep.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadReport(bytes.NewReader(js.Bytes()))
-	if err != nil {
+	var back Report
+	if err := json.Unmarshal(js.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Seed != 1 || back.Scale != 0.5 || len(back.Schedulers) != 1 {
@@ -323,11 +324,5 @@ func TestSummaryAndReportRoundTrip(t *testing.T) {
 		if !strings.Contains(txt.String(), want) {
 			t.Errorf("text report missing %q:\n%s", want, txt.String())
 		}
-	}
-
-	var diff bytes.Buffer
-	WriteDiff(&diff, back, back)
-	if !strings.Contains(diff.String(), "requests: 1 -> 1 (+0)") {
-		t.Errorf("self-diff missing request line:\n%s", diff.String())
 	}
 }

@@ -1,7 +1,6 @@
 // Report: the serializable form of a run's attribution — per-scheduler
 // blame tables, inversion counters, and sample inversions — rendered as
-// text for reading, JSON for archiving (the CI artifact), and diffed
-// between two runs to spot regressions.
+// text for reading and JSON for archiving (the CI artifact).
 
 package attr
 
@@ -14,7 +13,7 @@ import (
 )
 
 // Report is one run's attribution across a set of schedulers, ready for
-// text rendering, JSON archiving, or diffing against another run.
+// text rendering or JSON archiving.
 type Report struct {
 	Seed       int64         `json:"seed"`
 	Scale      float64       `json:"scale"`
@@ -178,133 +177,4 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// ReadReport parses a JSON report written by WriteJSON. A document that
-// decodes but carries none of a report's identifying fields (an empty
-// object, or unrelated JSON whose fields all go unmatched) is rejected:
-// silently diffing such a husk would report every scheduler as vanished.
-// Deeper shape problems are rejected field-by-field (see validate), so the
-// error names exactly what is malformed and in which scheduler section.
-func ReadReport(r io.Reader) (*Report, error) {
-	var rep Report
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rep); err != nil {
-		return nil, fmt.Errorf("not a report archive: %w", err)
-	}
-	if rep.Workload == "" && len(rep.Schedulers) == 0 {
-		return nil, fmt.Errorf("not a report archive: missing workload and schedulers fields")
-	}
-	if err := rep.validate(); err != nil {
-		return nil, fmt.Errorf("not a report archive: %w", err)
-	}
-	return &rep, nil
-}
-
-// validate checks the identity fields diffing keys on — scheduler names and
-// each blame group's per-ioctx identity (pid, op) — so a malformed archive
-// fails naming the offending field instead of silently matching nothing in
-// the diff.
-func (r *Report) validate() error {
-	seen := make(map[string]int)
-	for i := range r.Schedulers {
-		sr := &r.Schedulers[i]
-		if sr.Scheduler == "" {
-			return fmt.Errorf("schedulers[%d]: missing %q field", i, "scheduler")
-		}
-		if prev, dup := seen[sr.Scheduler]; dup {
-			return fmt.Errorf("schedulers[%d]: duplicate scheduler %q (also schedulers[%d]); diff keys on the name",
-				i, sr.Scheduler, prev)
-		}
-		seen[sr.Scheduler] = i
-		for j, g := range sr.Groups {
-			where := fmt.Sprintf("schedulers[%d] (%s): groups[%d]", i, sr.Scheduler, j)
-			if g.Op == "" {
-				return fmt.Errorf("%s: missing %q field (per-ioctx identity is pid+op; got pid=%d)",
-					where, "op", g.PID)
-			}
-			if g.PID < 0 {
-				return fmt.Errorf("%s (op=%q): negative %q %d", where, g.Op, "pid", g.PID)
-			}
-			if g.Count <= 0 {
-				return fmt.Errorf("%s (pid=%d op=%q): missing or non-positive %q",
-					where, g.PID, g.Op, "count")
-			}
-		}
-		for j, kc := range sr.InversionCounts {
-			if kc.Kind == "" {
-				return fmt.Errorf("schedulers[%d] (%s): inversion_counts[%d]: missing %q field",
-					i, sr.Scheduler, j, "kind")
-			}
-		}
-	}
-	return nil
-}
-
-// totalInversions sums a section's kind counters.
-func (sr *SchedReport) totalInversions() int64 {
-	var n int64
-	for _, kc := range sr.InversionCounts {
-		n += kc.Count
-	}
-	return n
-}
-
-// WriteDiff renders what changed from old to new: per-scheduler request
-// and inversion deltas plus p99 movement per request group, and any
-// schedulers present on only one side.
-func WriteDiff(w io.Writer, old, new *Report) {
-	fmt.Fprintf(w, "report diff: old(seed=%d scale=%g) -> new(seed=%d scale=%g)\n",
-		old.Seed, old.Scale, new.Seed, new.Scale)
-	oldBy := make(map[string]*SchedReport)
-	oldOrder := make([]string, 0, len(old.Schedulers))
-	for i := range old.Schedulers {
-		oldBy[old.Schedulers[i].Scheduler] = &old.Schedulers[i]
-		oldOrder = append(oldOrder, old.Schedulers[i].Scheduler)
-	}
-	seen := make(map[string]bool)
-	for i := range new.Schedulers {
-		ns := &new.Schedulers[i]
-		seen[ns.Scheduler] = true
-		os, ok := oldBy[ns.Scheduler]
-		if !ok {
-			fmt.Fprintf(w, "\n+++ %s (only in new run)\n", ns.Scheduler)
-			continue
-		}
-		fmt.Fprintf(w, "\n=== %s ===\n", ns.Scheduler)
-		fmt.Fprintf(w, "requests: %d -> %d (%+d)\n", os.Requests, ns.Requests, ns.Requests-os.Requests)
-		oldKind := make(map[string]int64)
-		for _, kc := range os.InversionCounts {
-			oldKind[kc.Kind] = kc.Count
-		}
-		for _, kc := range ns.InversionCounts {
-			if d := kc.Count - oldKind[kc.Kind]; d != 0 || kc.Count != 0 {
-				fmt.Fprintf(w, "inversions %-20s: %d -> %d (%+d)\n",
-					kc.Kind, oldKind[kc.Kind], kc.Count, d)
-			}
-		}
-		fmt.Fprintf(w, "inversions total: %d -> %d (%+d)\n",
-			os.totalInversions(), ns.totalInversions(), ns.totalInversions()-os.totalInversions())
-		oldGroups := make(map[string]GroupSummary)
-		for _, g := range os.Groups {
-			oldGroups[fmt.Sprintf("%d/%s", g.PID, g.Op)] = g
-		}
-		for _, g := range ns.Groups {
-			key := fmt.Sprintf("%d/%s", g.PID, g.Op)
-			og, ok := oldGroups[key]
-			if !ok {
-				fmt.Fprintf(w, "group %-12s: new (p99=%s)\n", key, reportDur(g.P99))
-				continue
-			}
-			if og.P99 != g.P99 {
-				fmt.Fprintf(w, "group %-12s: p99 %s -> %s (%+s)\n",
-					key, reportDur(og.P99), reportDur(g.P99), reportDur(g.P99-og.P99))
-			}
-		}
-	}
-	for _, name := range oldOrder {
-		if !seen[name] {
-			fmt.Fprintf(w, "\n--- %s (only in old run)\n", name)
-		}
-	}
 }

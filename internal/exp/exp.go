@@ -107,9 +107,7 @@ func (sc *StatsCollector) Add(label string, r *metrics.Registry) {
 // starts a read-only virtual-time ticker handler on each kernel: it leaves
 // the run's results unchanged, and is opt-in, like -stats, for its cost.
 type MonitorCollector struct {
-	// Window is the SLO window / sampling period (default 500ms).
-	Window time.Duration
-	// Rules are evaluated on every machine each window.
+	// Rules are evaluated on every machine each SLOWindow.
 	Rules    []monitor.Rule
 	Machines []MachineMonitor
 }
@@ -270,7 +268,7 @@ func (o Options) kernelOptions() core.Options {
 		}
 	}
 	if o.Monitor != nil {
-		opts.Monitor = &monitor.Config{Window: o.Monitor.Window, Rules: o.Monitor.Rules}
+		opts.Monitor = &monitor.Config{Window: SLOWindow, Rules: o.Monitor.Rules}
 	}
 	return opts
 }

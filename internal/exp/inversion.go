@@ -75,25 +75,29 @@ func runAttributed(o Options, sched string, d time.Duration, mut func(*core.Opti
 	return at
 }
 
-// splitSchedulers are the schedulers the paper claims are inversion-free
-// on the entangled workload and SLO-clean under the monitor.
-var splitSchedulers = map[string]bool{
-	"afq":            true,
-	"gc-afq":         true,
-	"split-deadline": true,
-	"split-pdflush":  true,
-	"split-token":    true,
+// isolatesIdleWriter are the schedulers that hold the entangled workload's
+// idle-class writer at the memory level, so the appender's fsyncs never
+// wait on its dirty data: they must show no inversion and no SLO breach.
+// Both Split-Deadline variants (split-deadline, split-pdflush) are not:
+// they have no idle class and bound fsync latency by deadline instead
+// (paper §5.2).
+var isolatesIdleWriter = map[string]bool{
+	"afq":         true,
+	"gc-afq":      true,
+	"split-token": true,
 }
 
-// IsSplitScheduler reports whether name is a split-level scheduler: one
-// that must show no inversions in `splitbench report` and no SLO breach in
-// `splitbench monitor`.
-func IsSplitScheduler(name string) bool { return splitSchedulers[name] }
+// IsolatesIdleWriter reports whether name is one of the schedulers that
+// `splitbench report` gates: an inversion or, with -slo, an SLO breach
+// under it fails the run.
+func IsolatesIdleWriter(name string) bool { return isolatesIdleWriter[name] }
 
 // BuildReport runs the entangled workload under each scheduler and
 // assembles the full attribution report (the `splitbench report` payload).
 // Scheduler runs are independent machines, so they dispatch through
 // Options.Runner; sections merge in the order schedulers were requested.
+// With o.Monitor set the runs are inline, so o.Monitor.Machines[i] is the
+// monitor of schedulers[i]'s machine.
 func BuildReport(o Options, schedulers []string) *attr.Report {
 	return buildReport(o, "report", schedulers)
 }
@@ -125,8 +129,8 @@ func buildReport(o Options, experiment string, schedulers []string) *attr.Report
 // InversionExp regenerates the inversion comparison as a table: per-kind
 // inversion counts and victim time under a block-level scheduler, a split
 // scheduler, and the noop baseline, read from the report's sections.
-// Metrics["violations_total"] counts inversions detected under split
-// schedulers — nonzero fails the bench run, wiring the paper's claim into
+// Metrics["violations_total"] counts inversions detected under schedulers
+// that isolate the idle writer — nonzero fails the bench run, wiring the paper's claim into
 // CI.
 func InversionExp(o Options) *Table {
 	t := &Table{
@@ -156,7 +160,7 @@ func InversionExp(o Options) *Table {
 			victim.Round(time.Millisecond).String(),
 		})
 		t.Metrics[sr.Scheduler+"_inversions"] = float64(total)
-		if splitSchedulers[sr.Scheduler] {
+		if isolatesIdleWriter[sr.Scheduler] {
 			t.Metrics["violations_total"] += float64(total)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"splitio/internal/attr"
+	"splitio/internal/monitor"
 )
 
 // TestInversionReportCFQvsAFQ pins the paper's isolation claim end to end:
@@ -32,6 +33,37 @@ func TestInversionReportCFQvsAFQ(t *testing.T) {
 	for kind, n := range bySched["afq"] {
 		if n != 0 {
 			t.Errorf("AFQ shows %d %s inversions; want 0", n, kind)
+		}
+	}
+}
+
+// TestIdleWriterIsolated: every scheduler IsolatesIdleWriter names, run
+// on the entangled workload under the acceptance SLO, shows no inversion
+// and no breach, the two things `splitbench report` gates on.
+func TestIdleWriterIsolated(t *testing.T) {
+	var names []string
+	for _, s := range SchedulerNames() {
+		if IsolatesIdleWriter(s) {
+			names = append(names, s)
+		}
+	}
+	if len(names) != len(isolatesIdleWriter) {
+		t.Fatalf("gate set %v names unknown schedulers (known: %v)", isolatesIdleWriter, SchedulerNames())
+	}
+	rule, err := monitor.ParseRule(SLORuleSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Options{Scale: 0.1, Seed: 1, Monitor: &MonitorCollector{Rules: []monitor.Rule{rule}}}
+	rep := BuildReport(o, names)
+	for i, sr := range rep.Schedulers {
+		for _, kc := range sr.InversionCounts {
+			if kc.Count != 0 {
+				t.Errorf("%s shows %d %s inversions; want 0", sr.Scheduler, kc.Count, kc.Kind)
+			}
+		}
+		if bs := o.Monitor.Machines[i].Mon.Breaches(); len(bs) != 0 {
+			t.Errorf("%s breached %s %d times; want 0", sr.Scheduler, SLORuleSpec, len(bs))
 		}
 	}
 }

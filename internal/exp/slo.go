@@ -54,7 +54,13 @@ func runSLOCell(sched string, o Options) sloCell {
 	if err != nil {
 		panic("exp: bad SLO rule: " + err.Error())
 	}
-	m := monitorEntangled(o, sched, &monitor.Config{Window: SLOWindow, Rules: []monitor.Rule{rule}})
+	k := newKernel(sched, o, func(opt *core.Options) {
+		opt.Monitor = &monitor.Config{Window: SLOWindow, Rules: []monitor.Rule{rule}}
+	})
+	spawnEntangled(k, 64<<20, 1<<30)
+	k.Run(o.dur(10 * time.Second))
+	k.Env.Close()
+	m := k.Monitor
 	c := sloCell{Windows: m.Ticks(), Breaches: len(m.Breaches())}
 	if bs := m.Breaches(); len(bs) > 0 {
 		c.FirstNS = int64(bs[0].At)
@@ -70,34 +76,6 @@ func runSLOCell(sched string, o Options) sloCell {
 		c.BundleFNV = buf.Sum64()
 	}
 	return c
-}
-
-// MonitorEntangled runs the entangled antagonist workload under each of
-// schedulers, one cell each, with the monitor o.Monitor configures, and
-// returns the monitors in scheduler order (they are also appended to
-// o.Monitor.Machines). This is the engine of `splitbench monitor`.
-func MonitorEntangled(o Options, schedulers []string) []*monitor.Monitor {
-	var cells []cell[*monitor.Monitor]
-	for _, sched := range schedulers {
-		cells = append(cells, cell[*monitor.Monitor]{"sched=" + sched,
-			func() *monitor.Monitor { return monitorEntangled(o, sched, nil) }})
-	}
-	return runCells(o, "monitor", cells)
-}
-
-// monitorEntangled runs one machine of MonitorEntangled or of the slo
-// experiment, monitored under cfg when non-nil, else under o.Monitor's
-// configuration, and returns its monitor after teardown.
-func monitorEntangled(o Options, sched string, cfg *monitor.Config) *monitor.Monitor {
-	k := newKernel(sched, o, func(opt *core.Options) {
-		if cfg != nil {
-			opt.Monitor = cfg
-		}
-	})
-	defer k.Env.Close()
-	spawnEntangled(k, 64<<20, 1<<30)
-	k.Run(o.dur(10 * time.Second))
-	return k.Monitor
 }
 
 // bundleHasher hashes and counts the bundle stream without retaining it:
@@ -147,7 +125,7 @@ func SLOExp(o Options) *Table {
 		})
 		t.Metrics[sched+"_breaches"] = float64(c.Breaches)
 		t.Metrics[sched+"_first_breach_ns"] = float64(c.FirstNS)
-		if splitSchedulers[sched] {
+		if isolatesIdleWriter[sched] {
 			// A split scheduler breaching the SLO is a violation.
 			t.Metrics["violations_total"] += float64(c.Breaches)
 		} else {

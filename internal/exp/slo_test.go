@@ -85,19 +85,17 @@ func TestAllSchedulersIntrospect(t *testing.T) {
 	}
 }
 
-// TestMonitorEntangledCollects: the splitbench-monitor engine registers
-// each machine in the collector, and each monitor tick samples the
-// scheduler, block dispatcher and (on the FTL device) FTL gauges.
+// TestMonitorEntangledCollects: a monitored report (splitbench -slo ...
+// report) registers each machine in the collector, and each monitor tick
+// samples the scheduler, block dispatcher and (on the FTL device) FTL
+// gauges.
 func TestMonitorEntangledCollects(t *testing.T) {
-	o := Options{Scale: 0.1, Seed: 1, Device: "ftlssd",
-		Monitor: &MonitorCollector{Window: SLOWindow}}
-	mon := MonitorEntangled(o, []string{"cfq"})[0]
-	if mon == nil {
-		t.Fatal("no monitor attached")
+	o := Options{Scale: 0.1, Seed: 1, Device: "ftlssd", Monitor: &MonitorCollector{}}
+	BuildReport(o, []string{"cfq"})
+	if len(o.Monitor.Machines) != 1 {
+		t.Fatalf("collector has %d machines, want 1", len(o.Monitor.Machines))
 	}
-	if len(o.Monitor.Machines) != 1 || o.Monitor.Machines[0].Mon != mon {
-		t.Fatalf("collector has %d machines", len(o.Monitor.Machines))
-	}
+	mon := o.Monitor.Machines[0].Mon
 	if mon.Ticks() == 0 {
 		t.Error("monitor never ticked")
 	}

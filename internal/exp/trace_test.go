@@ -89,7 +89,7 @@ func TestFig21Observed(t *testing.T) {
 	tr.Attach(col)
 	tr.Enable()
 	sc := &StatsCollector{}
-	mc := &MonitorCollector{Window: SLOWindow}
+	mc := &MonitorCollector{}
 	env := sim.NewEnv(1)
 	defer env.Close()
 	c := fig21Cluster(Options{Seed: 1, Tracer: tr, Metrics: sc, Monitor: mc}, env, 16, 8)
@@ -144,7 +144,7 @@ func TestMonitorLeavesSpansUnchanged(t *testing.T) {
 		tr.Enable()
 		o := Options{Scale: 0.05, Seed: 1, Tracer: tr}
 		if observed {
-			o.Monitor = &MonitorCollector{Window: SLOWindow, Rules: []monitor.Rule{rule}}
+			o.Monitor = &MonitorCollector{Rules: []monitor.Rule{rule}}
 			o.Metrics = &StatsCollector{}
 		}
 		e, _ := ByID("fig14")

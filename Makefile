@@ -11,7 +11,8 @@
 #   make tracegate   traced fig9 under a virtual-memory cap; fails if -trace memory grows with the run
 #   make clean       remove generated artifacts (reports, SARIF, coverage, post-mortems)
 #   make cover       coverage profile + HTML; fails if total drops below coverage-baseline.txt
-#   make microbench  testing.B microbenchmarks: DES event loop and mix, cache, perf probes, SSD
+#   make microbench  testing.B microbenchmarks: DES event loop and mix, host and guest page caches,
+#                    perf probes, SSD
 #
 # NPROC controls -j for the splitbench sweeps (cells fan across a worker
 # pool; output is byte-identical at any -j, so parallelism is free).
@@ -67,7 +68,7 @@ race:
 microbench:
 	$(GO) test -run '^TestScheduleRunZeroAllocs$$' -count=1 ./internal/sim
 	$(GO) test -run '^TestEvictInsertZeroAllocs$$' -count=1 ./internal/cache
-	$(GO) test -bench=. -skip=BenchmarkEventLoopMix -benchtime=1000x -run '^$$' ./internal/sim ./internal/cache ./internal/perf ./internal/ssd
+	$(GO) test -bench=. -skip=BenchmarkEventLoopMix -benchtime=1000x -run '^$$' ./internal/sim ./internal/cache ./internal/apps/qemusim ./internal/perf ./internal/ssd
 	$(GO) test -bench=BenchmarkEventLoopMix -benchtime=2000000x -run '^$$' ./internal/sim
 	$(GO) test -bench=BenchmarkSplitlintRepo -benchtime=1x -run '^$$' ./internal/analysis
 

@@ -33,8 +33,8 @@ func SmallCache() cache.Config {
 }
 
 // Kernel builds a kernel with the small cache; mut (optional) tweaks
-// options first. The kernel is closed at test cleanup.
-func Kernel(t *testing.T, factory core.Factory, mut func(*core.Options)) *core.Kernel {
+// options first. The kernel is closed at test or benchmark cleanup.
+func Kernel(t testing.TB, factory core.Factory, mut func(*core.Options)) *core.Kernel {
 	t.Helper()
 	opts := core.DefaultOptions()
 	cc := SmallCache()

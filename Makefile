@@ -64,7 +64,9 @@ race:
 # schedule/pop must allocate nothing (pooled events, concrete-typed
 # four-ary heap), nor must a page run evicting its way into a full page
 # cache (recycled ring nodes and chunks), and the target fails if either
-# regresses.
+# regresses. The qemusim benchmarks time the guest cache, which keeps its
+# pages on the host cache's LRU ring of page runs: warm 1 MiB reads of a
+# resident range and 4 KiB writes at random offsets into a full cache.
 microbench:
 	$(GO) test -run '^TestScheduleRunZeroAllocs$$' -count=1 ./internal/sim
 	$(GO) test -run '^TestEvictInsertZeroAllocs$$' -count=1 ./internal/cache

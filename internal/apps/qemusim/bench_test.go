@@ -53,8 +53,8 @@ func BenchmarkGuestReadHit(b *testing.B) {
 func BenchmarkGuestRandWrite(b *testing.B) {
 	runGuest(b, func(p *sim.Proc, vm *VM) {
 		vm.Read(p, 0, guestCachePages*cache.PageSize)
-		if vm.resident() != guestCachePages {
-			b.Fatalf("guest cache holds %d pages after the fill, want %d", vm.resident(), guestCachePages)
+		if vm.resident != guestCachePages {
+			b.Fatalf("guest cache holds %d pages after the fill, want %d", vm.resident, guestCachePages)
 		}
 		rng := rand.New(rand.NewSource(1))
 		var batch []int64

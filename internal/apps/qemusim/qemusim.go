@@ -4,10 +4,12 @@
 // so memory-bound guest workloads are fast no matter how the host throttles
 // the VM — the effect that equalizes SCS and Split-Token for mem workloads
 // in Fig 20 — while guest I/O that misses the guest cache becomes host file
-// I/O billed to the VM's token account.
+// I/O billed to the VM's token account. The guest cache keeps its pages on
+// the host cache's LRU ring of page runs (cache.Ring) under its own policy.
 package qemusim
 
 import (
+	"math/bits"
 	"slices"
 	"time"
 
@@ -47,46 +49,32 @@ func DefaultConfig(account string) Config {
 	}
 }
 
-// guestPage is one slot of a VM's page arena. Slots link into the LRU ring
-// by arena index; slot 0 is the ring's sentinel. The arena holds no
-// pointers, so the collector never scans it.
-type guestPage struct {
-	idx        int64
-	prev, next int32
-	dirty      bool
-}
-
-// A chunk indexes chunkPages = 1<<chunkShift consecutive guest pages.
-const (
-	chunkShift = 6
-	chunkPages = 1 << chunkShift
-)
-
-// guestChunk maps the pages of one 64-page chunk to their arena slots
-// (0 = not resident); n counts the resident ones.
+// guestChunk is the state of guest chunk number key: bit b of present
+// (dirty) is page key<<cache.ChunkShift + b, and nodes lists the ring nodes
+// holding its resident pages, clean and dirty.
 type guestChunk struct {
-	n    int32
-	slot [chunkPages]int32
+	key            int64
+	present, dirty uint64
+	nodes          []int32
 }
 
-// VM is a running guest.
+// VM is a running guest. Its cache's policy: dirty pages stay on the ring
+// and a hit or a write promotes them, eviction takes the first clean page in
+// ring order, and a flush batch takes dirty pages in ring order.
 type VM struct {
 	k    *core.Kernel
 	cfg  Config
 	pr   *vfs.Process // the VM's host identity (QEMU process)
 	back *fs.File     // host backing file
 
-	// The guest page cache. capacity is its size in pages; pages is the
-	// arena, with pages[0] the sentinel of the LRU ring (front = least
-	// recently used), and free holds evicted slots. chunkOf indexes chunks
-	// (chunk number = page / chunkPages) into the chunks arena, whose
-	// entry 0 stands for "no chunk" and stays empty, and whose freed
-	// entries wait in freeChunks. memo is the chunks entry of chunk number
-	// memoKey (0 if it has none), so a ranged access does one map lookup
-	// per chunk.
+	// The guest page cache: resident of capacity pages, on ring. chunkOf
+	// indexes chunks by chunk number (page >> cache.ChunkShift); entry 0
+	// stands for "no chunk" and stays empty, and freed entries wait in
+	// freeChunks. memo is the entry of chunk number memoKey (0 if it has
+	// none), so a ranged access does one map lookup per chunk.
 	capacity   int64
-	pages      []guestPage
-	free       []int32
+	resident   int64
+	ring       cache.Ring
 	chunkOf    map[int64]int32
 	chunks     []guestChunk
 	freeChunks []int32
@@ -120,12 +108,12 @@ func newVM(k *core.Kernel, name string, cfg Config) *VM {
 		pr:        k.VFS.NewProcess(name, 4),
 		back:      k.FS.MkFileContiguous("/vm/"+name+".img", diskBytes),
 		capacity:  guestCachePages,
-		pages:     make([]guestPage, 1),
 		chunkOf:   make(map[int64]int32),
 		chunks:    make([]guestChunk, 1),
 		flushWake: sim.NewWaitQueue(k.Env),
 		throttleQ: sim.NewWaitQueue(k.Env),
 	}
+	vm.ring.Init()
 	vm.pr.Ctx.Account = cfg.Account
 	return vm
 }
@@ -141,97 +129,77 @@ func (vm *VM) BytesWritten() int64 { return vm.bytesWritten }
 func (vm *VM) HostReads() int64  { return vm.hostReads }
 func (vm *VM) HostWrites() int64 { return vm.hostWrites }
 
-// resident returns how many guest pages are cached.
-func (vm *VM) resident() int64 { return int64(len(vm.pages) - 1 - len(vm.free)) }
-
-// lookup returns page idx's arena slot, or 0 if it is not resident. It
-// leaves idx's chunk in the memo: chunk 0 holds no page, so a memo of 0
-// answers for a chunk that has none.
-func (vm *VM) lookup(idx int64) int32 {
-	if key := idx >> chunkShift; vm.memoKey != key {
+// span returns the chunks entry h of page idx's chunk, 0 if it has none,
+// leaving it in the memo, and the pages m of that chunk from idx on, up to
+// last, that are all resident (hit) or all absent. Entry 0 holds no page,
+// so its masks answer for a chunk that has none.
+func (vm *VM) span(idx, last int64) (h int32, m uint64, hit bool) {
+	if key := idx >> cache.ChunkShift; vm.memoKey != key {
 		vm.memoKey, vm.memo = key, vm.chunkOf[key]
 	}
-	return vm.chunks[vm.memo].slot[idx&(chunkPages-1)]
-}
-
-// chunk returns the chunks entry of page idx, making one if it has none.
-func (vm *VM) chunk(idx int64) *guestChunk {
-	if vm.lookup(idx); vm.memo == 0 {
-		if n := len(vm.freeChunks); n > 0 {
-			vm.memo, vm.freeChunks = vm.freeChunks[n-1], vm.freeChunks[:n-1]
-		} else {
-			vm.memo = int32(len(vm.chunks))
-			vm.chunks = append(vm.chunks, guestChunk{})
-		}
-		vm.chunkOf[vm.memoKey] = vm.memo
+	b := uint(idx & (cache.ChunkPages - 1))
+	same := vm.chunks[vm.memo].present >> b
+	if hit = same&1 != 0; !hit {
+		same = ^same
 	}
-	return &vm.chunks[vm.memo]
+	k := min(int64(bits.TrailingZeros64(^same)), last-idx+1)
+	return vm.memo, (uint64(1)<<k - 1) << b, hit
 }
 
-func (vm *VM) unlink(s int32) {
-	pg := &vm.pages[s]
-	vm.pages[pg.prev].next = pg.next
-	vm.pages[pg.next].prev = pg.prev
+// promote moves the resident pages m of chunks entry h to the most recently
+// used end of the ring in index order, as touching them one at a time would.
+func (vm *VM) promote(h int32, m uint64) {
+	ch := &vm.chunks[h]
+	vm.ring.Unlink(&ch.nodes, m)
+	vm.ring.Push(h, &ch.nodes, m)
 }
 
-// pushBack links slot s at the most-recently-used end of the ring.
-func (vm *VM) pushBack(s int32) {
-	tail := vm.pages[0].prev
-	vm.pages[s].prev, vm.pages[s].next = tail, 0
-	vm.pages[tail].next = s
-	vm.pages[0].prev = s
-}
-
-func (vm *VM) touch(s int32) {
-	vm.unlink(s)
-	vm.pushBack(s)
-}
-
+// insert caches the absent page idx at the most recently used end of the
+// ring, evicting first if the cache is full.
 func (vm *VM) insert(idx int64, dirty bool) {
 	vm.evictIfFull()
-	var s int32
-	if n := len(vm.free); n > 0 {
-		s, vm.free = vm.free[n-1], vm.free[:n-1]
-	} else {
-		s = int32(len(vm.pages))
-		vm.pages = append(vm.pages, guestPage{})
+	h, bit, _ := vm.span(idx, idx)
+	if h == 0 {
+		if n := len(vm.freeChunks); n > 0 {
+			h, vm.freeChunks = vm.freeChunks[n-1], vm.freeChunks[:n-1]
+		} else {
+			h, vm.chunks = int32(len(vm.chunks)), append(vm.chunks, guestChunk{})
+		}
+		vm.chunks[h].key = vm.memoKey
+		vm.chunkOf[vm.memoKey], vm.memo = h, h
 	}
-	vm.pages[s] = guestPage{idx: idx, dirty: dirty}
-	vm.pushBack(s)
-	ch := vm.chunk(idx)
-	ch.slot[idx&(chunkPages-1)] = s
-	ch.n++
+	ch := &vm.chunks[h]
+	ch.present |= bit
 	if dirty {
+		ch.dirty |= bit
 		vm.dirty++
 	}
+	vm.resident++
+	vm.ring.Push(h, &ch.nodes, bit)
 }
 
-// evict drops the page in slot s, and its chunk once that is empty.
-func (vm *VM) evict(s int32) {
-	idx := vm.pages[s].idx
-	vm.unlink(s)
-	vm.free = append(vm.free, s)
-	ch := vm.chunk(idx)
-	ch.slot[idx&(chunkPages-1)] = 0
-	if ch.n--; ch.n == 0 {
-		delete(vm.chunkOf, vm.memoKey)
-		vm.freeChunks = append(vm.freeChunks, vm.memo)
-		vm.memo = 0
-	}
-}
-
-// evictIfFull drops the least-recently-used clean page; dirty pages are
-// skipped (they must be flushed first).
+// evictIfFull drops the least recently used clean page while the cache is
+// full; dirty pages are skipped (they must be flushed first).
 func (vm *VM) evictIfFull() {
-	for vm.resident() >= vm.capacity {
-		s := vm.pages[0].next
-		for s != 0 && vm.pages[s].dirty {
-			s = vm.pages[s].next
+	for vm.resident >= vm.capacity {
+		n, h, clean := vm.ring.Next(0), int32(0), uint64(0)
+		for ; n != 0 && clean == 0; n = vm.ring.Next(n) {
+			h, clean = vm.ring.Node(n)
+			clean &^= vm.chunks[h].dirty
 		}
-		if s == 0 {
+		if clean == 0 {
 			return // everything dirty; flusher will make room
 		}
-		vm.evict(s)
+		ch := &vm.chunks[h]
+		clean &= -clean
+		vm.ring.Unlink(&ch.nodes, clean)
+		vm.resident--
+		if ch.present &^= clean; ch.present == 0 {
+			delete(vm.chunkOf, ch.key)
+			vm.memoKey, vm.memo = ch.key, 0
+			*ch = guestChunk{nodes: ch.nodes[:0]}
+			vm.freeChunks = append(vm.freeChunks, h)
+		}
 	}
 }
 
@@ -244,21 +212,20 @@ func (vm *VM) Read(p *sim.Proc, off, n int64) {
 	first := off / cache.PageSize
 	last := (off + n - 1) / cache.PageSize
 	runStart := first // the pending miss run is runStart..idx-1
-	for idx := first; idx <= last; idx++ {
-		s := vm.lookup(idx)
-		if s == 0 {
-			continue
-		}
-		if runStart < idx {
+	for idx := first; idx <= last; {
+		h, m, hit := vm.span(idx, last)
+		if hit && runStart < idx {
 			vm.readRun(p, runStart, idx)
 			// The run's inserts may have evicted this page; a hit on a
 			// page gone since is not re-read.
-			s = vm.lookup(idx)
+			if h, m, hit = vm.span(idx, last); !hit {
+				m, runStart = m&-m, idx+1
+			}
 		}
-		if s != 0 {
-			vm.touch(s)
+		if idx += int64(bits.OnesCount64(m)); hit {
+			vm.promote(h, m)
+			runStart = idx
 		}
-		runStart = idx + 1
 	}
 	if runStart <= last {
 		vm.readRun(p, runStart, last+1)
@@ -275,7 +242,7 @@ func (vm *VM) readRun(p *sim.Proc, start, end int64) {
 	vm.hostReads += n
 	vm.k.VFS.Read(p, vm.pr, vm.back, start*cache.PageSize, n)
 	for idx := start; idx < end; idx++ {
-		if vm.lookup(idx) == 0 {
+		if _, _, hit := vm.span(idx, idx); !hit {
 			vm.insert(idx, false)
 		}
 	}
@@ -291,16 +258,16 @@ func (vm *VM) Write(p *sim.Proc, off, n int64) {
 	first := off / cache.PageSize
 	last := (off + n - 1) / cache.PageSize
 	for idx := first; idx <= last; idx++ {
-		s := vm.lookup(idx)
-		if s == 0 {
+		h, bit, hit := vm.span(idx, idx)
+		if !hit {
 			vm.insert(idx, true)
 			continue
 		}
-		if pg := &vm.pages[s]; !pg.dirty {
-			pg.dirty = true
+		if ch := &vm.chunks[h]; ch.dirty&bit == 0 {
+			ch.dirty |= bit
 			vm.dirty++
 		}
-		vm.touch(s)
+		vm.promote(h, bit)
 	}
 	pages := last - first + 1
 	vm.k.CPU.Use(p, time.Duration(pages)*pageCPU)
@@ -351,21 +318,22 @@ func (vm *VM) flushDirty(p *sim.Proc, max int) {
 	vm.flushIdx = idxs
 }
 
-// takeDirty cleans up to max dirty pages (all if max<=0), taken in LRU
+// takeDirty cleans up to max dirty pages (all if max<=0), taken in ring
 // order, and returns their indices in ascending order, reusing buf's
-// storage.
+// storage. The pages keep their places on the ring.
 func (vm *VM) takeDirty(buf []int64, max int) []int64 {
 	buf = buf[:0]
-	for s := vm.pages[0].next; s != 0 && vm.dirty > 0; s = vm.pages[s].next {
-		pg := &vm.pages[s]
-		if !pg.dirty {
-			continue
-		}
-		buf = append(buf, pg.idx)
-		pg.dirty = false
-		vm.dirty--
-		if max > 0 && len(buf) >= max {
-			break
+walk:
+	for n := vm.ring.Next(0); n != 0 && vm.dirty > 0; n = vm.ring.Next(n) {
+		h, mask := vm.ring.Node(n)
+		ch := &vm.chunks[h]
+		for m := mask & ch.dirty; m != 0; m &= m - 1 {
+			buf = append(buf, ch.key<<cache.ChunkShift+int64(bits.TrailingZeros64(m)))
+			ch.dirty &^= m & -m
+			vm.dirty--
+			if max > 0 && len(buf) >= max {
+				break walk
+			}
 		}
 	}
 	slices.Sort(buf)

@@ -2,7 +2,9 @@ package qemusim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -41,7 +43,7 @@ func TestGuestCacheEvictsLRU(t *testing.T) {
 		vm.Read(p, 0, 4<<20)
 	})
 	k.Run(time.Minute)
-	if got := vm.resident(); got != guestCachePages {
+	if got := vm.resident; got != guestCachePages {
 		t.Fatalf("guest cache holds %d pages, want full at %d", got, guestCachePages)
 	}
 	if vm.HostReads() != 136<<20 {
@@ -136,55 +138,66 @@ func TestAccountPlumbing(t *testing.T) {
 	}
 }
 
-// checkConsistency checks the guest cache's storage: the LRU ring's links
-// are symmetric and it holds every resident page once, the chunk index
-// maps exactly the ring's pages to their slots, each chunk's count matches
-// its non-zero slots, no empty chunk stays in the directory, the memo
-// names a live chunk or none, and the dirty count matches the dirty bits.
+// checkConsistency checks the guest cache's storage: each indexed chunk
+// names its chunk number, holds pages, has its dirty pages among them and
+// lists ring nodes that hold together exactly its pages; the ring passes
+// its own check (cache.RingCheck); the resident and dirty counts match the
+// chunks; entry 0 stays empty, freed entries are empty and fill the arena
+// with the indexed ones; and the memo names a live chunk or none.
 func (vm *VM) checkConsistency() error {
-	ring, dirty := int64(0), int64(0)
-	for s := vm.pages[0].next; s != 0; s = vm.pages[s].next {
-		pg := vm.pages[s]
-		if vm.pages[pg.next].prev != s || vm.pages[pg.prev].next != s {
-			return fmt.Errorf("slot %d (page %d): ring links not symmetric", s, pg.idx)
+	ring := vm.ring.Check()
+	inUse := make([]bool, len(vm.chunks))
+	var resident, dirty int64
+	keys := make([]int64, 0, len(vm.chunkOf))
+	for key := range vm.chunkOf {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		h := vm.chunkOf[key]
+		if h <= 0 || int(h) >= len(vm.chunks) || inUse[h] {
+			return fmt.Errorf("chunk %d has entry %d, outside the arena or another chunk's", key, h)
 		}
-		if ring++; ring > vm.resident() {
-			return fmt.Errorf("ring longer than the %d resident pages", vm.resident())
+		inUse[h] = true
+		ch := vm.chunks[h]
+		switch {
+		case ch.key != key:
+			return fmt.Errorf("chunk %d has the entry of chunk %d", key, ch.key)
+		case ch.present == 0:
+			return fmt.Errorf("chunk %d holds no page", key)
+		case ch.dirty&^ch.present != 0:
+			return fmt.Errorf("chunk %d dirty mask %#x outside present mask %#x", key, ch.dirty, ch.present)
 		}
-		if c := vm.chunkOf[pg.idx>>chunkShift]; vm.chunks[c].slot[pg.idx&(chunkPages-1)] != s {
-			return fmt.Errorf("page %d in slot %d is not indexed there", pg.idx, s)
+		held, err := ring.Chunk(h, ch.nodes)
+		if err != nil {
+			return fmt.Errorf("chunk %d %w", key, err)
 		}
-		if pg.dirty {
-			dirty++
+		if held != ch.present {
+			return fmt.Errorf("chunk %d nodes hold pages %#x, its pages are %#x", key, held, ch.present)
+		}
+		resident += int64(bits.OnesCount64(ch.present))
+		dirty += int64(bits.OnesCount64(ch.dirty))
+	}
+	if err := ring.Done(); err != nil {
+		return err
+	}
+	if resident != vm.resident || dirty != vm.dirty {
+		return fmt.Errorf("chunks hold %d pages, %d dirty; counts say %d and %d", resident, dirty, vm.resident, vm.dirty)
+	}
+	if ch := vm.chunks[0]; ch.key != 0 || ch.present != 0 || ch.dirty != 0 || len(ch.nodes) != 0 {
+		return fmt.Errorf("chunk entry 0 is not empty: %+v", ch)
+	}
+	for _, h := range vm.freeChunks {
+		if h <= 0 || int(h) >= len(vm.chunks) || inUse[h] {
+			return fmt.Errorf("freed entry %d is outside the arena, in use or freed twice", h)
+		}
+		inUse[h] = true
+		if ch := vm.chunks[h]; ch.key != 0 || ch.present != 0 || ch.dirty != 0 || len(ch.nodes) != 0 {
+			return fmt.Errorf("freed entry %d is not empty: %+v", h, ch)
 		}
 	}
-	if ring != vm.resident() {
-		return fmt.Errorf("ring holds %d pages, %d resident", ring, vm.resident())
-	}
-	if dirty != vm.dirty {
-		return fmt.Errorf("%d dirty pages, dirty count %d", dirty, vm.dirty)
-	}
-	if vm.chunks[0] != (guestChunk{}) {
-		return fmt.Errorf("chunk 0 holds pages: %+v", vm.chunks[0])
-	}
-	indexed := int64(0)
-	for key, c := range vm.chunkOf {
-		n := int32(0)
-		for i, s := range vm.chunks[c].slot {
-			if s == 0 {
-				continue
-			}
-			if n++; vm.pages[s].idx != key<<chunkShift+int64(i) {
-				return fmt.Errorf("chunk %d maps page %d to slot %d, which holds page %d", key, key<<chunkShift+int64(i), s, vm.pages[s].idx)
-			}
-		}
-		if n == 0 || n != vm.chunks[c].n {
-			return fmt.Errorf("chunk %d: %d pages, count %d", key, n, vm.chunks[c].n)
-		}
-		indexed += int64(n)
-	}
-	if indexed != ring {
-		return fmt.Errorf("chunks index %d pages, ring holds %d", indexed, ring)
+	if len(keys)+len(vm.freeChunks) != len(vm.chunks)-1 {
+		return fmt.Errorf("%d chunks in use and %d freed, the arena holds %d", len(keys), len(vm.freeChunks), len(vm.chunks)-1)
 	}
 	if vm.memo != vm.chunkOf[vm.memoKey] {
 		return fmt.Errorf("memo names chunk entry %d for chunk %d, directory has %d", vm.memo, vm.memoKey, vm.chunkOf[vm.memoKey])
@@ -279,15 +292,20 @@ func (r *refGuestCache) takeDirty(max int) []int64 {
 
 // checkMatchesRef compares vm's guest cache with the reference: the LRU
 // order (and so the resident set), every dirty bit and the dirty count,
-// and then the storage's own invariants.
+// and then the storage's own invariants. The ring's page order is each
+// node's pages in index order, node after node.
 func checkMatchesRef(vm *VM, ref *refGuestCache) error {
 	var order []int64
-	for s := vm.pages[0].next; s != 0 && len(order) <= len(ref.lru); s = vm.pages[s].next {
-		pg := vm.pages[s]
-		if pg.dirty != ref.dirty[pg.idx] {
-			return fmt.Errorf("page %d dirty = %v, want %v", pg.idx, pg.dirty, ref.dirty[pg.idx])
+	for n := vm.ring.Next(0); n != 0 && len(order) <= len(ref.lru); n = vm.ring.Next(n) {
+		h, mask := vm.ring.Node(n)
+		ch := vm.chunks[h]
+		for m := mask; m != 0; m &= m - 1 {
+			idx := ch.key<<cache.ChunkShift + int64(bits.TrailingZeros64(m))
+			if dirty := ch.dirty&(m&-m) != 0; dirty != ref.dirty[idx] {
+				return fmt.Errorf("page %d dirty = %v, want %v", idx, dirty, ref.dirty[idx])
+			}
+			order = append(order, idx)
 		}
-		order = append(order, pg.idx)
 	}
 	if !slices.Equal(order, ref.lru) {
 		return fmt.Errorf("LRU order\n got %v\nwant %v", order, ref.lru)
@@ -312,7 +330,7 @@ func checkMatchesRef(vm *VM, ref *refGuestCache) error {
 // write runs). Pages come from two regions far apart on the guest disk,
 // each a few chunks wide.
 func TestGuestCacheMatchesReference(t *testing.T) {
-	const span = 5 * chunkPages
+	const span = 5 * cache.ChunkPages
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := schedtest.Kernel(t, stoken.Factory, nil)
@@ -405,8 +423,8 @@ func TestChunkArenaBounded(t *testing.T) {
 	k.Env.Go("guest", func(p *sim.Proc) {
 		for i := 0; i < 2000 && err == nil; i++ {
 			vm.Write(p, vm.guestRandOff(p), cache.PageSize)
-			if chunks := int64(len(vm.chunks) - 1); chunks > vm.resident() {
-				err = fmt.Errorf("write %d: chunk arena holds %d chunks for %d resident pages", i, chunks, vm.resident())
+			if chunks := int64(len(vm.chunks) - 1); chunks > vm.resident {
+				err = fmt.Errorf("write %d: chunk arena holds %d chunks for %d resident pages", i, chunks, vm.resident)
 			} else if e := vm.checkConsistency(); e != nil {
 				err = fmt.Errorf("write %d: %w", i, e)
 			}
@@ -420,7 +438,38 @@ func TestChunkArenaBounded(t *testing.T) {
 	if !done {
 		t.Fatal("writer did not finish")
 	}
-	if vm.resident() < vm.capacity {
-		t.Fatalf("%d pages resident; the cache never filled to %d", vm.resident(), vm.capacity)
+	if vm.resident < vm.capacity {
+		t.Fatalf("%d pages resident; the cache never filled to %d", vm.resident, vm.capacity)
 	}
+}
+
+// TestGuestDenseResidencyMemory guards the guest cache's memory when
+// residency is dense, as under a sequential writer, to the host cache's
+// bound: a chunk written whole is one ring node, so a resident page costs a
+// 64th of its chunk and of its node.
+func TestGuestDenseResidencyMemory(t *testing.T) {
+	k := schedtest.Kernel(t, stoken.Factory, nil)
+	cfg := DefaultConfig("")
+	cfg.GuestDirtyMax = 1 << 40 // nothing flushes
+	vm := newVM(k, "vm0", cfg)
+	const pages = 64 << 20 / cache.PageSize
+	perPage := int64(-1)
+	k.Env.Go("guest", func(p *sim.Proc) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		vm.Write(p, 0, pages*cache.PageSize)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perPage = (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / pages
+	})
+	k.Run(time.Minute)
+	if vm.resident != pages || vm.dirty != pages {
+		t.Fatalf("%d pages resident, %d dirty; want all %d of the write", vm.resident, vm.dirty, pages)
+	}
+	t.Logf("%d heap bytes per resident page", perPage)
+	if perPage > 8 {
+		t.Fatalf("%d heap bytes per densely resident page, want at most 8", perPage)
+	}
+	runtime.KeepAlive(vm)
 }

@@ -77,21 +77,6 @@ const (
 	ChunkPages = 1 << ChunkShift
 )
 
-// node is one record of the cache's node arena, named by its int32 handle:
-// clean pages of chunk ch, the bits of mask, that sit next to each other on
-// the LRU ring in ascending index order. The ring's page order is each
-// node's pages in ascending order, node after node from the sentinel's next.
-// Node 0 is the sentinel and names no chunk. Taking pages out of a node
-// leaves the rest of it adjacent and in order, so a node never splits; it is
-// freed when it empties. A free node names no chunk and next links the free
-// list, which 0 ends. The record holds no pointers, so the collector never
-// scans the arena.
-type node struct {
-	mask       uint64
-	ch         int32 // chunks handle; 0 for the sentinel and free nodes
-	prev, next int32 // ring links; next also links the free list
-}
-
 // arena is a list of blocks of 1<<blockShift records of T, named by the
 // int32 handles grow issues in order. It grows a block at a time and never
 // moves a record, so a pointer to one stays valid. Grown as one slice, an
@@ -125,9 +110,9 @@ func (a *arena[T]) grow() int32 {
 
 // chunk is the state of one aligned run of ChunkPages pages of a file, one
 // record of the cache's chunk arena, named by its int32 handle. Bit b of
-// present (dirty) is page key<<ChunkShift + b. nodes lists the ring nodes
-// holding its clean pages: their masks are disjoint and together are
-// present &^ dirty, so the list's order never matters. runs holds the write
+// present (dirty) is page key<<ChunkShift + b. nodes lists the LRU ring
+// nodes holding its clean pages: their masks are disjoint and together are
+// present &^ dirty. runs holds the write
 // cause sets of the dirty pages, one run per distinct set: the run masks are
 // disjoint, together they are the dirty mask, and no two runs have equal
 // sets. A chunk that empties is recycled with the capacity of its node list
@@ -295,14 +280,12 @@ type Cache struct {
 	tr    *trace.Tracer
 
 	files map[int64]*file
-	// nodes is the node arena. Node 0 is the sentinel of the LRU ring of
-	// clean pages, its next the least recent node; free heads the list of
-	// free nodes (0 when empty). chunks is the chunk arena, whose handle 0
-	// stands for "no chunk" and stays empty; freeChunks holds the handles of
-	// recycled chunk records. Nothing visits either arena in handle order, so
-	// handle numbering never shows in behaviour.
-	nodes      arena[node]
-	free       int32
+	// ring is the LRU ring of clean pages, a Ring without its methods (lru
+	// adds them), so that Cache's method set stays its own. chunks is the
+	// chunk arena, whose handle 0 stands for "no chunk" and stays empty;
+	// freeChunks holds the handles of recycled chunk records. Nothing visits
+	// the chunk arena in handle order, so handle numbering never shows.
+	ring
 	chunks     arena[chunk]
 	freeChunks []int32
 	resident   int64 // pages across all files
@@ -347,7 +330,7 @@ func New(env *sim.Env, cfg Config, wbCtx *ioctx.Ctx) *Cache {
 		pdflushEnabled: true,
 		wbCtx:          wbCtx,
 	}
-	c.nodes.grow()  // the ring's sentinel
+	c.lru().Init()
 	c.chunks.grow() // "no chunk"
 	c.pdWakeFn = func(sig bool) { c.pdflushLoop() }
 	c.pdIdleFn = c.pdflushAfterIdle
@@ -357,6 +340,10 @@ func New(env *sim.Env, cfg Config, wbCtx *ioctx.Ctx) *Cache {
 	env.Schedule(0, c.pdflushLoop)
 	return c
 }
+
+type ring Ring
+
+func (c *Cache) lru() *Ring { return (*Ring)(&c.ring) }
 
 // SetHooks installs memory-level hooks.
 func (c *Cache) SetHooks(h MemHooks) { c.hooks = h }
@@ -525,7 +512,8 @@ func (c *Cache) InsertCleanRange(ino, first, last int64) {
 			continue
 		}
 		c.evictIfFull()
-		c.push(c.add(f, key, bit), bit)
+		h := c.add(f, key, bit)
+		c.lru().Push(h, &c.chunks.at(h).nodes, bit)
 	}
 }
 
@@ -601,63 +589,10 @@ func (c *Cache) evictIfFull() {
 		if n == 0 {
 			return
 		}
-		nd := c.nodes.at(n)
-		h, bit := nd.ch, nd.mask&-nd.mask
-		if nd.mask != bit {
-			nd.mask &^= bit
-		} else {
-			c.unlink(h, bit) // empties and frees the node
-		}
-		c.drop(h, bit)
+		h, mask := c.lru().Node(n)
+		c.lru().Unlink(&c.chunks.at(h).nodes, mask&-mask)
+		c.drop(h, mask&-mask)
 	}
-}
-
-// push appends the clean pages m of chunk h, none of them on the LRU ring,
-// at its most recently used end in index order. They join the tail node when
-// it is h's and holds only lower pages, and make a new node otherwise.
-func (c *Cache) push(h int32, m uint64) {
-	sentinel := c.nodes.at(0)
-	if tail := c.nodes.at(sentinel.prev); tail.ch == h && bits.Len64(tail.mask) <= bits.TrailingZeros64(m) {
-		tail.mask |= m
-		return
-	}
-	n := c.free
-	if n == 0 {
-		n = c.nodes.grow()
-	} else {
-		c.free = c.nodes.at(n).next
-	}
-	*c.nodes.at(n) = node{mask: m, ch: h, prev: sentinel.prev}
-	c.nodes.at(sentinel.prev).next = n
-	sentinel.prev = n
-	ch := c.chunks.at(h)
-	ch.nodes = append(ch.nodes, n)
-}
-
-// unlink takes the clean pages m of chunk h off the LRU ring, freeing the
-// nodes it empties.
-func (c *Cache) unlink(h int32, m uint64) {
-	ch := c.chunks.at(h)
-	kept := ch.nodes[:0]
-	for _, n := range ch.nodes {
-		nd := c.nodes.at(n)
-		if nd.mask &^= m; nd.mask == 0 {
-			c.freeNode(n)
-			continue
-		}
-		kept = append(kept, n)
-	}
-	ch.nodes = kept
-}
-
-// freeNode takes node n off the LRU ring and returns it to the free list;
-// the caller drops it from its chunk's list.
-func (c *Cache) freeNode(n int32) {
-	nd := c.nodes.at(n)
-	c.nodes.at(nd.prev).next = nd.next
-	c.nodes.at(nd.next).prev = nd.prev
-	*nd = node{next: c.free}
-	c.free = n
 }
 
 // promote moves the clean pages of m in chunk h to the most recently used
@@ -666,8 +601,8 @@ func (c *Cache) freeNode(n int32) {
 func (c *Cache) promote(h int32, m uint64) {
 	ch := c.chunks.at(h)
 	if m &= ch.present &^ ch.dirty; m != 0 {
-		c.unlink(h, m)
-		c.push(h, m)
+		c.lru().Unlink(&ch.nodes, m)
+		c.lru().Push(h, &ch.nodes, m)
 	}
 }
 
@@ -718,7 +653,7 @@ func (c *Cache) MarkDirtyRange(ctx *ioctx.Ctx, ino, first, last int64) int {
 				absent := m &^ c.chunks.at(h).present
 				low := absent & -absent
 				if below := m & (low - 1); below != 0 {
-					c.unlink(h, below)
+					c.lru().Unlink(&c.chunks.at(h).nodes, below)
 					m &^= below
 					continue
 				}
@@ -825,7 +760,7 @@ func (c *Cache) TakeDirty(ino int64, max int, run func(first, n int64, cs causes
 			left -= k
 		}
 		c.clean(ch, take)
-		c.push(h, take)
+		c.lru().Push(h, &ch.nodes, take)
 	}
 	c.maybeUnthrottle()
 }
@@ -857,7 +792,7 @@ func (c *Cache) FreeFile(ino int64) {
 		//splitlint:ignore maporder freeing in any order leaves the same ring; the order only numbers free handles, which nothing visits in handle order
 		for _, h := range f.chunks {
 			for _, n := range c.chunks.at(h).nodes {
-				c.freeNode(n)
+				c.lru().freeNode(n)
 			}
 			c.freeChunk(h)
 		}
@@ -873,29 +808,18 @@ func (c *Cache) FreeFile(ino int64) {
 }
 
 // CheckConsistency verifies the cache's internal invariants: every chunk is
-// non-empty, its dirty mask lies within its present mask, the nodes it lists
-// name it and hold non-empty, disjoint masks that together are its clean
-// pages, and its cause runs are non-empty, disjoint, of distinct sets and
-// together tag exactly its dirty pages; each file's dirty heap is a heap
-// holding exactly its chunks with dirty pages; the per-file, dirty and
-// resident counters and tag accounting match the pages; no node is listed
-// by two chunks, the free list is acyclic and holds no node in use, and
-// nodes in use plus free nodes fill the node arena less its sentinel, as
-// chunks in use plus recycled records fill the chunk arena less handle 0;
-// the LRU ring holds exactly the nodes in use, with every prev link the
-// inverse of a next link; and every file with dirty pages is in the
-// round-robin order. Stress tests call it after random workloads. Files and
-// chunks are checked in sorted order, so the first violation reported is
-// the same on every run.
+// non-empty, its dirty mask lies within its present mask, its nodes hold
+// exactly its clean pages, and its cause runs are non-empty, disjoint, of
+// distinct sets and together tag exactly its dirty pages; each file's dirty
+// heap holds exactly its chunks with dirty pages; counters and tag bytes
+// match the pages; chunks in use and recycled fill the chunk arena; the LRU
+// ring passes RingCheck; and every file with dirty pages is in the writeback
+// order. Files and chunks are checked in sorted order, so the first
+// violation reported is the same on every run.
 func (c *Cache) CheckConsistency() error {
 	var dirty, resident, tagSum int64
-	var chunksInUse, nodesInUse int
-	const (
-		unseen = iota
-		inUse
-		onFreeList
-	)
-	nodeState := make([]byte, c.nodes.n)
+	var chunksInUse int
+	ring := c.lru().Check()
 	chunkInUse := make([]bool, c.chunks.n)
 	for _, ino := range sortedKeys(c.files) {
 		f := c.files[ino]
@@ -924,25 +848,13 @@ func (c *Cache) CheckConsistency() error {
 			if ch.dirty&^ch.present != 0 {
 				return fmt.Errorf("cache: chunk (%d,%d) dirty mask %#x outside present mask %#x", ino, key, ch.dirty, ch.present)
 			}
-			var held uint64
-			for _, n := range ch.nodes {
-				if n <= 0 || n >= c.nodes.n || nodeState[n] != unseen {
-					return fmt.Errorf("cache: chunk (%d,%d) lists node %d, outside the node arena or another chunk's", ino, key, n)
-				}
-				nodeState[n] = inUse
-				nd := c.nodes.at(n)
-				if nd.ch != h {
-					return fmt.Errorf("cache: chunk (%d,%d) lists node %d, which names chunk %d", ino, key, n, nd.ch)
-				}
-				if nd.mask == 0 || nd.mask&held != 0 {
-					return fmt.Errorf("cache: chunk (%d,%d) node %d holds pages %#x, none or another node's", ino, key, n, nd.mask)
-				}
-				held |= nd.mask
+			held, err := ring.Chunk(h, ch.nodes)
+			if err != nil {
+				return fmt.Errorf("cache: chunk (%d,%d) %w", ino, key, err)
 			}
 			if clean := ch.present &^ ch.dirty; held != clean {
 				return fmt.Errorf("cache: chunk (%d,%d) nodes hold pages %#x, its clean pages are %#x", ino, key, held, clean)
 			}
-			nodesInUse += len(ch.nodes)
 			var tagged uint64
 			for i, r := range ch.runs {
 				switch {
@@ -998,21 +910,8 @@ func (c *Cache) CheckConsistency() error {
 	if resident != c.resident {
 		return fmt.Errorf("cache: resident %d != actual %d", c.resident, resident)
 	}
-	var free int
-	for n := c.free; n != 0; n = c.nodes.at(n).next {
-		switch {
-		case n < 0 || n >= c.nodes.n:
-			return fmt.Errorf("cache: free list holds handle %d, outside the node arena", n)
-		case nodeState[n] == inUse:
-			return fmt.Errorf("cache: free list holds node %d, which is in use", n)
-		case nodeState[n] == onFreeList:
-			return fmt.Errorf("cache: free list cycles back to node %d", n)
-		}
-		nodeState[n] = onFreeList
-		free++
-	}
-	if nodesInUse+free != int(c.nodes.n-1) {
-		return fmt.Errorf("cache: %d nodes in use and %d free, the node arena holds %d", nodesInUse, free, c.nodes.n-1)
+	if err := ring.Done(); err != nil {
+		return fmt.Errorf("cache: %w", err)
 	}
 	for _, h := range c.freeChunks {
 		if h <= 0 || h >= c.chunks.n || chunkInUse[h] {
@@ -1022,27 +921,6 @@ func (c *Cache) CheckConsistency() error {
 	}
 	if chunksInUse+len(c.freeChunks) != int(c.chunks.n-1) {
 		return fmt.Errorf("cache: %d chunks in use and %d recycled, the chunk arena holds %d", chunksInUse, len(c.freeChunks), c.chunks.n-1)
-	}
-	// With every prev link the inverse of a next link, the walk meets no node
-	// twice before it returns to the sentinel.
-	var onRing int
-	prev := int32(0)
-	for n := c.nodes.at(0).next; ; prev, n = n, c.nodes.at(n).next {
-		if n < 0 || n >= c.nodes.n || c.nodes.at(n).prev != prev {
-			return fmt.Errorf("cache: LRU ring link broken after %d nodes", onRing)
-		}
-		if n == 0 {
-			break
-		}
-		if onRing++; onRing > nodesInUse {
-			return fmt.Errorf("cache: LRU ring holds more than the %d nodes in use", nodesInUse)
-		}
-		if nodeState[n] != inUse {
-			return fmt.Errorf("cache: LRU ring position %d holds node %d, which is not in use", onRing, n)
-		}
-	}
-	if onRing != nodesInUse {
-		return fmt.Errorf("cache: LRU ring holds %d nodes, %d are in use", onRing, nodesInUse)
 	}
 	return nil
 }

@@ -191,8 +191,8 @@ type Point struct {
 	V float64
 }
 
-// Series is an append-only time series, used for the timeline figures
-// (Fig 1, Fig 12).
+// Series is an append-only time series: the registry's per-gauge sample
+// log, which -stats prints and the schedule goldens' metrics= digest hashes.
 type Series struct {
 	Name   string
 	Points []Point

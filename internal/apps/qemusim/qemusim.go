@@ -129,10 +129,9 @@ func (vm *VM) BytesWritten() int64 { return vm.bytesWritten }
 func (vm *VM) HostReads() int64  { return vm.hostReads }
 func (vm *VM) HostWrites() int64 { return vm.hostWrites }
 
-// span returns the chunks entry h of page idx's chunk, 0 if it has none,
-// leaving it in the memo, and the pages m of that chunk from idx on, up to
-// last, that are all resident (hit) or all absent. Entry 0 holds no page,
-// so its masks answer for a chunk that has none.
+// span returns the chunks entry h of page idx's chunk (0, which holds no
+// page, if it has none), leaving it in the memo, and the pages m of it from
+// idx on, up to last, that are all resident (hit) or all absent.
 func (vm *VM) span(idx, last int64) (h int32, m uint64, hit bool) {
 	if key := idx >> cache.ChunkShift; vm.memoKey != key {
 		vm.memoKey, vm.memo = key, vm.chunkOf[key]
@@ -146,8 +145,7 @@ func (vm *VM) span(idx, last int64) (h int32, m uint64, hit bool) {
 	return vm.memo, (uint64(1)<<k - 1) << b, hit
 }
 
-// promote moves the resident pages m of chunks entry h to the most recently
-// used end of the ring in index order, as touching them one at a time would.
+// promote moves resident pages m of chunks entry h to the ring's tail.
 func (vm *VM) promote(h int32, m uint64) {
 	ch := &vm.chunks[h]
 	vm.ring.Unlink(&ch.nodes, m)

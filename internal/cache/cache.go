@@ -589,9 +589,14 @@ func (c *Cache) evictIfFull() {
 		if n == 0 {
 			return
 		}
-		h, mask := c.lru().Node(n)
-		c.lru().Unlink(&c.chunks.at(h).nodes, mask&-mask)
-		c.drop(h, mask&-mask)
+		nd := c.nodes.at(n)
+		h, bit := nd.ch, nd.mask&-nd.mask
+		if nd.mask != bit {
+			nd.mask &^= bit // the node stays: no walk of h's node list
+		} else {
+			c.lru().Unlink(&c.chunks.at(h).nodes, bit)
+		}
+		c.drop(h, bit)
 	}
 }
 

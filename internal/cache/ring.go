@@ -5,12 +5,10 @@ import (
 	"math/bits"
 )
 
-// node is one record of a Ring's node arena, named by its int32 handle:
-// pages of chunk ch, the bits of mask, that sit next to each other on the
-// ring in ascending index order; node 0 is the sentinel. A node never
-// splits and is freed when it empties; a free node's next links the free
-// list, which 0 ends. The record holds no pointers, so the collector never
-// scans the arena.
+// node is one record of a Ring's node arena: pages of chunk ch, the bits of
+// mask, next to each other on the ring in ascending index order. Node 0 is
+// the sentinel; a node never splits and is freed, onto the free list that
+// next links and 0 ends, when it empties. It holds no pointers.
 type node struct {
 	mask       uint64
 	ch         int32 // chunk handle; 0 for the sentinel and free nodes
@@ -31,9 +29,8 @@ type Ring struct {
 // Init issues the sentinel of an empty ring.
 func (r *Ring) Init() { r.nodes.grow() }
 
-// Push appends pages m of chunk ch, none of them on the ring, at its most
-// recently used end in index order, adding a node to ch's list if it makes
-// one. They join the tail node when it is ch's and holds only lower pages.
+// Push appends pages m of chunk ch, none on the ring, at its tail in index
+// order: into the tail node if it is ch's and holds only lower pages.
 func (r *Ring) Push(ch int32, list *[]int32, m uint64) {
 	sentinel := r.nodes.at(0)
 	if tail := r.nodes.at(sentinel.prev); tail.ch == ch && bits.Len64(tail.mask) <= bits.TrailingZeros64(m) {
@@ -52,9 +49,8 @@ func (r *Ring) Push(ch int32, list *[]int32, m uint64) {
 	*list = append(*list, n)
 }
 
-// Unlink takes pages m, all of them held by the nodes of list, off the ring.
-// It stops once every page of m is found, and edits the list only to drop a
-// node that empties, which it frees.
+// Unlink takes pages m, held by list's nodes, off the ring, stopping once all
+// are found; it edits the list only to drop a node that empties and is freed.
 func (r *Ring) Unlink(list *[]int32, m uint64) {
 	l := *list
 	for i := 0; m != 0; {

@@ -181,16 +181,18 @@ func (vm *VM) insert(idx int64, dirty bool) {
 func (vm *VM) evictIfFull() {
 	for vm.resident >= vm.capacity {
 		n, h, clean := vm.ring.Next(0), int32(0), uint64(0)
-		for ; n != 0 && clean == 0; n = vm.ring.Next(n) {
-			h, clean = vm.ring.Node(n)
-			clean &^= vm.chunks[h].dirty
+		for ; n != 0; n = vm.ring.Next(n) {
+			if h, clean = vm.ring.Node(n); clean&^vm.chunks[h].dirty != 0 {
+				break
+			}
 		}
-		if clean == 0 {
+		if n == 0 {
 			return // everything dirty; flusher will make room
 		}
 		ch := &vm.chunks[h]
+		clean &^= ch.dirty
 		clean &= -clean
-		vm.ring.Unlink(&ch.nodes, clean)
+		vm.ring.Take(n, &ch.nodes, clean)
 		vm.resident--
 		if ch.present &^= clean; ch.present == 0 {
 			delete(vm.chunkOf, ch.key)

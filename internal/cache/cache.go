@@ -281,10 +281,13 @@ type Cache struct {
 
 	files map[int64]*file
 	// ring is the LRU ring of clean pages, a Ring without its methods (lru
-	// adds them), so that Cache's method set stays its own. chunks is the
-	// chunk arena, whose handle 0 stands for "no chunk" and stays empty;
-	// freeChunks holds the handles of recycled chunk records. Nothing visits
-	// the chunk arena in handle order, so handle numbering never shows.
+	// adds them). It is embedded only so that TestCheckConsistencyCatchesBadArena
+	// can corrupt c.nodes and c.free as Cache's own fields without Cache
+	// gaining Ring's exported methods; a named Ring field would do otherwise.
+	// chunks is the chunk arena, whose handle 0 stands for "no chunk" and
+	// stays empty; freeChunks holds the handles of recycled chunk records.
+	// Nothing visits the chunk arena in handle order, so handle numbering
+	// never shows.
 	ring
 	chunks     arena[chunk]
 	freeChunks []int32
@@ -341,6 +344,7 @@ func New(env *sim.Env, cfg Config, wbCtx *ioctx.Ctx) *Cache {
 	return c
 }
 
+// ring is Ring without its methods; see Cache.ring.
 type ring Ring
 
 func (c *Cache) lru() *Ring { return (*Ring)(&c.ring) }
@@ -585,18 +589,13 @@ func (c *Cache) freeChunk(h int32) {
 // first, while RAM is full.
 func (c *Cache) evictIfFull() {
 	for c.resident >= c.cfg.TotalPages {
-		n := c.nodes.at(0).next
+		n := c.lru().Next(0)
 		if n == 0 {
 			return
 		}
-		nd := c.nodes.at(n)
-		h, bit := nd.ch, nd.mask&-nd.mask
-		if nd.mask != bit {
-			nd.mask &^= bit // the node stays: no walk of h's node list
-		} else {
-			c.lru().Unlink(&c.chunks.at(h).nodes, bit)
-		}
-		c.drop(h, bit)
+		h, m := c.lru().Node(n)
+		c.lru().Take(n, &c.chunks.at(h).nodes, m&-m)
+		c.drop(h, m&-m)
 	}
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // node is one record of a Ring's node arena: pages of chunk ch, the bits of
@@ -65,6 +66,20 @@ func (r *Ring) Unlink(list *[]int32, m uint64) {
 		l[i], l = l[len(l)-1], l[:len(l)-1]
 	}
 	*list = l
+}
+
+// Take takes pages m off node n, which list holds. It walks the list only
+// when n empties, to swap-remove the freed node as Unlink would.
+func (r *Ring) Take(n int32, list *[]int32, m uint64) {
+	nd := r.nodes.at(n)
+	if nd.mask &^= m; nd.mask != 0 {
+		return
+	}
+	r.freeNode(n)
+	l := *list
+	i := slices.Index(l, n)
+	l[i] = l[len(l)-1]
+	*list = l[:len(l)-1]
 }
 
 // freeNode takes node n off the ring and returns it to the free list; the

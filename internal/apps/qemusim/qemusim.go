@@ -145,13 +145,6 @@ func (vm *VM) span(idx, last int64) (h int32, m uint64, hit bool) {
 	return vm.memo, (uint64(1)<<k - 1) << b, hit
 }
 
-// promote moves resident pages m of chunks entry h to the ring's tail.
-func (vm *VM) promote(h int32, m uint64) {
-	ch := &vm.chunks[h]
-	vm.ring.Unlink(&ch.nodes, m)
-	vm.ring.Push(h, &ch.nodes, m)
-}
-
 // insert caches the absent page idx at the most recently used end of the
 // ring, evicting first if the cache is full.
 func (vm *VM) insert(idx int64, dirty bool) {
@@ -223,7 +216,7 @@ func (vm *VM) Read(p *sim.Proc, off, n int64) {
 			}
 		}
 		if idx += int64(bits.OnesCount64(m)); hit {
-			vm.promote(h, m)
+			vm.ring.Promote(h, &vm.chunks[h].nodes, m)
 			runStart = idx
 		}
 	}
@@ -263,11 +256,12 @@ func (vm *VM) Write(p *sim.Proc, off, n int64) {
 			vm.insert(idx, true)
 			continue
 		}
-		if ch := &vm.chunks[h]; ch.dirty&bit == 0 {
+		ch := &vm.chunks[h]
+		if ch.dirty&bit == 0 {
 			ch.dirty |= bit
 			vm.dirty++
 		}
-		vm.promote(h, bit)
+		vm.ring.Promote(h, &ch.nodes, bit)
 	}
 	pages := last - first + 1
 	vm.k.CPU.Use(p, time.Duration(pages)*pageCPU)

@@ -281,9 +281,8 @@ type Cache struct {
 
 	files map[int64]*file
 	// ring is the LRU ring of clean pages, a Ring without its methods (lru
-	// adds them). It is embedded only so that TestCheckConsistencyCatchesBadArena
-	// can corrupt c.nodes and c.free as Cache's own fields without Cache
-	// gaining Ring's exported methods; a named Ring field would do otherwise.
+	// adds them), embedded only so that TestCheckConsistencyCatchesBadArena
+	// can corrupt c.nodes and c.free without Cache gaining Ring's methods.
 	// chunks is the chunk arena, whose handle 0 stands for "no chunk" and
 	// stays empty; freeChunks holds the handles of recycled chunk records.
 	// Nothing visits the chunk arena in handle order, so handle numbering
@@ -344,7 +343,6 @@ func New(env *sim.Env, cfg Config, wbCtx *ioctx.Ctx) *Cache {
 	return c
 }
 
-// ring is Ring without its methods; see Cache.ring.
 type ring Ring
 
 func (c *Cache) lru() *Ring { return (*Ring)(&c.ring) }
@@ -532,48 +530,23 @@ func (c *Cache) fileOf(ino int64) *file {
 }
 
 // add makes the absent page bit of f's chunk key resident, off the LRU
-// ring, creating the chunk if needed, and returns the chunk's handle.
+// ring, creating the chunk if needed (from a recycled record if there is
+// one), and returns the chunk's handle.
 func (c *Cache) add(f *file, key int64, bit uint64) int32 {
 	h := c.chunkOf(f, key)
 	if h == 0 {
-		h = c.newChunk(f, key)
+		if n := len(c.freeChunks); n > 0 {
+			h, c.freeChunks = c.freeChunks[n-1], c.freeChunks[:n-1]
+		} else {
+			h = c.chunks.grow()
+		}
+		ch := c.chunks.at(h)
+		ch.file, ch.key = f, key
+		f.chunks[key], f.last = h, h
 	}
 	c.chunks.at(h).present |= bit
 	f.resident++
 	c.resident++
-	return h
-}
-
-// drop makes the clean page bit of chunk h, already off the LRU ring,
-// non-resident, recycling the chunk if it empties.
-func (c *Cache) drop(h int32, bit uint64) {
-	ch := c.chunks.at(h)
-	ch.present &^= bit
-	f := ch.file
-	f.resident--
-	c.resident--
-	if ch.present == 0 {
-		delete(f.chunks, ch.key)
-		if f.last == h {
-			f.last = 0
-		}
-		c.freeChunk(h)
-	}
-}
-
-// newChunk files an empty chunk of f under key, reusing a recycled record
-// when there is one, and returns its handle.
-func (c *Cache) newChunk(f *file, key int64) int32 {
-	var h int32
-	if n := len(c.freeChunks); n > 0 {
-		h, c.freeChunks = c.freeChunks[n-1], c.freeChunks[:n-1]
-	} else {
-		h = c.chunks.grow()
-	}
-	ch := c.chunks.at(h)
-	ch.file, ch.key = f, key
-	f.chunks[key] = h
-	f.last = h
 	return h
 }
 
@@ -586,7 +559,7 @@ func (c *Cache) freeChunk(h int32) {
 }
 
 // evictIfFull drops least recently used clean pages, the head node's lowest
-// first, while RAM is full.
+// first, while RAM is full, recycling each chunk that empties.
 func (c *Cache) evictIfFull() {
 	for c.resident >= c.cfg.TotalPages {
 		n := c.lru().Next(0)
@@ -594,8 +567,18 @@ func (c *Cache) evictIfFull() {
 			return
 		}
 		h, m := c.lru().Node(n)
-		c.lru().Take(n, &c.chunks.at(h).nodes, m&-m)
-		c.drop(h, m&-m)
+		ch, bit := c.chunks.at(h), m&-m
+		c.lru().Take(n, &ch.nodes, bit)
+		ch.present &^= bit
+		ch.file.resident--
+		c.resident--
+		if f := ch.file; ch.present == 0 {
+			delete(f.chunks, ch.key)
+			if f.last == h {
+				f.last = 0
+			}
+			c.freeChunk(h)
+		}
 	}
 }
 
@@ -605,8 +588,7 @@ func (c *Cache) evictIfFull() {
 func (c *Cache) promote(h int32, m uint64) {
 	ch := c.chunks.at(h)
 	if m &= ch.present &^ ch.dirty; m != 0 {
-		c.lru().Unlink(&ch.nodes, m)
-		c.lru().Push(h, &ch.nodes, m)
+		c.lru().Promote(h, &ch.nodes, m)
 	}
 }
 

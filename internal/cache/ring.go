@@ -78,8 +78,14 @@ func (r *Ring) Take(n int32, list *[]int32, m uint64) {
 	r.freeNode(n)
 	l := *list
 	i := slices.Index(l, n)
-	l[i] = l[len(l)-1]
-	*list = l[:len(l)-1]
+	l[i], *list = l[len(l)-1], l[:len(l)-1]
+}
+
+// Promote moves pages m of chunk ch, all on the ring, to its tail in index
+// order.
+func (r *Ring) Promote(ch int32, list *[]int32, m uint64) {
+	r.Unlink(list, m)
+	r.Push(ch, list, m)
 }
 
 // freeNode takes node n off the ring and returns it to the free list; the

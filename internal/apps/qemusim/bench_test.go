@@ -1,8 +1,9 @@
 // Microbenchmarks for the guest page cache, which `make microbench` tracks:
-// warm ranged reads of a resident range (Fig 20's read-mem guest), and
+// warm ranged reads and writes of a resident range (Fig 20's read-mem and
+// write-mem guests), sequential writes of absent runs into a full cache, and
 // single-page writes at random offsets into a full cache (its write-rand
-// guest), with the guest's dirty pages taken a flush batch at a time so that
-// no host write runs inside the timed loop.
+// guest). The write benchmarks take the guest's dirty pages a flush batch at
+// a time, so that no host write runs inside the timed loop.
 package qemusim
 
 import (
@@ -42,6 +43,42 @@ func BenchmarkGuestReadHit(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			vm.Read(p, int64(i)%(span>>20)<<20, 1<<20)
+		}
+		b.StopTimer()
+	})
+}
+
+// BenchmarkGuestWriteHit rewrites a resident 16 MiB range 1 MiB at a time.
+func BenchmarkGuestWriteHit(b *testing.B) {
+	const span = 16 << 20
+	runGuest(b, func(p *sim.Proc, vm *VM) {
+		vm.Write(p, 0, span)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			vm.Write(p, int64(i)%(span>>20)<<20, 1<<20)
+		}
+		b.StopTimer()
+	})
+}
+
+// BenchmarkGuestSeqWrite writes absent 1 MiB runs, one after another across
+// the guest disk, into a full guest cache: each write evicts the least
+// recently used clean pages, and the oldest dirty pages are taken clean a
+// flush batch at a time.
+func BenchmarkGuestSeqWrite(b *testing.B) {
+	const run = 1 << 20
+	runGuest(b, func(p *sim.Proc, vm *VM) {
+		fill := guestCachePages * cache.PageSize
+		vm.Read(p, 0, fill)
+		var batch []int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			vm.Write(p, (fill+int64(i)*run)%diskBytes, run)
+			for vm.dirty >= int64(flushBatch) {
+				batch = vm.takeDirty(batch, flushBatch)
+			}
 		}
 		b.StopTimer()
 	})

@@ -211,6 +211,12 @@ type refGuestCache struct {
 	capacity int
 	dirty    map[int64]bool
 	lru      []int64
+
+	// Coverage counts: inserts that found every resident page dirty, with
+	// the cache full; written pages that were resident when their write
+	// began and were evicted by its own inserts before it reached them; and
+	// read pages that a later insert of their own miss run evicted.
+	allDirty, evictedAhead, selfEvicted int
 }
 
 func (r *refGuestCache) touch(idx int64) {
@@ -224,6 +230,7 @@ func (r *refGuestCache) insert(idx int64, dirty bool) {
 	for len(r.lru) >= r.capacity {
 		i := slices.IndexFunc(r.lru, func(x int64) bool { return !r.dirty[x] })
 		if i < 0 {
+			r.allDirty++
 			break
 		}
 		delete(r.dirty, r.lru[i])
@@ -246,6 +253,11 @@ func (r *refGuestCache) read(first, last int64) (fetched int64) {
 				r.insert(idx, false)
 			}
 		}
+		for _, idx := range run {
+			if _, ok := r.dirty[idx]; !ok {
+				r.selfEvicted++
+			}
+		}
 		run = run[:0]
 	}
 	for idx := first; idx <= last; idx++ {
@@ -263,14 +275,32 @@ func (r *refGuestCache) read(first, last int64) (fetched int64) {
 }
 
 func (r *refGuestCache) write(first, last int64) {
+	var resident []int64
+	for idx := first; idx <= last; idx++ {
+		if _, ok := r.dirty[idx]; ok {
+			resident = append(resident, idx)
+		}
+	}
 	for idx := first; idx <= last; idx++ {
 		if _, ok := r.dirty[idx]; ok {
 			r.dirty[idx] = true
 			r.touch(idx)
 			continue
 		}
+		if _, found := slices.BinarySearch(resident, idx); found {
+			r.evictedAhead++
+		}
 		r.insert(idx, true)
 	}
+}
+
+// oldestClean returns the least recently used clean page, if there is one.
+func (r *refGuestCache) oldestClean() (int64, bool) {
+	i := slices.IndexFunc(r.lru, func(x int64) bool { return !r.dirty[x] })
+	if i < 0 {
+		return 0, false
+	}
+	return r.lru[i], true
 }
 
 // takeDirty cleans up to max dirty pages (all if max<=0) in LRU order and
@@ -328,9 +358,15 @@ func checkMatchesRef(vm *VM, ref *refGuestCache) error {
 // reference model after every step: LRU order, dirty bits and count, host
 // pages read, and each flush batch in sorted order (which fixes the host
 // write runs). Pages come from two regions far apart on the guest disk,
-// each a few chunks wide.
+// each a few chunks wide. An op covers up to three chunks, and every third
+// cache holds a few whole chunks. One write in four starts before the least
+// recently used clean page and runs past it, so that its inserts can evict
+// that page before the write reaches it. The test requires that this
+// happened at least once, as did inserts that found the full cache all
+// dirty and a miss run whose later inserts evicted its own earlier pages.
 func TestGuestCacheMatchesReference(t *testing.T) {
 	const span = 5 * cache.ChunkPages
+	var allDirty, evictedAhead, selfEvicted int
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		k := schedtest.Kernel(t, stoken.Factory, nil)
@@ -338,6 +374,9 @@ func TestGuestCacheMatchesReference(t *testing.T) {
 		cfg.GuestDirtyMax = 1 << 40 // no flusher runs to unthrottle a writer
 		vm := newVM(k, "vm0", cfg)
 		ref := &refGuestCache{capacity: 8 + rng.Intn(48), dirty: make(map[int64]bool)}
+		if seed%3 == 0 {
+			ref.capacity = 2*cache.ChunkPages + rng.Intn(3*cache.ChunkPages)
+		}
 		vm.capacity = int64(ref.capacity)
 		var err error
 		k.Env.Go("guest", func(p *sim.Proc) {
@@ -347,8 +386,11 @@ func TestGuestCacheMatchesReference(t *testing.T) {
 					first += diskBytes/cache.PageSize - 2*span
 				}
 				last := first + rng.Int63n(40)
-				if rng.Intn(3) == 0 {
+				switch rng.Intn(3) {
+				case 0:
 					last = first
+				case 1:
+					last = first + rng.Int63n(3*cache.ChunkPages)
 				}
 				switch op := rng.Intn(10); {
 				case op < 4:
@@ -358,6 +400,10 @@ func TestGuestCacheMatchesReference(t *testing.T) {
 						err = fmt.Errorf("read %d..%d fetched %d pages, want %d", first, last, got, want)
 					}
 				case op < 8:
+					if q, ok := ref.oldestClean(); ok && op == 7 {
+						first = max(q-1-rng.Int63n(cache.ChunkPages), 0)
+						last = q + rng.Int63n(cache.ChunkPages)
+					}
 					vm.Write(p, first*cache.PageSize, (last-first+1)*cache.PageSize)
 					ref.write(first, last)
 				case op < 9:
@@ -386,6 +432,14 @@ func TestGuestCacheMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		allDirty += ref.allDirty
+		evictedAhead += ref.evictedAhead
+		selfEvicted += ref.selfEvicted
+	}
+	t.Logf("%d inserts found the full cache all dirty; %d written pages were evicted by their own write, %d read pages by their own miss run",
+		allDirty, evictedAhead, selfEvicted)
+	if allDirty == 0 || evictedAhead == 0 || selfEvicted == 0 {
+		t.Fatal("no step covered an all-dirty cache, a write evicting its own later pages, or a miss run evicting its own pages")
 	}
 }
 

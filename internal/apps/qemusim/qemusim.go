@@ -145,55 +145,79 @@ func (vm *VM) span(idx, last int64) (h int32, m uint64, hit bool) {
 	return vm.memo, (uint64(1)<<k - 1) << b, hit
 }
 
-// insert caches the absent page idx at the most recently used end of the
-// ring, evicting first if the cache is full.
-func (vm *VM) insert(idx int64, dirty bool) {
-	vm.evictIfFull()
-	h, bit, _ := vm.span(idx, idx)
+// insertRun caches the absent pages m of chunk key at the most recently
+// used end of the ring. It evicts what inserting them a page at a time would:
+// before each page, the least recently used clean pages while the cache is
+// full. Those victims are the oldest clean pages already resident and then,
+// for a clean run, the run's own pages in order, all but its last (a page
+// pushed earlier in the run is the next victim once every older page is
+// dirty); such pages are evicted before they are inserted.
+func (vm *VM) insertRun(key int64, m uint64, dirty bool) {
+	k := int64(bits.OnesCount64(m))
+	if over := vm.resident + k - vm.capacity; over > 0 {
+		if short := over - vm.evict(over); short > 0 && !dirty {
+			for drop := min(short, k-1); drop > 0; drop-- {
+				m &= m - 1
+			}
+			k = int64(bits.OnesCount64(m))
+		}
+	}
+	if vm.memoKey != key {
+		vm.memoKey, vm.memo = key, vm.chunkOf[key]
+	}
+	h := vm.memo
 	if h == 0 {
 		if n := len(vm.freeChunks); n > 0 {
 			h, vm.freeChunks = vm.freeChunks[n-1], vm.freeChunks[:n-1]
 		} else {
 			h, vm.chunks = int32(len(vm.chunks)), append(vm.chunks, guestChunk{})
 		}
-		vm.chunks[h].key = vm.memoKey
-		vm.chunkOf[vm.memoKey], vm.memo = h, h
+		vm.chunks[h].key = key
+		vm.chunkOf[key], vm.memo = h, h
 	}
 	ch := &vm.chunks[h]
-	ch.present |= bit
+	ch.present |= m
 	if dirty {
-		ch.dirty |= bit
-		vm.dirty++
+		ch.dirty |= m
+		vm.dirty += k
 	}
-	vm.resident++
-	vm.ring.Push(h, &ch.nodes, bit)
+	vm.resident += k
+	vm.ring.Push(h, &ch.nodes, m)
 }
 
-// evictIfFull drops the least recently used clean page while the cache is
-// full; dirty pages are skipped (they must be flushed first).
-func (vm *VM) evictIfFull() {
-	for vm.resident >= vm.capacity {
-		n, h, clean := vm.ring.Next(0), int32(0), uint64(0)
-		for ; n != 0; n = vm.ring.Next(n) {
-			if h, clean = vm.ring.Node(n); clean&^vm.chunks[h].dirty != 0 {
-				break
+// evict drops up to want least recently used clean pages, in ring order,
+// and returns how many it dropped; dirty pages are skipped (they must be
+// flushed first).
+func (vm *VM) evict(want int64) int64 {
+	got := int64(0)
+	for n := vm.ring.Next(0); n != 0 && got < want; {
+		h, mask := vm.ring.Node(n)
+		next := vm.ring.Next(n)
+		ch := &vm.chunks[h]
+		clean := mask &^ ch.dirty
+		if c := int64(bits.OnesCount64(clean)); got+c > want {
+			take := uint64(0)
+			for ; got < want; got++ {
+				take |= clean & -clean
+				clean &= clean - 1
+			}
+			clean = take
+		} else {
+			got += c
+		}
+		if clean != 0 {
+			vm.ring.Take(n, &ch.nodes, clean)
+			vm.resident -= int64(bits.OnesCount64(clean))
+			if ch.present &^= clean; ch.present == 0 {
+				delete(vm.chunkOf, ch.key)
+				vm.memoKey, vm.memo = ch.key, 0
+				*ch = guestChunk{nodes: ch.nodes[:0]}
+				vm.freeChunks = append(vm.freeChunks, h)
 			}
 		}
-		if n == 0 {
-			return // everything dirty; flusher will make room
-		}
-		ch := &vm.chunks[h]
-		clean &^= ch.dirty
-		clean &= -clean
-		vm.ring.Take(n, &ch.nodes, clean)
-		vm.resident--
-		if ch.present &^= clean; ch.present == 0 {
-			delete(vm.chunkOf, ch.key)
-			vm.memoKey, vm.memo = ch.key, 0
-			*ch = guestChunk{nodes: ch.nodes[:0]}
-			vm.freeChunks = append(vm.freeChunks, h)
-		}
+		n = next
 	}
+	return got
 }
 
 // Read performs a guest read: hits are guest-memory speed; misses become
@@ -234,9 +258,12 @@ func (vm *VM) readRun(p *sim.Proc, start, end int64) {
 	n := (end - start) * cache.PageSize
 	vm.hostReads += n
 	vm.k.VFS.Read(p, vm.pr, vm.back, start*cache.PageSize, n)
-	for idx := start; idx < end; idx++ {
-		if _, _, hit := vm.span(idx, idx); !hit {
-			vm.insert(idx, false)
+	for idx := start; idx < end; {
+		// A run's inserts may evict pages after it, so each run is spanned
+		// anew.
+		_, m, hit := vm.span(idx, end-1)
+		if idx += int64(bits.OnesCount64(m)); !hit {
+			vm.insertRun(vm.memoKey, m, false)
 		}
 	}
 }
@@ -250,18 +277,18 @@ func (vm *VM) Write(p *sim.Proc, off, n int64) {
 	}
 	first := off / cache.PageSize
 	last := (off + n - 1) / cache.PageSize
-	for idx := first; idx <= last; idx++ {
-		h, bit, hit := vm.span(idx, idx)
-		if !hit {
-			vm.insert(idx, true)
+	for idx := first; idx <= last; {
+		// An absent run's inserts may evict pages after it, so each run is
+		// spanned anew.
+		h, m, hit := vm.span(idx, last)
+		if idx += int64(bits.OnesCount64(m)); !hit {
+			vm.insertRun(vm.memoKey, m, true)
 			continue
 		}
 		ch := &vm.chunks[h]
-		if ch.dirty&bit == 0 {
-			ch.dirty |= bit
-			vm.dirty++
-		}
-		vm.ring.Promote(h, &ch.nodes, bit)
+		vm.dirty += int64(bits.OnesCount64(m &^ ch.dirty))
+		ch.dirty |= m
+		vm.ring.Promote(h, &ch.nodes, m)
 	}
 	pages := last - first + 1
 	vm.k.CPU.Use(p, time.Duration(pages)*pageCPU)

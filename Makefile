@@ -63,13 +63,16 @@ race:
 # tests are the asserted complement of the microbenchmarks: steady-state
 # schedule/pop must allocate nothing (pooled events, concrete-typed
 # four-ary heap), nor must a page run evicting its way into a full page
-# cache (recycled ring nodes and chunks), and the target fails if either
-# regresses. The qemusim benchmarks time the guest cache, which keeps its
-# pages on the host cache's LRU ring of page runs: warm 1 MiB reads of a
-# resident range and 4 KiB writes at random offsets into a full cache.
+# cache (recycled ring nodes and chunks), nor a warm 16 MiB guest read or
+# write, and the target fails if any regresses. The qemusim benchmarks time
+# the guest cache, which keeps its pages on the host cache's LRU ring of
+# page runs: warm 1 MiB reads and writes of a resident range, sequential
+# 1 MiB writes of absent runs into a full cache and 4 KiB writes at random
+# offsets into a full cache.
 microbench:
 	$(GO) test -run '^TestScheduleRunZeroAllocs$$' -count=1 ./internal/sim
 	$(GO) test -run '^TestEvictInsertZeroAllocs$$' -count=1 ./internal/cache
+	$(GO) test -run '^TestWarmRangeZeroAllocs$$' -count=1 ./internal/apps/qemusim
 	$(GO) test -bench=. -skip=BenchmarkEventLoopMix -benchtime=1000x -run '^$$' ./internal/sim ./internal/cache ./internal/apps/qemusim ./internal/perf ./internal/ssd
 	$(GO) test -bench=BenchmarkEventLoopMix -benchtime=2000000x -run '^$$' ./internal/sim
 	$(GO) test -bench=BenchmarkSplitlintRepo -benchtime=1x -run '^$$' ./internal/analysis

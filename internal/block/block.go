@@ -84,14 +84,14 @@ type Request struct {
 	Service time.Duration
 	QDepth  int
 
-	done *sim.Completion
+	done sim.Completion
 }
 
 // Bytes returns the request size in bytes.
 func (r *Request) Bytes() int64 { return int64(r.Blocks) * device.BlockSize }
 
 // Done returns the request's completion (valid after Submit).
-func (r *Request) Done() *sim.Completion { return r.done }
+func (r *Request) Done() *sim.Completion { return &r.done }
 
 // Elevator is the block-level scheduler hook surface. Add is called when a
 // request enters the block layer; Next is called by the dispatcher whenever
@@ -189,7 +189,7 @@ func (l *Layer) Submit(r *Request) *sim.Completion {
 	if r.Blocks <= 0 {
 		r.Blocks = 1
 	}
-	r.done = sim.NewCompletion(l.env)
+	r.done.Init(l.env)
 	r.Queued = l.env.Now()
 	l.stats.Requests++
 	l.depth++
@@ -199,7 +199,7 @@ func (l *Layer) Submit(r *Request) *sim.Completion {
 		l.onAdd(r)
 	}
 	l.Kick()
-	return r.done
+	return &r.done
 }
 
 // traceRequest emits the block- and device-layer spans of one completed

@@ -247,3 +247,23 @@ func TestDispatchSerialized(t *testing.T) {
 	}
 	env.Close()
 }
+
+// TestSubmitAllocs submits requests one at a time to a FIFO layer, each
+// served before the next, and requires that a Submit allocate nothing: the
+// request holds its completion.
+func TestSubmitAllocs(t *testing.T) {
+	env, l := newTestLayer(NewFIFO())
+	defer env.Close()
+	reqs := make([]Request, 64)
+	i := 0
+	allocs := testing.AllocsPerRun(len(reqs)-1, func() {
+		reqs[i] = Request{Op: device.Read, LBA: int64(i) * 8, Blocks: 8}
+		l.Submit(&reqs[i])
+		env.RunAll()
+		i++
+	})
+	t.Logf("%.2f allocations per Submit", allocs)
+	if allocs != 0 {
+		t.Fatalf("Submit allocated %.2f objects per request, want 0", allocs)
+	}
+}

@@ -585,6 +585,11 @@ type Completion struct {
 // NewCompletion returns an incomplete Completion on env.
 func NewCompletion(env *Env) *Completion { return &Completion{env: env} }
 
+// Init makes c an incomplete Completion on env, in place: for a Completion
+// held by value in the record it completes, which saves NewCompletion's
+// allocation.
+func (c *Completion) Init(env *Env) { *c = Completion{env: env} }
+
 // Done reports whether Complete has been called.
 func (c *Completion) Done() bool { return c.done }
 

@@ -195,19 +195,14 @@ func (vm *VM) evict(want int64) int64 {
 		next := vm.ring.Next(n)
 		ch := &vm.chunks[h]
 		clean := mask &^ ch.dirty
-		if c := int64(bits.OnesCount64(clean)); got+c > want {
-			take := uint64(0)
-			for ; got < want; got++ {
-				take |= clean & -clean
-				clean &= clean - 1
-			}
-			clean = take
-		} else {
-			got += c
+		for got+int64(bits.OnesCount64(clean)) > want {
+			clean &^= 1 << (bits.Len64(clean) - 1) // the lowest go first
 		}
 		if clean != 0 {
+			c := int64(bits.OnesCount64(clean))
+			got += c
+			vm.resident -= c
 			vm.ring.Take(n, &ch.nodes, clean)
-			vm.resident -= int64(bits.OnesCount64(clean))
 			if ch.present &^= clean; ch.present == 0 {
 				delete(vm.chunkOf, ch.key)
 				vm.memoKey, vm.memo = ch.key, 0

@@ -228,7 +228,7 @@ func (r *refGuestCache) touch(idx int64) {
 // or holds only dirty pages, and caches idx.
 func (r *refGuestCache) insert(idx int64, dirty bool) {
 	for len(r.lru) >= r.capacity {
-		i := slices.IndexFunc(r.lru, func(x int64) bool { return !r.dirty[x] })
+		i := r.oldestClean()
 		if i < 0 {
 			r.allDirty++
 			break
@@ -294,13 +294,10 @@ func (r *refGuestCache) write(first, last int64) {
 	}
 }
 
-// oldestClean returns the least recently used clean page, if there is one.
-func (r *refGuestCache) oldestClean() (int64, bool) {
-	i := slices.IndexFunc(r.lru, func(x int64) bool { return !r.dirty[x] })
-	if i < 0 {
-		return 0, false
-	}
-	return r.lru[i], true
+// oldestClean returns the LRU position of the least recently used clean
+// page, or -1 if every page is dirty.
+func (r *refGuestCache) oldestClean() int {
+	return slices.IndexFunc(r.lru, func(x int64) bool { return !r.dirty[x] })
 }
 
 // takeDirty cleans up to max dirty pages (all if max<=0) in LRU order and
@@ -400,7 +397,8 @@ func TestGuestCacheMatchesReference(t *testing.T) {
 						err = fmt.Errorf("read %d..%d fetched %d pages, want %d", first, last, got, want)
 					}
 				case op < 8:
-					if q, ok := ref.oldestClean(); ok && op == 7 {
+					if i := ref.oldestClean(); i >= 0 && op == 7 {
+						q := ref.lru[i]
 						first = max(q-1-rng.Int63n(cache.ChunkPages), 0)
 						last = q + rng.Int63n(cache.ChunkPages)
 					}
